@@ -1,10 +1,12 @@
-"""Exact arithmetic in cyclotomic fields and dense linear algebra over them.
+"""Exact arithmetic in cyclotomic fields and sparse linear algebra over them.
 
 Scalars live in Q(w) for a fixed primitive m-th root of unity w, written in
 canonical coordinates over the power basis ``1, w, ..., w^(phi(m)-1)`` modulo
 the m-th cyclotomic polynomial.  A value keeps integer numerator coordinates
 over one positive denominator in lowest terms, so equality is literal tuple
-equality and nothing is ever rounded.
+equality and nothing is ever rounded.  Matrices store one dict of nonzero
+entries per column; rank, kernels and solutions come from one exact
+row-reduction kernel.
 """
 
 from __future__ import annotations
@@ -45,43 +47,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _fp_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for top in range(len(rem) - 1, len(b) - 2, -1):
-        c = rem[top] * inv_lead
-        if c:
-            quot[top - (len(b) - 1)] = c
-            for t, bc in enumerate(b):
-                rem[top - (len(b) - 1) + t] -= c * bc
-    return _fp_trim(quot), _fp_trim(rem)
-
-
-def _fp_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _fp_trim(out)
-
-
-def _fp_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _fp_trim(out)
-
-
 class CyclotomicField:
     """The field Q(w) for a primitive m-th root of unity w.
 
@@ -89,7 +54,7 @@ class CyclotomicField:
     reference to their field and arithmetic requires matching fields.
     """
 
-    __slots__ = ("m", "minpoly", "degree", "_reduction", "zero", "one", "_zeta_pows")
+    __slots__ = ("m", "minpoly", "degree", "_reduction", "zero", "one", "_zeta_pows", "_conjugations")
 
     def __init__(self, m: int) -> None:
         self.m = m
@@ -101,6 +66,12 @@ class CyclotomicField:
         one[0] = 1
         self.one = CycNum(self, tuple(one), 1)
         self._zeta_pows = self._power_table()
+        # per Galois automorphism w -> w^a with a != 1: the images of the basis
+        self._conjugations = tuple(
+            tuple(self._zeta_pows[a * j % m].coords for j in range(self.degree))
+            for a in range(2, m)
+            if gcd(a, m) == 1
+        )
 
     def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
         # row j holds the canonical coordinates of w^(degree + j), as integers
@@ -131,16 +102,22 @@ class CyclotomicField:
             pows.append(pows[-1] * zeta)
         return tuple(pows)
 
-    def reduce(self, coords: list[int]) -> tuple[int, ...]:
-        """Reduce raw power-basis coordinates (any length) to canonical ones."""
+    def mul_coords(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        """Canonical integer coordinates of the product of two coordinate vectors."""
         d = self.degree
-        for j in range(len(coords) - 1, d - 1, -1):
-            c = coords[j]
+        conv = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        for j in range(2 * d - 2, d - 1, -1):
+            c = conv[j]
             if c:
                 row = self._reduction[j - d]
                 for t in range(d):
-                    coords[t] += c * row[t]
-        return tuple(coords[:d])
+                    conv[t] += c * row[t]
+        return tuple(conv[:d])
 
     def zeta(self, exponent: int = 1) -> CycNum:
         """The root of unity w raised to the given exponent."""
@@ -283,39 +260,35 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        conv = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        coords = self.field.reduce(conv)
+        coords = self.field.mul_coords(self.coords, o.coords)
         return CycNum._normalized(self.field, coords, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """Multiplicative inverse, via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the other Galois conjugates over the norm.
+
+        For integer coordinates c, the product of the conjugates of c under
+        every automorphism w -> w^a, a != 1 coprime to m, is a cofactor whose
+        product with c is the norm of c, a nonzero integer; all of it stays in
+        integer arithmetic.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        minpoly = [Fraction(c) for c in self.field.minpoly]
-        r0, s0 = minpoly, [Fraction(0)]
-        r1 = _fp_trim([Fraction(c, self.den) for c in self.coords])
-        s1 = [Fraction(1)]
-        while r1:
-            q, rem = _fp_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1))
-        # r0 is a nonzero constant: the minimal polynomial is irreducible over Q.
-        scale = 1 / r0[0]
-        inv = [c * scale for c in s0]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        den = 1
-        for c in inv:
-            den = den * c.denominator // gcd(den, c.denominator)
-        coords = [int(c * den) for c in inv[: self.field.degree]]
-        return CycNum._normalized(self.field, coords, den)
+        field = self.field
+        cofactor = field.one.coords
+        for images in field._conjugations:
+            conj = [0] * field.degree
+            for c, image in zip(self.coords, images):
+                if c:
+                    for t, e in enumerate(image):
+                        if e:
+                            conj[t] += c * e
+            cofactor = field.mul_coords(cofactor, conj)
+        norm = field.mul_coords(self.coords, cofactor)
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError(f"norm of {self} is not a nonzero rational")
+        return CycNum._normalized(field, [c * self.den for c in cofactor], norm[0])
 
     def __truediv__(self, other: CycNum | Fraction | int) -> CycNum:
         o = self._coerce(other)
@@ -379,130 +352,73 @@ class CycNum:
         return f"CycNum({self.field.m}, {str(self)!r})"
 
 
-def cyc_power(field: CyclotomicField, exponent: int) -> CycNum:
-    """Canonical power of the fixed primitive root of unity."""
-    return field.zeta(exponent)
-
-
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_neg(a: CycNum) -> CycNum:
-    return -a
-
-
-def cyc_inv(a: CycNum) -> CycNum:
-    return a.inverse()
-
-
-Vector = tuple[CycNum, ...]
+VecDict = dict[int, CycNum]
 
 
 class CycMatrix:
-    """A dense matrix over a fixed cyclotomic field, stored row-major."""
+    """A sparse matrix over a fixed cyclotomic field, stored by columns.
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_cols")
+    Column j is a dict from row index to entry that holds only the nonzero
+    entries, so two matrices of one shape are equal exactly when their
+    column dicts are.  The columns are shared, never copied: treat the
+    result of :meth:`sparse_columns` as read-only.
+    """
 
-    def __init__(self, field: CyclotomicField, rows: tuple[tuple[CycNum, ...], ...], ncols: int) -> None:
+    __slots__ = ("field", "nrows", "ncols", "_columns")
+
+    def __init__(self, field: CyclotomicField, columns: list[VecDict], nrows: int) -> None:
         self.field = field
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self._cols: list[list[tuple[int, CycNum]]] | None = None
+        self.nrows = nrows
+        self.ncols = len(columns)
+        self._columns = columns
+
+    @classmethod
+    def from_column_dicts(cls, field: CyclotomicField, cols: Sequence[VecDict], nrows: int) -> CycMatrix:
+        return cls(field, [{i: x for i, x in col.items() if x} for col in cols], nrows)
 
     @classmethod
     def from_rows(cls, field: CyclotomicField, rows: Sequence[Sequence[CycNum | Fraction | int]]) -> CycMatrix:
         ncols = len(rows[0]) if rows else 0
-        frozen = []
-        for row in rows:
+        columns: list[VecDict] = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            frozen.append(tuple(field.num(x) for x in row))
-        return cls(field, tuple(frozen), ncols)
-
-    @classmethod
-    def from_columns(cls, field: CyclotomicField, cols: Sequence[Sequence[CycNum]], nrows: int) -> CycMatrix:
-        rows = [[field.zero] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                rows[i][j] = x
-        return cls(field, tuple(tuple(r) for r in rows), len(cols))
-
-    @classmethod
-    def from_column_dicts(cls, field: CyclotomicField, cols: Sequence[dict[int, CycNum]], nrows: int) -> CycMatrix:
-        rows = [[field.zero] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][j] = x
-        return cls(field, tuple(tuple(r) for r in rows), len(cols))
+            for j, x in enumerate(row):
+                x = field.num(x)
+                if x:
+                    columns[j][i] = x
+        return cls(field, columns, len(rows))
 
     @classmethod
     def zeros(cls, field: CyclotomicField, nrows: int, ncols: int) -> CycMatrix:
-        row = (field.zero,) * ncols
-        return cls(field, tuple(row for _ in range(nrows)), ncols)
+        return cls(field, [{} for _ in range(ncols)], nrows)
 
     @classmethod
     def identity(cls, field: CyclotomicField, n: int) -> CycMatrix:
-        rows = []
-        for i in range(n):
-            row = [field.zero] * n
-            row[i] = field.one
-            rows.append(tuple(row))
-        return cls(field, tuple(rows), n)
+        return cls.diagonal(field, [field.one] * n)
 
     @classmethod
     def diagonal(cls, field: CyclotomicField, entries: Sequence[CycNum]) -> CycMatrix:
-        rows = []
-        for i, e in enumerate(entries):
-            row = [field.zero] * len(entries)
-            row[i] = e
-            rows.append(tuple(row))
-        return cls(field, tuple(rows), len(entries))
+        return cls(field, [{j: x} if x else {} for j, x in enumerate(entries)], len(entries))
 
-    def entry(self, i: int, j: int) -> CycNum:
-        return self.rows[i][j]
+    def sparse_columns(self) -> list[VecDict]:
+        """The stored columns: one dict of nonzero entries per column."""
+        return self._columns
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
-
-    def sparse_columns(self) -> list[list[tuple[int, CycNum]]]:
-        """Nonzero entries per column, cached; handy for repeated applies."""
-        if self._cols is None:
-            cols: list[list[tuple[int, CycNum]]] = [[] for _ in range(self.ncols)]
-            for i, row in enumerate(self.rows):
-                for j, x in enumerate(row):
-                    if x:
-                        cols[j].append((i, x))
-            self._cols = cols
-        return self._cols
-
-    def apply(self, vec: Sequence[CycNum]) -> Vector:
-        zero = self.field.zero
-        out = [zero] * self.nrows
-        cols = self.sparse_columns()
-        for j, x in enumerate(vec):
-            if x:
-                for i, a in cols[j]:
-                    out[i] = out[i] + a * x
-        return tuple(out)
-
-    def apply_dict(self, vec: dict[int, CycNum]) -> dict[int, CycNum]:
-        out: dict[int, CycNum] = {}
-        cols = self.sparse_columns()
+    def apply(self, vec: VecDict) -> VecDict:
+        """The image of a sparse vector, with no zero entries."""
+        out: VecDict = {}
+        cols = self._columns
         for j, x in vec.items():
-            if x:
-                for i, a in cols[j]:
-                    cur = out.get(i)
-                    val = a * x if cur is None else cur + a * x
-                    if val:
-                        out[i] = val
-                    elif cur is not None:
-                        del out[i]
+            for i, a in cols[j].items():
+                val = a * x
+                cur = out.get(i)
+                if cur is not None:
+                    val = cur + val
+                if val:
+                    out[i] = val
+                else:
+                    out.pop(i, None)
         return out
 
     def __mul__(self, other: CycMatrix) -> CycMatrix:
@@ -510,71 +426,79 @@ class CycMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        zero = self.field.zero
-        out = [[zero] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            out_i = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    other_row = other.rows[k]
-                    for j, b in enumerate(other_row):
-                        if b:
-                            out_i[j] = out_i[j] + a * b
-        return CycMatrix(self.field, tuple(tuple(r) for r in out), other.ncols)
+        return CycMatrix(self.field, [self.apply(col) for col in other._columns], self.nrows)
 
     def __add__(self, other: CycMatrix) -> CycMatrix:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in matrix addition")
-        rows = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        return CycMatrix(self.field, rows, self.ncols)
+        columns = []
+        for col_a, col_b in zip(self._columns, other._columns):
+            col = dict(col_a)
+            for i, x in col_b.items():
+                val = col[i] + x if i in col else x
+                if val:
+                    col[i] = val
+                else:
+                    del col[i]
+            columns.append(col)
+        return CycMatrix(self.field, columns, self.nrows)
 
     def __neg__(self) -> CycMatrix:
-        return CycMatrix(self.field, tuple(tuple(-x for x in row) for row in self.rows), self.ncols)
+        return CycMatrix(self.field, [{i: -x for i, x in col.items()} for col in self._columns], self.nrows)
 
     def __sub__(self, other: CycMatrix) -> CycMatrix:
         return self + (-other)
 
-    def scaled(self, c: CycNum | Fraction | int) -> CycMatrix:
-        c = self.field.num(c)
-        return CycMatrix(self.field, tuple(tuple(x * c for x in row) for row in self.rows), self.ncols)
-
     def transpose(self) -> CycMatrix:
-        return CycMatrix(self.field, tuple(zip(*self.rows)) if self.rows else (), self.nrows)
+        columns: list[VecDict] = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self._columns):
+            for i, x in col.items():
+                columns[i][j] = x
+        return CycMatrix(self.field, columns, self.ncols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> CycMatrix:
-        rows = tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx)
-        return CycMatrix(self.field, rows, len(col_idx))
+        position = {i: t for t, i in enumerate(row_idx)}
+        columns = [
+            {position[i]: x for i, x in self._columns[j].items() if i in position} for j in col_idx
+        ]
+        return CycMatrix(self.field, columns, len(row_idx))
 
     @classmethod
     def vstack(cls, mats: Sequence[CycMatrix]) -> CycMatrix:
-        field = mats[0].field
         ncols = mats[0].ncols
-        rows: list[tuple[CycNum, ...]] = []
+        columns: list[VecDict] = [{} for _ in range(ncols)]
+        offset = 0
         for mat in mats:
             if mat.ncols != ncols:
                 raise ValueError("column count mismatch in vstack")
-            rows.extend(mat.rows)
-        return cls(field, tuple(rows), ncols)
+            for col, part in zip(columns, mat._columns):
+                for i, x in part.items():
+                    col[offset + i] = x
+            offset += mat.nrows
+        return cls(mats[0].field, columns, offset)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.rows)
+        return not any(self._columns)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CycMatrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._columns == other._columns
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.m, self.rows))
+        return hash((self.field.m, self.nrows, tuple(frozenset(col.items()) for col in self._columns)))
 
     def __repr__(self) -> str:
         return f"CycMatrix({self.nrows}x{self.ncols} over Q(zeta_{self.field.m}))"
 
     def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
+        zero = self.field.zero
+        return "\n".join(
+            "[" + ", ".join(str(col.get(i, zero)) for col in self._columns) + "]" for i in range(self.nrows)
+        )
 
 
 def _rref(field: CyclotomicField, rows: list[list[CycNum]], ncols: int) -> tuple[list[list[CycNum]], list[int]]:
@@ -608,49 +532,45 @@ def _rref(field: CyclotomicField, rows: list[list[CycNum]], ncols: int) -> tuple
     return rows, pivots
 
 
+def _row_lists(mat: CycMatrix, extra: int = 0) -> list[list[CycNum]]:
+    """Dense rows of the matrix, with ``extra`` zero columns appended."""
+    zero = mat.field.zero
+    rows = [[zero] * (mat.ncols + extra) for _ in range(mat.nrows)]
+    for j, col in enumerate(mat.sparse_columns()):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
 def mat_rank(mat: CycMatrix) -> int:
-    rows = [list(row) for row in mat.rows]
-    _, pivots = _rref(mat.field, rows, mat.ncols)
+    _, pivots = _rref(mat.field, _row_lists(mat), mat.ncols)
     return len(pivots)
 
 
-def mat_kernel(mat: CycMatrix) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column."""
+def mat_kernel(mat: CycMatrix) -> list[VecDict]:
+    """Basis of the right kernel as sparse vectors, one per free column."""
     field = mat.field
-    rows = [list(row) for row in mat.rows]
-    rref, pivots = _rref(field, rows, mat.ncols)
+    rref, pivots = _rref(field, _row_lists(mat), mat.ncols)
     pivot_set = set(pivots)
-    basis: list[Vector] = []
+    basis: list[VecDict] = []
     for free in range(mat.ncols):
         if free in pivot_set:
             continue
-        vec = [field.zero] * mat.ncols
-        vec[free] = field.one
+        vec = {free: field.one}
         for r, pc in enumerate(pivots):
             entry = rref[r][free]
             if entry:
                 vec[pc] = -entry
-        basis.append(tuple(vec))
+        basis.append(vec)
     return basis
 
 
-def mat_solve(mat: CycMatrix, rhs: Sequence[CycNum]) -> Vector | None:
-    """One solution of ``mat * x = rhs``, or None when the system is inconsistent."""
-    field = mat.field
-    if len(rhs) != mat.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    rows = [list(row) + [b] for row, b in zip(mat.rows, rhs)]
-    rref, pivots = _rref(field, rows, mat.ncols + 1)
+def mat_solve(mat: CycMatrix, rhs: VecDict) -> VecDict | None:
+    """One sparse solution of ``mat * x = rhs``, or None when the system is inconsistent."""
+    rows = _row_lists(mat, 1)
+    for i, b in rhs.items():
+        rows[i][mat.ncols] = b
+    rref, pivots = _rref(mat.field, rows, mat.ncols + 1)
     if pivots and pivots[-1] == mat.ncols:
         return None
-    sol = [field.zero] * mat.ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = rref[r][mat.ncols]
-    return tuple(sol)
-
-
-def mat_image(mat: CycMatrix) -> list[Vector]:
-    """Basis of the column space: the original columns in pivot positions."""
-    rows = [list(row) for row in mat.rows]
-    _, pivots = _rref(mat.field, rows, mat.ncols)
-    return [mat.column(pc) for pc in pivots]
+    return {pc: rref[r][mat.ncols] for r, pc in enumerate(pivots) if rref[r][mat.ncols]}

@@ -27,10 +27,6 @@ class GroupElement:
         object.__setattr__(self, "refl", self.refl % 2)
         object.__setattr__(self, "rot", self.rot % self.m)
 
-    @property
-    def is_rotation(self) -> bool:
-        return self.refl == 0
-
     def __mul__(self, other: GroupElement) -> GroupElement:
         if other.m != self.m:
             raise ValueError("elements belong to dihedral groups of different orders")
@@ -57,18 +53,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement({str(self)!r}, m={self.m})"
-
-
-def grp_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def grp_inv(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def grp_conj(a: GroupElement, t: GroupElement) -> GroupElement:
-    return a.conjugated_by(t)
 
 
 def parse_element(text: str, m: int) -> GroupElement:

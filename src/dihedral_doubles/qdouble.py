@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, mat_kernel
+from .cyclotomic import CycMatrix, CycNum, VecDict, mat_kernel
 from .dihedral import DihedralContext, GroupElement
 from .nichols import (
     ExtMonomial,
@@ -43,7 +43,6 @@ from .weights import (
 )
 
 Cell = tuple[int, GroupElement]
-VecDict = dict[int, CycNum]
 
 
 class QDModule:
@@ -131,10 +130,6 @@ class QDModule:
         return f"QDModule(kind={self.kind!r}, dim={self.dim}, index_set={str(self.index_set)!r}, weight={name!r})"
 
 
-def _sparse_col_dicts(mat: CycMatrix) -> list[VecDict]:
-    return [dict(col) for col in mat.sparse_columns()]
-
-
 def _add_into(target: VecDict, key: int, value: CycNum) -> None:
     acc = target.get(key)
     acc = value if acc is None else acc + value
@@ -142,14 +137,6 @@ def _add_into(target: VecDict, key: int, value: CycNum) -> None:
         target[key] = acc
     elif key in target:
         del target[key]
-
-
-def _apply_cols(cols: list[VecDict], vec: VecDict) -> VecDict:
-    out: VecDict = {}
-    for j, val in vec.items():
-        for i, a in cols[j].items():
-            _add_into(out, i, a * val)
-    return out
 
 
 def y_power_columns(module: QDModule | DoubleModule, power: int) -> list[VecDict]:
@@ -162,8 +149,7 @@ def y_power_columns(module: QDModule | DoubleModule, power: int) -> list[VecDict
             cache[0] = [{j: one} for j in range(module.dim)]
         else:
             prev = y_power_columns(module, power - 1)
-            ycols = _sparse_col_dicts(module.y_mat)
-            cache[power] = [_apply_cols(ycols, prev[j]) for j in range(module.dim)]
+            cache[power] = [module.y_mat.apply(prev[j]) for j in range(module.dim)]
     return cache[power]
 
 
@@ -256,7 +242,7 @@ class _InductionBase:
             module.degrees,
             (0,) * module.dim,
             module.basis_labels,
-            _sparse_col_dicts(module.x_mat),
+            module.x_mat.sparse_columns(),
             module,
             {},
         )
@@ -265,16 +251,16 @@ class _InductionBase:
     def from_module(cls, ctx: DihedralContext, module: QDModule) -> _InductionBase:
         gens: dict[tuple[str, int, int], list[VecDict]] = {}
         for (pos, sign), mat in module.v_mats.items():
-            gens[("v", pos, sign)] = _sparse_col_dicts(mat)
+            gens[("v", pos, sign)] = mat.sparse_columns()
         for (pos, sign), mat in module.a_mats.items():
-            gens[("a", pos, sign)] = _sparse_col_dicts(mat)
+            gens[("a", pos, sign)] = mat.sparse_columns()
         return cls(
             ctx,
             module.dim,
             module.gdeg,
             module.zdeg,
             module.basis_labels,
-            _sparse_col_dicts(module.x_mat),
+            module.x_mat.sparse_columns(),
             module,
             gens,
         )
@@ -512,7 +498,7 @@ def check_relations(module: QDModule) -> list[str]:
         for j in range(dim):
             target_z = module.zdeg[j] + zshift
             target_g = gmap(module.gdeg[j])
-            for i, _ in sparse[j]:
+            for i in sparse[j]:
                 if module.zdeg[i] != target_z or module.gdeg[i] != target_g:
                     failures.append(f"{name} breaks the grading at column {j}")
                     return
@@ -530,71 +516,55 @@ def check_relations(module: QDModule) -> list[str]:
             f"a({pos},{sign:+d})", mat, +1, lambda g, i=i, s=sign: group.rotation(-s * i) * g
         )
 
-    x_cols = _sparse_col_dicts(module.x_mat)
-    y_cols = _sparse_col_dicts(module.y_mat)
-    unit_cols: list[VecDict] = [{j: field.one} for j in range(dim)]
-    zero_cols: list[VecDict] = [dict() for _ in range(dim)]
-
-    def cols_equal(a: list[VecDict], b: list[VecDict]) -> bool:
-        return all(ca == cb for ca, cb in zip(a, b))
-
-    if not cols_equal([_apply_cols(x_cols, c) for c in x_cols], unit_cols):
+    x, y = module.x_mat, module.y_mat
+    ident = CycMatrix.identity(field, dim)
+    if x * x != ident:
         failures.append("x^2 != 1")
-    ypow = unit_cols
+    ypow = ident
     for _ in range(ctx.m):
-        ypow = [_apply_cols(y_cols, c) for c in ypow]
-    if not cols_equal(ypow, unit_cols):
+        ypow = y * ypow
+    if ypow != ident:
         failures.append(f"y^{ctx.m} != 1")
-    xy_cols = [_apply_cols(x_cols, c) for c in y_cols]
-    if not cols_equal([_apply_cols(x_cols, _apply_cols(y_cols, c)) for c in xy_cols], unit_cols):
+    xy = x * y
+    if xy * xy != ident:
         failures.append("(x y)^2 != 1")
 
-    letter_cols: dict[tuple[str, tuple[int, int]], list[VecDict]] = {}
+    letters: dict[tuple[str, tuple[int, int]], CycMatrix] = {}
     for key, mat in module.v_mats.items():
-        letter_cols[("v", key)] = _sparse_col_dicts(mat)
+        letters[("v", key)] = mat
     for key, mat in module.a_mats.items():
-        letter_cols[("a", key)] = _sparse_col_dicts(mat)
+        letters[("a", key)] = mat
 
-    for (kind, (pos, sign)), cols in letter_cols.items():
-        partner = letter_cols[(kind, (pos, -sign))]
+    for (kind, (pos, sign)), mat in letters.items():
+        partner = letters[(kind, (pos, -sign))]
         k = pairs[pos][1]
-        lhs = [_apply_cols(x_cols, c) for c in cols]
-        rhs = [_apply_cols(partner, c) for c in x_cols]
-        if not cols_equal(lhs, rhs):
+        if x * mat != partner * x:
             failures.append(f"x does not swap the sign of {kind} at pair position {pos}")
         scale = ctx.omega(sign * k if kind == "v" else -sign * k)
-        lhs = [_apply_cols(y_cols, c) for c in cols]
-        rhs = [{i: val * scale for i, val in _apply_cols(cols, c).items()} for c in y_cols]
-        if not cols_equal(lhs, rhs):
+        if y * mat != mat * y * CycMatrix.diagonal(field, [scale] * dim):
             failures.append(f"y does not scale {kind} at pair position {pos} as expected")
 
-    def anticommutator(ca: list[VecDict], cb: list[VecDict]) -> list[VecDict]:
-        out: list[VecDict] = []
-        for j in range(dim):
-            merged = _apply_cols(ca, cb[j])
-            for i, val in _apply_cols(cb, ca[j]).items():
-                _add_into(merged, i, val)
-            out.append(merged)
-        return out
+    def anticommutator(ka: tuple[str, tuple[int, int]], kb: tuple[str, tuple[int, int]]) -> CycMatrix:
+        return letters[ka] * letters[kb] + letters[kb] * letters[ka]
 
     v_keys = sorted(module.v_mats, key=lambda key: (key[0], -key[1]))
     a_keys = sorted(module.a_mats, key=lambda key: (key[0], -key[1]))
     for idx, ka in enumerate(v_keys):
         for kb in v_keys[idx:]:
-            if not cols_equal(anticommutator(letter_cols[("v", ka)], letter_cols[("v", kb)]), zero_cols):
+            if not anticommutator(("v", ka), ("v", kb)).is_zero():
                 failures.append(f"raising letters {ka} and {kb} do not anticommute")
     for idx, ka in enumerate(a_keys):
         for kb in a_keys[idx:]:
-            if not cols_equal(anticommutator(letter_cols[("a", ka)], letter_cols[("a", kb)]), zero_cols):
+            if not anticommutator(("a", ka), ("a", kb)).is_zero():
                 failures.append(f"lowering letters {ka} and {kb} do not anticommute")
     for ka in a_keys:
         for kb in v_keys:
-            bracket = anticommutator(letter_cols[("a", ka)], letter_cols[("v", kb)])
+            bracket = anticommutator(("a", ka), ("v", kb))
             if ka[0] == kb[0]:
-                target = _sparse_col_dicts(phi_action(ctx, pairs[ka[0]], ka[1], kb[1], module))
+                matches = bracket == phi_action(ctx, pairs[ka[0]], ka[1], kb[1], module)
             else:
-                target = zero_cols
-            if not cols_equal(bracket, target):
+                matches = bracket.is_zero()
+            if not matches:
                 failures.append(f"mixed bracket of a{ka} with v{kb} does not match the cross term")
     return failures
 
@@ -618,16 +588,16 @@ def theta_congruence(module: QDModule) -> list[str]:
     top = [idx for idx, z in enumerate(module.zdeg) if z == 0]
     for pos, pair in enumerate(module.index_set.pairs):
         chain = [
-            _sparse_col_dicts(module.v_mats[(pos, -1)]),
-            _sparse_col_dicts(module.v_mats[(pos, 1)]),
-            _sparse_col_dicts(module.a_mats[(pos, -1)]),
-            _sparse_col_dicts(module.a_mats[(pos, 1)]),
+            module.v_mats[(pos, -1)],
+            module.v_mats[(pos, 1)],
+            module.a_mats[(pos, -1)],
+            module.a_mats[(pos, 1)],
         ]
-        theta_cols = _sparse_col_dicts(theta_action(ctx, pair, module))
+        theta_cols = theta_action(ctx, pair, module).sparse_columns()
         for b in top:
             vec: VecDict = {b: ctx.field.one}
-            for cols in chain:
-                vec = _apply_cols(cols, vec)
+            for mat in chain:
+                vec = mat.apply(vec)
             if vec != theta_cols[b]:
                 failures.append(f"degree-zero congruence fails for pair {pair} on {module.basis_labels[b]}")
     return failures
@@ -657,9 +627,7 @@ def highest_weight_vectors(
     stacked = CycMatrix.vstack(
         [mat.submatrix(above, idxs) for mat in module.a_mats.values()]
     )
-    return [
-        {idxs[t]: val for t, val in enumerate(vec) if val} for vec in mat_kernel(stacked)
-    ]
+    return [{idxs[t]: val for t, val in vec.items()} for vec in mat_kernel(stacked)]
 
 
 class _CellBasis:
@@ -750,12 +718,12 @@ class GradedSubspace:
 def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> GradedSubspace:
     """Smallest subspace containing the vectors and stable under every generator."""
     space = GradedSubspace(module)
-    gen_cols = [_sparse_col_dicts(mat) for _, mat in module.generator_matrices()]
+    gens = [mat for _, mat in module.generator_matrices()]
     queue: list[VecDict] = [dict(vec) for vec in vectors if space.insert(vec)]
     while queue:
         vec = queue.pop()
-        for cols in gen_cols:
-            image = _apply_cols(cols, vec)
+        for mat in gens:
+            image = mat.apply(vec)
             if image and space.insert(image):
                 queue.append(image)
     return space
@@ -774,7 +742,7 @@ def quotient(module: QDModule, space: GradedSubspace, kind: str = "quotient") ->
         sparse = mat.sparse_columns()
         cols: list[VecDict] = []
         for old in kept:
-            reduced = space.reduce(dict(sparse[old]))
+            reduced = space.reduce(sparse[old])
             cols.append({new_index[i]: val for i, val in reduced.items()})
         return CycMatrix.from_column_dicts(field, cols, len(kept))
 
@@ -809,11 +777,9 @@ def _express_in_space(
     mat: CycMatrix,
 ) -> CycMatrix:
     field = module.ctx.field
-    sparse = _sparse_col_dicts(mat)
     cols: list[VecDict] = []
     for cell, t in ordered:
-        row = space.cells[cell].rows[t]
-        image = _apply_cols(sparse, row)
+        image = mat.apply(space.cells[cell].rows[t])
         col: VecDict = {}
         if image:
             lead = next(iter(image))
@@ -885,10 +851,10 @@ def socle(module: QDModule) -> QDModule:
     seed = GradedSubspace(module)
     for vec in found:
         seed.insert(vec)
-    for cols in (_sparse_col_dicts(module.x_mat), _sparse_col_dicts(module.y_mat)):
+    for mat in (module.x_mat, module.y_mat):
         for basis in list(seed.cells.values()):
             for row in list(basis.rows):
-                if not seed.contains(_apply_cols(cols, row)):
+                if not seed.contains(mat.apply(row)):
                     raise AssertionError("lowest joint kernel is not stable under the group")
     counts = decomposition_counts(module.ctx, _subspace_double_module(module, seed))
     if len(counts) != 1 or counts[0][1] != 1:
@@ -1048,14 +1014,14 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
                 )
         return cols
 
-    x_cols = kron_cols(_sparse_col_dicts(left.x_mat), _sparse_col_dicts(right.x_mat))
-    y_cols = kron_cols(_sparse_col_dicts(left.y_mat), _sparse_col_dicts(right.y_mat))
+    x_cols = kron_cols(left.x_mat.sparse_columns(), right.x_mat.sparse_columns())
+    y_cols = kron_cols(left.y_mat.sparse_columns(), right.y_mat.sparse_columns())
     v_mats: dict[tuple[int, int], CycMatrix] = {}
     a_mats: dict[tuple[int, int], CycMatrix] = {}
     for (pos, sign), mat in left.v_mats.items():
         i, _ = left.index_set.pairs[pos]
-        va = _sparse_col_dicts(mat)
-        vb = _sparse_col_dicts(right.v_mats[(pos, sign)])
+        va = mat.sparse_columns()
+        vb = right.v_mats[(pos, sign)].sparse_columns()
         ya = y_power_columns(left, sign * i)
         cols = []
         for ja in range(left.dim):
@@ -1070,9 +1036,9 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
         v_mats[(pos, sign)] = CycMatrix.from_column_dicts(field, cols, dim)
     for (pos, sign), mat in left.a_mats.items():
         _, k = left.index_set.pairs[pos]
-        aa = _sparse_col_dicts(mat)
-        ab_same = _sparse_col_dicts(right.a_mats[(pos, sign)])
-        ab_opp = _sparse_col_dicts(right.a_mats[(pos, -sign)])
+        aa = mat.sparse_columns()
+        ab_same = right.a_mats[(pos, sign)].sparse_columns()
+        ab_opp = right.a_mats[(pos, -sign)].sparse_columns()
         cols = []
         for ja in range(left.dim):
             g = left.gdeg[ja]

@@ -289,16 +289,13 @@ def verify_reflection_split(
             f"expected {sorted(map(str, expected))}"
         )
     plus_vec, minus_vec = reflection_split_vectors(ctx, pair, label)
-    zero = ctx.field.zero
     for vec, part_label in ((plus_vec, plus_label), (minus_vec, minus_label)):
-        embeddings = found[part_label]
-        image = CycMatrix.from_columns(
+        image = CycMatrix.from_column_dicts(
             ctx.field,
-            [emb.column(j) for emb in embeddings for j in range(emb.ncols)],
+            [col for emb in found[part_label] for col in emb.sparse_columns()],
             product.dim,
         )
-        rhs = tuple(vec.get(r, zero) for r in range(product.dim))
-        if mat_solve(image, rhs) is None:
+        if mat_solve(image, vec) is None:
             raise AssertionError(
                 f"distinguished vector for {part_label} at pair {pair}, weight {label} "
                 "does not lie in its summand"
@@ -324,8 +321,10 @@ def singleton_socle_character(
 
     Rigid weight: the socle is the top-degree twist of the weight by the
     volume character, in degree -2.  Projective weight: the standard module
-    is simple, so the socle is everything.  Reflection weight: two
-    two-dimensional layers mirroring the head's lower layer.
+    is simple, so the socle is everything.  Reflection weight ``M(fam, s, t)``:
+    ``M(fam + i, s + 1, t + k)`` in degree -1 over ``M(fam, s + 1, t)`` in
+    degree -2.  Unlike the plus summand of :func:`predicted_reflection_split`,
+    the degree -1 layer takes no ``t``-dependent flip at the half-turn i = n.
     """
     cls = classify_weight(ctx, label, pair)
     iset = IndexSet(ctx.m, (pair,))
@@ -337,11 +336,12 @@ def singleton_socle_character(
         if len(twisted) != 1 or len(twisted[0][1]) != 1:
             raise ArithmeticError(f"volume twist of {label} is not a single weight")
         return GradedCharacter.single(twisted[0][0], -2)
-    plus_label, _ = predicted_reflection_split(ctx, pair, label)
+    i, k = pair
     fam = 0 if label.family == "Mx" else 1
     s, t = label.params
+    middle = _reflection_label(fam + i, s + 1, t + k)
     bottom = _reflection_label(fam, s + 1, t)
-    return GradedCharacter.from_counts({-1: [(plus_label, 1)], -2: [(bottom, 1)]})
+    return GradedCharacter.from_counts({-1: [(middle, 1)], -2: [(bottom, 1)]})
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +412,7 @@ def pivot_candidate(ctx: DihedralContext, module: QDModule, character: int) -> C
     for b in range(module.dim):
         g = module.gdeg[b]
         sign = (sx ** g.refl) * (sy ** g.rot)
-        if sign == 1:
-            signed.append(dict(cols[b]))
-        else:
-            signed.append({r: -c for r, c in cols[b].items()})
+        signed.append(cols[b] if sign == 1 else {r: -c for r, c in cols[b].items()})
     return CycMatrix.from_column_dicts(ctx.field, signed, module.dim)
 
 

@@ -168,7 +168,7 @@ def validate_double_module(module: DoubleModule) -> None:
         cols = mat.sparse_columns()
         for j in range(module.dim):
             target = module.degrees[j].conjugated_by(t)
-            for i, _ in cols[j]:
+            for i in cols[j]:
                 if module.degrees[i] != target:
                     raise ValueError(
                         f"{gen} breaks the grading at basis vector {module.basis_labels[j]}"
@@ -311,8 +311,8 @@ def _kronecker(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     for ja in range(a.ncols):
         for jb in range(b.ncols):
             col: dict[int, CycNum] = {}
-            for ia, va in a_cols[ja]:
-                for ib, vb in b_cols[jb]:
+            for ia, va in a_cols[ja].items():
+                for ib, vb in b_cols[jb].items():
                     col[ia * b.nrows + ib] = va * vb
             cols.append(col)
     return CycMatrix.from_column_dicts(field, cols, nrows)
@@ -335,41 +335,33 @@ def hom_space(source: DoubleModule, target: DoubleModule) -> list[CycMatrix]:
     ]
     if not variables:
         return []
-    var_index = {rc: idx for idx, rc in enumerate(variables)}
-    equations: dict[tuple[int, int, int], dict[int, CycNum]] = {}
+    # one column per variable, one row per equation (generator, row, column)
+    # of ``g_target * hom - hom * g_source = 0``
+    equations: dict[tuple[int, int, int], int] = {}
+    columns: list[dict[int, CycNum]] = [dict() for _ in variables]
 
-    def scatter(key: tuple[int, int, int], var: int, coeff: CycNum) -> None:
-        row = equations.setdefault(key, {})
-        row[var] = row.get(var, field.zero) + coeff
+    def scatter(col: dict[int, CycNum], key: tuple[int, int, int], coeff: CycNum) -> None:
+        eq = equations.setdefault(key, len(equations))
+        col[eq] = col[eq] + coeff if eq in col else coeff
 
     for gen_id, (g_target, g_source) in enumerate(
         ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat))
     ):
         t_cols = g_target.sparse_columns()
+        s_rows = g_source.transpose().sparse_columns()
         for var, (r, c) in enumerate(variables):
-            for i, val in t_cols[r]:
-                scatter((gen_id, i, c), var, val)
-            for j, val in enumerate(g_source.rows[c]):
-                if val:
-                    scatter((gen_id, r, j), var, -val)
-    rows = []
-    for row in equations.values():
-        dense = [field.zero] * len(variables)
-        for var, coeff in row.items():
-            dense[var] = coeff
-        if any(dense):
-            rows.append(dense)
-    if not rows:
-        kernel = [tuple(field.one if i == j else field.zero for j in range(len(variables))) for i in range(len(variables))]
-    else:
-        kernel = mat_kernel(CycMatrix(field, tuple(tuple(r) for r in rows), len(variables)))
+            col = columns[var]
+            for i, val in t_cols[r].items():
+                scatter(col, (gen_id, i, c), val)
+            for j, val in s_rows[c].items():
+                scatter(col, (gen_id, r, j), -val)
+    system = CycMatrix.from_column_dicts(field, columns, len(equations))
     homs = []
-    for vec in kernel:
+    for vec in mat_kernel(system):
         cols: list[dict[int, CycNum]] = [dict() for _ in range(source.dim)]
-        for idx, value in enumerate(vec):
-            if value:
-                r, c = variables[idx]
-                cols[c][r] = value
+        for idx, value in vec.items():
+            r, c = variables[idx]
+            cols[c][r] = value
         homs.append(CycMatrix.from_column_dicts(field, cols, target.dim))
     return homs
 
@@ -478,15 +470,12 @@ def decompose(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLa
         if homs:
             found.append((label, homs))
             remaining -= candidate.dim * len(homs)
-    columns: list[tuple[CycNum, ...]] = []
-    for _, homs in found:
-        for emb in homs:
-            columns.extend(emb.column(j) for j in range(emb.ncols))
+    columns = [col for _, homs in found for emb in homs for col in emb.sparse_columns()]
     if remaining != 0 or len(columns) != module.dim:
         raise AssertionError(
             f"decomposition of a dimension-{module.dim} module found only {module.dim - remaining}"
         )
-    stacked = CycMatrix.from_columns(ctx.field, columns, module.dim)
+    stacked = CycMatrix.from_column_dicts(ctx.field, columns, module.dim)
     if mat_rank(stacked) != module.dim:
         raise AssertionError("decomposition embeddings do not span the module")
     return found

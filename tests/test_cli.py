@@ -93,6 +93,15 @@ def test_verify_subset(capsys):
     assert "all 2 cases verified" in out
 
 
+def test_verify_half_turn_pair_reflection_weights(capsys):
+    code, out, err = run(
+        capsys,
+        ["verify", "--index", "(6,1)", "--weights", "Mx:0,1 Mxy:1,1", "--threads", "1"],
+    )
+    assert code == 0
+    assert "all 2 cases verified" in out
+
+
 def test_verify_json_reports_cases(capsys):
     code, obj = run_json(
         capsys,

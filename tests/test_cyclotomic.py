@@ -12,7 +12,6 @@ from dihedral_doubles.cyclotomic import (
     CycNum,
     cyclotomic_polynomial,
     get_field,
-    mat_image,
     mat_kernel,
     mat_rank,
     mat_solve,
@@ -105,15 +104,19 @@ def test_field_axioms_hold(a, b, c, p, q):
     assert x * field.one == x
 
 
-@given(st.lists(coeff, min_size=4, max_size=4), denom)
+@given(st.lists(coeff, min_size=8, max_size=8), denom)
 def test_nonzero_elements_invert(a, p):
-    field = get_field(12)
-    x = _num(field, a, p)
-    if not x:
+    # field degrees 2 to 8, each order on every drawn example
+    for m in (4, 6, 8, 10, 12, 16, 20, 24):
+        field = get_field(m)
+        x = _num(field, a[: field.degree], p)
+        if not x:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            assert x * x.inverse() == field.one
         with pytest.raises(ZeroDivisionError):
-            x.inverse()
-    else:
-        assert x * x.inverse() == field.one
+            field.zero.inverse()
 
 
 def test_matrix_rank_and_kernel():
@@ -122,24 +125,33 @@ def test_matrix_rank_and_kernel():
     mat = CycMatrix.from_rows(field, [[field.one, w], [w.inverse(), field.one]])
     assert mat_rank(mat) == 1
     kernel = mat_kernel(mat)
-    assert kernel == [(-w, field.one)]
-    assert len(mat_image(mat)) == 1
+    assert kernel == [{0: -w, 1: field.one}]
+    # an all-zero middle column is free and spans a kernel vector of its own
+    padded = CycMatrix.from_rows(field, [[field.one, 0, w], [w.inverse(), 0, field.one]])
+    assert mat_rank(padded) == 1
+    assert mat_kernel(padded) == [{1: field.one}, {0: -w, 2: field.one}]
 
 
 def test_matrix_solve_consistent_and_inconsistent():
     field = get_field(12)
     w = field.zeta(1)
     mat = CycMatrix.from_rows(field, [[field.one, w], [w.inverse(), field.one]])
-    rhs = (w, field.one)
+    rhs = {0: w, 1: field.one}
     sol = mat_solve(mat, rhs)
     assert sol is not None
     applied = mat.apply(sol)
-    assert tuple(applied) == rhs
-    assert mat_solve(mat, (field.one, field.one)) is None
+    assert applied == rhs
+    assert mat_solve(mat, {0: field.one, 1: field.one}) is None
+    padded = CycMatrix.from_rows(field, [[field.one, 0, w], [w.inverse(), 0, field.one]])
+    sol = mat_solve(padded, rhs)
+    assert sol == {0: w}
+    assert padded.apply(sol) == rhs
+    assert mat_solve(padded, {0: field.one, 1: field.one}) is None
 
 
 def test_matrix_algebra_identities():
     field = get_field(12)
+    w = field.zeta(1)
     a = CycMatrix.from_rows(field, [[1, 2], [3, 4]])
     b = CycMatrix.from_rows(field, [[0, 1], [1, 0]])
     ident = CycMatrix.identity(field, 2)
@@ -147,6 +159,29 @@ def test_matrix_algebra_identities():
     assert (a + b) - b == a
     assert (a * b).transpose() == b.transpose() * a.transpose()
     assert (-a) + a == CycMatrix.zeros(field, 2, 2)
+    # non-square, with an all-zero middle column
+    c = CycMatrix.from_rows(field, [[1, 0, w], [0, 0, 2]])
+    d = CycMatrix.from_column_dicts(field, [{1: w}, {0: field.zero}, {0: field.one, 1: -w}], 2)
+    assert ident * c == c
+    assert c * CycMatrix.identity(field, 3) == c
+    assert (c + d) - d == c
+    assert (a * c).transpose() == c.transpose() * a.transpose()
+    assert (-c) + c == CycMatrix.zeros(field, 2, 3)
+    assert c.transpose().transpose() == c
+    assert c.submatrix([1], [0, 2]) == CycMatrix.from_rows(field, [[0, 2]])
+    assert CycMatrix.vstack([c, d]).submatrix([2, 3], [0, 1, 2]) == d
+    constructed = [
+        a,
+        b,
+        c,
+        d,
+        ident,
+        CycMatrix.diagonal(field, [field.one, field.zero]),
+        CycMatrix.zeros(field, 2, 3),
+    ]
+    for mat in constructed:
+        assert all(x for col in mat.sparse_columns() for x in col.values())
+    assert d.sparse_columns()[1] == {}
 
 
 def test_inverse_matches_adjoint_on_random_entries():
@@ -157,5 +192,5 @@ def test_inverse_matches_adjoint_on_random_entries():
     )
     det_nondegenerate = mat_rank(mat) == 2
     assert det_nondegenerate
-    sol = mat_solve(mat, (field.one, field.zero))
+    sol = mat_solve(mat, {0: field.one})
     assert sol is not None

@@ -1,0 +1,72 @@
+"""Guards on the shape of the package rather than on its mathematics.
+
+The runtime must stay standard-library only.  Outside instrumentation
+(``benchmarks/tracer.py``) wraps a few entry points by name, so each must
+stay bound where it is looked up and be reached by the verification paths
+it is meant to time.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import dihedral_doubles
+from dihedral_doubles import cyclotomic, theorems, weights
+from dihedral_doubles.cyclotomic import CycMatrix, CycNum
+from dihedral_doubles.nichols import parse_index_set
+from dihedral_doubles.weights import parse_weight_label, weight_catalog
+
+SOURCES = sorted(Path(dihedral_doubles.__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_runtime_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # not an import, or a relative import of the package itself
+        for name in names:
+            top = name.partition(".")[0]
+            assert top in sys.stdlib_module_names or top == "dihedral_doubles", f"{path.name} imports {name}"
+
+
+# (owner, attribute): a method defined in the class body, or a module global
+ENTRY_POINTS = (
+    (CycNum, "inverse"),
+    (CycNum, "__mul__"),
+    (cyclotomic, "_rref"),
+    (CycMatrix, "sparse_columns"),
+    (weights, "hom_space"),
+    (theorems, "decompose"),
+)
+
+
+def test_traced_entry_points_are_bound_and_reached(ctx12, monkeypatch):
+    weight_catalog(ctx12)
+    assert theorems.decompose is weights.decompose
+    calls: Counter = Counter()
+    for owner, attr in ENTRY_POINTS:
+        original = vars(owner)[attr]
+
+        def counting(*args, _original=original, _name=f"{owner.__name__}.{attr}", **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    names = {f"{owner.__name__}.{attr}" for owner, attr in ENTRY_POINTS}
+    label = parse_weight_label("Mx:0,0")
+
+    theorems.verify_simple(ctx12, parse_index_set(ctx12, "(2,3)"), label)
+    assert set(calls) == names - {"dihedral_doubles.theorems.decompose"}
+    calls.clear()
+    theorems.verify_reflection_split(ctx12, (2, 3), label)
+    assert set(calls) == names

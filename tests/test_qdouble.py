@@ -58,15 +58,15 @@ def test_grading_of_generator_matrices(ctx12):
     zdeg = verma.zdeg
     for mat in verma.v_mats.values():
         for col, column in enumerate(mat.sparse_columns()):
-            for row, _ in column:
+            for row, _ in column.items():
                 assert zdeg[row] == zdeg[col] - 1
     for mat in verma.a_mats.values():
         for col, column in enumerate(mat.sparse_columns()):
-            for row, _ in column:
+            for row, _ in column.items():
                 assert zdeg[row] == zdeg[col] + 1
     for mat in (verma.x_mat, verma.y_mat):
         for col, column in enumerate(mat.sparse_columns()):
-            for row, _ in column:
+            for row, _ in column.items():
                 assert zdeg[row] == zdeg[col]
 
 

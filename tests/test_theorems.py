@@ -121,18 +121,18 @@ def test_reflection_split_verified_with_vectors(ctx12, ctx16):
             verify_reflection_split(ctx, pair, parse_weight_label(text))
 
 
-def test_singleton_closed_forms_match_engine(ctx12):
-    for label_text in ["e:chi1", "e:rho3", "M2,3", "Mx:0,0", "Mxy:1,1"]:
-        label = parse_weight_label(label_text)
-        verma = build_verma(ctx12, parse_index_set(ctx12, "(2,3)"), label)
-        assert graded_character(head(verma)) == singleton_head_character(
-            ctx12, (2, 3), label
-        )
-        from dihedral_doubles.qdouble import socle
+def test_singleton_closed_forms_match_engine(ctx12, ctx16):
+    from dihedral_doubles.qdouble import socle
 
-        assert graded_character(socle(verma)) == singleton_socle_character(
-            ctx12, (2, 3), label
-        )
+    cases = [(ctx12, (2, 3), parse_weight_label(text)) for text in ["e:chi1", "e:rho3", "M2,3"]]
+    # every valid pair with every reflection weight, the half-turn pairs i = n included
+    for ctx in (ctx12, ctx16):
+        reflections = [lab for lab in all_weight_labels(ctx) if lab.is_reflection_type]
+        cases += [(ctx, pair, label) for pair in valid_pairs(ctx) for label in reflections]
+    for ctx, pair, label in cases:
+        verma = build_verma(ctx, parse_index_set(ctx, f"({pair[0]},{pair[1]})"), label)
+        assert graded_character(head(verma)) == singleton_head_character(ctx, pair, label)
+        assert graded_character(socle(verma)) == singleton_socle_character(ctx, pair, label)
 
 
 def test_verify_simple_happy_path(ctx12):
