@@ -7,7 +7,9 @@ sweeps with a nonzero exit on any mismatch, and ``spherical`` reports the
 pivot structure of an index set.  Output is either aligned text or JSON
 with a fixed, diff-stable ordering.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch or failed internal check,
+2 usage or parse error.  ``verify`` reports a case whose internal check fails
+as that case's error and still reports every other case.
 """
 
 from __future__ import annotations
@@ -173,15 +175,22 @@ def cmd_simple(args) -> int:
 
 
 def _verify_weight_task(payload: tuple[int, bool, str, str]) -> tuple[str, bool, dict]:
+    """Verify one weight; a failed internal check is reported as the case's ``error``."""
     m, unsafe, index_text, weight_text = payload
     ctx = get_context(m, unsafe=unsafe)
     index_set = parse_index_set(ctx, index_text)
     label = parse_weight_label(weight_text)
-    report = verify_simple(ctx, index_set, label)
+    try:
+        report = verify_simple(ctx, index_set, label)
+    except AssertionError as exc:
+        obj = {"m": m, "index_set": [list(pair) for pair in index_set.pairs], "weight": weight_text}
+        return weight_text, False, {**obj, "ok": False, "error": str(exc) or "AssertionError"}
     return weight_text, report.ok, report.to_json_obj()
 
 
 def cmd_verify(args) -> int:
+    if args.threads < 0:
+        raise ValueError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     ctx = _context_from(args)
     index_set = parse_index_set(ctx, args.index)
     catalog = weight_catalog(ctx)
@@ -193,8 +202,9 @@ def cmd_verify(args) -> int:
     results: list[dict] = []
 
     payloads = [(ctx.m, args.unsafe_m, args.index, str(label)) for label in labels]
-    workers = args.threads if args.threads else os.cpu_count() or 1
-    if workers > 1 and len(payloads) > 1:
+    # the pool starts every worker up front, so never ask for more than there are cases
+    workers = min(args.threads or os.cpu_count() or 1, len(payloads))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_verify_weight_task, payloads))
     else:
@@ -204,7 +214,8 @@ def cmd_verify(args) -> int:
         if not ok:
             failures.append(weight_text)
         if args.output != "json":
-            print(f"{weight_text:<10} {'ok' if ok else 'MISMATCH'}")
+            status = f"ERROR: {obj['error']}" if "error" in obj else "ok" if ok else "MISMATCH"
+            print(f"{weight_text:<10} {status}")
 
     if args.spherical:
         spherical_expected = is_spherical(ctx, index_set)
@@ -339,7 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tensor-rigid", action="store_true", help="also check rigid tensor semisimplicity"
     )
     p.add_argument(
-        "--threads", type=int, default=0, help="worker processes (default: all cores)"
+        "--threads",
+        type=int,
+        default=0,
+        help="worker processes, at most one per case (default: all cores)",
     )
     _add_common(p)
     p.set_defaults(func=cmd_verify)

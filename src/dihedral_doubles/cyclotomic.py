@@ -5,12 +5,14 @@ canonical coordinates over the power basis ``1, w, ..., w^(phi(m)-1)`` modulo
 the m-th cyclotomic polynomial.  A value keeps integer numerator coordinates
 over one positive denominator in lowest terms, so equality is literal tuple
 equality and nothing is ever rounded.  Matrices store one dict of nonzero
-entries per column; rank, kernels and solutions come from one exact
-row-reduction kernel.
+entries per column.  All elimination goes through one sparse reduced echelon
+basis, :class:`EchelonBasis`: rank, kernels and solutions read it off the
+rows of a matrix, and the graded subspaces of ``qdouble`` keep one per cell.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -501,76 +503,110 @@ class CycMatrix:
         )
 
 
-def _rref(field: CyclotomicField, rows: list[list[CycNum]], ncols: int) -> tuple[list[list[CycNum]], list[int]]:
-    """In-place reduced row echelon form; pivots are the first nonzero entries."""
-    pivots: list[int] = []
-    pr = 0
-    nrows = len(rows)
-    one = field.one
-    for pc in range(ncols):
-        pivot_row = -1
-        for ir in range(pr, nrows):
-            if rows[ir][pc]:
-                pivot_row = ir
-                break
-        if pivot_row < 0:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        head = rows[pr][pc]
-        if head != one:
-            inv = head.inverse()
-            rows[pr] = [x * inv if x else x for x in rows[pr]]
-        prow = rows[pr]
-        for ir in range(nrows):
-            if ir != pr and rows[ir][pc]:
-                f = rows[ir][pc]
-                rows[ir] = [a - f * b if b else a for a, b in zip(rows[ir], prow)]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivots
+def add_into(target: dict, key, value: CycNum) -> None:
+    """Add ``value`` to the entry at ``key``, dropping the entry if it becomes zero."""
+    acc = target.get(key)
+    acc = value if acc is None else acc + value
+    if acc:
+        target[key] = acc
+    elif key in target:
+        del target[key]
 
 
-def _row_lists(mat: CycMatrix, extra: int = 0) -> list[list[CycNum]]:
-    """Dense rows of the matrix, with ``extra`` zero columns appended."""
-    zero = mat.field.zero
-    rows = [[zero] * (mat.ncols + extra) for _ in range(mat.nrows)]
-    for j, col in enumerate(mat.sparse_columns()):
-        for i, x in col.items():
-            rows[i][j] = x
-    return rows
+def _clear(target: VecDict, pivot: int, row: VecDict) -> None:
+    """Subtract the multiple of ``row`` (1 at ``pivot``) that clears ``target`` there."""
+    neg = -target.pop(pivot)
+    for t, x in row.items():
+        if t != pivot:
+            add_into(target, t, x * neg)
+
+
+class EchelonBasis:
+    """A subspace held as its reduced row echelon form, one sparse row per pivot.
+
+    Each row is 1 at its pivot, its smallest index, and every row is 0 at the
+    pivots of the others.  Rows are kept sorted by pivot.  The reduced form of
+    a row space is unique, so the rows do not depend on the order in which
+    vectors were inserted.  Treat ``rows`` and ``pivots`` as read-only.
+    """
+
+    __slots__ = ("field", "rows", "pivots", "_row_at")
+
+    def __init__(self, field: CyclotomicField) -> None:
+        self.field = field
+        self.rows: list[VecDict] = []
+        self.pivots: list[int] = []
+        self._row_at: dict[int, VecDict] = {}
+
+    def reduce(self, vec: VecDict) -> VecDict:
+        """The vector minus its component in the span: zero at every pivot."""
+        out = dict(vec)
+        # A row is 0 at every other pivot, so clearing one pivot leaves the
+        # others as they were: only the pivots present in the vector need work.
+        for pivot in [t for t in vec if t in self._row_at]:
+            _clear(out, pivot, self._row_at[pivot])
+        return out
+
+    def insert(self, vec: VecDict) -> bool:
+        """Add the vector to the span; False if it already lay in it."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        pivot = min(row)
+        lead = row[pivot]
+        if lead != self.field.one:
+            inv = lead.inverse()
+            row = {t: x * inv for t, x in row.items()}
+        for other in self.rows:
+            if pivot in other:
+                _clear(other, pivot, row)
+        at = bisect_left(self.pivots, pivot)
+        self.pivots.insert(at, pivot)
+        self.rows.insert(at, row)
+        self._row_at[pivot] = row
+        return True
+
+    def coordinates(self, vec: VecDict) -> list[CycNum] | None:
+        """Coefficients of the vector over the rows, or None if it lies outside the span."""
+        if self.reduce(vec):
+            return None
+        zero = self.field.zero
+        return [vec.get(pivot, zero) for pivot in self.pivots]
+
+
+def _rref(field: CyclotomicField, rows: Iterable[VecDict]) -> EchelonBasis:
+    """The reduced row echelon form of the span of sparse rows."""
+    basis = EchelonBasis(field)
+    for row in rows:
+        basis.insert(row)
+    return basis
 
 
 def mat_rank(mat: CycMatrix) -> int:
-    _, pivots = _rref(mat.field, _row_lists(mat), mat.ncols)
-    return len(pivots)
+    return len(_rref(mat.field, mat.transpose().sparse_columns()).pivots)
 
 
 def mat_kernel(mat: CycMatrix) -> list[VecDict]:
     """Basis of the right kernel as sparse vectors, one per free column."""
     field = mat.field
-    rref, pivots = _rref(field, _row_lists(mat), mat.ncols)
-    pivot_set = set(pivots)
-    basis: list[VecDict] = []
-    for free in range(mat.ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: field.one}
-        for r, pc in enumerate(pivots):
-            entry = rref[r][free]
-            if entry:
-                vec[pc] = -entry
-        basis.append(vec)
-    return basis
+    basis = _rref(field, mat.transpose().sparse_columns())
+    pivot_set = set(basis.pivots)
+    kernel = {free: {free: field.one} for free in range(mat.ncols) if free not in pivot_set}
+    for pivot, row in zip(basis.pivots, basis.rows):
+        for free, x in row.items():
+            if free != pivot:
+                kernel[free][pivot] = -x
+    return list(kernel.values())
 
 
 def mat_solve(mat: CycMatrix, rhs: VecDict) -> VecDict | None:
     """One sparse solution of ``mat * x = rhs``, or None when the system is inconsistent."""
-    rows = _row_lists(mat, 1)
+    n = mat.ncols
+    rows = mat.transpose().sparse_columns()  # fresh dicts: augment them in place
     for i, b in rhs.items():
-        rows[i][mat.ncols] = b
-    rref, pivots = _rref(mat.field, rows, mat.ncols + 1)
-    if pivots and pivots[-1] == mat.ncols:
+        if b:
+            rows[i][n] = b
+    basis = _rref(mat.field, rows)
+    if basis.pivots and basis.pivots[-1] == n:
         return None
-    return {pc: rref[r][mat.ncols] for r, pc in enumerate(pivots) if rref[r][mat.ncols]}
+    return {pivot: row[n] for pivot, row in zip(basis.pivots, basis.rows) if n in row}

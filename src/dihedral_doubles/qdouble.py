@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, VecDict, mat_kernel
+from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, add_into, mat_kernel
 from .dihedral import DihedralContext, GroupElement
 from .nichols import (
     ExtMonomial,
@@ -96,15 +96,6 @@ class QDModule:
             self.__dict__["_layers"] = cached
         return cached
 
-    def cells(self) -> dict[Cell, list[int]]:
-        cached = self.__dict__.get("_cells")
-        if cached is None:
-            cached = {}
-            for idx, (z, g) in enumerate(zip(self.zdeg, self.gdeg)):
-                cached.setdefault((z, g), []).append(idx)
-            self.__dict__["_cells"] = cached
-        return cached
-
     def generator_matrices(self) -> list[tuple[str, CycMatrix]]:
         """Every generator with a display name, in a deterministic order."""
         out = [("x", self.x_mat), ("y", self.y_mat)]
@@ -128,15 +119,6 @@ class QDModule:
     def __repr__(self) -> str:
         name = str(self.weight) if self.weight else None
         return f"QDModule(kind={self.kind!r}, dim={self.dim}, index_set={str(self.index_set)!r}, weight={name!r})"
-
-
-def _add_into(target: VecDict, key: int, value: CycNum) -> None:
-    acc = target.get(key)
-    acc = value if acc is None else acc + value
-    if acc:
-        target[key] = acc
-    elif key in target:
-        del target[key]
 
 
 def y_power_columns(module: QDModule | DoubleModule, power: int) -> list[VecDict]:
@@ -185,19 +167,19 @@ def phi_action(
             if eps == mu:
                 scale = -ctx.omega(a * k if eps > 0 else -a * k)
                 for idx, val in y_power_columns(module, i if eps > 0 else -i)[b].items():
-                    _add_into(col, idx, scale * val)
-                _add_into(col, b, field.one)
+                    add_into(col, idx, scale * val)
+                add_into(col, b, field.one)
         else:
             if eps == mu:
                 col[b] = field.one
             elif eps > 0:
                 scale = -ctx.omega(-(a + 2 * i) * k)
                 for idx, val in y_power_columns(module, -i)[b].items():
-                    _add_into(col, idx, scale * val)
+                    add_into(col, idx, scale * val)
             else:
                 scale = -ctx.omega((a - 2 * i) * k)
                 for idx, val in y_power_columns(module, i)[b].items():
-                    _add_into(col, idx, scale * val)
+                    add_into(col, idx, scale * val)
         cols.append(col)
     return CycMatrix.from_column_dicts(field, cols, module.dim)
 
@@ -309,7 +291,7 @@ def _induce(
 
     def scatter(base_col: VecDict, target: VecDict, mask: int, scale: CycNum) -> None:
         for b2, val in base_col.items():
-            _add_into(target, position[(mask, b2)], val * scale)
+            add_into(target, position[(mask, b2)], val * scale)
 
     x_cols: list[VecDict] = [dict() for _ in range(dim)]
     y_cols: list[VecDict] = [dict() for _ in range(dim)]
@@ -345,13 +327,7 @@ def _induce(
             # y^power on (mask, b): the letters only contribute a root of unity
             total = scale * omega(power * ksum)
             for b2, val in base.y_power(power)[b].items():
-                key = (mask, b2)
-                acc = out.get(key)
-                acc = total * val if acc is None else acc + total * val
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                add_into(out, (mask, b2), total * val)
 
         if g.refl == 0:
             if eps == mu:
@@ -383,12 +359,7 @@ def _induce(
             out[(mk | low, b2)] = -val
         if letter_pair(letter) == q:
             for key2, val in phi_on(q, eps, letter_sign(letter), rest, b).items():
-                acc = out.get(key2)
-                acc = val if acc is None else acc + val
-                if acc:
-                    out[key2] = acc
-                elif key2 in out:
-                    del out[key2]
+                add_into(out, key2, val)
         alpha_memo[key] = out
         return out
 
@@ -630,56 +601,17 @@ def highest_weight_vectors(
     return [{idxs[t]: val for t, val in vec.items()} for vec in mat_kernel(stacked)]
 
 
-class _CellBasis:
-    """Echelonized basis of one (degree, group degree) cell of a subspace."""
-
-    def __init__(self, field, coords: list[int]) -> None:
-        self.field = field
-        self.coords = coords
-        self.rows: list[VecDict] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec: VecDict) -> VecDict:
-        vec = dict(vec)
-        for pivot, row in zip(self.pivots, self.rows):
-            val = vec.get(pivot)
-            if val:
-                for t, rv in row.items():
-                    _add_into(vec, t, -(rv * val))
-        return vec
-
-    def insert(self, vec: VecDict) -> bool:
-        residual = self.reduce(vec)
-        if not residual:
-            return False
-        pivot = min(residual)
-        inv = residual[pivot].inverse()
-        row = {t: val * inv for t, val in residual.items()}
-        for other in self.rows:
-            val = other.get(pivot)
-            if val:
-                for t, rv in row.items():
-                    _add_into(other, t, -(rv * val))
-        at = bisect_left(self.pivots, pivot)
-        self.pivots.insert(at, pivot)
-        self.rows.insert(at, row)
-        return True
-
-    def coordinates(self, vec: VecDict) -> list[CycNum] | None:
-        """Coefficients expressing the vector in this basis, or None if outside."""
-        coeffs = [vec.get(pivot, self.field.zero) for pivot in self.pivots]
-        if self.reduce(vec):
-            return None
-        return coeffs
-
-
 class GradedSubspace:
-    """A subspace homogeneous for both gradings, cell by cell in echelon form."""
+    """A subspace homogeneous for both gradings, cell by cell.
+
+    Each (degree, group degree) cell of the module that the subspace meets
+    holds an :class:`EchelonBasis` of the subspace's part in that cell.
+    """
 
     def __init__(self, module: QDModule) -> None:
         self.module = module
         self.field = module.ctx.field
-        self.cells: dict[Cell, _CellBasis] = {}
+        self.cells: dict[Cell, EchelonBasis] = {}
 
     def _cell_of(self, vec: VecDict) -> Cell:
         idx = next(iter(vec))
@@ -695,7 +627,7 @@ class GradedSubspace:
         cell = self._cell_of(vec)
         basis = self.cells.get(cell)
         if basis is None:
-            basis = _CellBasis(self.field, self.module.cells()[cell])
+            basis = EchelonBasis(self.field)
             self.cells[cell] = basis
         return basis.insert(vec)
 
@@ -1028,10 +960,10 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
             for jb in range(dim_r):
                 col: VecDict = {}
                 for ia, val in va[ja].items():
-                    _add_into(col, fuse(ia, jb), val)
+                    add_into(col, fuse(ia, jb), val)
                 for ia, val in ya[ja].items():
                     for ib, bval in vb[jb].items():
-                        _add_into(col, fuse(ia, ib), val * bval)
+                        add_into(col, fuse(ia, ib), val * bval)
                 cols.append(col)
         v_mats[(pos, sign)] = CycMatrix.from_column_dicts(field, cols, dim)
     for (pos, sign), mat in left.a_mats.items():
@@ -1049,9 +981,9 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
             for jb in range(dim_r):
                 col = {}
                 for ia, val in aa[ja].items():
-                    _add_into(col, fuse(ia, jb), val)
+                    add_into(col, fuse(ia, jb), val)
                 for ib, val in partner[jb].items():
-                    _add_into(col, fuse(ja, ib), scale * val)
+                    add_into(col, fuse(ja, ib), scale * val)
                 cols.append(col)
         a_mats[(pos, sign)] = CycMatrix.from_column_dicts(field, cols, dim)
     result = QDModule(

@@ -169,6 +169,90 @@ def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def _raise_for_one_weight(failing: str):
+    real = cli.verify_simple
+
+    def verify(ctx, index_set, label):
+        if str(label) == failing:
+            raise AssertionError("head computation did not stabilize")
+        return real(ctx, index_set, label)
+
+    return verify
+
+
+def test_verify_reports_a_failing_case_and_the_others(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_simple", _raise_for_one_weight("M2,3"))
+    argv = ["verify", "--index", "(2,3)", "--weights", "e:chi1,M2,3,Mx:0,0", "--threads", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].split() == ["e:chi1", "ok"]
+    assert lines[1].split(maxsplit=1) == ["M2,3", "ERROR: head computation did not stabilize"]
+    assert lines[2].split() == ["Mx:0,0", "ok"]
+    assert "MISMATCH" not in out
+
+    code, obj = run_json(capsys, argv)
+    assert code == 1
+    assert obj["ok"] is False
+    assert obj["failures"] == ["M2,3"]
+    failed = obj["cases"][1]
+    assert failed == {
+        "m": 12,
+        "index_set": [[2, 3]],
+        "weight": "M2,3",
+        "ok": False,
+        "error": "head computation did not stabilize",
+    }
+    for case in (obj["cases"][0], obj["cases"][2]):
+        assert case["ok"] is True
+        assert "error" not in case
+
+
+class _RecordingExecutor:
+    """Stands in for the process pool: records its size and runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+def test_verify_threads_capped_at_case_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    code, out, err = run(
+        capsys, ["verify", "--index", "(2,3)", "--weights", "e:chi1,M2,3", "--threads", "5000"]
+    )
+    assert code == 0
+    assert "all 2 cases verified" in out
+    assert _RecordingExecutor.sizes == [2]
+    # one case needs no pool at all
+    code, out, err = run(
+        capsys, ["verify", "--index", "(2,3)", "--weights", "e:chi1", "--threads", "5000"]
+    )
+    assert code == 0
+    assert _RecordingExecutor.sizes == [2]
+
+
+def test_verify_negative_threads_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    code, out, err = run(capsys, ["verify", "--index", "(2,3)", "--threads", "-1"])
+    assert code == 2
+    assert err.startswith("error: --threads must be")
+    assert out == ""
+    assert _RecordingExecutor.sizes == []
+
+
 def test_spherical_all_singletons(capsys):
     code, out, err = run(capsys, ["spherical"])
     assert code == 0

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from dihedral_doubles.cyclotomic import (
     CycMatrix,
     CycNum,
+    EchelonBasis,
+    _rref,
     cyclotomic_polynomial,
     get_field,
     mat_kernel,
@@ -194,3 +196,114 @@ def test_inverse_matches_adjoint_on_random_entries():
     assert det_nondegenerate
     sol = mat_solve(mat, {0: field.one})
     assert sol is not None
+
+
+# Property tests of the sparse echelon kernel: sparse matrices over Q(w) at
+# m = 12 and 16, of low rank as often as not (a product through a narrow
+# inner dimension), with drawn rows and columns forced to zero.
+_SCALARS = (0, 0, 0, 1, -1, 2, Fraction(-1, 3))
+
+
+@st.composite
+def _factor(draw, field, nrows, ncols, rational):
+    cols = []
+    for _ in range(ncols):
+        col = {}
+        for i in range(nrows):
+            c = draw(st.sampled_from(_SCALARS))
+            if c and rational:
+                col[i] = field.from_fraction(c)
+            elif c:
+                col[i] = field.zeta(draw(st.integers(0, field.m - 1))) * c
+        cols.append(col)
+    return CycMatrix(field, cols, nrows)
+
+
+@st.composite
+def sparse_matrices(draw, rational=False):
+    field = get_field(draw(st.sampled_from((12, 16))))
+    nrows, ncols, inner = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    mat = draw(_factor(field, nrows, inner, rational)) * draw(_factor(field, inner, ncols, rational))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
+    cols = [
+        {} if j in zero_cols else {i: x for i, x in col.items() if i not in zero_rows}
+        for j, col in enumerate(mat.sparse_columns())
+    ]
+    return CycMatrix(field, cols, nrows)
+
+
+@given(sparse_matrices())
+def test_kernel_vectors_are_the_reduced_free_column_basis(mat):
+    one = mat.field.one
+    kernel = mat_kernel(mat)
+    # in reduced form a kernel vector's free column is its largest index
+    free = [max(vec) for vec in kernel]
+    assert free == sorted(set(free))
+    for vec in kernel:
+        assert all(vec.values())
+        assert mat.apply(vec) == {}
+        assert vec[max(vec)] == one
+        assert not set(vec).intersection(free) - {max(vec)}
+    rank = mat_rank(mat)
+    assert rank + len(kernel) == mat.ncols
+    assert rank == mat_rank(mat.transpose())
+
+
+@given(sparse_matrices(), st.data())
+def test_solve_finds_a_solution_exactly_when_one_exists(mat, data):
+    x = data.draw(_factor(mat.field, mat.ncols, 1, False)).sparse_columns()[0]
+    rhs = mat.apply(x)
+    sol = mat_solve(mat, rhs)
+    assert sol is not None
+    assert all(sol.values())
+    assert mat.apply(sol) == rhs
+    b = data.draw(_factor(mat.field, mat.nrows, 1, False)).sparse_columns()[0]
+    augmented = CycMatrix(mat.field, mat.sparse_columns() + [b], mat.nrows)
+    sol = mat_solve(mat, b)
+    assert (sol is None) == (mat_rank(augmented) > mat_rank(mat))
+    if sol is not None:
+        assert mat.apply(sol) == b
+
+
+@given(sparse_matrices(rational=True))
+def test_reduced_rows_match_sympy_on_rational_matrices(mat):
+    field = mat.field
+    dense = [[0] * mat.ncols for _ in range(mat.nrows)]
+    for j, col in enumerate(mat.sparse_columns()):
+        for i, x in col.items():
+            value = x.rational_value()
+            dense[i][j] = sympy.Rational(value.numerator, value.denominator)
+    reduced, pivots = sympy.Matrix(mat.nrows, mat.ncols, [x for row in dense for x in row]).rref()
+    basis = _rref(field, mat.transpose().sparse_columns())
+    assert basis.pivots == list(pivots)
+    for r, row in enumerate(basis.rows):
+        expected = {
+            j: field.from_fraction(Fraction(int(reduced[r, j].p), int(reduced[r, j].q)))
+            for j in range(mat.ncols)
+            if reduced[r, j] != 0
+        }
+        assert row == expected
+
+
+@given(sparse_matrices(), st.data())
+def test_echelon_basis_does_not_depend_on_insertion_order(mat, data):
+    rows = mat.transpose().sparse_columns()
+    order = data.draw(st.permutations(range(len(rows))))
+    first, second = EchelonBasis(mat.field), EchelonBasis(mat.field)
+    for row in rows:
+        first.insert(row)
+    for r in order:
+        second.insert(rows[r])
+    assert first.rows == second.rows
+    assert first.pivots == second.pivots
+    # a combination of the rows has the combination's coefficients as coordinates
+    coeffs = [mat.field.zeta(r) + r for r in range(len(first.rows))]
+    combo: dict = {}
+    for c, row in zip(coeffs, first.rows):
+        for t, x in row.items():
+            combo[t] = combo[t] + c * x if t in combo else c * x
+    combo = {t: x for t, x in combo.items() if x}
+    assert first.coordinates(combo) == coeffs
+    assert not first.reduce(combo)
+    assert all(not first.insert(row) for row in rows)
