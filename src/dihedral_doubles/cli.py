@@ -9,7 +9,8 @@ with a fixed, diff-stable ordering.
 
 Exit codes: 0 success, 1 verification mismatch or failed internal check,
 2 usage or parse error.  ``verify`` reports a case whose internal check fails
-as that case's error and still reports every other case.
+as that case's error and still reports every other case; in table mode a
+mismatched case names the checks it failed.
 """
 
 from __future__ import annotations
@@ -79,6 +80,26 @@ def _character_lines(char) -> list[str]:
         )
         lines.append(f"[{entry['degree']:>3}]  {summands}")
     return lines
+
+
+def _failed_checks(report: dict) -> list[str]:
+    """Names of the checks a case's JSON report failed; a recursion check names its pair."""
+    names = []
+    for name, value in report.get("checks", {}).items():
+        if name == "recursion":
+            names += [f"recursion ({rec['pair'][0]},{rec['pair'][1]})" for rec in value if not rec["ok"]]
+        elif value is False:
+            names.append(name)
+    return names
+
+
+def _case_status(ok: bool, report: dict) -> str:
+    if "error" in report:
+        return f"ERROR: {report['error']}"
+    if ok:
+        return "ok"
+    failed = _failed_checks(report)
+    return "MISMATCH: " + ", ".join(failed) if failed else "MISMATCH"
 
 
 def _context_from(args) -> DihedralContext:
@@ -198,6 +219,8 @@ def cmd_verify(args) -> int:
         labels = list(catalog.labels)
     else:
         labels = [parse_weight_label(text) for text in _split_weight_list(args.weights)]
+        if not labels:
+            raise ValueError(f"--weights names no weight: {args.weights!r}")
     failures: list[str] = []
     results: list[dict] = []
 
@@ -214,8 +237,7 @@ def cmd_verify(args) -> int:
         if not ok:
             failures.append(weight_text)
         if args.output != "json":
-            status = f"ERROR: {obj['error']}" if "error" in obj else "ok" if ok else "MISMATCH"
-            print(f"{weight_text:<10} {status}")
+            print(f"{weight_text:<10} {_case_status(ok, obj)}")
 
     if args.spherical:
         spherical_expected = is_spherical(ctx, index_set)

@@ -121,6 +121,30 @@ class CyclotomicField:
                     conv[t] += c * row[t]
         return tuple(conv[:d])
 
+    def zeta_multiples(self, coords: Sequence[int]) -> list[tuple[int, ...]]:
+        """Canonical integer coordinates of ``c * w^b`` for b = 0 .. m-1, c given by coordinates."""
+        d = self.degree
+        top_row = self._reduction[0]  # w^degree
+        cur = list(coords)
+        out = [tuple(cur)]
+        for _ in range(1, self.m):
+            top = cur[d - 1]
+            cur = [0] + cur[: d - 1]
+            if top:
+                for t in range(d):
+                    cur[t] += top * top_row[t]
+            out.append(tuple(cur))
+        return out
+
+    def conjugate_coords(self, coords: Sequence[int]) -> list[int]:
+        """Coordinates of the complex conjugate, the image under w -> w^-1."""
+        out = [0] * self.degree
+        for a, c in enumerate(coords):
+            if c:
+                for t, e in enumerate(self._zeta_pows[-a % self.m].coords):
+                    out[t] += c * e
+        return out
+
     def zeta(self, exponent: int = 1) -> CycNum:
         """The root of unity w raised to the given exponent."""
         return self._zeta_pows[exponent % self.m]

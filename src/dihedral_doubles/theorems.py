@@ -332,8 +332,8 @@ def singleton_socle_character(
         return predicted_character(ctx, iset, label)
     if cls == RIGID:
         vol = exterior_power_module(ctx, iset, 2)
-        twisted = decompose(ctx, tensor_dd(vol, build_weight(ctx, label)))
-        if len(twisted) != 1 or len(twisted[0][1]) != 1:
+        twisted = decomposition_counts(ctx, tensor_dd(vol, build_weight(ctx, label)))
+        if len(twisted) != 1 or twisted[0][1] != 1:
             raise ArithmeticError(f"volume twist of {label} is not a single weight")
         return GradedCharacter.single(twisted[0][0], -2)
     i, k = pair
@@ -561,12 +561,13 @@ class SimpleReport:
 def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
     """Whether the socle has a simple bottom: one weight, multiplicity one.
 
-    The socle construction already certifies this internally; this recheck
-    decomposes the bottom layer independently.
+    The socle construction already certifies this internally, from
+    characters; this recheck decomposes the bottom layer independently,
+    through hom spaces.
     """
     bottom = min(soc.zdeg)
-    counts = decomposition_counts(ctx, soc.layer_module(bottom))
-    return sum(mult for _, mult in counts) == 1
+    parts = decompose(ctx, soc.layer_module(bottom))
+    return len(parts) == 1 and len(parts[0][1]) == 1
 
 
 def verify_simple(

@@ -17,16 +17,27 @@ irreducible character of its centralizer:
 The catalog of all of them is complete: the sum of squared dimensions equals
 the dimension (2m)^2 of the double, every member has a one-dimensional
 endomorphism algebra, and distinct members admit no nonzero homomorphism.
-All three facts are checked when the catalog is built.
+When the catalog is built, the dimension count is checked directly and the
+other two facts through Schur orthonormality of the members' characters on
+the centralisers of the class representatives.
+
+Multiplicities come from those characters (:func:`decomposition_counts`):
+traces on the block of one degree per class and integer dot products, with
+no linear solve.  Hom spaces are solved only where explicit embeddings are
+needed (:func:`decompose`): the tensor splitting check, and the independent
+recheck of each socle's bottom layer.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from math import lcm
+from operator import add, mul
+from typing import Iterable, NamedTuple, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, mat_kernel, mat_rank
+from .cyclotomic import CycMatrix, CycNum, VecDict, mat_kernel, mat_rank
 from .dihedral import DihedralContext, GroupElement
 
 _CHI_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
@@ -367,12 +378,24 @@ def hom_space(source: DoubleModule, target: DoubleModule) -> list[CycMatrix]:
 
 
 class WeightCatalog:
-    """All simple modules over the double for one group order, verified complete."""
+    """All simple modules over the double for one group order, verified complete.
 
-    def __init__(self, ctx: DihedralContext, labels: Sequence[WeightLabel], modules: dict[WeightLabel, DoubleModule]):
+    ``characters`` maps each conjugacy class representative g to the
+    characters of the members on its class, in catalog order (see
+    :func:`decomposition_counts`).
+    """
+
+    def __init__(
+        self,
+        ctx: DihedralContext,
+        labels: Sequence[WeightLabel],
+        modules: dict[WeightLabel, DoubleModule],
+        characters: dict[GroupElement, list[_Member]],
+    ):
         self.ctx = ctx
         self.labels = tuple(labels)
         self._modules = modules
+        self.characters = characters
 
     def module(self, label: WeightLabel) -> DoubleModule:
         try:
@@ -407,8 +430,184 @@ def all_weight_labels(ctx: DihedralContext) -> list[WeightLabel]:
     return labels
 
 
+@dataclass(frozen=True)
+class _ClassData:
+    """One conjugacy class with what a character inner product on it needs.
+
+    Attributes:
+        rep: the representative g, the smallest class element.
+        elements: the whole class.
+        order: the order of the centraliser C(g).
+        orbits: C(g) split into its classes merged with their inverses, as
+            ``(h, same, inverse)``: the smallest element h, the number of
+            elements conjugate to h, and the number conjugate to h^-1 but not
+            to h.  A character takes one value on the first part and its
+            complex conjugate on the second, so its value at h determines it.
+    """
+
+    rep: GroupElement
+    elements: frozenset[GroupElement]
+    order: int
+    orbits: tuple[tuple[GroupElement, int, int], ...]
+
+
+class _Member(NamedTuple):
+    """A catalog member's character on its class, as integer weights.
+
+    ``weights[c]`` dotted with the trace vector of a module on the class
+    representative g (:func:`_trace_vector`) gives coordinate c of
+    ``|C(g)|`` times the multiplicity of the member in the module.
+    """
+
+    index: int
+    label: WeightLabel
+    dim: int
+    weights: tuple[tuple[int, ...], ...]
+
+
+def _element_key(g: GroupElement) -> tuple[int, int]:
+    return (g.refl, g.rot)
+
+
+def _class_data(ctx: DihedralContext) -> list[_ClassData]:
+    """Every conjugacy class with its centraliser orbits, built once and cached on the context."""
+    cached = ctx._weight_cache.get("classes")
+    if cached is not None:
+        return cached
+    group = ctx.group
+    classes = []
+    for elements in group.conjugacy_classes():
+        rep = min(elements, key=_element_key)
+        centraliser = group.centralizer(rep)
+        seen: set[GroupElement] = set()
+        orbits = []
+        for h in sorted(centraliser, key=_element_key):
+            if h in seen:
+                continue
+            same = {h.conjugated_by(t) for t in centraliser}
+            inverse = {h.inverse().conjugated_by(t) for t in centraliser} - same
+            seen |= same | inverse
+            orbits.append((h, len(same), len(inverse)))
+        classes.append(_ClassData(rep, elements, len(centraliser), tuple(orbits)))
+    ctx._weight_cache["classes"] = classes
+    return classes
+
+
+def _trace_vector(module: DoubleModule, cls: _ClassData, block: Sequence[int]) -> tuple[list[int], int]:
+    """Traces of the orbit representatives on the block of basis vectors of degree g.
+
+    Returned as the concatenated integer coordinates of the traces over one
+    common denominator.  The element ``x^a y^b`` acts as ``X^a Y^b``; the
+    vectors ``Y^b e_j`` are built once per basis vector e_j of the block.
+    """
+    field = module.ctx.field
+    by_rot: dict[int, list[GroupElement]] = {}
+    for h, _, _ in cls.orbits:
+        by_rot.setdefault(h.rot, []).append(h)
+    top = max(by_rot)
+    x_cols = module.x_mat.sparse_columns()
+    traces = {h: field.zero for h, _, _ in cls.orbits}
+    for j in block:
+        vec: VecDict = {j: field.one}
+        for b in range(top + 1):
+            for h in by_rot.get(b, ()):
+                if h.refl:
+                    # entry j of X vec: row j of X against vec
+                    for k, val in vec.items():
+                        entry = x_cols[k].get(j)
+                        if entry is not None:
+                            traces[h] = traces[h] + entry * val
+                elif j in vec:
+                    traces[h] = traces[h] + vec[j]
+            if b < top:
+                vec = module.y_mat.apply(vec)
+    values = [traces[h] for h, _, _ in cls.orbits]
+    den = lcm(*(value.den for value in values))
+    if den == 1:
+        return list(chain.from_iterable(value.coords for value in values)), 1
+    return [c * (den // value.den) for value in values for c in value.coords], den
+
+
+def _blocks(module: DoubleModule) -> dict[GroupElement, list[int]]:
+    """Basis indices of the module by degree."""
+    blocks: dict[GroupElement, list[int]] = {}
+    for j, deg in enumerate(module.degrees):
+        blocks.setdefault(deg, []).append(j)
+    return blocks
+
+
+def _catalog_characters(
+    ctx: DihedralContext, labels: Sequence[WeightLabel], modules: dict[WeightLabel, DoubleModule]
+) -> dict[GroupElement, list[_Member]]:
+    """Character weights of every member, by class representative, checked orthonormal.
+
+    Let t be the trace of an orbit representative h on a member S.  Over
+    the orbit, a module V with trace T at h contributes
+    ``same * T conj(t) + inverse * conj(T) t`` to ``|C(g)|`` times the
+    multiplicity of S, so the orbit's weights pair coordinate a of T with the
+    coordinates of ``same * conj(t) w^a + inverse * t w^-a``.  Catalog
+    matrices have entries in Z[w], so the weights are integers.
+
+    The Gram matrix of the members of each class, the traces of one against
+    the weights of the other, must be the identity: Schur orthonormality.
+
+    Raises:
+        AssertionError: if a member's character is not integral, or the
+            characters are not orthonormal.
+    """
+    field = ctx.field
+    degree = field.degree
+    characters: dict[GroupElement, list[_Member]] = {}
+    for cls in _class_data(ctx):
+        members: list[_Member] = []
+        vectors: list[list[int]] = []
+        for index, label in enumerate(labels):
+            module = modules[label]
+            support = module.degree_support()
+            if not support & cls.elements:
+                continue
+            if not support <= cls.elements:
+                raise AssertionError(f"{label} has degrees in more than one conjugacy class")
+            block = _blocks(module).get(cls.rep)
+            if block is None:
+                raise AssertionError(f"{label} has no basis vector in degree {cls.rep}")
+            vector, den = _trace_vector(module, cls, block)
+            if den != 1:
+                raise AssertionError(f"the character of {label} is not integral")
+            columns: list[tuple[int, ...]] = []
+            for pos, (_, same, inverse) in enumerate(cls.orbits):
+                trace = vector[pos * degree : (pos + 1) * degree]
+                plain = field.zeta_multiples([same * c for c in field.conjugate_coords(trace)])
+                flipped = field.zeta_multiples([inverse * c for c in trace])
+                columns += [tuple(map(add, plain[a], flipped[-a])) for a in range(degree)]
+            members.append(_Member(index, label, module.dim, tuple(zip(*columns))))
+            vectors.append(vector)
+        for vector, member in zip(vectors, members):
+            for other in members:
+                gram = [sum(map(mul, vector, row)) for row in other.weights]
+                expected = [cls.order if other is member else 0] + [0] * (degree - 1)
+                if gram != expected:
+                    raise AssertionError(
+                        f"catalog characters of {member.label} and {other.label} are not orthonormal"
+                    )
+        characters[cls.rep] = members
+    return characters
+
+
 def weight_catalog(ctx: DihedralContext) -> WeightCatalog:
-    """The verified catalog for this context, built once and cached on it."""
+    """The verified catalog for this context, built once and cached on it.
+
+    Each member must satisfy the module axioms and have its degrees in one
+    conjugacy class, the squared dimensions must sum to the dimension (2m)^2
+    of the double, and the characters of the members on each class must be
+    orthonormal, <chi_S, chi_T> = delta_ST (Schur orthonormality, checked
+    exactly by :func:`_catalog_characters`).  A module on one class is
+    induced from its block on the representative g, so orthonormality makes
+    each member simple with a one-dimensional endomorphism algebra and
+    distinct members non-isomorphic; the dimension count then leaves no
+    simple module out.  These are the facts a hom-space check of every pair
+    of members certifies, at the cost of one trace per centraliser orbit.
+    """
     cached = ctx._weight_cache.get("catalog")
     if cached is not None:
         return cached
@@ -426,32 +625,20 @@ def weight_catalog(ctx: DihedralContext) -> WeightCatalog:
     classes = {class_key(ctx, label) for label in labels}
     if len(classes) != ctx.n + 3:
         raise AssertionError(f"expected {ctx.n + 3} conjugacy classes, found {len(classes)}")
-    _verify_pairwise_distinct(ctx, labels, modules)
-    catalog = WeightCatalog(ctx, labels, modules)
+    catalog = WeightCatalog(ctx, labels, modules, _catalog_characters(ctx, labels, modules))
     ctx._weight_cache["catalog"] = catalog
     return catalog
-
-
-def _verify_pairwise_distinct(
-    ctx: DihedralContext, labels: Sequence[WeightLabel], modules: dict[WeightLabel, DoubleModule]
-) -> None:
-    """Schur check per member plus vanishing homs across distinct members."""
-    supports = {label: modules[label].degree_support() for label in labels}
-    for a_idx, la in enumerate(labels):
-        if len(hom_space(modules[la], modules[la])) != 1:
-            raise AssertionError(f"endomorphism algebra of {la} is not one-dimensional")
-        for lb in labels[a_idx + 1 :]:
-            if supports[la] & supports[lb]:
-                if hom_space(modules[la], modules[lb]):
-                    raise AssertionError(f"distinct catalog members {la} and {lb} admit a nonzero hom")
 
 
 def decompose(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLabel, list[CycMatrix]]]:
     """Split a module into catalog members with explicit embeddings.
 
     Returns (label, embeddings) pairs in catalog order; the number of
-    embeddings is the multiplicity.  The stacked embedding images are checked
-    to have full rank, so the decomposition is certified exhaustive.
+    embeddings is the multiplicity.  Each embedding space is the hom space
+    from the member, solved exactly, and the stacked embedding images are
+    checked to have full rank, so the decomposition is certified exhaustive.
+    Use it where the embeddings are needed; :func:`decomposition_counts`
+    gives the multiplicities alone, from characters.
 
     Raises:
         AssertionError: if the catalog members found do not fill the module.
@@ -482,8 +669,51 @@ def decompose(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLa
 
 
 def decomposition_counts(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLabel, int]]:
-    """Multiplicity of each catalog member in the module, in catalog order."""
-    return [(label, len(homs)) for label, homs in decompose(ctx, module)]
+    """Multiplicity of each catalog member in the module, in catalog order.
+
+    A simple module is a conjugacy class with an irreducible representation
+    of the centraliser C(g) of its representative g, so the multiplicity of
+    a member S in V is the inner product
+    ``(1/|C(g)|) sum over h in C(g) of tr(h | V_g) tr(h^-1 | S_g)``,
+    V_g being the basis vectors of degree g.  It takes traces and integer
+    dot products only: no linear solve and no field inverse.  Members of
+    multiplicity zero are left out.
+
+    Raises:
+        AssertionError: if a multiplicity is not a nonnegative integer, or
+            the multiplicities times the member dimensions do not add up to
+            the dimension of the module.
+    """
+    characters = weight_catalog(ctx).characters
+    found: list[tuple[int, WeightLabel, int]] = []
+    filled = 0
+    blocks = _blocks(module)
+    for cls in _class_data(ctx):
+        block = blocks.get(cls.rep)
+        if block is None:
+            continue
+        vector, den = _trace_vector(module, cls, block)
+        scale = cls.order * den
+        # most trace coordinates are zero: take the dot products over the others
+        support = [pos for pos, c in enumerate(vector) if c]
+        values = [vector[pos] for pos in support]
+        for member in characters[cls.rep]:
+            coords = [sum(map(mul, values, map(row.__getitem__, support))) for row in member.weights]
+            mult, rest = divmod(coords[0], scale)
+            if rest or any(coords[1:]):
+                value = CycNum(ctx.field, tuple(coords), scale)
+                raise AssertionError(f"multiplicity of {member.label} is not an integer: {value}")
+            if mult < 0:
+                raise AssertionError(f"multiplicity of {member.label} is negative: {mult}")
+            if mult:
+                found.append((member.index, member.label, mult))
+                filled += mult * member.dim
+    if filled != module.dim:
+        raise AssertionError(
+            f"character multiplicities of a dimension-{module.dim} module fill dimension {filled}"
+        )
+    found.sort()
+    return [(label, mult) for _, label, mult in found]
 
 
 def is_isomorphic(ctx: DihedralContext, left: DoubleModule, right: DoubleModule) -> bool:

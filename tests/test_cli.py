@@ -169,6 +169,41 @@ def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+class _SocleAndRecursionReport:
+    ok = False
+
+    @staticmethod
+    def to_json_obj():
+        return {
+            "ok": False,
+            "checks": {
+                "relations": True,
+                "head_formula": True,
+                "socle_formula": False,
+                "recursion": [{"pair": [1, 6], "ok": False}, {"pair": [3, 6], "ok": True}],
+                "qdim_pattern": None,
+            },
+        }
+
+
+def test_verify_table_names_the_failing_checks(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_simple", lambda *a, **kw: _SocleAndRecursionReport())
+    code, out, err = run(
+        capsys,
+        ["verify", "--index", "(2,3)", "--weights", "e:chi1", "--threads", "1"],
+    )
+    assert code == 1
+    assert out.splitlines()[0].split(maxsplit=1) == ["e:chi1", "MISMATCH: socle_formula, recursion (1,6)"]
+
+
+@pytest.mark.parametrize("weights", ["", " , ;"])
+def test_verify_rejects_an_empty_weight_list(capsys, weights):
+    code, out, err = run(capsys, ["verify", "--index", "(2,3)", "--weights", weights, "--threads", "1"])
+    assert code == 2
+    assert err.startswith("error: --weights names no weight")
+    assert out == ""
+
+
 def _raise_for_one_weight(failing: str):
     real = cli.verify_simple
 

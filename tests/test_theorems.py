@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dihedral_doubles.nichols import parse_index_set, valid_pairs
+from dihedral_doubles import get_context
+from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import build_verma, graded_character, head
 from dihedral_doubles.theorems import (
     PROJECTIVE,
@@ -164,6 +167,34 @@ def test_verify_simple_reports_recursion_for_two_pairs(ctx12):
     assert report.ok
     assert {rc.pair for rc in report.recursion} == {(2, 3), (2, 9)}
     assert all(rc.ok for rc in report.recursion)
+
+
+def _admissible(ctx, pairs) -> bool:
+    try:
+        validate_index_set(ctx, pairs)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def two_pair_cases(draw):
+    """An order m in {12, 16}, two valid pairs that pass the braiding check together, a weight."""
+    ctx = get_context(draw(st.sampled_from((12, 16))))
+    pairs = valid_pairs(ctx)
+    first = draw(st.sampled_from(pairs))
+    second = draw(st.sampled_from([pair for pair in pairs if _admissible(ctx, (first, pair))]))
+    label = draw(st.sampled_from(all_weight_labels(ctx)))
+    return ctx, validate_index_set(ctx, (first, second)), label
+
+
+@settings(max_examples=24)
+@given(two_pair_cases())
+def test_verify_simple_holds_on_drawn_two_pair_sets(case):
+    ctx, index_set, label = case
+    report = verify_simple(ctx, index_set, label)
+    assert report.ok, report.to_json_obj()["checks"]
+    assert {rc.pair for rc in report.recursion} == set(index_set.pairs)
 
 
 def test_sphericality_rule(ctx12, ctx16):

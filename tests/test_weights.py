@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dihedral_doubles import get_context
+from dihedral_doubles.cyclotomic import CycMatrix
+from dihedral_doubles.nichols import parse_index_set
+from dihedral_doubles.qdouble import build_verma
 from dihedral_doubles.weights import (
+    DoubleModule,
     WeightLabel,
+    _catalog_characters,
     all_weight_labels,
     build_weight,
     class_key,
@@ -67,6 +73,98 @@ def test_schur_orthogonality_sampled(ctx12):
         for b in sample:
             dim = len(hom_space(cat.module(a), cat.module(b)))
             assert dim == (1 if a == b else 0)
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_catalog_members_are_pairwise_distinct_by_hom_spaces(m):
+    """The hom-space reference for the catalog's character orthonormality check."""
+    ctx = get_context(m)
+    cat = weight_catalog(ctx)
+    for a_idx, a in enumerate(cat.labels):
+        source = cat.module(a)
+        assert len(hom_space(source, source)) == 1, f"End({a}) is not one-dimensional"
+        for b in cat.labels[a_idx + 1 :]:
+            target = cat.module(b)
+            if source.degree_support() & target.degree_support():
+                assert not hom_space(source, target), f"nonzero hom from {a} to {b}"
+
+
+def test_catalog_check_rejects_a_repeated_or_reducible_member(ctx12):
+    cat = weight_catalog(ctx12)
+    labels = cat.labels
+    modules = {label: cat.module(label) for label in labels}
+    _catalog_characters(ctx12, labels, modules)  # the true catalog passes
+    field = ctx12.field
+    chi1_plus_chi2 = DoubleModule(
+        ctx12,
+        [ctx12.group.identity] * 2,
+        CycMatrix.diagonal(field, [field.one, -field.one]),
+        CycMatrix.identity(field, 2),
+        ["a", "b"],
+    )
+    for label, stand_in in (("M1,3", cat.module(parse_weight_label("M1,4"))), ("e:rho1", chi1_plus_chi2)):
+        broken = dict(modules)
+        broken[parse_weight_label(label)] = stand_in
+        with pytest.raises(AssertionError, match="not orthonormal"):
+            _catalog_characters(ctx12, labels, broken)
+
+
+def _hom_space_counts(ctx, module):
+    return [(label, len(homs)) for label, homs in decompose(ctx, module)]
+
+
+# one member of each dimension: 1, 2 and m/2
+TENSOR_PARTNERS = ("yn:chi3", "M1,3", "Mxy:1,0")
+
+
+@pytest.mark.parametrize(("m", "unsafe"), [(12, False), (16, False), (8, True)])
+def test_character_counts_match_hom_spaces_on_tensor_products(m, unsafe):
+    ctx = get_context(m, unsafe=unsafe)
+    cat = weight_catalog(ctx)
+    for text in TENSOR_PARTNERS:
+        partner = cat.module(parse_weight_label(text))
+        for label in cat.labels:
+            product = tensor_dd(cat.module(label), partner)
+            assert decomposition_counts(ctx, product) == _hom_space_counts(ctx, product), f"{label} x {text}"
+
+
+@pytest.mark.parametrize("index_text", ["(2,3)", "(1,6),(3,6)"])
+def test_character_counts_match_hom_spaces_on_standard_module_layers(ctx12, index_text):
+    index_set = parse_index_set(ctx12, index_text)
+    for label in all_weight_labels(ctx12):
+        verma = build_verma(ctx12, index_set, label)
+        for z in verma.layer_indices():
+            layer = verma.layer_module(z)
+            assert decomposition_counts(ctx12, layer) == _hom_space_counts(ctx12, layer), f"{label} [{z}]"
+
+
+def _one_dimensional(ctx, degree, x_value, y_value):
+    field = ctx.field
+    return DoubleModule(
+        ctx,
+        [degree],
+        CycMatrix.from_rows(field, [[x_value]]),
+        CycMatrix.from_rows(field, [[y_value]]),
+        ["v"],
+    )
+
+
+def test_character_counts_reject_what_is_not_a_module(ctx12):
+    group = ctx12.group
+    cases = {
+        # x y x = y^-1 fails: the multiplicity of e:chi1 has an integer
+        # rational part and a nonzero irrational one
+        "e:chi1 is not an integer": _one_dimensional(ctx12, group.identity, 1, ctx12.omega(4)),
+        # tr(x) = 2: the trivial character appears 3/2 times
+        "not an integer: 3/2": _one_dimensional(ctx12, group.identity, 2, 1),
+        # tr(x) = -3: the trivial character appears -1 times
+        "negative": _one_dimensional(ctx12, group.identity, -3, 1),
+        # nothing on the class representative y
+        "fill dimension 0": _one_dimensional(ctx12, group.rotation(-1), 1, 1),
+    }
+    for message, module in cases.items():
+        with pytest.raises(AssertionError, match=message):
+            decomposition_counts(ctx12, module)
 
 
 def test_known_tensor_products(ctx12):
