@@ -10,7 +10,9 @@ with a fixed, diff-stable ordering.
 Exit codes: 0 success, 1 verification mismatch or failed internal check,
 2 usage or parse error.  ``verify`` reports a case whose internal check fails
 as that case's error and still reports every other case; in table mode a
-mismatched case names the checks it failed.
+mismatched case names the checks it failed, and outside the proven regime
+(``--unsafe-m`` with m < 12 or 4 not dividing m) it is reported as such
+rather than as a mismatch.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .dihedral import DihedralContext, get_context
+from .dihedral import DihedralContext, get_context, in_proven_regime
 from .nichols import IndexSet, parse_index_set, valid_pairs
 from .qdouble import build_verma, check_relations, graded_character, head, socle, theta_congruence
 from .theorems import (
@@ -98,8 +100,9 @@ def _case_status(ok: bool, report: dict) -> str:
         return f"ERROR: {report['error']}"
     if ok:
         return "ok"
+    status = "OUTSIDE REGIME" if report.get("regime") == "unproven" else "MISMATCH"
     failed = _failed_checks(report)
-    return "MISMATCH: " + ", ".join(failed) if failed else "MISMATCH"
+    return f"{status}: " + ", ".join(failed) if failed else status
 
 
 def _context_from(args) -> DihedralContext:
@@ -196,17 +199,33 @@ def cmd_simple(args) -> int:
 
 
 def _verify_weight_task(payload: tuple[int, bool, str, str]) -> tuple[str, bool, dict]:
-    """Verify one weight; a failed internal check is reported as the case's ``error``."""
+    """Verify one weight; a failed internal check is reported as the case's ``error``.
+
+    Internal checks raise ``AssertionError``, or ``ArithmeticError`` where
+    the arithmetic itself breaks down (a zero division, a norm that is not
+    a nonzero rational, a volume twist that is not one weight).  A failing
+    case outside the proven regime is marked ``"regime": "unproven"``.
+    """
     m, unsafe, index_text, weight_text = payload
     ctx = get_context(m, unsafe=unsafe)
     index_set = parse_index_set(ctx, index_text)
     label = parse_weight_label(weight_text)
     try:
         report = verify_simple(ctx, index_set, label)
-    except AssertionError as exc:
-        obj = {"m": m, "index_set": [list(pair) for pair in index_set.pairs], "weight": weight_text}
-        return weight_text, False, {**obj, "ok": False, "error": str(exc) or "AssertionError"}
-    return weight_text, report.ok, report.to_json_obj()
+    except (AssertionError, ArithmeticError) as exc:
+        ok = False
+        obj = {
+            "m": m,
+            "index_set": [list(pair) for pair in index_set.pairs],
+            "weight": weight_text,
+            "ok": False,
+            "error": str(exc) or type(exc).__name__,
+        }
+    else:
+        ok, obj = report.ok, report.to_json_obj()
+    if not ok and not in_proven_regime(m):
+        obj["regime"] = "unproven"
+    return weight_text, ok, obj
 
 
 def cmd_verify(args) -> int:

@@ -56,7 +56,9 @@ class CyclotomicField:
     reference to their field and arithmetic requires matching fields.
     """
 
-    __slots__ = ("m", "minpoly", "degree", "_reduction", "zero", "one", "_zeta_pows", "_conjugations")
+    __slots__ = (
+        "m", "minpoly", "degree", "_reduction", "zero", "one", "_zeta_pows", "_conjugations", "_inverses"
+    )
 
     def __init__(self, m: int) -> None:
         self.m = m
@@ -74,6 +76,8 @@ class CyclotomicField:
             for a in range(2, m)
             if gcd(a, m) == 1
         )
+        # inverses computed so far, keyed by (coords, den): elimination pivots repeat
+        self._inverses: dict[tuple[tuple[int, ...], int], CycNum] = {}
 
     def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
         # row j holds the canonical coordinates of w^(degree + j), as integers
@@ -297,11 +301,16 @@ class CycNum:
         For integer coordinates c, the product of the conjugates of c under
         every automorphism w -> w^a, a != 1 coprime to m, is a cofactor whose
         product with c is the norm of c, a nonzero integer; all of it stays in
-        integer arithmetic.
+        integer arithmetic.  Elimination divides by the same few pivots over
+        and over, so each field memoises the inverses it has computed.
         """
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
+        key = (self.coords, self.den)
+        cached = field._inverses.get(key)
+        if cached is not None:
+            return cached
         cofactor = field.one.coords
         for images in field._conjugations:
             conj = [0] * field.degree
@@ -314,7 +323,9 @@ class CycNum:
         norm = field.mul_coords(self.coords, cofactor)
         if any(norm[1:]) or not norm[0]:
             raise ArithmeticError(f"norm of {self} is not a nonzero rational")
-        return CycNum._normalized(field, [c * self.den for c in cofactor], norm[0])
+        inverse = CycNum._normalized(field, [c * self.den for c in cofactor], norm[0])
+        field._inverses[key] = inverse
+        return inverse
 
     def __truediv__(self, other: CycNum | Fraction | int) -> CycNum:
         o = self._coerce(other)

@@ -80,19 +80,23 @@ def parse_element(text: str, m: int) -> GroupElement:
     return GroupElement(refl, rot, m)
 
 
+def in_proven_regime(m: int) -> bool:
+    """Whether m >= 12 and 4 | m, the regime every closed formula is stated for."""
+    return m >= 12 and m % 4 == 0
+
+
 class DihedralGroup:
     """The dihedral group of order 2m with conjugacy machinery.
 
-    By default m must be at least 12 and divisible by 4, the regime every
-    closed formula downstream is stated for; ``unsafe=True`` relaxes this to
-    any even m >= 4 for exploration.
+    By default m must be in the proven regime (:func:`in_proven_regime`);
+    ``unsafe=True`` relaxes this to any even m >= 4 for exploration.
     """
 
     def __init__(self, m: int, unsafe: bool = False) -> None:
         if unsafe:
             if m < 4 or m % 2:
                 raise ValueError(f"m must be an even integer >= 4, got {m}")
-        elif m < 12 or m % 4:
+        elif not in_proven_regime(m):
             raise ValueError(
                 f"m must be >= 12 and divisible by 4 (pass unsafe to relax), got {m}"
             )

@@ -273,9 +273,9 @@ def verify_reflection_split(
 ) -> None:
     """Check the splitting rule for one pair and one reflection weight.
 
-    Decomposes the tensor product by brute force, compares the summand
-    labels with :func:`predicted_reflection_split`, and verifies that each
-    distinguished vector lies in the image of the homomorphisms from its
+    Decomposes the tensor product with explicit embeddings, compares the
+    summand labels with :func:`predicted_reflection_split`, and verifies that
+    each distinguished vector lies in the image of the homomorphisms from its
     predicted summand.  Raises ``AssertionError`` on any mismatch.
     """
     plus_label, minus_label = predicted_reflection_split(ctx, pair, label)
@@ -562,8 +562,9 @@ def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
     """Whether the socle has a simple bottom: one weight, multiplicity one.
 
     The socle construction already certifies this internally, from
-    characters; this recheck decomposes the bottom layer independently,
-    through hom spaces.
+    characters; this recheck decomposes the bottom layer with
+    :func:`decompose`, where the characters name the members and a hom
+    space per member plus a span check certify them.
     """
     bottom = min(soc.zdeg)
     parts = decompose(ctx, soc.layer_module(bottom))

@@ -24,8 +24,9 @@ the centralisers of the class representatives.
 Multiplicities come from those characters (:func:`decomposition_counts`):
 traces on the block of one degree per class and integer dot products, with
 no linear solve.  Hom spaces are solved only where explicit embeddings are
-needed (:func:`decompose`): the tensor splitting check, and the independent
-recheck of each socle's bottom layer.
+needed (:func:`decompose`): the tensor splitting check, and the recheck of
+each socle's bottom layer.  There the characters name the members, and one
+hom space per named member plus a span check certify them.
 """
 
 from __future__ import annotations
@@ -634,29 +635,31 @@ def decompose(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLa
     """Split a module into catalog members with explicit embeddings.
 
     Returns (label, embeddings) pairs in catalog order; the number of
-    embeddings is the multiplicity.  Each embedding space is the hom space
-    from the member, solved exactly, and the stacked embedding images are
-    checked to have full rank, so the decomposition is certified exhaustive.
-    Use it where the embeddings are needed; :func:`decomposition_counts`
-    gives the multiplicities alone, from characters.
+    embeddings is the multiplicity.  The characters choose the members
+    (:func:`decomposition_counts`); for each one the embedding space is the
+    hom space from the member, solved exactly, and its dimension must equal
+    the character multiplicity.  The stacked embedding images are then
+    checked to have full rank, so hom spaces plus a span check certify the
+    decomposition exhaustive, and every call cross-checks the character
+    path.  Use it where the embeddings are needed; the multiplicities alone
+    come from :func:`decomposition_counts`.
 
     Raises:
-        AssertionError: if the catalog members found do not fill the module.
+        AssertionError: if a hom space disagrees with the character
+            multiplicity of its member, or the members do not fill the module.
     """
     catalog = weight_catalog(ctx)
-    support = set(module.degrees)
     found: list[tuple[WeightLabel, list[CycMatrix]]] = []
     remaining = module.dim
-    for label in catalog.labels:
-        if remaining == 0:
-            break
+    for label, mult in decomposition_counts(ctx, module):
         candidate = catalog.module(label)
-        if candidate.dim > remaining or not candidate.degree_support() <= support:
-            continue
         homs = hom_space(candidate, module)
-        if homs:
-            found.append((label, homs))
-            remaining -= candidate.dim * len(homs)
+        if len(homs) != mult:
+            raise AssertionError(
+                f"hom space from {label} has dimension {len(homs)}, its character multiplicity is {mult}"
+            )
+        found.append((label, homs))
+        remaining -= candidate.dim * len(homs)
     columns = [col for _, homs in found for emb in homs for col in emb.sparse_columns()]
     if remaining != 0 or len(columns) != module.dim:
         raise AssertionError(

@@ -204,12 +204,12 @@ def test_verify_rejects_an_empty_weight_list(capsys, weights):
     assert out == ""
 
 
-def _raise_for_one_weight(failing: str):
+def _raise_for_one_weight(failing: str, error: Exception = AssertionError("head computation did not stabilize")):
     real = cli.verify_simple
 
     def verify(ctx, index_set, label):
         if str(label) == failing:
-            raise AssertionError("head computation did not stabilize")
+            raise error
         return real(ctx, index_set, label)
 
     return verify
@@ -241,6 +241,67 @@ def test_verify_reports_a_failing_case_and_the_others(capsys, monkeypatch):
     for case in (obj["cases"][0], obj["cases"][2]):
         assert case["ok"] is True
         assert "error" not in case
+
+
+def test_verify_reports_an_arithmetic_error_per_case(capsys, monkeypatch):
+    error = ArithmeticError("volume twist of M2,3 is not a single weight")
+    monkeypatch.setattr(cli, "verify_simple", _raise_for_one_weight("M2,3", error))
+    argv = ["verify", "--index", "(2,3)", "--weights", "e:chi1,M2,3", "--threads", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].split() == ["e:chi1", "ok"]
+    assert lines[1].split(maxsplit=1) == ["M2,3", "ERROR: volume twist of M2,3 is not a single weight"]
+
+    code, obj = run_json(capsys, argv)
+    assert code == 1
+    assert obj["failures"] == ["M2,3"]
+    assert obj["cases"][0]["ok"] is True
+    assert obj["cases"][1]["error"] == "volume twist of M2,3 is not a single weight"
+
+
+# Characterisation of the cases that fail outside the proven regime, for
+# ``verify --m 6 --unsafe-m --index "(1,3)"``: weight -> failed checks.
+_M6_FAILURES = {
+    weight: ["qdim_pattern"]
+    for weight in (
+        "e:chi3 e:chi4 e:rho1 e:rho2 yn:chi1 yn:chi2 yn:rho1 yn:rho2 "
+        "M1,0 M1,1 M1,2 M1,4 M1,5 M2,1 M2,2 M2,3 M2,4 M2,5 "
+        "Mx:0,0 Mx:0,1 Mx:1,0 Mx:1,1 Mxy:0,0 Mxy:0,1 Mxy:1,0 Mxy:1,1"
+    ).split()
+}
+
+
+def test_verify_outside_the_proven_regime_says_so(capsys):
+    argv = ["verify", "--m", "6", "--unsafe-m", "--index", "(1,3)", "--threads", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert "MISMATCH" not in out
+    statuses = dict(line.split(maxsplit=1) for line in out.splitlines()[:32])
+    assert len(statuses) == 32
+    failing = {weight: status for weight, status in statuses.items() if status != "ok"}
+    assert failing == {weight: "OUTSIDE REGIME: " + ", ".join(checks) for weight, checks in _M6_FAILURES.items()}
+
+    code, obj = run_json(capsys, argv)
+    assert code == 1
+    assert obj["failures"] == list(_M6_FAILURES)
+    for case in obj["cases"]:
+        if case["ok"]:
+            assert "regime" not in case
+        else:
+            assert case["regime"] == "unproven"
+            assert cli._failed_checks(case) == _M6_FAILURES[case["weight"]]
+
+
+def test_verify_inside_the_proven_regime_reports_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_simple", lambda *a, **kw: _FailingReport())
+    argv = ["verify", "--m", "12", "--unsafe-m", "--index", "(2,3)", "--weights", "e:chi1", "--threads", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out.splitlines()[0].split() == ["e:chi1", "MISMATCH"]
+    assert "regime" not in out
+    code, obj = run_json(capsys, argv)
+    assert "regime" not in obj["cases"][0]
 
 
 class _RecordingExecutor:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dihedral_doubles.cyclotomic import (
     CycMatrix,
     CycNum,
+    CyclotomicField,
     EchelonBasis,
     _rref,
     cyclotomic_polynomial,
@@ -75,6 +76,31 @@ def test_inverse_of_binomial():
     value = w2 - field.one
     assert value.inverse() == -w2
     assert value * value.inverse() == field.one
+
+
+def test_inverse_memo_is_kept_per_field():
+    # Q(zeta_8) and Q(zeta_12) have degree 4: one coordinate tuple names a
+    # different number in each, and each field must keep its own inverse
+    coords, den = (1, 2, 0, -1), 3
+    memoised = []
+    for m in (8, 12):
+        field = get_field(m)
+        x = CycNum(field, coords, den)
+        fresh = CycNum(CyclotomicField(m), coords, den).inverse()
+        for _ in range(2):
+            inv = x.inverse()
+            assert inv == fresh
+            assert x * inv == field.one
+        memoised.append(field._inverses[(coords, den)])
+    assert memoised[0] != memoised[1]
+
+
+def test_zero_has_no_inverse_on_every_call():
+    field = get_field(12)
+    for _ in range(3):
+        with pytest.raises(ZeroDivisionError):
+            field.zero.inverse()
+    assert (field.zero.coords, field.zero.den) not in field._inverses
 
 
 def test_rational_value_round_trip():

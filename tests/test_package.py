@@ -46,6 +46,7 @@ ENTRY_POINTS = (
     (cyclotomic, "_rref"),
     (CycMatrix, "sparse_columns"),
     (weights, "hom_space"),
+    (weights, "decomposition_counts"),
     (theorems, "decompose"),
 )
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dihedral_doubles import get_context
+from dihedral_doubles import get_context, weights
 from dihedral_doubles.cyclotomic import CycMatrix
 from dihedral_doubles.nichols import parse_index_set
 from dihedral_doubles.qdouble import build_verma
@@ -110,7 +110,17 @@ def test_catalog_check_rejects_a_repeated_or_reducible_member(ctx12):
 
 
 def _hom_space_counts(ctx, module):
-    return [(label, len(homs)) for label, homs in decompose(ctx, module)]
+    """Multiplicities by the unguided search: a hom space from every member that fits."""
+    cat = weight_catalog(ctx)
+    support = module.degree_support()
+    counts = []
+    for label in cat.labels:
+        member = cat.module(label)
+        if member.degree_support() <= support:
+            dim = len(hom_space(member, module))
+            if dim:
+                counts.append((label, dim))
+    return counts
 
 
 # one member of each dimension: 1, 2 and m/2
@@ -211,6 +221,24 @@ def test_decompose_returns_full_rank_embeddings(ctx12):
             assert emb.ncols == label.dimension(6)
             total += emb.ncols
     assert total == product.dim
+
+
+@pytest.mark.parametrize(
+    ("label_text", "mult"),
+    [
+        ("Mx:0,1", 2),  # a summand, at twice its multiplicity
+        ("Mx:0,0", 1),  # a member that is not a summand
+    ],
+)
+def test_decompose_rejects_a_multiplicity_its_hom_space_contradicts(ctx12, monkeypatch, label_text, mult):
+    product = tensor_dd(
+        build_weight(ctx12, parse_weight_label("M2,3")),
+        build_weight(ctx12, parse_weight_label("Mx:0,0")),
+    )
+    misreported = [(parse_weight_label(label_text), mult)]
+    monkeypatch.setattr(weights, "decomposition_counts", lambda ctx, module: misreported)
+    with pytest.raises(AssertionError, match=f"hom space from {label_text} has dimension"):
+        decompose(ctx12, product)
 
 
 def test_pair_module_matches_catalog_labels(ctx12):
