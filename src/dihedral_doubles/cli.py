@@ -242,6 +242,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--weights names no weight: {args.weights!r}")
     failures: list[str] = []
     results: list[dict] = []
+    tensor_failures: list[dict] = []
 
     payloads = [(ctx.m, args.unsafe_m, args.index, str(label)) for label in labels]
     # the pool starts every worker up front, so never ask for more than there are cases
@@ -283,23 +284,26 @@ def cmd_verify(args) -> int:
             for lam in partners:
                 try:
                     verify_rigid_tensor(ctx, index_set, mu, lam)
-                except AssertionError:
+                except (AssertionError, ArithmeticError) as exc:
+                    error = str(exc) or type(exc).__name__
                     failures.append(f"tensor {mu} x {lam}")
+                    tensor_failures.append({"mu": str(mu), "lam": str(lam), "error": error})
                     if args.output != "json":
-                        print(f"tensor {mu} x {lam}: MISMATCH")
-        if args.output != "json" and not any(f.startswith("tensor") for f in failures):
+                        print(f"tensor {mu} x {lam}: MISMATCH: {error}")
+        if args.output != "json" and not tensor_failures:
             print(f"rigid tensor checks: {len(rigid)} x {len(partners)} ok")
 
     if args.output == "json":
-        _print_json(
-            {
-                "m": ctx.m,
-                "index_set": [list(pair) for pair in index_set.pairs],
-                "cases": results,
-                "failures": failures,
-                "ok": not failures,
-            }
-        )
+        obj = {
+            "m": ctx.m,
+            "index_set": [list(pair) for pair in index_set.pairs],
+            "cases": results,
+            "failures": failures,
+            "ok": not failures,
+        }
+        if args.tensor_rigid:
+            obj["tensor_rigid"] = tensor_failures
+        _print_json(obj)
     elif failures:
         print(f"{len(failures)} mismatches: {', '.join(failures)}")
     else:

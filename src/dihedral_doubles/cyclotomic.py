@@ -6,8 +6,11 @@ the m-th cyclotomic polynomial.  A value keeps integer numerator coordinates
 over one positive denominator in lowest terms, so equality is literal tuple
 equality and nothing is ever rounded.  Matrices store one dict of nonzero
 entries per column.  All elimination goes through one sparse reduced echelon
-basis, :class:`EchelonBasis`: rank, kernels and solutions read it off the
-rows of a matrix, and the graded subspaces of ``qdouble`` keep one per cell.
+basis, :class:`EchelonBasis`, built from sparse vectors by :func:`_rref`:
+callers hand it the rows of a system or the vectors of a span, and read off
+ranks (its pivots), span membership (:meth:`EchelonBasis.reduce`) and
+kernels (:func:`kernel`).  The graded subspaces of ``qdouble`` keep one
+basis per cell.
 """
 
 from __future__ import annotations
@@ -500,20 +503,6 @@ class CycMatrix:
         ]
         return CycMatrix(self.field, columns, len(row_idx))
 
-    @classmethod
-    def vstack(cls, mats: Sequence[CycMatrix]) -> CycMatrix:
-        ncols = mats[0].ncols
-        columns: list[VecDict] = [{} for _ in range(ncols)]
-        offset = 0
-        for mat in mats:
-            if mat.ncols != ncols:
-                raise ValueError("column count mismatch in vstack")
-            for col, part in zip(columns, mat._columns):
-                for i, x in part.items():
-                    col[offset + i] = x
-            offset += mat.nrows
-        return cls(mats[0].field, columns, offset)
-
     def is_zero(self) -> bool:
         return not any(self._columns)
 
@@ -562,7 +551,9 @@ class EchelonBasis:
     Each row is 1 at its pivot, its smallest index, and every row is 0 at the
     pivots of the others.  Rows are kept sorted by pivot.  The reduced form of
     a row space is unique, so the rows do not depend on the order in which
-    vectors were inserted.  Treat ``rows`` and ``pivots`` as read-only.
+    vectors were inserted.  Rows hold no zero entries, and neither may the
+    vectors handed in: an explicit zero could be taken for a pivot.  Treat
+    ``rows`` and ``pivots`` as read-only.
     """
 
     __slots__ = ("field", "rows", "pivots", "_row_at")
@@ -617,31 +608,17 @@ def _rref(field: CyclotomicField, rows: Iterable[VecDict]) -> EchelonBasis:
     return basis
 
 
-def mat_rank(mat: CycMatrix) -> int:
-    return len(_rref(mat.field, mat.transpose().sparse_columns()).pivots)
+def kernel(field: CyclotomicField, rows: Iterable[VecDict], ncols: int) -> list[VecDict]:
+    """Basis of the vectors in ``ncols`` coordinates that every row annihilates.
 
-
-def mat_kernel(mat: CycMatrix) -> list[VecDict]:
-    """Basis of the right kernel as sparse vectors, one per free column."""
-    field = mat.field
-    basis = _rref(field, mat.transpose().sparse_columns())
+    One sparse vector per free column of the reduced rows: 1 at that column,
+    minus the column's entry in each row at the row's pivot.
+    """
+    basis = _rref(field, rows)
     pivot_set = set(basis.pivots)
-    kernel = {free: {free: field.one} for free in range(mat.ncols) if free not in pivot_set}
+    out = {free: {free: field.one} for free in range(ncols) if free not in pivot_set}
     for pivot, row in zip(basis.pivots, basis.rows):
         for free, x in row.items():
             if free != pivot:
-                kernel[free][pivot] = -x
-    return list(kernel.values())
-
-
-def mat_solve(mat: CycMatrix, rhs: VecDict) -> VecDict | None:
-    """One sparse solution of ``mat * x = rhs``, or None when the system is inconsistent."""
-    n = mat.ncols
-    rows = mat.transpose().sparse_columns()  # fresh dicts: augment them in place
-    for i, b in rhs.items():
-        if b:
-            rows[i][n] = b
-    basis = _rref(mat.field, rows)
-    if basis.pivots and basis.pivots[-1] == n:
-        return None
-    return {pivot: row[n] for pivot, row in zip(basis.pivots, basis.rows) if n in row}
+                out[free][pivot] = -x
+    return list(out.values())

@@ -218,11 +218,6 @@ def exterior_power_module(ctx: DihedralContext, index_set: IndexSet, degree: int
     )
 
 
-def volume_weight(ctx: DihedralContext, pair: tuple[int, int]) -> WeightLabel:
-    """Weight of the one-dimensional top of the exterior algebra on one pair."""
-    return top_weight(ctx, validate_index_set(ctx, [pair]))
-
-
 def top_weight(ctx: DihedralContext, index_set: IndexSet) -> WeightLabel:
     """Weight of the top exterior power: the sign character of x per pair."""
     return WeightLabel.e_chi(2 if index_set.size % 2 else 1)

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, add_into, mat_kernel
+from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, add_into, kernel
 from .dihedral import DihedralContext, GroupElement
 from .nichols import (
     ExtMonomial,
@@ -121,7 +121,7 @@ class QDModule:
         return f"QDModule(kind={self.kind!r}, dim={self.dim}, index_set={str(self.index_set)!r}, weight={name!r})"
 
 
-def y_power_columns(module: QDModule | DoubleModule, power: int) -> list[VecDict]:
+def y_power_columns(module: QDModule, power: int) -> list[VecDict]:
     """Columns of the matrix of y^power, cached on the module object."""
     power %= module.ctx.m
     cache = module.__dict__.setdefault("_ypow_cols", {})
@@ -135,16 +135,12 @@ def y_power_columns(module: QDModule | DoubleModule, power: int) -> list[VecDict
     return cache[power]
 
 
-def _module_gdeg(module: QDModule | DoubleModule) -> tuple[GroupElement, ...]:
-    return module.gdeg if isinstance(module, QDModule) else module.degrees
-
-
 def phi_action(
     ctx: DihedralContext,
     pair: tuple[int, int],
     eps: int,
     mu: int,
-    module: QDModule | DoubleModule,
+    module: QDModule,
 ) -> CycMatrix:
     """Matrix of the rank-lowering cross term for one choice of signs.
 
@@ -157,7 +153,7 @@ def phi_action(
     """
     i, k = pair
     field = ctx.field
-    gdeg = _module_gdeg(module)
+    gdeg = module.gdeg
     cols: list[VecDict] = []
     for b in range(module.dim):
         g = gdeg[b]
@@ -184,7 +180,7 @@ def phi_action(
     return CycMatrix.from_column_dicts(field, cols, module.dim)
 
 
-def theta_action(ctx: DihedralContext, pair: tuple[int, int], module: QDModule | DoubleModule) -> CycMatrix:
+def theta_action(ctx: DihedralContext, pair: tuple[int, int], module: QDModule) -> CycMatrix:
     """The degree-preserving combination of the four cross terms of one pair."""
     pp = phi_action(ctx, pair, 1, 1, module)
     mm = phi_action(ctx, pair, -1, -1, module)
@@ -193,67 +189,9 @@ def theta_action(ctx: DihedralContext, pair: tuple[int, int], module: QDModule |
     return pm * mp - pp * mm
 
 
-class _InductionBase:
-    """Uniform view of the module a standard or induced module is built on."""
-
-    def __init__(
-        self,
-        ctx: DihedralContext,
-        dim: int,
-        gdeg: Sequence[GroupElement],
-        zdeg: Sequence[int],
-        labels: Sequence[str],
-        x_cols: list[VecDict],
-        y_source: QDModule | DoubleModule,
-        gen_cols: dict[tuple[str, int, int], list[VecDict]],
-    ) -> None:
-        self.ctx = ctx
-        self.dim = dim
-        self.gdeg = tuple(gdeg)
-        self.zdeg = tuple(zdeg)
-        self.labels = tuple(labels)
-        self.x_cols = x_cols
-        self.y_source = y_source
-        self.gen_cols = gen_cols
-
-    @classmethod
-    def from_weight(cls, ctx: DihedralContext, module: DoubleModule) -> _InductionBase:
-        return cls(
-            ctx,
-            module.dim,
-            module.degrees,
-            (0,) * module.dim,
-            module.basis_labels,
-            module.x_mat.sparse_columns(),
-            module,
-            {},
-        )
-
-    @classmethod
-    def from_module(cls, ctx: DihedralContext, module: QDModule) -> _InductionBase:
-        gens: dict[tuple[str, int, int], list[VecDict]] = {}
-        for (pos, sign), mat in module.v_mats.items():
-            gens[("v", pos, sign)] = mat.sparse_columns()
-        for (pos, sign), mat in module.a_mats.items():
-            gens[("a", pos, sign)] = mat.sparse_columns()
-        return cls(
-            ctx,
-            module.dim,
-            module.gdeg,
-            module.zdeg,
-            module.basis_labels,
-            module.x_mat.sparse_columns(),
-            module,
-            gens,
-        )
-
-    def y_power(self, power: int) -> list[VecDict]:
-        return y_power_columns(self.y_source, power)
-
-
 def _induce(
     ctx: DihedralContext,
-    base: _InductionBase,
+    base: QDModule,
     new_pairs: tuple[tuple[int, int], ...],
     insert_pos: int,
     merged: IndexSet,
@@ -262,8 +200,10 @@ def _induce(
 ) -> QDModule:
     """Let the exterior algebra on fresh letters act freely on the base module.
 
-    The base generators (when any) pass the new letters with one sign flip
-    per letter; the fresh lowering letters are rewritten recursively past the
+    The base is a module over the double of a smaller index set: a weight
+    over the empty one for a standard module, a simple module for one step
+    of the recursion.  Its letters pass the new ones with one sign flip per
+    letter; the fresh lowering letters are rewritten recursively past the
     leading letter, picking up a cross term whenever they meet their own
     partner.
     """
@@ -287,7 +227,7 @@ def _induce(
     dim = len(entries)
     zdeg = [base.zdeg[b] - mask.bit_count() for mask, b in entries]
     gdeg = [ctx.group.rotation(mask_exponents[mask][0]) * base.gdeg[b] for mask, b in entries]
-    labels = [f"{ExtMonomial(mask)}⊗{base.labels[b]}" for mask, b in entries]
+    labels = [f"{ExtMonomial(mask)}⊗{base.basis_labels[b]}" for mask, b in entries]
 
     def scatter(base_col: VecDict, target: VecDict, mask: int, scale: CycNum) -> None:
         for b2, val in base_col.items():
@@ -295,11 +235,12 @@ def _induce(
 
     x_cols: list[VecDict] = [dict() for _ in range(dim)]
     y_cols: list[VecDict] = [dict() for _ in range(dim)]
-    base_y = base.y_power(1)
+    base_x = base.x_mat.sparse_columns()
+    base_y = y_power_columns(base, 1)
     for mask, b in entries:
         j = position[(mask, b)]
         xsign, swapped = swap_letters(sub, mask)
-        scatter(base.x_cols[b], x_cols[j], swapped, field.from_integer(xsign))
+        scatter(base_x[b], x_cols[j], swapped, field.from_integer(xsign))
         scatter(base_y[b], y_cols[j], mask, ctx.omega(mask_exponents[mask][1]))
 
     v_cols: dict[tuple[int, int], list[VecDict]] = {}
@@ -326,7 +267,7 @@ def _induce(
         def add_y_power(power: int, scale: CycNum) -> None:
             # y^power on (mask, b): the letters only contribute a root of unity
             total = scale * omega(power * ksum)
-            for b2, val in base.y_power(power)[b].items():
+            for b2, val in y_power_columns(base, power)[b].items():
                 add_into(out, (mask, b2), total * val)
 
         if g.refl == 0:
@@ -373,14 +314,6 @@ def _induce(
                 )
             a_cols[(q, sign)] = cols
 
-    old_mats: dict[tuple[str, int, int], CycMatrix] = {}
-    for (gen_kind, pos, sign), cols in base.gen_cols.items():
-        new_cols: list[VecDict] = [dict() for _ in range(dim)]
-        for mask, b in entries:
-            flip = field.from_integer(-1 if mask.bit_count() % 2 else 1)
-            scatter(cols[b], new_cols[position[(mask, b)]], mask, flip)
-        old_mats[(gen_kind, pos, sign)] = CycMatrix.from_column_dicts(field, new_cols, dim)
-
     v_mats = {
         (insert_pos + q, sign): CycMatrix.from_column_dicts(field, cols, dim)
         for (q, sign), cols in v_cols.items()
@@ -389,9 +322,15 @@ def _induce(
         (insert_pos + q, sign): CycMatrix.from_column_dicts(field, cols, dim)
         for (q, sign), cols in a_cols.items()
     }
-    for (gen_kind, pos, sign), mat in old_mats.items():
-        shifted = pos if pos < insert_pos else pos + nu
-        (v_mats if gen_kind == "v" else a_mats)[(shifted, sign)] = mat
+    for base_mats, mats in ((base.v_mats, v_mats), (base.a_mats, a_mats)):
+        for (pos, sign), mat in base_mats.items():
+            cols = mat.sparse_columns()
+            new_cols: list[VecDict] = [dict() for _ in range(dim)]
+            for mask, b in entries:
+                flip = field.from_integer(-1 if mask.bit_count() % 2 else 1)
+                scatter(cols[b], new_cols[position[(mask, b)]], mask, flip)
+            shifted = pos if pos < insert_pos else pos + nu
+            mats[(shifted, sign)] = CycMatrix.from_column_dicts(field, new_cols, dim)
     return QDModule(
         ctx,
         merged,
@@ -408,9 +347,16 @@ def _induce(
 
 
 def build_verma(ctx: DihedralContext, index_set: IndexSet, weight: WeightLabel) -> QDModule:
-    """The standard module: the exterior algebra of the letters on a weight."""
+    """The standard module: the exterior algebra of the letters on a weight.
+
+    The weight, a module over the double of the group alone, is the module
+    over the empty index set in degree 0, the base case of the recursion;
+    over the empty index set the result is that module itself.
+    """
     lam = build_weight(ctx, weight)
-    base = _InductionBase.from_weight(ctx, lam)
+    base = QDModule(
+        ctx, IndexSet(ctx.m, ()), lam.basis_labels, (0,) * lam.dim, lam.degrees, lam.x_mat, lam.y_mat, {}, {}
+    )
     return _induce(ctx, base, index_set.pairs, 0, index_set, weight, "verma")
 
 
@@ -419,33 +365,7 @@ def induce_from_simple(ctx: DihedralContext, simple: QDModule, pair: tuple[int, 
     old = simple.index_set
     merged = validate_index_set(ctx, old.pairs + (pair,))
     insert_pos = bisect_left(old.pairs, pair)
-    base = _InductionBase.from_module(ctx, simple)
-    return _induce(ctx, base, (pair,), insert_pos, merged, simple.weight, "induced")
-
-
-def alpha_rewrite(
-    ctx: DihedralContext,
-    index_set: IndexSet,
-    weight: WeightLabel,
-    eps: int,
-    pair_position: int,
-    mask: int,
-    weight_index: int,
-) -> VecDict:
-    """Action of one lowering generator on one standard-module basis vector.
-
-    Returns the image as a map from basis positions to coefficients; the
-    basis ordering matches :func:`build_verma`, whose matrices are produced
-    by exactly this rewriting.
-    """
-    verma = build_verma(ctx, index_set, weight)
-    lam = build_weight(ctx, weight)
-    label = f"{ExtMonomial(mask)}⊗{lam.basis_labels[weight_index]}"
-    try:
-        source = verma.basis_labels.index(label)
-    except ValueError:
-        raise ValueError(f"no basis vector {label!r} in the standard module") from None
-    return dict(verma.a_mats[(pair_position, eps)].sparse_columns()[source])
+    return _induce(ctx, simple, (pair,), insert_pos, merged, simple.weight, "induced")
 
 
 def check_relations(module: QDModule) -> list[str]:
@@ -540,12 +460,6 @@ def check_relations(module: QDModule) -> list[str]:
     return failures
 
 
-def assert_relations(module: QDModule) -> None:
-    failures = check_relations(module)
-    if failures:
-        raise AssertionError(f"defining relations fail on {module!r}: " + "; ".join(failures))
-
-
 def theta_congruence(module: QDModule) -> list[str]:
     """Check the degree-zero congruence for every pair; list the failures.
 
@@ -591,14 +505,19 @@ def highest_weight_vectors(
     idxs = module.layer_indices().get(degree, [])
     if not idxs:
         return []
-    field = module.ctx.field
-    if not module.a_mats:
-        return [{i: field.one} for i in idxs]
-    above = module.layer_indices().get(degree + 1, [])
-    stacked = CycMatrix.vstack(
-        [mat.submatrix(above, idxs) for mat in module.a_mats.values()]
-    )
-    return [{idxs[t]: val for t, val in vec.items()} for vec in mat_kernel(stacked)]
+    # one equation per lowering letter and row of the degree above: the
+    # letter's row restricted to the layer, in the layer's coordinates
+    rows: list[VecDict] = []
+    for mat in module.a_mats.values():
+        cols = mat.sparse_columns()
+        by_row: dict[int, VecDict] = {}
+        for t, j in enumerate(idxs):
+            for i, val in cols[j].items():
+                by_row.setdefault(i, {})[t] = val
+        rows.extend(by_row[i] for i in sorted(by_row))
+    return [
+        {idxs[t]: val for t, val in vec.items()} for vec in kernel(module.ctx.field, rows, len(idxs))
+    ]
 
 
 class GradedSubspace:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CycMatrix, CycNum, mat_solve
+from .cyclotomic import CycMatrix, CycNum, _rref
 from .dihedral import DihedralContext
 from .nichols import IndexSet, exterior_power_module
 from .qdouble import (
@@ -99,12 +99,13 @@ def classify_weight_by_action(
     """Class of ``label`` relative to ``pair``, read off the cross terms.
 
     Independent of :func:`classify_weight`: builds the weight as explicit
-    matrices and evaluates the four cross-term operators on it.  Nonzero
+    matrices, the module over the empty index set, and evaluates the four
+    cross-term operators on it.  Nonzero
     mixed terms mean reflection type; all four vanishing means rigid; a
     nonvanishing quadratic combination with zero mixed terms means
     projective.
     """
-    module = build_weight(ctx, label)
+    module = build_verma(ctx, IndexSet(ctx.m, ()), label)
     ops = {
         (eps, mu): phi_action(ctx, pair, eps, mu, module)
         for eps in (+1, -1)
@@ -290,12 +291,8 @@ def verify_reflection_split(
         )
     plus_vec, minus_vec = reflection_split_vectors(ctx, pair, label)
     for vec, part_label in ((plus_vec, plus_label), (minus_vec, minus_label)):
-        image = CycMatrix.from_column_dicts(
-            ctx.field,
-            [col for emb in found[part_label] for col in emb.sparse_columns()],
-            product.dim,
-        )
-        if mat_solve(image, vec) is None:
+        image = _rref(ctx.field, [col for emb in found[part_label] for col in emb.sparse_columns()])
+        if image.reduce(vec):
             raise AssertionError(
                 f"distinguished vector for {part_label} at pair {pair}, weight {label} "
                 "does not lie in its summand"
@@ -303,15 +300,8 @@ def verify_reflection_split(
 
 
 # ---------------------------------------------------------------------------
-# closed-form head and socle for a single pair
+# closed-form socle for a single pair
 # ---------------------------------------------------------------------------
-
-
-def singleton_head_character(
-    ctx: DihedralContext, pair: tuple[int, int], label: WeightLabel
-) -> GradedCharacter:
-    """Graded character of the simple head over a single-pair index set."""
-    return predicted_character(ctx, IndexSet(ctx.m, (pair,)), label)
 
 
 def singleton_socle_character(

@@ -38,7 +38,7 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, VecDict, mat_kernel, mat_rank
+from .cyclotomic import CycMatrix, CycNum, VecDict, _rref, add_into, kernel
 from .dihedral import DihedralContext, GroupElement
 
 _CHI_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
@@ -347,29 +347,22 @@ def hom_space(source: DoubleModule, target: DoubleModule) -> list[CycMatrix]:
     ]
     if not variables:
         return []
-    # one column per variable, one row per equation (generator, row, column)
-    # of ``g_target * hom - hom * g_source = 0``
-    equations: dict[tuple[int, int, int], int] = {}
-    columns: list[dict[int, CycNum]] = [dict() for _ in variables]
-
-    def scatter(col: dict[int, CycNum], key: tuple[int, int, int], coeff: CycNum) -> None:
-        eq = equations.setdefault(key, len(equations))
-        col[eq] = col[eq] + coeff if eq in col else coeff
-
+    # one row per equation (generator, row, column) of
+    # ``g_target * hom - hom * g_source = 0``, over the variables; the two
+    # diagonal terms of a variable often cancel, and add_into drops the zero
+    equations: dict[tuple[int, int, int], VecDict] = {}
     for gen_id, (g_target, g_source) in enumerate(
         ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat))
     ):
         t_cols = g_target.sparse_columns()
         s_rows = g_source.transpose().sparse_columns()
         for var, (r, c) in enumerate(variables):
-            col = columns[var]
             for i, val in t_cols[r].items():
-                scatter(col, (gen_id, i, c), val)
+                add_into(equations.setdefault((gen_id, i, c), {}), var, val)
             for j, val in s_rows[c].items():
-                scatter(col, (gen_id, r, j), -val)
-    system = CycMatrix.from_column_dicts(field, columns, len(equations))
+                add_into(equations.setdefault((gen_id, r, j), {}), var, -val)
     homs = []
-    for vec in mat_kernel(system):
+    for vec in kernel(field, equations.values(), len(variables)):
         cols: list[dict[int, CycNum]] = [dict() for _ in range(source.dim)]
         for idx, value in vec.items():
             r, c = variables[idx]
@@ -409,12 +402,6 @@ class WeightCatalog:
 
     def __contains__(self, label: WeightLabel) -> bool:
         return label in self._modules
-
-    def by_class(self) -> dict[str, list[WeightLabel]]:
-        grouped: dict[str, list[WeightLabel]] = {}
-        for label in self.labels:
-            grouped.setdefault(class_key(self.ctx, label), []).append(label)
-        return grouped
 
 
 def all_weight_labels(ctx: DihedralContext) -> list[WeightLabel]:
@@ -665,8 +652,7 @@ def decompose(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLa
         raise AssertionError(
             f"decomposition of a dimension-{module.dim} module found only {module.dim - remaining}"
         )
-    stacked = CycMatrix.from_column_dicts(ctx.field, columns, module.dim)
-    if mat_rank(stacked) != module.dim:
+    if len(_rref(ctx.field, columns).pivots) != module.dim:
         raise AssertionError("decomposition embeddings do not span the module")
     return found
 
@@ -718,9 +704,3 @@ def decomposition_counts(ctx: DihedralContext, module: DoubleModule) -> list[tup
     found.sort()
     return [(label, mult) for _, label, mult in found]
 
-
-def is_isomorphic(ctx: DihedralContext, left: DoubleModule, right: DoubleModule) -> bool:
-    """Isomorphism test via matching multiplicity vectors (deterministic)."""
-    if left.dim != right.dim:
-        return False
-    return decomposition_counts(ctx, left) == decomposition_counts(ctx, right)

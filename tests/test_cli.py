@@ -260,6 +260,37 @@ def test_verify_reports_an_arithmetic_error_per_case(capsys, monkeypatch):
     assert obj["cases"][1]["error"] == "volume twist of M2,3 is not a single weight"
 
 
+@pytest.mark.parametrize(
+    "error", [AssertionError("tensor splits as e:chi2"), ArithmeticError()], ids=["assertion", "arithmetic"]
+)
+def test_verify_reports_each_rigid_tensor_failure_with_its_message(capsys, monkeypatch, error):
+    def failing_for_one_pair(ctx, index_set, mu, lam):
+        if (str(mu), str(lam)) == ("e:chi1", "Mx:0,0"):
+            raise error
+
+    monkeypatch.setattr(cli, "verify_rigid_tensor", failing_for_one_pair)
+    message = str(error) or type(error).__name__
+    argv = ["verify", "--index", "(2,3)", "--weights", "e:chi1", "--threads", "1", "--tensor-rigid"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert f"tensor e:chi1 x Mx:0,0: MISMATCH: {message}" in out.splitlines()
+    assert "rigid tensor checks:" not in out
+
+    code, obj = run_json(capsys, argv)
+    assert code == 1
+    assert obj["failures"] == ["tensor e:chi1 x Mx:0,0"]
+    assert obj["tensor_rigid"] == [{"mu": "e:chi1", "lam": "Mx:0,0", "error": message}]
+
+
+def test_verify_json_lists_rigid_tensor_failures_only_when_asked(capsys):
+    argv = ["verify", "--index", "(2,3)", "--weights", "e:chi1", "--threads", "1"]
+    code, obj = run_json(capsys, argv)
+    assert "tensor_rigid" not in obj
+    code, obj = run_json(capsys, argv + ["--tensor-rigid"])
+    assert code == 0
+    assert obj["tensor_rigid"] == []
+
+
 # Characterisation of the cases that fail outside the proven regime, for
 # ``verify --m 6 --unsafe-m --index "(1,3)"``: weight -> failed checks.
 _M6_FAILURES = {

@@ -20,7 +20,6 @@ from dihedral_doubles.nichols import (
     top_weight,
     valid_pairs,
     validate_index_set,
-    volume_weight,
 )
 from dihedral_doubles.weights import decomposition_counts, validate_double_module
 
@@ -131,7 +130,6 @@ def test_exterior_power_modules_decompose_as_expected(ctx12):
 
 
 def test_top_and_volume_weights(ctx12):
-    assert str(volume_weight(ctx12, (2, 3))) == "e:chi2"
     assert str(top_weight(ctx12, parse_index_set(ctx12, "(2,3)"))) == "e:chi2"
     assert str(top_weight(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"))) == "e:chi1"
 

@@ -1,9 +1,9 @@
 """Guards on the shape of the package rather than on its mathematics.
 
-The runtime must stay standard-library only.  Outside instrumentation
-(``benchmarks/tracer.py``) wraps a few entry points by name, so each must
-stay bound where it is looked up and be reached by the verification paths
-it is meant to time.
+The runtime must stay standard-library only, and the distribution version
+must be the package's.  Outside instrumentation (``benchmarks/tracer.py``)
+wraps a few entry points by name, so each must stay bound where it is
+looked up and be reached by the verification paths it is meant to time.
 """
 
 from __future__ import annotations
@@ -71,3 +71,26 @@ def test_traced_entry_points_are_bound_and_reached(ctx12, monkeypatch):
     calls.clear()
     theorems.verify_reflection_split(ctx12, (2, 3), label)
     assert set(calls) == names
+
+
+def test_reflection_split_decomposes_once_through_the_module_global(ctx12, monkeypatch):
+    # the benchmark records the summands by rebinding ``theorems.decompose``
+    # and expects exactly one result per case
+    results = []
+
+    def recording(ctx, module):
+        results.append(weights.decompose(ctx, module))
+        return results[-1]
+
+    monkeypatch.setattr(theorems, "decompose", recording)
+    for pair, text in (((2, 3), "Mx:0,0"), ((6, 5), "Mxy:1,0")):
+        results.clear()
+        theorems.verify_reflection_split(ctx12, pair, parse_weight_label(text))
+        assert len(results) == 1
+
+
+def test_distribution_version_matches_the_package():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["name"] == "dihedral-doubles"
+    assert pyproject["project"]["version"] == dihedral_doubles.__version__

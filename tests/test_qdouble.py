@@ -2,11 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from dihedral_doubles.nichols import parse_index_set
+from dihedral_doubles.nichols import IndexSet, parse_index_set
 from dihedral_doubles.qdouble import (
     GradedCharacter,
-    alpha_rewrite,
-    assert_relations,
     build_verma,
     check_relations,
     graded_character,
@@ -21,7 +19,7 @@ from dihedral_doubles.qdouble import (
     theta_action,
     theta_congruence,
 )
-from dihedral_doubles.weights import build_weight, parse_weight_label
+from dihedral_doubles.weights import parse_weight_label
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -39,15 +37,15 @@ def test_standard_module_shape(ctx12):
     assert verma.dim == 8
     layers = {z: len(ix) for z, ix in verma.layer_indices().items()}
     assert layers == {0: 2, -1: 4, -2: 2}
-    assert_relations(verma)
+    assert check_relations(verma) == []
     assert theta_congruence(verma) == []
 
 
 def test_lowering_rewrite_on_the_double_letter(ctx12):
-    iset = parse_index_set(ctx12, "(2,3)")
-    label = parse_weight_label("e:rho3")
-    verma = build_verma(ctx12, iset, label)
-    image = alpha_rewrite(ctx12, iset, label, 1, 0, 0b11, 0)
+    verma = _verma(ctx12, "(2,3)", "e:rho3")
+    # the lowering letter a+ of pair 0 on the top monomial over the first weight vector
+    source = verma.basis_labels.index("v+0∧v-0⊗m+")
+    image = verma.a_mats[(0, 1)].sparse_columns()[source]
     named = {verma.basis_labels[ix]: coeff for ix, coeff in image.items()}
     assert set(named) == {"v-0⊗m+"}
     assert named["v-0⊗m+"] == ctx12.field.from_integer(2)
@@ -132,13 +130,17 @@ def test_submodule_and_quotient_dimensions(ctx12):
 
 
 def test_cross_term_operators_detect_weight_class(ctx12):
-    rigid = build_weight(ctx12, parse_weight_label("e:chi1"))
+    def weight(text):
+        # a weight is the standard module over the empty index set
+        return build_verma(ctx12, IndexSet(12, ()), parse_weight_label(text))
+
+    rigid = weight("e:chi1")
     for eps in (1, -1):
         for mu in (1, -1):
             assert phi_action(ctx12, (2, 3), eps, mu, rigid).is_zero()
-    projective = build_weight(ctx12, parse_weight_label("e:rho3"))
+    projective = weight("e:rho3")
     assert not theta_action(ctx12, (2, 3), projective).is_zero()
-    reflection = build_weight(ctx12, parse_weight_label("Mx:0,0"))
+    reflection = weight("Mx:0,0")
     assert not phi_action(ctx12, (2, 3), 1, -1, reflection).is_zero()
 
 

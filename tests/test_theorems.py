@@ -19,7 +19,6 @@ from dihedral_doubles.theorems import (
     predicted_reflection_split,
     predicted_simple_dimension,
     quantum_dimension,
-    singleton_head_character,
     singleton_socle_character,
     spherical_report,
     split_index,
@@ -134,7 +133,7 @@ def test_singleton_closed_forms_match_engine(ctx12, ctx16):
         cases += [(ctx, pair, label) for pair in valid_pairs(ctx) for label in reflections]
     for ctx, pair, label in cases:
         verma = build_verma(ctx, parse_index_set(ctx, f"({pair[0]},{pair[1]})"), label)
-        assert graded_character(head(verma)) == singleton_head_character(ctx, pair, label)
+        assert graded_character(head(verma)) == predicted_character(ctx, verma.index_set, label)
         assert graded_character(socle(verma)) == singleton_socle_character(ctx, pair, label)
 
 

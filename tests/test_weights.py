@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +20,6 @@ from dihedral_doubles.weights import (
     decompose,
     decomposition_counts,
     hom_space,
-    is_isomorphic,
     pair_module,
     pair_weight_label,
     parse_weight_label,
@@ -38,8 +39,7 @@ def test_catalog_count_and_dimension_sum(ctx12, ctx16):
 
 
 def test_catalog_partition_by_central_class(ctx12):
-    by_class = weight_catalog(ctx12).by_class()
-    sizes = {key: len(labels) for key, labels in by_class.items()}
+    sizes = Counter(class_key(ctx12, label) for label in weight_catalog(ctx12).labels)
     assert sizes == {
         "e": 9,
         "yn": 9,
@@ -247,9 +247,7 @@ def test_pair_module_matches_catalog_labels(ctx12):
     assert str(pair_weight_label(ctx12, 6, 9)) == "yn:rho3"
     for i, k in ((2, 3), (1, 6), (6, 5)):
         module = pair_module(ctx12, i, k)
-        assert is_isomorphic(
-            ctx12, module, build_weight(ctx12, pair_weight_label(ctx12, i, k))
-        )
+        assert decomposition_counts(ctx12, module) == [(pair_weight_label(ctx12, i, k), 1)]
 
 
 def test_class_key_separates_degree_support(ctx12):
