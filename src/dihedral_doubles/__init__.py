@@ -12,7 +12,6 @@ from .dihedral import DihedralContext, DihedralGroup, GroupElement, get_context
 from .nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from .qdouble import (
     GradedCharacter,
-    QDModule,
     build_verma,
     check_relations,
     graded_character,
@@ -36,6 +35,7 @@ from .theorems import (
     verify_simple,
 )
 from .weights import (
+    QDModule,
     WeightLabel,
     build_weight,
     decompose,

@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 verification mismatch or failed internal check,
 as that case's error and still reports every other case; in table mode a
 mismatched case names the checks it failed, and outside the proven regime
 (``--unsafe-m`` with m < 12 or 4 not dividing m) it is reported as such
-rather than as a mismatch.
+rather than as a mismatch, on its own line and in the summary line.  A
+``--weights`` label outside the catalog is a usage error, reported before
+any case runs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .theorems import (
     verify_simple,
 )
 from .weights import (
-    WeightLabel,
     build_weight,
     class_key,
     decomposition_counts,
@@ -240,6 +241,9 @@ def cmd_verify(args) -> int:
         labels = [parse_weight_label(text) for text in _split_weight_list(args.weights)]
         if not labels:
             raise ValueError(f"--weights names no weight: {args.weights!r}")
+        unknown = [str(label) for label in labels if label not in catalog]
+        if unknown:
+            raise ValueError(f"--weights names weights not in the catalog for m={ctx.m}: {', '.join(unknown)}")
     failures: list[str] = []
     results: list[dict] = []
     tensor_failures: list[dict] = []
@@ -304,6 +308,8 @@ def cmd_verify(args) -> int:
         if args.tensor_rigid:
             obj["tensor_rigid"] = tensor_failures
         _print_json(obj)
+    elif failures and not in_proven_regime(ctx.m):
+        print(f"{len(failures)} failures outside the proven regime (m={ctx.m}): {', '.join(failures)}")
     elif failures:
         print(f"{len(failures)} mismatches: {', '.join(failures)}")
     else:

@@ -11,17 +11,19 @@ Monomials are bitmasks over the letters in pair-major order, the + letter
 before the - letter of the same pair: bit 2p is v+ of pair p, bit 2p+1 is
 v- of pair p.  Products carry the usual alternating sign, one factor -1 per
 crossing when merging two sorted letter lists.
+
+This layer is pure combinatorics of masks and pairs and builds no module:
+an exterior power as a module over the double of the group is
+``qdouble.exterior_power_module``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .cyclotomic import CycMatrix, CycNum
 from .dihedral import DihedralContext, GroupElement
-from .weights import DoubleModule, WeightLabel
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,6 @@ class IndexSet:
     @property
     def nletters(self) -> int:
         return 2 * len(self.pairs)
-
-    def positions(self) -> range:
-        return range(len(self.pairs))
 
     def without(self, position: int) -> IndexSet:
         pairs = self.pairs[:position] + self.pairs[position + 1 :]
@@ -194,30 +193,3 @@ def nichols_basis(index_set: IndexSet, degree: int) -> list[int]:
         return []
     masks = [sum(1 << b for b in combo) for combo in combinations(letters, degree)]
     return masks
-
-
-def exterior_power_module(ctx: DihedralContext, index_set: IndexSet, degree: int) -> DoubleModule:
-    """The degree-d component of the exterior algebra as a group-double module."""
-    field = ctx.field
-    basis = nichols_basis(index_set, degree)
-    position = {mask: idx for idx, mask in enumerate(basis)}
-    degrees = [monomial_degree(ctx, index_set, mask) for mask in basis]
-    xcols: list[dict[int, CycNum]] = []
-    ycols: list[dict[int, CycNum]] = []
-    for mask in basis:
-        sign, swapped = swap_letters(index_set, mask)
-        xcols.append({position[swapped]: field.from_integer(sign)})
-        _, ksum = rotation_exponents(index_set, mask)
-        ycols.append({position[mask]: ctx.omega(ksum)})
-    return DoubleModule(
-        ctx,
-        degrees,
-        CycMatrix.from_column_dicts(field, xcols, len(basis)),
-        CycMatrix.from_column_dicts(field, ycols, len(basis)),
-        [str(ExtMonomial(mask)) for mask in basis],
-    )
-
-
-def top_weight(ctx: DihedralContext, index_set: IndexSet) -> WeightLabel:
-    """Weight of the top exterior power: the sign character of x per pair."""
-    return WeightLabel.e_chi(2 if index_set.size % 2 else 1)

@@ -2,24 +2,28 @@
 
 The double is generated by the group part (x, y and the dual group-likes,
 realized here as the group grading), a raising letter pair v+, v- for every
-index pair, and a lowering pair a+, a- dual to it.  A :class:`QDModule`
-stores the action of every generator as an explicit exact matrix, together
-with an integer grading (the letter count, nonpositive) and the group
-grading.
+index pair, and a lowering pair a+, a- dual to it.  A module is a
+``weights.QDModule``, the one module type: an exact matrix per generator,
+an integer grading (the letter count, nonpositive) and the group grading.
+:func:`check_relations` checks the group part as ``weights`` does, then the
+letters.
 
-Standard (Verma-type) modules are built by letting the exterior algebra of
-the letters act freely on a chosen weight and rewriting each lowering
-generator past the letters; the cross terms produced by the defining
-relations act through the group degree of the vector alone.  Socles and
-heads are computed from scratch by exact linear algebra, with no appeal to
-any closed-form answer, so they can serve as independent evidence for one.
+Standard (Verma-type) modules are built by one induction that lets the
+exterior algebra of the letters act freely on a base module and rewrites
+each lowering generator past the letters; the cross terms produced by the
+defining relations act through the group degree of the vector alone.  The
+base is a weight, the module over the empty index set, or for one step of
+the recursion a simple module.  Socles and heads are computed from scratch
+by exact linear algebra, with no appeal to any closed-form answer, so they
+can serve as independent evidence for one.  The closed-form side takes the
+exterior powers of the letters from :func:`exterior_power_module`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, add_into, kernel
 from .dihedral import DihedralContext, GroupElement
@@ -29,96 +33,25 @@ from .nichols import (
     letter_insert,
     letter_pair,
     letter_sign,
+    monomial_degree,
     nichols_basis,
     rotation_exponents,
     swap_letters,
     validate_index_set,
 )
 from .weights import (
-    DoubleModule,
+    QDModule,
     WeightLabel,
     build_weight,
     decomposition_counts,
+    grading_failure,
+    group_module,
+    group_relation_failures,
     parse_weight_label,
+    tensor_dd,
 )
 
 Cell = tuple[int, GroupElement]
-
-
-class QDModule:
-    """A doubly graded module over the double, with one matrix per generator.
-
-    Attributes:
-        ctx: shared dihedral context.
-        index_set: the index pairs the double is built on.
-        zdeg: integer degree of each basis vector (0 on the inducing weight).
-        gdeg: group degree of each basis vector.
-        x_mat, y_mat: group generator matrices.
-        v_mats: raising matrices, keyed by (pair position, sign).
-        a_mats: lowering matrices, keyed by (pair position, sign).
-        weight: label of the inducing weight, when one applies.
-        kind: how the module was produced (verma, induced, quotient, ...).
-    """
-
-    def __init__(
-        self,
-        ctx: DihedralContext,
-        index_set: IndexSet,
-        basis_labels: Sequence[str],
-        zdeg: Sequence[int],
-        gdeg: Sequence[GroupElement],
-        x_mat: CycMatrix,
-        y_mat: CycMatrix,
-        v_mats: dict[tuple[int, int], CycMatrix],
-        a_mats: dict[tuple[int, int], CycMatrix],
-        weight: WeightLabel | None = None,
-        kind: str = "module",
-    ) -> None:
-        self.ctx = ctx
-        self.index_set = index_set
-        self.basis_labels = tuple(basis_labels)
-        self.zdeg = tuple(zdeg)
-        self.gdeg = tuple(gdeg)
-        self.dim = len(self.basis_labels)
-        self.x_mat = x_mat
-        self.y_mat = y_mat
-        self.v_mats = v_mats
-        self.a_mats = a_mats
-        self.weight = weight
-        self.kind = kind
-
-    def layer_indices(self) -> dict[int, list[int]]:
-        cached = self.__dict__.get("_layers")
-        if cached is None:
-            cached = {}
-            for idx, z in enumerate(self.zdeg):
-                cached.setdefault(z, []).append(idx)
-            self.__dict__["_layers"] = cached
-        return cached
-
-    def generator_matrices(self) -> list[tuple[str, CycMatrix]]:
-        """Every generator with a display name, in a deterministic order."""
-        out = [("x", self.x_mat), ("y", self.y_mat)]
-        for (pos, sign), mat in sorted(self.v_mats.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
-            out.append((f"v{'+' if sign > 0 else '-'}{pos}", mat))
-        for (pos, sign), mat in sorted(self.a_mats.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
-            out.append((f"a{'+' if sign > 0 else '-'}{pos}", mat))
-        return out
-
-    def layer_module(self, z: int) -> DoubleModule:
-        """The degree-z layer as a module over the double of the group alone."""
-        idxs = self.layer_indices().get(z, [])
-        return DoubleModule(
-            self.ctx,
-            [self.gdeg[i] for i in idxs],
-            self.x_mat.submatrix(idxs, idxs),
-            self.y_mat.submatrix(idxs, idxs),
-            [self.basis_labels[i] for i in idxs],
-        )
-
-    def __repr__(self) -> str:
-        name = str(self.weight) if self.weight else None
-        return f"QDModule(kind={self.kind!r}, dim={self.dim}, index_set={str(self.index_set)!r}, weight={name!r})"
 
 
 def y_power_columns(module: QDModule, power: int) -> list[VecDict]:
@@ -349,15 +282,11 @@ def _induce(
 def build_verma(ctx: DihedralContext, index_set: IndexSet, weight: WeightLabel) -> QDModule:
     """The standard module: the exterior algebra of the letters on a weight.
 
-    The weight, a module over the double of the group alone, is the module
-    over the empty index set in degree 0, the base case of the recursion;
-    over the empty index set the result is that module itself.
+    The weight, as :func:`build_weight` makes it, is the module over the
+    empty index set in degree 0, the base case of the recursion; over the
+    empty index set the result is that module itself.
     """
-    lam = build_weight(ctx, weight)
-    base = QDModule(
-        ctx, IndexSet(ctx.m, ()), lam.basis_labels, (0,) * lam.dim, lam.degrees, lam.x_mat, lam.y_mat, {}, {}
-    )
-    return _induce(ctx, base, index_set.pairs, 0, index_set, weight, "verma")
+    return _induce(ctx, build_weight(ctx, weight), index_set.pairs, 0, index_set, weight, "verma")
 
 
 def induce_from_simple(ctx: DihedralContext, simple: QDModule, pair: tuple[int, int]) -> QDModule:
@@ -371,68 +300,35 @@ def induce_from_simple(ctx: DihedralContext, simple: QDModule, pair: tuple[int, 
 def check_relations(module: QDModule) -> list[str]:
     """Verify every defining relation on explicit matrices; list the failures.
 
-    Covers the group relations, the grading compatibility of every generator,
-    the smash-product commutation of x and y with each letter, all
+    Covers the group part (:func:`group_relation_failures`), the grading
+    compatibility of every letter, the smash-product commutation of x and y with each letter, all
     anticommutators among raising letters, among lowering letters, and the
     mixed ones, where the same-pair bracket must equal the cross-term
     operator of :func:`phi_action` and distinct pairs must anticommute.
     """
     ctx = module.ctx
     field = ctx.field
-    failures: list[str] = []
+    failures = group_relation_failures(module)
     pairs = module.index_set.pairs
-    dim = module.dim
-    group = ctx.group
-
-    def check_grading(name: str, mat: CycMatrix, zshift: int, gmap: Callable[[GroupElement], GroupElement]) -> None:
-        sparse = mat.sparse_columns()
-        for j in range(dim):
-            target_z = module.zdeg[j] + zshift
-            target_g = gmap(module.gdeg[j])
-            for i in sparse[j]:
-                if module.zdeg[i] != target_z or module.gdeg[i] != target_g:
-                    failures.append(f"{name} breaks the grading at column {j}")
-                    return
-
-    check_grading("x", module.x_mat, 0, lambda g: g.conjugated_by(group.x))
-    check_grading("y", module.y_mat, 0, lambda g: g.conjugated_by(group.y))
-    for (pos, sign), mat in module.v_mats.items():
-        i = pairs[pos][0]
-        check_grading(
-            f"v({pos},{sign:+d})", mat, -1, lambda g, i=i, s=sign: group.rotation(s * i) * g
-        )
-    for (pos, sign), mat in module.a_mats.items():
-        i = pairs[pos][0]
-        check_grading(
-            f"a({pos},{sign:+d})", mat, +1, lambda g, i=i, s=sign: group.rotation(-s * i) * g
-        )
+    letters: dict[tuple[str, tuple[int, int]], CycMatrix] = {}
+    # a raising letter lowers the degree by one and multiplies the group
+    # degree by y^(+-i); a lowering letter does the opposite
+    for kind, mats, zshift in (("v", module.v_mats, -1), ("a", module.a_mats, 1)):
+        for (pos, sign), mat in mats.items():
+            shift = ctx.group.rotation(-zshift * sign * pairs[pos][0])
+            failure = grading_failure(module, f"{kind}({pos},{sign:+d})", mat, zshift, lambda g: shift * g)
+            if failure:
+                failures.append(failure)
+            letters[(kind, (pos, sign))] = mat
 
     x, y = module.x_mat, module.y_mat
-    ident = CycMatrix.identity(field, dim)
-    if x * x != ident:
-        failures.append("x^2 != 1")
-    ypow = ident
-    for _ in range(ctx.m):
-        ypow = y * ypow
-    if ypow != ident:
-        failures.append(f"y^{ctx.m} != 1")
-    xy = x * y
-    if xy * xy != ident:
-        failures.append("(x y)^2 != 1")
-
-    letters: dict[tuple[str, tuple[int, int]], CycMatrix] = {}
-    for key, mat in module.v_mats.items():
-        letters[("v", key)] = mat
-    for key, mat in module.a_mats.items():
-        letters[("a", key)] = mat
-
     for (kind, (pos, sign)), mat in letters.items():
         partner = letters[(kind, (pos, -sign))]
         k = pairs[pos][1]
         if x * mat != partner * x:
             failures.append(f"x does not swap the sign of {kind} at pair position {pos}")
         scale = ctx.omega(sign * k if kind == "v" else -sign * k)
-        if y * mat != mat * y * CycMatrix.diagonal(field, [scale] * dim):
+        if y * mat != mat * y * CycMatrix.diagonal(field, [scale] * module.dim):
             failures.append(f"y does not scale {kind} at pair position {pos} as expected")
 
     def anticommutator(ka: tuple[str, tuple[int, int]], kb: tuple[str, tuple[int, int]]) -> CycMatrix:
@@ -556,9 +452,6 @@ class GradedSubspace:
         basis = self.cells.get(self._cell_of(vec))
         return dict(vec) if basis is None else basis.reduce(vec)
 
-    def contains(self, vec: VecDict) -> bool:
-        return not self.reduce(vec)
-
     def dim(self) -> int:
         return sum(len(basis.rows) for basis in self.cells.values())
 
@@ -668,19 +561,6 @@ def subspace_as_module(module: QDModule, space: GradedSubspace, kind: str = "sub
     )
 
 
-def _subspace_double_module(module: QDModule, space: GradedSubspace) -> DoubleModule:
-    """The group-double module carried by an x,y-stable graded subspace."""
-    ordered = _ordered_cells(space)
-    position = {ct: idx for idx, ct in enumerate(ordered)}
-    return DoubleModule(
-        module.ctx,
-        [cell[1] for cell, _ in ordered],
-        _express_in_space(module, space, ordered, position, module.x_mat),
-        _express_in_space(module, space, ordered, position, module.y_mat),
-        [f"s{idx}" for idx in range(len(ordered))],
-    )
-
-
 def socle(module: QDModule) -> QDModule:
     """The submodule generated by the lowest nonvanishing joint kernel.
 
@@ -699,15 +579,13 @@ def socle(module: QDModule) -> QDModule:
             break
     if not found:
         raise AssertionError("module has no joint kernel vectors at all")
-    seed = GradedSubspace(module)
+    # the span of the kernel vectors as a module over the double of the
+    # group: expressing x and y on it raises if the span is not stable
+    group_part = group_module(module.ctx, module.gdeg, module.x_mat, module.y_mat, module.basis_labels)
+    seed = GradedSubspace(group_part)
     for vec in found:
         seed.insert(vec)
-    for mat in (module.x_mat, module.y_mat):
-        for basis in list(seed.cells.values()):
-            for row in list(basis.rows):
-                if not seed.contains(mat.apply(row)):
-                    raise AssertionError("lowest joint kernel is not stable under the group")
-    counts = decomposition_counts(module.ctx, _subspace_double_module(module, seed))
+    counts = decomposition_counts(module.ctx, subspace_as_module(group_part, seed))
     if len(counts) != 1 or counts[0][1] != 1:
         raise AssertionError(
             "lowest joint kernel is not a single multiplicity-one weight: "
@@ -769,12 +647,6 @@ class GradedCharacter:
     def degrees(self) -> list[int]:
         return [z for z, _ in self.layers]
 
-    def layer(self, z: int) -> dict[WeightLabel, int]:
-        for degree, entries in self.layers:
-            if degree == z:
-                return dict(entries)
-        return {}
-
     def dimension(self, n: int) -> int:
         return sum(mult * label.dimension(n) for _, entries in self.layers for label, mult in entries)
 
@@ -833,9 +705,9 @@ def graded_character(module: QDModule) -> GradedCharacter:
 def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule:
     """Tensor product of modules over the same double.
 
-    The group part acts diagonally; a raising letter acts on the right
-    factor through the group degree of the left one, and a lowering letter
-    likewise, swapping its sign on reflection-degree vectors.  The
+    The group part is :func:`tensor_dd` of the two; a raising letter acts on
+    the right factor through the group degree of the left one, and a
+    lowering letter likewise, swapping its sign on reflection-degree vectors.  The
     construction is guarded: the defining relations are re-checked on the
     result and any failure raises instead of being patched over.
     """
@@ -848,25 +720,7 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
     def fuse(a: int, b: int) -> int:
         return a * dim_r + b
 
-    zdeg = [za + zb for za in left.zdeg for zb in right.zdeg]
-    gdeg = [ga * gb for ga in left.gdeg for gb in right.gdeg]
-    labels = [f"{la}⊗{lb}" for la in left.basis_labels for lb in right.basis_labels]
-
-    def kron_cols(a_cols: list[VecDict], b_cols: list[VecDict]) -> list[VecDict]:
-        cols = []
-        for ja in range(left.dim):
-            for jb in range(dim_r):
-                cols.append(
-                    {
-                        fuse(ia, ib): va * vb
-                        for ia, va in a_cols[ja].items()
-                        for ib, vb in b_cols[jb].items()
-                    }
-                )
-        return cols
-
-    x_cols = kron_cols(left.x_mat.sparse_columns(), right.x_mat.sparse_columns())
-    y_cols = kron_cols(left.y_mat.sparse_columns(), right.y_mat.sparse_columns())
+    group = tensor_dd(left, right)
     v_mats: dict[tuple[int, int], CycMatrix] = {}
     a_mats: dict[tuple[int, int], CycMatrix] = {}
     for (pos, sign), mat in left.v_mats.items():
@@ -908,11 +762,11 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
     result = QDModule(
         ctx,
         left.index_set,
-        labels,
-        zdeg,
-        gdeg,
-        CycMatrix.from_column_dicts(field, x_cols, dim),
-        CycMatrix.from_column_dicts(field, y_cols, dim),
+        group.basis_labels,
+        [za + zb for za in left.zdeg for zb in right.zdeg],
+        group.gdeg,
+        group.x_mat,
+        group.y_mat,
         v_mats,
         a_mats,
         weight=None,
@@ -924,3 +778,25 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
             "tensor product violates the defining relations: " + "; ".join(failures)
         )
     return result
+
+
+def exterior_power_module(ctx: DihedralContext, index_set: IndexSet, degree: int) -> QDModule:
+    """The degree-d component of the exterior algebra as a module over the double of the group."""
+    field = ctx.field
+    basis = nichols_basis(index_set, degree)
+    position = {mask: idx for idx, mask in enumerate(basis)}
+    degrees = [monomial_degree(ctx, index_set, mask) for mask in basis]
+    xcols: list[VecDict] = []
+    ycols: list[VecDict] = []
+    for mask in basis:
+        sign, swapped = swap_letters(index_set, mask)
+        xcols.append({position[swapped]: field.from_integer(sign)})
+        _, ksum = rotation_exponents(index_set, mask)
+        ycols.append({position[mask]: ctx.omega(ksum)})
+    return group_module(
+        ctx,
+        degrees,
+        CycMatrix.from_column_dicts(field, xcols, len(basis)),
+        CycMatrix.from_column_dicts(field, ycols, len(basis)),
+        [str(ExtMonomial(mask)) for mask in basis],
+    )

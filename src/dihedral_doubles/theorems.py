@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycMatrix, CycNum, _rref
 from .dihedral import DihedralContext
-from .nichols import IndexSet, exterior_power_module
+from .nichols import IndexSet
 from .qdouble import (
     GradedCharacter,
-    QDModule,
     build_verma,
     check_relations,
+    exterior_power_module,
     graded_character,
     head,
     highest_weight_vectors,
@@ -38,6 +38,7 @@ from .qdouble import (
     y_power_columns,
 )
 from .weights import (
+    QDModule,
     WeightLabel,
     build_weight,
     decompose,
@@ -100,12 +101,11 @@ def classify_weight_by_action(
 
     Independent of :func:`classify_weight`: builds the weight as explicit
     matrices, the module over the empty index set, and evaluates the four
-    cross-term operators on it.  Nonzero
-    mixed terms mean reflection type; all four vanishing means rigid; a
-    nonvanishing quadratic combination with zero mixed terms means
-    projective.
+    cross-term operators on it.  Nonzero mixed terms mean reflection type;
+    all four vanishing means rigid; a nonvanishing quadratic combination
+    with zero mixed terms means projective.
     """
-    module = build_verma(ctx, IndexSet(ctx.m, ()), label)
+    module = build_weight(ctx, label)
     ops = {
         (eps, mu): phi_action(ctx, pair, eps, mu, module)
         for eps in (+1, -1)
@@ -561,14 +561,7 @@ def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
     return len(parts) == 1 and len(parts[0][1]) == 1
 
 
-def verify_simple(
-    ctx: DihedralContext,
-    index_set: IndexSet,
-    label: WeightLabel,
-    *,
-    check_recursion: bool = True,
-    check_qdim: bool = True,
-) -> SimpleReport:
+def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel) -> SimpleReport:
     """Build the standard module of ``label``, verify every claim about it.
 
     Checks performed:
@@ -578,13 +571,12 @@ def verify_simple(
       :func:`predicted_character` and the dimension formula;
     * simplicity of the socle (single weight, multiplicity one), and for a
       single pair the closed-form socle character;
-    * when ``check_recursion`` and the index set has more than one pair:
-      for each distinct removable pair, the modules induced from the head
-      and from the socle of the smaller standard module satisfy the
-      relations and reproduce the head and socle respectively;
-    * when ``check_qdim`` and the index set is spherical: the quantum
-      dimension of the simple is nonzero exactly when every pair is rigid
-      for the weight.
+    * when the index set has more than one pair: for each distinct
+      removable pair, the modules induced from the head and from the socle
+      of the smaller standard module satisfy the relations and reproduce
+      the head and socle respectively;
+    * when the index set is spherical: the quantum dimension of the simple
+      is nonzero exactly when every pair is rigid for the weight.
     """
     pairs = index_set.pairs
     classes = tuple(classify_weight(ctx, label, pair) for pair in pairs)
@@ -609,7 +601,7 @@ def verify_simple(
         socle_matches = None
 
     recursion: list[RecursionCheck] = []
-    if check_recursion and index_set.size > 1:
+    if index_set.size > 1:
         for pair in sorted(set(pairs)):
             pos = pairs.index(pair)
             sub_verma = build_verma(ctx, index_set.without(pos), label)
@@ -630,7 +622,7 @@ def verify_simple(
     qdim: CycNum | None = None
     qdim_expected: bool | None = None
     qdim_ok: bool | None = None
-    if check_qdim and is_spherical(ctx, index_set):
+    if is_spherical(ctx, index_set):
         qdim = quantum_dimension(ctx, simple)
         qdim_expected = all(cls == RIGID for cls in classes)
         qdim_ok = bool(qdim) == qdim_expected

@@ -1,8 +1,17 @@
-"""Simple modules over the Drinfeld double of the dihedral group.
+"""The one module type, and the simple modules of the double of the group.
 
-A module here is a group-graded vector space with a compatible group action:
-the grading records the coaction by group-likes, and compatibility means the
-action of g maps the degree-h component into the degree-``g h g^-1`` one.
+:class:`QDModule` stores a module over a double as an exact matrix per
+generator, with an integer degree and a group degree per basis vector.  A
+module over the Drinfeld double of the dihedral group itself is the module
+over the empty index set, in degree 0, with no letters
+(:func:`group_module`): a group-graded vector space with a compatible group
+action.  The grading records the coaction by group-likes, and compatibility
+means the action of g maps the degree-h component into the degree-``g h
+g^-1`` one; :func:`group_relation_failures` checks this part of any module.
+Hom spaces, decompositions, multiplicities and :func:`tensor_dd` read only
+x, y and the group degrees, so they act on the restriction to the double of
+the group.
+
 Simple modules fall into seven families, labelled by a conjugacy class and an
 irreducible character of its centralizer:
 
@@ -36,10 +45,11 @@ from dataclasses import dataclass
 from itertools import chain
 from math import lcm
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, VecDict, _rref, add_into, kernel
 from .dihedral import DihedralContext, GroupElement
+from .nichols import IndexSet
 
 _CHI_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
 _FAMILY_RANK = {"e:chi": 0, "e:rho": 1, "yn:chi": 2, "yn:rho": 3, "M": 4, "Mx": 5, "Mxy": 6}
@@ -125,69 +135,139 @@ def parse_weight_label(text: str) -> WeightLabel:
     raise ValueError(f"malformed weight label: {text!r}")
 
 
-class DoubleModule:
-    """A module over the double of the dihedral group, as explicit matrices.
+class QDModule:
+    """A doubly graded module over the double, with one matrix per generator.
+
+    A module over the double of the group alone is the module over the
+    empty index set, in degree 0, with no letters (:func:`group_module`).
 
     Attributes:
-        ctx: the shared dihedral context.
-        dim: vector space dimension.
-        degrees: group degree of each basis vector.
-        x_mat, y_mat: matrices of the two group generators.
-        basis_labels: display names of the basis vectors.
+        ctx: shared dihedral context.
+        index_set: the index pairs the double is built on.
+        zdeg: integer degree of each basis vector (0 on the inducing weight).
+        gdeg: group degree of each basis vector.
+        x_mat, y_mat: group generator matrices.
+        v_mats: raising matrices, keyed by (pair position, sign).
+        a_mats: lowering matrices, keyed by (pair position, sign).
+        weight: label of the inducing weight, when one applies.
+        kind: how the module was produced (verma, induced, quotient, ...).
     """
 
     def __init__(
         self,
         ctx: DihedralContext,
-        degrees: Sequence[GroupElement],
+        index_set: IndexSet,
+        basis_labels: Sequence[str],
+        zdeg: Sequence[int],
+        gdeg: Sequence[GroupElement],
         x_mat: CycMatrix,
         y_mat: CycMatrix,
-        basis_labels: Sequence[str],
+        v_mats: dict[tuple[int, int], CycMatrix],
+        a_mats: dict[tuple[int, int], CycMatrix],
+        weight: WeightLabel | None = None,
+        kind: str = "module",
     ) -> None:
         self.ctx = ctx
-        self.degrees = tuple(degrees)
-        self.dim = len(self.degrees)
+        self.index_set = index_set
+        self.basis_labels = tuple(basis_labels)
+        self.zdeg = tuple(zdeg)
+        self.gdeg = tuple(gdeg)
+        self.dim = len(self.basis_labels)
         self.x_mat = x_mat
         self.y_mat = y_mat
-        self.basis_labels = tuple(basis_labels)
-        if x_mat.nrows != self.dim or y_mat.nrows != self.dim:
-            raise ValueError("matrix sizes do not match the basis")
+        self.v_mats = v_mats
+        self.a_mats = a_mats
+        self.weight = weight
+        self.kind = kind
 
-    def degree_support(self) -> frozenset[GroupElement]:
-        return frozenset(self.degrees)
+    def layer_indices(self) -> dict[int, list[int]]:
+        cached = self.__dict__.get("_layers")
+        if cached is None:
+            cached = {}
+            for idx, z in enumerate(self.zdeg):
+                cached.setdefault(z, []).append(idx)
+            self.__dict__["_layers"] = cached
+        return cached
+
+    def generator_matrices(self) -> list[tuple[str, CycMatrix]]:
+        """Every generator with a display name, in a deterministic order."""
+        out = [("x", self.x_mat), ("y", self.y_mat)]
+        for (pos, sign), mat in sorted(self.v_mats.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
+            out.append((f"v{'+' if sign > 0 else '-'}{pos}", mat))
+        for (pos, sign), mat in sorted(self.a_mats.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
+            out.append((f"a{'+' if sign > 0 else '-'}{pos}", mat))
+        return out
+
+    def layer_module(self, z: int) -> QDModule:
+        """The degree-z layer as a module over the double of the group alone."""
+        idxs = self.layer_indices().get(z, [])
+        return group_module(
+            self.ctx,
+            [self.gdeg[i] for i in idxs],
+            self.x_mat.submatrix(idxs, idxs),
+            self.y_mat.submatrix(idxs, idxs),
+            [self.basis_labels[i] for i in idxs],
+        )
 
     def __repr__(self) -> str:
-        return f"DoubleModule(dim={self.dim}, m={self.ctx.m})"
+        name = str(self.weight) if self.weight else None
+        return f"QDModule(kind={self.kind!r}, dim={self.dim}, index_set={str(self.index_set)!r}, weight={name!r})"
 
 
-def validate_double_module(module: DoubleModule) -> None:
-    """Check the group relations and the grading compatibility; raise on failure."""
+def group_module(
+    ctx: DihedralContext,
+    degrees: Sequence[GroupElement],
+    x_mat: CycMatrix,
+    y_mat: CycMatrix,
+    labels: Sequence[str],
+) -> QDModule:
+    """A module over the double of the group: the module over the empty index set."""
+    return QDModule(ctx, IndexSet(ctx.m, ()), labels, (0,) * len(degrees), degrees, x_mat, y_mat, {}, {})
+
+
+def grading_failure(
+    module: QDModule, name: str, mat: CycMatrix, zshift: int, gmap: Callable[[GroupElement], GroupElement]
+) -> str | None:
+    """Why ``mat`` fails to shift each degree by ``zshift`` and map each group degree by ``gmap``."""
+    sparse = mat.sparse_columns()
+    for j in range(module.dim):
+        target_z = module.zdeg[j] + zshift
+        target_g = gmap(module.gdeg[j])
+        for i in sparse[j]:
+            if module.zdeg[i] != target_z or module.gdeg[i] != target_g:
+                return f"{name} breaks the grading at column {j}"
+    return None
+
+
+def group_relation_failures(module: QDModule) -> list[str]:
+    """Check the group part of a module; list the failures.
+
+    x and y must keep each degree and conjugate each group degree, and
+    satisfy x^2 = y^m = (x y)^2 = 1.
+    """
     ctx = module.ctx
+    group = ctx.group
+    failures = []
+    for name, mat, t in (("x", module.x_mat, group.x), ("y", module.y_mat, group.y)):
+        failure = grading_failure(module, name, mat, 0, lambda g: g.conjugated_by(t))
+        if failure:
+            failures.append(failure)
     x, y = module.x_mat, module.y_mat
     ident = CycMatrix.identity(ctx.field, module.dim)
     if x * x != ident:
-        raise ValueError("x does not square to the identity")
+        failures.append("x^2 != 1")
     ypow = ident
     for _ in range(ctx.m):
         ypow = y * ypow
     if ypow != ident:
-        raise ValueError(f"y does not have order dividing {ctx.m}")
+        failures.append(f"y^{ctx.m} != 1")
     xy = x * y
     if xy * xy != ident:
-        raise ValueError("(x y) is not an involution")
-    for gen, mat in (("x", x), ("y", y)):
-        t = ctx.group.x if gen == "x" else ctx.group.y
-        cols = mat.sparse_columns()
-        for j in range(module.dim):
-            target = module.degrees[j].conjugated_by(t)
-            for i in cols[j]:
-                if module.degrees[i] != target:
-                    raise ValueError(
-                        f"{gen} breaks the grading at basis vector {module.basis_labels[j]}"
-                    )
+        failures.append("(x y)^2 != 1")
+    return failures
 
 
-def build_weight(ctx: DihedralContext, label: WeightLabel) -> DoubleModule:
+def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
     """Construct the simple module named by the label, with validated ranges."""
     field, group, m, n = ctx.field, ctx.group, ctx.m, ctx.n
     family, params = label.family, label.params
@@ -196,7 +276,7 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> DoubleModule:
         sx, sy = _CHI_SIGNS[j]
         deg = group.identity if family == "e:chi" else group.rotation(n)
         one = field.from_integer
-        return DoubleModule(
+        return group_module(
             ctx, [deg], CycMatrix.from_rows(field, [[one(sx)]]), CycMatrix.from_rows(field, [[one(sy)]]), ["m"]
         )
     if family in ("e:rho", "yn:rho"):
@@ -204,7 +284,7 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> DoubleModule:
         if not 1 <= l <= n - 1:
             raise ValueError(f"rotation character index out of range: {label}")
         deg = group.identity if family == "e:rho" else group.rotation(n)
-        return DoubleModule(
+        return group_module(
             ctx,
             [deg, deg],
             _swap_matrix(field),
@@ -217,7 +297,7 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> DoubleModule:
             raise ValueError(f"rotation degree out of range: {label}")
         if not 0 <= k <= m - 1:
             raise ValueError(f"rotation eigenvalue exponent out of range: {label}")
-        return DoubleModule(
+        return group_module(
             ctx,
             [group.rotation(i), group.rotation(-i)],
             _swap_matrix(field),
@@ -244,7 +324,7 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> DoubleModule:
                 ycols.append({n - 1: field.from_integer((-1) ** t)})
             else:
                 ycols.append({j - 1: one})
-        return DoubleModule(
+        return group_module(
             ctx,
             degrees,
             CycMatrix.from_column_dicts(field, xcols, n),
@@ -258,7 +338,7 @@ def _swap_matrix(field) -> CycMatrix:
     return CycMatrix.from_rows(field, [[0, 1], [1, 0]])
 
 
-def pair_module(ctx: DihedralContext, i: int, k: int) -> DoubleModule:
+def pair_module(ctx: DihedralContext, i: int, k: int) -> QDModule:
     """The two-dimensional module with degrees y^(+-i) and rotation exponents +-k.
 
     For 1 <= i <= n-1 this is the catalog member ``M<i>,<k>``; for i = n both
@@ -271,7 +351,7 @@ def pair_module(ctx: DihedralContext, i: int, k: int) -> DoubleModule:
         return build_weight(ctx, WeightLabel.rotation_pair(i, k % ctx.m))
     field, group = ctx.field, ctx.group
     deg = group.rotation(ctx.n)
-    return DoubleModule(
+    return group_module(
         ctx,
         [deg, deg],
         _swap_matrix(field),
@@ -299,14 +379,18 @@ def class_key(ctx: DihedralContext, label: WeightLabel) -> str:
     return "x" if label.family == "Mx" else "xy"
 
 
-def tensor_dd(left: DoubleModule, right: DoubleModule) -> DoubleModule:
-    """Tensor product of two modules; degrees multiply, generators act diagonally."""
+def tensor_dd(left: QDModule, right: QDModule) -> QDModule:
+    """Tensor product of the restrictions of two modules to the double of the group.
+
+    Group degrees multiply and x and y act diagonally; the result is a
+    module over the empty index set.
+    """
     ctx = left.ctx
     if right.ctx.m != ctx.m:
         raise ValueError("tensor factors live over different group orders")
-    degrees = [ga * gb for ga in left.degrees for gb in right.degrees]
+    degrees = [ga * gb for ga in left.gdeg for gb in right.gdeg]
     labels = [f"{la}⊗{lb}" for la in left.basis_labels for lb in right.basis_labels]
-    return DoubleModule(
+    return group_module(
         ctx,
         degrees,
         _kronecker(left.x_mat, right.x_mat),
@@ -330,10 +414,12 @@ def _kronecker(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     return CycMatrix.from_column_dicts(field, cols, nrows)
 
 
-def hom_space(source: DoubleModule, target: DoubleModule) -> list[CycMatrix]:
-    """Basis of the space of module homomorphisms from source to target.
+def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
+    """Basis of the homomorphisms from source to target over the double of the group.
 
-    A homomorphism must preserve the group grading and commute with both
+    Only ``x_mat``, ``y_mat`` and ``gdeg`` are read, so for modules with
+    letters this is the hom space between their restrictions.  A
+    homomorphism must preserve the group grading and commute with both
     group generators; the result is the exact kernel of the corresponding
     linear system, one ``target.dim x source.dim`` matrix per basis vector.
     """
@@ -343,7 +429,7 @@ def hom_space(source: DoubleModule, target: DoubleModule) -> list[CycMatrix]:
         (r, c)
         for c in range(source.dim)
         for r in range(target.dim)
-        if target.degrees[r] == source.degrees[c]
+        if target.gdeg[r] == source.gdeg[c]
     ]
     if not variables:
         return []
@@ -383,7 +469,7 @@ class WeightCatalog:
         self,
         ctx: DihedralContext,
         labels: Sequence[WeightLabel],
-        modules: dict[WeightLabel, DoubleModule],
+        modules: dict[WeightLabel, QDModule],
         characters: dict[GroupElement, list[_Member]],
     ):
         self.ctx = ctx
@@ -391,7 +477,7 @@ class WeightCatalog:
         self._modules = modules
         self.characters = characters
 
-    def module(self, label: WeightLabel) -> DoubleModule:
+    def module(self, label: WeightLabel) -> QDModule:
         try:
             return self._modules[label]
         except KeyError:
@@ -481,7 +567,7 @@ def _class_data(ctx: DihedralContext) -> list[_ClassData]:
     return classes
 
 
-def _trace_vector(module: DoubleModule, cls: _ClassData, block: Sequence[int]) -> tuple[list[int], int]:
+def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> tuple[list[int], int]:
     """Traces of the orbit representatives on the block of basis vectors of degree g.
 
     Returned as the concatenated integer coordinates of the traces over one
@@ -516,16 +602,16 @@ def _trace_vector(module: DoubleModule, cls: _ClassData, block: Sequence[int]) -
     return [c * (den // value.den) for value in values for c in value.coords], den
 
 
-def _blocks(module: DoubleModule) -> dict[GroupElement, list[int]]:
+def _blocks(module: QDModule) -> dict[GroupElement, list[int]]:
     """Basis indices of the module by degree."""
     blocks: dict[GroupElement, list[int]] = {}
-    for j, deg in enumerate(module.degrees):
+    for j, deg in enumerate(module.gdeg):
         blocks.setdefault(deg, []).append(j)
     return blocks
 
 
 def _catalog_characters(
-    ctx: DihedralContext, labels: Sequence[WeightLabel], modules: dict[WeightLabel, DoubleModule]
+    ctx: DihedralContext, labels: Sequence[WeightLabel], modules: dict[WeightLabel, QDModule]
 ) -> dict[GroupElement, list[_Member]]:
     """Character weights of every member, by class representative, checked orthonormal.
 
@@ -551,7 +637,7 @@ def _catalog_characters(
         vectors: list[list[int]] = []
         for index, label in enumerate(labels):
             module = modules[label]
-            support = module.degree_support()
+            support = frozenset(module.gdeg)
             if not support & cls.elements:
                 continue
             if not support <= cls.elements:
@@ -585,8 +671,9 @@ def _catalog_characters(
 def weight_catalog(ctx: DihedralContext) -> WeightCatalog:
     """The verified catalog for this context, built once and cached on it.
 
-    Each member must satisfy the module axioms and have its degrees in one
-    conjugacy class, the squared dimensions must sum to the dimension (2m)^2
+    Each member must satisfy the group relations (an ``AssertionError``
+    names the member that does not) and have its degrees in one conjugacy
+    class, the squared dimensions must sum to the dimension (2m)^2
     of the double, and the characters of the members on each class must be
     orthonormal, <chi_S, chi_T> = delta_ST (Schur orthonormality, checked
     exactly by :func:`_catalog_characters`).  A module on one class is
@@ -600,10 +687,12 @@ def weight_catalog(ctx: DihedralContext) -> WeightCatalog:
     if cached is not None:
         return cached
     labels = all_weight_labels(ctx)
-    modules: dict[WeightLabel, DoubleModule] = {}
+    modules: dict[WeightLabel, QDModule] = {}
     for label in labels:
         module = build_weight(ctx, label)
-        validate_double_module(module)
+        failures = group_relation_failures(module)
+        if failures:
+            raise AssertionError(f"catalog member {label} breaks the group relations: " + "; ".join(failures))
         modules[label] = module
     total = sum(mod.dim * mod.dim for mod in modules.values())
     if total != (2 * ctx.m) ** 2:
@@ -618,11 +707,12 @@ def weight_catalog(ctx: DihedralContext) -> WeightCatalog:
     return catalog
 
 
-def decompose(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLabel, list[CycMatrix]]]:
-    """Split a module into catalog members with explicit embeddings.
+def decompose(ctx: DihedralContext, module: QDModule) -> list[tuple[WeightLabel, list[CycMatrix]]]:
+    """Split the restriction of a module to the double of the group into catalog members.
 
-    Returns (label, embeddings) pairs in catalog order; the number of
-    embeddings is the multiplicity.  The characters choose the members
+    Only ``x_mat``, ``y_mat`` and ``gdeg`` are read.  Returns (label,
+    embeddings) pairs in catalog order; the number of embeddings is the
+    multiplicity.  The characters choose the members
     (:func:`decomposition_counts`); for each one the embedding space is the
     hom space from the member, solved exactly, and its dimension must equal
     the character multiplicity.  The stacked embedding images are then
@@ -657,10 +747,12 @@ def decompose(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLa
     return found
 
 
-def decomposition_counts(ctx: DihedralContext, module: DoubleModule) -> list[tuple[WeightLabel, int]]:
+def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[WeightLabel, int]]:
     """Multiplicity of each catalog member in the module, in catalog order.
 
-    A simple module is a conjugacy class with an irreducible representation
+    Only ``x_mat``, ``y_mat`` and ``gdeg`` are read: these are the
+    multiplicities in the restriction to the double of the group.  A simple
+    module is a conjugacy class with an irreducible representation
     of the centraliser C(g) of its representative g, so the multiplicity of
     a member S in V is the inner product
     ``(1/|C(g)|) sum over h in C(g) of tr(h | V_g) tr(h^-1 | S_g)``,

@@ -5,6 +5,8 @@ import json
 import pytest
 
 import dihedral_doubles.cli as cli
+from dihedral_doubles import get_context, weights
+from dihedral_doubles.cyclotomic import CycMatrix
 
 
 def run(capsys, argv):
@@ -26,6 +28,26 @@ def test_weights_table(capsys):
     assert len(lines) == 87
     assert lines[-1] == "86 weights, sum of squared dimensions 576"
     assert lines[0].startswith("e:chi1")
+
+
+def test_weights_reports_a_catalog_member_that_breaks_a_group_relation(capsys, monkeypatch):
+    # the context the command looks up; build a fresh catalog on it, restore the cached one after
+    monkeypatch.setattr(get_context(12, unsafe=False), "_weight_cache", {})
+    build = weights.build_weight
+
+    def broken(ctx, label):
+        module = build(ctx, label)
+        if str(label) != "e:chi3":
+            return module
+        # y acting by a primitive m-th root of unity: x y is no longer an involution
+        y_mat = CycMatrix.from_rows(ctx.field, [[ctx.omega(1)]])
+        return weights.group_module(ctx, module.gdeg, module.x_mat, y_mat, module.basis_labels)
+
+    monkeypatch.setattr(weights, "build_weight", broken)
+    code, out, err = run(capsys, ["weights"])
+    assert code == 1
+    assert out == ""
+    assert err == "verification failure: catalog member e:chi3 breaks the group relations: (x y)^2 != 1\n"
 
 
 def test_weights_json(capsys):
@@ -204,6 +226,19 @@ def test_verify_rejects_an_empty_weight_list(capsys, weights):
     assert out == ""
 
 
+def test_verify_rejects_a_weight_outside_the_catalog_before_any_case_runs(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "verify_simple", lambda ctx, index_set, label: ran.append(label))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    argv = ["verify", "--index", "(1,6),(3,6),(5,6)", "--weights", "Mx:0,0, M6,0", "--threads", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err == "error: --weights names weights not in the catalog for m=12: M6,0\n"
+    assert out == ""
+    assert ran == [] and _RecordingExecutor.sizes == []
+
+
 def _raise_for_one_weight(failing: str, error: Exception = AssertionError("head computation did not stabilize")):
     real = cli.verify_simple
 
@@ -312,6 +347,7 @@ def test_verify_outside_the_proven_regime_says_so(capsys):
     assert len(statuses) == 32
     failing = {weight: status for weight, status in statuses.items() if status != "ok"}
     assert failing == {weight: "OUTSIDE REGIME: " + ", ".join(checks) for weight, checks in _M6_FAILURES.items()}
+    assert out.splitlines()[-1] == "26 failures outside the proven regime (m=6): " + ", ".join(_M6_FAILURES)
 
     code, obj = run_json(capsys, argv)
     assert code == 1

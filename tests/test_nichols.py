@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dihedral_doubles.nichols import (
     ExtMonomial,
     IndexSet,
-    exterior_power_module,
     ext_multiply,
     letter_insert,
     monomial_degree,
@@ -17,11 +16,11 @@ from dihedral_doubles.nichols import (
     parse_index_set,
     rotation_exponents,
     swap_letters,
-    top_weight,
     valid_pairs,
     validate_index_set,
 )
-from dihedral_doubles.weights import decomposition_counts, validate_double_module
+from dihedral_doubles.qdouble import exterior_power_module
+from dihedral_doubles.weights import decomposition_counts, group_relation_failures
 
 VALID_PAIRS_12 = [
     (1, 6), (2, 3), (2, 9), (3, 2), (3, 6), (3, 10), (5, 6),
@@ -117,7 +116,7 @@ def test_monomial_labels_list_letters(ctx12):
 def test_exterior_power_modules_decompose_as_expected(ctx12):
     iset = parse_index_set(ctx12, "(1,6),(3,6)")
     sq = exterior_power_module(ctx12, iset, 2)
-    validate_double_module(sq)
+    assert group_relation_failures(sq) == []
     assert sq.dim == 6
     counts = {str(lab): mult for lab, mult in decomposition_counts(ctx12, sq)}
     assert counts == {"e:chi2": 2, "M2,0": 1, "M4,0": 1}
@@ -130,8 +129,11 @@ def test_exterior_power_modules_decompose_as_expected(ctx12):
 
 
 def test_top_and_volume_weights(ctx12):
-    assert str(top_weight(ctx12, parse_index_set(ctx12, "(2,3)"))) == "e:chi2"
-    assert str(top_weight(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"))) == "e:chi1"
+    # the top exterior power is the sign character of x once per pair
+    for text, expected in (("(2,3)", "e:chi2"), ("(1,6),(3,6)", "e:chi1")):
+        iset = parse_index_set(ctx12, text)
+        top = exterior_power_module(ctx12, iset, iset.nletters)
+        assert [(str(lab), mult) for lab, mult in decomposition_counts(ctx12, top)] == [(expected, 1)]
 
 
 def test_index_set_removal(ctx12):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_doubles import get_context
+from dihedral_doubles import get_context, theorems
 from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
-from dihedral_doubles.qdouble import build_verma, graded_character, head
+from dihedral_doubles.qdouble import build_verma, graded_character, head, induce_from_simple
 from dihedral_doubles.theorems import (
     PROJECTIVE,
     REFLECTION,
@@ -26,7 +26,7 @@ from dihedral_doubles.theorems import (
     verify_rigid_tensor,
     verify_simple,
 )
-from dihedral_doubles.weights import all_weight_labels, parse_weight_label
+from dihedral_doubles.weights import QDModule, all_weight_labels, parse_weight_label
 
 
 def _char_text(char) -> str:
@@ -166,6 +166,29 @@ def test_verify_simple_reports_recursion_for_two_pairs(ctx12):
     assert report.ok
     assert {rc.pair for rc in report.recursion} == {(2, 3), (2, 9)}
     assert all(rc.ok for rc in report.recursion)
+
+
+def test_verify_simple_reports_a_broken_recursion(ctx12, monkeypatch):
+    # the head side of the recursion induced from the smaller head with x
+    # negated: that is the head twisted by the sign character e:chi2, a
+    # module with the same degrees, dimension and weight, so only its
+    # computed character can tell the induced head from the true one
+    def induce_from_twisted_head(ctx, simple, pair):
+        if simple.kind != "socle":
+            simple = QDModule(
+                ctx, simple.index_set, simple.basis_labels, simple.zdeg, simple.gdeg, -simple.x_mat,
+                simple.y_mat, simple.v_mats, simple.a_mats, weight=simple.weight, kind=simple.kind,
+            )
+        return induce_from_simple(ctx, simple, pair)
+
+    monkeypatch.setattr(theorems, "induce_from_simple", induce_from_twisted_head)
+    report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("Mx:0,0"))
+    assert [rc.pair for rc in report.recursion] == [(1, 6), (3, 6)]
+    for rc in report.recursion:
+        assert rc.head_matches is False
+        assert rc.relations_ok and rc.socle_matches
+    assert report.head_matches
+    assert report.ok is False
 
 
 def _admissible(ctx, pairs) -> bool:
