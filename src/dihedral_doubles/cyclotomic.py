@@ -52,6 +52,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+# per power-basis coordinate j: the nonzero (t, e) of a unit times w^j
+UnitColumns = tuple[tuple[tuple[int, int], ...], ...]
+
+
 class CyclotomicField:
     """The field Q(w) for a primitive m-th root of unity w.
 
@@ -60,7 +64,7 @@ class CyclotomicField:
     """
 
     __slots__ = (
-        "m", "minpoly", "degree", "_reduction", "zero", "one", "_zeta_pows", "_conjugations", "_inverses"
+        "m", "minpoly", "degree", "_reduction", "zero", "one", "_units", "_zeta_pows", "_conjugations", "_inverses"
     )
 
     def __init__(self, m: int) -> None:
@@ -72,7 +76,10 @@ class CyclotomicField:
         one = [0] * self.degree
         one[0] = 1
         self.one = CycNum(self, tuple(one), 1)
+        # no unit fast path while the powers of w are multiplied out
+        self._units: dict[tuple[int, ...], tuple[int, UnitColumns | None]] = {}
         self._zeta_pows = self._power_table()
+        self._units = self._unit_table()
         # per Galois automorphism w -> w^a with a != 1: the images of the basis
         self._conjugations = tuple(
             tuple(self._zeta_pows[a * j % m].coords for j in range(self.degree))
@@ -110,6 +117,29 @@ class CyclotomicField:
         for _ in range(1, self.m):
             pows.append(pows[-1] * zeta)
         return tuple(pows)
+
+    def _unit_table(self) -> dict[tuple[int, ...], tuple[int, UnitColumns | None]]:
+        """How multiplying by each unit +-w^k acts, keyed by the unit's coordinates.
+
+        +-1 map to ``(+-1, None)``.  Any other unit u maps to ``(1, columns)``:
+        column j lists the nonzero ``(t, e)`` of the coordinates of u * w^j, so
+        the product of u with coordinates c has ``sum_j c_j e`` at each t.
+        """
+        units: dict[tuple[int, ...], tuple[int, UnitColumns | None]] = {}
+        for k, power in enumerate(self._zeta_pows):
+            for sign in (1, -1):
+                key = tuple(sign * c for c in power.coords)
+                if key in units:
+                    continue  # for even m, -w^k is w^(k + m/2), and -1 is met first
+                if k == 0:
+                    units[key] = (sign, None)
+                    continue
+                columns = tuple(
+                    tuple((t, sign * e) for t, e in enumerate(self._zeta_pows[(k + j) % self.m].coords) if e)
+                    for j in range(self.degree)
+                )
+                units[key] = (1, columns)
+        return units
 
     def mul_coords(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Canonical integer coordinates of the product of two coordinate vectors."""
@@ -274,7 +304,7 @@ class CycNum:
     __radd__ = __add__
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.field, tuple(-c for c in self.coords), self.den)
+        return CycNum(self.field, tuple([-c for c in self.coords]), self.den)
 
     def __sub__(self, other: CycNum | Fraction | int) -> CycNum:
         o = self._coerce(other)
@@ -286,15 +316,47 @@ class CycNum:
         return (-self) + other
 
     def __mul__(self, other: CycNum | Fraction | int) -> CycNum:
-        if isinstance(other, int):
+        """The product; a unit +-w^k on either side takes a fast path.
+
+        Almost every product in module construction and relation checks has
+        a unit operand.  A unit of Z[w] maps integer coordinates by an
+        invertible integer matrix, so the product keeps the other operand's
+        denominator and stays in lowest terms: no gcd is needed.
+        """
+        field = self.field
+        if isinstance(other, CycNum):
+            if other.field is not field and other.field.m != field.m:
+                raise ValueError("field elements belong to different cyclotomic fields")
+            o = other
+        elif isinstance(other, int):
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             if not other:
-                return self.field.zero
-            return CycNum._normalized(self.field, (c * other for c in self.coords), self.den)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        coords = self.field.mul_coords(self.coords, o.coords)
-        return CycNum._normalized(self.field, coords, self.den * o.den)
+                return field.zero
+            return CycNum._normalized(field, (c * other for c in self.coords), self.den)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        units = field._units
+        unit = units.get(o.coords) if o.den == 1 else None
+        x = self
+        if unit is None and self.den == 1:
+            unit = units.get(self.coords)
+            x = o
+        if unit is None:
+            return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
+        sign, columns = unit
+        if columns is None:
+            return x if sign > 0 else -x
+        out = [0] * field.degree
+        for c, column in zip(x.coords, columns):
+            if c:
+                for t, e in column:
+                    out[t] += c * e
+        return CycNum(field, tuple(out), x.den)
 
     __rmul__ = __mul__
 

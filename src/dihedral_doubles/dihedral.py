@@ -174,6 +174,11 @@ class DihedralContext:
         return f"DihedralContext(m={self.m})"
 
 
-@lru_cache(maxsize=None)
 def get_context(m: int, unsafe: bool = False) -> DihedralContext:
+    """The shared context of order m: one per ``(m, unsafe)``, however the call spells it."""
+    return _shared_context(m, bool(unsafe))
+
+
+@lru_cache(maxsize=None)
+def _shared_context(m: int, unsafe: bool) -> DihedralContext:
     return DihedralContext(m, unsafe=unsafe)

@@ -256,8 +256,8 @@ def group_relation_failures(module: QDModule) -> list[str]:
     ident = CycMatrix.identity(ctx.field, module.dim)
     if x * x != ident:
         failures.append("x^2 != 1")
-    ypow = ident
-    for _ in range(ctx.m):
+    ypow = y
+    for _ in range(ctx.m - 1):
         ypow = y * ypow
     if ypow != ident:
         failures.append(f"y^{ctx.m} != 1")

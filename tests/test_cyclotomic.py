@@ -51,6 +51,29 @@ def test_coordinate_rotations_and_conjugation_match_field_products(m, raw):
     assert field.conjugate_coords(conj.coords) == list(coords)
 
 
+@given(
+    st.sampled_from([9, 12, 16, 20, 24]),
+    st.lists(st.integers(-6, 6), min_size=8, max_size=8),
+    st.integers(1, 12),
+)
+def test_unit_products_match_mul_coords(m, raw, den):
+    # m = 9 is odd, so there -1 and -w^k are not powers of w
+    field = get_field(m)
+    value = CycNum._normalized(field, raw[: field.degree], den)
+
+    def expected(unit_coords):
+        return CycNum._normalized(field, field.mul_coords(value.coords, unit_coords), value.den)
+
+    powers = [field.zeta(k) for k in range(m)]
+    for unit in powers + [-power for power in powers]:
+        assert unit.coords in field._units  # the products below take the unit path
+        assert value * unit == expected(unit.coords)
+        assert unit * value == expected(unit.coords)
+    for sign in (1, -1):
+        assert value * sign == expected(field.from_integer(sign).coords)
+        assert sign * value == expected(field.from_integer(sign).coords)
+
+
 def test_zeta_power_reduction():
     field = get_field(12)
     w = field.zeta(1)

@@ -94,3 +94,11 @@ def test_context_character_values():
     assert ctx.character_value(1, -1, g) == -1
     assert ctx.character_value(-1, -1, g) == 1
     assert ctx.omega(6) == -ctx.field.one
+
+
+def test_get_context_is_one_object_per_order_however_called():
+    ctx = get_context(12)
+    assert get_context(12, unsafe=False) is ctx
+    assert get_context(m=12) is ctx
+    assert get_context(12, False) is ctx
+    assert get_context(16) is not ctx

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from dihedral_doubles.cyclotomic import CycMatrix
 from dihedral_doubles.nichols import IndexSet, parse_index_set
 from dihedral_doubles.qdouble import (
     GradedCharacter,
@@ -19,7 +20,7 @@ from dihedral_doubles.qdouble import (
     theta_action,
     theta_congruence,
 )
-from dihedral_doubles.weights import parse_weight_label
+from dihedral_doubles.weights import QDModule, parse_weight_label
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -180,3 +181,74 @@ def test_socle_refuses_modules_without_kernel_vectors(ctx12):
     soc = socle(verma)
     assert soc.kind == "socle"
     assert min(soc.zdeg) == -2
+
+
+# Each mutation below breaks one relation; check_relations must name it.
+
+
+def _mutated(module, y_mat=None, v_mats=()):
+    """A copy of the module with its y matrix or some raising letters replaced."""
+    return QDModule(
+        module.ctx,
+        module.index_set,
+        module.basis_labels,
+        module.zdeg,
+        module.gdeg,
+        module.x_mat,
+        module.y_mat if y_mat is None else y_mat,
+        {**module.v_mats, **dict(v_mats)},
+        dict(module.a_mats),
+        weight=module.weight,
+        kind=module.kind,
+    )
+
+
+def _flip_one_sign(mat):
+    cols = [dict(col) for col in mat.sparse_columns()]
+    j = next(j for j, col in enumerate(cols) if col)
+    i = min(cols[j])
+    cols[j][i] = -cols[j][i]
+    return CycMatrix(mat.field, cols, mat.nrows)
+
+
+@pytest.mark.parametrize("source", ["verma", "induced"])
+def test_relations_catch_one_flipped_sign_in_a_letter(ctx12, source):
+    if source == "verma":
+        module = _verma(ctx12, "(2,3),(2,9)", "Mx:0,0")
+    else:
+        module = induce_from_simple(ctx12, head(_verma(ctx12, "(3,6)", "Mx:0,0")), (1, 6))
+    assert check_relations(module) == []
+    failures = check_relations(_mutated(module, v_mats={(0, 1): _flip_one_sign(module.v_mats[(0, 1)])}))
+    assert "raising letters (0, 1) and (0, -1) do not anticommute" in failures
+    assert "mixed bracket of a(0, 1) with v(0, 1) does not match the cross term" in failures
+
+
+def test_relations_catch_a_letter_scaled_wrongly_by_y(ctx12):
+    # on reflection degrees, conjugation by y shifts the rotation exponent by
+    # two, so w^(rotation exponent) times the letter scales under y by w^2 more
+    module = _verma(ctx12, "(2,3)", "Mx:0,0")
+    twist = CycMatrix.diagonal(ctx12.field, [ctx12.omega(g.rot) for g in module.gdeg])
+    failures = check_relations(_mutated(module, v_mats={(0, 1): module.v_mats[(0, 1)] * twist}))
+    assert "y does not scale v at pair position 0 as expected" in failures
+
+
+def test_relations_catch_a_raising_letter_that_does_not_square_to_zero(ctx12):
+    # pairs (2,3) and (2,9) have letters of one rotation, so sending v+0 (x) m
+    # on to v+0 v+1 (x) m keeps the grading and gives (v+0)^2 != 0
+    module = _verma(ctx12, "(2,3),(2,9)", "e:chi1")
+    cols = [dict(col) for col in module.v_mats[(0, 1)].sparse_columns()]
+    j = module.basis_labels.index("v+0⊗m")
+    assert not cols[j]
+    cols[j] = dict(module.v_mats[(1, 1)].sparse_columns()[j])
+    assert cols[j]
+    letter = CycMatrix(ctx12.field, cols, module.dim)
+    assert not (letter * letter).is_zero()
+    failures = check_relations(_mutated(module, v_mats={(0, 1): letter}))
+    assert "raising letters (0, 1) and (0, 1) do not anticommute" in failures
+
+
+def test_relations_catch_a_y_of_the_wrong_order(ctx12):
+    module = _verma(ctx12, "(2,3)", "e:rho1")
+    two = CycMatrix.diagonal(ctx12.field, [ctx12.field.from_integer(2)] * module.dim)
+    failures = check_relations(_mutated(module, y_mat=two * module.y_mat))
+    assert "y^12 != 1" in failures

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, weights
 from dihedral_doubles.cyclotomic import CycMatrix
+from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set
 from dihedral_doubles.qdouble import build_verma
 from dihedral_doubles.weights import (
@@ -36,6 +37,15 @@ def test_catalog_count_and_dimension_sum(ctx12, ctx16):
     cat16 = weight_catalog(ctx16)
     assert len(cat16) == 142
     assert sum(lab.dimension(8) ** 2 for lab in cat16.labels) == 1024
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_catalog_modules_keep_no_y_power_cache(m):
+    # the catalog lives as long as its context, so a y^k cache filled while
+    # checking y^m = 1 would stay for the whole process; a fresh context
+    # keeps other tests' use of the shared catalog out of this check
+    catalog = weight_catalog(DihedralContext(m))
+    assert [label for label in catalog.labels if "_ypow_cols" in vars(catalog.module(label))] == []
 
 
 def test_catalog_partition_by_central_class(ctx12):
