@@ -9,8 +9,8 @@ entries per column.  All elimination goes through one sparse reduced echelon
 basis, :class:`EchelonBasis`, built from sparse vectors by :func:`_rref`:
 callers hand it the rows of a system or the vectors of a span, and read off
 ranks (its pivots), span membership (:meth:`EchelonBasis.reduce`) and
-kernels (:func:`kernel`).  The graded subspaces of ``qdouble`` keep one
-basis per cell.
+kernels (:func:`kernel`).  A submodule in ``qdouble`` is one such basis
+over the whole module.
 """
 
 from __future__ import annotations
@@ -611,9 +611,10 @@ class EchelonBasis:
     """A subspace held as its reduced row echelon form, one sparse row per pivot.
 
     Each row is 1 at its pivot, its smallest index, and every row is 0 at the
-    pivots of the others.  Rows are kept sorted by pivot.  The reduced form of
-    a row space is unique, so the rows do not depend on the order in which
-    vectors were inserted.  Rows hold no zero entries, and neither may the
+    pivots of the others, so a vector in the span is the combination of the
+    rows whose coefficients are its own entries at the pivots.  Rows are kept
+    sorted by pivot.  The reduced form of a row space is unique, so the rows
+    do not depend on the order in which vectors were inserted.  Rows hold no zero entries, and neither may the
     vectors handed in: an explicit zero could be taken for a pivot.  Treat
     ``rows`` and ``pivots`` as read-only.
     """
@@ -653,13 +654,6 @@ class EchelonBasis:
         self.rows.insert(at, row)
         self._row_at[pivot] = row
         return True
-
-    def coordinates(self, vec: VecDict) -> list[CycNum] | None:
-        """Coefficients of the vector over the rows, or None if it lies outside the span."""
-        if self.reduce(vec):
-            return None
-        zero = self.field.zero
-        return [vec.get(pivot, zero) for pivot in self.pivots]
 
 
 def _rref(field: CyclotomicField, rows: Iterable[VecDict]) -> EchelonBasis:

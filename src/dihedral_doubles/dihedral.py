@@ -14,6 +14,9 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicField, CycNum, get_field
 
+# the four one-dimensional characters, by index: the signs they send x and y to
+CHI_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
+
 
 @dataclass(frozen=True)
 class GroupElement:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, add_into, kernel
-from .dihedral import DihedralContext, GroupElement
+from .dihedral import DihedralContext
 from .nichols import (
     ExtMonomial,
     IndexSet,
@@ -50,8 +50,6 @@ from .weights import (
     parse_weight_label,
     tensor_dd,
 )
-
-Cell = tuple[int, GroupElement]
 
 
 def y_power_columns(module: QDModule, power: int) -> list[VecDict]:
@@ -323,14 +321,15 @@ def check_relations(module: QDModule) -> list[str]:
 
     x, y = module.x_mat, module.y_mat
     for (kind, (pos, sign)), mat in letters.items():
+        name = f"{kind}({pos},{sign:+d})"
         partner = letters[(kind, (pos, -sign))]
         k = pairs[pos][1]
         if x * mat != partner * x:
-            failures.append(f"x does not swap the sign of {kind} at pair position {pos}")
+            failures.append(f"x does not swap the sign of {name}")
         scale = ctx.omega(sign * k if kind == "v" else -sign * k)
         scaled = [{i: val * scale for i, val in col.items()} for col in (mat * y).sparse_columns()]
         if (y * mat).sparse_columns() != scaled:
-            failures.append(f"y does not scale {kind} at pair position {pos} as expected")
+            failures.append(f"y does not scale {name} as expected")
 
     columns = {key: mat.sparse_columns() for key, mat in letters.items()}
 
@@ -433,188 +432,131 @@ def highest_weight_vectors(
     ]
 
 
-class GradedSubspace:
-    """A subspace homogeneous for both gradings, cell by cell.
+def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> EchelonBasis:
+    """Smallest subspace containing the vectors and stable under every generator.
 
-    Each (degree, group degree) cell of the module that the subspace meets
-    holds an :class:`EchelonBasis` of the subspace's part in that cell.
+    Each vector must lie in one (degree, group degree) cell.  The generators
+    are graded, so their images do too, and reduced rows from different
+    cells share no coordinate: every row of the basis lies in one cell.
     """
-
-    def __init__(self, module: QDModule) -> None:
-        self.module = module
-        self.field = module.ctx.field
-        self.cells: dict[Cell, EchelonBasis] = {}
-
-    def _cell_of(self, vec: VecDict) -> Cell:
-        idx = next(iter(vec))
-        cell = (self.module.zdeg[idx], self.module.gdeg[idx])
-        for i in vec:
-            if (self.module.zdeg[i], self.module.gdeg[i]) != cell:
-                raise ValueError("vector is not homogeneous for the two gradings")
-        return cell
-
-    def insert(self, vec: VecDict) -> bool:
-        if not vec:
-            return False
-        cell = self._cell_of(vec)
-        basis = self.cells.get(cell)
-        if basis is None:
-            basis = EchelonBasis(self.field)
-            self.cells[cell] = basis
-        return basis.insert(vec)
-
-    def reduce(self, vec: VecDict) -> VecDict:
-        if not vec:
-            return {}
-        basis = self.cells.get(self._cell_of(vec))
-        return dict(vec) if basis is None else basis.reduce(vec)
-
-    def dim(self) -> int:
-        return sum(len(basis.rows) for basis in self.cells.values())
-
-    def cell_dims(self) -> dict[Cell, int]:
-        return {cell: len(basis.rows) for cell, basis in self.cells.items() if basis.rows}
-
-
-def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> GradedSubspace:
-    """Smallest subspace containing the vectors and stable under every generator."""
-    space = GradedSubspace(module)
-    gens = [mat for _, mat in module.generator_matrices()]
-    queue: list[VecDict] = [dict(vec) for vec in vectors if space.insert(vec)]
+    space = EchelonBasis(module.ctx.field)
+    queue: list[VecDict] = []
+    for vec in vectors:
+        if len({(module.zdeg[i], module.gdeg[i]) for i in vec}) > 1:
+            raise ValueError("vector is not homogeneous for the two gradings")
+        if space.insert(vec):
+            queue.append(vec)
+    gens = [module.x_mat, module.y_mat, *module.v_mats.values(), *module.a_mats.values()]
     while queue:
         vec = queue.pop()
         for mat in gens:
             image = mat.apply(vec)
-            if image and space.insert(image):
+            if space.insert(image):
                 queue.append(image)
     return space
 
 
-def quotient(module: QDModule, space: GradedSubspace, kind: str = "quotient") -> QDModule:
-    """Quotient by a stable graded subspace, on the complementary coordinates."""
-    removed: set[int] = set()
-    for basis in space.cells.values():
-        removed.update(basis.pivots)
-    kept = [i for i in range(module.dim) if i not in removed]
-    new_index = {old: new for new, old in enumerate(kept)}
-    field = module.ctx.field
-
-    def project(mat: CycMatrix) -> CycMatrix:
-        sparse = mat.sparse_columns()
-        cols: list[VecDict] = []
-        for old in kept:
-            reduced = space.reduce(sparse[old])
-            cols.append({new_index[i]: val for i, val in reduced.items()})
-        return CycMatrix.from_column_dicts(field, cols, len(kept))
-
-    return QDModule(
-        module.ctx,
-        module.index_set,
-        [module.basis_labels[i] for i in kept],
-        [module.zdeg[i] for i in kept],
-        [module.gdeg[i] for i in kept],
-        project(module.x_mat),
-        project(module.y_mat),
-        {key: project(mat) for key, mat in module.v_mats.items()},
-        {key: project(mat) for key, mat in module.a_mats.items()},
-        weight=module.weight,
-        kind=kind,
-    )
-
-
-def _ordered_cells(space: GradedSubspace) -> list[tuple[Cell, int]]:
-    ordered: list[tuple[Cell, int]] = []
-    for cell in sorted(space.cells, key=lambda c: (-c[0], c[1].refl, c[1].rot)):
-        for t in range(len(space.cells[cell].rows)):
-            ordered.append((cell, t))
-    return ordered
-
-
-def _express_in_space(
+def _on_positions(
     module: QDModule,
-    space: GradedSubspace,
-    ordered: list[tuple[Cell, int]],
-    position: dict[tuple[Cell, int], int],
-    mat: CycMatrix,
-) -> CycMatrix:
-    field = module.ctx.field
-    cols: list[VecDict] = []
-    for cell, t in ordered:
-        image = mat.apply(space.cells[cell].rows[t])
-        col: VecDict = {}
-        if image:
-            lead = next(iter(image))
-            target_cell = (module.zdeg[lead], module.gdeg[lead])
-            target = space.cells.get(target_cell)
-            coeffs = target.coordinates(image) if target is not None else None
-            if coeffs is None:
-                raise AssertionError("subspace is not stable under a generator")
-            for s, val in enumerate(coeffs):
-                if val:
-                    col[position[(target_cell, s)]] = val
-        cols.append(col)
-    return CycMatrix.from_column_dicts(field, cols, len(ordered))
+    kept: Sequence[int],
+    images: Callable[[CycMatrix], list[VecDict]],
+    labels: Sequence[str],
+    kind: str,
+) -> QDModule:
+    """The module with one basis vector per kept position of ``module``.
 
+    ``images(mat)`` lists, per kept position, the image under a generator of
+    the vector that stands for it; read at the kept positions, it is the
+    generator's new column.
+    """
+    new_index = {old: new for new, old in enumerate(kept)}
 
-def subspace_as_module(module: QDModule, space: GradedSubspace, kind: str = "submodule") -> QDModule:
-    """A generator-stable subspace as a module in its own right."""
-    ordered = _ordered_cells(space)
-    position = {ct: idx for idx, ct in enumerate(ordered)}
-    labels = [
-        f"[{module.basis_labels[space.cells[cell].pivots[t]]}]" for cell, t in ordered
-    ]
+    def restrict(mat: CycMatrix) -> CycMatrix:
+        cols = [{new_index[i]: val for i, val in image.items() if i in new_index} for image in images(mat)]
+        return CycMatrix.from_column_dicts(module.ctx.field, cols, len(kept))
+
     return QDModule(
         module.ctx,
         module.index_set,
         labels,
-        [cell[0] for cell, _ in ordered],
-        [cell[1] for cell, _ in ordered],
-        _express_in_space(module, space, ordered, position, module.x_mat),
-        _express_in_space(module, space, ordered, position, module.y_mat),
-        {key: _express_in_space(module, space, ordered, position, mat) for key, mat in module.v_mats.items()},
-        {key: _express_in_space(module, space, ordered, position, mat) for key, mat in module.a_mats.items()},
+        [module.zdeg[i] for i in kept],
+        [module.gdeg[i] for i in kept],
+        restrict(module.x_mat),
+        restrict(module.y_mat),
+        {key: restrict(mat) for key, mat in module.v_mats.items()},
+        {key: restrict(mat) for key, mat in module.a_mats.items()},
         weight=module.weight,
         kind=kind,
     )
+
+
+def quotient(module: QDModule, space: EchelonBasis, kind: str = "quotient") -> QDModule:
+    """Quotient by a stable subspace, on the positions that are not its pivots.
+
+    Position j stands for the class of e_j, and the class of a vector is
+    read off its reduction, so a generator's column at j is ``reduce(g e_j)``.
+    """
+    pivots = set(space.pivots)
+    kept = [i for i in range(module.dim) if i not in pivots]
+
+    def images(mat: CycMatrix) -> list[VecDict]:
+        cols = mat.sparse_columns()
+        return [space.reduce(cols[j]) for j in kept]
+
+    return _on_positions(module, kept, images, [module.basis_labels[i] for i in kept], kind)
+
+
+def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submodule") -> QDModule:
+    """A generator-stable subspace as a module, on the pivots of its reduced rows.
+
+    Pivot p stands for the row r_p.  A vector in the span has its
+    coefficients over the rows as its entries at the pivots, so a
+    generator's column at p is ``g r_p`` read at the pivots.  An image that
+    leaves the span raises.
+    """
+
+    def images(mat: CycMatrix) -> list[VecDict]:
+        out = [mat.apply(row) for row in space.rows]
+        if any(space.reduce(image) for image in out):
+            raise AssertionError("subspace is not stable under a generator")
+        return out
+
+    labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
+    return _on_positions(module, space.pivots, images, labels, kind)
 
 
 def socle(module: QDModule) -> QDModule:
     """The submodule generated by the lowest nonvanishing joint kernel.
 
-    Scans degrees from the bottom up for the first degree carrying vectors
-    killed by every lowering letter, certifies that they span a single
-    multiplicity-one weight over the double of the group, and returns the
-    submodule they generate.  For standard modules the bottom layer of the
-    result is additionally checked to exhaust the bottom layer of the module.
+    Scans degrees from the bottom up for the first degree z carrying vectors
+    killed by every lowering letter and returns the submodule they generate.
+    Its degree-z layer must be exactly their span, and must be a single
+    multiplicity-one weight over the double of the group.  For standard
+    modules the bottom layer of the result must also exhaust the bottom
+    layer of the module.
     """
     layers = module.layer_indices()
-    found: list[VecDict] = []
     for z in sorted(layers):
-        vecs = highest_weight_vectors(module, z)
-        if vecs:
-            found = vecs
+        found = highest_weight_vectors(module, z)
+        if found:
             break
-    if not found:
+    else:
         raise AssertionError("module has no joint kernel vectors at all")
-    # the span of the kernel vectors as a module over the double of the
-    # group: expressing x and y on it raises if the span is not stable
-    group_part = group_module(module.ctx, module.gdeg, module.x_mat, module.y_mat, module.basis_labels)
-    seed = GradedSubspace(group_part)
-    for vec in found:
-        seed.insert(vec)
-    counts = decomposition_counts(module.ctx, subspace_as_module(group_part, seed))
+    soc = subspace_as_module(module, submodule_generated(module, found), kind="socle")
+    soc_layers = soc.layer_indices()
+    if len(soc_layers[z]) != len(found):
+        raise AssertionError("lowest joint kernel is not stable under the generators")
+    counts = decomposition_counts(module.ctx, soc.layer_module(z))
     if len(counts) != 1 or counts[0][1] != 1:
         raise AssertionError(
             "lowest joint kernel is not a single multiplicity-one weight: "
             + ", ".join(f"{label} x{mult}" for label, mult in counts)
         )
-    full = submodule_generated(module, found)
     if module.kind == "verma":
         zmin = min(layers)
-        bottom_dim = sum(mult for (z, _), mult in full.cell_dims().items() if z == zmin)
-        if bottom_dim != len(layers[zmin]):
+        if len(soc_layers.get(zmin, [])) != len(layers[zmin]):
             raise AssertionError("socle of a standard module misses part of the bottom layer")
-    return subspace_as_module(module, full, kind="socle")
+    return soc
 
 
 def head(module: QDModule) -> QDModule:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycMatrix, CycNum, _rref
-from .dihedral import DihedralContext
+from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 from .qdouble import (
     GradedCharacter,
@@ -379,9 +379,6 @@ def verify_rigid_tensor(
 # spherical structure, pivots, quantum dimensions
 # ---------------------------------------------------------------------------
 
-_PIVOT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
-
-
 def is_spherical(ctx: DihedralContext, index_set: IndexSet) -> bool:
     """Whether the double of this index set admits a spherical pivot.
 
@@ -396,12 +393,11 @@ def pivot_candidate(ctx: DihedralContext, module: QDModule, character: int) -> C
     ``character`` indexes the four sign characters of the group (1 trivial,
     2 negating the reflection, 3 negating the rotation, 4 negating both).
     """
-    sx, sy = _PIVOT_SIGNS[character]
+    sx, sy = CHI_SIGNS[character]
     cols = y_power_columns(module, ctx.n)
     signed = []
     for b in range(module.dim):
-        g = module.gdeg[b]
-        sign = (sx ** g.refl) * (sy ** g.rot)
+        sign = ctx.character_value(sx, sy, module.gdeg[b])
         signed.append(cols[b] if sign == 1 else {r: -c for r, c in cols[b].items()})
     return CycMatrix.from_column_dicts(ctx.field, signed, module.dim)
 
@@ -441,15 +437,14 @@ def quantum_dimension(ctx: DihedralContext, module: QDModule) -> CycNum:
     """
     if not is_spherical(ctx, module.index_set):
         raise ValueError(f"index set {module.index_set} is not spherical")
-    sx, sy = _PIVOT_SIGNS[3]
+    sx, sy = CHI_SIGNS[3]
     cols = y_power_columns(module, ctx.n)
     total = ctx.field.zero
     for b in range(module.dim):
         diag = cols[b].get(b)
         if diag is None:
             continue
-        g = module.gdeg[b]
-        sign = (sx ** g.refl) * (sy ** g.rot)
+        sign = ctx.character_value(sx, sy, module.gdeg[b])
         total = total + (diag if sign == 1 else -diag)
     return total
 
@@ -494,15 +489,12 @@ class SimpleReport:
     relations_ok: bool
     theta_ok: bool
     head_character: GradedCharacter
-    predicted_head: GradedCharacter
     head_matches: bool
     socle_character: GradedCharacter
-    expected_socle: GradedCharacter | None
     socle_matches: bool | None
     socle_simple: bool
     recursion: tuple[RecursionCheck, ...]
     qdim: CycNum | None
-    qdim_expected_nonzero: bool | None
     qdim_ok: bool | None
 
     @property
@@ -549,12 +541,12 @@ class SimpleReport:
 
 
 def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
-    """Whether the socle has a simple bottom: one weight, multiplicity one.
+    """Whether the socle's bottom layer is one weight of multiplicity one.
 
-    The socle construction already certifies this internally, from
-    characters; this recheck decomposes the bottom layer with
-    :func:`decompose`, where the characters name the members and a hom
-    space per member plus a span check certify them.
+    :func:`socle` certifies only its top layer, the span of the kernel
+    vectors it starts from.  The bottom layer is checked here, with
+    :func:`decompose`: the characters name the members, and a hom space per
+    member plus a span check certify them.
     """
     bottom = min(soc.zdeg)
     parts = decompose(ctx, soc.layer_module(bottom))
@@ -593,12 +585,9 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     soc = socle(verma)
     socle_char = graded_character(soc)
     socle_simple = _socle_is_simple(ctx, soc)
+    socle_matches: bool | None = None
     if index_set.size == 1:
-        expected_socle = singleton_socle_character(ctx, pairs[0], label)
-        socle_matches = socle_char == expected_socle
-    else:
-        expected_socle = None
-        socle_matches = None
+        socle_matches = socle_char == singleton_socle_character(ctx, pairs[0], label)
 
     recursion: list[RecursionCheck] = []
     if index_set.size > 1:
@@ -620,12 +609,10 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
             )
 
     qdim: CycNum | None = None
-    qdim_expected: bool | None = None
     qdim_ok: bool | None = None
     if is_spherical(ctx, index_set):
         qdim = quantum_dimension(ctx, simple)
-        qdim_expected = all(cls == RIGID for cls in classes)
-        qdim_ok = bool(qdim) == qdim_expected
+        qdim_ok = bool(qdim) == all(cls == RIGID for cls in classes)
 
     return SimpleReport(
         m=ctx.m,
@@ -638,14 +625,11 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
         relations_ok=relations_ok,
         theta_ok=theta_ok,
         head_character=head_char,
-        predicted_head=predicted,
         head_matches=head_char == predicted,
         socle_character=socle_char,
-        expected_socle=expected_socle,
         socle_matches=socle_matches,
         socle_simple=socle_simple,
         recursion=tuple(recursion),
         qdim=qdim,
-        qdim_expected_nonzero=qdim_expected,
         qdim_ok=qdim_ok,
     )

@@ -48,10 +48,9 @@ from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, VecDict, _rref, add_into, kernel
-from .dihedral import DihedralContext, GroupElement
+from .dihedral import CHI_SIGNS, DihedralContext, GroupElement
 from .nichols import IndexSet
 
-_CHI_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
 _FAMILY_RANK = {"e:chi": 0, "e:rho": 1, "yn:chi": 2, "yn:rho": 3, "M": 4, "Mx": 5, "Mxy": 6}
 
 _LABEL_PATTERNS = (
@@ -189,15 +188,6 @@ class QDModule:
             self.__dict__["_layers"] = cached
         return cached
 
-    def generator_matrices(self) -> list[tuple[str, CycMatrix]]:
-        """Every generator with a display name, in a deterministic order."""
-        out = [("x", self.x_mat), ("y", self.y_mat)]
-        for (pos, sign), mat in sorted(self.v_mats.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
-            out.append((f"v{'+' if sign > 0 else '-'}{pos}", mat))
-        for (pos, sign), mat in sorted(self.a_mats.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
-            out.append((f"a{'+' if sign > 0 else '-'}{pos}", mat))
-        return out
-
     def layer_module(self, z: int) -> QDModule:
         """The degree-z layer as a module over the double of the group alone."""
         idxs = self.layer_indices().get(z, [])
@@ -273,7 +263,7 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
     family, params = label.family, label.params
     if family in ("e:chi", "yn:chi"):
         (j,) = params
-        sx, sy = _CHI_SIGNS[j]
+        sx, sy = CHI_SIGNS[j]
         deg = group.identity if family == "e:chi" else group.rotation(n)
         one = field.from_integer
         return group_module(

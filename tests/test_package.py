@@ -39,6 +39,21 @@ def test_runtime_imports_only_the_standard_library(path):
             assert top in sys.stdlib_module_names or top == "dihedral_doubles", f"{path.name} imports {name}"
 
 
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    # only ``__init__`` imports names to re-export them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used)
+    assert not unused, f"{path.name} imports {unused} without using them"
+
+
 # (owner, attribute): a method defined in the class body, or a module global
 ENTRY_POINTS = (
     (CycNum, "inverse"),

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from dihedral_doubles.cyclotomic import CycMatrix
+from dihedral_doubles import qdouble
+from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis
 from dihedral_doubles.nichols import IndexSet, parse_index_set
 from dihedral_doubles.qdouble import (
     GradedCharacter,
@@ -16,6 +17,7 @@ from dihedral_doubles.qdouble import (
     quotient,
     socle,
     submodule_generated,
+    subspace_as_module,
     tensor_qd,
     theta_action,
     theta_congruence,
@@ -123,11 +125,54 @@ def test_submodule_and_quotient_dimensions(ctx12):
     verma = _verma(ctx12, "(2,3)", "Mx:0,0")
     hw = highest_weight_vectors(verma)
     space = submodule_generated(verma, hw[-1])
-    assert space.dim() == 12
+    assert len(space.rows) == 12
     quotient_module = quotient(verma, space)
     assert quotient_module.dim == 12
     assert check_relations(quotient_module) == []
     assert _char_text(graded_character(quotient_module)) == "[0] Mx:0,0 | [-1] Mx:0,1"
+    # the submodule and the quotient of one space split the module
+    submodule = subspace_as_module(verma, space)
+    assert submodule.dim + quotient_module.dim == verma.dim
+    assert check_relations(submodule) == []
+    assert graded_character(submodule) + graded_character(quotient_module) == graded_character(verma)
+
+
+@pytest.mark.parametrize("iset_text", ["(2,3)", "(1,6),(3,6)", "(2,3),(2,9)"])
+def test_generated_submodules_have_each_reduced_row_in_one_cell(ctx12, iset_text):
+    # one weight per family; the seeds are those of head and socle
+    for label_text in ("e:chi2", "e:rho1", "yn:chi3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"):
+        verma = _verma(ctx12, iset_text, label_text)
+        by_degree = highest_weight_vectors(verma)
+        lowest = by_degree[min(z for z, vecs in by_degree.items() if vecs)]
+        negatives = [vec for z, vecs in by_degree.items() if z < 0 for vec in vecs]
+        for seed in (lowest, negatives):
+            for row in submodule_generated(verma, seed).rows:
+                assert len({(verma.zdeg[i], verma.gdeg[i]) for i in row}) == 1
+
+
+def test_subspaces_that_are_not_submodules_are_rejected(ctx12):
+    verma = _verma(ctx12, "(2,3)", "Mx:0,0")
+    one = ctx12.field.one
+    span = EchelonBasis(ctx12.field)
+    span.insert({0: one})
+    with pytest.raises(AssertionError, match="not stable under a generator"):
+        subspace_as_module(verma, span)
+    layer = verma.layer_indices()[0]
+    mixed = next(i for i in layer if verma.gdeg[i] != verma.gdeg[layer[0]])
+    with pytest.raises(ValueError, match="not homogeneous"):
+        submodule_generated(verma, [{layer[0]: one, mixed: one}])
+
+
+def test_socle_rejects_part_of_the_lowest_kernel(ctx12, monkeypatch):
+    verma = _verma(ctx12, "(2,3)", "Mx:0,0")
+    full = qdouble.highest_weight_vectors
+
+    def first_only(module, degree=None):
+        return full(module, degree)[:1]
+
+    monkeypatch.setattr(qdouble, "highest_weight_vectors", first_only)
+    with pytest.raises(AssertionError, match="not stable under the generators"):
+        socle(verma)
 
 
 def test_cross_term_operators_detect_weight_class(ctx12):
@@ -220,6 +265,8 @@ def test_relations_catch_one_flipped_sign_in_a_letter(ctx12, source):
     assert check_relations(module) == []
     failures = check_relations(_mutated(module, v_mats={(0, 1): _flip_one_sign(module.v_mats[(0, 1)])}))
     assert "raising letters (0, 1) and (0, -1) do not anticommute" in failures
+    x_lines = [line for line in failures if line.startswith("x does not swap")]
+    assert sorted(x_lines) == ["x does not swap the sign of v(0,+1)", "x does not swap the sign of v(0,-1)"]
     assert "mixed bracket of a(0, 1) with v(0, 1) does not match the cross term" in failures
 
 
@@ -229,7 +276,7 @@ def test_relations_catch_a_letter_scaled_wrongly_by_y(ctx12):
     module = _verma(ctx12, "(2,3)", "Mx:0,0")
     twist = CycMatrix.diagonal(ctx12.field, [ctx12.omega(g.rot) for g in module.gdeg])
     failures = check_relations(_mutated(module, v_mats={(0, 1): module.v_mats[(0, 1)] * twist}))
-    assert "y does not scale v at pair position 0 as expected" in failures
+    assert "y does not scale v(0,+1) as expected" in failures
 
 
 def test_relations_catch_a_raising_letter_that_does_not_square_to_zero(ctx12):
