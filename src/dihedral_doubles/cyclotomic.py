@@ -64,7 +64,8 @@ class CyclotomicField:
     """
 
     __slots__ = (
-        "m", "minpoly", "degree", "_reduction", "zero", "one", "_units", "_zeta_pows", "_conjugations", "_inverses"
+        "m", "minpoly", "degree", "_reduction", "zero", "one", "_half_turn",
+        "_zeta_pows", "_units", "_unit_actions", "_conjugations", "_inverses",
     )
 
     def __init__(self, m: int) -> None:
@@ -75,11 +76,12 @@ class CyclotomicField:
         self.zero = CycNum(self, (0,) * self.degree, 1)
         one = [0] * self.degree
         one[0] = 1
-        self.one = CycNum(self, tuple(one), 1)
-        # no unit fast path while the powers of w are multiplied out
-        self._units: dict[tuple[int, ...], tuple[int, UnitColumns | None]] = {}
-        self._zeta_pows = self._power_table()
+        # w^k carries its exponent k as a unit tag; -1 is w^(m/2) for even m
+        self._zeta_pows = tuple(CycNum(self, c, 1, k) for k, c in enumerate(self.zeta_multiples(one)))
+        self.one = self._zeta_pows[0]
+        self._half_turn = m // 2 if m % 2 == 0 else None
         self._units = self._unit_table()
+        self._unit_actions = tuple(self._units[power.coords] for power in self._zeta_pows)
         # per Galois automorphism w -> w^a with a != 1: the images of the basis
         self._conjugations = tuple(
             tuple(self._zeta_pows[a * j % m].coords for j in range(self.degree))
@@ -106,24 +108,13 @@ class CyclotomicField:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def _power_table(self) -> tuple[CycNum, ...]:
-        pows = [self.one]
-        if self.degree >= 2:
-            coords = [0] * self.degree
-            coords[1] = 1
-            zeta = CycNum(self, tuple(coords), 1)
-        else:
-            zeta = CycNum(self, tuple(self._reduction[0][:1]) or (1,), 1)
-        for _ in range(1, self.m):
-            pows.append(pows[-1] * zeta)
-        return tuple(pows)
-
     def _unit_table(self) -> dict[tuple[int, ...], tuple[int, UnitColumns | None]]:
         """How multiplying by each unit +-w^k acts, keyed by the unit's coordinates.
 
         +-1 map to ``(+-1, None)``.  Any other unit u maps to ``(1, columns)``:
         column j lists the nonzero ``(t, e)`` of the coordinates of u * w^j, so
         the product of u with coordinates c has ``sum_j c_j e`` at each t.
+        ``_unit_actions[k]`` is the entry of w^k, for numbers tagged k.
         """
         units: dict[tuple[int, ...], tuple[int, UnitColumns | None]] = {}
         for k, power in enumerate(self._zeta_pows):
@@ -187,12 +178,20 @@ class CyclotomicField:
         return self._zeta_pows[exponent % self.m]
 
     def from_integer(self, value: int) -> CycNum:
+        """An integer; 1, and -1 for even m, are the tagged powers of w."""
+        if value == 1:
+            return self.one
+        if value == -1:
+            return -self.one
         coords = [0] * self.degree
         coords[0] = value
         return CycNum(self, tuple(coords), 1)
 
     def from_fraction(self, value: Fraction | int) -> CycNum:
+        """A rational; integers come from :meth:`from_integer`."""
         value = Fraction(value)
+        if value.denominator == 1:
+            return self.from_integer(value.numerator)
         coords = [0] * self.degree
         coords[0] = value.numerator
         return CycNum._normalized(self, coords, value.denominator)
@@ -255,14 +254,20 @@ def get_field(m: int) -> CyclotomicField:
 
 
 class CycNum:
-    """An element of Q(w): integer coordinates over one positive denominator."""
+    """An element of Q(w): integer coordinates over one positive denominator.
 
-    __slots__ = ("field", "coords", "den")
+    ``unit`` is k when the number is the field's tagged w^k (its power table
+    entry, or a product or negation of such entries) and None otherwise; an
+    untagged number may still equal a power of w.
+    """
 
-    def __init__(self, field: CyclotomicField, coords: tuple[int, ...], den: int) -> None:
+    __slots__ = ("field", "coords", "den", "unit")
+
+    def __init__(self, field: CyclotomicField, coords: tuple[int, ...], den: int, unit: int | None = None) -> None:
         self.field = field
         self.coords = coords
         self.den = den
+        self.unit = unit
 
     @staticmethod
     def _normalized(field: CyclotomicField, coords: Iterable[int], den: int) -> CycNum:
@@ -296,6 +301,8 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == 1 and o.den == 1:
+            return CycNum(self.field, tuple([a + b for a, b in zip(self.coords, o.coords)]), 1)
         g = gcd(self.den, o.den)
         fa, fb = o.den // g, self.den // g
         coords = [a * fa + b * fb for a, b in zip(self.coords, o.coords)]
@@ -304,7 +311,10 @@ class CycNum:
     __radd__ = __add__
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.field, tuple([-c for c in self.coords]), self.den)
+        field = self.field
+        if self.unit is not None and field._half_turn is not None:
+            return field._zeta_pows[(self.unit + field._half_turn) % field.m]
+        return CycNum(field, tuple([-c for c in self.coords]), self.den)
 
     def __sub__(self, other: CycNum | Fraction | int) -> CycNum:
         o = self._coerce(other)
@@ -319,9 +329,12 @@ class CycNum:
         """The product; a unit +-w^k on either side takes a fast path.
 
         Almost every product in module construction and relation checks has
-        a unit operand.  A unit of Z[w] maps integer coordinates by an
-        invertible integer matrix, so the product keeps the other operand's
-        denominator and stays in lowest terms: no gcd is needed.
+        a unit operand, and most have two.  The product of two tagged powers
+        of w is the tagged power of the summed exponents.  Otherwise a unit,
+        found by its tag or by its coordinates, maps the other operand's
+        integer coordinates by an invertible integer matrix, so the product
+        keeps that operand's denominator and stays in lowest terms: no gcd
+        is needed.
         """
         field = self.field
         if isinstance(other, CycNum):
@@ -340,15 +353,22 @@ class CycNum:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        units = field._units
-        unit = units.get(o.coords) if o.den == 1 else None
-        x = self
-        if unit is None and self.den == 1:
-            unit = units.get(self.coords)
-            x = o
-        if unit is None:
-            return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
-        sign, columns = unit
+        if self.unit is not None:
+            if o.unit is not None:
+                return field._zeta_pows[(self.unit + o.unit) % field.m]
+            action, x = field._unit_actions[self.unit], o
+        elif o.unit is not None:
+            action, x = field._unit_actions[o.unit], self
+        else:
+            units = field._units
+            action = units.get(o.coords) if o.den == 1 else None
+            x = self
+            if action is None and self.den == 1:
+                action = units.get(self.coords)
+                x = o
+            if action is None:
+                return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
+        sign, columns = action
         if columns is None:
             return x if sign > 0 else -x
         out = [0] * field.degree
@@ -508,19 +528,25 @@ class CycMatrix:
         return self._columns
 
     def apply(self, vec: VecDict) -> VecDict:
-        """The image of a sparse vector, with no zero entries."""
+        """The image of a sparse vector, with no zero entries.
+
+        The vector must hold no zero entries either.  A product of two
+        nonzero field elements is nonzero, so the first write to a row needs
+        no zero test; only a sum can cancel.
+        """
         out: VecDict = {}
         cols = self._columns
         for j, x in vec.items():
             for i, a in cols[j].items():
-                val = a * x
                 cur = out.get(i)
-                if cur is not None:
-                    val = cur + val
-                if val:
-                    out[i] = val
+                if cur is None:
+                    out[i] = a * x
                 else:
-                    out.pop(i, None)
+                    val = cur + a * x
+                    if val:
+                        out[i] = val
+                    else:
+                        del out[i]
         return out
 
     def __mul__(self, other: CycMatrix) -> CycMatrix:

@@ -53,16 +53,24 @@ from .weights import (
 
 
 def y_power_columns(module: QDModule, power: int) -> list[VecDict]:
-    """Columns of the matrix of y^power, cached on the module object."""
+    """Columns of the matrix of y^power, cached on the module object.
+
+    The power is taken mod m.  y^p for p >= 2 is y^ceil(p/2) y^floor(p/2),
+    both cached, so a power costs one product beyond the about log2(p)
+    halves it needs.  The columns are shared: treat them as read-only.
+    """
     power %= module.ctx.m
     cache = module.__dict__.setdefault("_ypow_cols", {})
     if power not in cache:
         if power == 0:
             one = module.ctx.field.one
             cache[0] = [{j: one} for j in range(module.dim)]
+        elif power == 1:
+            cache[1] = module.y_mat.sparse_columns()
         else:
-            prev = y_power_columns(module, power - 1)
-            cache[power] = [module.y_mat.apply(prev[j]) for j in range(module.dim)]
+            low = y_power_columns(module, power // 2)
+            high = CycMatrix(module.ctx.field, y_power_columns(module, power - power // 2), module.dim)
+            cache[power] = [high.apply(col) for col in low]
     return cache[power]
 
 

@@ -74,6 +74,62 @@ def test_unit_products_match_mul_coords(m, raw, den):
         assert sign * value == expected(field.from_integer(sign).coords)
 
 
+def _power_coords(field, k):
+    """Coordinates of w^k by k general products with the coordinates of w."""
+    zeta = [0] * field.degree
+    zeta[1] = 1
+    coords = (1,) + (0,) * (field.degree - 1)
+    for _ in range(k):
+        coords = field.mul_coords(coords, zeta)
+    return coords
+
+
+@given(
+    st.sampled_from([9, 12, 16, 20, 24]),
+    st.integers(0, 47),
+    st.integers(0, 47),
+    st.lists(st.integers(-6, 6), min_size=8, max_size=8),
+    st.integers(1, 12),
+)
+def test_tagged_units_match_the_general_product(m, a, b, raw, den):
+    # m = 9 is odd: there -1 is no power of w, so negation drops the tag
+    field = get_field(m)
+    value = CycNum._normalized(field, raw[: field.degree], den)
+
+    def general(x, y):
+        return CycNum._normalized(field, field.mul_coords(x.coords, y.coords), x.den * y.den)
+
+    def check_tag(x):
+        if x.unit is not None:
+            assert 0 <= x.unit < m
+            assert (x.coords, x.den) == (_power_coords(field, x.unit), 1)
+        return x
+
+    za, zb = check_tag(field.zeta(a)), check_tag(field.zeta(b))
+    assert (za.unit, zb.unit) == (a % m, b % m)
+    product = check_tag(za * zb)
+    assert product == general(za, zb)
+    assert product.unit == (a + b) % m
+    for x in (za * value, value * za):
+        assert check_tag(x) == general(za, value)
+    minus_one = CycNum(field, (-1,) + (0,) * (field.degree - 1), 1)
+    negated = check_tag(-za)
+    assert negated == general(za, minus_one)
+    assert (negated.unit is not None) == (m % 2 == 0)
+    assert check_tag(field.one).unit == 0
+    for sign in (1, -1):
+        unit = check_tag(field.from_integer(sign))
+        assert unit == CycNum._normalized(field, (sign,) + (0,) * (field.degree - 1), 1)
+        assert (unit.unit is not None) == (sign == 1 or m % 2 == 0)
+        assert check_tag(unit * value) == general(unit, value)
+        assert check_tag(unit * za) == general(unit, za)
+    # sums and products of untagged numbers carry no tag, even when they equal a power of w
+    total = za + field.zero
+    assert total == za and total.unit is None
+    square = value * value
+    assert square == general(value, value) and square.unit is None
+
+
 def test_zeta_power_reduction():
     field = get_field(12)
     w = field.zeta(1)
@@ -410,3 +466,26 @@ def test_echelon_basis_does_not_depend_on_insertion_order(mat, data):
     assert [combo.get(p, mat.field.zero) for p in first.pivots] == coeffs
     assert not first.reduce(combo)
     assert all(not first.insert(row) for row in rows)
+
+
+@given(sparse_matrices(), st.data())
+def test_apply_matches_a_dense_product_and_keeps_no_zero_entries(mat, data):
+    field = mat.field
+    zero = field.zero
+    # append the negation of a drawn column and give it the same coefficient,
+    # so the two contributions cancel in every row they reach
+    cols = list(mat.sparse_columns())
+    if cols:
+        j = data.draw(st.integers(0, len(cols) - 1))
+        cols.append({i: -x for i, x in cols[j].items()})
+    mat = CycMatrix(field, cols, mat.nrows)
+    vec = data.draw(_factor(field, mat.ncols, 1, False)).sparse_columns()[0]
+    if cols and j in vec:
+        vec[len(cols) - 1] = vec[j]
+    dense = [zero] * mat.nrows
+    for k, col in enumerate(cols):
+        for i, x in col.items():
+            dense[i] = dense[i] + x * vec.get(k, zero)
+    image = mat.apply(vec)
+    assert image == {i: x for i, x in enumerate(dense) if x}
+    assert all(image.values())

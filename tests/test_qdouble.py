@@ -21,8 +21,9 @@ from dihedral_doubles.qdouble import (
     tensor_qd,
     theta_action,
     theta_congruence,
+    y_power_columns,
 )
-from dihedral_doubles.weights import QDModule, parse_weight_label
+from dihedral_doubles.weights import QDModule, group_module, group_relation_failures, parse_weight_label
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -175,6 +176,50 @@ def test_socle_rejects_part_of_the_lowest_kernel(ctx12, monkeypatch):
         socle(verma)
 
 
+def _direct_sum(first, second, zshift, kind):
+    """The direct sum on concatenated bases, with the degrees of ``second`` shifted by zshift."""
+    n = first.dim
+
+    def block(a, b):
+        cols = list(a.sparse_columns()) + [{n + i: x for i, x in col.items()} for col in b.sparse_columns()]
+        return CycMatrix(a.field, cols, n + b.nrows)
+
+    return QDModule(
+        first.ctx,
+        first.index_set,
+        first.basis_labels + second.basis_labels,
+        first.zdeg + tuple(z + zshift for z in second.zdeg),
+        first.gdeg + second.gdeg,
+        block(first.x_mat, second.x_mat),
+        block(first.y_mat, second.y_mat),
+        {key: block(mat, second.v_mats[key]) for key, mat in first.v_mats.items()},
+        {key: block(mat, second.a_mats[key]) for key, mat in first.a_mats.items()},
+        weight=first.weight,
+        kind=kind,
+    )
+
+
+def test_socle_of_a_standard_module_must_reach_its_whole_bottom_layer(ctx12, monkeypatch):
+    # the standard module with its one-dimensional head set beside its bottom
+    # layer: the lowest joint kernel is then two weights
+    verma = _verma(ctx12, "(2,3)", "e:chi1")
+    top, bottom = head(verma), min(verma.zdeg)
+    padded = _direct_sum(verma, top, bottom, "verma")
+    with pytest.raises(AssertionError, match="not a single multiplicity-one weight"):
+        socle(padded)
+    full = qdouble.highest_weight_vectors
+
+    def standard_part_only(module, degree=None):
+        return [vec for vec in full(module, degree) if max(vec) < verma.dim]
+
+    # a kernel that drops the added weight gives a socle that passes every
+    # other check but holds only half of the bottom layer
+    monkeypatch.setattr(qdouble, "highest_weight_vectors", standard_part_only)
+    assert _char_text(graded_character(socle(_direct_sum(verma, top, bottom, "sum")))) == "[-2] e:chi2"
+    with pytest.raises(AssertionError, match="misses part of the bottom layer"):
+        socle(padded)
+
+
 def test_cross_term_operators_detect_weight_class(ctx12):
     def weight(text):
         # a weight is the standard module over the empty index set
@@ -209,6 +254,22 @@ def test_tensor_of_simples_passes_relations(ctx12):
     assert product.dim == left.dim * right.dim
     assert check_relations(product) == []
     assert _char_text(graded_character(product)) == "[0] M2,3"
+
+
+@pytest.mark.parametrize("source", ["verma", "induced"])
+def test_y_power_columns_match_repeated_y(ctx12, source):
+    if source == "verma":
+        module = _verma(ctx12, "(1,6),(3,6)", "Mx:0,1")
+    else:
+        module = induce_from_simple(ctx12, head(_verma(ctx12, "(3,6)", "Mx:0,0")), (1, 6))
+    one = ctx12.field.one
+    expected = [{j: one} for j in range(module.dim)]
+    for power in range(ctx12.m):
+        assert y_power_columns(module, power) == expected, power
+        expected = [module.y_mat.apply(col) for col in expected]
+    # y^m = 1, and a power is read mod m
+    assert expected == y_power_columns(module, 0)
+    assert y_power_columns(module, -1) == y_power_columns(module, ctx12.m - 1)
 
 
 def test_character_json_round_trip(ctx12):
@@ -299,3 +360,30 @@ def test_relations_catch_a_y_of_the_wrong_order(ctx12):
     two = CycMatrix.diagonal(ctx12.field, [ctx12.field.from_integer(2)] * module.dim)
     failures = check_relations(_mutated(module, y_mat=two * module.y_mat))
     assert "y^12 != 1" in failures
+
+
+def _signed_shift(field, dim, m):
+    """On each run of m basis vectors, e_t -> e_(t+1) and the last back to -e_0: order 2m."""
+    one = field.one
+    cols = [{j + 1: one} if (j + 1) % m else {j + 1 - m: -one} for j in range(dim)]
+    return CycMatrix(field, cols, dim)
+
+
+def test_relations_catch_a_y_whose_mth_power_is_minus_one(ctx12):
+    # y^m = -1 and y^(2m) = 1: only the exponent m itself tells this y apart
+    module = _verma(ctx12, "(2,3)", "Mx:0,0")
+    shift = _signed_shift(ctx12.field, module.dim, ctx12.m)
+    ident = CycMatrix.identity(ctx12.field, module.dim)
+    power = ident
+    for _ in range(ctx12.m):
+        power = shift * power
+    assert power == -ident
+    assert power * power == ident
+    assert "y^12 != 1" in check_relations(_mutated(module, y_mat=shift))
+    layer = module.layer_module(-1)
+    assert layer.dim == ctx12.m
+    assert group_relation_failures(layer) == []
+    twisted = group_module(
+        ctx12, layer.gdeg, layer.x_mat, _signed_shift(ctx12.field, layer.dim, ctx12.m), layer.basis_labels
+    )
+    assert "y^12 != 1" in group_relation_failures(twisted)
