@@ -445,12 +445,6 @@ class CycNum:
     def __hash__(self) -> int:
         return hash((self.field.m, self.coords, self.den))
 
-    def rational_value(self) -> Fraction:
-        """The value as a rational number; raises if the element is irrational."""
-        if any(self.coords[1:]):
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.coords[0], self.den)
-
     def __str__(self) -> str:
         parts: list[str] = []
         for j, c in enumerate(self.coords):
@@ -510,10 +504,6 @@ class CycMatrix:
                 if x:
                     columns[j][i] = x
         return cls(field, columns, len(rows))
-
-    @classmethod
-    def zeros(cls, field: CyclotomicField, nrows: int, ncols: int) -> CycMatrix:
-        return cls(field, [{} for _ in range(ncols)], nrows)
 
     @classmethod
     def identity(cls, field: CyclotomicField, n: int) -> CycMatrix:

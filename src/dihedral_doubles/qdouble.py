@@ -47,7 +47,6 @@ from .weights import (
     grading_failure,
     group_module,
     group_relation_failures,
-    parse_weight_label,
     tensor_dd,
 )
 
@@ -637,16 +636,6 @@ class GradedCharacter:
             }
             for z, entries in self.layers
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[dict]) -> GradedCharacter:
-        counts = {
-            entry["degree"]: [
-                (parse_weight_label(s["label"]), int(s["mult"])) for s in entry["summands"]
-            ]
-            for entry in obj
-        }
-        return cls.from_counts(counts)
 
     def __str__(self) -> str:
         if not self.layers:

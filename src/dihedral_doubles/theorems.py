@@ -587,7 +587,11 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     socle_simple = _socle_is_simple(ctx, soc)
     socle_matches: bool | None = None
     if index_set.size == 1:
-        socle_matches = socle_char == singleton_socle_character(ctx, pairs[0], label)
+        if classes[0] == PROJECTIVE:
+            # the standard module is simple: singleton_socle_character is the predicted head
+            socle_matches = socle_char == predicted
+        else:
+            socle_matches = socle_char == singleton_socle_character(ctx, pairs[0], label)
 
     recursion: list[RecursionCheck] = []
     if index_set.size > 1:

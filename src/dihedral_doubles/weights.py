@@ -31,11 +31,14 @@ other two facts through Schur orthonormality of the members' characters on
 the centralisers of the class representatives.
 
 Multiplicities come from those characters (:func:`decomposition_counts`):
-traces on the block of one degree per class and integer dot products, with
-no linear solve.  Hom spaces are solved only where explicit embeddings are
-needed (:func:`decompose`): the tensor splitting check, and the recheck of
-each socle's bottom layer.  There the characters name the members, and one
-hom space per named member plus a span check certify them.
+traces on the block of one degree per class and one integer dot product per
+member, with no linear solve.  The members' traces, each taken its
+multiplicity times, must rebuild the block's traces exactly, and with
+orthonormality that makes every inner product the integer it was read as.
+Hom spaces are solved only where explicit embeddings are needed
+(:func:`decompose`): the tensor splitting check, and the recheck of each
+socle's bottom layer.  There the characters name the members, and one hom
+space per named member plus a span check certify them.
 """
 
 from __future__ import annotations
@@ -528,17 +531,21 @@ class _ClassData:
 
 
 class _Member(NamedTuple):
-    """A catalog member's character on its class, as integer weights.
+    """A catalog member's character on its class, as integer weights and traces.
 
     ``weights[c]`` dotted with the trace vector of a module on the class
     representative g (:func:`_trace_vector`) gives coordinate c of
     ``|C(g)|`` times the multiplicity of the member in the module.
+    ``trace`` is the member's own trace vector, with denominator 1.  The
+    trace vector of a module is the sum of its summands' trace vectors, each
+    taken its multiplicity times, which :func:`decomposition_counts` checks.
     """
 
     index: int
     label: WeightLabel
     dim: int
     weights: tuple[tuple[int, ...], ...]
+    trace: tuple[int, ...]
 
 
 def _element_key(g: GroupElement) -> tuple[int, int]:
@@ -636,7 +643,6 @@ def _catalog_characters(
     characters: dict[GroupElement, list[_Member]] = {}
     for cls in _class_data(ctx):
         members: list[_Member] = []
-        vectors: list[list[int]] = []
         for index, label in enumerate(labels):
             module = modules[label]
             support = frozenset(module.gdeg)
@@ -656,11 +662,10 @@ def _catalog_characters(
                 plain = field.zeta_multiples([same * c for c in field.conjugate_coords(trace)])
                 flipped = field.zeta_multiples([inverse * c for c in trace])
                 columns += [tuple(map(add, plain[a], flipped[-a])) for a in range(degree)]
-            members.append(_Member(index, label, module.dim, tuple(zip(*columns))))
-            vectors.append(vector)
-        for vector, member in zip(vectors, members):
+            members.append(_Member(index, label, module.dim, tuple(zip(*columns)), tuple(vector)))
+        for member in members:
             for other in members:
-                gram = [sum(map(mul, vector, row)) for row in other.weights]
+                gram = [sum(map(mul, member.trace, row)) for row in other.weights]
                 expected = [cls.order if other is member else 0] + [0] * (degree - 1)
                 if gram != expected:
                     raise AssertionError(
@@ -762,6 +767,13 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     dot products only: no linear solve and no field inverse.  Members of
     multiplicity zero are left out.
 
+    Each multiplicity is read from the rational coordinate of its inner
+    product alone, one dot product per member.  The block is then certified
+    at once: the members' trace vectors, each taken its multiplicity times,
+    must add up to the block's trace vector exactly.  The inner product is
+    linear in the traces and the catalog characters are orthonormal, so
+    then every inner product equals its integer in all coordinates.
+
     Raises:
         AssertionError: if a multiplicity is not a nonnegative integer, or
             the multiplicities times the member dimensions do not add up to
@@ -777,20 +789,22 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
             continue
         vector, den = _trace_vector(module, cls, block)
         scale = cls.order * den
+        members = characters[cls.rep]
         # most trace coordinates are zero: take the dot products over the others
         support = [pos for pos, c in enumerate(vector) if c]
         values = [vector[pos] for pos in support]
-        for member in characters[cls.rep]:
-            coords = [sum(map(mul, values, map(row.__getitem__, support))) for row in member.weights]
-            mult, rest = divmod(coords[0], scale)
-            if rest or any(coords[1:]):
-                value = CycNum(ctx.field, tuple(coords), scale)
-                raise AssertionError(f"multiplicity of {member.label} is not an integer: {value}")
-            if mult < 0:
-                raise AssertionError(f"multiplicity of {member.label} is negative: {mult}")
+        rebuilt: list[int] | None = [0] * len(vector)
+        for member in members:
+            mult, rest = divmod(sum(map(mul, values, map(member.weights[0].__getitem__, support))), scale)
+            if rest or mult < 0:
+                rebuilt = None
+                break
             if mult:
                 found.append((member.index, member.label, mult))
                 filled += mult * member.dim
+                rebuilt = list(map(add, rebuilt, map((mult * den).__mul__, member.trace)))
+        if rebuilt != vector:
+            raise AssertionError(_inner_product_failure(ctx, members, support, values, scale))
     if filled != module.dim:
         raise AssertionError(
             f"character multiplicities of a dimension-{module.dim} module fill dimension {filled}"
@@ -798,3 +812,22 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     found.sort()
     return [(label, mult) for _, label, mult in found]
 
+
+def _inner_product_failure(
+    ctx: DihedralContext, members: Sequence[_Member], support: list[int], values: list[int], scale: int
+) -> str:
+    """Name the first member whose inner product is not a nonnegative integer.
+
+    Each inner product is taken in all its coordinates; only a block that
+    :func:`decomposition_counts` could not certify comes here.
+    """
+    for member in members:
+        coords = [sum(map(mul, values, map(row.__getitem__, support))) for row in member.weights]
+        mult, rest = divmod(coords[0], scale)
+        if rest or any(coords[1:]):
+            value = CycNum(ctx.field, tuple(coords), scale)
+            return f"multiplicity of {member.label} is not an integer: {value}"
+        if mult < 0:
+            return f"multiplicity of {member.label} is negative: {mult}"
+    # unreached: the members' characters span the class functions of C(g)
+    return "the traces of a block are not a sum of catalog characters"

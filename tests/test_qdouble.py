@@ -275,7 +275,16 @@ def test_y_power_columns_match_repeated_y(ctx12, source):
 def test_character_json_round_trip(ctx12):
     verma = _verma(ctx12, "(2,3)", "e:rho3")
     char = graded_character(verma)
-    assert GradedCharacter.from_json_obj(char.to_json_obj()) == char
+    obj = char.to_json_obj()
+    assert obj == [
+        {"degree": 0, "summands": [{"label": "e:rho3", "mult": 1}]},
+        {"degree": -1, "summands": [{"label": "M2,0", "mult": 1}, {"label": "M2,6", "mult": 1}]},
+        {"degree": -2, "summands": [{"label": "e:rho3", "mult": 1}]},
+    ]
+    counts = {
+        entry["degree"]: [(parse_weight_label(s["label"]), s["mult"]) for s in entry["summands"]] for entry in obj
+    }
+    assert GradedCharacter.from_counts(counts) == char
     assert char.dimension(ctx12.n) == verma.dim
     shifted = char.shifted(-2)
     assert shifted.degrees() == [-2, -3, -4]

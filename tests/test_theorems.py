@@ -157,6 +157,25 @@ def test_verify_simple_happy_path(ctx12):
     assert obj["ok"] is True
 
 
+@pytest.mark.parametrize(
+    ("index_text", "label_text"),
+    [("(2,3)", "e:rho3"), ("(2,3)", "e:chi1"), ("(2,3)", "Mx:0,0"), ("(2,3),(2,9)", "e:chi1")],
+)
+def test_verify_simple_predicts_each_character_once(ctx12, monkeypatch, index_text, label_text):
+    # a projective single pair compares its socle with the predicted head
+    # instead of predicting it a second time
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return predicted_character(*args)
+
+    monkeypatch.setattr(theorems, "predicted_character", counted)
+    report = verify_simple(ctx12, parse_index_set(ctx12, index_text), parse_weight_label(label_text))
+    assert report.ok
+    assert len(calls) == 1
+
+
 def test_verify_simple_reports_recursion_for_two_pairs(ctx12):
     report = verify_simple(
         ctx12,

@@ -10,7 +10,7 @@ from dihedral_doubles import get_context, weights
 from dihedral_doubles.cyclotomic import CycMatrix
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set
-from dihedral_doubles.qdouble import build_verma
+from dihedral_doubles.qdouble import build_verma, head, socle
 from dihedral_doubles.weights import (
     WeightLabel,
     _catalog_characters,
@@ -158,6 +158,37 @@ def test_character_counts_match_hom_spaces_on_standard_module_layers(ctx12, inde
             assert decomposition_counts(ctx12, layer) == _hom_space_counts(ctx12, layer), f"{label} [{z}]"
 
 
+def _rescaled(ctx, module, factors):
+    """The module in the basis ``factors[i] * e_i``."""
+
+    def conjugate(mat):
+        cols = [
+            {i: value * factors[j] / factors[i] for i, value in col.items()}
+            for j, col in enumerate(mat.sparse_columns())
+        ]
+        return CycMatrix.from_column_dicts(ctx.field, cols, module.dim)
+
+    return group_module(ctx, module.gdeg, conjugate(module.x_mat), conjugate(module.y_mat), module.basis_labels)
+
+
+def test_character_counts_match_hom_spaces_on_head_and_socle_layers(ctx12):
+    # heads and socles come from quotient and subspace bases; each layer is
+    # also checked in a rescaled basis, where x and y have entries with
+    # denominators that are not units of Z[w]
+    field = ctx12.field
+    factor = field.from_integer(2) + field.zeta(1)
+    index_set = parse_index_set(ctx12, "(1,6),(3,6)")
+    for label in all_weight_labels(ctx12)[::4]:
+        verma = build_verma(ctx12, index_set, label)
+        for name, module in (("head", head(verma)), ("socle", socle(verma))):
+            for z in module.layer_indices():
+                layer = module.layer_module(z)
+                counts = _hom_space_counts(ctx12, layer)
+                assert decomposition_counts(ctx12, layer) == counts, f"{label} {name} [{z}]"
+                rescaled = _rescaled(ctx12, layer, [factor ** (i % 3) * (i + 1) for i in range(layer.dim)])
+                assert decomposition_counts(ctx12, rescaled) == counts, f"{label} {name} [{z}] rescaled"
+
+
 def _one_dimensional(ctx, degree, x_value, y_value):
     field = ctx.field
     return group_module(
@@ -181,6 +212,15 @@ def test_character_counts_reject_what_is_not_a_module(ctx12):
         "negative": _one_dimensional(ctx12, group.identity, -3, 1),
         # nothing on the class representative y
         "fill dimension 0": _one_dimensional(ctx12, group.rotation(-1), 1, 1),
+        # y = w^3 on both vectors, not w^l and w^-l: the rational coordinates
+        # alone read e:rho3 once, and only the rebuilt trace vector differs
+        r"e:chi1 is not an integer: 1/6\*w\^3": group_module(
+            ctx12,
+            [group.identity] * 2,
+            CycMatrix.from_rows(ctx12.field, [[0, 1], [1, 0]]),
+            CycMatrix.diagonal(ctx12.field, [ctx12.omega(3)] * 2),
+            ["a", "b"],
+        ),
     }
     for message, module in cases.items():
         with pytest.raises(AssertionError, match=message):
