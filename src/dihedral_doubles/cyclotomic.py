@@ -341,14 +341,6 @@ class CycNum:
             if other.field is not field and other.field.m != field.m:
                 raise ValueError("field elements belong to different cyclotomic fields")
             o = other
-        elif isinstance(other, int):
-            if other == 1:
-                return self
-            if other == -1:
-                return -self
-            if not other:
-                return field.zero
-            return CycNum._normalized(field, (c * other for c in self.coords), self.den)
         else:
             o = self._coerce(other)
             if o is None:

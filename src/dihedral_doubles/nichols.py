@@ -13,8 +13,11 @@ v- of pair p.  Products carry the usual alternating sign, one factor -1 per
 crossing when merging two sorted letter lists.
 
 This layer is pure combinatorics of masks and pairs and builds no module:
-an exterior power as a module over the double of the group is
-``qdouble.exterior_power_module``.
+the exterior algebra on a weight is the standard module of
+``qdouble.build_verma``.  For one pair (i, k) its layers are the weight
+``e:chi1``, the pair module with degrees y^(+-i) and the volume v+ ∧ v-
+(``e:chi2``), and the algebra of an index set is the tensor product of
+those of its pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .dihedral import DihedralContext, GroupElement
+from .dihedral import DihedralContext
 
 
 @dataclass(frozen=True)
@@ -178,12 +181,6 @@ def rotation_exponents(index_set: IndexSet, mask: int) -> tuple[int, int]:
             isum -= i
             ksum -= k
     return isum, ksum
-
-
-def monomial_degree(ctx: DihedralContext, index_set: IndexSet, mask: int) -> GroupElement:
-    """Group degree of a monomial: the rotation by the signed sum of the i's."""
-    isum, _ = rotation_exponents(index_set, mask)
-    return ctx.group.rotation(isum)
 
 
 def nichols_basis(index_set: IndexSet, degree: int) -> list[int]:

@@ -15,8 +15,9 @@ defining relations act through the group degree of the vector alone.  The
 base is a weight, the module over the empty index set, or for one step of
 the recursion a simple module.  Socles and heads are computed from scratch
 by exact linear algebra, with no appeal to any closed-form answer, so they
-can serve as independent evidence for one.  The closed-form side takes the
-exterior powers of the letters from :func:`exterior_power_module`.
+can serve as independent evidence for one.  The closed-form side
+(``theorems.predicted_character``) builds no module here: it takes the
+exterior algebra of the letters one pair at a time, as weights.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .nichols import (
     letter_insert,
     letter_pair,
     letter_sign,
-    monomial_degree,
     nichols_basis,
     rotation_exponents,
     swap_letters,
@@ -45,7 +45,6 @@ from .weights import (
     build_weight,
     decomposition_counts,
     grading_failure,
-    group_module,
     group_relation_failures,
     tensor_dd,
 )
@@ -735,24 +734,3 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
         )
     return result
 
-
-def exterior_power_module(ctx: DihedralContext, index_set: IndexSet, degree: int) -> QDModule:
-    """The degree-d component of the exterior algebra as a module over the double of the group."""
-    field = ctx.field
-    basis = nichols_basis(index_set, degree)
-    position = {mask: idx for idx, mask in enumerate(basis)}
-    degrees = [monomial_degree(ctx, index_set, mask) for mask in basis]
-    xcols: list[VecDict] = []
-    ycols: list[VecDict] = []
-    for mask in basis:
-        sign, swapped = swap_letters(index_set, mask)
-        xcols.append({position[swapped]: field.from_integer(sign)})
-        _, ksum = rotation_exponents(index_set, mask)
-        ycols.append({position[mask]: ctx.omega(ksum)})
-    return group_module(
-        ctx,
-        degrees,
-        CycMatrix.from_column_dicts(field, xcols, len(basis)),
-        CycMatrix.from_column_dicts(field, ycols, len(basis)),
-        [str(ExtMonomial(mask)) for mask in basis],
-    )

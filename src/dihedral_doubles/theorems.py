@@ -25,7 +25,6 @@ from .qdouble import (
     GradedCharacter,
     build_verma,
     check_relations,
-    exterior_power_module,
     graded_character,
     head,
     highest_weight_vectors,
@@ -164,25 +163,46 @@ def predicted_character(
     """Graded character the simple head of the standard module should have.
 
     For a rotation weight the simple restricts to the exterior algebra on
-    the projective positions tensored with the weight, graded by letter
-    count.  For a reflection weight it is a sum of two-dimensional weights
-    indexed by subsets of the positions, a subset of size d sitting in
-    degree ``-d`` with its parameters shifted by the subset sums of the pair
+    the projective pairs tensored with the weight, graded by letter count.
+    That algebra is the tensor product over the pairs of the exterior
+    algebra of one pair (i, k), whose pieces are:
+
+    * ``e:chi1`` in degree 0;
+    * :func:`pair_module` ``(i, k)``, spanned by v+ and v-, in degree -1;
+    * ``e:chi2`` in degree -2: v+ ∧ v- has group degree e, x negates it
+      and y fixes it.
+
+    So the character is a fold over the projective pairs in index order,
+    from the weight alone in degree 0.  Each pair keeps every weight of the
+    running character, and adds its tensor product with the degree -1 piece
+    one degree lower and with the degree -2 piece two degrees lower.
+
+    For a reflection weight it is a sum of two-dimensional weights indexed
+    by subsets of the positions, a subset of size d sitting in degree
+    ``-d`` with its parameters shifted by the subset sums of the pair
     indices.
     """
     if label.is_reflection_type:
         return _predicted_reflection_character(ctx, index_set, label)
     split = split_index(ctx, index_set, label)
-    proj_pairs = tuple(index_set.pairs[pos] for pos in split.projective)
-    lam = build_weight(ctx, label)
-    counts: dict[int, list[tuple[WeightLabel, int]]] = {}
-    sub = IndexSet(ctx.m, proj_pairs)
-    for d in range(2 * len(proj_pairs) + 1):
-        layer = exterior_power_module(ctx, sub, d)
-        if layer.dim == 0:
-            continue
-        counts[-d] = decomposition_counts(ctx, tensor_dd(layer, lam))
-    return GradedCharacter.from_counts(counts)
+    counts: dict[int, dict[WeightLabel, int]] = {0: {label: 1}}
+    for pos in split.projective:
+        pieces = ((-1, pair_module(ctx, *index_set.pairs[pos])), (-2, _volume(ctx)))
+        grown = {z: dict(layer) for z, layer in counts.items()}
+        for z, layer in counts.items():
+            for weight, mult in layer.items():
+                lam = build_weight(ctx, weight)
+                for shift, piece in pieces:
+                    bucket = grown.setdefault(z + shift, {})
+                    for part, part_mult in decomposition_counts(ctx, tensor_dd(piece, lam)):
+                        bucket[part] = bucket.get(part, 0) + mult * part_mult
+        counts = grown
+    return GradedCharacter.from_counts({z: list(layer.items()) for z, layer in counts.items()})
+
+
+def _volume(ctx: DihedralContext) -> QDModule:
+    """The top exterior power v+ ∧ v- of one pair: the weight ``e:chi2``."""
+    return build_weight(ctx, WeightLabel.e_chi(2))
 
 
 def _reflection_label(fam: int, s: int, t: int) -> WeightLabel:
@@ -321,8 +341,7 @@ def singleton_socle_character(
     if cls == PROJECTIVE:
         return predicted_character(ctx, iset, label)
     if cls == RIGID:
-        vol = exterior_power_module(ctx, iset, 2)
-        twisted = decomposition_counts(ctx, tensor_dd(vol, build_weight(ctx, label)))
+        twisted = decomposition_counts(ctx, tensor_dd(_volume(ctx), build_weight(ctx, label)))
         if len(twisted) != 1 or twisted[0][1] != 1:
             raise ArithmeticError(f"volume twist of {label} is not a single weight")
         return GradedCharacter.single(twisted[0][0], -2)
@@ -432,21 +451,14 @@ def spherical_report(ctx: DihedralContext, index_set: IndexSet) -> dict[int, boo
 def quantum_dimension(ctx: DihedralContext, module: QDModule) -> CycNum:
     """Quantum dimension of ``module`` for the spherical pivot.
 
-    Trace of y^n weighted by the rotation-negating sign character.  Only
-    meaningful when the index set is spherical; raises otherwise.
+    The trace of :func:`pivot_candidate` for the rotation-negating sign
+    character.  Only meaningful when the index set is spherical; raises
+    otherwise.
     """
     if not is_spherical(ctx, module.index_set):
         raise ValueError(f"index set {module.index_set} is not spherical")
-    sx, sy = CHI_SIGNS[3]
-    cols = y_power_columns(module, ctx.n)
-    total = ctx.field.zero
-    for b in range(module.dim):
-        diag = cols[b].get(b)
-        if diag is None:
-            continue
-        sign = ctx.character_value(sx, sy, module.gdeg[b])
-        total = total + (diag if sign == 1 else -diag)
-    return total
+    cols = pivot_candidate(ctx, module, 3).sparse_columns()
+    return sum((col[b] for b, col in enumerate(cols) if b in col), ctx.field.zero)
 
 
 # ---------------------------------------------------------------------------

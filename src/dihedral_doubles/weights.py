@@ -288,33 +288,20 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
         (l,) = params
         if not 1 <= l <= n - 1:
             raise ValueError(f"rotation character index out of range: {label}")
-        deg = group.identity if family == "e:rho" else group.rotation(n)
-        return group_module(
-            ctx,
-            [deg, deg],
-            _swap_matrix(field),
-            CycMatrix.diagonal(field, [ctx.omega(l), ctx.omega(-l)]),
-            ["m+", "m-"],
-        )
+        return _two_dimensional(ctx, 0 if family == "e:rho" else n, l)
     if family == "M":
         i, k = params
         if not 1 <= i <= n - 1:
             raise ValueError(f"rotation degree out of range: {label}")
         if not 0 <= k <= m - 1:
             raise ValueError(f"rotation eigenvalue exponent out of range: {label}")
-        return group_module(
-            ctx,
-            [group.rotation(i), group.rotation(-i)],
-            _swap_matrix(field),
-            CycMatrix.diagonal(field, [ctx.omega(k), ctx.omega(-k)]),
-            ["m+", "m-"],
-        )
+        return _two_dimensional(ctx, i, k)
     if family in ("Mx", "Mxy"):
         s, t = params
         odd = family == "Mxy"
         degrees = [group.reflection(2 * j + (1 if odd else 0)) for j in range(n)]
         labels = [f"m{j}" for j in range(n)]
-        zero, one = field.zero, field.one
+        one = field.one
         xcols: list[dict[int, CycNum]] = []
         for j in range(n):
             if odd:
@@ -339,8 +326,16 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
     raise ValueError(f"unknown weight family: {family!r}")
 
 
-def _swap_matrix(field) -> CycMatrix:
-    return CycMatrix.from_rows(field, [[0, 1], [1, 0]])
+def _two_dimensional(ctx: DihedralContext, i: int, k: int) -> QDModule:
+    """Degrees y^(+-i), x swapping the two vectors, y = diag(w^k, w^-k)."""
+    field, group = ctx.field, ctx.group
+    return group_module(
+        ctx,
+        [group.rotation(i), group.rotation(-i)],
+        CycMatrix.from_rows(field, [[0, 1], [1, 0]]),
+        CycMatrix.diagonal(field, [ctx.omega(k), ctx.omega(-k)]),
+        ["m+", "m-"],
+    )
 
 
 def pair_module(ctx: DihedralContext, i: int, k: int) -> QDModule:
@@ -352,17 +347,7 @@ def pair_module(ctx: DihedralContext, i: int, k: int) -> QDModule:
     """
     if not 1 <= i <= ctx.n:
         raise ValueError(f"rotation degree out of range: {i}")
-    if i < ctx.n:
-        return build_weight(ctx, WeightLabel.rotation_pair(i, k % ctx.m))
-    field, group = ctx.field, ctx.group
-    deg = group.rotation(ctx.n)
-    return group_module(
-        ctx,
-        [deg, deg],
-        _swap_matrix(field),
-        CycMatrix.diagonal(field, [ctx.omega(k), ctx.omega(-k)]),
-        ["m+", "m-"],
-    )
+    return _two_dimensional(ctx, i, k)
 
 
 def pair_weight_label(ctx: DihedralContext, i: int, k: int) -> WeightLabel:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from dihedral_doubles.nichols import (
     ExtMonomial,
-    IndexSet,
     ext_multiply,
     letter_insert,
-    monomial_degree,
     nichols_basis,
     parse_index_set,
     rotation_exponents,
@@ -19,8 +17,8 @@ from dihedral_doubles.nichols import (
     valid_pairs,
     validate_index_set,
 )
-from dihedral_doubles.qdouble import exterior_power_module
-from dihedral_doubles.weights import decomposition_counts, group_relation_failures
+from dihedral_doubles.qdouble import build_verma
+from dihedral_doubles.weights import WeightLabel, decomposition_counts, group_relation_failures
 
 VALID_PAIRS_12 = [
     (1, 6), (2, 3), (2, 9), (3, 2), (3, 6), (3, 10), (5, 6),
@@ -104,7 +102,6 @@ def test_rotation_exponents_are_additive_in_letters(ctx12):
     assert rotation_exponents(iset, 0b0010) == (-1, -6)
     assert rotation_exponents(iset, 0b1100) == (0, 0)
     assert rotation_exponents(iset, 0b0101) == (4, 12)
-    assert monomial_degree(ctx12, iset, 0b0101) == ctx12.group.rotation(4)
 
 
 def test_monomial_labels_list_letters(ctx12):
@@ -113,16 +110,19 @@ def test_monomial_labels_list_letters(ctx12):
     assert str(mono) == "v-0∧v+1"
 
 
+def _exterior_layer(ctx, text, degree):
+    """Layer ``degree`` of the standard module on e:chi1: that exterior power of the letters."""
+    return build_verma(ctx, parse_index_set(ctx, text), WeightLabel.e_chi(1)).layer_module(degree)
+
+
 def test_exterior_power_modules_decompose_as_expected(ctx12):
-    iset = parse_index_set(ctx12, "(1,6),(3,6)")
-    sq = exterior_power_module(ctx12, iset, 2)
+    sq = _exterior_layer(ctx12, "(1,6),(3,6)", -2)
     assert group_relation_failures(sq) == []
     assert sq.dim == 6
     counts = {str(lab): mult for lab, mult in decomposition_counts(ctx12, sq)}
     assert counts == {"e:chi2": 2, "M2,0": 1, "M4,0": 1}
 
-    single = IndexSet(12, ((2, 3),))
-    vol = exterior_power_module(ctx12, single, 2)
+    vol = _exterior_layer(ctx12, "(2,3)", -2)
     assert [(str(lab), mult) for lab, mult in decomposition_counts(ctx12, vol)] == [
         ("e:chi2", 1)
     ]
@@ -131,8 +131,7 @@ def test_exterior_power_modules_decompose_as_expected(ctx12):
 def test_top_and_volume_weights(ctx12):
     # the top exterior power is the sign character of x once per pair
     for text, expected in (("(2,3)", "e:chi2"), ("(1,6),(3,6)", "e:chi1")):
-        iset = parse_index_set(ctx12, text)
-        top = exterior_power_module(ctx12, iset, iset.nletters)
+        top = _exterior_layer(ctx12, text, -2 * parse_index_set(ctx12, text).size)
         assert [(str(lab), mult) for lab, mult in decomposition_counts(ctx12, top)] == [(expected, 1)]
 
 

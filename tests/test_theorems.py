@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_doubles import get_context, theorems
-from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
+from dihedral_doubles import get_context, qdouble, theorems
+from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import build_verma, graded_character, head, induce_from_simple
 from dihedral_doubles.theorems import (
     PROJECTIVE,
@@ -236,6 +236,40 @@ def test_verify_simple_holds_on_drawn_two_pair_sets(case):
     report = verify_simple(ctx, index_set, label)
     assert report.ok, report.to_json_obj()["checks"]
     assert {rc.pair for rc in report.recursion} == set(index_set.pairs)
+
+
+@st.composite
+def rotation_cases(draw):
+    """An order m in {12, 16, 20}, one to three pairs that pass the braiding check, a rotation weight."""
+    ctx = get_context(draw(st.sampled_from((12, 16, 20))))
+    pairs = [draw(st.sampled_from(valid_pairs(ctx)))]
+    for _ in range(draw(st.integers(0, 2))):
+        pairs.append(draw(st.sampled_from([pair for pair in valid_pairs(ctx) if _admissible(ctx, pairs + [pair])])))
+    label = draw(st.sampled_from([lab for lab in all_weight_labels(ctx) if not lab.is_reflection_type]))
+    return ctx, validate_index_set(ctx, pairs), label
+
+
+@settings(max_examples=30)
+@given(rotation_cases())
+def test_predicted_character_is_the_exterior_algebra_on_the_projective_pairs(case):
+    # the standard module on the projective pairs is that exterior algebra
+    # tensored with the weight, built by induction as an independent model
+    ctx, index_set, label = case
+    projective = split_index(ctx, index_set, label).projective
+    sub = IndexSet(ctx.m, tuple(index_set.pairs[pos] for pos in projective))
+    assert predicted_character(ctx, index_set, label) == graded_character(build_verma(ctx, sub, label))
+
+
+def test_closed_forms_build_no_standard_module(ctx12, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed-form side built a standard module")
+
+    monkeypatch.setattr(qdouble, "_induce", refuse)
+    for pair in valid_pairs(ctx12):
+        iset = IndexSet(ctx12.m, (pair,))
+        for label in all_weight_labels(ctx12):
+            predicted_character(ctx12, iset, label)
+            singleton_socle_character(ctx12, pair, label)
 
 
 def test_sphericality_rule(ctx12, ctx16):
