@@ -605,10 +605,6 @@ class GradedCharacter:
                 layers.append((z, entries))
         return cls(tuple(layers))
 
-    @classmethod
-    def single(cls, label: WeightLabel, degree: int = 0) -> GradedCharacter:
-        return cls(((degree, ((label, 1),)),))
-
     def degrees(self) -> list[int]:
         return [z for z, _ in self.layers]
 

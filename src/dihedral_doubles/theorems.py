@@ -8,7 +8,8 @@ once as a closed-form table in the arithmetic of the pair, once by evaluating
 the cross-term operators themselves; tests insist the two agree everywhere.
 
 On top of the classification sit the predicted graded characters of the
-simple quotients, the tensor splitting rule for reflection weights, the
+simple quotients, the top weight and degree of the socle of every standard
+module, the tensor splitting rule for reflection weights, the
 spherical/pivot structure, and :func:`verify_simple`, which replays every
 claim about one simple module against from-scratch linear algebra and
 reports the outcome.
@@ -320,37 +321,39 @@ def verify_reflection_split(
 
 
 # ---------------------------------------------------------------------------
-# closed-form socle for a single pair
+# closed-form socle of a standard module
 # ---------------------------------------------------------------------------
 
 
-def singleton_socle_character(
-    ctx: DihedralContext, pair: tuple[int, int], label: WeightLabel
-) -> GradedCharacter:
-    """Graded character of the socle of the standard module of one pair.
+def predicted_socle_top(
+    ctx: DihedralContext, index_set: IndexSet, label: WeightLabel
+) -> tuple[WeightLabel, int]:
+    """Top weight and degree ``(mu, z0)`` of the socle of the standard module.
 
-    Rigid weight: the socle is the top-degree twist of the weight by the
-    volume character, in degree -2.  Projective weight: the standard module
-    is simple, so the socle is everything.  Reflection weight ``M(fam, s, t)``:
-    ``M(fam + i, s + 1, t + k)`` in degree -1 over ``M(fam, s + 1, t)`` in
-    degree -2.  Unlike the plus summand of :func:`predicted_reflection_split`,
-    the degree -1 layer takes no ``t``-dependent flip at the half-turn i = n.
+    The socle is the simple L(mu) with its top in degree ``z0``, so its
+    character is ``predicted_character(ctx, index_set, mu).shifted(z0)``:
+    the weight of minimum degree determines it.  Rotation weight, with R the
+    pairs rigid for ``label``: each rigid pair contributes its volume
+    v+ ∧ v- (``e:chi2``, which squares to ``e:chi1``) two degrees lower, so
+    mu is ``label`` twisted by ``e:chi2`` when |R| is odd and ``label``
+    itself otherwise, and ``z0 = -2|R|``.  Reflection weight
+    ``M(fam, s, t)``: ``mu = M(fam + Σi, s + |I|, t + Σk)`` and
+    ``z0 = -|I|``, with no ``t``-dependent flip at the half-turn i = n,
+    unlike the plus summand of :func:`predicted_reflection_split`.
     """
-    cls = classify_weight(ctx, label, pair)
-    iset = IndexSet(ctx.m, (pair,))
-    if cls == PROJECTIVE:
-        return predicted_character(ctx, iset, label)
-    if cls == RIGID:
-        twisted = decomposition_counts(ctx, tensor_dd(_volume(ctx), build_weight(ctx, label)))
-        if len(twisted) != 1 or twisted[0][1] != 1:
-            raise ArithmeticError(f"volume twist of {label} is not a single weight")
-        return GradedCharacter.single(twisted[0][0], -2)
-    i, k = pair
-    fam = 0 if label.family == "Mx" else 1
-    s, t = label.params
-    middle = _reflection_label(fam + i, s + 1, t + k)
-    bottom = _reflection_label(fam, s + 1, t)
-    return GradedCharacter.from_counts({-1: [(middle, 1)], -2: [(bottom, 1)]})
+    pairs = index_set.pairs
+    if label.is_reflection_type:
+        fam = 0 if label.family == "Mx" else 1
+        s, t = label.params
+        i_sum, k_sum = sum(i for i, _ in pairs), sum(k for _, k in pairs)
+        return _reflection_label(fam + i_sum, s + len(pairs), t + k_sum), -len(pairs)
+    rigid = len(split_index(ctx, index_set, label).rigid)
+    if rigid % 2 == 0:
+        return label, -2 * rigid
+    twisted = decomposition_counts(ctx, tensor_dd(_volume(ctx), build_weight(ctx, label)))
+    if len(twisted) != 1 or twisted[0][1] != 1:
+        raise ArithmeticError(f"volume twist of {label} is not a single weight")
+    return twisted[0][0], -2 * rigid
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +506,7 @@ class SimpleReport:
     head_character: GradedCharacter
     head_matches: bool
     socle_character: GradedCharacter
-    socle_matches: bool | None
+    socle_matches: bool
     socle_simple: bool
     recursion: tuple[RecursionCheck, ...]
     qdim: CycNum | None
@@ -517,9 +520,8 @@ class SimpleReport:
             self.head_matches,
             self.simple_dimension == self.predicted_dimension,
             self.socle_simple,
+            self.socle_matches,
         ]
-        if self.socle_matches is not None:
-            checks.append(self.socle_matches)
         if self.qdim_ok is not None:
             checks.append(self.qdim_ok)
         checks.extend(rec.ok for rec in self.recursion)
@@ -573,8 +575,10 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     * generator relations and the quadratic congruence on the standard module;
     * the graded character of the simple head against
       :func:`predicted_character` and the dimension formula;
-    * simplicity of the socle (single weight, multiplicity one), and for a
-      single pair the closed-form socle character;
+    * simplicity of the socle (single weight, multiplicity one), and its
+      graded character against the predicted character of the weight
+      :func:`predicted_socle_top` names, shifted to its degree; when that
+      weight is ``label`` the head prediction is reused;
     * when the index set has more than one pair: for each distinct
       removable pair, the modules induced from the head and from the socle
       of the smaller standard module satisfy the relations and reproduce
@@ -597,13 +601,9 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     soc = socle(verma)
     socle_char = graded_character(soc)
     socle_simple = _socle_is_simple(ctx, soc)
-    socle_matches: bool | None = None
-    if index_set.size == 1:
-        if classes[0] == PROJECTIVE:
-            # the standard module is simple: singleton_socle_character is the predicted head
-            socle_matches = socle_char == predicted
-        else:
-            socle_matches = socle_char == singleton_socle_character(ctx, pairs[0], label)
+    top, z0 = predicted_socle_top(ctx, index_set, label)
+    socle_top = predicted if top == label else predicted_character(ctx, index_set, top)
+    socle_matches = socle_char == socle_top.shifted(z0)
 
     recursion: list[RecursionCheck] = []
     if index_set.size > 1:

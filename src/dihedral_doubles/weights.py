@@ -341,21 +341,15 @@ def _two_dimensional(ctx: DihedralContext, i: int, k: int) -> QDModule:
 def pair_module(ctx: DihedralContext, i: int, k: int) -> QDModule:
     """The two-dimensional module with degrees y^(+-i) and rotation exponents +-k.
 
-    For 1 <= i <= n-1 this is the catalog member ``M<i>,<k>``; for i = n both
-    basis vectors sit in degree y^n and the module is isomorphic to a
-    ``yn:rho`` member (see :func:`pair_weight_label`).
+    For 1 <= i <= n-1 this is the catalog member ``M<i>,<k>``.  For i = n both
+    basis vectors sit in degree y^n: it is ``yn:rho<l>`` with l = +-k mod m in
+    1..n-1, except when k = 0 or n mod m, where y is scalar and it splits into
+    ``yn:chi1 + yn:chi2`` or ``yn:chi3 + yn:chi4``.  A valid pair (n, k) has k
+    odd, so only (n, n) with n odd (m = 2 mod 4) splits.
     """
     if not 1 <= i <= ctx.n:
         raise ValueError(f"rotation degree out of range: {i}")
     return _two_dimensional(ctx, i, k)
-
-
-def pair_weight_label(ctx: DihedralContext, i: int, k: int) -> WeightLabel:
-    """Catalog label of :func:`pair_module`; for i = n the exponent is folded."""
-    k %= ctx.m
-    if i < ctx.n:
-        return WeightLabel.rotation_pair(i, k)
-    return WeightLabel.yn_rho(min(k, ctx.m - k))
 
 
 def class_key(ctx: DihedralContext, label: WeightLabel) -> str:

@@ -136,6 +136,16 @@ def test_verify_json_reports_cases(capsys):
     assert obj["cases"][0]["ok"] is True
 
 
+def test_verify_checks_the_socle_formula_on_two_pairs(capsys):
+    code, obj = run_json(
+        capsys,
+        ["verify", "--index", "(1,6),(3,6)", "--weights", "e:chi1, Mx:0,0", "--threads", "1"],
+    )
+    assert code == 0
+    assert [case["weight"] for case in obj["cases"]] == ["e:chi1", "Mx:0,0"]
+    assert all(case["checks"]["socle_formula"] is True for case in obj["cases"])
+
+
 def test_verify_flags_spherical_and_tensor(capsys):
     code, out, err = run(
         capsys,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble, theorems
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
-from dihedral_doubles.qdouble import build_verma, graded_character, head, induce_from_simple
+from dihedral_doubles.qdouble import build_verma, graded_character, head, induce_from_simple, socle
 from dihedral_doubles.theorems import (
     PROJECTIVE,
     REFLECTION,
@@ -18,8 +18,8 @@ from dihedral_doubles.theorems import (
     predicted_character,
     predicted_reflection_split,
     predicted_simple_dimension,
+    predicted_socle_top,
     quantum_dimension,
-    singleton_socle_character,
     spherical_report,
     split_index,
     verify_reflection_split,
@@ -123,9 +123,12 @@ def test_reflection_split_verified_with_vectors(ctx12, ctx16):
             verify_reflection_split(ctx, pair, parse_weight_label(text))
 
 
-def test_singleton_closed_forms_match_engine(ctx12, ctx16):
-    from dihedral_doubles.qdouble import socle
+def _predicted_socle(ctx, index_set, label):
+    top, z0 = predicted_socle_top(ctx, index_set, label)
+    return predicted_character(ctx, index_set, top).shifted(z0)
 
+
+def test_singleton_closed_forms_match_engine(ctx12, ctx16):
     cases = [(ctx12, (2, 3), parse_weight_label(text)) for text in ["e:chi1", "e:rho3", "M2,3"]]
     # every valid pair with every reflection weight, the half-turn pairs i = n included
     for ctx in (ctx12, ctx16):
@@ -134,7 +137,20 @@ def test_singleton_closed_forms_match_engine(ctx12, ctx16):
     for ctx, pair, label in cases:
         verma = build_verma(ctx, parse_index_set(ctx, f"({pair[0]},{pair[1]})"), label)
         assert graded_character(head(verma)) == predicted_character(ctx, verma.index_set, label)
-        assert graded_character(socle(verma)) == singleton_socle_character(ctx, pair, label)
+        assert graded_character(socle(verma)) == _predicted_socle(ctx, verma.index_set, label)
+
+
+@pytest.mark.parametrize(
+    ("label_text", "top_text", "z0"),
+    [("e:chi1", "e:chi2", -6), ("Mx:0,0", "Mxy:1,0", -3)],
+)
+def test_socle_top_on_three_pairs(ctx12, label_text, top_text, z0):
+    # e:chi1 is rigid at all three pairs; Mx:0,0 moves by 1 + 3 + 5 = 9, 3 and 18
+    iset = parse_index_set(ctx12, "(1,6),(3,6),(5,6)")
+    label = parse_weight_label(label_text)
+    top, lowest = predicted_socle_top(ctx12, iset, label)
+    assert (str(top), lowest) == (top_text, z0)
+    assert graded_character(socle(build_verma(ctx12, iset, label))) == _predicted_socle(ctx12, iset, label)
 
 
 def test_verify_simple_happy_path(ctx12):
@@ -162,8 +178,16 @@ def test_verify_simple_happy_path(ctx12):
     [("(2,3)", "e:rho3"), ("(2,3)", "e:chi1"), ("(2,3)", "Mx:0,0"), ("(2,3),(2,9)", "e:chi1")],
 )
 def test_verify_simple_predicts_each_character_once(ctx12, monkeypatch, index_text, label_text):
-    # a projective single pair compares its socle with the predicted head
-    # instead of predicting it a second time
+    # the head is predicted for the weight; the socle reuses that prediction
+    # when its top weight is the weight itself (no rigid pair, or an even
+    # number of them) and predicts its own top weight otherwise
+    expected = {
+        ("(2,3)", "e:rho3"): ["e:rho3"],
+        ("(2,3)", "e:chi1"): ["e:chi1", "e:chi2"],
+        ("(2,3)", "Mx:0,0"): ["Mx:0,0", "Mx:1,1"],
+        ("(2,3),(2,9)", "e:chi1"): ["e:chi1"],
+    }[(index_text, label_text)]
+    iset = parse_index_set(ctx12, index_text)
     calls = []
 
     def counted(*args):
@@ -171,9 +195,9 @@ def test_verify_simple_predicts_each_character_once(ctx12, monkeypatch, index_te
         return predicted_character(*args)
 
     monkeypatch.setattr(theorems, "predicted_character", counted)
-    report = verify_simple(ctx12, parse_index_set(ctx12, index_text), parse_weight_label(label_text))
+    report = verify_simple(ctx12, iset, parse_weight_label(label_text))
     assert report.ok
-    assert len(calls) == 1
+    assert [(call_iset, str(label)) for _, call_iset, label in calls] == [(iset, text) for text in expected]
 
 
 def test_verify_simple_reports_recursion_for_two_pairs(ctx12):
@@ -239,18 +263,23 @@ def test_verify_simple_holds_on_drawn_two_pair_sets(case):
 
 
 @st.composite
-def rotation_cases(draw):
-    """An order m in {12, 16, 20}, one to three pairs that pass the braiding check, a rotation weight."""
+def index_set_cases(draw, reflection=True):
+    """An order m in {12, 16, 20}, one to three pairs that pass the braiding check, a weight.
+
+    With ``reflection`` a coin picks the class of the weight, so the few
+    reflection weights of the catalog are drawn as often as the rotation ones.
+    """
     ctx = get_context(draw(st.sampled_from((12, 16, 20))))
     pairs = [draw(st.sampled_from(valid_pairs(ctx)))]
     for _ in range(draw(st.integers(0, 2))):
         pairs.append(draw(st.sampled_from([pair for pair in valid_pairs(ctx) if _admissible(ctx, pairs + [pair])])))
-    label = draw(st.sampled_from([lab for lab in all_weight_labels(ctx) if not lab.is_reflection_type]))
+    wanted = reflection and draw(st.booleans())
+    label = draw(st.sampled_from([lab for lab in all_weight_labels(ctx) if lab.is_reflection_type == wanted]))
     return ctx, validate_index_set(ctx, pairs), label
 
 
 @settings(max_examples=30)
-@given(rotation_cases())
+@given(index_set_cases(reflection=False))
 def test_predicted_character_is_the_exterior_algebra_on_the_projective_pairs(case):
     # the standard module on the projective pairs is that exterior algebra
     # tensored with the weight, built by induction as an independent model
@@ -258,6 +287,14 @@ def test_predicted_character_is_the_exterior_algebra_on_the_projective_pairs(cas
     projective = split_index(ctx, index_set, label).projective
     sub = IndexSet(ctx.m, tuple(index_set.pairs[pos] for pos in projective))
     assert predicted_character(ctx, index_set, label) == graded_character(build_verma(ctx, sub, label))
+
+
+@settings(max_examples=30)
+@given(index_set_cases())
+def test_socle_is_the_simple_of_its_lowest_weight(case):
+    ctx, index_set, label = case
+    socle_char = graded_character(socle(build_verma(ctx, index_set, label)))
+    assert socle_char == _predicted_socle(ctx, index_set, label)
 
 
 def test_closed_forms_build_no_standard_module(ctx12, monkeypatch):
@@ -269,7 +306,7 @@ def test_closed_forms_build_no_standard_module(ctx12, monkeypatch):
         iset = IndexSet(ctx12.m, (pair,))
         for label in all_weight_labels(ctx12):
             predicted_character(ctx12, iset, label)
-            singleton_socle_character(ctx12, pair, label)
+            _predicted_socle(ctx12, iset, label)
 
 
 def test_sphericality_rule(ctx12, ctx16):

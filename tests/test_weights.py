@@ -23,7 +23,6 @@ from dihedral_doubles.weights import (
     group_relation_failures,
     hom_space,
     pair_module,
-    pair_weight_label,
     parse_weight_label,
     tensor_dd,
     weight_catalog,
@@ -292,12 +291,12 @@ def test_decompose_rejects_a_multiplicity_its_hom_space_contradicts(ctx12, monke
 
 
 def test_pair_module_matches_catalog_labels(ctx12):
-    assert str(pair_weight_label(ctx12, 2, 3)) == "M2,3"
-    assert str(pair_weight_label(ctx12, 6, 3)) == "yn:rho3"
-    assert str(pair_weight_label(ctx12, 6, 9)) == "yn:rho3"
-    for i, k in ((2, 3), (1, 6), (6, 5)):
-        module = pair_module(ctx12, i, k)
-        assert decomposition_counts(ctx12, module) == [(pair_weight_label(ctx12, i, k), 1)]
+    for (i, k), expected in {(2, 3): "M2,3", (1, 6): "M1,6", (6, 5): "yn:rho5", (6, 9): "yn:rho3"}.items():
+        assert decomposition_counts(ctx12, pair_module(ctx12, i, k)) == [(parse_weight_label(expected), 1)]
+    # at m = 10 the pair (5, 5) is valid and y acts on its module as the scalar -1
+    ctx10 = get_context(10, unsafe=True)
+    counts = decomposition_counts(ctx10, pair_module(ctx10, 5, 5))
+    assert [(str(label), mult) for label, mult in counts] == [("yn:chi3", 1), ("yn:chi4", 1)]
 
 
 def test_class_key_separates_degree_support(ctx12):
