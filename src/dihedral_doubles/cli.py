@@ -8,13 +8,15 @@ pivot structure of an index set.  Output is either aligned text or JSON
 with a fixed, diff-stable ordering.
 
 Exit codes: 0 success, 1 verification mismatch or failed internal check,
-2 usage or parse error.  ``verify`` reports a case whose internal check fails
-as that case's error and still reports every other case; in table mode a
-mismatched case names the checks it failed, and outside the proven regime
-(``--unsafe-m`` with m < 12 or 4 not dividing m) it is reported as such
-rather than as a mismatch, on its own line and in the summary line.  A
-``--weights`` label outside the catalog is a usage error, reported before
-any case runs.
+2 usage or parse error.  ``simple`` exits 1 when the relations or the
+degree-zero congruence fail on the standard module, and in table mode
+names the failed checks under the table.  ``verify`` reports a case whose
+internal check fails as that case's error and still reports every other
+case; in table mode a mismatched case names the checks it failed, and
+outside the proven regime (``--unsafe-m`` with m < 12 or 4 not dividing m)
+it is reported as such rather than as a mismatch, on its own line and in
+the summary line.  A ``--weights`` label outside the catalog is a usage
+error, reported before any case runs.
 """
 
 from __future__ import annotations
@@ -181,8 +183,10 @@ def cmd_simple(args) -> int:
         "checks": {"relations": relations_ok, "theta": theta_ok},
     }
     if args.full:
+        verma_char = graded_character(verma)
         obj["verma_dimension"] = verma.dim
-        obj["verma_character"] = graded_character(verma).to_json_obj()
+        obj["verma_character"] = verma_char.to_json_obj()
+    failed = _failed_checks(obj)
     if args.output == "json":
         _print_json(obj)
     else:
@@ -194,9 +198,11 @@ def cmd_simple(args) -> int:
             print("  " + line)
         if args.full:
             print(f"standard module: dimension {verma.dim}")
-            for line in _character_lines(graded_character(verma)):
+            for line in _character_lines(verma_char):
                 print("  " + line)
-    return EXIT_OK
+        if failed:
+            print("MISMATCH: " + ", ".join(failed))
+    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def _verify_weight_task(payload: tuple[int, bool, str, str]) -> tuple[str, bool, dict]:

@@ -5,12 +5,16 @@ canonical coordinates over the power basis ``1, w, ..., w^(phi(m)-1)`` modulo
 the m-th cyclotomic polynomial.  A value keeps integer numerator coordinates
 over one positive denominator in lowest terms, so equality is literal tuple
 equality and nothing is ever rounded.  Matrices store one dict of nonzero
-entries per column.  All elimination goes through one sparse reduced echelon
-basis, :class:`EchelonBasis`, built from sparse vectors by :func:`_rref`:
-callers hand it the rows of a system or the vectors of a span, and read off
-ranks (its pivots), span membership (:meth:`EchelonBasis.reduce`) and
-kernels (:func:`kernel`).  A submodule in ``qdouble`` is one such basis
-over the whole module.
+entries per column.  A matrix with at most one entry per column, such as
+the group action and the raising letters of a standard module, also has a
+monomial view, its row map and its entries: products, sums, equality and
+zero tests of such matrices read the views and build no column dicts, and
+any other operand goes through the columns.  All elimination goes through
+one sparse reduced echelon basis, :class:`EchelonBasis`, built from sparse
+vectors by :func:`_rref`: callers hand it the rows of a system or the
+vectors of a span, and read off ranks (its pivots), span membership
+(:meth:`EchelonBasis.reduce`) and kernels (:func:`kernel`).  A submodule in
+``qdouble`` is one such basis over the whole module.
 """
 
 from __future__ import annotations
@@ -301,6 +305,9 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        field = self.field
+        if self.unit is not None and o.unit is not None and (self.unit - o.unit) % field.m == field._half_turn:
+            return field.zero  # w^k and -w^k, the cancellation every anticommutator check ends in
         if self.den == 1 and o.den == 1:
             return CycNum(self.field, tuple([a + b for a, b in zip(self.coords, o.coords)]), 1)
         g = gcd(self.den, o.den)
@@ -461,6 +468,9 @@ class CycNum:
 
 
 VecDict = dict[int, CycNum]
+# The view of a monomial matrix: per column, the row of its one entry and the
+# entry, or None and None for an empty column.
+MonomialView = tuple[list[int | None], list[CycNum | None]]
 
 
 class CycMatrix:
@@ -470,15 +480,40 @@ class CycMatrix:
     entries, so two matrices of one shape are equal exactly when their
     column dicts are.  The columns are shared, never copied: treat the
     result of :meth:`sparse_columns` as read-only.
+
+    A matrix with at most one entry per column, a monomial matrix, also has
+    a view (:meth:`monomial`): its row map and its entries, which may be any
+    nonzero field elements.  The view is read off the columns on first use,
+    or it is all a product holds: the product of two monomial matrices
+    composes their row maps, and its column dicts are built only when asked
+    for.  Products, sums, ``==`` and :meth:`is_zero` of monomial operands
+    read the views alone.  A sum with entries in two different rows of one
+    column is not monomial; it, and every operation with a non-monomial
+    operand, goes through the column dicts and :meth:`apply`.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_columns")
+    __slots__ = ("field", "nrows", "ncols", "_columns", "_monomial")
 
     def __init__(self, field: CyclotomicField, columns: list[VecDict], nrows: int) -> None:
         self.field = field
         self.nrows = nrows
         self.ncols = len(columns)
-        self._columns = columns
+        self._columns: list[VecDict] | None = columns
+        # None until first read; False for a matrix that is not monomial
+        self._monomial: MonomialView | bool | None = None
+
+    @classmethod
+    def _from_monomial(
+        cls, field: CyclotomicField, rows: list[int | None], vals: list[CycNum | None], nrows: int
+    ) -> CycMatrix:
+        """The monomial matrix with this view; its columns are built on demand."""
+        mat = cls.__new__(cls)
+        mat.field = field
+        mat.nrows = nrows
+        mat.ncols = len(rows)
+        mat._columns = None
+        mat._monomial = (rows, vals)
+        return mat
 
     @classmethod
     def from_column_dicts(cls, field: CyclotomicField, cols: Sequence[VecDict], nrows: int) -> CycMatrix:
@@ -503,11 +538,47 @@ class CycMatrix:
 
     @classmethod
     def diagonal(cls, field: CyclotomicField, entries: Sequence[CycNum]) -> CycMatrix:
-        return cls(field, [{j: x} if x else {} for j, x in enumerate(entries)], len(entries))
+        vals = [x or None for x in entries]
+        return cls._from_monomial(field, [None if x is None else j for j, x in enumerate(vals)], vals, len(vals))
+
+    def monomial(self) -> MonomialView | None:
+        """The row map and entries of a matrix with at most one entry per column, else None.
+
+        ``rows[j]`` is the row of column j's entry and ``vals[j]`` the entry,
+        both None for an empty column.  Computed once; treat it as read-only.
+        """
+        view = self._monomial
+        if view is None:
+            rows: list[int | None] = []
+            vals: list[CycNum | None] = []
+            view = (rows, vals)
+            for col in self._columns:
+                if not col:
+                    rows.append(None)
+                    vals.append(None)
+                elif len(col) == 1:
+                    ((i, x),) = col.items()
+                    rows.append(i)
+                    vals.append(x)
+                else:
+                    view = False
+                    break
+            self._monomial = view
+        return view or None
+
+    def _cols(self) -> list[VecDict]:
+        # the columns, built from the view on first use; the matrix's own
+        # methods read them here, and callers through sparse_columns
+        columns = self._columns
+        if columns is None:
+            rows, vals = self._monomial
+            columns = [{} if i is None else {i: x} for i, x in zip(rows, vals)]
+            self._columns = columns
+        return columns
 
     def sparse_columns(self) -> list[VecDict]:
-        """The stored columns: one dict of nonzero entries per column."""
-        return self._columns
+        """The columns: one dict of nonzero entries per column."""
+        return self._cols()
 
     def apply(self, vec: VecDict) -> VecDict:
         """The image of a sparse vector, with no zero entries.
@@ -517,7 +588,7 @@ class CycMatrix:
         no zero test; only a sum can cancel.
         """
         out: VecDict = {}
-        cols = self._columns
+        cols = self._cols()
         for j, x in vec.items():
             for i, a in cols[j].items():
                 cur = out.get(i)
@@ -536,13 +607,42 @@ class CycMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        return CycMatrix(self.field, [self.apply(col) for col in other._columns], self.nrows)
+        left = self.monomial()
+        right = other.monomial() if left else None
+        if right:
+            # column j of the product is column rows[j] of the left factor, scaled
+            left_rows, left_vals = left
+            right_rows, right_vals = right
+            rows = [None if r is None else left_rows[r] for r in right_rows]
+            vals = [None if i is None else left_vals[r] * x for i, r, x in zip(rows, right_rows, right_vals)]
+            return CycMatrix._from_monomial(self.field, rows, vals, self.nrows)
+        return CycMatrix(self.field, [self.apply(col) for col in other._cols()], self.nrows)
 
     def __add__(self, other: CycMatrix) -> CycMatrix:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in matrix addition")
+        first = self.monomial()
+        second = other.monomial() if first else None
+        if second:
+            rows: list[int | None] = []
+            vals: list[CycNum | None] = []
+            for i, x, r, y in zip(*first, *second):
+                if r is None:
+                    rows.append(i)
+                    vals.append(x)
+                elif i is None:
+                    rows.append(r)
+                    vals.append(y)
+                elif i == r:
+                    total = x + y or None
+                    rows.append(None if total is None else i)
+                    vals.append(total)
+                else:
+                    break  # two entries in one column: not monomial
+            else:
+                return CycMatrix._from_monomial(self.field, rows, vals, self.nrows)
         columns = []
-        for col_a, col_b in zip(self._columns, other._columns):
+        for col_a, col_b in zip(self._cols(), other._cols()):
             col = dict(col_a)
             for i, x in col_b.items():
                 val = col[i] + x if i in col else x
@@ -554,38 +654,47 @@ class CycMatrix:
         return CycMatrix(self.field, columns, self.nrows)
 
     def __neg__(self) -> CycMatrix:
-        return CycMatrix(self.field, [{i: -x for i, x in col.items()} for col in self._columns], self.nrows)
+        view = self.monomial()
+        if view:
+            rows, vals = view
+            return CycMatrix._from_monomial(self.field, rows, [None if x is None else -x for x in vals], self.nrows)
+        return CycMatrix(self.field, [{i: -x for i, x in col.items()} for col in self._cols()], self.nrows)
 
     def __sub__(self, other: CycMatrix) -> CycMatrix:
         return self + (-other)
 
     def transpose(self) -> CycMatrix:
         columns: list[VecDict] = [{} for _ in range(self.nrows)]
-        for j, col in enumerate(self._columns):
+        for j, col in enumerate(self._cols()):
             for i, x in col.items():
                 columns[i][j] = x
         return CycMatrix(self.field, columns, self.ncols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> CycMatrix:
         position = {i: t for t, i in enumerate(row_idx)}
-        columns = [
-            {position[i]: x for i, x in self._columns[j].items() if i in position} for j in col_idx
-        ]
+        cols = self._cols()
+        columns = [{position[i]: x for i, x in cols[j].items() if i in position} for j in col_idx]
         return CycMatrix(self.field, columns, len(row_idx))
 
     def is_zero(self) -> bool:
+        view = self.monomial()
+        if view:
+            return view[0].count(None) == self.ncols
         return not any(self._columns)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CycMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self._columns == other._columns
-        )
+        if not (isinstance(other, CycMatrix) and self.nrows == other.nrows and self.ncols == other.ncols):
+            return False
+        first = self.monomial()
+        second = other.monomial()
+        if first and second:
+            return first == second
+        if first or second:
+            return False  # one has a column with two entries, the other none
+        return self._columns == other._columns
 
     def __hash__(self) -> int:
-        return hash((self.field.m, self.nrows, tuple(frozenset(col.items()) for col in self._columns)))
+        return hash((self.field.m, self.nrows, tuple(frozenset(col.items()) for col in self._cols())))
 
     def __repr__(self) -> str:
         return f"CycMatrix({self.nrows}x{self.ncols} over Q(zeta_{self.field.m}))"
@@ -593,7 +702,7 @@ class CycMatrix:
     def __str__(self) -> str:
         zero = self.field.zero
         return "\n".join(
-            "[" + ", ".join(str(col.get(i, zero)) for col in self._columns) + "]" for i in range(self.nrows)
+            "[" + ", ".join(str(col.get(i, zero)) for col in self._cols()) + "]" for i in range(self.nrows)
         )
 
 

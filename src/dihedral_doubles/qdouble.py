@@ -50,26 +50,26 @@ from .weights import (
 )
 
 
-def y_power_columns(module: QDModule, power: int) -> list[VecDict]:
-    """Columns of the matrix of y^power, cached on the module object.
+def y_power(module: QDModule, power: int) -> CycMatrix:
+    """The matrix of y^power, cached on the module object.
 
     The power is taken mod m.  y^p for p >= 2 is y^ceil(p/2) y^floor(p/2),
     both cached, so a power costs one product beyond the about log2(p)
-    halves it needs.  The columns are shared: treat them as read-only.
+    halves it needs.  Where y is monomial the products compose row maps and
+    build no column dicts.
     """
     power %= module.ctx.m
-    cache = module.__dict__.setdefault("_ypow_cols", {})
-    if power not in cache:
+    cache: dict[int, CycMatrix] = module.__dict__.setdefault("_ypow", {})
+    mat = cache.get(power)
+    if mat is None:
         if power == 0:
-            one = module.ctx.field.one
-            cache[0] = [{j: one} for j in range(module.dim)]
+            mat = CycMatrix.identity(module.ctx.field, module.dim)
         elif power == 1:
-            cache[1] = module.y_mat.sparse_columns()
+            mat = module.y_mat
         else:
-            low = y_power_columns(module, power // 2)
-            high = CycMatrix(module.ctx.field, y_power_columns(module, power - power // 2), module.dim)
-            cache[power] = [high.apply(col) for col in low]
-    return cache[power]
+            mat = y_power(module, power - power // 2) * y_power(module, power // 2)
+        cache[power] = mat
+    return mat
 
 
 def phi_action(
@@ -86,35 +86,24 @@ def phi_action(
     on a rotation-degree vector the equal-sign choices give
     ``1 - w^(+-a*k) y^(+-i)`` and the mixed ones vanish, while on a
     reflection-degree vector the equal-sign choices act as the identity and
-    the mixed ones as a root-of-unity multiple of ``y^(-+i)``.
+    the mixed ones as a root-of-unity multiple of ``y^(-+i)``.  So it is
+    ``[eps = mu] + y^p S`` for one power p and a diagonal S, and it is
+    monomial wherever y^p is diagonal on the rotation degrees.
     """
     i, k = pair
     field = ctx.field
-    gdeg = module.gdeg
-    cols: list[VecDict] = []
-    for b in range(module.dim):
-        g = gdeg[b]
+    same = eps == mu
+    scales = []
+    for g in module.gdeg:
         a = g.rot
-        col: VecDict = {}
         if g.refl == 0:
-            if eps == mu:
-                scale = -ctx.omega(a * k if eps > 0 else -a * k)
-                for idx, val in y_power_columns(module, i if eps > 0 else -i)[b].items():
-                    add_into(col, idx, scale * val)
-                add_into(col, b, field.one)
+            scales.append(-ctx.omega(eps * a * k) if same else field.zero)
+        elif same:
+            scales.append(field.zero)
         else:
-            if eps == mu:
-                col[b] = field.one
-            elif eps > 0:
-                scale = -ctx.omega(-(a + 2 * i) * k)
-                for idx, val in y_power_columns(module, -i)[b].items():
-                    add_into(col, idx, scale * val)
-            else:
-                scale = -ctx.omega((a - 2 * i) * k)
-                for idx, val in y_power_columns(module, i)[b].items():
-                    add_into(col, idx, scale * val)
-        cols.append(col)
-    return CycMatrix.from_column_dicts(field, cols, module.dim)
+            scales.append(-ctx.omega(-(a + 2 * i) * k if eps > 0 else (a - 2 * i) * k))
+    part = y_power(module, eps * i if same else -eps * i) * CycMatrix.diagonal(field, scales)
+    return CycMatrix.identity(field, module.dim) + part if same else part
 
 
 def theta_action(ctx: DihedralContext, pair: tuple[int, int], module: QDModule) -> CycMatrix:
@@ -173,7 +162,8 @@ def _induce(
     x_cols: list[VecDict] = [dict() for _ in range(dim)]
     y_cols: list[VecDict] = [dict() for _ in range(dim)]
     base_x = base.x_mat.sparse_columns()
-    base_y = y_power_columns(base, 1)
+    base_y = base.y_mat.sparse_columns()
+    base_y_powers = {p: y_power(base, p).sparse_columns() for i, _ in new_pairs for p in (i, -i)}
     for mask, b in entries:
         j = position[(mask, b)]
         xsign, swapped = swap_letters(sub, mask)
@@ -204,7 +194,7 @@ def _induce(
         def add_y_power(power: int, scale: CycNum) -> None:
             # y^power on (mask, b): the letters only contribute a root of unity
             total = scale * omega(power * ksum)
-            for b2, val in y_power_columns(base, power)[b].items():
+            for b2, val in base_y_powers[power][b].items():
                 add_into(out, (mask, b2), total * val)
 
         if g.refl == 0:
@@ -326,6 +316,8 @@ def check_relations(module: QDModule) -> list[str]:
             letters[(kind, (pos, sign))] = mat
 
     x, y = module.x_mat, module.y_mat
+    # y * A = c A * y is checked as y * A == A * (c y), one c y per scale c
+    scaled_y: dict[CycNum, CycMatrix] = {}
     for (kind, (pos, sign)), mat in letters.items():
         name = f"{kind}({pos},{sign:+d})"
         partner = letters[(kind, (pos, -sign))]
@@ -333,14 +325,13 @@ def check_relations(module: QDModule) -> list[str]:
         if x * mat != partner * x:
             failures.append(f"x does not swap the sign of {name}")
         scale = ctx.omega(sign * k if kind == "v" else -sign * k)
-        scaled = [{i: val * scale for i, val in col.items()} for col in (mat * y).sparse_columns()]
-        if (y * mat).sparse_columns() != scaled:
+        if scale not in scaled_y:
+            scaled_y[scale] = y * CycMatrix.diagonal(ctx.field, [scale] * module.dim)
+        if y * mat != mat * scaled_y[scale]:
             failures.append(f"y does not scale {name} as expected")
 
-    columns = {key: mat.sparse_columns() for key, mat in letters.items()}
-
     def anticommutator(ka: tuple[str, tuple[int, int]], kb: tuple[str, tuple[int, int]]) -> CycMatrix:
-        """A B + B A, built column by column; A^2 for A = B.
+        """A B + B A; A^2 for A = B.
 
         {A, A} = 2 A^2 is zero exactly when A^2 is, and a letter is only
         bracketed with itself to check that the bracket vanishes.
@@ -348,13 +339,7 @@ def check_relations(module: QDModule) -> list[str]:
         first, second = letters[ka], letters[kb]
         if ka == kb:
             return first * first
-        out = []
-        for col_a, col_b in zip(columns[ka], columns[kb]):
-            col = first.apply(col_b)
-            for i, val in second.apply(col_a).items():
-                add_into(col, i, val)
-            out.append(col)
-        return CycMatrix(ctx.field, out, module.dim)
+        return first * second + second * first
 
     v_keys = sorted(module.v_mats, key=lambda key: (key[0], -key[1]))
     a_keys = sorted(module.a_mats, key=lambda key: (key[0], -key[1]))
@@ -678,7 +663,7 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
         i, _ = left.index_set.pairs[pos]
         va = mat.sparse_columns()
         vb = right.v_mats[(pos, sign)].sparse_columns()
-        ya = y_power_columns(left, sign * i)
+        ya = y_power(left, sign * i).sparse_columns()
         cols = []
         for ja in range(left.dim):
             for jb in range(dim_r):

@@ -35,7 +35,7 @@ from .qdouble import (
     tensor_qd,
     theta_action,
     theta_congruence,
-    y_power_columns,
+    y_power,
 )
 from .weights import (
     QDModule,
@@ -416,12 +416,8 @@ def pivot_candidate(ctx: DihedralContext, module: QDModule, character: int) -> C
     2 negating the reflection, 3 negating the rotation, 4 negating both).
     """
     sx, sy = CHI_SIGNS[character]
-    cols = y_power_columns(module, ctx.n)
-    signed = []
-    for b in range(module.dim):
-        sign = ctx.character_value(sx, sy, module.gdeg[b])
-        signed.append(cols[b] if sign == 1 else {r: -c for r, c in cols[b].items()})
-    return CycMatrix.from_column_dicts(ctx.field, signed, module.dim)
+    signs = [ctx.field.from_integer(ctx.character_value(sx, sy, g)) for g in module.gdeg]
+    return y_power(module, ctx.n) * CycMatrix.diagonal(ctx.field, signs)
 
 
 def pivot_check(ctx: DihedralContext, module: QDModule, character: int) -> bool:

@@ -50,7 +50,7 @@ from math import lcm
 from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, VecDict, _rref, add_into, kernel
+from .cyclotomic import CycMatrix, CyclotomicField, CycNum, MonomialView, VecDict, _rref, add_into, kernel
 from .dihedral import CHI_SIGNS, DihedralContext, GroupElement
 from .nichols import IndexSet
 
@@ -559,35 +559,117 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> tu
     """Traces of the orbit representatives on the block of basis vectors of degree g.
 
     Returned as the concatenated integer coordinates of the traces over one
-    common denominator.  The element ``x^a y^b`` acts as ``X^a Y^b``; the
-    vectors ``Y^b e_j`` are built once per basis vector e_j of the block.
+    common denominator.  The element ``x^a y^b`` acts as ``X^a Y^b``.  When
+    X and Y are monomial the traces come from the y-cycles of the block
+    (:func:`_cycle_traces`); otherwise from the vectors ``Y^b e_j``, built
+    once per basis vector e_j of the block.
     """
     field = module.ctx.field
-    by_rot: dict[int, list[GroupElement]] = {}
-    for h, _, _ in cls.orbits:
-        by_rot.setdefault(h.rot, []).append(h)
-    top = max(by_rot)
-    x_cols = module.x_mat.sparse_columns()
-    traces = {h: field.zero for h, _, _ in cls.orbits}
-    for j in block:
-        vec: VecDict = {j: field.one}
-        for b in range(top + 1):
-            for h in by_rot.get(b, ()):
-                if h.refl:
-                    # entry j of X vec: row j of X against vec
-                    for k, val in vec.items():
-                        entry = x_cols[k].get(j)
-                        if entry is not None:
-                            traces[h] = traces[h] + entry * val
-                elif j in vec:
-                    traces[h] = traces[h] + vec[j]
-            if b < top:
-                vec = module.y_mat.apply(vec)
-    values = [traces[h] for h, _, _ in cls.orbits]
+    x_view, y_view = module.x_mat.monomial(), module.y_mat.monomial()
+    if x_view is not None and y_view is not None:
+        values = _cycle_traces(field, x_view, y_view, cls, block)
+    else:
+        by_rot: dict[int, list[int]] = {}
+        for pos, (h, _, _) in enumerate(cls.orbits):
+            by_rot.setdefault(h.rot, []).append(pos)
+        top = max(by_rot)
+        x_cols = module.x_mat.sparse_columns()
+        values = [field.zero] * len(cls.orbits)
+        for j in block:
+            vec: VecDict = {j: field.one}
+            for b in range(top + 1):
+                for pos in by_rot.get(b, ()):
+                    if cls.orbits[pos][0].refl:
+                        # entry j of X vec: row j of X against vec
+                        for k, val in vec.items():
+                            entry = x_cols[k].get(j)
+                            if entry is not None:
+                                values[pos] = values[pos] + entry * val
+                    elif j in vec:
+                        values[pos] = values[pos] + vec[j]
+                if b < top:
+                    vec = module.y_mat.apply(vec)
     den = lcm(*(value.den for value in values))
     if den == 1:
         return list(chain.from_iterable(value.coords for value in values)), 1
     return [c * (den // value.den) for value in values for c in value.coords], den
+
+
+def _cycle_traces(
+    field: CyclotomicField, x_view: MonomialView, y_view: MonomialView, cls: _ClassData, block: Sequence[int]
+) -> list[CycNum]:
+    """The trace of each orbit representative on the block, for monomial X and Y.
+
+    Y e_k is ``c_k e_s(k)``, so Y^b e_j is one multiple of one basis vector,
+    read off the walk j, s(j), s(s(j)), ... with the running product of the
+    c along it.  The walk stops when it returns to j, after L steps with
+    product P, or after the largest exponent b needed; when it returns,
+    ``Y^b e_j = P^(b div L) Y^(b mod L) e_j``.  So e_j adds P^(b/L) to the
+    trace of y^b for each multiple b of L, and to that of x y^b the entry of
+    X that takes Y^b e_j back to e_j, if there is one.  A term that is a
+    tagged power w^e is counted by its exponent, and the counts become
+    coordinates once at the end.
+    """
+    x_rows, x_vals = x_view
+    y_rows, y_vals = y_view
+    one = field.one
+    rotations: dict[int, list[int]] = {}  # b: the positions of the orbits of y^b
+    reflections: list[tuple[int, int]] = []  # (position, b) for the orbits of x y^b
+    for pos, (h, _, _) in enumerate(cls.orbits):
+        if h.refl:
+            reflections.append((pos, h.rot))
+        else:
+            rotations.setdefault(h.rot, []).append(pos)
+    top = max(h.rot for h, _, _ in cls.orbits)
+    values = [field.zero] * len(cls.orbits)
+    # (orbit, e): the number of w^e terms; y^0 adds 1 = w^0 for every vector
+    tagged = {(pos, 0): len(block) for pos in rotations.get(0, ())}
+
+    def add(pos: int, value: CycNum) -> None:
+        if value.unit is None:
+            values[pos] = values[pos] + value
+        else:
+            key = (pos, value.unit)
+            tagged[key] = tagged.get(key, 0) + 1
+
+    for j in block:
+        path, prods = [j], [one]
+        cycle = None
+        k, prod = j, one
+        for _ in range(top):
+            row = y_rows[k]
+            if row is None:
+                break  # Y^b e_j = 0 from here on
+            prod = y_vals[k] * prod
+            if row == j:
+                cycle = prod
+                break
+            k = row
+            path.append(k)
+            prods.append(prod)
+        length = len(path)
+        if cycle is not None:
+            power = one
+            for b in range(length, top + 1, length):
+                power = power * cycle
+                for pos in rotations.get(b, ()):
+                    add(pos, power)
+        for pos, b in reflections:
+            turns, t = divmod(b, length) if cycle is not None else (0, b)
+            if t < length and x_rows[path[t]] == j:
+                value = x_vals[path[t]] * prods[t]
+                add(pos, value * cycle**turns if turns else value)
+    coords = [[0] * field.degree for _ in values]
+    for (pos, e), count in tagged.items():
+        row = coords[pos]
+        for t, c in enumerate(field.zeta(e).coords):
+            if c:
+                row[t] += count * c
+    traces = []
+    for row, value in zip(coords, values):
+        total = CycNum(field, tuple(row), 1)
+        traces.append(total + value if value else total)
+    return traces
 
 
 def _blocks(module: QDModule) -> dict[GroupElement, list[int]]:

@@ -7,6 +7,7 @@ import pytest
 import dihedral_doubles.cli as cli
 from dihedral_doubles import get_context, weights
 from dihedral_doubles.cyclotomic import CycMatrix
+from dihedral_doubles.qdouble import build_verma
 
 
 def run(capsys, argv):
@@ -92,6 +93,49 @@ def test_simple_table_output(capsys):
     assert code == 0
     assert "simple module of e:chi1 over (2,3) at m=12: dimension 1" in out
     assert "socle:" in out
+
+
+def _flip_one_sign(mat):
+    cols = [dict(col) for col in mat.sparse_columns()]
+    j = next(j for j, col in enumerate(cols) if col)
+    i = min(cols[j])
+    cols[j][i] = -cols[j][i]
+    return CycMatrix(mat.field, cols, mat.nrows)
+
+
+def _standard_module_with_a_flipped_letter(ctx, index_set, label):
+    module = build_verma(ctx, index_set, label)
+    v_mats = {**module.v_mats, (0, 1): _flip_one_sign(module.v_mats[(0, 1)])}
+    return weights.QDModule(
+        ctx,
+        index_set,
+        module.basis_labels,
+        module.zdeg,
+        module.gdeg,
+        module.x_mat,
+        module.y_mat,
+        v_mats,
+        module.a_mats,
+        weight=module.weight,
+        kind=module.kind,
+    )
+
+
+@pytest.mark.parametrize("output", ["table", "json"])
+def test_simple_exits_1_and_names_a_failed_relations_check(capsys, monkeypatch, output):
+    argv = ["simple", "--index", "(2,3)", "--weight", "Mx:0,0", "--output", output]
+    code, passing, _ = run(capsys, argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "build_verma", _standard_module_with_a_flipped_letter)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err == ""
+    if output == "json":
+        assert json.loads(out)["checks"] == {"relations": False, "theta": True}
+    else:
+        # the same table, with the failed check named under it
+        assert out.endswith("\nMISMATCH: relations\n")
+        assert "MISMATCH" not in passing
 
 
 def test_malformed_index_is_a_usage_error(capsys):

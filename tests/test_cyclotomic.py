@@ -490,3 +490,97 @@ def test_apply_matches_a_dense_product_and_keeps_no_zero_entries(mat, data):
     image = mat.apply(vec)
     assert image == {i: x for i, x in enumerate(dense) if x}
     assert all(image.values())
+
+
+# The monomial view of CycMatrix against the column dicts and ``apply``.
+
+
+@st.composite
+def _entries(draw, field):
+    """A nonzero entry: a tagged power of w, its negative, an untagged power, or a non-unit."""
+    k = draw(st.integers(0, field.m - 1))
+    power = field.zeta(k)
+    kind = draw(st.sampled_from(("tagged", "negated", "untagged", "non-unit", "rational")))
+    if kind == "tagged":
+        return power
+    if kind == "negated":
+        return -power
+    if kind == "untagged":
+        return CycNum(field, power.coords, 1)  # equals w^k, carries no tag
+    if kind == "non-unit":
+        return field.one - power if k else field.from_integer(2)  # such as 1 - w^k in a lowering letter
+    return power * Fraction(-1, 3)
+
+
+@st.composite
+def _view_columns(draw, field, nrows, ncols, monomial):
+    """Columns with at most one entry each, or also with two when not ``monomial``."""
+    sizes = (0, 1, 1) if monomial else (0, 1, 2)
+    cols = []
+    for _ in range(ncols):
+        size = min(draw(st.sampled_from(sizes)), nrows)
+        rows = draw(st.lists(st.integers(0, nrows - 1), min_size=size, max_size=size, unique=True))
+        cols.append({i: draw(_entries(field)) for i in rows})
+    return cols
+
+
+@st.composite
+def _partner_columns(draw, field, cols, nrows):
+    """Per column of ``cols``: its negative, another entry in its row or another row, or nothing."""
+    out = []
+    for col in cols:
+        choice = draw(st.sampled_from(("cancel", "same row", "other row", "empty")))
+        if not col or choice == "empty":
+            out.append({})
+        elif choice == "cancel":
+            out.append({i: -x for i, x in col.items()})
+        elif choice == "same row":
+            out.append({i: draw(_entries(field)) for i in col})
+        else:
+            out.append({draw(st.integers(0, nrows - 1)): draw(_entries(field))})
+    return out
+
+
+def _dict_sum(cols_a, cols_b):
+    out = []
+    for col_a, col_b in zip(cols_a, cols_b):
+        col = dict(col_a)
+        for i, x in col_b.items():
+            total = col[i] + x if i in col else x
+            if total:
+                col[i] = total
+            else:
+                del col[i]
+        out.append(col)
+    return out
+
+
+@given(st.sampled_from((12, 16, 20, 24)), st.integers(0, 5), st.booleans(), st.data())
+def test_monomial_view_matches_the_column_dicts(m, n, monomial, data):
+    field = get_field(m)
+    ident = CycMatrix.identity(field, n)
+    a_cols = data.draw(_view_columns(field, n, n, True))
+    b_cols = data.draw(_view_columns(field, n, n, monomial))
+    c_cols = data.draw(_partner_columns(field, a_cols, n))
+    # read from column dicts, and as products of monomial matrices, which hold a view alone
+    a, b, c = (CycMatrix(field, cols, n) for cols in (a_cols, b_cols, c_cols))
+    a_view, c_view = a * ident, ident * c
+    assert a.monomial() is not None and a_view.monomial() is not None
+    assert (b.monomial() is not None) == all(len(col) <= 1 for col in b_cols)
+    for left, right in ((a, b), (b, a), (a_view, b), (a_view, a_view), (a_view, c_view), (c_view, a)):
+        right_cols = right.sparse_columns()
+        product = left * right
+        assert product.sparse_columns() == [left.apply(col) for col in right_cols]
+        assert product == CycMatrix(field, [left.apply(col) for col in right_cols], n)
+        assert product.is_zero() == (not any(left.apply(col) for col in right_cols))
+    for left, right in ((a_view, c_view), (a, c_view), (a_view, b), (c_view, a_view)):
+        expected = _dict_sum(left.sparse_columns(), right.sparse_columns())
+        total = left + right
+        assert total.sparse_columns() == expected
+        assert total == CycMatrix(field, expected, n)
+        assert total.is_zero() == (not any(expected))
+        assert (-total).sparse_columns() == [{i: -x for i, x in col.items()} for col in expected]
+    for left, right in ((a_view, a), (a_view, c_view), (a_view, b), (a_view * a_view, a * a)):
+        assert (left == right) == (left.sparse_columns() == right.sparse_columns())
+    assert (a_view + (-a_view)).is_zero()
+    assert all(x for mat in (a_view * c_view, a_view + c_view) for col in mat.sparse_columns() for x in col.values())

@@ -21,7 +21,7 @@ from dihedral_doubles.qdouble import (
     tensor_qd,
     theta_action,
     theta_congruence,
-    y_power_columns,
+    y_power,
 )
 from dihedral_doubles.weights import QDModule, group_module, group_relation_failures, parse_weight_label
 
@@ -265,11 +265,11 @@ def test_y_power_columns_match_repeated_y(ctx12, source):
     one = ctx12.field.one
     expected = [{j: one} for j in range(module.dim)]
     for power in range(ctx12.m):
-        assert y_power_columns(module, power) == expected, power
+        assert y_power(module, power).sparse_columns() == expected, power
         expected = [module.y_mat.apply(col) for col in expected]
     # y^m = 1, and a power is read mod m
-    assert expected == y_power_columns(module, 0)
-    assert y_power_columns(module, -1) == y_power_columns(module, ctx12.m - 1)
+    assert expected == y_power(module, 0).sparse_columns()
+    assert y_power(module, -1) == y_power(module, ctx12.m - 1)
 
 
 def test_character_json_round_trip(ctx12):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 from dihedral_doubles import get_context, weights
 from dihedral_doubles.cyclotomic import CycMatrix
 from dihedral_doubles.dihedral import DihedralContext
-from dihedral_doubles.nichols import parse_index_set
+from dihedral_doubles.nichols import parse_index_set, validate_index_set, valid_pairs
 from dihedral_doubles.qdouble import build_verma, head, socle
 from dihedral_doubles.weights import (
     WeightLabel,
+    _blocks,
     _catalog_characters,
+    _class_data,
+    _trace_vector,
     all_weight_labels,
     build_weight,
     class_key,
@@ -44,7 +48,7 @@ def test_catalog_modules_keep_no_y_power_cache(m):
     # checking y^m = 1 would stay for the whole process; a fresh context
     # keeps other tests' use of the shared catalog out of this check
     catalog = weight_catalog(DihedralContext(m))
-    assert [label for label in catalog.labels if "_ypow_cols" in vars(catalog.module(label))] == []
+    assert [label for label in catalog.labels if "_ypow" in vars(catalog.module(label))] == []
 
 
 def test_catalog_partition_by_central_class(ctx12):
@@ -186,6 +190,105 @@ def test_character_counts_match_hom_spaces_on_head_and_socle_layers(ctx12):
                 assert decomposition_counts(ctx12, layer) == counts, f"{label} {name} [{z}]"
                 rescaled = _rescaled(ctx12, layer, [factor ** (i % 3) * (i + 1) for i in range(layer.dim)])
                 assert decomposition_counts(ctx12, rescaled) == counts, f"{label} {name} [{z}] rescaled"
+
+
+def _walked_trace_vector(module, cls, block):
+    """The reference for ``_trace_vector``: Y^b e_j by one ``apply`` per power, for any X and Y."""
+    field = module.ctx.field
+    by_rot = {}
+    for h, _, _ in cls.orbits:
+        by_rot.setdefault(h.rot, []).append(h)
+    top = max(by_rot)
+    x_cols = module.x_mat.sparse_columns()
+    traces = {h: field.zero for h, _, _ in cls.orbits}
+    for j in block:
+        vec = {j: field.one}
+        for b in range(top + 1):
+            for h in by_rot.get(b, ()):
+                if h.refl:
+                    for k, val in vec.items():
+                        entry = x_cols[k].get(j)
+                        if entry is not None:
+                            traces[h] = traces[h] + entry * val
+                elif j in vec:
+                    traces[h] = traces[h] + vec[j]
+            if b < top:
+                vec = module.y_mat.apply(vec)
+    values = [traces[h] for h, _, _ in cls.orbits]
+    den = lcm(*(value.den for value in values))
+    return [c * (den // value.den) for value in values for c in value.coords], den
+
+
+def _sheared(ctx, module, i, j, c):
+    """The module in the basis with e_j replaced by e_j + c e_i (e_i, e_j of one degree)."""
+    one = ctx.field.one
+
+    def shear(scale):
+        cols = [{k: one, i: scale} if k == j else {k: one} for k in range(module.dim)]
+        return CycMatrix(ctx.field, cols, module.dim)
+
+    forward, back = shear(c), shear(-c)
+    return group_module(
+        ctx, module.gdeg, back * module.x_mat * forward, back * module.y_mat * forward, module.basis_labels
+    )
+
+
+@st.composite
+def _group_modules(draw):
+    """A layer of a standard module at m = 12 to 24, as built, rescaled or sheared.
+
+    Rescaling by factors that are not units keeps x and y monomial with
+    entries off the units; a shear within one degree makes them not
+    monomial.  A layer of a rotation weight carries y diagonal on its
+    rotation degrees, so its y-cycles are shorter than the powers read.
+    """
+    ctx = get_context(draw(st.sampled_from((12, 16, 20, 24))))
+    pair = draw(st.sampled_from(valid_pairs(ctx)))
+    label = draw(st.sampled_from(all_weight_labels(ctx)))
+    verma = build_verma(ctx, validate_index_set(ctx, [pair]), label)
+    module = verma.layer_module(draw(st.sampled_from(sorted(verma.layer_indices()))))
+    basis = draw(st.sampled_from(("as built", "rescaled", "sheared")))
+    if basis == "rescaled":
+        factor = ctx.field.from_integer(2) + ctx.field.zeta(1)
+        module = _rescaled(ctx, module, [factor ** (i % 3) * (i + 1) for i in range(module.dim)])
+    elif basis == "sheared":
+        shared = [block for block in _blocks(module).values() if len(block) > 1]
+        if shared:
+            block = draw(st.sampled_from(shared))
+            i, j = draw(st.permutations(block))[:2]
+            module = _sheared(ctx, module, i, j, ctx.field.zeta(draw(st.integers(0, ctx.m - 1))))
+    return ctx, module
+
+
+def _assert_traces_match_the_walk(ctx, module):
+    blocks = _blocks(module)
+    for cls in _class_data(ctx):
+        if cls.rep in blocks:
+            assert _trace_vector(module, cls, blocks[cls.rep]) == _walked_trace_vector(module, cls, blocks[cls.rep])
+
+
+@given(_group_modules())
+def test_cycle_traces_match_the_walk_on_drawn_modules(case):
+    _assert_traces_match_the_walk(*case)
+
+
+@pytest.mark.parametrize("m", [12, 16, 20, 24])
+def test_traces_of_a_module_whose_y_is_not_monomial_match_the_walk(m):
+    ctx = get_context(m)
+    rho = build_weight(ctx, parse_weight_label("e:rho1"))
+    sheared = _sheared(ctx, rho, 0, 1, ctx.field.one)
+    assert rho.y_mat.monomial() is not None
+    assert sheared.y_mat.monomial() is None
+    assert decomposition_counts(ctx, sheared) == [(parse_weight_label("e:rho1"), 1)]
+    _assert_traces_match_the_walk(ctx, sheared)
+    # a standard module layer with a multiplicity, sheared inside one degree
+    verma = build_verma(ctx, validate_index_set(ctx, [valid_pairs(ctx)[0]]), parse_weight_label("Mx:0,0"))
+    layer = verma.layer_module(-1)
+    i, j = next(block for block in _blocks(layer).values() if len(block) > 1)[:2]
+    sheared_layer = _sheared(ctx, layer, i, j, ctx.field.zeta(1))
+    assert sheared_layer.x_mat.monomial() is None or sheared_layer.y_mat.monomial() is None
+    assert decomposition_counts(ctx, sheared_layer) == decomposition_counts(ctx, layer)
+    _assert_traces_match_the_walk(ctx, sheared_layer)
 
 
 def _one_dimensional(ctx, degree, x_value, y_value):
