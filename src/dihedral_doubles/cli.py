@@ -7,7 +7,8 @@ sweeps with a nonzero exit on any mismatch, and ``spherical`` reports the
 pivot structure of an index set.  Output is either aligned text or JSON
 with a fixed, diff-stable ordering.
 
-Exit codes: 0 success, 1 verification mismatch or failed internal check,
+Exit codes: 0 success, 1 verification mismatch or failed internal check
+(an ``AssertionError``, or an ``ArithmeticError`` such as a zero division),
 2 usage or parse error.  ``simple`` exits 1 when the relations or the
 degree-zero congruence fail on the standard module, and in table mode
 names the failed checks under the table.  ``verify`` reports a case whose
@@ -431,8 +432,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"verification failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_MISMATCH
 
 

@@ -38,7 +38,10 @@ orthonormality that makes every inner product the integer it was read as.
 Hom spaces are solved only where explicit embeddings are needed
 (:func:`decompose`): the tensor splitting check, and the recheck of each
 socle's bottom layer.  There the characters name the members, and one hom
-space per named member plus a span check certify them.
+space per named member plus a span check certify them.  Between modules
+whose x and y are invertible monomial matrices, as there, a hom space is
+walked along its two-term equations rather than eliminated
+(:func:`hom_space`).
 """
 
 from __future__ import annotations
@@ -403,42 +406,123 @@ def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
 
     Only ``x_mat``, ``y_mat`` and ``gdeg`` are read, so for modules with
     letters this is the hom space between their restrictions.  A
-    homomorphism must preserve the group grading and commute with both
-    group generators; the result is the exact kernel of the corresponding
-    linear system, one ``target.dim x source.dim`` matrix per basis vector.
+    homomorphism F must preserve the group grading and commute with both
+    group generators, ``G_T F = F G_S``; its unknowns are the entries
+    ``F[r, c]`` with r and c of one degree, and the result is the exact
+    kernel of that linear system, one ``target.dim x source.dim`` matrix per
+    basis vector: the reduced free-column basis :func:`kernel` reads off the
+    echelon form of the equations.
+
+    When x and y of both modules are invertible monomial matrices (no
+    empty column, no two columns in one row), as on every catalog member
+    and every :func:`tensor_dd` of them, and respect the grading, every
+    equation has two terms and the kernel is walked with no elimination
+    (:func:`_walked_kernel`).  The equations then split into orbits of
+    unknowns, each solved by one vector nonzero on all of its unknowns or
+    by zero; the free column of an orbit's echelon rows is its largest
+    unknown, and the walk scales the orbit's vector to 1 there, which is
+    the reduced free-column basis vector.  Any other system is eliminated.
+    Both paths give equal matrices.
     """
-    ctx = source.ctx
-    field = ctx.field
-    variables = [
-        (r, c)
-        for c in range(source.dim)
-        for r in range(target.dim)
-        if target.gdeg[r] == source.gdeg[c]
-    ]
+    field = source.ctx.field
+    blocks = _blocks(target)
+    variables = [(r, c) for c, deg in enumerate(source.gdeg) for r in blocks.get(deg, ())]
     if not variables:
         return []
-    # one row per equation (generator, row, column) of
-    # ``g_target * hom - hom * g_source = 0``, over the variables; the two
-    # diagonal terms of a variable often cancel, and add_into drops the zero
-    equations: dict[tuple[int, int, int], VecDict] = {}
-    for gen_id, (g_target, g_source) in enumerate(
-        ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat))
-    ):
-        t_cols = g_target.sparse_columns()
-        s_rows = g_source.transpose().sparse_columns()
-        for var, (r, c) in enumerate(variables):
-            for i, val in t_cols[r].items():
-                add_into(equations.setdefault((gen_id, i, c), {}), var, val)
-            for j, val in s_rows[c].items():
-                add_into(equations.setdefault((gen_id, r, j), {}), var, -val)
+    vectors = _walked_kernel(source, target, variables)
+    if vectors is None:
+        # one row per equation (generator, row, column) of
+        # ``g_target * hom - hom * g_source = 0``, over the variables; the two
+        # diagonal terms of a variable often cancel, and add_into drops the zero
+        equations: dict[tuple[int, int, int], VecDict] = {}
+        for gen_id, (g_target, g_source) in enumerate(
+            ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat))
+        ):
+            t_cols = g_target.sparse_columns()
+            s_rows = g_source.transpose().sparse_columns()
+            for var, (r, c) in enumerate(variables):
+                for i, val in t_cols[r].items():
+                    add_into(equations.setdefault((gen_id, i, c), {}), var, val)
+                for j, val in s_rows[c].items():
+                    add_into(equations.setdefault((gen_id, r, j), {}), var, -val)
+        vectors = kernel(field, equations.values(), len(variables))
     homs = []
-    for vec in kernel(field, equations.values(), len(variables)):
+    for vec in vectors:
         cols: list[dict[int, CycNum]] = [dict() for _ in range(source.dim)]
         for idx, value in vec.items():
             r, c = variables[idx]
             cols[c][r] = value
         homs.append(CycMatrix.from_column_dicts(field, cols, target.dim))
     return homs
+
+
+def _is_permutation(view: MonomialView | None) -> bool:
+    """Whether a monomial view is invertible: no empty column, no two columns in one row."""
+    return view is not None and None not in view[0] and len(set(view[0])) == len(view[0])
+
+
+def _walked_kernel(source: QDModule, target: QDModule, variables: list[tuple[int, int]]) -> list[VecDict] | None:
+    """The kernel :func:`hom_space` solves, walked along its two-term equations.
+
+    Write ``G e_r = a_r e_t(r)`` for a generator on the target and
+    ``G e_c = b_c e_s(c)`` for it on the source.  When x and y of both
+    modules are invertible monomial matrices, entry (t(r), c) of
+    ``G_T F = F G_S`` has two terms, ``a_r F[r, c] = b_c F[t(r), s(c)]``: it
+    links unknown (r, c) to unknown (t(r), s(c)).  Each generator permutes
+    the unknowns, so every unknown lies in one orbit of the group they
+    generate, and following the links forward from one root reaches all of
+    it.  Roots are taken in descending order, so each is the largest unknown
+    of its orbit.  The orbit's values are propagated from 1 at its root, and
+    every link that meets a valued unknown is checked as an exact equality;
+    one failure makes the orbit's solution zero, and otherwise it is one
+    line v, nonzero on every unknown of the orbit.
+
+    The echelon rows of that orbit's equations are then ``e_u - (v_u /
+    v_last) e_last`` for every unknown u but its largest, ``last``, so the
+    reduced free-column basis vector is the solution scaled to 1 at
+    ``last``, as walked, and :func:`kernel` lists those vectors by free
+    column.  The walk returns exactly that list.
+
+    Returns None when a view is missing or singular, or a link leaves the
+    unknowns (a module whose x or y breaks the grading); then the caller
+    eliminates.
+    """
+    links = []
+    for g_target, g_source in ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat)):
+        t_view, s_view = g_target.monomial(), g_source.monomial()
+        if not (_is_permutation(t_view) and _is_permutation(s_view)):
+            return None
+        t_rows, t_vals = t_view
+        s_rows, s_vals = s_view
+        links.append((t_rows, t_vals, s_rows, [b.inverse() for b in s_vals]))
+    position = {var: pos for pos, var in enumerate(variables)}
+    values: list[CycNum | None] = [None] * len(variables)
+    one = source.ctx.field.one
+    vectors: list[VecDict] = []
+    for root in reversed(range(len(variables))):
+        if values[root] is not None:
+            continue
+        values[root] = one
+        orbit = [root]
+        consistent = True
+        for pos in orbit:  # grows as the walk reaches new unknowns
+            r, c = variables[pos]
+            value = values[pos]
+            for t_rows, t_vals, s_rows, s_inverses in links:
+                linked = position.get((t_rows[r], s_rows[c]))
+                if linked is None:
+                    return None
+                image = t_vals[r] * value * s_inverses[c]
+                known = values[linked]
+                if known is None:
+                    values[linked] = image
+                    orbit.append(linked)
+                elif known != image:
+                    consistent = False
+        if consistent:
+            vectors.append({pos: values[pos] for pos in orbit})
+    vectors.reverse()
+    return vectors
 
 
 class WeightCatalog:

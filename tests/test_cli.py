@@ -138,6 +138,35 @@ def test_simple_exits_1_and_names_a_failed_relations_check(capsys, monkeypatch, 
         assert "MISMATCH" not in passing
 
 
+def _raising(error):
+    def call(*args, **kwargs):
+        raise error
+
+    return call
+
+
+@pytest.mark.parametrize("output", ["table", "json"])
+@pytest.mark.parametrize(
+    ("argv", "target", "error", "message"),
+    [
+        (
+            ["simple", "--index", "(2,3)", "--weight", "Mx:0,0"],
+            "build_verma",
+            ZeroDivisionError("inverse of zero field element"),
+            "inverse of zero field element",
+        ),
+        (["tensor", "M2,3", "Mx:0,0"], "decomposition_counts", ArithmeticError(), "ArithmeticError"),
+    ],
+    ids=["simple", "tensor"],
+)
+def test_an_arithmetic_error_is_a_verification_failure(capsys, monkeypatch, output, argv, target, error, message):
+    monkeypatch.setattr(cli, target, _raising(error))
+    code, out, err = run(capsys, argv + ["--output", output])
+    assert code == 1
+    assert out == ""
+    assert err == f"verification failure: {message}\n"
+
+
 def test_malformed_index_is_a_usage_error(capsys):
     code, out, err = run(capsys, ["simple", "--index", "bogus", "--weight", "e:chi1"])
     assert code == 2

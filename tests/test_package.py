@@ -66,6 +66,19 @@ ENTRY_POINTS = (
 )
 
 
+def _bindings(owner, attr):
+    """Where the package binds an entry point: the class, or every module global that is the function.
+
+    Modules import functions by name (``from .cyclotomic import _rref``), so
+    a module global is wrapped wherever it is bound, as the tracer does.
+    """
+    if isinstance(owner, type):
+        return [owner]
+    original = vars(owner)[attr]
+    package = [module for name, module in sys.modules.items() if name.partition(".")[0] == "dihedral_doubles"]
+    return [module for module in package if vars(module).get(attr) is original]
+
+
 def test_traced_entry_points_are_bound_and_reached(ctx12, monkeypatch):
     weight_catalog(ctx12)
     assert theorems.decompose is weights.decompose
@@ -77,7 +90,8 @@ def test_traced_entry_points_are_bound_and_reached(ctx12, monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(owner, attr, counting)
+        for binding in _bindings(owner, attr):
+            monkeypatch.setattr(binding, attr, counting)
     names = {f"{owner.__name__}.{attr}" for owner, attr in ENTRY_POINTS}
     label = parse_weight_label("Mx:0,0")
 

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 from collections import Counter
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, weights
-from dihedral_doubles.cyclotomic import CycMatrix
+from dihedral_doubles.cyclotomic import CycMatrix, add_into, kernel
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, validate_index_set, valid_pairs
 from dihedral_doubles.qdouble import build_verma, head, socle
@@ -174,22 +175,29 @@ def _rescaled(ctx, module, factors):
     return group_module(ctx, module.gdeg, conjugate(module.x_mat), conjugate(module.y_mat), module.basis_labels)
 
 
-def test_character_counts_match_hom_spaces_on_head_and_socle_layers(ctx12):
-    # heads and socles come from quotient and subspace bases; each layer is
-    # also checked in a rescaled basis, where x and y have entries with
-    # denominators that are not units of Z[w]
-    field = ctx12.field
+def _head_and_socle_layers(ctx):
+    """Each layer of the head and socle of ``(1,6),(3,6)`` for every 4th weight, as built and rescaled.
+
+    Heads and socles come from quotient and subspace bases; in the rescaled
+    basis x and y have entries with denominators that are not units of Z[w].
+    """
+    field = ctx.field
     factor = field.from_integer(2) + field.zeta(1)
-    index_set = parse_index_set(ctx12, "(1,6),(3,6)")
-    for label in all_weight_labels(ctx12)[::4]:
-        verma = build_verma(ctx12, index_set, label)
+    index_set = parse_index_set(ctx, "(1,6),(3,6)")
+    for label in all_weight_labels(ctx)[::4]:
+        verma = build_verma(ctx, index_set, label)
         for name, module in (("head", head(verma)), ("socle", socle(verma))):
             for z in module.layer_indices():
                 layer = module.layer_module(z)
-                counts = _hom_space_counts(ctx12, layer)
-                assert decomposition_counts(ctx12, layer) == counts, f"{label} {name} [{z}]"
-                rescaled = _rescaled(ctx12, layer, [factor ** (i % 3) * (i + 1) for i in range(layer.dim)])
-                assert decomposition_counts(ctx12, rescaled) == counts, f"{label} {name} [{z}] rescaled"
+                rescaled = _rescaled(ctx, layer, [factor ** (i % 3) * (i + 1) for i in range(layer.dim)])
+                yield f"{label} {name} [{z}]", layer, rescaled
+
+
+def test_character_counts_match_hom_spaces_on_head_and_socle_layers(ctx12):
+    for name, layer, rescaled in _head_and_socle_layers(ctx12):
+        counts = _hom_space_counts(ctx12, layer)
+        assert decomposition_counts(ctx12, layer) == counts, name
+        assert decomposition_counts(ctx12, rescaled) == counts, f"{name} rescaled"
 
 
 def _walked_trace_vector(module, cls, block):
@@ -289,6 +297,122 @@ def test_traces_of_a_module_whose_y_is_not_monomial_match_the_walk(m):
     assert sheared_layer.x_mat.monomial() is None or sheared_layer.y_mat.monomial() is None
     assert decomposition_counts(ctx, sheared_layer) == decomposition_counts(ctx, layer)
     _assert_traces_match_the_walk(ctx, sheared_layer)
+
+
+def _eliminated_hom_space(source, target):
+    """The reference for ``hom_space``: the kernel of its equations by elimination, for any x and y."""
+    field = source.ctx.field
+    variables = [
+        (r, c)
+        for c in range(source.dim)
+        for r in range(target.dim)
+        if target.gdeg[r] == source.gdeg[c]
+    ]
+    if not variables:
+        return []
+    equations = {}
+    for gen_id, (g_target, g_source) in enumerate(
+        ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat))
+    ):
+        t_cols = g_target.sparse_columns()
+        s_rows = g_source.transpose().sparse_columns()
+        for var, (r, c) in enumerate(variables):
+            for i, val in t_cols[r].items():
+                add_into(equations.setdefault((gen_id, i, c), {}), var, val)
+            for j, val in s_rows[c].items():
+                add_into(equations.setdefault((gen_id, r, j), {}), var, -val)
+    homs = []
+    for vec in kernel(field, equations.values(), len(variables)):
+        cols = [dict() for _ in range(source.dim)]
+        for idx, value in vec.items():
+            r, c = variables[idx]
+            cols[c][r] = value
+        homs.append(CycMatrix.from_column_dicts(field, cols, target.dim))
+    return homs
+
+
+def _assert_hom_spaces_match_elimination(pairs, walked=True):
+    """``hom_space`` equals the reference on each (source, target) pair.
+
+    With ``walked`` no pair may eliminate; without it every pair must, so
+    the walk must decline on each.
+    """
+    pairs = list(pairs)
+    expected = [_eliminated_hom_space(source, target) for source, target in pairs]
+    with mock.patch.object(weights, "kernel", wraps=kernel) as eliminated:
+        for (source, target), homs in zip(pairs, expected):
+            assert hom_space(source, target) == homs, (source, target)
+    assert eliminated.call_count == (0 if walked else len(pairs))
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_hom_spaces_between_catalog_members_match_elimination(m):
+    catalog = weight_catalog(get_context(m))
+    members = [catalog.module(label) for label in catalog.labels]
+    _assert_hom_spaces_match_elimination((source, target) for source in members for target in members)
+
+
+@st.composite
+def _tensor_products(draw):
+    """A product of two catalog members at m = 12 to 24, and one more member."""
+    ctx = get_context(draw(st.sampled_from((12, 16, 20, 24))))
+    catalog = weight_catalog(ctx)
+    left, right, other = (catalog.module(draw(st.sampled_from(catalog.labels))) for _ in range(3))
+    return ctx, tensor_dd(left, right), other
+
+
+@given(_tensor_products())
+def test_hom_spaces_with_tensor_products_match_elimination(case):
+    ctx, product, other = case
+    catalog = weight_catalog(ctx)
+    members = [other] + [catalog.module(label) for label, _ in decomposition_counts(ctx, product)]
+    _assert_hom_spaces_match_elimination([(member, product) for member in members] + [(product, other)])
+
+
+def test_hom_spaces_into_head_and_socle_layers_match_elimination(ctx12):
+    catalog = weight_catalog(ctx12)
+    members = [catalog.module(label) for label in catalog.labels]
+    for _, layer, rescaled in _head_and_socle_layers(ctx12):
+        support = set(layer.gdeg)
+        fitting = [member for member in members if set(member.gdeg) <= support]
+        _assert_hom_spaces_match_elimination((member, module) for member in fitting for module in (layer, rescaled))
+
+
+def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
+    field, group = ctx12.field, ctx12.group
+    one = field.one
+    catalog = weight_catalog(ctx12)
+
+    def member(text):
+        return catalog.module(parse_weight_label(text))
+
+    def with_x(columns):
+        # degree e twice, y = 1: homs from e:chi1 and e:chi3 see only x
+        x_mat = CycMatrix.from_column_dicts(field, columns, 2)
+        return group_module(ctx12, [group.identity] * 2, x_mat, CycMatrix.identity(field, 2), ["a", "b"])
+
+    product = tensor_dd(member("Mx:0,0"), member("Mxy:1,0"))
+    i, j = next(block for block in _blocks(product).values() if len(block) > 1)[:2]
+    sheared = _sheared(ctx12, product, i, j, ctx12.omega(1))
+    assert sheared.y_mat.monomial() is None
+    # M1,3 plus a vector of degree y that x fixes, where x must send degree y to y^-1
+    off_grading = group_module(
+        ctx12,
+        [group.rotation(1), group.rotation(-1), group.rotation(1)],
+        CycMatrix.from_column_dicts(field, [{1: one}, {0: one}, {2: one}], 3),
+        CycMatrix.diagonal(field, [ctx12.omega(3), ctx12.omega(-3), ctx12.omega(3)]),
+        ["m+", "m-", "v"],
+    )
+    cases = {
+        "y not monomial": (sheared, [catalog.module(label) for label, _ in decomposition_counts(ctx12, product)]),
+        "x with an empty column": (with_x([{0: one}, {}]), [member("e:chi1"), member("e:chi3")]),
+        "x with two columns in one row": (with_x([{0: one}, {0: one}]), [member("e:chi1"), member("e:chi3")]),
+        "a link leaving the unknowns": (off_grading, [member("M1,3")]),
+    }
+    for name, (module, members) in cases.items():
+        pairs = [(other, module) for other in members] + [(module, other) for other in members]
+        assert any(_eliminated_hom_space(*pair) for pair in pairs), f"{name}: every hom space is zero"
+        _assert_hom_spaces_match_elimination(pairs, walked=False)
 
 
 def _one_dimensional(ctx, degree, x_value, y_value):
