@@ -4,7 +4,9 @@ Scalars live in Q(w) for a fixed primitive m-th root of unity w, written in
 canonical coordinates over the power basis ``1, w, ..., w^(phi(m)-1)`` modulo
 the m-th cyclotomic polynomial.  A value keeps integer numerator coordinates
 over one positive denominator in lowest terms, so equality is literal tuple
-equality and nothing is ever rounded.  Matrices store one dict of nonzero
+equality and nothing is ever rounded.  A value that equals a power w^k is
+the field's one copy of it, tagged with k, so products and inverses of
+roots of unity add exponents.  Matrices store one dict of nonzero
 entries per column.  A matrix with at most one entry per column, such as
 the group action and the raising letters of a standard module, also has a
 monomial view, its row map and its entries: products, sums, equality and
@@ -56,7 +58,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# per power-basis coordinate j: the nonzero (t, e) of a unit times w^j
+# per power-basis coordinate j: the nonzero (t, e) of a power of w times w^j
 UnitColumns = tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -69,7 +71,7 @@ class CyclotomicField:
 
     __slots__ = (
         "m", "minpoly", "degree", "_reduction", "zero", "one", "_half_turn",
-        "_zeta_pows", "_units", "_unit_actions", "_conjugations", "_inverses",
+        "_zeta_pows", "_exponents", "_unit_actions", "_conjugations", "_inverses",
     )
 
     def __init__(self, m: int) -> None:
@@ -82,10 +84,11 @@ class CyclotomicField:
         one[0] = 1
         # w^k carries its exponent k as a unit tag; -1 is w^(m/2) for even m
         self._zeta_pows = tuple(CycNum(self, c, 1, k) for k, c in enumerate(self.zeta_multiples(one)))
+        # the coordinates of each w^k, to tag a number that comes out equal to one
+        self._exponents = {power.coords: k for k, power in enumerate(self._zeta_pows)}
         self.one = self._zeta_pows[0]
         self._half_turn = m // 2 if m % 2 == 0 else None
-        self._units = self._unit_table()
-        self._unit_actions = tuple(self._units[power.coords] for power in self._zeta_pows)
+        self._unit_actions = self._unit_table()
         # per Galois automorphism w -> w^a with a != 1: the images of the basis
         self._conjugations = tuple(
             tuple(self._zeta_pows[a * j % m].coords for j in range(self.degree))
@@ -112,29 +115,28 @@ class CyclotomicField:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def _unit_table(self) -> dict[tuple[int, ...], tuple[int, UnitColumns | None]]:
-        """How multiplying by each unit +-w^k acts, keyed by the unit's coordinates.
+    def _unit_table(self) -> tuple[tuple[int, UnitColumns | None], ...]:
+        """How multiplying by w^k acts, indexed by the exponent k.
 
-        +-1 map to ``(+-1, None)``.  Any other unit u maps to ``(1, columns)``:
-        column j lists the nonzero ``(t, e)`` of the coordinates of u * w^j, so
-        the product of u with coordinates c has ``sum_j c_j e`` at each t.
-        ``_unit_actions[k]`` is the entry of w^k, for numbers tagged k.
+        1 is ``(1, None)`` and, for even m, -1 = w^(m/2) is ``(-1, None)``.
+        Any other power is ``(1, columns)``: column j lists the nonzero
+        ``(t, e)`` of the coordinates of w^(k+j), so the product of w^k with
+        coordinates c has ``sum_j c_j e`` at each t.  A number tagged k
+        multiplies by entry k.
         """
-        units: dict[tuple[int, ...], tuple[int, UnitColumns | None]] = {}
-        for k, power in enumerate(self._zeta_pows):
-            for sign in (1, -1):
-                key = tuple(sign * c for c in power.coords)
-                if key in units:
-                    continue  # for even m, -w^k is w^(k + m/2), and -1 is met first
-                if k == 0:
-                    units[key] = (sign, None)
-                    continue
+        actions: list[tuple[int, UnitColumns | None]] = []
+        for k in range(self.m):
+            if k == 0:
+                actions.append((1, None))
+            elif k == self._half_turn:
+                actions.append((-1, None))
+            else:
                 columns = tuple(
-                    tuple((t, sign * e) for t, e in enumerate(self._zeta_pows[(k + j) % self.m].coords) if e)
+                    tuple((t, e) for t, e in enumerate(self._zeta_pows[(k + j) % self.m].coords) if e)
                     for j in range(self.degree)
                 )
-                units[key] = (1, columns)
-        return units
+                actions.append((1, columns))
+        return tuple(actions)
 
     def mul_coords(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Canonical integer coordinates of the product of two coordinate vectors."""
@@ -260,9 +262,16 @@ def get_field(m: int) -> CyclotomicField:
 class CycNum:
     """An element of Q(w): integer coordinates over one positive denominator.
 
-    ``unit`` is k when the number is the field's tagged w^k (its power table
-    entry, or a product or negation of such entries) and None otherwise; an
-    untagged number may still equal a power of w.
+    ``unit`` is k exactly when the number equals w^k, and None otherwise:
+    every power of w that arithmetic produces is the field's shared power
+    table entry, tagged with its exponent.  A result is tagged where it is
+    made: a product, negation or inverse of tagged numbers by its exponent,
+    and a sum, a normalised quotient or a parsed value by looking its
+    integer coordinates up in the field's table of powers.  So the products
+    and inverses of roots of unity, which are almost every entry of the
+    group action and the letters, add exponents mod m, and two tagged
+    numbers compare by their tags.  The constructor takes the tag as given:
+    it is for coordinates that are no power of w, or whose tag is known.
     """
 
     __slots__ = ("field", "coords", "den", "unit")
@@ -288,9 +297,15 @@ class CycNum:
         if g > 1:
             den //= g
             coords = [c // g for c in coords]
-        if not any(coords):
-            den = 1
+        if den == 1:
+            return CycNum._integral(field, tuple(coords))
         return CycNum(field, tuple(coords), den)
+
+    @staticmethod
+    def _integral(field: CyclotomicField, coords: tuple[int, ...]) -> CycNum:
+        """The number with these integer coordinates: the shared w^k if it is one."""
+        k = field._exponents.get(coords)
+        return CycNum(field, coords, 1) if k is None else field._zeta_pows[k]
 
     def _coerce(self, other: CycNum | Fraction | int) -> CycNum | None:
         if isinstance(other, CycNum):
@@ -309,17 +324,21 @@ class CycNum:
         if self.unit is not None and o.unit is not None and (self.unit - o.unit) % field.m == field._half_turn:
             return field.zero  # w^k and -w^k, the cancellation every anticommutator check ends in
         if self.den == 1 and o.den == 1:
-            return CycNum(self.field, tuple([a + b for a, b in zip(self.coords, o.coords)]), 1)
+            return CycNum._integral(field, tuple([a + b for a, b in zip(self.coords, o.coords)]))
         g = gcd(self.den, o.den)
         fa, fb = o.den // g, self.den // g
         coords = [a * fa + b * fb for a, b in zip(self.coords, o.coords)]
-        return CycNum._normalized(self.field, coords, self.den * fa)
+        return CycNum._normalized(field, coords, self.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNum:
         field = self.field
-        if self.unit is not None and field._half_turn is not None:
+        if field._half_turn is None:
+            # odd m: -w^k is no power of w, but the negative of one may be
+            if self.den == 1 and self.unit is None:
+                return CycNum._integral(field, tuple([-c for c in self.coords]))
+        elif self.unit is not None:
             return field._zeta_pows[(self.unit + field._half_turn) % field.m]
         return CycNum(field, tuple([-c for c in self.coords]), self.den)
 
@@ -333,15 +352,14 @@ class CycNum:
         return (-self) + other
 
     def __mul__(self, other: CycNum | Fraction | int) -> CycNum:
-        """The product; a unit +-w^k on either side takes a fast path.
+        """The product; a power of w on either side takes a fast path.
 
         Almost every product in module construction and relation checks has
-        a unit operand, and most have two.  The product of two tagged powers
-        of w is the tagged power of the summed exponents.  Otherwise a unit,
-        found by its tag or by its coordinates, maps the other operand's
-        integer coordinates by an invertible integer matrix, so the product
-        keeps that operand's denominator and stays in lowest terms: no gcd
-        is needed.
+        a power of w as an operand, and most have two.  The product of two
+        is the power of the summed exponents.  Otherwise the power maps the
+        other operand's integer coordinates by an invertible integer matrix,
+        so the product keeps that operand's denominator and stays in lowest
+        terms, and it is no power of w: no gcd and no lookup are needed.
         """
         field = self.field
         if isinstance(other, CycNum):
@@ -359,14 +377,7 @@ class CycNum:
         elif o.unit is not None:
             action, x = field._unit_actions[o.unit], self
         else:
-            units = field._units
-            action = units.get(o.coords) if o.den == 1 else None
-            x = self
-            if action is None and self.den == 1:
-                action = units.get(self.coords)
-                x = o
-            if action is None:
-                return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
+            return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
         sign, columns = action
         if columns is None:
             return x if sign > 0 else -x
@@ -386,11 +397,14 @@ class CycNum:
         every automorphism w -> w^a, a != 1 coprime to m, is a cofactor whose
         product with c is the norm of c, a nonzero integer; all of it stays in
         integer arithmetic.  Elimination divides by the same few pivots over
-        and over, so each field memoises the inverses it has computed.
+        and over, so each field memoises the inverses it has computed.  The
+        inverse of w^k is w^-k, read off the tag.
         """
+        field = self.field
+        if self.unit is not None:
+            return field._zeta_pows[-self.unit % field.m]
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        field = self.field
         key = (self.coords, self.den)
         cached = field._inverses.get(key)
         if cached is not None:
@@ -439,7 +453,11 @@ class CycNum:
             other = self.field.from_fraction(other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.field.m == other.field.m and self.coords == other.coords and self.den == other.den
+        if self.field.m != other.field.m:
+            return False
+        if self.unit is not None and other.unit is not None:
+            return self.unit == other.unit
+        return self.coords == other.coords and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.field.m, self.coords, self.den))
@@ -486,10 +504,13 @@ class CycMatrix:
     nonzero field elements.  The view is read off the columns on first use,
     or it is all a product holds: the product of two monomial matrices
     composes their row maps, and its column dicts are built only when asked
-    for.  Products, sums, ``==`` and :meth:`is_zero` of monomial operands
-    read the views alone.  A sum with entries in two different rows of one
-    column is not monomial; it, and every operation with a non-monomial
-    operand, goes through the column dicts and :meth:`apply`.
+    for.  Most entries are powers of w, tagged (see :class:`CycNum`), so an
+    entry product of a row-map product, a negation or a cancelling sum of
+    two of them is a table lookup by exponent inside the :class:`CycNum`
+    operation.  Products, sums, ``==`` and :meth:`is_zero` of monomial
+    operands read the views alone.  A sum with entries in two different
+    rows of one column is not monomial; it, and every operation with a
+    non-monomial operand, goes through the column dicts and :meth:`apply`.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_columns", "_monomial")

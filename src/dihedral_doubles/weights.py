@@ -224,14 +224,32 @@ def group_module(
 def grading_failure(
     module: QDModule, name: str, mat: CycMatrix, zshift: int, gmap: Callable[[GroupElement], GroupElement]
 ) -> str | None:
-    """Why ``mat`` fails to shift each degree by ``zshift`` and map each group degree by ``gmap``."""
+    """Why ``mat`` fails to shift each degree by ``zshift`` and map each group degree by ``gmap``.
+
+    Group degrees are compared as the integers ``refl * m + rot``, and
+    ``gmap`` is applied once per distinct degree.  A monomial ``mat`` is read
+    through its row map.
+    """
+    m = module.ctx.m
+    codes = [g.refl * m + g.rot for g in module.gdeg]
+    targets: dict[int, int] = {}
+    for code, g in zip(codes, module.gdeg):
+        if code not in targets:
+            image = gmap(g)
+            targets[code] = image.refl * m + image.rot
+    zdeg = module.zdeg
+    view = mat.monomial()
+    if view:
+        for j, i in enumerate(view[0]):
+            if i is not None and (zdeg[i] != zdeg[j] + zshift or codes[i] != targets[codes[j]]):
+                return f"{name} breaks the grading at column {j}"
+        return None
     sparse = mat.sparse_columns()
-    targets = {g: gmap(g) for g in set(module.gdeg)}
     for j in range(module.dim):
-        target_z = module.zdeg[j] + zshift
-        target_g = targets[module.gdeg[j]]
+        target_z = zdeg[j] + zshift
+        target_g = targets[codes[j]]
         for i in sparse[j]:
-            if module.zdeg[i] != target_z or module.gdeg[i] != target_g:
+            if zdeg[i] != target_z or codes[i] != target_g:
                 return f"{name} breaks the grading at column {j}"
     return None
 
@@ -387,8 +405,22 @@ def tensor_dd(left: QDModule, right: QDModule) -> QDModule:
 
 
 def _kronecker(a: CycMatrix, b: CycMatrix) -> CycMatrix:
+    """The Kronecker product; of two monomial factors, composed from their views."""
     field = a.field
-    nrows, ncols = a.nrows * b.nrows, a.ncols * b.ncols
+    nrows = a.nrows * b.nrows
+    a_view, b_view = a.monomial(), b.monomial()
+    if a_view and b_view:
+        rows: list[int | None] = []
+        vals: list[CycNum | None] = []
+        for ia, va in zip(*a_view):
+            for ib, vb in zip(*b_view):
+                if ia is None or ib is None:
+                    rows.append(None)
+                    vals.append(None)
+                else:
+                    rows.append(ia * b.nrows + ib)
+                    vals.append(va * vb)
+        return CycMatrix._from_monomial(field, rows, vals, nrows)
     cols: list[dict[int, CycNum]] = []
     a_cols, b_cols = a.sparse_columns(), b.sparse_columns()
     for ja in range(a.ncols):
@@ -751,7 +783,7 @@ def _cycle_traces(
                 row[t] += count * c
     traces = []
     for row, value in zip(coords, values):
-        total = CycNum(field, tuple(row), 1)
+        total = CycNum._integral(field, tuple(row))
         traces.append(total + value if value else total)
     return traces
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -66,7 +67,8 @@ def test_unit_products_match_mul_coords(m, raw, den):
 
     powers = [field.zeta(k) for k in range(m)]
     for unit in powers + [-power for power in powers]:
-        assert unit.coords in field._units  # the products below take the unit path
+        # a power of w is tagged and takes the unit path; for odd m, -w^k is no power of w and is untagged
+        assert (unit.unit is not None) == (unit in powers)
         assert value * unit == expected(unit.coords)
         assert unit * value == expected(unit.coords)
     for sign in (1, -1):
@@ -123,11 +125,62 @@ def test_tagged_units_match_the_general_product(m, a, b, raw, den):
         assert (unit.unit is not None) == (sign == 1 or m % 2 == 0)
         assert check_tag(unit * value) == general(unit, value)
         assert check_tag(unit * za) == general(unit, za)
-    # sums and products of untagged numbers carry no tag, even when they equal a power of w
+    # a sum or a general product that equals a power of w is tagged too
     total = za + field.zero
-    assert total == za and total.unit is None
-    square = value * value
-    assert square == general(value, value) and square.unit is None
+    assert total == za and total.unit == a % m
+    square = check_tag(value * value)
+    assert square == general(value, value)
+
+
+@lru_cache(maxsize=None)
+def _power_exponents(m):
+    """The coordinates of each w^k, from :func:`_power_coords`, mapped to k."""
+    field = get_field(m)
+    return {_power_coords(field, k): k for k in range(m)}
+
+
+@given(
+    st.sampled_from([9, 12, 16, 20, 24]),
+    st.integers(0, 47),
+    st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+    st.integers(1, 6),
+    st.integers(-3, 3),
+)
+def test_a_number_is_tagged_exactly_when_it_equals_a_power_of_w(m, k, raw, den, sign):
+    # m = 9 is odd: there -w^k is no power of w, and must carry no tag
+    field = get_field(m)
+    exponents = _power_exponents(m)
+
+    def check(x):
+        assert x.unit == (exponents.get(x.coords) if x.den == 1 else None)
+        return x
+
+    power = check(field.zeta(k))
+    value = check(CycNum._normalized(field, raw[: field.degree], den))
+    results = [
+        CycNum._normalized(field, [c * den for c in power.coords], den),
+        CycNum._normalized(field, [-c * den for c in power.coords], -den),
+        check(value + power) - value,
+        power - value + value,
+        value - value,
+        -power,
+        -(-power),
+        -value,
+        check(power * value) * power.inverse(),
+        check(-power) * check(-power),
+        power * power,
+        power.inverse(),
+        (-power).inverse(),
+        field.from_fraction(Fraction(sign, den)),
+        field.from_fraction(sign),
+        field.parse(str(power)),
+        field.parse(str(-power)),
+        field.parse(str(value)),
+    ]
+    if value:
+        results += [value.inverse(), value * value.inverse(), check(value * power) * value.inverse(), power / value]
+    for x in results:
+        check(x)
 
 
 def test_zeta_power_reduction():
@@ -584,3 +637,25 @@ def test_monomial_view_matches_the_column_dicts(m, n, monomial, data):
         assert (left == right) == (left.sparse_columns() == right.sparse_columns())
     assert (a_view + (-a_view)).is_zero()
     assert all(x for mat in (a_view * c_view, a_view + c_view) for col in mat.sparse_columns() for x in col.values())
+
+
+@given(st.sampled_from((12, 16, 20, 24)), st.integers(1, 5), st.data())
+def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
+    # entries mix tagged powers of w, untagged ones and general numbers
+    field = get_field(m)
+    a = CycMatrix(field, data.draw(_view_columns(field, n, n, True)), n)
+    b = CycMatrix(field, data.draw(_view_columns(field, n, n, True)), n)
+    b_cols = b.sparse_columns()
+    expected = [a.apply(col) for col in b_cols]
+    product = a * b
+    a_vals = a.monomial()[1]
+    for j, (col, want) in enumerate(zip(product.sparse_columns(), expected)):
+        assert col == want
+        for i, x in col.items():
+            assert x.unit == want[i].unit
+            ((r, y),) = b_cols[j].items()
+            left = a_vals[r]
+            if left.unit is not None and y.unit is not None:
+                assert x is field.zeta(left.unit + y.unit)
+            general = CycNum._normalized(field, field.mul_coords(left.coords, y.coords), left.den * y.den)
+            assert (x.coords, x.den) == (general.coords, general.den)

@@ -72,6 +72,40 @@ def test_grading_of_generator_matrices(ctx12):
                 assert zdeg[row] == zdeg[col]
 
 
+def _moved_to_a_wrong_group_degree(module, mat, keep):
+    """The column of ``mat``'s first entry, and ``mat`` with that entry moved to a row of its layer in
+    another group degree; with ``keep`` the entry also stays where it was."""
+    cols = [dict(col) for col in mat.sparse_columns()]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            for wrong in range(module.dim):
+                if module.zdeg[wrong] == module.zdeg[i] and module.gdeg[wrong] != module.gdeg[i]:
+                    if not keep:
+                        del col[i]
+                    col[wrong] = x
+                    return j, CycMatrix(module.ctx.field, cols, mat.nrows)
+    raise AssertionError("no entry can be moved")
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["monomial", "two entries"])
+def test_a_generator_that_breaks_the_group_grading_is_named_with_its_column(ctx12, keep):
+    verma = _verma(ctx12, "(2,3)", "Mx:0,0")
+
+    def with_mats(x_mat, v_mats):
+        return QDModule(
+            ctx12, verma.index_set, verma.basis_labels, verma.zdeg, verma.gdeg,
+            x_mat, verma.y_mat, v_mats, verma.a_mats, verma.weight, verma.kind,
+        )
+
+    j, letter = _moved_to_a_wrong_group_degree(verma, verma.v_mats[(0, 1)], keep)
+    assert (letter.monomial() is None) == keep
+    broken = with_mats(verma.x_mat, {**verma.v_mats, (0, 1): letter})
+    assert f"v(0,+1) breaks the grading at column {j}" in check_relations(broken)
+    j, x_mat = _moved_to_a_wrong_group_degree(verma, verma.x_mat, keep)
+    failures = group_relation_failures(with_mats(x_mat, verma.v_mats))
+    assert failures[0] == f"x breaks the grading at column {j}"
+
+
 def test_head_and_socle_of_singletons(ctx12):
     cases = {
         ("(2,3)", "e:chi1"): ("[0] e:chi1", "[-2] e:chi2"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from math import lcm
 from unittest import mock
 
@@ -483,6 +484,38 @@ def test_tensor_dimensions_multiply(ctx12, i, j):
     assert product.dim == a.dimension(6) * b.dimension(6)
     counts = decomposition_counts(ctx12, product)
     assert sum(lab.dimension(6) * mult for lab, mult in counts) == product.dim
+
+
+@st.composite
+def _small_columns(draw, field, nrows, ncols, monomial):
+    """Columns of mostly one entry, also of two when not ``monomial``: powers of w and rationals."""
+    entries = st.sampled_from([field.zeta(1), -field.zeta(5), field.one, field.from_fraction(Fraction(-2, 3))])
+    sizes = (0, 1, 1) if monomial else (0, 1, 2)
+    cols = []
+    for _ in range(ncols):
+        size = min(draw(st.sampled_from(sizes)), nrows)
+        rows = draw(st.lists(st.integers(0, nrows - 1), min_size=size, max_size=size, unique=True))
+        cols.append({i: draw(entries) for i in rows})
+    return cols
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_kronecker_products_match_their_entries(ra, ca, rb, cb, monomial, data):
+    field = get_context(12).field
+    a_cols = data.draw(_small_columns(field, ra, ca, True))
+    b_cols = data.draw(_small_columns(field, rb, cb, monomial))
+    a, b = CycMatrix(field, a_cols, ra), CycMatrix(field, b_cols, rb)
+    # entry (ia rb + ib, ja cb + jb) of the product is A[ia, ja] B[ib, jb]
+    expected = [
+        {ia * rb + ib: x * y for ia, x in col_a.items() for ib, y in col_b.items()}
+        for col_a in a_cols
+        for col_b in b_cols
+    ]
+    product = weights._kronecker(a, b)
+    assert (product.nrows, product.ncols) == (ra * rb, ca * cb)
+    assert product.sparse_columns() == expected
+    if a.monomial() is not None and b.monomial() is not None:
+        assert product.monomial() is not None
 
 
 def test_decompose_returns_full_rank_embeddings(ctx12):
