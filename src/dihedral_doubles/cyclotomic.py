@@ -12,16 +12,18 @@ the group action and the raising letters of a standard module, also has a
 monomial view, its row map and its entries: products, sums, equality and
 zero tests of such matrices read the views and build no column dicts, and
 any other operand goes through the columns.  All elimination goes through
-one sparse reduced echelon basis, :class:`EchelonBasis`, built from sparse
-vectors by :func:`_rref`: callers hand it the rows of a system or the
-vectors of a span, and read off ranks (its pivots), span membership
-(:meth:`EchelonBasis.reduce`) and kernels (:func:`kernel`).  A submodule in
-``qdouble`` is one such basis over the whole module.
+one sparse echelon basis, :class:`EchelonBasis`, built from sparse vectors
+by :func:`_rref`: callers hand it the rows of a system or the vectors of a
+span, and read off ranks (its pivots), span membership
+(:meth:`EchelonBasis.reduce`) and kernels (:func:`kernel`).  Inserts
+eliminate forward only, which is all a rank or a membership test needs;
+the reduced rows that kernels and submodules read are built once, on first
+read.  A submodule in ``qdouble`` is one such basis over the whole module.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -738,64 +740,98 @@ def add_into(target: dict, key, value: CycNum) -> None:
 
 
 def _clear(target: VecDict, pivot: int, row: VecDict) -> None:
-    """Subtract the multiple of ``row`` (1 at ``pivot``) that clears ``target`` there."""
-    neg = -target.pop(pivot)
-    for t, x in row.items():
+    """Subtract the multiple of ``row`` that clears ``target`` at ``pivot``."""
+    x = target.pop(pivot)
+    lead = row[pivot]
+    neg = -x if lead.unit == 0 else -(x * lead.inverse())
+    for t, y in row.items():
         if t != pivot:
-            add_into(target, t, x * neg)
+            add_into(target, t, y * neg)
 
 
 class EchelonBasis:
-    """A subspace held as its reduced row echelon form, one sparse row per pivot.
+    """A subspace held in forward echelon form, one sparse row per pivot.
 
-    Each row is 1 at its pivot, its smallest index, and every row is 0 at the
-    pivots of the others, so a vector in the span is the combination of the
-    rows whose coefficients are its own entries at the pivots.  Rows are kept
-    sorted by pivot.  The reduced form of a row space is unique, so the rows
-    do not depend on the order in which vectors were inserted.  Rows hold no zero entries, and neither may the
-    vectors handed in: an explicit zero could be taken for a pivot.  Treat
-    ``rows`` and ``pivots`` as read-only.
+    A row's pivot is its smallest index, and no two rows share a pivot.
+    The rows are neither scaled to 1 nor cleared at the larger pivots:
+    :meth:`insert` clears a vector's leading entry until its leading index
+    is new or the vector is zero.  That alone answers rank (``pivots``, kept
+    sorted) and span membership (:meth:`reduce`).
+
+    ``rows`` is the reduced row echelon form: each row 1 at its pivot and 0
+    at the pivots of the others, so a vector in the span is the combination
+    of the rows whose coefficients are its own entries at the pivots.  It is
+    built once, by back-substitution, when first read after an insert, and
+    kept until the next insert that grows the span; :meth:`reduce` clears
+    the forward rows and does not read it.  The reduced form of a row space
+    is unique, so ``rows`` does not depend on the order in which vectors
+    were inserted.  Rows hold no zero entries, and neither may the vectors
+    handed in: an explicit zero could be taken for a pivot.  Treat ``rows``
+    and ``pivots`` as read-only.
     """
 
-    __slots__ = ("field", "rows", "pivots", "_row_at")
+    __slots__ = ("field", "pivots", "_forward", "_reduced")
 
     def __init__(self, field: CyclotomicField) -> None:
         self.field = field
-        self.rows: list[VecDict] = []
         self.pivots: list[int] = []
-        self._row_at: dict[int, VecDict] = {}
+        self._forward: dict[int, VecDict] = {}
+        # the reduced row at each pivot, in pivot order; None until the first
+        # read, and again after each insert that grows the span
+        self._reduced: dict[int, VecDict] | None = None
+
+    @property
+    def rows(self) -> list[VecDict]:
+        """The reduced rows, sorted by pivot."""
+        return list(self._reduced_rows().values())
+
+    def _reduced_rows(self) -> dict[int, VecDict]:
+        reduced = self._reduced
+        if reduced is None:
+            built: dict[int, VecDict] = {}
+            # from the largest pivot down, the rows built so far are 0 at every pivot but their own
+            for pivot in reversed(self.pivots):
+                row = dict(self._forward[pivot])
+                for later in [t for t in row if t in built]:
+                    _clear(row, later, built[later])
+                lead = row[pivot]
+                if lead.unit != 0:
+                    inv = lead.inverse()
+                    row = {t: x * inv for t, x in row.items()}
+                built[pivot] = row
+            reduced = self._reduced = {pivot: built[pivot] for pivot in self.pivots}
+        return reduced
 
     def reduce(self, vec: VecDict) -> VecDict:
         """The vector minus its component in the span: zero at every pivot."""
         out = dict(vec)
-        # A row is 0 at every other pivot, so clearing one pivot leaves the
-        # others as they were: only the pivots present in the vector need work.
-        for pivot in [t for t in vec if t in self._row_at]:
-            _clear(out, pivot, self._row_at[pivot])
+        # A forward row is 0 below its pivot, so clearing the pivots in
+        # ascending order never brings back one already cleared.
+        for pivot in self.pivots:
+            if pivot in out:
+                _clear(out, pivot, self._forward[pivot])
         return out
 
     def insert(self, vec: VecDict) -> bool:
         """Add the vector to the span; False if it already lay in it."""
-        row = self.reduce(vec)
-        if not row:
+        row = dict(vec)
+        forward = self._forward
+        while row:
+            pivot = min(row)
+            other = forward.get(pivot)
+            if other is None:
+                break
+            _clear(row, pivot, other)
+        else:
             return False
-        pivot = min(row)
-        lead = row[pivot]
-        if lead != self.field.one:
-            inv = lead.inverse()
-            row = {t: x * inv for t, x in row.items()}
-        for other in self.rows:
-            if pivot in other:
-                _clear(other, pivot, row)
-        at = bisect_left(self.pivots, pivot)
-        self.pivots.insert(at, pivot)
-        self.rows.insert(at, row)
-        self._row_at[pivot] = row
+        insort(self.pivots, pivot)
+        forward[pivot] = row
+        self._reduced = None
         return True
 
 
 def _rref(field: CyclotomicField, rows: Iterable[VecDict]) -> EchelonBasis:
-    """The reduced row echelon form of the span of sparse rows."""
+    """The echelon basis of the span of sparse rows, eliminated forward only."""
     basis = EchelonBasis(field)
     for row in rows:
         basis.insert(row)

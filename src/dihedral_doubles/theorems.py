@@ -45,6 +45,7 @@ from .weights import (
     decomposition_counts,
     pair_module,
     tensor_dd,
+    weight_catalog,
 )
 
 RIGID = "R"
@@ -295,13 +296,15 @@ def verify_reflection_split(
 ) -> None:
     """Check the splitting rule for one pair and one reflection weight.
 
-    Decomposes the tensor product with explicit embeddings, compares the
+    Tensors the pair module with the catalog member of ``label``, the
+    verified module that :func:`decompose`'s hom spaces read as well.
+    Decomposes the product with explicit embeddings, compares the
     summand labels with :func:`predicted_reflection_split`, and verifies that
     each distinguished vector lies in the image of the homomorphisms from its
     predicted summand.  Raises ``AssertionError`` on any mismatch.
     """
     plus_label, minus_label = predicted_reflection_split(ctx, pair, label)
-    product = tensor_dd(pair_module(ctx, *pair), build_weight(ctx, label))
+    product = tensor_dd(pair_module(ctx, *pair), weight_catalog(ctx).module(label))
     parts = decompose(ctx, product)
     found = {part_label: embeddings for part_label, embeddings in parts}
     expected = {plus_label, minus_label}

@@ -5,7 +5,8 @@ prints exactly one pass/fail line for each:
 
 1. the weight catalog at m=12 is complete, classed, and pairwise distinct;
 2. every pair module tensored with every reflection weight splits into the
-   two predicted summands, with explicit vectors locating each summand;
+   two predicted summands, with explicit vectors locating each summand, at
+   m = 12, 16, 20 and 24;
 3. the classification table agrees with the operator oracle everywhere;
 4. head, socle, and dimension formulas hold for every weight over two
    single-pair index sets;
@@ -100,7 +101,7 @@ def test_criterion_01_catalog_complete_and_distinct():
 def test_criterion_02_reflection_tensor_splits():
     start = time.perf_counter()
     checked = 0
-    for m in (12, 16):
+    for m in (12, 16, 20, 24):
         ctx = get_context(m)
         labels = [WeightLabel.even_reflection(s, t) for s in (0, 1) for t in (0, 1)]
         labels += [WeightLabel.odd_reflection(s, t) for s in (0, 1) for t in (0, 1)]
@@ -109,7 +110,7 @@ def test_criterion_02_reflection_tensor_splits():
                 verify_reflection_split(ctx, pair, label)
                 checked += 1
     elapsed = time.perf_counter() - start
-    assert checked == (13 + 20) * 8
+    assert checked == (13 + 20 + 23 + 36) * 8
     assert elapsed < 30.0, f"split sweep took {elapsed:.2f}s"
 
 

@@ -523,6 +523,26 @@ def test_echelon_basis_does_not_depend_on_insertion_order(mat, data):
 
 
 @given(sparse_matrices(), st.data())
+def test_reduced_rows_read_between_inserts_match_a_fresh_basis(mat, data):
+    field = mat.field
+    rows = _rows(mat)
+    cut = data.draw(st.integers(0, len(rows)))
+    probe = data.draw(_factor(field, mat.ncols, 1, False)).sparse_columns()[0]
+    basis, done = EchelonBasis(field), 0
+    for end in (cut, len(rows)):
+        for row in rows[done:end]:
+            basis.insert(row)
+        done = end
+        fresh = _rref(field, rows[:end])
+        # reduce before and after the first read of rows builds the reduced form
+        forward = basis.reduce(probe)
+        assert forward == fresh.reduce(probe)
+        assert basis.rows == fresh.rows
+        assert basis.pivots == fresh.pivots
+        assert basis.reduce(probe) == forward
+
+
+@given(sparse_matrices(), st.data())
 def test_apply_matches_a_dense_product_and_keeps_no_zero_entries(mat, data):
     field = mat.field
     zero = field.zero

@@ -123,6 +123,16 @@ def test_reflection_split_verified_with_vectors(ctx12, ctx16):
             verify_reflection_split(ctx, pair, parse_weight_label(text))
 
 
+@pytest.mark.parametrize("pair", [(2, 3), (6, 5)])
+def test_reflection_split_rejects_a_vector_outside_its_summand(ctx12, monkeypatch, pair):
+    vectors = theorems.reflection_split_vectors
+    monkeypatch.setattr(
+        theorems, "reflection_split_vectors", lambda ctx, pair, label: vectors(ctx, pair, label)[::-1]
+    )
+    with pytest.raises(AssertionError, match="does not lie in its summand"):
+        verify_reflection_split(ctx12, pair, parse_weight_label("Mx:0,1"))
+
+
 def _predicted_socle(ctx, index_set, label):
     top, z0 = predicted_socle_top(ctx, index_set, label)
     return predicted_character(ctx, index_set, top).shifted(z0)

@@ -550,6 +550,21 @@ def test_decompose_rejects_a_multiplicity_its_hom_space_contradicts(ctx12, monke
         decompose(ctx12, product)
 
 
+def test_decompose_rejects_embeddings_that_do_not_span(ctx12, monkeypatch):
+    product = tensor_dd(
+        build_weight(ctx12, parse_weight_label("M2,3")),
+        build_weight(ctx12, parse_weight_label("Mx:0,0")),
+    )
+    (label, (emb,)), _ = decompose(ctx12, product)
+    # a second embedding of the same summand: the counts and dimensions add up, the images coincide
+    turned = emb * CycMatrix.diagonal(ctx12.field, [ctx12.field.zeta(1)] * emb.ncols)
+    assert turned != emb and 2 * emb.ncols == product.dim
+    monkeypatch.setattr(weights, "decomposition_counts", lambda ctx, module: [(label, 2)])
+    monkeypatch.setattr(weights, "hom_space", lambda source, target: [emb, turned])
+    with pytest.raises(AssertionError, match="decomposition embeddings do not span the module"):
+        decompose(ctx12, product)
+
+
 def test_pair_module_matches_catalog_labels(ctx12):
     for (i, k), expected in {(2, 3): "M2,3", (1, 6): "M1,6", (6, 5): "yn:rho5", (6, 9): "yn:rho3"}.items():
         assert decomposition_counts(ctx12, pair_module(ctx12, i, k)) == [(parse_weight_label(expected), 1)]
