@@ -451,10 +451,11 @@ class CycNum:
         return any(self.coords)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_fraction(other)
+        # Fraction is an ABC, so testing for it costs more than this test
         if not isinstance(other, CycNum):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.field.from_fraction(other)
         if self.field.m != other.field.m:
             return False
         if self.unit is not None and other.unit is not None:

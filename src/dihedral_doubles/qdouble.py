@@ -6,7 +6,11 @@ index pair, and a lowering pair a+, a- dual to it.  A module is a
 ``weights.QDModule``, the one module type: an exact matrix per generator,
 an integer grading (the letter count, nonpositive) and the group grading.
 :func:`check_relations` checks the group part as ``weights`` does, then the
-letters.
+letters.  Each letter relation is an exact equality of two matrix
+expressions, decided column by column on the monomial views of the
+operands without building a product or a sum; an operand with no view,
+such as a lowering letter with two entries in a column, has the
+expression formed instead.
 
 Standard (Verma-type) modules are built by one induction that lets the
 exterior algebra of the letters act freely on a base module and rewrites
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, add_into, kernel
-from .dihedral import DihedralContext
+from .dihedral import DihedralContext, GroupElement
 from .nichols import (
     ExtMonomial,
     IndexSet,
@@ -88,22 +92,34 @@ def phi_action(
     reflection-degree vector the equal-sign choices act as the identity and
     the mixed ones as a root-of-unity multiple of ``y^(-+i)``.  So it is
     ``[eps = mu] + y^p S`` for one power p and a diagonal S, and it is
-    monomial wherever y^p is diagonal on the rotation degrees.
+    monomial wherever y^p is diagonal on the rotation degrees.  Column j is
+    built as it stands: ``[eps = mu] e_j`` plus column j of y^p times the
+    entry ``-w^e`` of S that the group degree of e_j gives.
     """
     i, k = pair
-    field = ctx.field
     same = eps == mu
-    scales = []
-    for g in module.gdeg:
+    one = ctx.field.one
+    y_cols = y_power(module, eps * i if same else -eps * i).sparse_columns()
+    # S is nonzero on the rotation degrees for equal signs and on the
+    # reflection degrees for mixed ones; its entry depends on the rotation a
+    scales: dict[int, CycNum] = {}
+    cols: list[VecDict] = []
+    for j, g in enumerate(module.gdeg):
+        if (g.refl == 0) != same:
+            cols.append({j: one} if same else {})
+            continue
         a = g.rot
-        if g.refl == 0:
-            scales.append(-ctx.omega(eps * a * k) if same else field.zero)
-        elif same:
-            scales.append(field.zero)
-        else:
-            scales.append(-ctx.omega(-(a + 2 * i) * k if eps > 0 else (a - 2 * i) * k))
-    part = y_power(module, eps * i if same else -eps * i) * CycMatrix.diagonal(field, scales)
-    return CycMatrix.identity(field, module.dim) + part if same else part
+        scale = scales.get(a)
+        if scale is None:
+            e = eps * a * k if same else (-(a + 2 * i) * k if eps > 0 else (a - 2 * i) * k)
+            scale = scales[a] = -ctx.omega(e)
+        col: VecDict = {}
+        for row, val in y_cols[j].items():
+            col[row] = scale * val
+        if same:
+            add_into(col, j, one)
+        cols.append(col)
+    return CycMatrix(ctx.field, cols, module.dim)
 
 
 def theta_action(ctx: DihedralContext, pair: tuple[int, int], module: QDModule) -> CycMatrix:
@@ -140,20 +156,28 @@ def _induce(
     for deg in range(2 * nu + 1):
         masks.extend(nichols_basis(sub, deg))
     mask_exponents = {mask: rotation_exponents(sub, mask) for mask in masks}
+    mask_letters = {mask: tuple(ExtMonomial(mask).letters()) for mask in masks}
+    mask_names = {mask: str(ExtMonomial(mask)) for mask in masks}
     entries = [(mask, b) for mask in masks for b in range(base.dim)]
     entries.sort(
         key=lambda mb: (
             -(base.zdeg[mb[1]] - mb[0].bit_count()),
             mb[0].bit_count(),
-            tuple(ExtMonomial(mb[0]).letters()),
+            mask_letters[mb[0]],
             mb[1],
         )
     )
     position = {mb: idx for idx, mb in enumerate(entries)}
     dim = len(entries)
     zdeg = [base.zdeg[b] - mask.bit_count() for mask, b in entries]
-    gdeg = [ctx.group.rotation(mask_exponents[mask][0]) * base.gdeg[b] for mask, b in entries]
-    labels = [f"{ExtMonomial(mask)}⊗{base.basis_labels[b]}" for mask, b in entries]
+    # the group degree of (mask, b), keyed by the mask's rotation exponent and b
+    degree_of: dict[tuple[int, int], GroupElement] = {}
+    for isum in {isum for isum, _ in mask_exponents.values()}:
+        turn = ctx.group.rotation(isum)
+        for b, g in enumerate(base.gdeg):
+            degree_of[(isum, b)] = turn * g
+    gdeg = [degree_of[(mask_exponents[mask][0], b)] for mask, b in entries]
+    labels = [f"{mask_names[mask]}⊗{base.basis_labels[b]}" for mask, b in entries]
 
     def scatter(base_col: VecDict, target: VecDict, mask: int, scale: CycNum) -> None:
         for b2, val in base_col.items():
@@ -187,7 +211,7 @@ def _induce(
     def phi_on(q: int, eps: int, mu: int, mask: int, b: int) -> dict[tuple[int, int], CycNum]:
         i, k = new_pairs[q]
         isum, ksum = mask_exponents[mask]
-        g = ctx.group.rotation(isum) * base.gdeg[b]
+        g = degree_of[(isum, b)]
         a = g.rot
         out: dict[tuple[int, int], CycNum] = {}
 
@@ -242,11 +266,11 @@ def _induce(
             a_cols[(q, sign)] = cols
 
     v_mats = {
-        (insert_pos + q, sign): CycMatrix.from_column_dicts(field, cols, dim)
+        (insert_pos + q, sign): CycMatrix(field, cols, dim)
         for (q, sign), cols in v_cols.items()
     }
     a_mats = {
-        (insert_pos + q, sign): CycMatrix.from_column_dicts(field, cols, dim)
+        (insert_pos + q, sign): CycMatrix(field, cols, dim)
         for (q, sign), cols in a_cols.items()
     }
     for base_mats, mats in ((base.v_mats, v_mats), (base.a_mats, a_mats)):
@@ -257,15 +281,15 @@ def _induce(
                 flip = field.from_integer(-1 if mask.bit_count() % 2 else 1)
                 scatter(cols[b], new_cols[position[(mask, b)]], mask, flip)
             shifted = pos if pos < insert_pos else pos + nu
-            mats[(shifted, sign)] = CycMatrix.from_column_dicts(field, new_cols, dim)
+            mats[(shifted, sign)] = CycMatrix(field, new_cols, dim)
     return QDModule(
         ctx,
         merged,
         labels,
         zdeg,
         gdeg,
-        CycMatrix.from_column_dicts(field, x_cols, dim),
-        CycMatrix.from_column_dicts(field, y_cols, dim),
+        CycMatrix(field, x_cols, dim),
+        CycMatrix(field, y_cols, dim),
         v_mats,
         a_mats,
         weight=weight,
@@ -295,11 +319,14 @@ def check_relations(module: QDModule) -> list[str]:
     """Verify every defining relation on explicit matrices; list the failures.
 
     Covers the group part (:func:`group_relation_failures`), the grading
-    compatibility of every letter, the smash-product commutation of x and y with each letter, all
-    anticommutators among raising letters, among lowering letters, and the
-    mixed ones, where the same-pair bracket must equal the cross-term
-    operator of :func:`phi_action` and distinct pairs must anticommute.  A
-    letter's bracket with itself is checked as A^2 = 0.
+    compatibility of every letter, the smash-product commutation of x and y
+    with each letter (``x A == A' x`` and ``y A == A (c y)``, decided by
+    :func:`_products_equal`), all anticommutators among raising letters,
+    among lowering letters, and the mixed ones, where the same-pair bracket
+    must equal the cross-term operator of :func:`phi_action` and distinct
+    pairs must anticommute (decided by :func:`_bracket_equals`).  A letter's
+    bracket with itself is checked as A^2 = 0.  Each check is an exact
+    equality on this module, and the failures are listed in that order.
     """
     ctx = module.ctx
     failures = group_relation_failures(module)
@@ -322,45 +349,110 @@ def check_relations(module: QDModule) -> list[str]:
         name = f"{kind}({pos},{sign:+d})"
         partner = letters[(kind, (pos, -sign))]
         k = pairs[pos][1]
-        if x * mat != partner * x:
+        if not _products_equal(x, mat, partner, x):
             failures.append(f"x does not swap the sign of {name}")
         scale = ctx.omega(sign * k if kind == "v" else -sign * k)
         if scale not in scaled_y:
-            scaled_y[scale] = y * CycMatrix.diagonal(ctx.field, [scale] * module.dim)
-        if y * mat != mat * scaled_y[scale]:
+            scaled_y[scale] = CycMatrix(
+                ctx.field, [{i: scale * val for i, val in col.items()} for col in y.sparse_columns()], module.dim
+            )
+        if not _products_equal(y, mat, mat, scaled_y[scale]):
             failures.append(f"y does not scale {name} as expected")
 
-    def anticommutator(ka: tuple[str, tuple[int, int]], kb: tuple[str, tuple[int, int]]) -> CycMatrix:
-        """A B + B A; A^2 for A = B.
-
-        {A, A} = 2 A^2 is zero exactly when A^2 is, and a letter is only
-        bracketed with itself to check that the bracket vanishes.
-        """
-        first, second = letters[ka], letters[kb]
-        if ka == kb:
-            return first * first
-        return first * second + second * first
-
+    # a letter is bracketed with itself, as the same matrix, only to check A^2 = 0
     v_keys = sorted(module.v_mats, key=lambda key: (key[0], -key[1]))
     a_keys = sorted(module.a_mats, key=lambda key: (key[0], -key[1]))
     for idx, ka in enumerate(v_keys):
         for kb in v_keys[idx:]:
-            if not anticommutator(("v", ka), ("v", kb)).is_zero():
+            if not _bracket_equals(module.v_mats[ka], module.v_mats[kb], None):
                 failures.append(f"raising letters {ka} and {kb} do not anticommute")
     for idx, ka in enumerate(a_keys):
         for kb in a_keys[idx:]:
-            if not anticommutator(("a", ka), ("a", kb)).is_zero():
+            if not _bracket_equals(module.a_mats[ka], module.a_mats[kb], None):
                 failures.append(f"lowering letters {ka} and {kb} do not anticommute")
     for ka in a_keys:
         for kb in v_keys:
-            bracket = anticommutator(("a", ka), ("v", kb))
-            if ka[0] == kb[0]:
-                matches = bracket == phi_action(ctx, pairs[ka[0]], ka[1], kb[1], module)
-            else:
-                matches = bracket.is_zero()
-            if not matches:
+            cross = phi_action(ctx, pairs[ka[0]], ka[1], kb[1], module) if ka[0] == kb[0] else None
+            if not _bracket_equals(module.a_mats[ka], module.v_mats[kb], cross):
                 failures.append(f"mixed bracket of a{ka} with v{kb} does not match the cross term")
     return failures
+
+
+def _same_product(x: CycNum, y: CycNum, p: CycNum, q: CycNum, m: int) -> bool:
+    """Whether ``x y == p q``: by exponent sums mod m where all four are tagged powers of w."""
+    if x.unit is None or y.unit is None or p.unit is None or q.unit is None:
+        return x * y == p * q
+    return (x.unit + y.unit - p.unit - q.unit) % m == 0
+
+
+def _products_equal(a: CycMatrix, b: CycMatrix, c: CycMatrix, d: CycMatrix) -> bool:
+    """Whether ``a b == c d``, column by column on the monomial views.
+
+    Column j of ``a b`` is empty or holds ``a_vals[r] b_vals[j]`` in row
+    ``a_rows[r]``, for r = ``b_rows[j]``; no product matrix is built.  If
+    an operand has no view, the products are formed and compared.
+    """
+    views = (a.monomial(), b.monomial(), c.monomial(), d.monomial())
+    if not all(views):
+        return a * b == c * d
+    (a_rows, a_vals), (b_rows, b_vals), (c_rows, c_vals), (d_rows, d_vals) = views
+    m = a.field.m
+    for j, r in enumerate(b_rows):
+        s = d_rows[j]
+        i = None if r is None else a_rows[r]
+        if i != (None if s is None else c_rows[s]):
+            return False
+        if i is not None and not _same_product(a_vals[r], b_vals[j], c_vals[s], d_vals[j], m):
+            return False
+    return True
+
+
+def _bracket_equals(a: CycMatrix, b: CycMatrix, target: CycMatrix | None) -> bool:
+    """Whether ``a b + b a == target``, column by column on the monomial views.
+
+    None is the zero target.  For ``a is b`` and a zero target the check is
+    ``a^2 == 0``, which holds exactly when ``2 a^2 == 0`` does.  Column j
+    holds ``a b e_j`` and ``b a e_j``, at most one entry each: in one row
+    they are summed, and in two rows the column has two entries and cannot
+    equal a column of the monomial target.  Two entries in one row cancel
+    exactly when ``x y == (-p) q``, which compares exponent sums where all
+    four are tagged powers of w (see :func:`_same_product`).  If an operand
+    has no view, the bracket is formed and compared.
+    """
+    square = a is b and target is None
+    a_view, b_view = a.monomial(), b.monomial()
+    t_view = None if target is None else target.monomial()
+    if not (a_view and b_view and (target is None or t_view)):
+        bracket = a * a if square else a * b + b * a
+        return bracket.is_zero() if target is None else bracket == target
+    (a_rows, a_vals), (b_rows, b_vals) = a_view, b_view
+    t_rows, t_vals = t_view or ([None] * a.ncols, None)
+    m = a.field.m
+    one = a.field.one
+    for j, t in enumerate(t_rows):
+        r = b_rows[j]
+        i = None if r is None else a_rows[r]
+        s = None if square else a_rows[j]
+        k = None if s is None else b_rows[s]
+        if i is None and k is None:
+            if t is not None:
+                return False
+        elif k is None:
+            if t != i or not _same_product(a_vals[r], b_vals[j], t_vals[j], one, m):
+                return False
+        elif i is None:
+            if t != k or not _same_product(b_vals[s], a_vals[j], t_vals[j], one, m):
+                return False
+        elif i != k:
+            return False
+        else:
+            x, y, p, q = a_vals[r], b_vals[j], b_vals[s], a_vals[j]
+            if t is None:
+                if not _same_product(x, y, -p, q, m):
+                    return False
+            elif t != i or x * y + p * q != t_vals[j]:
+                return False
+    return True
 
 
 def theta_congruence(module: QDModule) -> list[str]:

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
-from dihedral_doubles import qdouble
-from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dihedral_doubles import get_context, qdouble
+from dihedral_doubles.cyclotomic import CycMatrix, CycNum, EchelonBasis, get_field
 from dihedral_doubles.nichols import IndexSet, parse_index_set
 from dihedral_doubles.qdouble import (
     GradedCharacter,
+    _bracket_equals,
+    _products_equal,
     build_verma,
     check_relations,
     graded_character,
@@ -23,7 +29,13 @@ from dihedral_doubles.qdouble import (
     theta_congruence,
     y_power,
 )
-from dihedral_doubles.weights import QDModule, group_module, group_relation_failures, parse_weight_label
+from dihedral_doubles.weights import (
+    QDModule,
+    all_weight_labels,
+    group_module,
+    group_relation_failures,
+    parse_weight_label,
+)
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -269,6 +281,223 @@ def test_cross_term_operators_detect_weight_class(ctx12):
     assert not phi_action(ctx12, (2, 3), 1, -1, reflection).is_zero()
 
 
+def _reference_phi_action(ctx, pair, eps, mu, module):
+    """The reference for ``phi_action``: ``[eps = mu] I + y^p S`` as a matrix product and sum."""
+    i, k = pair
+    field = ctx.field
+    same = eps == mu
+    scales = []
+    for g in module.gdeg:
+        a = g.rot
+        if g.refl == 0:
+            scales.append(-ctx.omega(eps * a * k) if same else field.zero)
+        elif same:
+            scales.append(field.zero)
+        else:
+            scales.append(-ctx.omega(-(a + 2 * i) * k if eps > 0 else (a - 2 * i) * k))
+    part = y_power(module, eps * i if same else -eps * i) * CycMatrix.diagonal(field, scales)
+    return CycMatrix.identity(field, module.dim) + part if same else part
+
+
+def _assert_cross_terms_match_the_reference(module):
+    for pair in module.index_set.pairs:
+        for eps in (1, -1):
+            for mu in (1, -1):
+                built = phi_action(module.ctx, pair, eps, mu, module)
+                assert built == _reference_phi_action(module.ctx, pair, eps, mu, module)
+                assert all(x for col in built.sparse_columns() for x in col.values())
+
+
+@pytest.mark.parametrize("iset_text", ["(1,6),(3,6)", "(2,3),(2,9)"])
+def test_cross_terms_match_the_reference_on_every_standard_module(ctx12, iset_text):
+    for label in all_weight_labels(ctx12):
+        _assert_cross_terms_match_the_reference(build_verma(ctx12, parse_index_set(ctx12, iset_text), label))
+
+
+@given(st.sampled_from(["e:rho1", "M2,3", "Mx:0,0", "Mxy:1,0"]), st.integers(0, 7), st.integers(1, 5), st.data())
+def test_cross_terms_match_the_reference_for_a_y_that_is_not_monomial(label_text, col, power, data):
+    # phi_action reads only gdeg and the powers of y, so any y will do
+    ctx = get_context(12)
+    module = _verma(ctx, "(2,3)", label_text)
+    cols = [dict(c) for c in module.y_mat.sparse_columns()]
+    j = col % module.dim
+    row = data.draw(st.sampled_from([r for r in range(module.dim) if r not in cols[j]]))
+    cols[j][row] = ctx.omega(power)
+    sheared = _mutated(module, y_mat=CycMatrix(ctx.field, cols, module.dim))
+    assert sheared.y_mat.monomial() is None
+    _assert_cross_terms_match_the_reference(sheared)
+
+
+# The column kernels of check_relations against the matrix expressions they decide.
+
+
+def _bracket_reference(a, b, target):
+    bracket = a * b + b * a
+    return bracket.is_zero() if target is None else bracket == target
+
+
+@st.composite
+def _entries(draw, field):
+    """A nonzero entry: a tagged power of w, its negative, an untagged power, or a non-unit."""
+    k = draw(st.integers(0, field.m - 1))
+    power = field.zeta(k)
+    kind = draw(st.sampled_from(("tagged", "negated", "untagged", "non-unit")))
+    if kind == "tagged":
+        return power
+    if kind == "negated":
+        return -power  # tagged for even m; for odd m no power of w
+    if kind == "untagged":
+        return CycNum(field, power.coords, 1)
+    return field.one - power if k else field.from_integer(2)
+
+
+@st.composite
+def _drawn_matrices(draw, field, n):
+    """An n x n matrix with some empty columns, and columns with two entries as often as not."""
+    sizes = draw(st.sampled_from([(0, 1, 1), (0, 1, 2)]))
+    cols = []
+    for _ in range(n):
+        size = min(draw(st.sampled_from(sizes)), n)
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
+        cols.append({i: draw(_entries(field)) for i in rows})
+    return CycMatrix(field, cols, n)
+
+
+@st.composite
+def _variants(draw, mat):
+    """The matrix itself, or a copy: from its columns, untagged, with one entry flipped or moved, or with
+    a second entry in one column."""
+    kind = draw(st.sampled_from(("same", "same", "columns", "untagged", "flipped", "moved", "second entry")))
+    if kind == "same":
+        return mat
+    field = mat.field
+    cols = [dict(col) for col in mat.sparse_columns()]
+    filled = [j for j, col in enumerate(cols) if col]
+    if kind == "untagged":
+        cols = [{i: CycNum(field, x.coords, x.den) for i, x in col.items()} for col in cols]
+    elif kind != "columns" and filled:
+        j = draw(st.sampled_from(filled))
+        i = draw(st.sampled_from(sorted(cols[j])))
+        others = [r for r in range(mat.nrows) if r not in cols[j]]
+        if kind == "flipped":
+            cols[j][i] = -cols[j][i]
+        elif others:
+            row = draw(st.sampled_from(others))
+            entry = cols[j].pop(i) if kind == "moved" else draw(_entries(field))
+            cols[j][row] = entry
+    return CycMatrix(field, cols, mat.nrows)
+
+
+@lru_cache(maxsize=None)
+def _relation_modules():
+    # rotation and reflection weights, and an induced module whose lowering letters of pair 0 are not monomial
+    ctx = get_context(12)
+    return (
+        _verma(ctx, "(2,3)", "e:rho3"),
+        _verma(ctx, "(2,3),(2,9)", "e:chi2"),
+        _verma(ctx, "(2,3)", "Mx:0,0"),
+        induce_from_simple(ctx, head(_verma(ctx, "(3,6)", "Mx:0,0")), (1, 6)),
+    )
+
+
+@st.composite
+def _bracket_cases(draw):
+    """(a, b, target): letters of a module with their cross term or no target, or drawn matrices,
+    with one operand changed or not (see ``_variants``)."""
+    if draw(st.booleans()):
+        module = draw(st.sampled_from(_relation_modules()))
+        pos = draw(st.integers(0, len(module.index_set.pairs) - 1))
+        eps, mu = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        kind = draw(st.sampled_from(("mixed", "raising", "lowering")))
+        if kind == "mixed":
+            a, b = module.a_mats[(pos, eps)], module.v_mats[(pos, mu)]
+            target = phi_action(module.ctx, module.index_set.pairs[pos], eps, mu, module)
+        else:
+            mats = module.v_mats if kind == "raising" else module.a_mats
+            a, b, target = mats[(pos, eps)], mats[(draw(st.integers(0, pos)), mu)], None
+    else:
+        field = get_field(draw(st.sampled_from((9, 12, 16))))
+        n = draw(st.integers(1, 5))
+        a, b = draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n))
+        target = draw(st.sampled_from((None, a * b + b * a, draw(_drawn_matrices(field, n)))))
+    if draw(st.booleans()):
+        b = a
+    operands = [a, b, target]
+    changed = draw(st.sampled_from([0, 1, 2] if target is not None else [0, 1]))
+    operands[changed] = draw(_variants(operands[changed]))
+    return tuple(operands)
+
+
+@settings(max_examples=150)
+@given(_bracket_cases())
+def test_the_bracket_kernel_decides_the_matrix_equality(case):
+    a, b, target = case
+    assert _bracket_equals(a, b, target) == _bracket_reference(a, b, target)
+
+
+def _each_entry_moved(mat):
+    """Copies of ``mat``, one per entry, with that entry moved to the next row."""
+    for j, col in enumerate(mat.sparse_columns()):
+        for i, x in col.items():
+            cols = [dict(c) for c in mat.sparse_columns()]
+            del cols[j][i]
+            cols[j][(i + 1) % mat.nrows] = x
+            yield CycMatrix(mat.field, cols, mat.nrows)
+
+
+@pytest.mark.parametrize("iset_text, label_text", [("(2,3)", "Mx:0,0"), ("(2,3),(2,9)", "e:rho3")])
+def test_the_bracket_kernel_reads_the_row_of_every_target_entry(ctx12, iset_text, label_text):
+    module = _verma(ctx12, iset_text, label_text)
+    cases = []
+    for eps in (1, -1):
+        for mu in (1, -1):
+            cross = phi_action(ctx12, (2, 3), eps, mu, module)
+            cases.append((module.a_mats[(0, eps)], module.v_mats[(0, mu)], cross))
+    # y bracketed with itself is 2 y^2: both terms of each column land in one row
+    y = module.y_mat
+    cases.append((y, y, y * y + y * y))
+    for a, b, target in cases:
+        assert target.monomial() is not None and _bracket_equals(a, b, target)
+        for moved in _each_entry_moved(target):
+            assert not _bracket_equals(a, b, moved)
+            assert not _bracket_reference(a, b, moved)
+
+
+@st.composite
+def _product_cases(draw):
+    """(a, b, c, d): the swap by x and the scaling by y of a module's letters, or drawn matrices,
+    with one operand changed or not."""
+    if draw(st.booleans()):
+        module = draw(st.sampled_from(_relation_modules()))
+        kind, pos = draw(st.sampled_from("va")), draw(st.integers(0, len(module.index_set.pairs) - 1))
+        sign = draw(st.sampled_from([1, -1]))
+        mats = module.v_mats if kind == "v" else module.a_mats
+        letter = mats[(pos, sign)]
+        if draw(st.booleans()):
+            a, b, c, d = module.x_mat, letter, mats[(pos, -sign)], module.x_mat
+        else:
+            k = module.index_set.pairs[pos][1]
+            scale = module.ctx.omega(sign * k if kind == "v" else -sign * k)
+            scaled = [{i: scale * x for i, x in col.items()} for col in module.y_mat.sparse_columns()]
+            a, b, c, d = module.y_mat, letter, letter, CycMatrix(module.ctx.field, scaled, module.dim)
+    else:
+        field = get_field(draw(st.sampled_from((9, 12, 16))))
+        n = draw(st.integers(1, 5))
+        a, b = draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n))
+        c, d = (a, b) if draw(st.booleans()) else (draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n)))
+    operands = [a, b, c, d]
+    changed = draw(st.integers(0, 3))
+    operands[changed] = draw(_variants(operands[changed]))
+    return tuple(operands)
+
+
+@settings(max_examples=150)
+@given(_product_cases())
+def test_the_product_kernel_decides_the_matrix_equality(case):
+    a, b, c, d = case
+    assert _products_equal(a, b, c, d) == (a * b == c * d)
+
+
 def test_induction_multiplies_dimension_by_four(ctx12):
     base = head(_verma(ctx12, "(3,6)", "Mx:0,0"))
     assert base.dim == 12
@@ -278,6 +507,17 @@ def test_induction_multiplies_dimension_by_four(ctx12):
     assert _char_text(graded_character(head(induced))) == (
         "[0] Mx:0,0 | [-1] 2*Mxy:0,0 | [-2] Mx:0,0"
     )
+
+
+@pytest.mark.parametrize("label_text", ["e:chi1", "e:rho3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"])
+def test_induced_matrices_hold_no_zero_entry(ctx12, label_text):
+    # _induce builds its matrices from column dicts as they stand, with no pass that drops zeros
+    small = _verma(ctx12, "(3,6)", label_text)
+    modules = [_verma(ctx12, "(1,6),(3,6)", label_text)]
+    modules += [induce_from_simple(ctx12, base, (1, 6)) for base in (head(small), socle(small))]
+    for module in modules:
+        for mat in (module.x_mat, module.y_mat, *module.v_mats.values(), *module.a_mats.values()):
+            assert all(x for col in mat.sparse_columns() for x in col.values())
 
 
 def test_tensor_of_simples_passes_relations(ctx12):
@@ -335,8 +575,8 @@ def test_socle_refuses_modules_without_kernel_vectors(ctx12):
 # Each mutation below breaks one relation; check_relations must name it.
 
 
-def _mutated(module, y_mat=None, v_mats=()):
-    """A copy of the module with its y matrix or some raising letters replaced."""
+def _mutated(module, y_mat=None, v_mats=(), a_mats=()):
+    """A copy of the module with its y matrix or some letters replaced."""
     return QDModule(
         module.ctx,
         module.index_set,
@@ -346,7 +586,7 @@ def _mutated(module, y_mat=None, v_mats=()):
         module.x_mat,
         module.y_mat if y_mat is None else y_mat,
         {**module.v_mats, **dict(v_mats)},
-        dict(module.a_mats),
+        {**module.a_mats, **dict(a_mats)},
         weight=module.weight,
         kind=module.kind,
     )
@@ -372,6 +612,24 @@ def test_relations_catch_one_flipped_sign_in_a_letter(ctx12, source):
     x_lines = [line for line in failures if line.startswith("x does not swap")]
     assert sorted(x_lines) == ["x does not swap the sign of v(0,+1)", "x does not swap the sign of v(0,-1)"]
     assert "mixed bracket of a(0, 1) with v(0, 1) does not match the cross term" in failures
+
+
+@pytest.mark.parametrize("key", [(1, 1), (0, 1)], ids=["monomial", "two entries"])
+def test_relations_catch_one_flipped_sign_in_a_lowering_letter(ctx12, key):
+    # in this induced module the lowering letters of pair 0 have columns with two entries
+    module = induce_from_simple(ctx12, head(_verma(ctx12, "(3,6)", "Mx:0,0")), (1, 6))
+    letter = module.a_mats[key]
+    assert (letter.monomial() is None) == (key == (0, 1))
+    failures = check_relations(_mutated(module, a_mats={key: _flip_one_sign(letter)}))
+    brackets = [line for line in failures if line.startswith(("lowering", "mixed"))]
+    if key == (1, 1):
+        lowering = ["(0, 1) and (1, 1)", "(0, -1) and (1, 1)"]
+    else:
+        lowering = ["(0, 1) and (0, 1)", "(0, 1) and (0, -1)", "(0, 1) and (1, 1)", "(0, 1) and (1, -1)"]
+    assert brackets == [f"lowering letters {pair} do not anticommute" for pair in lowering] + [
+        f"mixed bracket of a{key} with v{kb} does not match the cross term"
+        for kb in ((0, 1), (0, -1), (1, 1), (1, -1))
+    ]
 
 
 def test_relations_catch_a_letter_scaled_wrongly_by_y(ctx12):
