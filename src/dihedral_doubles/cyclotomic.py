@@ -743,6 +743,9 @@ def add_into(target: dict, key, value: CycNum) -> None:
 def _clear(target: VecDict, pivot: int, row: VecDict) -> None:
     """Subtract the multiple of ``row`` that clears ``target`` at ``pivot``."""
     x = target.pop(pivot)
+    if len(row) == 1:
+        # a coordinate row c e_pivot: the multiple clears the pivot and nothing else
+        return
     lead = row[pivot]
     neg = -x if lead.unit == 0 else -(x * lead.inverse())
     for t, y in row.items():
@@ -769,6 +772,11 @@ class EchelonBasis:
     were inserted.  Rows hold no zero entries, and neither may the vectors
     handed in: an explicit zero could be taken for a pivot.  Treat ``rows``
     and ``pivots`` as read-only.
+
+    A coordinate row, one with a single entry, spans the basis vector e_p
+    of its pivot and costs no field arithmetic: clearing by it drops the
+    entry at p, and its reduced row is {p: 1}, the forward row itself when
+    its entry is already 1.
     """
 
     __slots__ = ("field", "pivots", "_forward", "_reduced")
@@ -792,7 +800,12 @@ class EchelonBasis:
             built: dict[int, VecDict] = {}
             # from the largest pivot down, the rows built so far are 0 at every pivot but their own
             for pivot in reversed(self.pivots):
-                row = dict(self._forward[pivot])
+                row = self._forward[pivot]
+                if len(row) == 1:
+                    # a coordinate row spans e_pivot, already reduced
+                    built[pivot] = row if row[pivot].unit == 0 else {pivot: self.field.one}
+                    continue
+                row = dict(row)
                 for later in [t for t in row if t in built]:
                     _clear(row, later, built[later])
                 lead = row[pivot]

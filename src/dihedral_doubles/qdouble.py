@@ -521,6 +521,9 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     Each vector must lie in one (degree, group degree) cell.  The generators
     are graded, so their images do too, and reduced rows from different
     cells share no coordinate: every row of the basis lies in one cell.
+    Every image of a queued vector is inserted.  The image of a queued
+    basis vector e_j is the generator's column j, read as it stands: the
+    columns are shared, and ``insert`` copies what it keeps.
     """
     space = EchelonBasis(module.ctx.field)
     queue: list[VecDict] = []
@@ -530,10 +533,15 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
         if space.insert(vec):
             queue.append(vec)
     gens = [module.x_mat, module.y_mat, *module.v_mats.values(), *module.a_mats.values()]
+    columns = [mat.sparse_columns() for mat in gens]
     while queue:
         vec = queue.pop()
-        for mat in gens:
-            image = mat.apply(vec)
+        if len(vec) == 1 and next(iter(vec.values())).unit == 0:
+            (j,) = vec
+            images = [cols[j] for cols in columns]
+        else:
+            images = [mat.apply(vec) for mat in gens]
+        for image in images:
             if space.insert(image):
                 queue.append(image)
     return space
@@ -550,13 +558,14 @@ def _on_positions(
 
     ``images(mat)`` lists, per kept position, the image under a generator of
     the vector that stands for it; read at the kept positions, it is the
-    generator's new column.
+    generator's new column.  The images must hold no zero entry, as those
+    of ``apply`` and ``reduce`` and the columns of a matrix do not.
     """
     new_index = {old: new for new, old in enumerate(kept)}
 
     def restrict(mat: CycMatrix) -> CycMatrix:
         cols = [{new_index[i]: val for i, val in image.items() if i in new_index} for image in images(mat)]
-        return CycMatrix.from_column_dicts(module.ctx.field, cols, len(kept))
+        return CycMatrix(module.ctx.field, cols, len(kept))
 
     return QDModule(
         module.ctx,
@@ -594,12 +603,14 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
 
     Pivot p stands for the row r_p.  A vector in the span has its
     coefficients over the rows as its entries at the pivots, so a
-    generator's column at p is ``g r_p`` read at the pivots.  An image that
-    leaves the span raises.
+    generator's column at p is ``g r_p`` read at the pivots.  A row with
+    one entry is e_p, and its image is the generator's column p as it
+    stands.  Every image is reduced, and one that leaves the span raises.
     """
 
     def images(mat: CycMatrix) -> list[VecDict]:
-        out = [mat.apply(row) for row in space.rows]
+        cols = mat.sparse_columns()
+        out = [cols[p] if len(row) == 1 else mat.apply(row) for p, row in zip(space.pivots, space.rows)]
         if any(space.reduce(image) for image in out):
             raise AssertionError("subspace is not stable under a generator")
         return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,6 +15,7 @@ from dihedral_doubles.cyclotomic import (
     CyclotomicField,
     EchelonBasis,
     _rref,
+    add_into,
     cyclotomic_polynomial,
     get_field,
     kernel,
@@ -679,3 +681,115 @@ def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
                 assert x is field.zeta(left.unit + y.unit)
             general = CycNum._normalized(field, field.mul_coords(left.coords, y.coords), left.den * y.den)
             assert (x.coords, x.den) == (general.coords, general.den)
+
+
+# Coordinate rows of EchelonBasis against the forward-row clears they skip.
+
+
+def _reference_clear(target, pivot, row):
+    """``_clear`` with no shortcut for a row of one entry: every clear negates or inverts."""
+    x = target.pop(pivot)
+    lead = row[pivot]
+    neg = -x if lead.unit == 0 else -(x * lead.inverse())
+    for t, y in row.items():
+        if t != pivot:
+            add_into(target, t, y * neg)
+
+
+class _ReferenceBasis:
+    """``EchelonBasis`` with no shortcut for coordinate rows: forward rows, then back-substitution."""
+
+    def __init__(self, field):
+        self.field, self.pivots, self.forward = field, [], {}
+
+    def insert(self, vec):
+        row = dict(vec)
+        while row and min(row) in self.forward:
+            _reference_clear(row, min(row), self.forward[min(row)])
+        if row:
+            insort(self.pivots, min(row))
+            self.forward[min(row)] = row
+        return bool(row)
+
+    def reduce(self, vec):
+        out = dict(vec)
+        for pivot in self.pivots:
+            if pivot in out:
+                _reference_clear(out, pivot, self.forward[pivot])
+        return out
+
+    @property
+    def rows(self):
+        built = {}
+        for pivot in reversed(self.pivots):
+            row = dict(self.forward[pivot])
+            for later in [t for t in row if t in built]:
+                _reference_clear(row, later, built[later])
+            lead = row[pivot]
+            if lead.unit != 0:
+                inv = lead.inverse()
+                row = {t: x * inv for t, x in row.items()}
+            built[pivot] = row
+        return [built[pivot] for pivot in self.pivots]
+
+    def kernel(self, ncols):
+        out = {free: {free: self.field.one} for free in range(ncols) if free not in self.pivots}
+        for pivot, row in zip(self.pivots, self.rows):
+            for free, x in row.items():
+                if free != pivot:
+                    out[free][pivot] = -x
+        return list(out.values())
+
+
+def _scaled_sum(field, rows, coeffs):
+    out: dict = {}
+    for c, row in zip(coeffs, rows):
+        for t, x in row.items():
+            add_into(out, t, c * x)
+    return out
+
+
+@st.composite
+def _mixed_rows(draw):
+    """Coordinate rows, with tagged, untagged and fractional entries, mixed with general rows
+    and with combinations of earlier rows."""
+    field = get_field(draw(st.sampled_from((12, 16))))
+    ncols = draw(st.integers(2, 6))
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("coordinate", "coordinate", "general", "combination")))
+        if kind == "combination" and len(rows) >= 2:
+            picked = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=3))
+            row = _scaled_sum(field, picked, [draw(_entries(field)) for _ in picked])
+        else:
+            # a general row has two or three entries, so clearing by it fills in
+            size = 1 if kind == "coordinate" else min(draw(st.integers(2, 3)), ncols)
+            cols = draw(st.lists(st.integers(0, ncols - 1), min_size=size, max_size=size, unique=True))
+            row = {j: draw(_entries(field)) for j in cols}
+        if row:
+            rows.append(row)
+    return field, ncols, rows
+
+
+@given(_mixed_rows(), st.data())
+def test_coordinate_rows_match_the_forward_row_clears(case, data):
+    field, ncols, rows = case
+    given_rows = [dict(row) for row in rows]
+    order = data.draw(st.permutations(range(len(rows))))
+    basis, reference = _rref(field, [rows[r] for r in order]), _ReferenceBasis(field)
+    for r in order:
+        reference.insert(rows[r])
+    assert basis.pivots == reference.pivots
+    assert basis.rows == reference.rows
+    # probes in the span and out of it, among them coordinate vectors
+    coeffs = [data.draw(_entries(field)) for _ in rows]
+    probes = [_scaled_sum(field, rows, coeffs), {j: data.draw(_entries(field)) for j in range(ncols)}]
+    probes += [{j: data.draw(_entries(field))} for j in range(ncols)]
+    for probe in probes:
+        assert basis.reduce(probe) == reference.reduce(probe)
+    assert basis.reduce(probes[0]) == {}
+    assert kernel(field, rows, ncols) == reference.kernel(ncols)
+    # the reduced rows are read after reducing, and neither the rows handed in nor the basis change
+    assert basis.rows == reference.rows
+    assert rows == given_rows
+    assert all(row[pivot] == field.one for pivot, row in zip(basis.pivots, basis.rows))

@@ -509,15 +509,143 @@ def test_induction_multiplies_dimension_by_four(ctx12):
     )
 
 
+def _generators(module):
+    return [module.x_mat, module.y_mat, *module.v_mats.values(), *module.a_mats.values()]
+
+
+def _standard_and_induced(ctx, label_text):
+    """The standard module over (1,6),(3,6), and the modules induced from the head and socle over (3,6)."""
+    small = _verma(ctx, "(3,6)", label_text)
+    modules = [_verma(ctx, "(1,6),(3,6)", label_text)]
+    return modules + [induce_from_simple(ctx, base, (1, 6)) for base in (head(small), socle(small))]
+
+
 @pytest.mark.parametrize("label_text", ["e:chi1", "e:rho3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"])
 def test_induced_matrices_hold_no_zero_entry(ctx12, label_text):
     # _induce builds its matrices from column dicts as they stand, with no pass that drops zeros
-    small = _verma(ctx12, "(3,6)", label_text)
-    modules = [_verma(ctx12, "(1,6),(3,6)", label_text)]
-    modules += [induce_from_simple(ctx12, base, (1, 6)) for base in (head(small), socle(small))]
-    for module in modules:
-        for mat in (module.x_mat, module.y_mat, *module.v_mats.values(), *module.a_mats.values()):
+    for module in _standard_and_induced(ctx12, label_text):
+        for mat in _generators(module):
             assert all(x for col in mat.sparse_columns() for x in col.values())
+
+
+# Socles, heads and submodules against a reference that applies every generator to every row.
+
+
+def _reference_generated(module, vectors):
+    """``submodule_generated`` with every image from ``apply``."""
+    space = EchelonBasis(module.ctx.field)
+    queue = [vec for vec in vectors if space.insert(vec)]
+    while queue:
+        vec = queue.pop()
+        for mat in _generators(module):
+            image = mat.apply(vec)
+            if space.insert(image):
+                queue.append(image)
+    return space
+
+
+def _reference_on_positions(module, kept, images, labels, kind):
+    """``_on_positions`` with the zero filter of ``from_column_dicts``."""
+    new_index = {old: new for new, old in enumerate(kept)}
+
+    def restrict(mat):
+        cols = [{new_index[i]: x for i, x in image.items() if i in new_index} for image in images(mat)]
+        return CycMatrix.from_column_dicts(module.ctx.field, cols, len(kept))
+
+    return QDModule(
+        module.ctx,
+        module.index_set,
+        labels,
+        [module.zdeg[i] for i in kept],
+        [module.gdeg[i] for i in kept],
+        restrict(module.x_mat),
+        restrict(module.y_mat),
+        {key: restrict(mat) for key, mat in module.v_mats.items()},
+        {key: restrict(mat) for key, mat in module.a_mats.items()},
+        weight=module.weight,
+        kind=kind,
+    )
+
+
+def _reference_submodule(module, space, kind):
+    def images(mat):
+        return [mat.apply(row) for row in space.rows]
+
+    labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
+    return _reference_on_positions(module, space.pivots, images, labels, kind)
+
+
+def _reference_quotient(module, space, kind):
+    kept = [i for i in range(module.dim) if i not in space.pivots]
+    one = module.ctx.field.one
+
+    def images(mat):
+        return [space.reduce(mat.apply({j: one})) for j in kept]
+
+    return _reference_on_positions(module, kept, images, [module.basis_labels[i] for i in kept], kind)
+
+
+def _negatives(module):
+    return [vec for z, vecs in highest_weight_vectors(module).items() if z < 0 for vec in vecs]
+
+
+def _reference_socle(module):
+    lowest = next(vecs for z in sorted(module.layer_indices()) if (vecs := highest_weight_vectors(module, z)))
+    return _reference_submodule(module, _reference_generated(module, lowest), "socle")
+
+
+def _reference_head(module):
+    while negatives := _negatives(module):
+        module = _reference_quotient(module, _reference_generated(module, negatives), "head")
+    return module
+
+
+def _assert_same_module(built, reference):
+    assert built.basis_labels == reference.basis_labels
+    assert (built.zdeg, built.gdeg, built.kind) == (reference.zdeg, reference.gdeg, reference.kind)
+    assert list(built.v_mats) == list(reference.v_mats) and list(built.a_mats) == list(reference.a_mats)
+    for mat, ref in zip(_generators(built), _generators(reference)):
+        assert mat.sparse_columns() == ref.sparse_columns()
+
+
+@lru_cache(maxsize=None)
+def _standard_and_recursion_modules(iset_text):
+    """Every 4th weight: the standard module, and per pair the two induced modules of the recursion."""
+    ctx = get_context(12)
+    iset = parse_index_set(ctx, iset_text)
+    modules = []
+    for label in all_weight_labels(ctx)[::4]:
+        modules.append(build_verma(ctx, iset, label))
+        for pos, pair in enumerate(iset.pairs):
+            small = build_verma(ctx, iset.without(pos), label)
+            modules += [induce_from_simple(ctx, head(small), pair), induce_from_simple(ctx, socle(small), pair)]
+    return modules
+
+
+@pytest.mark.parametrize("iset_text", ["(1,6),(3,6)", "(2,3),(2,9)"])
+def test_socles_heads_and_submodules_match_a_reference_that_applies_every_generator(iset_text):
+    for module in _standard_and_recursion_modules(iset_text):
+        _assert_same_module(socle(module), _reference_socle(module))
+        _assert_same_module(head(module), _reference_head(module))
+        negatives = _negatives(module)
+        if negatives:
+            space = submodule_generated(module, negatives)
+            assert space.rows == _reference_generated(module, negatives).rows
+            _assert_same_module(subspace_as_module(module, space), _reference_submodule(module, space, "submodule"))
+
+
+@pytest.mark.parametrize("label_text", ["e:chi1", "e:rho3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"])
+def test_socle_head_and_subquotient_matrices_hold_no_zero_entry(ctx12, label_text):
+    # _on_positions builds its matrices from the images as they stand, with no pass that drops zeros
+    for module in _standard_and_induced(ctx12, label_text):
+        built = [socle(module), head(module)]
+        negatives = _negatives(module)
+        if negatives:
+            space = submodule_generated(module, negatives)
+            built += [quotient(module, space), subspace_as_module(module, space)]
+        for part in built:
+            for mat in _generators(part):
+                assert all(x for col in mat.sparse_columns() for x in col.values())
 
 
 def test_tensor_of_simples_passes_relations(ctx12):
