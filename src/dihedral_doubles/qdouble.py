@@ -59,8 +59,9 @@ def y_power(module: QDModule, power: int) -> CycMatrix:
 
     The power is taken mod m.  y^p for p >= 2 is y^ceil(p/2) y^floor(p/2),
     both cached, so a power costs one product beyond the about log2(p)
-    halves it needs.  Where y is monomial the products compose row maps and
-    build no column dicts.
+    halves it needs.  y is an invertible monomial matrix (see
+    ``weights.QDModule``), so the products compose row maps and build no
+    column dicts.
     """
     power %= module.ctx.m
     cache: dict[int, CycMatrix] = module.__dict__.setdefault("_ypow", {})
@@ -91,10 +92,12 @@ def phi_action(
     ``1 - w^(+-a*k) y^(+-i)`` and the mixed ones vanish, while on a
     reflection-degree vector the equal-sign choices act as the identity and
     the mixed ones as a root-of-unity multiple of ``y^(-+i)``.  So it is
-    ``[eps = mu] + y^p S`` for one power p and a diagonal S, and it is
-    monomial wherever y^p is diagonal on the rotation degrees.  Column j is
-    built as it stands: ``[eps = mu] e_j`` plus column j of y^p times the
-    entry ``-w^e`` of S that the group degree of e_j gives.
+    ``[eps = mu] + y^p S`` for one power p and a diagonal S.  y, and so
+    y^p, is an invertible monomial matrix, so the mixed terms are monomial,
+    and the equal-sign ones are wherever y^p is diagonal on the rotation
+    degrees.  Column j is built as it stands: ``[eps = mu] e_j`` plus column
+    j of y^p times the entry ``-w^e`` of S that the group degree of e_j
+    gives.
     """
     i, k = pair
     same = eps == mu
@@ -522,8 +525,9 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     are graded, so their images do too, and reduced rows from different
     cells share no coordinate: every row of the basis lies in one cell.
     Every image of a queued vector is inserted.  The image of a queued
-    basis vector e_j is the generator's column j, read as it stands: the
-    columns are shared, and ``insert`` copies what it keeps.
+    coordinate vector c e_j is c times the generator's column j, which spans
+    the same line, so the column is inserted in its place, read as it
+    stands: the columns are shared, and ``insert`` copies what it keeps.
     """
     space = EchelonBasis(module.ctx.field)
     queue: list[VecDict] = []
@@ -536,7 +540,7 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     columns = [mat.sparse_columns() for mat in gens]
     while queue:
         vec = queue.pop()
-        if len(vec) == 1 and next(iter(vec.values())).unit == 0:
+        if len(vec) == 1:
             (j,) = vec
             images = [cols[j] for cols in columns]
         else:
@@ -605,7 +609,9 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     coefficients over the rows as its entries at the pivots, so a
     generator's column at p is ``g r_p`` read at the pivots.  A row with
     one entry is e_p, and its image is the generator's column p as it
-    stands.  Every image is reduced, and one that leaves the span raises.
+    stands.  Every image is reduced, and one that leaves the span raises;
+    so does a span on whose rows x or y is not an invertible monomial
+    matrix, when the module is built (``weights.QDModule``).
     """
 
     def images(mat: CycMatrix) -> list[VecDict]:

@@ -38,9 +38,9 @@ orthonormality that makes every inner product the integer it was read as.
 Hom spaces are solved only where explicit embeddings are needed
 (:func:`decompose`): the tensor splitting check, and the recheck of each
 socle's bottom layer.  There the characters name the members, and one hom
-space per named member plus a span check certify them.  Between modules
-whose x and y are invertible monomial matrices, as there, a hom space is
-walked along its two-term equations rather than eliminated
+space per named member plus a span check certify them.  Every module's x
+and y are invertible monomial matrices, checked once when it is built, so a
+hom space is walked along its two-term equations rather than eliminated
 (:func:`hom_space`).
 """
 
@@ -48,12 +48,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 from math import lcm
 from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
-from .cyclotomic import CycMatrix, CyclotomicField, CycNum, MonomialView, VecDict, _rref, add_into, kernel
+from .cyclotomic import CycMatrix, CycNum, VecDict, _rref
 from .dihedral import CHI_SIGNS, DihedralContext, GroupElement
 from .nichols import IndexSet
 
@@ -146,6 +145,17 @@ class QDModule:
     A module over the double of the group alone is the module over the
     empty index set, in degree 0, with no letters (:func:`group_module`).
 
+    x and y act as invertible monomial matrices: each has a monomial view
+    with no empty column and no two columns in one row.  This holds on every
+    simple module of the double of the group and on every module induced
+    from one, and it is checked here, once per module, so the traces,
+    hom spaces and tensor products that read x and y take one path.  The
+    letters may have columns with two entries.
+
+    Raises:
+        AssertionError: if x or y is not an invertible monomial matrix; the
+            message names the generator and the module's kind.
+
     Attributes:
         ctx: shared dihedral context.
         index_set: the index pairs the double is built on.
@@ -184,6 +194,10 @@ class QDModule:
         self.a_mats = a_mats
         self.weight = weight
         self.kind = kind
+        for name, mat in (("x", x_mat), ("y", y_mat)):
+            view = mat.monomial()
+            if view is None or None in view[0] or len(set(view[0])) != len(view[0]):
+                raise AssertionError(f"{name} is not an invertible monomial matrix on a module of kind {kind!r}")
 
     def layer_indices(self) -> dict[int, list[int]]:
         cached = self.__dict__.get("_layers")
@@ -405,32 +419,12 @@ def tensor_dd(left: QDModule, right: QDModule) -> QDModule:
 
 
 def _kronecker(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    """The Kronecker product; of two monomial factors, composed from their views."""
-    field = a.field
-    nrows = a.nrows * b.nrows
-    a_view, b_view = a.monomial(), b.monomial()
-    if a_view and b_view:
-        rows: list[int | None] = []
-        vals: list[CycNum | None] = []
-        for ia, va in zip(*a_view):
-            for ib, vb in zip(*b_view):
-                if ia is None or ib is None:
-                    rows.append(None)
-                    vals.append(None)
-                else:
-                    rows.append(ia * b.nrows + ib)
-                    vals.append(va * vb)
-        return CycMatrix._from_monomial(field, rows, vals, nrows)
-    cols: list[dict[int, CycNum]] = []
-    a_cols, b_cols = a.sparse_columns(), b.sparse_columns()
-    for ja in range(a.ncols):
-        for jb in range(b.ncols):
-            col: dict[int, CycNum] = {}
-            for ia, va in a_cols[ja].items():
-                for ib, vb in b_cols[jb].items():
-                    col[ia * b.nrows + ib] = va * vb
-            cols.append(col)
-    return CycMatrix.from_column_dicts(field, cols, nrows)
+    """The Kronecker product of two invertible monomial matrices, composed from their views."""
+    (a_rows, a_vals), (b_rows, b_vals) = a.monomial(), b.monomial()
+    n = b.nrows
+    rows = [ia * n + ib for ia in a_rows for ib in b_rows]
+    vals = [va * vb for va in a_vals for vb in b_vals]
+    return CycMatrix._from_monomial(a.field, rows, vals, a.nrows * n)
 
 
 def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
@@ -442,44 +436,25 @@ def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
     group generators, ``G_T F = F G_S``; its unknowns are the entries
     ``F[r, c]`` with r and c of one degree, and the result is the exact
     kernel of that linear system, one ``target.dim x source.dim`` matrix per
-    basis vector: the reduced free-column basis :func:`kernel` reads off the
-    echelon form of the equations.
+    basis vector: the reduced free-column basis that elimination would read
+    off the echelon form of the equations.
 
-    When x and y of both modules are invertible monomial matrices (no
-    empty column, no two columns in one row), as on every catalog member
-    and every :func:`tensor_dd` of them, and respect the grading, every
-    equation has two terms and the kernel is walked with no elimination
-    (:func:`_walked_kernel`).  The equations then split into orbits of
-    unknowns, each solved by one vector nonzero on all of its unknowns or
-    by zero; the free column of an orbit's echelon rows is its largest
-    unknown, and the walk scales the orbit's vector to 1 there, which is
-    the reduced free-column basis vector.  Any other system is eliminated.
-    Both paths give equal matrices.
+    x and y of every module are invertible monomial matrices (see
+    :class:`QDModule`), so every equation has two terms and the kernel is
+    walked with no elimination (:func:`_walked_kernel`).  The equations
+    split into orbits of unknowns, each solved by one vector nonzero on all
+    of its unknowns or by zero; the free column of an orbit's echelon rows
+    is its largest unknown, and the walk scales the orbit's vector to 1
+    there, which is the reduced free-column basis vector.
+
+    Raises:
+        AssertionError: if x or y of either module breaks the group grading.
     """
     field = source.ctx.field
     blocks = _blocks(target)
     variables = [(r, c) for c, deg in enumerate(source.gdeg) for r in blocks.get(deg, ())]
-    if not variables:
-        return []
-    vectors = _walked_kernel(source, target, variables)
-    if vectors is None:
-        # one row per equation (generator, row, column) of
-        # ``g_target * hom - hom * g_source = 0``, over the variables; the two
-        # diagonal terms of a variable often cancel, and add_into drops the zero
-        equations: dict[tuple[int, int, int], VecDict] = {}
-        for gen_id, (g_target, g_source) in enumerate(
-            ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat))
-        ):
-            t_cols = g_target.sparse_columns()
-            s_rows = g_source.transpose().sparse_columns()
-            for var, (r, c) in enumerate(variables):
-                for i, val in t_cols[r].items():
-                    add_into(equations.setdefault((gen_id, i, c), {}), var, val)
-                for j, val in s_rows[c].items():
-                    add_into(equations.setdefault((gen_id, r, j), {}), var, -val)
-        vectors = kernel(field, equations.values(), len(variables))
     homs = []
-    for vec in vectors:
+    for vec in _walked_kernel(source, target, variables):
         cols: list[dict[int, CycNum]] = [dict() for _ in range(source.dim)]
         for idx, value in vec.items():
             r, c = variables[idx]
@@ -488,45 +463,36 @@ def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
     return homs
 
 
-def _is_permutation(view: MonomialView | None) -> bool:
-    """Whether a monomial view is invertible: no empty column, no two columns in one row."""
-    return view is not None and None not in view[0] and len(set(view[0])) == len(view[0])
-
-
-def _walked_kernel(source: QDModule, target: QDModule, variables: list[tuple[int, int]]) -> list[VecDict] | None:
+def _walked_kernel(source: QDModule, target: QDModule, variables: list[tuple[int, int]]) -> list[VecDict]:
     """The kernel :func:`hom_space` solves, walked along its two-term equations.
 
     Write ``G e_r = a_r e_t(r)`` for a generator on the target and
-    ``G e_c = b_c e_s(c)`` for it on the source.  When x and y of both
-    modules are invertible monomial matrices, entry (t(r), c) of
-    ``G_T F = F G_S`` has two terms, ``a_r F[r, c] = b_c F[t(r), s(c)]``: it
-    links unknown (r, c) to unknown (t(r), s(c)).  Each generator permutes
-    the unknowns, so every unknown lies in one orbit of the group they
-    generate, and following the links forward from one root reaches all of
-    it.  Roots are taken in descending order, so each is the largest unknown
-    of its orbit.  The orbit's values are propagated from 1 at its root, and
-    every link that meets a valued unknown is checked as an exact equality;
-    one failure makes the orbit's solution zero, and otherwise it is one
-    line v, nonzero on every unknown of the orbit.
+    ``G e_c = b_c e_s(c)`` for it on the source, read off the monomial
+    views.  Entry (t(r), c) of ``G_T F = F G_S`` has two terms,
+    ``a_r F[r, c] = b_c F[t(r), s(c)]``: it links unknown (r, c) to unknown
+    (t(r), s(c)).  Each generator permutes the unknowns, so every unknown
+    lies in one orbit of the group they generate, and following the links
+    forward from one root reaches all of it.  Roots are taken in descending
+    order, so each is the largest unknown of its orbit.  The orbit's values
+    are propagated from 1 at its root, and every link that meets a valued
+    unknown is checked as an exact equality; one failure makes the orbit's
+    solution zero, and otherwise it is one line v, nonzero on every unknown
+    of the orbit.
 
     The echelon rows of that orbit's equations are then ``e_u - (v_u /
     v_last) e_last`` for every unknown u but its largest, ``last``, so the
     reduced free-column basis vector is the solution scaled to 1 at
-    ``last``, as walked, and :func:`kernel` lists those vectors by free
-    column.  The walk returns exactly that list.
+    ``last``, as walked; the walk lists those vectors by free column.
 
-    Returns None when a view is missing or singular, or a link leaves the
-    unknowns (a module whose x or y breaks the grading); then the caller
-    eliminates.
+    Raises:
+        AssertionError: if a link leaves the unknowns, which happens only
+            when x or y of one of the modules breaks the group grading.
     """
     links = []
-    for g_target, g_source in ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat)):
-        t_view, s_view = g_target.monomial(), g_source.monomial()
-        if not (_is_permutation(t_view) and _is_permutation(s_view)):
-            return None
-        t_rows, t_vals = t_view
-        s_rows, s_vals = s_view
-        links.append((t_rows, t_vals, s_rows, [b.inverse() for b in s_vals]))
+    for name, g_target, g_source in (("x", target.x_mat, source.x_mat), ("y", target.y_mat, source.y_mat)):
+        t_rows, t_vals = g_target.monomial()
+        s_rows, s_vals = g_source.monomial()
+        links.append((name, t_rows, t_vals, s_rows, [b.inverse() for b in s_vals]))
     position = {var: pos for pos, var in enumerate(variables)}
     values: list[CycNum | None] = [None] * len(variables)
     one = source.ctx.field.one
@@ -540,10 +506,13 @@ def _walked_kernel(source: QDModule, target: QDModule, variables: list[tuple[int
         for pos in orbit:  # grows as the walk reaches new unknowns
             r, c = variables[pos]
             value = values[pos]
-            for t_rows, t_vals, s_rows, s_inverses in links:
+            for name, t_rows, t_vals, s_rows, s_inverses in links:
                 linked = position.get((t_rows[r], s_rows[c]))
                 if linked is None:
-                    return None
+                    raise AssertionError(
+                        f"{name} breaks the group grading of the source (kind {source.kind!r})"
+                        f" or the target (kind {target.kind!r}) of a hom space"
+                    )
                 image = t_vals[r] * value * s_inverses[c]
                 known = values[linked]
                 if known is None:
@@ -675,59 +644,21 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> tu
     """Traces of the orbit representatives on the block of basis vectors of degree g.
 
     Returned as the concatenated integer coordinates of the traces over one
-    common denominator.  The element ``x^a y^b`` acts as ``X^a Y^b``.  When
-    X and Y are monomial the traces come from the y-cycles of the block
-    (:func:`_cycle_traces`); otherwise from the vectors ``Y^b e_j``, built
-    once per basis vector e_j of the block.
+    common denominator.  The element ``x^a y^b`` acts as ``X^a Y^b``, and X
+    and Y are invertible monomial matrices (see :class:`QDModule`), so the
+    traces come from the y-cycles of the block.  Y e_k is ``c_k e_s(k)``, so
+    Y^b e_j is one multiple of one basis vector, read off the walk j, s(j),
+    s(s(j)), ... with the running product of the c along it.  The walk stops
+    when it returns to j, after L steps with product P, or after the largest
+    exponent b needed; when it returns, ``Y^b e_j = P^(b div L) Y^(b mod L)
+    e_j``.  So e_j adds P^(b/L) to the trace of y^b for each multiple b of
+    L, and to that of x y^b the entry of X that takes Y^b e_j back to e_j,
+    if there is one.  A term that is a tagged power w^e is counted by its
+    exponent, and the counts become coordinates once at the end.
     """
     field = module.ctx.field
-    x_view, y_view = module.x_mat.monomial(), module.y_mat.monomial()
-    if x_view is not None and y_view is not None:
-        values = _cycle_traces(field, x_view, y_view, cls, block)
-    else:
-        by_rot: dict[int, list[int]] = {}
-        for pos, (h, _, _) in enumerate(cls.orbits):
-            by_rot.setdefault(h.rot, []).append(pos)
-        top = max(by_rot)
-        x_cols = module.x_mat.sparse_columns()
-        values = [field.zero] * len(cls.orbits)
-        for j in block:
-            vec: VecDict = {j: field.one}
-            for b in range(top + 1):
-                for pos in by_rot.get(b, ()):
-                    if cls.orbits[pos][0].refl:
-                        # entry j of X vec: row j of X against vec
-                        for k, val in vec.items():
-                            entry = x_cols[k].get(j)
-                            if entry is not None:
-                                values[pos] = values[pos] + entry * val
-                    elif j in vec:
-                        values[pos] = values[pos] + vec[j]
-                if b < top:
-                    vec = module.y_mat.apply(vec)
-    den = lcm(*(value.den for value in values))
-    if den == 1:
-        return list(chain.from_iterable(value.coords for value in values)), 1
-    return [c * (den // value.den) for value in values for c in value.coords], den
-
-
-def _cycle_traces(
-    field: CyclotomicField, x_view: MonomialView, y_view: MonomialView, cls: _ClassData, block: Sequence[int]
-) -> list[CycNum]:
-    """The trace of each orbit representative on the block, for monomial X and Y.
-
-    Y e_k is ``c_k e_s(k)``, so Y^b e_j is one multiple of one basis vector,
-    read off the walk j, s(j), s(s(j)), ... with the running product of the
-    c along it.  The walk stops when it returns to j, after L steps with
-    product P, or after the largest exponent b needed; when it returns,
-    ``Y^b e_j = P^(b div L) Y^(b mod L) e_j``.  So e_j adds P^(b/L) to the
-    trace of y^b for each multiple b of L, and to that of x y^b the entry of
-    X that takes Y^b e_j back to e_j, if there is one.  A term that is a
-    tagged power w^e is counted by its exponent, and the counts become
-    coordinates once at the end.
-    """
-    x_rows, x_vals = x_view
-    y_rows, y_vals = y_view
+    x_rows, x_vals = module.x_mat.monomial()
+    y_rows, y_vals = module.y_mat.monomial()
     one = field.one
     rotations: dict[int, list[int]] = {}  # b: the positions of the orbits of y^b
     reflections: list[tuple[int, int]] = []  # (position, b) for the orbits of x y^b
@@ -754,8 +685,6 @@ def _cycle_traces(
         k, prod = j, one
         for _ in range(top):
             row = y_rows[k]
-            if row is None:
-                break  # Y^b e_j = 0 from here on
             prod = y_vals[k] * prod
             if row == j:
                 cycle = prod
@@ -781,11 +710,12 @@ def _cycle_traces(
         for t, c in enumerate(field.zeta(e).coords):
             if c:
                 row[t] += count * c
-    traces = []
+    den = lcm(*(value.den for value in values))
+    vector: list[int] = []
     for row, value in zip(coords, values):
-        total = CycNum._integral(field, tuple(row))
-        traces.append(total + value if value else total)
-    return traces
+        scale = den // value.den
+        vector += [den * c + scale * v for c, v in zip(row, value.coords)]
+    return vector, den
 
 
 def _blocks(module: QDModule) -> dict[GroupElement, list[int]]:

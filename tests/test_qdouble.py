@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,17 @@ def _moved_to_a_wrong_group_degree(module, mat, keep):
     raise AssertionError("no entry can be moved")
 
 
+def _swapped_to_a_wrong_group_degree(module, mat):
+    """The first column j of ``mat``, and ``mat`` with the rows of columns j and k swapped, for the first k
+    of j's layer in another group degree: still an invertible monomial matrix."""
+    cols = [dict(col) for col in mat.sparse_columns()]
+    j = 0
+    k = next(k for k in range(module.dim) if module.zdeg[k] == module.zdeg[j] and module.gdeg[k] != module.gdeg[j])
+    ((row_j, x_j),), ((row_k, x_k),) = cols[j].items(), cols[k].items()
+    cols[j], cols[k] = {row_k: x_j}, {row_j: x_k}
+    return j, CycMatrix(module.ctx.field, cols, mat.nrows)
+
+
 @pytest.mark.parametrize("keep", [False, True], ids=["monomial", "two entries"])
 def test_a_generator_that_breaks_the_group_grading_is_named_with_its_column(ctx12, keep):
     verma = _verma(ctx12, "(2,3)", "Mx:0,0")
@@ -113,7 +125,12 @@ def test_a_generator_that_breaks_the_group_grading_is_named_with_its_column(ctx1
     assert (letter.monomial() is None) == keep
     broken = with_mats(verma.x_mat, {**verma.v_mats, (0, 1): letter})
     assert f"v(0,+1) breaks the grading at column {j}" in check_relations(broken)
-    j, x_mat = _moved_to_a_wrong_group_degree(verma, verma.x_mat, keep)
+    # an x with an entry moved is singular, and with an entry added not monomial: both are refused
+    _, moved = _moved_to_a_wrong_group_degree(verma, verma.x_mat, keep)
+    assert (moved.monomial() is None) == keep
+    with pytest.raises(AssertionError, match="x is not an invertible monomial matrix on a module of kind 'verma'"):
+        with_mats(moved, verma.v_mats)
+    j, x_mat = _swapped_to_a_wrong_group_degree(verma, verma.x_mat)
     failures = group_relation_failures(with_mats(x_mat, verma.v_mats))
     assert failures[0] == f"x breaks the grading at column {j}"
 
@@ -316,16 +333,20 @@ def test_cross_terms_match_the_reference_on_every_standard_module(ctx12, iset_te
 
 @given(st.sampled_from(["e:rho1", "M2,3", "Mx:0,0", "Mxy:1,0"]), st.integers(0, 7), st.integers(1, 5), st.data())
 def test_cross_terms_match_the_reference_for_a_y_that_is_not_monomial(label_text, col, power, data):
-    # phi_action reads only gdeg and the powers of y, so any y will do
+    # no module holds such a y, but phi_action reads only gdeg and the powers
+    # of y, so a stand-in with those fields will do
     ctx = get_context(12)
     module = _verma(ctx, "(2,3)", label_text)
     cols = [dict(c) for c in module.y_mat.sparse_columns()]
     j = col % module.dim
     row = data.draw(st.sampled_from([r for r in range(module.dim) if r not in cols[j]]))
     cols[j][row] = ctx.omega(power)
-    sheared = _mutated(module, y_mat=CycMatrix(ctx.field, cols, module.dim))
-    assert sheared.y_mat.monomial() is None
-    _assert_cross_terms_match_the_reference(sheared)
+    y_mat = CycMatrix(ctx.field, cols, module.dim)
+    assert y_mat.monomial() is None
+    with pytest.raises(AssertionError, match="y is not an invertible monomial matrix on a module of kind 'verma'"):
+        _mutated(module, y_mat=y_mat)
+    stand_in = SimpleNamespace(ctx=ctx, index_set=module.index_set, gdeg=module.gdeg, dim=module.dim, y_mat=y_mat)
+    _assert_cross_terms_match_the_reference(stand_in)
 
 
 # The column kernels of check_relations against the matrix expressions they decide.
@@ -608,6 +629,18 @@ def _assert_same_module(built, reference):
         assert mat.sparse_columns() == ref.sparse_columns()
 
 
+REFUSED_SUBMODULE = "x is not an invertible monomial matrix on a module of kind 'submodule'"
+
+
+def _refuses_its_negative_submodule(module):
+    """Whether ``subspace_as_module`` refuses the submodule generated by the negative-degree kernels.
+
+    It does on the standard modules of the reflection weights over two
+    pairs: x is not monomial on the reduced rows of that submodule.
+    """
+    return module.kind == "verma" and len(module.index_set.pairs) == 2 and module.weight.is_reflection_type
+
+
 @lru_cache(maxsize=None)
 def _standard_and_recursion_modules(iset_text):
     """Every 4th weight: the standard module, and per pair the two induced modules of the recursion."""
@@ -624,6 +657,9 @@ def _standard_and_recursion_modules(iset_text):
 
 @pytest.mark.parametrize("iset_text", ["(1,6),(3,6)", "(2,3),(2,9)"])
 def test_socles_heads_and_submodules_match_a_reference_that_applies_every_generator(iset_text):
+    field = get_context(12).field
+    scale = field.from_integer(2) + field.zeta(1)
+    coordinate_seeds = 0
     for module in _standard_and_recursion_modules(iset_text):
         _assert_same_module(socle(module), _reference_socle(module))
         _assert_same_module(head(module), _reference_head(module))
@@ -631,7 +667,17 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
         if negatives:
             space = submodule_generated(module, negatives)
             assert space.rows == _reference_generated(module, negatives).rows
-            _assert_same_module(subspace_as_module(module, space), _reference_submodule(module, space, "submodule"))
+            # seeds c e_j with c != 1 are read as columns too, and span the same
+            scaled = [{i: scale * x for i, x in vec.items()} for vec in negatives]
+            coordinate_seeds += sum(len(vec) == 1 for vec in scaled)
+            assert submodule_generated(module, scaled).rows == _reference_generated(module, scaled).rows == space.rows
+            if _refuses_its_negative_submodule(module):
+                for build in (subspace_as_module, _reference_submodule):
+                    with pytest.raises(AssertionError, match=REFUSED_SUBMODULE):
+                        build(module, space, "submodule")
+            else:
+                _assert_same_module(subspace_as_module(module, space), _reference_submodule(module, space, "submodule"))
+    assert coordinate_seeds
 
 
 @pytest.mark.parametrize("label_text", ["e:chi1", "e:rho3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"])
@@ -642,7 +688,12 @@ def test_socle_head_and_subquotient_matrices_hold_no_zero_entry(ctx12, label_tex
         negatives = _negatives(module)
         if negatives:
             space = submodule_generated(module, negatives)
-            built += [quotient(module, space), subspace_as_module(module, space)]
+            built.append(quotient(module, space))
+            if _refuses_its_negative_submodule(module):
+                with pytest.raises(AssertionError, match=REFUSED_SUBMODULE):
+                    subspace_as_module(module, space)
+            else:
+                built.append(subspace_as_module(module, space))
         for part in built:
             for mat in _generators(part):
                 assert all(x for col in mat.sparse_columns() for x in col.values())

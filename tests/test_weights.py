@@ -3,10 +3,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from unittest import mock
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, weights
@@ -229,7 +229,11 @@ def _walked_trace_vector(module, cls, block):
 
 
 def _sheared(ctx, module, i, j, c):
-    """The module in the basis with e_j replaced by e_j + c e_i (e_i, e_j of one degree)."""
+    """x and y in the basis with e_j replaced by e_j + c e_i (e_i, e_j of one degree).
+
+    No module holds them: the result is a stand-in with the fields the
+    references read.
+    """
     one = ctx.field.one
 
     def shear(scale):
@@ -237,67 +241,79 @@ def _sheared(ctx, module, i, j, c):
         return CycMatrix(ctx.field, cols, module.dim)
 
     forward, back = shear(c), shear(-c)
-    return group_module(
-        ctx, module.gdeg, back * module.x_mat * forward, back * module.y_mat * forward, module.basis_labels
+    return SimpleNamespace(
+        ctx=ctx,
+        dim=module.dim,
+        gdeg=module.gdeg,
+        basis_labels=module.basis_labels,
+        x_mat=back * module.x_mat * forward,
+        y_mat=back * module.y_mat * forward,
     )
+
+
+def _assert_refused(ctx, stand_in, generator="[xy]"):
+    """Building a module from the stand-in's x and y raises the monomial gate's message."""
+    with pytest.raises(AssertionError, match=f"{generator} is not an invertible monomial matrix on a module of kind"):
+        group_module(ctx, stand_in.gdeg, stand_in.x_mat, stand_in.y_mat, stand_in.basis_labels)
 
 
 @st.composite
 def _group_modules(draw):
-    """A layer of a standard module at m = 12 to 24, as built, rescaled or sheared.
+    """A layer of a standard module at m = 12 to 24, as built or rescaled.
 
     Rescaling by factors that are not units keeps x and y monomial with
-    entries off the units; a shear within one degree makes them not
-    monomial.  A layer of a rotation weight carries y diagonal on its
-    rotation degrees, so its y-cycles are shorter than the powers read.
+    entries off the units.  A layer of a rotation weight carries y diagonal
+    on its rotation degrees, so its y-cycles are shorter than the powers
+    read.
     """
     ctx = get_context(draw(st.sampled_from((12, 16, 20, 24))))
     pair = draw(st.sampled_from(valid_pairs(ctx)))
     label = draw(st.sampled_from(all_weight_labels(ctx)))
     verma = build_verma(ctx, validate_index_set(ctx, [pair]), label)
     module = verma.layer_module(draw(st.sampled_from(sorted(verma.layer_indices()))))
-    basis = draw(st.sampled_from(("as built", "rescaled", "sheared")))
-    if basis == "rescaled":
+    if draw(st.booleans()):
         factor = ctx.field.from_integer(2) + ctx.field.zeta(1)
         module = _rescaled(ctx, module, [factor ** (i % 3) * (i + 1) for i in range(module.dim)])
-    elif basis == "sheared":
-        shared = [block for block in _blocks(module).values() if len(block) > 1]
-        if shared:
-            block = draw(st.sampled_from(shared))
-            i, j = draw(st.permutations(block))[:2]
-            module = _sheared(ctx, module, i, j, ctx.field.zeta(draw(st.integers(0, ctx.m - 1))))
     return ctx, module
 
 
-def _assert_traces_match_the_walk(ctx, module):
+# x = 1 and y = -1: the y-cycle has length 1, so the trace of x y^b takes its product to the power b
+E_CHI3 = build_weight(get_context(12), parse_weight_label("e:chi3"))
+
+
+@given(_group_modules())
+@example((get_context(12), E_CHI3))
+def test_cycle_traces_match_the_walk_on_drawn_modules(case):
+    ctx, module = case
     blocks = _blocks(module)
     for cls in _class_data(ctx):
         if cls.rep in blocks:
             assert _trace_vector(module, cls, blocks[cls.rep]) == _walked_trace_vector(module, cls, blocks[cls.rep])
 
 
-@given(_group_modules())
-def test_cycle_traces_match_the_walk_on_drawn_modules(case):
-    _assert_traces_match_the_walk(*case)
-
-
 @pytest.mark.parametrize("m", [12, 16, 20, 24])
 def test_traces_of_a_module_whose_y_is_not_monomial_match_the_walk(m):
+    # such a module is refused when it is built; the walk over its basis
+    # still gives the traces of the module in the monomial basis, so the
+    # characters lose nothing to the refusal
     ctx = get_context(m)
     rho = build_weight(ctx, parse_weight_label("e:rho1"))
     sheared = _sheared(ctx, rho, 0, 1, ctx.field.one)
     assert rho.y_mat.monomial() is not None
     assert sheared.y_mat.monomial() is None
-    assert decomposition_counts(ctx, sheared) == [(parse_weight_label("e:rho1"), 1)]
-    _assert_traces_match_the_walk(ctx, sheared)
     # a standard module layer with a multiplicity, sheared inside one degree
     verma = build_verma(ctx, validate_index_set(ctx, [valid_pairs(ctx)[0]]), parse_weight_label("Mx:0,0"))
     layer = verma.layer_module(-1)
     i, j = next(block for block in _blocks(layer).values() if len(block) > 1)[:2]
     sheared_layer = _sheared(ctx, layer, i, j, ctx.field.zeta(1))
     assert sheared_layer.x_mat.monomial() is None or sheared_layer.y_mat.monomial() is None
-    assert decomposition_counts(ctx, sheared_layer) == decomposition_counts(ctx, layer)
-    _assert_traces_match_the_walk(ctx, sheared_layer)
+    for module, stand_in in ((rho, sheared), (layer, sheared_layer)):
+        _assert_refused(ctx, stand_in)
+        blocks = _blocks(module)
+        for cls in _class_data(ctx):
+            if cls.rep in blocks:
+                walked = _walked_trace_vector(stand_in, cls, blocks[cls.rep])
+                assert walked == _trace_vector(module, cls, blocks[cls.rep])
 
 
 def _eliminated_hom_space(source, target):
@@ -332,18 +348,10 @@ def _eliminated_hom_space(source, target):
     return homs
 
 
-def _assert_hom_spaces_match_elimination(pairs, walked=True):
-    """``hom_space`` equals the reference on each (source, target) pair.
-
-    With ``walked`` no pair may eliminate; without it every pair must, so
-    the walk must decline on each.
-    """
-    pairs = list(pairs)
-    expected = [_eliminated_hom_space(source, target) for source, target in pairs]
-    with mock.patch.object(weights, "kernel", wraps=kernel) as eliminated:
-        for (source, target), homs in zip(pairs, expected):
-            assert hom_space(source, target) == homs, (source, target)
-    assert eliminated.call_count == (0 if walked else len(pairs))
+def _assert_hom_spaces_match_elimination(pairs):
+    """``hom_space`` equals the reference on each (source, target) pair."""
+    for source, target in pairs:
+        assert hom_space(source, target) == _eliminated_hom_space(source, target), (source, target)
 
 
 @pytest.mark.parametrize("m", [12, 16])
@@ -380,6 +388,9 @@ def test_hom_spaces_into_head_and_socle_layers_match_elimination(ctx12):
 
 
 def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
+    # what the walk cannot read is refused: a y that is not monomial, and an x
+    # with an empty column or two columns in one row, when the module is built;
+    # an x that breaks the group grading when a hom space is asked of it
     field, group = ctx12.field, ctx12.group
     one = field.one
     catalog = weight_catalog(ctx12)
@@ -387,15 +398,23 @@ def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
     def member(text):
         return catalog.module(parse_weight_label(text))
 
-    def with_x(columns):
-        # degree e twice, y = 1: homs from e:chi1 and e:chi3 see only x
-        x_mat = CycMatrix.from_column_dicts(field, columns, 2)
-        return group_module(ctx12, [group.identity] * 2, x_mat, CycMatrix.identity(field, 2), ["a", "b"])
-
     product = tensor_dd(member("Mx:0,0"), member("Mxy:1,0"))
     i, j = next(block for block in _blocks(product).values() if len(block) > 1)[:2]
     sheared = _sheared(ctx12, product, i, j, ctx12.omega(1))
     assert sheared.y_mat.monomial() is None
+    _assert_refused(ctx12, sheared)
+    # elimination in the sheared basis finds the hom spaces the walk finds in the monomial one
+    for label, mult in decomposition_counts(ctx12, product):
+        other = catalog.module(label)
+        assert len(_eliminated_hom_space(other, sheared)) == len(hom_space(other, product)) == mult
+        assert len(_eliminated_hom_space(sheared, other)) == len(hom_space(product, other)) == mult
+    for columns in ([{0: one}, {}], [{0: one}, {0: one}]):
+        x_mat = CycMatrix.from_column_dicts(field, columns, 2)
+        assert x_mat.monomial() is not None
+        stand_in = SimpleNamespace(
+            gdeg=[group.identity] * 2, x_mat=x_mat, y_mat=CycMatrix.identity(field, 2), basis_labels=["a", "b"]
+        )
+        _assert_refused(ctx12, stand_in, "x")
     # M1,3 plus a vector of degree y that x fixes, where x must send degree y to y^-1
     off_grading = group_module(
         ctx12,
@@ -404,16 +423,10 @@ def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
         CycMatrix.diagonal(field, [ctx12.omega(3), ctx12.omega(-3), ctx12.omega(3)]),
         ["m+", "m-", "v"],
     )
-    cases = {
-        "y not monomial": (sheared, [catalog.module(label) for label, _ in decomposition_counts(ctx12, product)]),
-        "x with an empty column": (with_x([{0: one}, {}]), [member("e:chi1"), member("e:chi3")]),
-        "x with two columns in one row": (with_x([{0: one}, {0: one}]), [member("e:chi1"), member("e:chi3")]),
-        "a link leaving the unknowns": (off_grading, [member("M1,3")]),
-    }
-    for name, (module, members) in cases.items():
-        pairs = [(other, module) for other in members] + [(module, other) for other in members]
-        assert any(_eliminated_hom_space(*pair) for pair in pairs), f"{name}: every hom space is zero"
-        _assert_hom_spaces_match_elimination(pairs, walked=False)
+    assert any(_eliminated_hom_space(member("M1,3"), off_grading))
+    for source, target in ((member("M1,3"), off_grading), (off_grading, member("M1,3"))):
+        with pytest.raises(AssertionError, match="x breaks the group grading of the source .* or the target"):
+            hom_space(source, target)
 
 
 def _one_dimensional(ctx, degree, x_value, y_value):
@@ -487,35 +500,27 @@ def test_tensor_dimensions_multiply(ctx12, i, j):
 
 
 @st.composite
-def _small_columns(draw, field, nrows, ncols, monomial):
-    """Columns of mostly one entry, also of two when not ``monomial``: powers of w and rationals."""
+def _invertible_monomial(draw, field, n):
+    """The columns of an invertible monomial n x n matrix: powers of w and rationals on a permutation."""
     entries = st.sampled_from([field.zeta(1), -field.zeta(5), field.one, field.from_fraction(Fraction(-2, 3))])
-    sizes = (0, 1, 1) if monomial else (0, 1, 2)
-    cols = []
-    for _ in range(ncols):
-        size = min(draw(st.sampled_from(sizes)), nrows)
-        rows = draw(st.lists(st.integers(0, nrows - 1), min_size=size, max_size=size, unique=True))
-        cols.append({i: draw(entries) for i in rows})
-    return cols
+    return [{i: draw(entries)} for i in draw(st.permutations(range(n)))]
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 3), st.integers(1, 3), st.booleans(), st.data())
-def test_kronecker_products_match_their_entries(ra, ca, rb, cb, monomial, data):
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_kronecker_products_match_their_entries(na, nb, data):
     field = get_context(12).field
-    a_cols = data.draw(_small_columns(field, ra, ca, True))
-    b_cols = data.draw(_small_columns(field, rb, cb, monomial))
-    a, b = CycMatrix(field, a_cols, ra), CycMatrix(field, b_cols, rb)
-    # entry (ia rb + ib, ja cb + jb) of the product is A[ia, ja] B[ib, jb]
+    a_cols = data.draw(_invertible_monomial(field, na))
+    b_cols = data.draw(_invertible_monomial(field, nb))
+    a, b = CycMatrix(field, a_cols, na), CycMatrix(field, b_cols, nb)
+    # entry (ia nb + ib, ja nb + jb) of the product is A[ia, ja] B[ib, jb]
     expected = [
-        {ia * rb + ib: x * y for ia, x in col_a.items() for ib, y in col_b.items()}
+        {ia * nb + ib: x * y for ia, x in col_a.items() for ib, y in col_b.items()}
         for col_a in a_cols
         for col_b in b_cols
     ]
     product = weights._kronecker(a, b)
-    assert (product.nrows, product.ncols) == (ra * rb, ca * cb)
+    assert (product.nrows, product.ncols) == (na * nb, na * nb)
     assert product.sparse_columns() == expected
-    if a.monomial() is not None and b.monomial() is not None:
-        assert product.monomial() is not None
 
 
 def test_decompose_returns_full_rank_embeddings(ctx12):
