@@ -30,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, add_into, kernel
+from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, _rref, add_into, kernel
 from .dihedral import DihedralContext, GroupElement
 from .nichols import (
     ExtMonomial,
@@ -50,6 +50,7 @@ from .weights import (
     decomposition_counts,
     grading_failure,
     group_relation_failures,
+    invertible_monomial,
     tensor_dd,
 )
 
@@ -551,6 +552,89 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     return space
 
 
+def _eigenspaces(
+    ctx: DihedralContext, act: Callable[[VecDict], VecDict], order: int, spaces: list[list[VecDict]]
+) -> list[list[VecDict]]:
+    """Split each space, spanned by its vectors and kept by ``act``, into the eigenspaces of ``act``.
+
+    ``act`` has order dividing ``order`` there, so its eigenvalues are
+    ``w^(k m / order)``; the one for k, k ascending, is spanned by the images
+    under ``sum_j w^(-j k m / order) act^j``.  Empty eigenspaces are kept.
+    """
+    out = []
+    for vectors in spaces:
+        powers = [vectors]
+        while len(powers) < order:
+            powers.append([act(vec) for vec in powers[-1]])
+        for k in range(order):
+            scales = [ctx.omega(-j * k * (ctx.m // order)) for j in range(order)]
+            images = [{} for _ in vectors]
+            for scale, vecs in zip(scales, powers):
+                for image, vec in zip(images, vecs):
+                    for i, val in vec.items():
+                        add_into(image, i, scale * val)
+            out.append(_rref(ctx.field, images).rows)
+    return out
+
+
+def _adapted_basis(
+    ctx: DihedralContext, zdeg: Sequence[int], gdeg: Sequence[GroupElement], x: CycMatrix, y: CycMatrix
+) -> list[VecDict]:
+    """A basis on which x and y act as invertible monomial matrices, one vector per position.
+
+    A position gets a vector of its (degree, group degree) cell.  The cells
+    of one degree whose group degrees are conjugate form an orbit.  Its
+    first cell (z, h) gets a basis that the centraliser of h permutes up to
+    scalars: the eigenvectors of h and y^n for a reflection h, of y for a
+    rotation h other than e and y^n, and for e and y^n those of y for w^k
+    with 0 < k < n, their images under x, and in the eigenspaces of y for
+    1 and -1 the eigenvectors of x.  Every other cell is reached from one
+    already filled by x or y, and gets the images of its vectors.  So g
+    sends the vector u e of a cell, e from the first cell, to ``u' c e``
+    with c in the centraliser, and c e is a multiple of one e'.
+    """
+    n = ctx.n
+    cells: dict[tuple[int, GroupElement], list[int]] = {}
+    for i, key in enumerate(zip(zdeg, gdeg)):
+        cells.setdefault(key, []).append(i)
+
+    def turned(vec: VecDict, power: int) -> VecDict:
+        for _ in range(power):
+            vec = y.apply(vec)
+        return vec
+
+    filled: dict[tuple[int, GroupElement], list[VecDict]] = {}
+    for (z, h), idxs in cells.items():
+        if (z, h) in filled:
+            continue
+        spaces = [[{i: ctx.field.one} for i in idxs]]
+        if h.refl:
+            spaces = _eigenspaces(ctx, lambda vec: x.apply(turned(vec, h.rot)), 2, spaces)
+            spaces = _eigenspaces(ctx, lambda vec: turned(vec, n), 2, spaces)
+        else:
+            spaces = _eigenspaces(ctx, y.apply, ctx.m, spaces)
+        if not h.refl and h.rot % n == 0:
+            by_k, spaces = spaces, []
+            for k, space in enumerate(by_k):
+                if k % n == 0:
+                    spaces += _eigenspaces(ctx, x.apply, 2, [space])
+                elif k < n:
+                    spaces += [space, [x.apply(vec) for vec in space]]
+        filled[(z, h)] = [vec for space in spaces for vec in space]
+        orbit = [(z, h)]
+        for key in orbit:
+            for mat, t in ((x, ctx.group.x), (y, ctx.group.y)):
+                image = (z, key[1].conjugated_by(t))
+                if image not in filled:
+                    filled[image] = [mat.apply(vec) for vec in filled[key]]
+                    orbit.append(image)
+    basis: list[VecDict] = [{}] * len(zdeg)
+    for key, idxs in cells.items():
+        for i, vec in zip(idxs, filled[key]):
+            basis[i] = vec
+    return basis
+
+
 def _on_positions(
     module: QDModule,
     kept: Sequence[int],
@@ -564,25 +648,37 @@ def _on_positions(
     the vector that stands for it; read at the kept positions, it is the
     generator's new column.  The images must hold no zero entry, as those
     of ``apply`` and ``reduce`` and the columns of a matrix do not.
+
+    Where x or y is not an invertible monomial matrix on those vectors, the
+    positions keep their labels but stand for the vectors b_t of
+    :func:`_adapted_basis`.  A column is then the coordinates of an image
+    over them: with each b_t extended by 1 at ``dim + t``, a vector reduced
+    by the extended rows keeps minus its coordinates at ``dim + t`` alone.
     """
+    field, dim = module.ctx.field, len(kept)
     new_index = {old: new for new, old in enumerate(kept)}
 
     def restrict(mat: CycMatrix) -> CycMatrix:
         cols = [{new_index[i]: val for i, val in image.items() if i in new_index} for image in images(mat)]
-        return CycMatrix(module.ctx.field, cols, len(kept))
+        return CycMatrix(field, cols, dim)
 
+    zdeg, gdeg = [module.zdeg[i] for i in kept], [module.gdeg[i] for i in kept]
+    x_mat, y_mat = restrict(module.x_mat), restrict(module.y_mat)
+    letters = [{key: restrict(mat) for key, mat in mats.items()} for mats in (module.v_mats, module.a_mats)]
+    if not (invertible_monomial(x_mat) and invertible_monomial(y_mat)):
+        basis = _adapted_basis(module.ctx, zdeg, gdeg, x_mat, y_mat)
+        frame = _rref(field, [{**vec, dim + t: field.one} for t, vec in enumerate(basis)])
+        if frame.pivots != list(range(dim)):
+            raise AssertionError("the adapted vectors are not a basis")
+
+        def rebase(mat: CycMatrix) -> CycMatrix:
+            cols = [frame.reduce(mat.apply(vec)) for vec in basis]
+            return CycMatrix(field, [{i - dim: -val for i, val in col.items()} for col in cols], dim)
+
+        x_mat, y_mat = rebase(x_mat), rebase(y_mat)
+        letters = [{key: rebase(mat) for key, mat in mats.items()} for mats in letters]
     return QDModule(
-        module.ctx,
-        module.index_set,
-        labels,
-        [module.zdeg[i] for i in kept],
-        [module.gdeg[i] for i in kept],
-        restrict(module.x_mat),
-        restrict(module.y_mat),
-        {key: restrict(mat) for key, mat in module.v_mats.items()},
-        {key: restrict(mat) for key, mat in module.a_mats.items()},
-        weight=module.weight,
-        kind=kind,
+        module.ctx, module.index_set, labels, zdeg, gdeg, x_mat, y_mat, *letters, weight=module.weight, kind=kind
     )
 
 
@@ -590,7 +686,9 @@ def quotient(module: QDModule, space: EchelonBasis, kind: str = "quotient") -> Q
     """Quotient by a stable subspace, on the positions that are not its pivots.
 
     Position j stands for the class of e_j, and the class of a vector is
-    read off its reduction, so a generator's column at j is ``reduce(g e_j)``.
+    read off its reduction, so a generator's column at j is ``reduce(g e_j)``;
+    where x or y is not an invertible monomial matrix on those classes, the
+    positions stand for the vectors of an adapted basis (:func:`_on_positions`).
     """
     pivots = set(space.pivots)
     kept = [i for i in range(module.dim) if i not in pivots]
@@ -609,9 +707,9 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     coefficients over the rows as its entries at the pivots, so a
     generator's column at p is ``g r_p`` read at the pivots.  A row with
     one entry is e_p, and its image is the generator's column p as it
-    stands.  Every image is reduced, and one that leaves the span raises;
-    so does a span on whose rows x or y is not an invertible monomial
-    matrix, when the module is built (``weights.QDModule``).
+    stands.  Every image is reduced, and one that leaves the span raises.
+    Where x or y is not an invertible monomial matrix on the rows, the
+    pivots stand for the vectors of an adapted basis (:func:`_on_positions`).
     """
 
     def images(mat: CycMatrix) -> list[VecDict]:

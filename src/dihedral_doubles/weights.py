@@ -145,12 +145,16 @@ class QDModule:
     A module over the double of the group alone is the module over the
     empty index set, in degree 0, with no letters (:func:`group_module`).
 
-    x and y act as invertible monomial matrices: each has a monomial view
-    with no empty column and no two columns in one row.  This holds on every
-    simple module of the double of the group and on every module induced
-    from one, and it is checked here, once per module, so the traces,
-    hom spaces and tensor products that read x and y take one path.  The
-    letters may have columns with two entries.
+    x and y act as invertible monomial matrices (:func:`invertible_monomial`)
+    on every module that is built: the catalog members are written so, an
+    induced module lets them act on letters times base vectors as a signed
+    letter swap or a scalar times their action on the base, a
+    :func:`tensor_dd` takes Kronecker products and a layer keeps a block,
+    and a submodule or quotient (``qdouble._on_positions``) is given a basis
+    adapted to the group action wherever its reduced rows are not.  It is
+    checked here, once per module, so the traces, hom spaces and tensor
+    products that read x and y take one path.  The letters may have columns
+    with two entries.
 
     Raises:
         AssertionError: if x or y is not an invertible monomial matrix; the
@@ -195,8 +199,7 @@ class QDModule:
         self.weight = weight
         self.kind = kind
         for name, mat in (("x", x_mat), ("y", y_mat)):
-            view = mat.monomial()
-            if view is None or None in view[0] or len(set(view[0])) != len(view[0]):
+            if not invertible_monomial(mat):
                 raise AssertionError(f"{name} is not an invertible monomial matrix on a module of kind {kind!r}")
 
     def layer_indices(self) -> dict[int, list[int]]:
@@ -222,6 +225,12 @@ class QDModule:
     def __repr__(self) -> str:
         name = str(self.weight) if self.weight else None
         return f"QDModule(kind={self.kind!r}, dim={self.dim}, index_set={str(self.index_set)!r}, weight={name!r})"
+
+
+def invertible_monomial(mat: CycMatrix) -> bool:
+    """Whether ``mat`` has a monomial view with no empty column and no two columns in one row."""
+    view = mat.monomial()
+    return view is not None and None not in view[0] and len(set(view[0])) == len(view[0])
 
 
 def group_module(
@@ -453,6 +462,8 @@ def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
     field = source.ctx.field
     blocks = _blocks(target)
     variables = [(r, c) for c, deg in enumerate(source.gdeg) for r in blocks.get(deg, ())]
+    if not variables:
+        return []
     homs = []
     for vec in _walked_kernel(source, target, variables):
         cols: list[dict[int, CycNum]] = [dict() for _ in range(source.dim)]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble
-from dihedral_doubles.cyclotomic import CycMatrix, CycNum, EchelonBasis, get_field
+from dihedral_doubles.cyclotomic import CycMatrix, CycNum, EchelonBasis, _rref, get_field
 from dihedral_doubles.nichols import IndexSet, parse_index_set
 from dihedral_doubles.qdouble import (
     GradedCharacter,
@@ -33,9 +33,12 @@ from dihedral_doubles.qdouble import (
 from dihedral_doubles.weights import (
     QDModule,
     all_weight_labels,
+    build_weight,
     group_module,
     group_relation_failures,
+    invertible_monomial,
     parse_weight_label,
+    tensor_dd,
 )
 
 
@@ -566,24 +569,24 @@ def _reference_generated(module, vectors):
 
 
 def _reference_on_positions(module, kept, images, labels, kind):
-    """``_on_positions`` with the zero filter of ``from_column_dicts``."""
+    """``_on_positions`` on the vectors that stand for the positions, with the zero filter of
+    ``from_column_dicts``: a namespace, since x and y need not be monomial on those vectors."""
     new_index = {old: new for new, old in enumerate(kept)}
 
     def restrict(mat):
         cols = [{new_index[i]: x for i, x in image.items() if i in new_index} for image in images(mat)]
         return CycMatrix.from_column_dicts(module.ctx.field, cols, len(kept))
 
-    return QDModule(
-        module.ctx,
-        module.index_set,
-        labels,
-        [module.zdeg[i] for i in kept],
-        [module.gdeg[i] for i in kept],
-        restrict(module.x_mat),
-        restrict(module.y_mat),
-        {key: restrict(mat) for key, mat in module.v_mats.items()},
-        {key: restrict(mat) for key, mat in module.a_mats.items()},
-        weight=module.weight,
+    return SimpleNamespace(
+        ctx=module.ctx,
+        dim=len(kept),
+        basis_labels=tuple(labels),
+        zdeg=tuple(module.zdeg[i] for i in kept),
+        gdeg=tuple(module.gdeg[i] for i in kept),
+        x_mat=restrict(module.x_mat),
+        y_mat=restrict(module.y_mat),
+        v_mats={key: restrict(mat) for key, mat in module.v_mats.items()},
+        a_mats={key: restrict(mat) for key, mat in module.a_mats.items()},
         kind=kind,
     )
 
@@ -616,29 +619,41 @@ def _reference_socle(module):
 
 
 def _reference_head(module):
+    """The chain of quotients ``head`` takes, each step checked against the reference quotient."""
     while negatives := _negatives(module):
-        module = _reference_quotient(module, _reference_generated(module, negatives), "head")
+        space = _reference_generated(module, negatives)
+        reference = _reference_quotient(module, space, "head")
+        module = quotient(module, space, kind="head")
+        _assert_same_module(module, reference)
     return module
 
 
+def _change_of_basis(reference):
+    """None where x and y are invertible monomial matrices on the reference's vectors; otherwise the
+    matrix whose columns are the adapted basis, checked to be a basis of vectors of their positions' cells."""
+    if invertible_monomial(reference.x_mat) and invertible_monomial(reference.y_mat):
+        return None
+    basis = qdouble._adapted_basis(reference.ctx, reference.zdeg, reference.gdeg, reference.x_mat, reference.y_mat)
+    cells = list(zip(reference.zdeg, reference.gdeg))
+    assert all({cells[i] for i in vec} == {cells[j]} for j, vec in enumerate(basis))
+    assert len(_rref(reference.ctx.field, basis).pivots) == reference.dim
+    return CycMatrix(reference.ctx.field, basis, reference.dim)
+
+
 def _assert_same_module(built, reference):
+    """Equal labels, degrees and matrices; where x or y is not an invertible monomial matrix on the
+    reference's vectors, the adapted basis C must carry the reference's matrices to the built ones,
+    ``R C = C B`` for every generator.  Returns whether the basis was adapted."""
     assert built.basis_labels == reference.basis_labels
     assert (built.zdeg, built.gdeg, built.kind) == (reference.zdeg, reference.gdeg, reference.kind)
     assert list(built.v_mats) == list(reference.v_mats) and list(built.a_mats) == list(reference.a_mats)
+    change = _change_of_basis(reference)
     for mat, ref in zip(_generators(built), _generators(reference)):
-        assert mat.sparse_columns() == ref.sparse_columns()
-
-
-REFUSED_SUBMODULE = "x is not an invertible monomial matrix on a module of kind 'submodule'"
-
-
-def _refuses_its_negative_submodule(module):
-    """Whether ``subspace_as_module`` refuses the submodule generated by the negative-degree kernels.
-
-    It does on the standard modules of the reflection weights over two
-    pairs: x is not monomial on the reduced rows of that submodule.
-    """
-    return module.kind == "verma" and len(module.index_set.pairs) == 2 and module.weight.is_reflection_type
+        if change is None:
+            assert mat.sparse_columns() == ref.sparse_columns()
+        else:
+            assert (ref * change).sparse_columns() == (change * mat).sparse_columns()
+    return change is not None
 
 
 @lru_cache(maxsize=None)
@@ -659,7 +674,7 @@ def _standard_and_recursion_modules(iset_text):
 def test_socles_heads_and_submodules_match_a_reference_that_applies_every_generator(iset_text):
     field = get_context(12).field
     scale = field.from_integer(2) + field.zeta(1)
-    coordinate_seeds = 0
+    coordinate_seeds = adapted = 0
     for module in _standard_and_recursion_modules(iset_text):
         _assert_same_module(socle(module), _reference_socle(module))
         _assert_same_module(head(module), _reference_head(module))
@@ -671,13 +686,120 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
             scaled = [{i: scale * x for i, x in vec.items()} for vec in negatives]
             coordinate_seeds += sum(len(vec) == 1 for vec in scaled)
             assert submodule_generated(module, scaled).rows == _reference_generated(module, scaled).rows == space.rows
-            if _refuses_its_negative_submodule(module):
-                for build in (subspace_as_module, _reference_submodule):
-                    with pytest.raises(AssertionError, match=REFUSED_SUBMODULE):
-                        build(module, space, "submodule")
-            else:
-                _assert_same_module(subspace_as_module(module, space), _reference_submodule(module, space, "submodule"))
+            adapted += _assert_same_module(
+                subspace_as_module(module, space), _reference_submodule(module, space, "submodule")
+            )
     assert coordinate_seeds
+    # x is not monomial on the reduced rows of that submodule of the standard modules of reflection weights
+    assert adapted
+
+
+def _omega_sum(ctx, exponents):
+    return sum((ctx.omega(e) for e in exponents), ctx.field.zero)
+
+
+# A module over the double of the group, the span of the images of one vector of a cell, and the quotient
+# by it; on the reduced rows or on the positions that are not their pivots, x or y is not monomial.
+ADAPTED_CASES = [
+    # reflection cells
+    ("M4,10 Mxy:1,1 M1,6", "x*y^2", {4: [0], 7: [1], 20: [2]}),
+    # rotation cells other than e and y^n
+    ("Mxy:1,0 Mx:1,0 e:rho4", "y^7", {8: [0], 9: [1], 22: [2]}),
+    # the cell of e: x swaps the eigenspaces of y for w^k and w^-k
+    ("e:rho5 Mxy:1,0 Mxy:0,0", "e", {14: [6, 2], 57: [1, 9], 64: [2]}),
+]
+
+
+@pytest.mark.parametrize("factors, cell, vector", ADAPTED_CASES, ids=[case[1] for case in ADAPTED_CASES])
+def test_submodules_and_quotients_get_a_basis_adapted_to_the_group_action(ctx12, factors, cell, vector):
+    labels = factors.split()
+    module = build_weight(ctx12, parse_weight_label(labels[0]))
+    for label in labels[1:]:
+        module = tensor_dd(module, build_weight(ctx12, parse_weight_label(label)))
+    degree = ctx12.group.parse(cell)
+    vec = {i: _omega_sum(ctx12, exponents) for i, exponents in vector.items()}
+    assert all(module.gdeg[i] == degree for i in vec)
+    space = submodule_generated(module, [vec])
+    sub = subspace_as_module(module, space)
+    quot = quotient(module, space)
+    adapted = [
+        _assert_same_module(sub, _reference_submodule(module, space, "submodule")),
+        _assert_same_module(quot, _reference_quotient(module, space, "quotient")),
+    ]
+    assert any(adapted)
+    assert group_relation_failures(sub) == group_relation_failures(quot) == []
+    assert graded_character(sub) + graded_character(quot) == graded_character(module)
+
+
+def _sheared_in_each_cell(module):
+    """x and y in the basis ``(1 + N) e_j``: N adds to the first vector of each (degree, group degree)
+    cell w^t times its t-th other vector, so N^2 = 0 and the basis change is undone by 1 - N."""
+    field = module.ctx.field
+    cols = [dict() for _ in range(module.dim)]
+    cells = {}
+    for j, key in enumerate(zip(module.zdeg, module.gdeg)):
+        cells.setdefault(key, []).append(j)
+    for first, *others in cells.values():
+        for t, j in enumerate(others):
+            cols[j][first] = module.ctx.omega(t)
+    shear = CycMatrix(field, cols, module.dim)
+    ident = CycMatrix.identity(field, module.dim)
+    return [(ident - shear) * mat * (ident + shear) for mat in (module.x_mat, module.y_mat)]
+
+
+def _sum_of_tensor_products(ctx, text):
+    """The direct sum of the ``+``-separated tensor products of catalog members."""
+    module = None
+    for summand in text.split("+"):
+        labels = summand.split()
+        part = build_weight(ctx, parse_weight_label(labels[0]))
+        for label in labels[1:]:
+            part = tensor_dd(part, build_weight(ctx, parse_weight_label(label)))
+        if module is not None:
+
+            shift = module.dim
+
+            def block(a, b):
+                cols = [*a.sparse_columns(), *({i + shift: x for i, x in col.items()} for col in b.sparse_columns())]
+                return CycMatrix(ctx.field, cols, shift + b.nrows)
+
+            x_mat, y_mat = block(module.x_mat, part.x_mat), block(module.y_mat, part.y_mat)
+            part = group_module(ctx, module.gdeg + part.gdeg, x_mat, y_mat, module.basis_labels + part.basis_labels)
+        module = part
+    return module
+
+
+def _line(vec):
+    """The vector scaled to 1 at its smallest index, as a hashable key of the line it spans."""
+    lead = vec[min(vec)]
+    return tuple(sorted((i, x / lead) for i, x in vec.items()))
+
+
+# cells of e, y^n, other rotations and reflections, with eigenspaces of dimension above one; in the
+# last two, x is not a scalar on the eigenspace of y for 1 in the cell of e, and y^n not one on the
+# eigenspaces of a reflection
+ADAPTED_MODULES = [
+    "Mx:0,0 Mx:1,0",
+    "Mx:0,1 Mxy:1,1",
+    "e:rho1 e:rho1 e:rho1",
+    "Mx:0,0 e:rho2 M1,6",
+    "e:rho1 e:rho1 + e:chi2",
+    "Mx:0,0 + Mx:0,1",
+]
+
+
+@pytest.mark.parametrize("summands", ADAPTED_MODULES)
+def test_the_adapted_basis_makes_x_and_y_permute_its_lines(ctx12, summands):
+    module = _sum_of_tensor_products(ctx12, summands)
+    x_mat, y_mat = _sheared_in_each_cell(module)
+    assert not invertible_monomial(x_mat) and not invertible_monomial(y_mat)
+    basis = qdouble._adapted_basis(ctx12, module.zdeg, module.gdeg, x_mat, y_mat)
+    assert all({module.gdeg[i] for i in vec} == {module.gdeg[j]} for j, vec in enumerate(basis))
+    assert len(_rref(ctx12.field, basis).pivots) == module.dim
+    lines = {_line(vec): j for j, vec in enumerate(basis)}
+    for mat in (x_mat, y_mat):
+        # each image is a multiple of one basis vector, and no two are of the same one
+        assert sorted(lines[_line(mat.apply(vec))] for vec in basis) == list(range(module.dim))
 
 
 @pytest.mark.parametrize("label_text", ["e:chi1", "e:rho3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"])
@@ -688,12 +810,7 @@ def test_socle_head_and_subquotient_matrices_hold_no_zero_entry(ctx12, label_tex
         negatives = _negatives(module)
         if negatives:
             space = submodule_generated(module, negatives)
-            built.append(quotient(module, space))
-            if _refuses_its_negative_submodule(module):
-                with pytest.raises(AssertionError, match=REFUSED_SUBMODULE):
-                    subspace_as_module(module, space)
-            else:
-                built.append(subspace_as_module(module, space))
+            built += [quotient(module, space), subspace_as_module(module, space)]
         for part in built:
             for mat in _generators(part):
                 assert all(x for col in mat.sparse_columns() for x in col.values())
