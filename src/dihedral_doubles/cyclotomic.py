@@ -267,9 +267,9 @@ class CycNum:
     ``unit`` is k exactly when the number equals w^k, and None otherwise:
     every power of w that arithmetic produces is the field's shared power
     table entry, tagged with its exponent.  A result is tagged where it is
-    made: a product, negation or inverse of tagged numbers by its exponent,
-    and a sum, a normalised quotient or a parsed value by looking its
-    integer coordinates up in the field's table of powers.  So the products
+    made: a product, power, negation or inverse of tagged numbers by its
+    exponent, and a sum, a normalised quotient or a parsed value by looking
+    its integer coordinates up in the field's table of powers.  So the products
     and inverses of roots of unity, which are almost every entry of the
     group action and the letters, add exponents mod m, and two tagged
     numbers compare by their tags.  The constructor takes the tag as given:
@@ -437,6 +437,8 @@ class CycNum:
         return self.inverse() * other
 
     def __pow__(self, exponent: int) -> CycNum:
+        if self.unit is not None:
+            return self.field._zeta_pows[self.unit * exponent % self.field.m]
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result, base = self.field.one, self
@@ -508,12 +510,12 @@ class CycMatrix:
     or it is all a product holds: the product of two monomial matrices
     composes their row maps, and its column dicts are built only when asked
     for.  Most entries are powers of w, tagged (see :class:`CycNum`), so an
-    entry product of a row-map product, a negation or a cancelling sum of
-    two of them is a table lookup by exponent inside the :class:`CycNum`
-    operation.  Products, sums, ``==`` and :meth:`is_zero` of monomial
-    operands read the views alone.  A sum with entries in two different
-    rows of one column is not monomial; it, and every operation with a
-    non-monomial operand, goes through the column dicts and :meth:`apply`.
+    entry product of a row-map product or a negation is a table lookup by
+    exponent inside the :class:`CycNum` operation.  Products, negations,
+    ``==`` and :meth:`is_zero` of monomial operands read the views alone;
+    with a non-monomial operand they go through the column dicts and
+    :meth:`apply`.  There is no matrix sum: relation checks decide sums
+    column by column (``qdouble``).
     """
 
     __slots__ = ("field", "nrows", "ncols", "_columns", "_monomial")
@@ -642,57 +644,12 @@ class CycMatrix:
             return CycMatrix._from_monomial(self.field, rows, vals, self.nrows)
         return CycMatrix(self.field, [self.apply(col) for col in other._cols()], self.nrows)
 
-    def __add__(self, other: CycMatrix) -> CycMatrix:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch in matrix addition")
-        first = self.monomial()
-        second = other.monomial() if first else None
-        if second:
-            rows: list[int | None] = []
-            vals: list[CycNum | None] = []
-            for i, x, r, y in zip(*first, *second):
-                if r is None:
-                    rows.append(i)
-                    vals.append(x)
-                elif i is None:
-                    rows.append(r)
-                    vals.append(y)
-                elif i == r:
-                    total = x + y or None
-                    rows.append(None if total is None else i)
-                    vals.append(total)
-                else:
-                    break  # two entries in one column: not monomial
-            else:
-                return CycMatrix._from_monomial(self.field, rows, vals, self.nrows)
-        columns = []
-        for col_a, col_b in zip(self._cols(), other._cols()):
-            col = dict(col_a)
-            for i, x in col_b.items():
-                val = col[i] + x if i in col else x
-                if val:
-                    col[i] = val
-                else:
-                    del col[i]
-            columns.append(col)
-        return CycMatrix(self.field, columns, self.nrows)
-
     def __neg__(self) -> CycMatrix:
         view = self.monomial()
         if view:
             rows, vals = view
             return CycMatrix._from_monomial(self.field, rows, [None if x is None else -x for x in vals], self.nrows)
         return CycMatrix(self.field, [{i: -x for i, x in col.items()} for col in self._cols()], self.nrows)
-
-    def __sub__(self, other: CycMatrix) -> CycMatrix:
-        return self + (-other)
-
-    def transpose(self) -> CycMatrix:
-        columns: list[VecDict] = [{} for _ in range(self.nrows)]
-        for j, col in enumerate(self._cols()):
-            for i, x in col.items():
-                columns[i][j] = x
-        return CycMatrix(self.field, columns, self.ncols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> CycMatrix:
         position = {i: t for t, i in enumerate(row_idx)}

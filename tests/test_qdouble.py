@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble
-from dihedral_doubles.cyclotomic import CycMatrix, CycNum, EchelonBasis, _rref, get_field
-from dihedral_doubles.nichols import IndexSet, parse_index_set
+from dihedral_doubles.cyclotomic import CycMatrix, CycNum, EchelonBasis, _rref, add_into, get_field
+from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs
 from dihedral_doubles.qdouble import (
     GradedCharacter,
     _bracket_equals,
@@ -40,6 +40,16 @@ from dihedral_doubles.weights import (
     parse_weight_label,
     tensor_dd,
 )
+
+
+def _plus(a, b):
+    """The sum of two matrices of one shape, from their column dicts: the reference for the sums that the
+    relation checks decide column by column."""
+    columns = [dict(col) for col in a.sparse_columns()]
+    for col, other in zip(columns, b.sparse_columns()):
+        for i, x in other.items():
+            add_into(col, i, x)
+    return CycMatrix(a.field, columns, a.nrows)
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -316,11 +326,11 @@ def _reference_phi_action(ctx, pair, eps, mu, module):
         else:
             scales.append(-ctx.omega(-(a + 2 * i) * k if eps > 0 else (a - 2 * i) * k))
     part = y_power(module, eps * i if same else -eps * i) * CycMatrix.diagonal(field, scales)
-    return CycMatrix.identity(field, module.dim) + part if same else part
+    return _plus(CycMatrix.identity(field, module.dim), part) if same else part
 
 
-def _assert_cross_terms_match_the_reference(module):
-    for pair in module.index_set.pairs:
+def _assert_cross_terms_match_the_reference(module, pairs=None):
+    for pair in module.index_set.pairs if pairs is None else pairs:
         for eps in (1, -1):
             for mu in (1, -1):
                 built = phi_action(module.ctx, pair, eps, mu, module)
@@ -334,30 +344,40 @@ def test_cross_terms_match_the_reference_on_every_standard_module(ctx12, iset_te
         _assert_cross_terms_match_the_reference(build_verma(ctx12, parse_index_set(ctx12, iset_text), label))
 
 
-@given(st.sampled_from(["e:rho1", "M2,3", "Mx:0,0", "Mxy:1,0"]), st.integers(0, 7), st.integers(1, 5), st.data())
-def test_cross_terms_match_the_reference_for_a_y_that_is_not_monomial(label_text, col, power, data):
-    # no module holds such a y, but phi_action reads only gdeg and the powers
-    # of y, so a stand-in with those fields will do
-    ctx = get_context(12)
-    module = _verma(ctx, "(2,3)", label_text)
-    cols = [dict(c) for c in module.y_mat.sparse_columns()]
-    j = col % module.dim
-    row = data.draw(st.sampled_from([r for r in range(module.dim) if r not in cols[j]]))
-    cols[j][row] = ctx.omega(power)
-    y_mat = CycMatrix(ctx.field, cols, module.dim)
-    assert y_mat.monomial() is None
-    with pytest.raises(AssertionError, match="y is not an invertible monomial matrix on a module of kind 'verma'"):
-        _mutated(module, y_mat=y_mat)
-    stand_in = SimpleNamespace(ctx=ctx, index_set=module.index_set, gdeg=module.gdeg, dim=module.dim, y_mat=y_mat)
-    _assert_cross_terms_match_the_reference(stand_in)
+def _untagged(mat):
+    """A copy of ``mat`` whose entries carry no unit tag."""
+    cols = [{i: CycNum(mat.field, x.coords, x.den) for i, x in col.items()} for col in mat.sparse_columns()]
+    return CycMatrix(mat.field, cols, mat.nrows)
+
+
+def test_cross_terms_match_the_reference_for_a_y_with_untagged_entries_that_moves_rotation_degrees(ctx12):
+    # the cross terms read only gdeg and y, so a module over the empty index set takes any pair; on
+    # the rotation degrees of Mx:0,0 (x) Mx:1,0, y^i moves basis vectors, and a column of an equal-sign
+    # cross term has two entries
+    pairs = valid_pairs(ctx12)
+    moved = 0
+    for summands in ("Mx:0,0 Mx:1,0", "Mxy:0,1 Mx:1,1", "e:rho1 M2,3 + Mxy:1,0"):
+        built = _sum_of_tensor_products(ctx12, summands)
+        for y_mat in (built.y_mat, _untagged(built.y_mat)):
+            module = group_module(ctx12, built.gdeg, built.x_mat, y_mat, built.basis_labels)
+            _assert_cross_terms_match_the_reference(module, pairs)
+            for eps in (1, -1):
+                columns = phi_action(ctx12, pairs[0], eps, eps, module).sparse_columns()
+                moved += sum(len(col) == 2 for col in columns)
+    assert moved
 
 
 # The column kernels of check_relations against the matrix expressions they decide.
 
 
 def _bracket_reference(a, b, target):
-    bracket = a * b + b * a
+    bracket = _plus(a * b, b * a)
     return bracket.is_zero() if target is None else bracket == target
+
+
+def _columns_of(target):
+    """The column reader of a target matrix, as ``_bracket_equals`` takes it; None stays the zero target."""
+    return None if target is None else target.sparse_columns().__getitem__
 
 
 @st.composite
@@ -412,6 +432,22 @@ def _variants(draw, mat):
     return CycMatrix(field, cols, mat.nrows)
 
 
+@st.composite
+def _anticommuting(draw, field, n):
+    """(a, b) with ``a b + b a == 0``: b is ``diag(s_j c)`` for signs s and one drawn entry c, and a
+    sends each column of sign s to rows of sign -s, with up to two entries per column; the two terms of
+    every column cancel, as field elements whether c is tagged or not."""
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    c = draw(_entries(field))
+    cols = []
+    for j in range(n):
+        rows = [i for i in range(n) if signs[i] == -signs[j]]
+        picked = draw(st.lists(st.sampled_from(rows), max_size=2, unique=True)) if rows else []
+        cols.append({i: draw(_entries(field)) for i in picked})
+    b = CycMatrix(field, [{j: c if s > 0 else -c} for j, s in enumerate(signs)], n)
+    return CycMatrix(field, cols, n), b
+
+
 @lru_cache(maxsize=None)
 def _relation_modules():
     # rotation and reflection weights, and an induced module whose lowering letters of pair 0 are not monomial
@@ -442,9 +478,12 @@ def _bracket_cases(draw):
     else:
         field = get_field(draw(st.sampled_from((9, 12, 16))))
         n = draw(st.integers(1, 5))
-        a, b = draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n))
-        target = draw(st.sampled_from((None, a * b + b * a, draw(_drawn_matrices(field, n)))))
-    if draw(st.booleans()):
+        if draw(st.booleans()):
+            a, b = draw(_anticommuting(field, n))
+        else:
+            a, b = draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n))
+        target = draw(st.sampled_from((None, _plus(a * b, b * a), draw(_drawn_matrices(field, n)))))
+    if draw(st.integers(0, 3)) == 0:
         b = a
     operands = [a, b, target]
     changed = draw(st.sampled_from([0, 1, 2] if target is not None else [0, 1]))
@@ -456,7 +495,7 @@ def _bracket_cases(draw):
 @given(_bracket_cases())
 def test_the_bracket_kernel_decides_the_matrix_equality(case):
     a, b, target = case
-    assert _bracket_equals(a, b, target) == _bracket_reference(a, b, target)
+    assert _bracket_equals(a, b, _columns_of(target)) == _bracket_reference(a, b, target)
 
 
 def _each_entry_moved(mat):
@@ -479,18 +518,25 @@ def test_the_bracket_kernel_reads_the_row_of_every_target_entry(ctx12, iset_text
             cases.append((module.a_mats[(0, eps)], module.v_mats[(0, mu)], cross))
     # y bracketed with itself is 2 y^2: both terms of each column land in one row
     y = module.y_mat
-    cases.append((y, y, y * y + y * y))
+    cases.append((y, y, _plus(y * y, y * y)))
     for a, b, target in cases:
-        assert target.monomial() is not None and _bracket_equals(a, b, target)
+        assert target.monomial() is not None and _bracket_equals(a, b, _columns_of(target))
         for moved in _each_entry_moved(target):
-            assert not _bracket_equals(a, b, moved)
+            assert not _bracket_equals(a, b, _columns_of(moved))
             assert not _bracket_reference(a, b, moved)
+
+
+def _scaled(mat, shift):
+    """w^shift times ``mat``."""
+    scale = mat.field.zeta(shift)
+    return CycMatrix(mat.field, [{i: scale * x for i, x in col.items()} for col in mat.sparse_columns()], mat.nrows)
 
 
 @st.composite
 def _product_cases(draw):
-    """(a, b, c, d): the swap by x and the scaling by y of a module's letters, or drawn matrices,
-    with one operand changed or not."""
+    """(a, b, c, d, shift): the swap by x and the scaling by y of a module's letters, or drawn matrices,
+    with one operand or the shift changed or not."""
+    shift = 0
     if draw(st.booleans()):
         module = draw(st.sampled_from(_relation_modules()))
         kind, pos = draw(st.sampled_from("va")), draw(st.integers(0, len(module.index_set.pairs) - 1))
@@ -501,25 +547,28 @@ def _product_cases(draw):
             a, b, c, d = module.x_mat, letter, mats[(pos, -sign)], module.x_mat
         else:
             k = module.index_set.pairs[pos][1]
-            scale = module.ctx.omega(sign * k if kind == "v" else -sign * k)
-            scaled = [{i: scale * x for i, x in col.items()} for col in module.y_mat.sparse_columns()]
-            a, b, c, d = module.y_mat, letter, letter, CycMatrix(module.ctx.field, scaled, module.dim)
+            a, b, c, d = module.y_mat, letter, letter, module.y_mat
+            shift = sign * k if kind == "v" else -sign * k
     else:
         field = get_field(draw(st.sampled_from((9, 12, 16))))
         n = draw(st.integers(1, 5))
         a, b = draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n))
         c, d = (a, b) if draw(st.booleans()) else (draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n)))
+        shift = draw(st.sampled_from((0, draw(st.integers(-field.m, 2 * field.m)))))
     operands = [a, b, c, d]
-    changed = draw(st.integers(0, 3))
-    operands[changed] = draw(_variants(operands[changed]))
-    return tuple(operands)
+    changed = draw(st.integers(0, 4))
+    if changed < 4:
+        operands[changed] = draw(_variants(operands[changed]))
+    else:
+        shift += draw(st.integers(1, 3))
+    return (*operands, shift)
 
 
 @settings(max_examples=150)
 @given(_product_cases())
 def test_the_product_kernel_decides_the_matrix_equality(case):
-    a, b, c, d = case
-    assert _products_equal(a, b, c, d) == (a * b == c * d)
+    a, b, c, d, shift = case
+    assert _products_equal(a, b, c, d, shift) == (a * b == _scaled(c * d, shift))
 
 
 def test_induction_multiplies_dimension_by_four(ctx12):
@@ -744,7 +793,7 @@ def _sheared_in_each_cell(module):
             cols[j][first] = module.ctx.omega(t)
     shear = CycMatrix(field, cols, module.dim)
     ident = CycMatrix.identity(field, module.dim)
-    return [(ident - shear) * mat * (ident + shear) for mat in (module.x_mat, module.y_mat)]
+    return [_plus(ident, -shear) * mat * _plus(ident, shear) for mat in (module.x_mat, module.y_mat)]
 
 
 def _sum_of_tensor_products(ctx, text):
@@ -984,3 +1033,39 @@ def test_relations_catch_a_y_whose_mth_power_is_minus_one(ctx12):
         ctx12, layer.gdeg, layer.x_mat, _signed_shift(ctx12.field, layer.dim, ctx12.m), layer.basis_labels
     )
     assert "y^12 != 1" in group_relation_failures(twisted)
+
+
+def test_theta_congruence_names_each_degree_zero_vector_it_fails_on(ctx12):
+    # e:rho3 is projective for (2,3), so the combination of cross terms is nonzero on both degree-zero
+    # vectors; negating the first raising letter's column at the last one breaks the congruence there only
+    module = _verma(ctx12, "(2,3)", "e:rho3")
+    assert theta_congruence(module) == []
+    last = module.layer_indices()[0][-1]
+    cols = [dict(col) for col in module.v_mats[(0, -1)].sparse_columns()]
+    cols[last] = {i: -x for i, x in cols[last].items()}
+    mutated = _mutated(module, v_mats={(0, -1): CycMatrix(ctx12.field, cols, module.dim)})
+    assert theta_congruence(mutated) == [f"degree-zero congruence fails for pair (2, 3) on {module.basis_labels[last]}"]
+
+
+# A pair taken twice is admissible: its two copies are distinct letters that must anticommute.
+
+
+@pytest.mark.parametrize("iset_text", ["(1,6),(1,6)", "(2,3),(2,3)"])
+def test_relations_hold_over_a_repeated_pair(ctx12, iset_text):
+    for label_text in ("M2,3", "Mx:0,0", "Mxy:1,0"):
+        module = _verma(ctx12, iset_text, label_text)
+        assert module.index_set.pairs[0] == module.index_set.pairs[1]
+        assert check_relations(module) == []
+        assert theta_congruence(module) == []
+
+
+@pytest.mark.parametrize("iset_text", ["(1,6),(1,6)", "(2,3),(2,3)"])
+def test_relations_name_a_flipped_sign_in_the_second_copy_of_a_repeated_pair(ctx12, iset_text):
+    module = _verma(ctx12, iset_text, "Mxy:1,0")
+    failures = check_relations(_mutated(module, v_mats={(1, 1): _flip_one_sign(module.v_mats[(1, 1)])}))
+    x_lines = [line for line in failures if line.startswith("x does not swap")]
+    assert x_lines == ["x does not swap the sign of v(1,+1)", "x does not swap the sign of v(1,-1)"]
+    assert "raising letters (1, 1) and (1, -1) do not anticommute" in failures
+    assert "mixed bracket of a(1, 1) with v(1, 1) does not match the cross term" in failures
+    brackets = [line for line in failures if line.startswith(("raising", "lowering", "mixed"))]
+    assert all("(1, 1)" in line for line in brackets)

@@ -373,3 +373,10 @@ def test_rigid_tensor_verification(ctx12):
         verify_rigid_tensor(
             ctx12, iset, parse_weight_label("e:rho3"), parse_weight_label("e:chi1")
         )
+
+
+def test_verify_simple_checks_the_recursion_once_per_distinct_pair(ctx12):
+    report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(1,6),(3,6)"), parse_weight_label("e:chi1"))
+    assert [check.pair for check in report.recursion] == [(1, 6), (3, 6)]
+    assert all(check.ok for check in report.recursion)
+    assert report.ok

@@ -6,11 +6,11 @@ from math import lcm
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, weights
-from dihedral_doubles.cyclotomic import CycMatrix, add_into, kernel
+from dihedral_doubles.cyclotomic import CycMatrix, CycNum, add_into, get_field, kernel
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, validate_index_set, valid_pairs
 from dihedral_doubles.qdouble import build_verma, head, socle
@@ -19,6 +19,7 @@ from dihedral_doubles.weights import (
     _blocks,
     _catalog_characters,
     _class_data,
+    _order_failures,
     _trace_vector,
     all_weight_labels,
     build_weight,
@@ -71,6 +72,99 @@ def test_catalog_partition_by_central_class(ctx12):
 def test_every_weight_satisfies_the_module_axioms(ctx12):
     for label in all_weight_labels(ctx12):
         assert group_relation_failures(build_weight(ctx12, label)) == [], label
+
+
+# x^2 = y^m = (x y)^2 = 1, decided on the views, against the formed products.
+
+
+def _reference_order_failures(x, y, m):
+    ident = CycMatrix.identity(x.field, x.nrows)
+    power = ident
+    for _ in range(m):
+        power = y * power
+    xy = x * y
+    checks = (("x^2 != 1", x * x), (f"y^{m} != 1", power), ("(x y)^2 != 1", xy * xy))
+    return [message for message, product in checks if product != ident]
+
+
+@st.composite
+def _monomial_entries(draw, field, exponents):
+    """Powers of w with these exponents, each one tagged or not, and now and then one changed to 2 or to
+    another power of w."""
+    vals = []
+    for e in exponents:
+        power = field.zeta(e)
+        vals.append(power if draw(st.booleans()) else CycNum(field, power.coords, power.den))
+    if vals and draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, len(vals) - 1))
+        vals[j] = draw(st.sampled_from((field.from_integer(2), field.zeta(exponents[j] + 1))))
+    return vals
+
+
+@st.composite
+def _invertible_monomial_pairs(draw):
+    """(x, y, m): x an involution of the positions with entries w^t and w^-t on each swapped pair and +-1
+    on each fixed point, so that x^2 = 1 unless an entry is changed; y any permutation, its cycles of
+    any length up to 7, with drawn powers of w."""
+    m = draw(st.sampled_from((9, 12, 16)))
+    field = get_field(m)
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    swapped = draw(st.integers(0, n // 2))
+    x_rows, x_exps = list(range(n)), [0] * n
+    for a, b in zip(order[: 2 * swapped : 2], order[1 : 2 * swapped : 2]):
+        t = draw(st.integers(0, m - 1))
+        x_rows[a], x_rows[b], x_exps[a], x_exps[b] = b, a, t, -t
+    for j in order[2 * swapped :]:
+        x_exps[j] = draw(st.sampled_from((0, m // 2))) if m % 2 == 0 else 0
+    y_rows = draw(st.permutations(range(n)))
+    y_exps = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    x_vals = draw(_monomial_entries(field, x_exps))
+    y_vals = draw(_monomial_entries(field, y_exps))
+    x = CycMatrix(field, [{i: val} for i, val in zip(x_rows, x_vals)], n)
+    y = CycMatrix(field, [{i: val} for i, val in zip(y_rows, y_vals)], n)
+    return x, y, m
+
+
+@st.composite
+def _module_group_pairs(draw):
+    """(x, y, 12) of a catalog member or a tensor product of two, which satisfy the group relations, with
+    their entries redrawn by ``_monomial_entries``: untagged or not, and now and then one changed."""
+    ctx = get_context(12)
+    labels = all_weight_labels(ctx)
+    module = build_weight(ctx, draw(st.sampled_from(labels)))
+    if draw(st.booleans()):
+        module = tensor_dd(module, build_weight(ctx, draw(st.sampled_from(labels))))
+    mats = []
+    for mat in (module.x_mat, module.y_mat):
+        rows, vals = mat.monomial()
+        redrawn = draw(_monomial_entries(ctx.field, [val.unit for val in vals]))
+        mats.append(CycMatrix(ctx.field, [{i: val} for i, val in zip(rows, redrawn)], mat.nrows))
+    return (*mats, ctx.m)
+
+
+@settings(max_examples=200)
+@given(st.one_of(_invertible_monomial_pairs(), _module_group_pairs()))
+def test_group_relations_on_the_views_match_the_formed_products(case):
+    x, y, m = case
+    assert _order_failures(x, y, m) == _reference_order_failures(x, y, m)
+
+
+def test_group_relations_catch_a_y_cycle_whose_length_does_not_divide_m(ctx12):
+    # a 5-cycle of ones: y^5 = 1, and y^12 = y^2 moves every vector
+    one = ctx12.field.one
+    y = CycMatrix(ctx12.field, [{(j + 1) % 5: one} for j in range(5)], 5)
+    module = group_module(ctx12, [ctx12.group.identity] * 5, CycMatrix.identity(ctx12.field, 5), y, list("abcde"))
+    assert group_relation_failures(module) == ["y^12 != 1", "(x y)^2 != 1"]
+
+
+def test_group_relations_catch_an_x_that_swaps_with_the_wrong_sign(ctx12):
+    # x swaps the two vectors of e:rho1 as before, with -1 on one of them: x^2 = -1
+    member = build_weight(ctx12, parse_weight_label("e:rho1"))
+    one = ctx12.field.one
+    x = CycMatrix(ctx12.field, [{1: one}, {0: -one}], 2)
+    module = group_module(ctx12, member.gdeg, x, member.y_mat, member.basis_labels)
+    assert group_relation_failures(module) == ["x^2 != 1", "(x y)^2 != 1"]
 
 
 def test_label_parse_round_trip(ctx12, ctx16):
@@ -332,7 +426,10 @@ def _eliminated_hom_space(source, target):
         ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat))
     ):
         t_cols = g_target.sparse_columns()
-        s_rows = g_source.transpose().sparse_columns()
+        s_rows: list[dict] = [{} for _ in range(g_source.nrows)]
+        for j, col in enumerate(g_source.sparse_columns()):
+            for i, val in col.items():
+                s_rows[i][j] = val
         for var, (r, c) in enumerate(variables):
             for i, val in t_cols[r].items():
                 add_into(equations.setdefault((gen_id, i, c), {}), var, val)
