@@ -1,13 +1,13 @@
 """Slow tier: ``verify_simple`` on every case of the proven regime listed below.
 
 Run with ``PYTHONPATH=src python -m pytest -q slow``; tier-1's ``testpaths``
-does not collect it.  It covers every singleton case at m = 12, 16, 20 and
-24, every case over the 39 two-pair sets at m = 12 and over every tenth of
-the 66 at m = 16, and every case over ``(1,6),(3,6),(5,6)``.  Every module
-these cases build, standard, induced, head, socle, layer and tensor, passes
-the check of ``weights.QDModule`` that x and y are invertible monomial
-matrices, or its case raises.  The modules are built to pass it (see
-``weights.QDModule``); a pass shows the construction holding over this
+does not collect it.  It covers every singleton case at m = 12, 16, 20, 24,
+28 and 32, every case over the 39 two-pair sets at m = 12 and over every
+tenth of the 66 at m = 16, and every case over ``(1,6),(3,6),(5,6)``.  Every
+module these cases build, standard, induced, head, socle, layer and tensor,
+passes the check of ``weights.QDModule`` that x and y are invertible
+monomial matrices, or its case raises.  The modules are built to pass it
+(see ``weights.QDModule``); a pass shows the construction holding over this
 regime.  Over the 39 two-pair sets at m = 12, the submodule generated by
 the negative-degree joint kernel of every standard module, and the quotient
 by it, are built too, 312 of the submodules in an adapted basis, and their
@@ -60,7 +60,7 @@ TWO_PAIR_SETS = _two_pair_sets(get_context(12))
 SOME_TWO_PAIR_SETS_AT_16 = _two_pair_sets(get_context(16))[::10]
 
 
-@pytest.mark.parametrize("m", [12, 16, 20, 24])
+@pytest.mark.parametrize("m", [12, 16, 20, 24, 28, 32])
 def test_every_singleton_case(m):
     ctx = get_context(m)
     _assert_every_report_passes(ctx, [validate_index_set(ctx, [pair]) for pair in valid_pairs(ctx)])

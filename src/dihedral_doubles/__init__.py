@@ -8,7 +8,7 @@ characters, and the closed-form classification these computations verify.
 """
 
 from .cyclotomic import CycMatrix, CycNum, CyclotomicField, get_field
-from .dihedral import DihedralContext, DihedralGroup, GroupElement, get_context
+from .dihedral import DihedralContext, DihedralGroup, get_context
 from .nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from .qdouble import (
     GradedCharacter,
@@ -52,7 +52,6 @@ __all__ = [
     "DihedralContext",
     "DihedralGroup",
     "GradedCharacter",
-    "GroupElement",
     "IndexSet",
     "QDModule",
     "SimpleReport",

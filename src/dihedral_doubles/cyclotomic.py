@@ -9,9 +9,9 @@ the field's one copy of it, tagged with k, so products and inverses of
 roots of unity add exponents.  Matrices store one dict of nonzero
 entries per column.  A matrix with at most one entry per column, such as
 the group action and the raising letters of a standard module, also has a
-monomial view, its row map and its entries: products, sums, equality and
-zero tests of such matrices read the views and build no column dicts, and
-any other operand goes through the columns.  All elimination goes through
+monomial view, its row map and its entries: products, equality and zero
+tests of such matrices read the views and build no column dicts, and any
+other operand goes through the columns.  All elimination goes through
 one sparse echelon basis, :class:`EchelonBasis`, built from sparse vectors
 by :func:`_rref`: callers hand it the rows of a system or the vectors of a
 span, and read off ranks (its pivots), span membership
@@ -271,9 +271,11 @@ class CycNum:
     exponent, and a sum, a normalised quotient or a parsed value by looking
     its integer coordinates up in the field's table of powers.  So the products
     and inverses of roots of unity, which are almost every entry of the
-    group action and the letters, add exponents mod m, and two tagged
-    numbers compare by their tags.  The constructor takes the tag as given:
-    it is for coordinates that are no power of w, or whose tag is known.
+    group action and the letters, add exponents mod m.  This rule is what
+    makes ``==`` correct: when either side is tagged the two are equal
+    exactly when their tags are, and only two untagged numbers compare
+    coordinates.  The constructor takes the tag as given: it is for
+    coordinates that are no power of w, or whose tag is known.
     """
 
     __slots__ = ("field", "coords", "den", "unit")
@@ -460,7 +462,7 @@ class CycNum:
             other = self.field.from_fraction(other)
         if self.field.m != other.field.m:
             return False
-        if self.unit is not None and other.unit is not None:
+        if self.unit is not None or other.unit is not None:
             return self.unit == other.unit
         return self.coords == other.coords and self.den == other.den
 
@@ -510,12 +512,12 @@ class CycMatrix:
     or it is all a product holds: the product of two monomial matrices
     composes their row maps, and its column dicts are built only when asked
     for.  Most entries are powers of w, tagged (see :class:`CycNum`), so an
-    entry product of a row-map product or a negation is a table lookup by
-    exponent inside the :class:`CycNum` operation.  Products, negations,
-    ``==`` and :meth:`is_zero` of monomial operands read the views alone;
-    with a non-monomial operand they go through the column dicts and
-    :meth:`apply`.  There is no matrix sum: relation checks decide sums
-    column by column (``qdouble``).
+    entry product of a row-map product is a table lookup by exponent inside
+    the :class:`CycNum` operation.  Products, ``==`` and :meth:`is_zero` of
+    monomial operands read the views alone; with a non-monomial operand
+    they go through the column dicts and :meth:`apply`.  There is no matrix
+    sum or negation: relation checks decide them column by column
+    (``qdouble``).
     """
 
     __slots__ = ("field", "nrows", "ncols", "_columns", "_monomial")
@@ -644,13 +646,6 @@ class CycMatrix:
             return CycMatrix._from_monomial(self.field, rows, vals, self.nrows)
         return CycMatrix(self.field, [self.apply(col) for col in other._cols()], self.nrows)
 
-    def __neg__(self) -> CycMatrix:
-        view = self.monomial()
-        if view:
-            rows, vals = view
-            return CycMatrix._from_monomial(self.field, rows, [None if x is None else -x for x in vals], self.nrows)
-        return CycMatrix(self.field, [{i: -x for i, x in col.items()} for col in self._cols()], self.nrows)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> CycMatrix:
         position = {i: t for t, i in enumerate(row_idx)}
         cols = self._cols()
@@ -673,9 +668,6 @@ class CycMatrix:
         if first or second:
             return False  # one has a column with two entries, the other none
         return self._columns == other._columns
-
-    def __hash__(self) -> int:
-        return hash((self.field.m, self.nrows, tuple(frozenset(col.items()) for col in self._cols())))
 
     def __repr__(self) -> str:
         return f"CycMatrix({self.nrows}x{self.ncols} over Q(zeta_{self.field.m}))"

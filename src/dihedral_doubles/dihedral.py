@@ -2,85 +2,26 @@
 
 Elements are written ``x^a * y^b`` with ``x`` the distinguished reflection
 (order 2) and ``y`` the rotation of order m, subject to ``y*x = x*y^(-1)``.
-The group size m is a runtime parameter; every higher-level routine receives
-it through a :class:`DihedralContext`, which bundles the group with the exact
-cyclotomic scalar field of the same order.
+An element is the integer ``g = a * m + b`` with 0 <= g < 2m, so
+``divmod(g, m)`` reads off (a, b): the rotations are 0 .. m-1, the
+reflections m .. 2m-1, and integers sort as (a, b).  A
+:class:`DihedralGroup` builds its tables once: ``products[g][h]`` is g h,
+``inverses[g]`` is g^-1 and ``conjugates[t][g]`` is t g t^-1, so a row of
+``products`` or ``conjugates`` is the map a generator induces on group
+degrees.  ``name`` and ``parse`` translate to and from text such as
+``x*y^5``.  The group size m is a runtime parameter; every higher-level
+routine receives it through a :class:`DihedralContext`, which bundles the
+group with the exact cyclotomic scalar field of the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicField, CycNum, get_field
 
 # the four one-dimensional characters, by index: the signs they send x and y to
 CHI_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """The element ``x^refl * y^rot`` of the dihedral group of order 2m."""
-
-    refl: int
-    rot: int
-    m: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "refl", self.refl % 2)
-        object.__setattr__(self, "rot", self.rot % self.m)
-
-    def __mul__(self, other: GroupElement) -> GroupElement:
-        if other.m != self.m:
-            raise ValueError("elements belong to dihedral groups of different orders")
-        # (x^a y^b)(x^c y^d) = x^(a+c) y^(d + (-1)^c b)
-        rot = other.rot + (self.rot if other.refl == 0 else -self.rot)
-        return GroupElement(self.refl + other.refl, rot, self.m)
-
-    def inverse(self) -> GroupElement:
-        if self.refl:
-            return self  # reflections are involutions
-        return GroupElement(0, -self.rot, self.m)
-
-    def conjugated_by(self, t: GroupElement) -> GroupElement:
-        return t * self * t.inverse()
-
-    def __str__(self) -> str:
-        if self.refl == 0:
-            if self.rot == 0:
-                return "e"
-            return "y" if self.rot == 1 else f"y^{self.rot}"
-        if self.rot == 0:
-            return "x"
-        return "x*y" if self.rot == 1 else f"x*y^{self.rot}"
-
-    def __repr__(self) -> str:
-        return f"GroupElement({str(self)!r}, m={self.m})"
-
-
-def parse_element(text: str, m: int) -> GroupElement:
-    """Parse ``e``, ``x``, ``y``, ``y^3``, ``x*y^5`` style element names."""
-    raw = text.replace(" ", "")
-    if raw == "e":
-        return GroupElement(0, 0, m)
-    refl = 0
-    if raw.startswith("x"):
-        refl = 1
-        raw = raw[1:]
-        if raw.startswith("*"):
-            raw = raw[1:]
-    if not raw:
-        return GroupElement(refl, 0, m)
-    if not raw.startswith("y"):
-        raise ValueError(f"malformed group element: {text!r}")
-    raw = raw[1:]
-    if not raw:
-        rot = 1
-    elif raw.startswith("^"):
-        rot = int(raw[1:])
-    else:
-        raise ValueError(f"malformed group element: {text!r}")
-    return GroupElement(refl, rot, m)
 
 
 def in_proven_regime(m: int) -> bool:
@@ -105,42 +46,73 @@ class DihedralGroup:
             )
         self.m = m
         self.n = m // 2
-        self.identity = GroupElement(0, 0, m)
-        self.x = GroupElement(1, 0, m)
-        self.y = GroupElement(0, 1, m)
+        self.identity, self.x, self.y = 0, m, 1
+        split = [divmod(g, m) for g in range(2 * m)]
+        # (x^a y^b)(x^c y^d) = x^(a+c) y^(d + (-1)^c b)
+        self.products = tuple(
+            tuple(self.element(a + c, d - b if c else d + b) for c, d in split) for a, b in split
+        )
+        self.inverses = tuple(g if a else -b % m for g, (a, b) in enumerate(split))
+        self.conjugates = tuple(
+            tuple(self.products[self.products[t][g]][self.inverses[t]] for g in range(2 * m)) for t in range(2 * m)
+        )
 
-    def element(self, refl: int, rot: int) -> GroupElement:
-        return GroupElement(refl, rot, self.m)
+    def element(self, refl: int, rot: int) -> int:
+        return refl % 2 * self.m + rot % self.m
 
-    def rotation(self, rot: int) -> GroupElement:
-        return GroupElement(0, rot, self.m)
+    def rotation(self, rot: int) -> int:
+        return rot % self.m
 
-    def reflection(self, rot: int) -> GroupElement:
-        return GroupElement(1, rot, self.m)
+    def reflection(self, rot: int) -> int:
+        return self.m + rot % self.m
 
-    def elements(self) -> list[GroupElement]:
-        rots = [GroupElement(0, b, self.m) for b in range(self.m)]
-        refls = [GroupElement(1, b, self.m) for b in range(self.m)]
-        return rots + refls
+    def elements(self) -> range:
+        return range(2 * self.m)
 
-    def conjugacy_class(self, g: GroupElement) -> frozenset[GroupElement]:
-        return frozenset(g.conjugated_by(t) for t in self.elements())
-
-    def conjugacy_classes(self) -> list[frozenset[GroupElement]]:
-        seen: set[GroupElement] = set()
+    def conjugacy_classes(self) -> list[frozenset[int]]:
+        seen: set[int] = set()
         classes = []
         for g in self.elements():
             if g not in seen:
-                cls = self.conjugacy_class(g)
+                cls = frozenset(row[g] for row in self.conjugates)
                 classes.append(cls)
                 seen |= cls
         return classes
 
-    def centralizer(self, g: GroupElement) -> list[GroupElement]:
-        return [t for t in self.elements() if t * g == g * t]
+    def centralizer(self, g: int) -> list[int]:
+        return [t for t in self.elements() if self.products[t][g] == self.products[g][t]]
 
-    def parse(self, text: str) -> GroupElement:
-        return parse_element(text, self.m)
+    def name(self, g: int) -> str:
+        """The element as text: ``e``, ``y``, ``y^3``, ``x``, ``x*y``, ``x*y^5``."""
+        refl, rot = divmod(g, self.m)
+        power = "" if rot == 0 else "y" if rot == 1 else f"y^{rot}"
+        if not refl:
+            return power or "e"
+        return f"x*{power}" if power else "x"
+
+    def parse(self, text: str) -> int:
+        """Inverse of :meth:`name`; the exponent of y is taken mod m."""
+        raw = text.replace(" ", "")
+        if raw == "e":
+            return self.identity
+        refl = 0
+        if raw.startswith("x"):
+            refl = 1
+            raw = raw[1:]
+            if raw.startswith("*"):
+                raw = raw[1:]
+        if not raw:
+            return self.element(refl, 0)
+        if not raw.startswith("y"):
+            raise ValueError(f"malformed group element: {text!r}")
+        raw = raw[1:]
+        if not raw:
+            rot = 1
+        elif raw.startswith("^"):
+            rot = int(raw[1:])
+        else:
+            raise ValueError(f"malformed group element: {text!r}")
+        return self.element(refl, rot)
 
     def __repr__(self) -> str:
         return f"DihedralGroup(m={self.m})"
@@ -164,12 +136,13 @@ class DihedralContext:
         """The primitive m-th root of unity attached to rotations, to a power."""
         return self.field.zeta(exponent)
 
-    def character_value(self, sign_x: int, sign_y: int, g: GroupElement) -> int:
+    def character_value(self, sign_x: int, sign_y: int, g: int) -> int:
         """Value at g of the 1-dimensional character sending x, y to +-1."""
+        refl, rot = divmod(g, self.m)
         value = 1
-        if sign_x < 0 and g.refl:
+        if sign_x < 0 and refl:
             value = -value
-        if sign_y < 0 and g.rot % 2:
+        if sign_y < 0 and rot % 2:
             value = -value
         return value
 

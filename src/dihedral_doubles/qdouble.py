@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, VecDict, _rref, add_into, kernel
-from .dihedral import DihedralContext, GroupElement
+from .dihedral import DihedralContext
 from .nichols import (
     ExtMonomial,
     IndexSet,
@@ -51,7 +51,6 @@ from .weights import (
     WeightLabel,
     build_weight,
     decomposition_counts,
-    degree_codes,
     grading_failure,
     group_relation_failures,
     invertible_monomial,
@@ -112,13 +111,13 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
     gdeg = module.gdeg
 
     def column(j: int) -> VecDict:
-        g = gdeg[j]
-        if g.refl and same:
+        refl, a = divmod(gdeg[j], m)
+        if refl and same:
             return {j: one}
-        if g.refl:
-            e = -(g.rot + 2 * i) * k if eps > 0 else (g.rot - 2 * i) * k
+        if refl:
+            e = -(a + 2 * i) * k if eps > 0 else (a - 2 * i) * k
         elif same:
-            e = eps * g.rot * k
+            e = eps * a * k
         else:
             return {}
         # the entry of y^p S in y^p's row r is -w^e val = w^(e + m/2) val
@@ -200,11 +199,11 @@ def _induce(
     dim = len(entries)
     zdeg = [base.zdeg[b] - mask.bit_count() for mask, b in entries]
     # the group degree of (mask, b), keyed by the mask's rotation exponent and b
-    degree_of: dict[tuple[int, int], GroupElement] = {}
+    degree_of: dict[tuple[int, int], int] = {}
     for isum in {isum for isum, _ in mask_exponents.values()}:
-        turn = ctx.group.rotation(isum)
+        turn = ctx.group.products[ctx.group.rotation(isum)]
         for b, g in enumerate(base.gdeg):
-            degree_of[(isum, b)] = turn * g
+            degree_of[(isum, b)] = turn[g]
     gdeg = [degree_of[(mask_exponents[mask][0], b)] for mask, b in entries]
     labels = [f"{mask_names[mask]}⊗{base.basis_labels[b]}" for mask, b in entries]
 
@@ -240,8 +239,7 @@ def _induce(
     def phi_on(q: int, eps: int, mu: int, mask: int, b: int) -> dict[tuple[int, int], CycNum]:
         i, k = new_pairs[q]
         isum, ksum = mask_exponents[mask]
-        g = degree_of[(isum, b)]
-        a = g.rot
+        refl, a = divmod(degree_of[(isum, b)], ctx.m)
         out: dict[tuple[int, int], CycNum] = {}
 
         def add_y_power(power: int, scale: CycNum) -> None:
@@ -250,7 +248,7 @@ def _induce(
             for b2, val in base_y_powers[power][b].items():
                 add_into(out, (mask, b2), total * val)
 
-        if g.refl == 0:
+        if refl == 0:
             if eps == mu:
                 out[(mask, b)] = field.one
                 add_y_power(i if eps > 0 else -i, -omega(a * k if eps > 0 else -a * k))
@@ -354,22 +352,20 @@ def check_relations(module: QDModule) -> list[str]:
     among lowering letters, and the mixed ones, where the same-pair bracket
     must equal the cross term read by :func:`_cross_term` and distinct
     pairs must anticommute (decided by :func:`_bracket_equals`).  A letter's
-    bracket with itself is checked as A^2 = 0.  The group degrees are
-    encoded once for every grading check.  Each check is an exact equality
-    on this module, decided column by column with no product, sum or
-    cross-term matrix built, and the failures are listed in that order.
+    bracket with itself is checked as A^2 = 0.  Each check is an exact
+    equality on this module, decided column by column with no product, sum
+    or cross-term matrix built, and the failures are listed in that order.
     """
-    ctx = module.ctx
-    codes = degree_codes(module)
-    failures = group_relation_failures(module, codes)
+    group = module.ctx.group
+    failures = group_relation_failures(module)
     pairs = module.index_set.pairs
     letters: dict[tuple[str, tuple[int, int]], CycMatrix] = {}
     # a raising letter lowers the degree by one and multiplies the group
     # degree by y^(+-i); a lowering letter does the opposite
     for kind, mats, zshift in (("v", module.v_mats, -1), ("a", module.a_mats, 1)):
         for (pos, sign), mat in mats.items():
-            shift = ctx.group.rotation(-zshift * sign * pairs[pos][0])
-            failure = grading_failure(module, codes, f"{kind}({pos},{sign:+d})", mat, zshift, lambda g: shift * g)
+            shift = group.rotation(-zshift * sign * pairs[pos][0])
+            failure = grading_failure(module, f"{kind}({pos},{sign:+d})", mat, zshift, group.products[shift])
             if failure:
                 failures.append(failure)
             letters[(kind, (pos, sign))] = mat
@@ -615,7 +611,7 @@ def _eigenspaces(
 
 
 def _adapted_basis(
-    ctx: DihedralContext, zdeg: Sequence[int], gdeg: Sequence[GroupElement], x: CycMatrix, y: CycMatrix
+    ctx: DihedralContext, zdeg: Sequence[int], gdeg: Sequence[int], x: CycMatrix, y: CycMatrix
 ) -> list[VecDict]:
     """A basis on which x and y act as invertible monomial matrices, one vector per position.
 
@@ -630,8 +626,8 @@ def _adapted_basis(
     sends the vector u e of a cell, e from the first cell, to ``u' c e``
     with c in the centraliser, and c e is a multiple of one e'.
     """
-    n = ctx.n
-    cells: dict[tuple[int, GroupElement], list[int]] = {}
+    m, n, group = ctx.m, ctx.n, ctx.group
+    cells: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(zdeg, gdeg)):
         cells.setdefault(key, []).append(i)
 
@@ -640,17 +636,18 @@ def _adapted_basis(
             vec = y.apply(vec)
         return vec
 
-    filled: dict[tuple[int, GroupElement], list[VecDict]] = {}
+    filled: dict[tuple[int, int], list[VecDict]] = {}
     for (z, h), idxs in cells.items():
         if (z, h) in filled:
             continue
+        refl, rot = divmod(h, m)
         spaces = [[{i: ctx.field.one} for i in idxs]]
-        if h.refl:
-            spaces = _eigenspaces(ctx, lambda vec: x.apply(turned(vec, h.rot)), 2, spaces)
+        if refl:
+            spaces = _eigenspaces(ctx, lambda vec: x.apply(turned(vec, rot)), 2, spaces)
             spaces = _eigenspaces(ctx, lambda vec: turned(vec, n), 2, spaces)
         else:
-            spaces = _eigenspaces(ctx, y.apply, ctx.m, spaces)
-        if not h.refl and h.rot % n == 0:
+            spaces = _eigenspaces(ctx, y.apply, m, spaces)
+        if not refl and rot % n == 0:
             by_k, spaces = spaces, []
             for k, space in enumerate(by_k):
                 if k % n == 0:
@@ -660,8 +657,8 @@ def _adapted_basis(
         filled[(z, h)] = [vec for space in spaces for vec in space]
         orbit = [(z, h)]
         for key in orbit:
-            for mat, t in ((x, ctx.group.x), (y, ctx.group.y)):
-                image = (z, key[1].conjugated_by(t))
+            for mat, t in ((x, group.x), (y, group.y)):
+                image = (z, group.conjugates[t][key[1]])
                 if image not in filled:
                     filled[image] = [mat.apply(vec) for vec in filled[key]]
                     orbit.append(image)
@@ -926,11 +923,11 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
         ab_opp = right.a_mats[(pos, -sign)].sparse_columns()
         cols = []
         for ja in range(left.dim):
-            g = left.gdeg[ja]
-            if g.refl == 0:
-                scale, partner = ctx.omega(sign * g.rot * k), ab_same
+            refl, a = divmod(left.gdeg[ja], ctx.m)
+            if refl == 0:
+                scale, partner = ctx.omega(sign * a * k), ab_same
             else:
-                scale, partner = ctx.omega(-sign * g.rot * k), ab_opp
+                scale, partner = ctx.omega(-sign * a * k), ab_opp
             for jb in range(dim_r):
                 col = {}
                 for ia, val in aa[ja].items():

@@ -24,6 +24,7 @@ from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 from .qdouble import (
     GradedCharacter,
+    _products_equal,
     build_verma,
     check_relations,
     graded_character,
@@ -40,6 +41,7 @@ from .qdouble import (
 from .weights import (
     QDModule,
     WeightLabel,
+    _squares_to_one,
     build_weight,
     decompose,
     decomposition_counts,
@@ -427,17 +429,14 @@ def pivot_check(ctx: DihedralContext, module: QDModule, character: int) -> bool:
     """Whether the candidate pivot squares to one and negates every letter.
 
     The pivot must be an involution and must conjugate each raising and
-    lowering generator to its negative.
+    lowering generator A to its negative, ``pivot A = w^(m/2) A pivot``;
+    both are decided on its monomial view, with no product formed.
     """
     pivot = pivot_candidate(ctx, module, character)
-    ident = CycMatrix.identity(ctx.field, module.dim)
-    if pivot * pivot != ident:
+    if not _squares_to_one(*pivot.monomial(), ctx.field.one):
         return False
-    for mats in (module.v_mats, module.a_mats):
-        for mat in mats.values():
-            if pivot * mat * pivot != -mat:
-                return False
-    return True
+    letters = [*module.v_mats.values(), *module.a_mats.values()]
+    return all(_products_equal(pivot, mat, mat, pivot, ctx.m // 2) for mat in letters)
 
 
 def spherical_report(ctx: DihedralContext, index_set: IndexSet) -> dict[int, bool]:

@@ -50,10 +50,10 @@ import re
 from dataclasses import dataclass
 from math import lcm
 from operator import add, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, VecDict, _rref
-from .dihedral import CHI_SIGNS, DihedralContext, GroupElement
+from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 
 _FAMILY_RANK = {"e:chi": 0, "e:rho": 1, "yn:chi": 2, "yn:rho": 3, "M": 4, "Mx": 5, "Mxy": 6}
@@ -164,7 +164,8 @@ class QDModule:
         ctx: shared dihedral context.
         index_set: the index pairs the double is built on.
         zdeg: integer degree of each basis vector (0 on the inducing weight).
-        gdeg: group degree of each basis vector.
+        gdeg: group degree of each basis vector, as the integer
+            ``refl * m + rot`` (see ``dihedral``).
         x_mat, y_mat: group generator matrices.
         v_mats: raising matrices, keyed by (pair position, sign).
         a_mats: lowering matrices, keyed by (pair position, sign).
@@ -178,7 +179,7 @@ class QDModule:
         index_set: IndexSet,
         basis_labels: Sequence[str],
         zdeg: Sequence[int],
-        gdeg: Sequence[GroupElement],
+        gdeg: Sequence[int],
         x_mat: CycMatrix,
         y_mat: CycMatrix,
         v_mats: dict[tuple[int, int], CycMatrix],
@@ -235,7 +236,7 @@ def invertible_monomial(mat: CycMatrix) -> bool:
 
 def group_module(
     ctx: DihedralContext,
-    degrees: Sequence[GroupElement],
+    degrees: Sequence[int],
     x_mat: CycMatrix,
     y_mat: CycMatrix,
     labels: Sequence[str],
@@ -244,57 +245,44 @@ def group_module(
     return QDModule(ctx, IndexSet(ctx.m, ()), labels, (0,) * len(degrees), degrees, x_mat, y_mat, {}, {})
 
 
-def degree_codes(module: QDModule) -> list[int]:
-    """The group degree of each basis vector as the integer ``refl * m + rot``."""
-    return [g.refl * module.ctx.m + g.rot for g in module.gdeg]
-
-
 def grading_failure(
-    module: QDModule, codes: Sequence[int], name: str, mat: CycMatrix, zshift: int,
-    gmap: Callable[[GroupElement], GroupElement],
+    module: QDModule, name: str, mat: CycMatrix, zshift: int, images: Sequence[int]
 ) -> str | None:
-    """Why ``mat`` fails to shift each degree by ``zshift`` and map each group degree by ``gmap``.
+    """Why ``mat`` fails to shift each degree by ``zshift`` and send each group degree g to ``images[g]``.
 
-    Group degrees are compared as their ``codes`` (:func:`degree_codes`),
-    computed once by the caller for every matrix it checks, and ``gmap`` is
-    applied once per distinct degree.  A monomial ``mat`` is read through
-    its row map.
+    ``images`` is a row of the group's tables: ``conjugates[t]`` for the
+    action of a group element t, ``products[h]`` for a letter that
+    multiplies group degrees by h.  A monomial ``mat`` is read through its
+    row map.
     """
-    m = module.ctx.m
-    targets = {}
-    for code, g in dict(zip(codes, module.gdeg)).items():
-        image = gmap(g)
-        targets[code] = image.refl * m + image.rot
-    zdeg = module.zdeg
+    zdeg, gdeg = module.zdeg, module.gdeg
     view = mat.monomial()
     if view:
         for j, i in enumerate(view[0]):
-            if i is not None and (zdeg[i] != zdeg[j] + zshift or codes[i] != targets[codes[j]]):
+            if i is not None and (zdeg[i] != zdeg[j] + zshift or gdeg[i] != images[gdeg[j]]):
                 return f"{name} breaks the grading at column {j}"
         return None
     sparse = mat.sparse_columns()
     for j in range(module.dim):
         target_z = zdeg[j] + zshift
-        target_g = targets[codes[j]]
+        target_g = images[gdeg[j]]
         for i in sparse[j]:
-            if zdeg[i] != target_z or codes[i] != target_g:
+            if zdeg[i] != target_z or gdeg[i] != target_g:
                 return f"{name} breaks the grading at column {j}"
     return None
 
 
-def group_relation_failures(module: QDModule, codes: Sequence[int] | None = None) -> list[str]:
+def group_relation_failures(module: QDModule) -> list[str]:
     """Check the group part of a module; list the failures.
 
     x and y must keep each degree and conjugate each group degree, and
     satisfy x^2 = y^m = (x y)^2 = 1, decided on their views with no product
-    formed and nothing cached (:func:`_order_failures`).  ``codes`` defaults
-    to the module's :func:`degree_codes`.
+    formed and nothing cached (:func:`_order_failures`).
     """
     group = module.ctx.group
-    codes = degree_codes(module) if codes is None else codes
     failures = []
     for name, mat, t in (("x", module.x_mat, group.x), ("y", module.y_mat, group.y)):
-        failure = grading_failure(module, codes, name, mat, 0, lambda g: g.conjugated_by(t))
+        failure = grading_failure(module, name, mat, 0, group.conjugates[t])
         if failure:
             failures.append(failure)
     return failures + _order_failures(module.x_mat, module.y_mat, module.ctx.m)
@@ -429,9 +417,9 @@ def tensor_dd(left: QDModule, right: QDModule) -> QDModule:
     module over the empty index set.
     """
     ctx = left.ctx
-    if right.ctx.m != ctx.m:
-        raise ValueError("tensor factors live over different group orders")
-    degrees = [ga * gb for ga in left.gdeg for gb in right.gdeg]
+    _same_order("tensor factors", ctx, right.ctx)
+    products = ctx.group.products
+    degrees = [products[ga][gb] for ga in left.gdeg for gb in right.gdeg]
     labels = [f"{la}⊗{lb}" for la in left.basis_labels for lb in right.basis_labels]
     return group_module(
         ctx,
@@ -440,6 +428,12 @@ def tensor_dd(left: QDModule, right: QDModule) -> QDModule:
         _kronecker(left.y_mat, right.y_mat),
         labels,
     )
+
+
+def _same_order(what: str, ctx: DihedralContext, other: DihedralContext) -> None:
+    """Raise ``ValueError`` unless the two contexts have one group order."""
+    if other.m != ctx.m:
+        raise ValueError(f"{what} live over different group orders: m = {ctx.m} and m = {other.m}")
 
 
 def _kronecker(a: CycMatrix, b: CycMatrix) -> CycMatrix:
@@ -472,8 +466,10 @@ def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
     there, which is the reduced free-column basis vector.
 
     Raises:
+        ValueError: if the two modules live over different group orders.
         AssertionError: if x or y of either module breaks the group grading.
     """
+    _same_order("source and target of a hom space", source.ctx, target.ctx)
     field = source.ctx.field
     blocks = _blocks(target)
     variables = [(r, c) for c, deg in enumerate(source.gdeg) for r in blocks.get(deg, ())]
@@ -565,7 +561,7 @@ class WeightCatalog:
         ctx: DihedralContext,
         labels: Sequence[WeightLabel],
         modules: dict[WeightLabel, QDModule],
-        characters: dict[GroupElement, list[_Member]],
+        characters: dict[int, list[_Member]],
     ):
         self.ctx = ctx
         self.labels = tuple(labels)
@@ -614,10 +610,10 @@ class _ClassData:
             complex conjugate on the second, so its value at h determines it.
     """
 
-    rep: GroupElement
-    elements: frozenset[GroupElement]
+    rep: int
+    elements: frozenset[int]
     order: int
-    orbits: tuple[tuple[GroupElement, int, int], ...]
+    orbits: tuple[tuple[int, int, int], ...]
 
 
 class _Member(NamedTuple):
@@ -638,27 +634,24 @@ class _Member(NamedTuple):
     trace: tuple[int, ...]
 
 
-def _element_key(g: GroupElement) -> tuple[int, int]:
-    return (g.refl, g.rot)
-
-
 def _class_data(ctx: DihedralContext) -> list[_ClassData]:
     """Every conjugacy class with its centraliser orbits, built once and cached on the context."""
     cached = ctx._weight_cache.get("classes")
     if cached is not None:
         return cached
     group = ctx.group
+    conjugates = group.conjugates
     classes = []
     for elements in group.conjugacy_classes():
-        rep = min(elements, key=_element_key)
+        rep = min(elements)
         centraliser = group.centralizer(rep)
-        seen: set[GroupElement] = set()
+        seen: set[int] = set()
         orbits = []
-        for h in sorted(centraliser, key=_element_key):
+        for h in centraliser:
             if h in seen:
                 continue
-            same = {h.conjugated_by(t) for t in centraliser}
-            inverse = {h.inverse().conjugated_by(t) for t in centraliser} - same
+            same = {conjugates[t][h] for t in centraliser}
+            inverse = {conjugates[t][group.inverses[h]] for t in centraliser} - same
             seen |= same | inverse
             orbits.append((h, len(same), len(inverse)))
         classes.append(_ClassData(rep, elements, len(centraliser), tuple(orbits)))
@@ -682,18 +675,19 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> tu
     if there is one.  A term that is a tagged power w^e is counted by its
     exponent, and the counts become coordinates once at the end.
     """
-    field = module.ctx.field
+    field, m = module.ctx.field, module.ctx.m
     x_rows, x_vals = module.x_mat.monomial()
     y_rows, y_vals = module.y_mat.monomial()
     one = field.one
     rotations: dict[int, list[int]] = {}  # b: the positions of the orbits of y^b
     reflections: list[tuple[int, int]] = []  # (position, b) for the orbits of x y^b
     for pos, (h, _, _) in enumerate(cls.orbits):
-        if h.refl:
-            reflections.append((pos, h.rot))
+        refl, b = divmod(h, m)
+        if refl:
+            reflections.append((pos, b))
         else:
-            rotations.setdefault(h.rot, []).append(pos)
-    top = max(h.rot for h, _, _ in cls.orbits)
+            rotations.setdefault(b, []).append(pos)
+    top = max(h % m for h, _, _ in cls.orbits)
     values = [field.zero] * len(cls.orbits)
     # (orbit, e): the number of w^e terms; y^0 adds 1 = w^0 for every vector
     tagged = {(pos, 0): len(block) for pos in rotations.get(0, ())}
@@ -744,9 +738,9 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> tu
     return vector, den
 
 
-def _blocks(module: QDModule) -> dict[GroupElement, list[int]]:
+def _blocks(module: QDModule) -> dict[int, list[int]]:
     """Basis indices of the module by degree."""
-    blocks: dict[GroupElement, list[int]] = {}
+    blocks: dict[int, list[int]] = {}
     for j, deg in enumerate(module.gdeg):
         blocks.setdefault(deg, []).append(j)
     return blocks
@@ -754,7 +748,7 @@ def _blocks(module: QDModule) -> dict[GroupElement, list[int]]:
 
 def _catalog_characters(
     ctx: DihedralContext, labels: Sequence[WeightLabel], modules: dict[WeightLabel, QDModule]
-) -> dict[GroupElement, list[_Member]]:
+) -> dict[int, list[_Member]]:
     """Character weights of every member, by class representative, checked orthonormal.
 
     Let t be the trace of an orbit representative h on a member S.  Over
@@ -773,7 +767,7 @@ def _catalog_characters(
     """
     field = ctx.field
     degree = field.degree
-    characters: dict[GroupElement, list[_Member]] = {}
+    characters: dict[int, list[_Member]] = {}
     for cls in _class_data(ctx):
         members: list[_Member] = []
         for index, label in enumerate(labels):
@@ -785,7 +779,7 @@ def _catalog_characters(
                 raise AssertionError(f"{label} has degrees in more than one conjugacy class")
             block = _blocks(module).get(cls.rep)
             if block is None:
-                raise AssertionError(f"{label} has no basis vector in degree {cls.rep}")
+                raise AssertionError(f"{label} has no basis vector in degree {ctx.group.name(cls.rep)}")
             vector, den = _trace_vector(module, cls, block)
             if den != 1:
                 raise AssertionError(f"the character of {label} is not integral")
@@ -862,6 +856,7 @@ def decompose(ctx: DihedralContext, module: QDModule) -> list[tuple[WeightLabel,
     come from :func:`decomposition_counts`.
 
     Raises:
+        ValueError: if the module lives over another group order than ctx.
         AssertionError: if a hom space disagrees with the character
             multiplicity of its member, or the members do not fill the module.
     """
@@ -908,10 +903,12 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     then every inner product equals its integer in all coordinates.
 
     Raises:
+        ValueError: if the module lives over another group order than ctx.
         AssertionError: if a multiplicity is not a nonnegative integer, or
             the multiplicities times the member dimensions do not add up to
             the dimension of the module.
     """
+    _same_order("the context and the module", ctx, module.ctx)
     characters = weight_catalog(ctx).characters
     found: list[tuple[int, WeightLabel, int]] = []
     filled = 0
@@ -958,7 +955,7 @@ def _inner_product_failure(
         coords = [sum(map(mul, values, map(row.__getitem__, support))) for row in member.weights]
         mult, rest = divmod(coords[0], scale)
         if rest or any(coords[1:]):
-            value = CycNum(ctx.field, tuple(coords), scale)
+            value = CycNum._normalized(ctx.field, coords, scale)
             return f"multiplicity of {member.label} is not an integer: {value}"
         if mult < 0:
             return f"multiplicity of {member.label} is negative: {mult}"

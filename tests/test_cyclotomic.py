@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles.cyclotomic import (
@@ -185,6 +185,44 @@ def test_a_number_is_tagged_exactly_when_it_equals_a_power_of_w(m, k, raw, den, 
         check(x)
 
 
+@st.composite
+def _operands(draw, field):
+    """A power of w, its negative, a rational multiple of one, a sum of two, or a number with drawn
+    coordinates: operands whose sums, products, quotients and powers are powers of w often enough."""
+    a, b = (field.zeta(draw(st.integers(0, field.m - 1))) for _ in range(2))
+    kind = draw(st.sampled_from(("power", "negated", "scaled", "sum", "drawn")))
+    if kind == "power":
+        return a
+    if kind == "negated":
+        return -a
+    if kind == "scaled":
+        return a * draw(st.sampled_from((2, Fraction(1, 2), Fraction(-2, 3))))
+    if kind == "sum":
+        return a + b
+    coords = draw(st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree))
+    return CycNum._normalized(field, coords, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([9, 12, 16, 20]), st.data())
+def test_every_result_that_equals_a_power_of_w_carries_its_tag(m, data):
+    # m = 9 is odd: there -1 and -w^k are no powers of w
+    field = get_field(m)
+    exponents = _power_exponents(m)
+    x, y = data.draw(_operands(field)), data.draw(_operands(field))
+    exponent = data.draw(st.integers(-4, 4))
+    results = [x + y, x - y, y - x, x * y, -x, (x + y) - y, (x - y) + y, (x * 2) * Fraction(1, 2)]
+    if y:
+        results += [x / y, (x * y) / y, y.inverse(), x * y.inverse(), y**exponent, (x * y) * y.inverse()]
+    if x:
+        results += [x**exponent, x**2 / x, 1 / x]
+    for result in results:
+        k = exponents.get(result.coords) if result.den == 1 else None
+        assert result.unit == k
+        if k is not None:
+            assert result == field.zeta(k) and result is field.zeta(k)
+
+
 def test_zeta_power_reduction():
     field = get_field(12)
     w = field.zeta(1)
@@ -312,6 +350,11 @@ def _plus(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     return CycMatrix(a.field, columns, a.nrows)
 
 
+def _negated(mat: CycMatrix) -> CycMatrix:
+    """The negative of a matrix, from its column dicts."""
+    return CycMatrix(mat.field, [{i: -x for i, x in col.items()} for col in mat.sparse_columns()], mat.nrows)
+
+
 def _rows(mat: CycMatrix) -> list[dict]:
     return _transpose(mat).sparse_columns()
 
@@ -374,17 +417,17 @@ def test_matrix_algebra_identities():
     b = CycMatrix.from_rows(field, [[0, 1], [1, 0]])
     ident = CycMatrix.identity(field, 2)
     assert a * ident == a
-    assert _plus(_plus(a, b), -b) == a
+    assert _plus(_plus(a, b), _negated(b)) == a
     assert _transpose(a * b) == _transpose(b) * _transpose(a)
-    assert _plus(-a, a).is_zero()
+    assert _plus(_negated(a), a).is_zero()
     # non-square, with an all-zero middle column
     c = CycMatrix.from_rows(field, [[1, 0, w], [0, 0, 2]])
     d = CycMatrix.from_column_dicts(field, [{1: w}, {0: field.zero}, {0: field.one, 1: -w}], 2)
     assert ident * c == c
     assert c * CycMatrix.identity(field, 3) == c
-    assert _plus(_plus(c, d), -d) == c
+    assert _plus(_plus(c, d), _negated(d)) == c
     assert _transpose(a * c) == _transpose(c) * _transpose(a)
-    zero = _plus(-c, c)
+    zero = _plus(_negated(c), c)
     assert zero.is_zero() and (zero.nrows, zero.ncols) == (2, 3)
     assert _transpose(_transpose(c)) == c
     assert c.submatrix([1], [0, 2]) == CycMatrix.from_rows(field, [[0, 2]])
@@ -589,16 +632,16 @@ def test_apply_matches_a_dense_product_and_keeps_no_zero_entries(mat, data):
 
 @st.composite
 def _entries(draw, field):
-    """A nonzero entry: a tagged power of w, its negative, an untagged power, or a non-unit."""
+    """A nonzero entry: a power of w, its negative, a power of w that arithmetic rebuilt, or a non-unit."""
     k = draw(st.integers(0, field.m - 1))
     power = field.zeta(k)
-    kind = draw(st.sampled_from(("tagged", "negated", "untagged", "non-unit", "rational")))
+    kind = draw(st.sampled_from(("tagged", "negated", "summed", "non-unit", "rational")))
     if kind == "tagged":
         return power
     if kind == "negated":
         return -power
-    if kind == "untagged":
-        return CycNum(field, power.coords, 1)  # equals w^k, carries no tag
+    if kind == "summed":
+        return (power + power) * Fraction(1, 2)  # 2 w^k is untagged, and halving it finds the tag again
     if kind == "non-unit":
         return field.one - power if k else field.from_integer(2)  # such as 1 - w^k in a lowering letter
     return power * Fraction(-1, 3)
@@ -651,19 +694,14 @@ def test_monomial_view_matches_the_column_dicts(m, n, monomial, data):
         assert product.sparse_columns() == [left.apply(col) for col in right_cols]
         assert product == CycMatrix(field, [left.apply(col) for col in right_cols], n)
         assert product.is_zero() == (not any(left.apply(col) for col in right_cols))
-    for mat in (a_view, c_view, a, b):
-        negated = [{i: -x for i, x in col.items()} for col in mat.sparse_columns()]
-        assert (-mat).sparse_columns() == negated
-        assert -mat == CycMatrix(field, negated, n)
-        assert (-mat).is_zero() == (not any(negated))
     for left, right in ((a_view, a), (a_view, c_view), (a_view, b), (a_view * a_view, a * a)):
         assert (left == right) == (left.sparse_columns() == right.sparse_columns())
-    assert all(x for mat in (a_view * c_view, -c_view) for col in mat.sparse_columns() for x in col.values())
+    assert all(x for col in (a_view * c_view).sparse_columns() for x in col.values())
 
 
 @given(st.sampled_from((12, 16, 20, 24)), st.integers(1, 5), st.data())
 def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
-    # entries mix tagged powers of w, untagged ones and general numbers
+    # entries mix powers of w, all of them tagged, and general numbers
     field = get_field(m)
     a = CycMatrix(field, data.draw(_view_columns(field, n, n, True)), n)
     b = CycMatrix(field, data.draw(_view_columns(field, n, n, True)), n)

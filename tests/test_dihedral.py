@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dihedral_doubles.dihedral import (
-    DihedralGroup,
-    GroupElement,
-    get_context,
-    parse_element,
-)
+from dihedral_doubles.dihedral import DihedralGroup, get_context
 
 
 @pytest.fixture(scope="module")
@@ -18,35 +13,54 @@ def group12():
 
 
 def test_defining_relations(group12):
-    e, x, y = group12.identity, group12.x, group12.y
-    assert x * x == e
+    e, x, y, mul = group12.identity, group12.x, group12.y, group12.products
+    assert (e, x, y) == (0, 12, 1)
+    assert mul[x][x] == e
     prod = e
     for _ in range(12):
-        prod = prod * y
+        prod = mul[prod][y]
     assert prod == e
-    assert (x * y) * (x * y) == e
-    assert y * x == x * y.inverse()
+    xy = mul[x][y]
+    assert mul[xy][xy] == e
+    assert mul[y][x] == mul[x][group12.inverses[y]] == group12.element(1, -1)
+
+
+def test_elements_are_the_integers_refl_times_m_plus_rot(group12):
+    assert list(group12.elements()) == list(range(24))
+    for g in group12.elements():
+        refl, rot = divmod(g, 12)
+        assert group12.element(refl, rot) == group12.element(refl + 2, rot - 12) == g
+        assert (group12.reflection(rot) if refl else group12.rotation(rot)) == g
+    # (x^a y^b)(x^c y^d) = x^(a+c) y^(d + (-1)^c b)
+    for a, b, c, d in ((0, 3, 1, 2), (1, 3, 1, 2), (1, 5, 0, 4), (0, 7, 0, 9)):
+        expected = group12.element(a + c, d + (-b if c else b))
+        assert group12.products[group12.element(a, b)][group12.element(c, d)] == expected
 
 
 def test_group_is_associative_exhaustively(group12):
     elems = list(group12.elements())
+    mul = group12.products
     assert len(elems) == 24
     for a in elems:
         for b in elems:
             for c in elems:
-                assert (a * b) * c == a * (b * c)
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
 
 
 def test_conjugacy_class_count_and_sizes(group12):
     classes = group12.conjugacy_classes()
     assert len(classes) == 9  # n + 3 with n = 6
     assert sorted(len(c) for c in classes) == [1, 1, 2, 2, 2, 2, 2, 6, 6]
+    # y x y^-1 = x y^-2 and x y x^-1 = y^-1
+    conj = group12.conjugates
+    assert conj[group12.y][group12.x] == group12.reflection(-2)
+    assert conj[group12.x][group12.y] == group12.rotation(-1)
 
 
 def test_centralizer_of_reflection(group12):
     x = group12.x
     central = group12.centralizer(x)
-    names = sorted(str(g) for g in central)
+    names = sorted(group12.name(g) for g in central)
     assert names == ["e", "x", "x*y^6", "y^6"]
 
 
@@ -57,11 +71,14 @@ def test_orbit_stabilizer(group12):
 
 
 def test_parse_round_trip(group12):
+    names = [group12.name(g) for g in group12.elements()]
+    assert names[:3] + names[12:15] == ["e", "y", "y^2", "x", "x*y", "x*y^2"]
     for g in group12.elements():
-        assert group12.parse(str(g)) == g
-    assert parse_element("x*y^5", 12) == GroupElement(1, 5, 12)
+        assert group12.parse(group12.name(g)) == g
+    assert group12.parse("x*y^5") == 17
+    assert group12.parse("x y^-1") == 23
     with pytest.raises(ValueError):
-        parse_element("z^2", 12)
+        group12.parse("z^2")
 
 
 small_exp = st.integers(min_value=-15, max_value=15)
@@ -70,12 +87,14 @@ refl = st.integers(min_value=0, max_value=1)
 
 @given(refl, small_exp, refl, small_exp)
 def test_inverse_and_conjugation(a_refl, a_rot, b_refl, b_rot):
-    a = GroupElement(a_refl, a_rot, 12)
-    b = GroupElement(b_refl, b_rot, 12)
-    e = GroupElement(0, 0, 12)
-    assert a * a.inverse() == e
-    assert a.conjugated_by(b) == b * a * b.inverse()
-    assert (a * b).inverse() == b.inverse() * a.inverse()
+    group = DihedralGroup(12)
+    mul, inv = group.products, group.inverses
+    a = group.element(a_refl, a_rot)
+    b = group.element(b_refl, b_rot)
+    assert 0 <= a < 24 and 0 <= b < 24
+    assert mul[a][inv[a]] == mul[inv[a]][a] == group.identity
+    assert group.conjugates[b][a] == mul[mul[b][a]][inv[b]]
+    assert inv[mul[a][b]] == mul[inv[b]][inv[a]]
 
 
 def test_modulus_guard():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble
-from dihedral_doubles.cyclotomic import CycMatrix, CycNum, EchelonBasis, _rref, add_into, get_field
+from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, _rref, add_into, get_field
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs
 from dihedral_doubles.qdouble import (
     GradedCharacter,
@@ -50,6 +50,11 @@ def _plus(a, b):
         for i, x in other.items():
             add_into(col, i, x)
     return CycMatrix(a.field, columns, a.nrows)
+
+
+def _negated(mat):
+    """The negative of a matrix, from its column dicts."""
+    return CycMatrix(mat.field, [{i: -x for i, x in col.items()} for col in mat.sparse_columns()], mat.nrows)
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -318,8 +323,8 @@ def _reference_phi_action(ctx, pair, eps, mu, module):
     same = eps == mu
     scales = []
     for g in module.gdeg:
-        a = g.rot
-        if g.refl == 0:
+        refl, a = divmod(g, ctx.m)
+        if refl == 0:
             scales.append(-ctx.omega(eps * a * k) if same else field.zero)
         elif same:
             scales.append(field.zero)
@@ -344,9 +349,9 @@ def test_cross_terms_match_the_reference_on_every_standard_module(ctx12, iset_te
         _assert_cross_terms_match_the_reference(build_verma(ctx12, parse_index_set(ctx12, iset_text), label))
 
 
-def _untagged(mat):
-    """A copy of ``mat`` whose entries carry no unit tag."""
-    cols = [{i: CycNum(mat.field, x.coords, x.den) for i, x in col.items()} for col in mat.sparse_columns()]
+def _doubled(mat):
+    """A copy of ``mat`` with every entry doubled: no entry is a power of w, so none carries a unit tag."""
+    cols = [{i: x * 2 for i, x in col.items()} for col in mat.sparse_columns()]
     return CycMatrix(mat.field, cols, mat.nrows)
 
 
@@ -358,7 +363,7 @@ def test_cross_terms_match_the_reference_for_a_y_with_untagged_entries_that_move
     moved = 0
     for summands in ("Mx:0,0 Mx:1,0", "Mxy:0,1 Mx:1,1", "e:rho1 M2,3 + Mxy:1,0"):
         built = _sum_of_tensor_products(ctx12, summands)
-        for y_mat in (built.y_mat, _untagged(built.y_mat)):
+        for y_mat in (built.y_mat, _doubled(built.y_mat)):
             module = group_module(ctx12, built.gdeg, built.x_mat, y_mat, built.basis_labels)
             _assert_cross_terms_match_the_reference(module, pairs)
             for eps in (1, -1):
@@ -382,16 +387,14 @@ def _columns_of(target):
 
 @st.composite
 def _entries(draw, field):
-    """A nonzero entry: a tagged power of w, its negative, an untagged power, or a non-unit."""
+    """A nonzero entry: a tagged power of w, its negative, or a non-unit."""
     k = draw(st.integers(0, field.m - 1))
     power = field.zeta(k)
-    kind = draw(st.sampled_from(("tagged", "negated", "untagged", "non-unit")))
+    kind = draw(st.sampled_from(("tagged", "negated", "non-unit")))
     if kind == "tagged":
         return power
     if kind == "negated":
         return -power  # tagged for even m; for odd m no power of w
-    if kind == "untagged":
-        return CycNum(field, power.coords, 1)
     return field.one - power if k else field.from_integer(2)
 
 
@@ -409,17 +412,15 @@ def _drawn_matrices(draw, field, n):
 
 @st.composite
 def _variants(draw, mat):
-    """The matrix itself, or a copy: from its columns, untagged, with one entry flipped or moved, or with
-    a second entry in one column."""
-    kind = draw(st.sampled_from(("same", "same", "columns", "untagged", "flipped", "moved", "second entry")))
+    """The matrix itself, or a copy: from its columns, with one entry flipped or moved, or with a second
+    entry in one column."""
+    kind = draw(st.sampled_from(("same", "same", "columns", "flipped", "moved", "second entry")))
     if kind == "same":
         return mat
     field = mat.field
     cols = [dict(col) for col in mat.sparse_columns()]
     filled = [j for j, col in enumerate(cols) if col]
-    if kind == "untagged":
-        cols = [{i: CycNum(field, x.coords, x.den) for i, x in col.items()} for col in cols]
-    elif kind != "columns" and filled:
+    if kind != "columns" and filled:
         j = draw(st.sampled_from(filled))
         i = draw(st.sampled_from(sorted(cols[j])))
         others = [r for r in range(mat.nrows) if r not in cols[j]]
@@ -793,7 +794,7 @@ def _sheared_in_each_cell(module):
             cols[j][first] = module.ctx.omega(t)
     shear = CycMatrix(field, cols, module.dim)
     ident = CycMatrix.identity(field, module.dim)
-    return [_plus(ident, -shear) * mat * _plus(ident, shear) for mat in (module.x_mat, module.y_mat)]
+    return [_plus(ident, _negated(shear)) * mat * _plus(ident, shear) for mat in (module.x_mat, module.y_mat)]
 
 
 def _sum_of_tensor_products(ctx, text):
@@ -981,7 +982,7 @@ def test_relations_catch_a_letter_scaled_wrongly_by_y(ctx12):
     # on reflection degrees, conjugation by y shifts the rotation exponent by
     # two, so w^(rotation exponent) times the letter scales under y by w^2 more
     module = _verma(ctx12, "(2,3)", "Mx:0,0")
-    twist = CycMatrix.diagonal(ctx12.field, [ctx12.omega(g.rot) for g in module.gdeg])
+    twist = CycMatrix.diagonal(ctx12.field, [ctx12.omega(divmod(g, ctx12.m)[1]) for g in module.gdeg])
     failures = check_relations(_mutated(module, v_mats={(0, 1): module.v_mats[(0, 1)] * twist}))
     assert "y does not scale v(0,+1) as expected" in failures
 
@@ -1023,7 +1024,7 @@ def test_relations_catch_a_y_whose_mth_power_is_minus_one(ctx12):
     power = ident
     for _ in range(ctx12.m):
         power = shift * power
-    assert power == -ident
+    assert power == _negated(ident)
     assert power * power == ident
     assert "y^12 != 1" in check_relations(_mutated(module, y_mat=shift))
     layer = module.layer_module(-1)

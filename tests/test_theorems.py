@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble, theorems
+from dihedral_doubles.cyclotomic import CycMatrix
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import build_verma, graded_character, head, induce_from_simple, socle
 from dihedral_doubles.theorems import (
@@ -26,7 +27,7 @@ from dihedral_doubles.theorems import (
     verify_rigid_tensor,
     verify_simple,
 )
-from dihedral_doubles.weights import QDModule, all_weight_labels, parse_weight_label
+from dihedral_doubles.weights import QDModule, all_weight_labels, group_module, parse_weight_label
 
 
 def _char_text(char) -> str:
@@ -55,16 +56,21 @@ def test_classification_rows_for_one_pair(ctx12):
         assert classify_weight(ctx12, parse_weight_label(text), (2, 3)) == expected
 
 
-def test_classification_against_operator_oracle(ctx12):
-    labels = all_weight_labels(ctx12)
-    checked = 0
-    for pair in valid_pairs(ctx12):
-        for label in labels:
-            table = classify_weight(ctx12, label, pair)
-            oracle = classify_weight_by_action(ctx12, label, pair)
-            assert table == oracle, (label, pair)
-            checked += 1
-    assert checked == len(labels) * 13
+def test_classification_against_operator_oracle():
+    # every weight at every valid pair over the proven regime up to m = 24; the closed form calls every
+    # reflection weight O by definition, so only the computed side shows that none of them is rigid
+    checked = {}
+    for m in (12, 16, 20, 24):
+        ctx = get_context(m)
+        labels = all_weight_labels(ctx)
+        for pair in valid_pairs(ctx):
+            for label in labels:
+                oracle = classify_weight_by_action(ctx, label, pair)
+                assert classify_weight(ctx, label, pair) == oracle, (m, label, pair)
+                assert not (label.is_reflection_type and oracle == RIGID), (m, label, pair)
+                checked[m] = checked.get(m, 0) + 1
+    assert checked[12] == 86 * 13
+    assert sum(checked[m] for m in (16, 20, 24)) == 18634
 
 
 def test_split_index_partitions_positions(ctx12):
@@ -228,8 +234,9 @@ def test_verify_simple_reports_a_broken_recursion(ctx12, monkeypatch):
     # computed character can tell the induced head from the true one
     def induce_from_twisted_head(ctx, simple, pair):
         if simple.kind != "socle":
+            minus = CycMatrix.diagonal(ctx.field, [-ctx.field.one] * simple.dim)
             simple = QDModule(
-                ctx, simple.index_set, simple.basis_labels, simple.zdeg, simple.gdeg, -simple.x_mat,
+                ctx, simple.index_set, simple.basis_labels, simple.zdeg, simple.gdeg, minus * simple.x_mat,
                 simple.y_mat, simple.v_mats, simple.a_mats, weight=simple.weight, kind=simple.kind,
             )
         return induce_from_simple(ctx, simple, pair)
@@ -346,6 +353,16 @@ def test_pivot_search_matches_rule(ctx12):
         ctx12, parse_index_set(ctx12, "(2,3)"), parse_weight_label("e:chi1")
     )
     assert pivot_check(ctx12, verma, 3)
+
+
+def test_pivot_check_refuses_a_pivot_that_does_not_square_to_one(ctx12):
+    # a module of m vectors of degree e with no letters, y a cyclic shift with one sign, so y^m = -1:
+    # every candidate pivot is y^n, which squares to -1, and only the square check can refuse it
+    m, field = ctx12.m, ctx12.field
+    y = CycMatrix(field, [{(j + 1) % m: field.one if j < m - 1 else -field.one} for j in range(m)], m)
+    labels = [f"e{j}" for j in range(m)]
+    module = group_module(ctx12, [ctx12.group.identity] * m, CycMatrix.identity(field, m), y, labels)
+    assert [pivot_check(ctx12, module, j) for j in (1, 2, 3, 4)] == [False] * 4
 
 
 def test_quantum_dimensions(ctx12, ctx16):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, weights
-from dihedral_doubles.cyclotomic import CycMatrix, CycNum, add_into, get_field, kernel
+from dihedral_doubles.cyclotomic import CycMatrix, add_into, get_field, kernel
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, validate_index_set, valid_pairs
 from dihedral_doubles.qdouble import build_verma, head, socle
@@ -89,12 +89,8 @@ def _reference_order_failures(x, y, m):
 
 @st.composite
 def _monomial_entries(draw, field, exponents):
-    """Powers of w with these exponents, each one tagged or not, and now and then one changed to 2 or to
-    another power of w."""
-    vals = []
-    for e in exponents:
-        power = field.zeta(e)
-        vals.append(power if draw(st.booleans()) else CycNum(field, power.coords, power.den))
+    """Powers of w with these exponents, and now and then one changed to 2 or to another power of w."""
+    vals = [field.zeta(e) for e in exponents]
     if vals and draw(st.integers(0, 3)) == 0:
         j = draw(st.integers(0, len(vals) - 1))
         vals[j] = draw(st.sampled_from((field.from_integer(2), field.zeta(exponents[j] + 1))))
@@ -129,7 +125,7 @@ def _invertible_monomial_pairs(draw):
 @st.composite
 def _module_group_pairs(draw):
     """(x, y, 12) of a catalog member or a tensor product of two, which satisfy the group relations, with
-    their entries redrawn by ``_monomial_entries``: untagged or not, and now and then one changed."""
+    their entries redrawn by ``_monomial_entries``: now and then one changed."""
     ctx = get_context(12)
     labels = all_weight_labels(ctx)
     module = build_weight(ctx, draw(st.sampled_from(labels)))
@@ -300,7 +296,7 @@ def _walked_trace_vector(module, cls, block):
     field = module.ctx.field
     by_rot = {}
     for h, _, _ in cls.orbits:
-        by_rot.setdefault(h.rot, []).append(h)
+        by_rot.setdefault(h % module.ctx.m, []).append(h)
     top = max(by_rot)
     x_cols = module.x_mat.sparse_columns()
     traces = {h: field.zero for h, _, _ in cls.orbits}
@@ -308,7 +304,7 @@ def _walked_trace_vector(module, cls, block):
         vec = {j: field.one}
         for b in range(top + 1):
             for h in by_rot.get(b, ()):
-                if h.refl:
+                if h >= module.ctx.m:  # a reflection
                     for k, val in vec.items():
                         entry = x_cols[k].get(j)
                         if entry is not None:
@@ -584,6 +580,59 @@ def test_tensor_with_trivial_weight_is_identity(ctx12):
         module = build_weight(ctx12, label)
         counts = decomposition_counts(ctx12, tensor_dd(trivial, module))
         assert counts == [(label, 1)]
+
+
+def _across_orders(ctx12, ctx16):
+    """Pairs of one label built at m = 12 and at m = 16, in both orders: their group degrees are integers
+    below 24 and below 32 that mean different elements, so only the order check can refuse them."""
+    for label in ("e:chi1", "M2,3", "Mx:0,0"):
+        small, large = (build_weight(ctx, parse_weight_label(label)) for ctx in (ctx12, ctx16))
+        yield small, large
+        yield large, small
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_counts_on_the_permutation_module_of_the_vertices_of_the_m_gon(m):
+    # m vectors of degree e, y e_j = e_(j+1) and x e_j = e_(-j): one y-cycle of length m, longer than
+    # every exponent b the traces on the class of e need, so the walk never closes and the traces of
+    # x and x y come from its open path; the character counts fixed vertices
+    ctx = get_context(m)
+    field, n = ctx.field, ctx.n
+    x = CycMatrix(field, [{-j % m: field.one} for j in range(m)], m)
+    y = CycMatrix(field, [{(j + 1) % m: field.one} for j in range(m)], m)
+    module = group_module(ctx, [ctx.group.identity] * m, x, y, [f"v{j}" for j in range(m)])
+    assert group_relation_failures(module) == []
+    expected = [("e:chi1", 1), ("e:chi3", 1)] + [(f"e:rho{l}", 1) for l in range(1, n)]
+    assert [(str(label), mult) for label, mult in decomposition_counts(ctx, module)] == expected
+    assert [(str(label), len(homs)) for label, homs in decompose(ctx, module)] == expected
+
+
+def test_hom_space_refuses_modules_of_two_group_orders(ctx12, ctx16):
+    for source, target in _across_orders(ctx12, ctx16):
+        orders = f"m = {source.ctx.m} and m = {target.ctx.m}"
+        with pytest.raises(ValueError, match=f"hom space live over different group orders: {orders}"):
+            hom_space(source, target)
+
+
+def test_decomposition_counts_refuse_a_module_of_another_group_order(ctx12, ctx16):
+    for ctx_module, module in _across_orders(ctx12, ctx16):
+        orders = f"m = {ctx_module.ctx.m} and m = {module.ctx.m}"
+        with pytest.raises(ValueError, match=f"different group orders: {orders}"):
+            decomposition_counts(ctx_module.ctx, module)
+
+
+def test_decompose_refuses_a_module_of_another_group_order(ctx12, ctx16):
+    for ctx_module, module in _across_orders(ctx12, ctx16):
+        orders = f"m = {ctx_module.ctx.m} and m = {module.ctx.m}"
+        with pytest.raises(ValueError, match=f"different group orders: {orders}"):
+            decompose(ctx_module.ctx, module)
+
+
+def test_tensor_dd_refuses_factors_of_two_group_orders(ctx12, ctx16):
+    for left, right in _across_orders(ctx12, ctx16):
+        orders = f"m = {left.ctx.m} and m = {right.ctx.m}"
+        with pytest.raises(ValueError, match=f"tensor factors live over different group orders: {orders}"):
+            tensor_dd(left, right)
 
 
 @given(st.integers(min_value=0, max_value=85), st.integers(min_value=0, max_value=85))
