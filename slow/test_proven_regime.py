@@ -11,7 +11,9 @@ monomial matrices, or its case raises.  The modules are built to pass it
 regime.  Over the 39 two-pair sets at m = 12, the submodule generated by
 the negative-degree joint kernel of every standard module, and the quotient
 by it, are built too, 312 of the submodules in an adapted basis, and their
-characters must add up to the module's.
+characters must add up to the module's.  Every singleton report at m = 12
+and 16 is also compared with the report of a context whose memo of
+``weights.decomposition_counts`` stores nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from dihedral_doubles import get_context
+from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
     build_verma,
@@ -64,6 +67,27 @@ SOME_TWO_PAIR_SETS_AT_16 = _two_pair_sets(get_context(16))[::10]
 def test_every_singleton_case(m):
     ctx = get_context(m)
     _assert_every_report_passes(ctx, [validate_index_set(ctx, [pair]) for pair in valid_pairs(ctx)])
+
+
+class _Forgetful(dict):
+    """A memo that drops every entry it is given, so each call computes its answer."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_the_counts_memo_changes_no_singleton_report(m):
+    memoised, forgetful = DihedralContext(m), DihedralContext(m)
+    forgetful._weight_cache["counts"] = _Forgetful()
+    for pair in valid_pairs(memoised):
+        for label in all_weight_labels(memoised):
+            first, second = (
+                verify_simple(ctx, validate_index_set(ctx, [pair]), label).to_json_obj()
+                for ctx in (memoised, forgetful)
+            )
+            assert first == second, f"{pair} / {label}"
+    assert memoised._weight_cache["counts"] and not forgetful._weight_cache["counts"]
 
 
 def test_there_are_39_two_pair_sets_at_m_12_and_66_at_m_16():

@@ -163,9 +163,17 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
+def _named_index_set(ctx: DihedralContext, text: str) -> IndexSet:
+    """The index set ``--index`` names; one with no pair is a usage error."""
+    index_set = parse_index_set(ctx, text)
+    if not index_set.pairs:
+        raise ValueError(f"--index names no pair: {text!r}")
+    return index_set
+
+
 def cmd_simple(args) -> int:
     ctx = _context_from(args)
-    index_set = parse_index_set(ctx, args.index)
+    index_set = _named_index_set(ctx, args.index)
     label = parse_weight_label(args.weight)
     verma = build_verma(ctx, index_set, label)
     relations_ok = not check_relations(verma)
@@ -240,7 +248,7 @@ def cmd_verify(args) -> int:
     if args.threads < 0:
         raise ValueError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     ctx = _context_from(args)
-    index_set = parse_index_set(ctx, args.index)
+    index_set = _named_index_set(ctx, args.index)
     catalog = weight_catalog(ctx)
     if args.weights == "all":
         labels = list(catalog.labels)

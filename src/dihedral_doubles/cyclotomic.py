@@ -513,10 +513,10 @@ class CycMatrix:
     composes their row maps, and its column dicts are built only when asked
     for.  Most entries are powers of w, tagged (see :class:`CycNum`), so an
     entry product of a row-map product is a table lookup by exponent inside
-    the :class:`CycNum` operation.  Products, ``==`` and :meth:`is_zero` of
-    monomial operands read the views alone; with a non-monomial operand
-    they go through the column dicts and :meth:`apply`.  There is no matrix
-    sum or negation: relation checks decide them column by column
+    the :class:`CycNum` operation.  ``==`` and :meth:`is_zero` of monomial
+    operands read the views alone, and of a non-monomial operand the column
+    dicts.  Products are formed of monomial matrices only.  There is no
+    matrix sum or negation: relation checks decide them column by column
     (``qdouble``).
     """
 
@@ -631,20 +631,26 @@ class CycMatrix:
         return out
 
     def __mul__(self, other: CycMatrix) -> CycMatrix:
+        """The product of two monomial matrices, composed from their views.
+
+        Raises:
+            ValueError: if the shapes do not match, or a factor has a column
+                with two entries.
+        """
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         left = self.monomial()
         right = other.monomial() if left else None
-        if right:
-            # column j of the product is column rows[j] of the left factor, scaled
-            left_rows, left_vals = left
-            right_rows, right_vals = right
-            rows = [None if r is None else left_rows[r] for r in right_rows]
-            vals = [None if i is None else left_vals[r] * x for i, r, x in zip(rows, right_rows, right_vals)]
-            return CycMatrix._from_monomial(self.field, rows, vals, self.nrows)
-        return CycMatrix(self.field, [self.apply(col) for col in other._cols()], self.nrows)
+        if not right:
+            raise ValueError("a matrix product is formed of monomial matrices only")
+        # column j of the product is column rows[j] of the left factor, scaled
+        left_rows, left_vals = left
+        right_rows, right_vals = right
+        rows = [None if r is None else left_rows[r] for r in right_rows]
+        vals = [None if i is None else left_vals[r] * x for i, r, x in zip(rows, right_rows, right_vals)]
+        return CycMatrix._from_monomial(self.field, rows, vals, self.nrows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> CycMatrix:
         position = {i: t for t, i in enumerate(row_idx)}

@@ -35,6 +35,10 @@ traces on the block of one degree per class and one integer dot product per
 member, with no linear solve.  The members' traces, each taken its
 multiplicity times, must rebuild the block's traces exactly, and with
 orthonormality that makes every inner product the integer it was read as.
+Each context memoises these multiplicities, keyed on the group degrees and
+the exact x and y of the module, so a layer, tensor piece or socle met
+again is not decomposed again.
+
 Hom spaces are solved only where explicit embeddings are needed
 (:func:`decompose`): the tensor splitting check, and the recheck of each
 socle's bottom layer.  There the characters name the members, and one hom
@@ -882,6 +886,10 @@ def decompose(ctx: DihedralContext, module: QDModule) -> list[tuple[WeightLabel,
     return found
 
 
+# the size at which a context's memo of decomposition_counts is cleared
+_COUNTS_LIMIT = 4096
+
+
 def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[WeightLabel, int]]:
     """Multiplicity of each catalog member in the module, in catalog order.
 
@@ -902,6 +910,17 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     linear in the traces and the catalog characters are orthonormal, so
     then every inner product equals its integer in all coordinates.
 
+    The answers are memoised per context, in ``ctx._weight_cache["counts"]``,
+    keyed on everything the computation reads besides the context's own
+    catalog: the group degrees and the row maps and entries of x and y
+    (:func:`_view_key`).  Two modules with one key have the same blocks and
+    the same traces, so a memoised answer is the one recomputing would
+    give; a module that differs from a memoised one in a single entry of x
+    misses the memo.  A module that raises is not stored, and every call
+    returns a fresh list.  The memo is cleared when it holds
+    ``_COUNTS_LIMIT`` (4,096) entries, so it never grows past that; a full
+    singleton sweep at m = 16 leaves about 2,000.
+
     Raises:
         ValueError: if the module lives over another group order than ctx.
         AssertionError: if a multiplicity is not a nonnegative integer, or
@@ -909,6 +928,11 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
             the dimension of the module.
     """
     _same_order("the context and the module", ctx, module.ctx)
+    memo = ctx._weight_cache.setdefault("counts", {})
+    key = (module.gdeg, *_view_key(module.x_mat), *_view_key(module.y_mat))
+    known = memo.get(key)
+    if known is not None:
+        return list(known)
     characters = weight_catalog(ctx).characters
     found: list[tuple[int, WeightLabel, int]] = []
     filled = 0
@@ -940,7 +964,21 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
             f"character multiplicities of a dimension-{module.dim} module fill dimension {filled}"
         )
     found.sort()
-    return [(label, mult) for _, label, mult in found]
+    counts = [(label, mult) for _, label, mult in found]
+    if len(memo) >= _COUNTS_LIMIT:
+        memo.clear()
+    memo[key] = tuple(counts)
+    return counts
+
+
+def _view_key(mat: CycMatrix) -> tuple[tuple[int, ...], tuple]:
+    """The row map and entries of an invertible monomial matrix, as a hashable key.
+
+    A tagged entry w^e goes in as the int e and any other as its coordinates
+    and denominator, so two keys are equal exactly when the matrices are.
+    """
+    rows, vals = mat.monomial()
+    return tuple(rows), tuple([(x.coords, x.den) if x.unit is None else x.unit for x in vals])
 
 
 def _inner_product_failure(

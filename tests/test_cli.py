@@ -173,6 +173,19 @@ def test_malformed_index_is_a_usage_error(capsys):
     assert err.startswith("error: malformed index set")
 
 
+@pytest.mark.parametrize("index", ["", "  "])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--weights", "e:chi1", "--threads", "1"], ["simple", "--weight", "e:chi1"]],
+    ids=["verify", "simple"],
+)
+def test_an_index_set_with_no_pair_is_a_usage_error(capsys, argv, index):
+    code, out, err = run(capsys, [*argv, "--index", index])
+    assert code == 2
+    assert err == f"error: --index names no pair: {index!r}\n"
+    assert out == ""
+
+
 def test_unsupported_order_is_a_usage_error(capsys):
     code, out, err = run(capsys, ["weights", "--m", "10"])
     assert code == 2
@@ -505,6 +518,10 @@ def test_spherical_all_singletons(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 13
     assert all("spherical" in line for line in lines)
+
+
+def test_spherical_with_an_empty_index_takes_every_single_pair(capsys):
+    assert run(capsys, ["spherical", "--index", ""]) == run(capsys, ["spherical"])
 
 
 def test_spherical_one_index_json(capsys):

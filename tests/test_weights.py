@@ -318,6 +318,12 @@ def _walked_trace_vector(module, cls, block):
     return [c * (den // value.den) for value in values for c in value.coords], den
 
 
+def _times(a, b):
+    """The product of two matrices, column by column from the left factor's action: the reference for
+    products that ``CycMatrix`` forms only of monomial matrices."""
+    return CycMatrix(a.field, [a.apply(col) for col in b.sparse_columns()], a.nrows)
+
+
 def _sheared(ctx, module, i, j, c):
     """x and y in the basis with e_j replaced by e_j + c e_i (e_i, e_j of one degree).
 
@@ -336,8 +342,8 @@ def _sheared(ctx, module, i, j, c):
         dim=module.dim,
         gdeg=module.gdeg,
         basis_labels=module.basis_labels,
-        x_mat=back * module.x_mat * forward,
-        y_mat=back * module.y_mat * forward,
+        x_mat=_times(_times(back, module.x_mat), forward),
+        y_mat=_times(_times(back, module.y_mat), forward),
     )
 
 
@@ -708,7 +714,7 @@ def test_decompose_rejects_embeddings_that_do_not_span(ctx12, monkeypatch):
     )
     (label, (emb,)), _ = decompose(ctx12, product)
     # a second embedding of the same summand: the counts and dimensions add up, the images coincide
-    turned = emb * CycMatrix.diagonal(ctx12.field, [ctx12.field.zeta(1)] * emb.ncols)
+    turned = _times(emb, CycMatrix.diagonal(ctx12.field, [ctx12.field.zeta(1)] * emb.ncols))
     assert turned != emb and 2 * emb.ncols == product.dim
     monkeypatch.setattr(weights, "decomposition_counts", lambda ctx, module: [(label, 2)])
     monkeypatch.setattr(weights, "hom_space", lambda source, target: [emb, turned])
@@ -723,6 +729,55 @@ def test_pair_module_matches_catalog_labels(ctx12):
     ctx10 = get_context(10, unsafe=True)
     counts = decomposition_counts(ctx10, pair_module(ctx10, 5, 5))
     assert [(str(label), mult) for label, mult in counts] == [("yn:chi3", 1), ("yn:chi4", 1)]
+
+
+# The memo of decomposition_counts, each test on a fresh context so that its memo starts empty.
+
+
+@pytest.mark.parametrize(
+    ("first", "second"),
+    [("e:chi1", "e:chi2"), ("e:chi1", "e:chi3"), ("e:chi1", "yn:chi1")],
+    ids=["x", "y", "group degree"],
+)
+def test_counts_memo_tells_apart_modules_that_differ_in_one_part_of_its_key(first, second):
+    ctx = DihedralContext(12)
+    for text in (first, second):
+        label = parse_weight_label(text)
+        assert decomposition_counts(ctx, build_weight(ctx, label)) == [(label, 1)]
+    assert len(ctx._weight_cache["counts"]) == 2
+
+
+def test_counts_memo_hands_out_a_fresh_list_each_call():
+    ctx = DihedralContext(12)
+    product = tensor_dd(build_weight(ctx, parse_weight_label("M2,3")), build_weight(ctx, parse_weight_label("Mx:0,0")))
+    expected = [(parse_weight_label("Mx:0,1"), 1), (parse_weight_label("Mx:1,1"), 1)]
+    counts = decomposition_counts(ctx, product)
+    assert counts == expected
+    counts[0] = (parse_weight_label("e:chi1"), 4)
+    counts.append((parse_weight_label("e:chi2"), 1))
+    again = decomposition_counts(ctx, product)
+    assert again == expected and again is not counts
+    again.clear()
+    assert decomposition_counts(ctx, product) == expected
+
+
+def test_counts_memo_is_cleared_at_its_size_limit(monkeypatch):
+    monkeypatch.setattr(weights, "_COUNTS_LIMIT", 3)
+    ctx = DihedralContext(12)
+    labels = all_weight_labels(ctx)[:10]
+    for _ in range(2):
+        for label in labels:
+            assert decomposition_counts(ctx, build_weight(ctx, label)) == [(label, 1)]
+            assert 1 <= len(ctx._weight_cache["counts"]) <= 3
+
+
+def test_counts_memo_never_stores_a_module_that_raises():
+    ctx = DihedralContext(12)
+    module = _one_dimensional(ctx, ctx.group.identity, 2, 1)  # tr(x) = 2: not a module
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="not an integer: 3/2"):
+            decomposition_counts(ctx, module)
+    assert ctx._weight_cache["counts"] == {}
 
 
 def test_class_key_separates_degree_support(ctx12):
