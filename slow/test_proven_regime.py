@@ -6,7 +6,8 @@ does not collect it.  It covers every singleton case at m = 12, 16, 20, 24,
 tenth of the 66 at m = 16, and every case over ``(1,6),(3,6),(5,6)``.  Every
 module these cases build, standard, induced, head, socle, layer and tensor,
 passes the check of ``weights.QDModule`` that x and y are invertible
-monomial matrices, or its case raises.  The modules are built to pass it
+monomial matrices whose every entry is a tagged power of w, or its case
+raises.  The modules are built to pass it
 (see ``weights.QDModule``); a pass shows the construction holding over this
 regime.  Over the 39 two-pair sets at m = 12, the submodule generated by
 the negative-degree joint kernel of every standard module, and the quotient

@@ -45,6 +45,7 @@ from .weights import (
     class_key,
     decomposition_counts,
     parse_weight_label,
+    summand_text,
     tensor_dd,
     weight_catalog,
 )
@@ -78,14 +79,7 @@ def _split_weight_list(text: str) -> list[str]:
 
 
 def _character_lines(char) -> list[str]:
-    lines = []
-    for entry in char.to_json_obj():
-        summands = " + ".join(
-            (f"{s['mult']}*{s['label']}" if s["mult"] > 1 else s["label"])
-            for s in entry["summands"]
-        )
-        lines.append(f"[{entry['degree']:>3}]  {summands}")
-    return lines
+    return [f"[{z:>3}]  {summand_text(entries)}" for z, entries in char.layers]
 
 
 def _failed_checks(report: dict) -> list[str]:
@@ -156,10 +150,7 @@ def cmd_tensor(args) -> int:
             }
         )
     else:
-        terms = " + ".join(
-            (f"{mult}*{lab}" if mult > 1 else str(lab)) for lab, mult in counts
-        )
-        print(f"{left} x {right} = {terms}")
+        print(f"{left} x {right} = {summand_text(counts)}")
     return EXIT_OK
 
 
@@ -334,8 +325,9 @@ def cmd_verify(args) -> int:
 
 def cmd_spherical(args) -> int:
     ctx = _context_from(args)
-    if args.index:
-        sets = [parse_index_set(ctx, args.index)]
+    named = parse_index_set(ctx, args.index)
+    if named.pairs:
+        sets = [named]
     else:
         sets = [IndexSet(ctx.m, (pair,)) for pair in valid_pairs(ctx)]
     rows = []

@@ -54,6 +54,7 @@ from .weights import (
     grading_failure,
     group_relation_failures,
     invertible_monomial,
+    summand_text,
     tensor_dd,
 )
 
@@ -98,7 +99,8 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
     the mixed ones as a root-of-unity multiple of ``y^(-+i)``.  So it is
     ``[eps = mu] + y^p S`` for one power p and a diagonal S, whose entry
     ``-w^e`` the group degree of e_j gives as an integer exponent.  Column j
-    is read off y^p's monomial view: a mixed-sign column is ``w^(e + m/2)``
+    is read off y^p's monomial view, whose entries are tagged powers of w
+    (see ``weights.QDModule``): a mixed-sign column is ``w^(e + m/2)``
     times y^p's entry, in y^p's row; an equal-sign rotation column where
     y^p keeps e_j is ``1 + w^u`` in row j, from a table per field.
     """
@@ -120,12 +122,12 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
             e = eps * a * k
         else:
             return {}
-        # the entry of y^p S in y^p's row r is -w^e val = w^(e + m/2) val
-        r, val = rows[j], vals[j]
+        # the entry of y^p S in y^p's row r is -w^e w^u = w^(u + e + m/2)
+        r, u = rows[j], vals[j].unit
         if same and r == j:
-            total = one - zeta(e) * val if val.unit is None else ones[(val.unit + e + n) % m]
+            total = ones[(u + e + n) % m]
             return {j: total} if total else {}
-        entry = -(zeta(e) * val) if val.unit is None else zeta(val.unit + e + n)
+        entry = zeta(u + e + n)
         return {j: one, r: entry} if same else {r: entry}
 
     return column
@@ -402,9 +404,12 @@ def check_relations(module: QDModule) -> list[str]:
 def _products_equal(a: CycMatrix, b: CycMatrix, c: CycMatrix, d: CycMatrix, shift: int) -> bool:
     """Whether ``a b == w^shift c d``, column by column, with no product matrix built.
 
-    On the monomial views column j of ``a b`` is ``a_vals[r] b_vals[j]`` in
-    row ``a_rows[r]``, r = ``b_rows[j]``, or empty; tagged entries compare
-    by exponent sums mod m, read off ``.unit``.  If an operand has no view,
+    a and d must be group-likes: x, y or the pivot of a module, so their
+    entries are tagged powers of w (see ``weights.QDModule``); b and c are
+    letters.  On the monomial views column j of ``a b`` is ``a_vals[r]
+    b_vals[j]`` in row ``a_rows[r]``, r = ``b_rows[j]``, or empty; tagged
+    entries compare by exponent sums mod m, read off ``.unit``, and a
+    letter's untagged entry as a field element.  If a letter has no view,
     each side's column j is walked from the sparse columns.
     """
     field = a.field
@@ -425,11 +430,7 @@ def _products_equal(a: CycMatrix, b: CycMatrix, c: CycMatrix, d: CycMatrix, shif
         if i is not None:
             x, y, p, q = a_vals[r], b_vals[j], c_vals[s], d_vals[j]
             ux, uy, up, uq = x.unit, y.unit, p.unit, q.unit
-            if ux is None or uq is None:
-                if x * y != field.zeta(shift) * (p * q):
-                    return False
-            elif uy is None or up is None:
-                # x and q are the group's entries, tagged on every module built
+            if uy is None or up is None:
                 if y != p * field.zeta(shift + uq - ux):
                     return False
             elif (ux + uy - up - uq - shift) % m:
@@ -683,7 +684,8 @@ def _on_positions(
     generator's new column.  The images must hold no zero entry, as those
     of ``apply`` and ``reduce`` and the columns of a matrix do not.
 
-    Where x or y is not an invertible monomial matrix on those vectors, the
+    Where x or y is not an invertible monomial matrix with powers of w as
+    entries (``weights.invertible_monomial``) on those vectors, the
     positions keep their labels but stand for the vectors b_t of
     :func:`_adapted_basis`.  A column is then the coordinates of an image
     over them: with each b_t extended by 1 at ``dim + t``, a vector reduced
@@ -699,6 +701,7 @@ def _on_positions(
     zdeg, gdeg = [module.zdeg[i] for i in kept], [module.gdeg[i] for i in kept]
     x_mat, y_mat = restrict(module.x_mat), restrict(module.y_mat)
     letters = [{key: restrict(mat) for key, mat in mats.items()} for mats in (module.v_mats, module.a_mats)]
+    # the adapted basis for every module gives the same outputs, but runs the traced sweeps 1.7-3x slower
     if not (invertible_monomial(x_mat) and invertible_monomial(y_mat)):
         basis = _adapted_basis(module.ctx, zdeg, gdeg, x_mat, y_mat)
         frame = _rref(field, [{**vec, dim + t: field.one} for t, vec in enumerate(basis)])
@@ -861,13 +864,7 @@ class GradedCharacter:
     def __str__(self) -> str:
         if not self.layers:
             return "0"
-        lines = []
-        for z, entries in self.layers:
-            body = " + ".join(
-                (f"{mult}*{label}" if mult > 1 else str(label)) for label, mult in entries
-            )
-            lines.append(f"[{z}] {body}")
-        return "\n".join(lines)
+        return "\n".join(f"[{z}] {summand_text(entries)}" for z, entries in self.layers)
 
 
 def graded_character(module: QDModule) -> GradedCharacter:

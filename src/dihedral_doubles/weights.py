@@ -52,9 +52,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
 from operator import add, mul
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, VecDict, _rref
 from .dihedral import CHI_SIGNS, DihedralContext
@@ -149,20 +148,23 @@ class QDModule:
     A module over the double of the group alone is the module over the
     empty index set, in degree 0, with no letters (:func:`group_module`).
 
-    x and y act as invertible monomial matrices (:func:`invertible_monomial`)
-    on every module that is built: the catalog members are written so, an
-    induced module lets them act on letters times base vectors as a signed
-    letter swap or a scalar times their action on the base, a
-    :func:`tensor_dd` takes Kronecker products and a layer keeps a block,
-    and a submodule or quotient (``qdouble._on_positions``) is given a basis
-    adapted to the group action wherever its reduced rows are not.  It is
-    checked here, once per module, so the traces, hom spaces and tensor
-    products that read x and y take one path.  The letters may have columns
-    with two entries.
+    x and y act as invertible monomial matrices whose every entry is a
+    tagged power of w (:func:`invertible_monomial`) on every module that is
+    built: the catalog members are written so, an induced module lets them
+    act on letters times base vectors as a signed letter swap or a power of
+    w times their action on the base, a :func:`tensor_dd` takes Kronecker
+    products and a layer keeps a block, and a submodule or quotient
+    (``qdouble._on_positions``) is given a basis adapted to the group action
+    wherever its reduced rows are not, on which the entries are eigenvalues
+    of elements of finite order.  It is checked here, once per module, so
+    the traces, hom spaces, tensor products, memo keys, cross terms and
+    commutation checks that read x and y take one path.  The letters may
+    have columns with two entries, and entries that are no power of w.
 
     Raises:
-        AssertionError: if x or y is not an invertible monomial matrix; the
-            message names the generator and the module's kind.
+        AssertionError: if x or y is not an invertible monomial matrix with
+            powers of w as entries; the message names the generator and the
+            module's kind.
 
     Attributes:
         ctx: shared dihedral context.
@@ -233,9 +235,9 @@ class QDModule:
 
 
 def invertible_monomial(mat: CycMatrix) -> bool:
-    """Whether ``mat`` has a monomial view with no empty column and no two columns in one row."""
-    view = mat.monomial()
-    return view is not None and None not in view[0] and len(set(view[0])) == len(view[0])
+    """Whether ``mat`` has a monomial view with no empty column, no two columns in one row and no untagged entry."""
+    rows, vals = mat.monomial() or ([None], [])  # no view reads as an empty column
+    return None not in rows and len(set(rows)) == len(rows) and all(val.unit is not None for val in vals)
 
 
 def group_module(
@@ -401,6 +403,11 @@ def pair_module(ctx: DihedralContext, i: int, k: int) -> QDModule:
     if not 1 <= i <= ctx.n:
         raise ValueError(f"rotation degree out of range: {i}")
     return _two_dimensional(ctx, i, k)
+
+
+def summand_text(entries: Iterable[tuple[WeightLabel, int]]) -> str:
+    """A list of (member, multiplicity) as ``2*Mx:0,1 + e:chi1``: the multiplicity written when above 1."""
+    return " + ".join(f"{mult}*{label}" if mult > 1 else str(label) for label, mult in entries)
 
 
 def class_key(ctx: DihedralContext, label: WeightLabel) -> str:
@@ -626,7 +633,7 @@ class _Member(NamedTuple):
     ``weights[c]`` dotted with the trace vector of a module on the class
     representative g (:func:`_trace_vector`) gives coordinate c of
     ``|C(g)|`` times the multiplicity of the member in the module.
-    ``trace`` is the member's own trace vector, with denominator 1.  The
+    ``trace`` is the member's own trace vector.  The
     trace vector of a module is the sum of its summands' trace vectors, each
     taken its multiplicity times, which :func:`decomposition_counts` checks.
     """
@@ -663,26 +670,27 @@ def _class_data(ctx: DihedralContext) -> list[_ClassData]:
     return classes
 
 
-def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> tuple[list[int], int]:
+def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> list[int]:
     """Traces of the orbit representatives on the block of basis vectors of degree g.
 
-    Returned as the concatenated integer coordinates of the traces over one
-    common denominator.  The element ``x^a y^b`` acts as ``X^a Y^b``, and X
-    and Y are invertible monomial matrices (see :class:`QDModule`), so the
-    traces come from the y-cycles of the block.  Y e_k is ``c_k e_s(k)``, so
-    Y^b e_j is one multiple of one basis vector, read off the walk j, s(j),
-    s(s(j)), ... with the running product of the c along it.  The walk stops
-    when it returns to j, after L steps with product P, or after the largest
-    exponent b needed; when it returns, ``Y^b e_j = P^(b div L) Y^(b mod L)
-    e_j``.  So e_j adds P^(b/L) to the trace of y^b for each multiple b of
-    L, and to that of x y^b the entry of X that takes Y^b e_j back to e_j,
-    if there is one.  A term that is a tagged power w^e is counted by its
-    exponent, and the counts become coordinates once at the end.
+    Returned as the concatenated integer coordinates of the traces.  The
+    element ``x^a y^b`` acts as ``X^a Y^b``, and X and Y are invertible
+    monomial matrices whose entries are powers of w (see :class:`QDModule`),
+    so the traces come from the y-cycles of the block, walked in exponents.
+    Y e_k is ``w^c_k e_s(k)``, so Y^b e_j is one power of w times one basis
+    vector, read off the walk j, s(j), s(s(j)), ... with the running sum of
+    the c along it.  The walk stops when it returns to j, after L steps with
+    sum P, or after the largest exponent b needed; when it returns, ``Y^b
+    e_j = w^(P (b div L)) Y^(b mod L) e_j``.  So e_j adds w^(P b/L) to the
+    trace of y^b for each multiple b of L, and to that of x y^b the entry of
+    X that takes Y^b e_j back to e_j, if there is one.  The terms are
+    counted by exponent, and the counts become coordinates once at the end.
     """
     field, m = module.ctx.field, module.ctx.m
     x_rows, x_vals = module.x_mat.monomial()
     y_rows, y_vals = module.y_mat.monomial()
-    one = field.one
+    x_exps = [val.unit for val in x_vals]
+    y_exps = [val.unit for val in y_vals]
     rotations: dict[int, list[int]] = {}  # b: the positions of the orbits of y^b
     reflections: list[tuple[int, int]] = []  # (position, b) for the orbits of x y^b
     for pos, (h, _, _) in enumerate(cls.orbits):
@@ -692,54 +700,39 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> tu
         else:
             rotations.setdefault(b, []).append(pos)
     top = max(h % m for h, _, _ in cls.orbits)
-    values = [field.zero] * len(cls.orbits)
     # (orbit, e): the number of w^e terms; y^0 adds 1 = w^0 for every vector
-    tagged = {(pos, 0): len(block) for pos in rotations.get(0, ())}
-
-    def add(pos: int, value: CycNum) -> None:
-        if value.unit is None:
-            values[pos] = values[pos] + value
-        else:
-            key = (pos, value.unit)
-            tagged[key] = tagged.get(key, 0) + 1
-
+    counts = {(pos, 0): len(block) for pos in rotations.get(0, ())}
     for j in block:
-        path, prods = [j], [one]
-        cycle = None
-        k, prod = j, one
+        path, sums = [j], [0]
+        closed, cycle = False, 0
+        k, total = j, 0
         for _ in range(top):
             row = y_rows[k]
-            prod = y_vals[k] * prod
+            total += y_exps[k]
             if row == j:
-                cycle = prod
+                closed, cycle = True, total
                 break
             k = row
             path.append(k)
-            prods.append(prod)
+            sums.append(total)
         length = len(path)
-        if cycle is not None:
-            power = one
-            for b in range(length, top + 1, length):
-                power = power * cycle
+        if closed:
+            for turns, b in enumerate(range(length, top + 1, length), 1):
                 for pos in rotations.get(b, ()):
-                    add(pos, power)
+                    key = (pos, turns * cycle % m)
+                    counts[key] = counts.get(key, 0) + 1
         for pos, b in reflections:
-            turns, t = divmod(b, length) if cycle is not None else (0, b)
+            turns, t = divmod(b, length) if closed else (0, b)
             if t < length and x_rows[path[t]] == j:
-                value = x_vals[path[t]] * prods[t]
-                add(pos, value * cycle**turns if turns else value)
-    coords = [[0] * field.degree for _ in values]
-    for (pos, e), count in tagged.items():
-        row = coords[pos]
-        for t, c in enumerate(field.zeta(e).coords):
+                key = (pos, (x_exps[path[t]] + sums[t] + turns * cycle) % m)
+                counts[key] = counts.get(key, 0) + 1
+    degree = field.degree
+    vector = [0] * (degree * len(cls.orbits))
+    for (pos, e), count in counts.items():
+        for t, c in enumerate(field.zeta(e).coords, pos * degree):
             if c:
-                row[t] += count * c
-    den = lcm(*(value.den for value in values))
-    vector: list[int] = []
-    for row, value in zip(coords, values):
-        scale = den // value.den
-        vector += [den * c + scale * v for c, v in zip(row, value.coords)]
-    return vector, den
+                vector[t] += count * c
+    return vector
 
 
 def _blocks(module: QDModule) -> dict[int, list[int]]:
@@ -759,15 +752,14 @@ def _catalog_characters(
     the orbit, a module V with trace T at h contributes
     ``same * T conj(t) + inverse * conj(T) t`` to ``|C(g)|`` times the
     multiplicity of S, so the orbit's weights pair coordinate a of T with the
-    coordinates of ``same * conj(t) w^a + inverse * t w^-a``.  Catalog
-    matrices have entries in Z[w], so the weights are integers.
+    coordinates of ``same * conj(t) w^a + inverse * t w^-a``.  Traces are
+    sums of powers of w, so the weights are integers.
 
     The Gram matrix of the members of each class, the traces of one against
     the weights of the other, must be the identity: Schur orthonormality.
 
     Raises:
-        AssertionError: if a member's character is not integral, or the
-            characters are not orthonormal.
+        AssertionError: if the characters are not orthonormal.
     """
     field = ctx.field
     degree = field.degree
@@ -784,9 +776,7 @@ def _catalog_characters(
             block = _blocks(module).get(cls.rep)
             if block is None:
                 raise AssertionError(f"{label} has no basis vector in degree {ctx.group.name(cls.rep)}")
-            vector, den = _trace_vector(module, cls, block)
-            if den != 1:
-                raise AssertionError(f"the character of {label} is not integral")
+            vector = _trace_vector(module, cls, block)
             columns: list[tuple[int, ...]] = []
             for pos, (_, same, inverse) in enumerate(cls.orbits):
                 trace = vector[pos * degree : (pos + 1) * degree]
@@ -894,7 +884,9 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     """Multiplicity of each catalog member in the module, in catalog order.
 
     Only ``x_mat``, ``y_mat`` and ``gdeg`` are read: these are the
-    multiplicities in the restriction to the double of the group.  A simple
+    multiplicities in the restriction to the double of the group.  x and y
+    have powers of w as entries (see :class:`QDModule`), so the traces are
+    integer coordinate vectors (:func:`_trace_vector`).  A simple
     module is a conjugacy class with an irreducible representation
     of the centraliser C(g) of its representative g, so the multiplicity of
     a member S in V is the inner product
@@ -913,7 +905,8 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     The answers are memoised per context, in ``ctx._weight_cache["counts"]``,
     keyed on everything the computation reads besides the context's own
     catalog: the group degrees and the row maps and entries of x and y
-    (:func:`_view_key`).  Two modules with one key have the same blocks and
+    (:func:`_view_key`), each entry a power of w read as its exponent by the
+    invariant of :class:`QDModule`.  Two modules with one key have the same blocks and
     the same traces, so a memoised answer is the one recomputing would
     give; a module that differs from a memoised one in a single entry of x
     misses the memo.  A module that raises is not stored, and every call
@@ -941,24 +934,23 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
         block = blocks.get(cls.rep)
         if block is None:
             continue
-        vector, den = _trace_vector(module, cls, block)
-        scale = cls.order * den
+        vector = _trace_vector(module, cls, block)
         members = characters[cls.rep]
         # most trace coordinates are zero: take the dot products over the others
         support = [pos for pos, c in enumerate(vector) if c]
         values = [vector[pos] for pos in support]
         rebuilt: list[int] | None = [0] * len(vector)
         for member in members:
-            mult, rest = divmod(sum(map(mul, values, map(member.weights[0].__getitem__, support))), scale)
+            mult, rest = divmod(sum(map(mul, values, map(member.weights[0].__getitem__, support))), cls.order)
             if rest or mult < 0:
                 rebuilt = None
                 break
             if mult:
                 found.append((member.index, member.label, mult))
                 filled += mult * member.dim
-                rebuilt = list(map(add, rebuilt, map((mult * den).__mul__, member.trace)))
+                rebuilt = list(map(add, rebuilt, map(mult.__mul__, member.trace)))
         if rebuilt != vector:
-            raise AssertionError(_inner_product_failure(ctx, members, support, values, scale))
+            raise AssertionError(_inner_product_failure(ctx, members, support, values, cls.order))
     if filled != module.dim:
         raise AssertionError(
             f"character multiplicities of a dimension-{module.dim} module fill dimension {filled}"
@@ -971,14 +963,14 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     return counts
 
 
-def _view_key(mat: CycMatrix) -> tuple[tuple[int, ...], tuple]:
-    """The row map and entries of an invertible monomial matrix, as a hashable key.
+def _view_key(mat: CycMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The row map and entry exponents of x or y of a module, as a hashable key.
 
-    A tagged entry w^e goes in as the int e and any other as its coordinates
-    and denominator, so two keys are equal exactly when the matrices are.
+    Every entry is a tagged power w^e (see :class:`QDModule`) and goes in as
+    the int e, so two keys are equal exactly when the matrices are.
     """
     rows, vals = mat.monomial()
-    return tuple(rows), tuple([(x.coords, x.den) if x.unit is None else x.unit for x in vals])
+    return tuple(rows), tuple([x.unit for x in vals])
 
 
 def _inner_product_failure(

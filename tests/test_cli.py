@@ -521,7 +521,8 @@ def test_spherical_all_singletons(capsys):
 
 
 def test_spherical_with_an_empty_index_takes_every_single_pair(capsys):
-    assert run(capsys, ["spherical", "--index", ""]) == run(capsys, ["spherical"])
+    for text in ("", " "):
+        assert run(capsys, ["spherical", "--index", text]) == run(capsys, ["spherical"])
 
 
 def test_spherical_one_index_json(capsys):

@@ -361,20 +361,20 @@ def _doubled(mat):
     return CycMatrix(mat.field, cols, mat.nrows)
 
 
-def test_cross_terms_match_the_reference_for_a_y_with_untagged_entries_that_moves_rotation_degrees(ctx12):
+def test_cross_terms_match_the_reference_for_a_y_that_moves_rotation_degrees(ctx12):
     # the cross terms read only gdeg and y, so a module over the empty index set takes any pair; on
     # the rotation degrees of Mx:0,0 (x) Mx:1,0, y^i moves basis vectors, and a column of an equal-sign
-    # cross term has two entries
+    # cross term has two entries; a y off the powers of w is refused when the module is built
     pairs = valid_pairs(ctx12)
     moved = 0
     for summands in ("Mx:0,0 Mx:1,0", "Mxy:0,1 Mx:1,1", "e:rho1 M2,3 + Mxy:1,0"):
         built = _sum_of_tensor_products(ctx12, summands)
-        for y_mat in (built.y_mat, _doubled(built.y_mat)):
-            module = group_module(ctx12, built.gdeg, built.x_mat, y_mat, built.basis_labels)
-            _assert_cross_terms_match_the_reference(module, pairs)
-            for eps in (1, -1):
-                columns = phi_action(ctx12, pairs[0], eps, eps, module).sparse_columns()
-                moved += sum(len(col) == 2 for col in columns)
+        with pytest.raises(AssertionError, match="y is not an invertible monomial matrix"):
+            group_module(ctx12, built.gdeg, built.x_mat, _doubled(built.y_mat), built.basis_labels)
+        _assert_cross_terms_match_the_reference(built, pairs)
+        for eps in (1, -1):
+            columns = phi_action(ctx12, pairs[0], eps, eps, built).sparse_columns()
+            moved += sum(len(col) == 2 for col in columns)
     assert moved
 
 
@@ -392,11 +392,11 @@ def _columns_of(target):
 
 
 @st.composite
-def _entries(draw, field):
-    """A nonzero entry: a tagged power of w, its negative, or a non-unit."""
+def _entries(draw, field, units=False):
+    """A nonzero entry: a tagged power of w, its negative, or a non-unit; with ``units``, a tagged power."""
     k = draw(st.integers(0, field.m - 1))
     power = field.zeta(k)
-    kind = draw(st.sampled_from(("tagged", "negated", "non-unit")))
+    kind = draw(st.sampled_from(("tagged",) if units else ("tagged", "negated", "non-unit")))
     if kind == "tagged":
         return power
     if kind == "negated":
@@ -405,21 +405,22 @@ def _entries(draw, field):
 
 
 @st.composite
-def _drawn_matrices(draw, field, n):
-    """An n x n matrix with some empty columns, and columns with two entries as often as not."""
+def _drawn_matrices(draw, field, n, units=False):
+    """An n x n matrix with some empty columns, and columns with two entries as often as not; with
+    ``units`` every entry is a tagged power of w."""
     sizes = draw(st.sampled_from([(0, 1, 1), (0, 1, 2)]))
     cols = []
     for _ in range(n):
         size = min(draw(st.sampled_from(sizes)), n)
         rows = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
-        cols.append({i: draw(_entries(field)) for i in rows})
+        cols.append({i: draw(_entries(field, units)) for i in rows})
     return CycMatrix(field, cols, n)
 
 
 @st.composite
-def _variants(draw, mat):
+def _variants(draw, mat, units=False):
     """The matrix itself, or a copy: from its columns, with one entry flipped or moved, or with a second
-    entry in one column."""
+    entry in one column.  With ``units`` every entry stays a tagged power of w: a flip multiplies by w."""
     kind = draw(st.sampled_from(("same", "same", "columns", "flipped", "moved", "second entry")))
     if kind == "same":
         return mat
@@ -431,10 +432,10 @@ def _variants(draw, mat):
         i = draw(st.sampled_from(sorted(cols[j])))
         others = [r for r in range(mat.nrows) if r not in cols[j]]
         if kind == "flipped":
-            cols[j][i] = -cols[j][i]
+            cols[j][i] = cols[j][i] * field.zeta(1) if units else -cols[j][i]
         elif others:
             row = draw(st.sampled_from(others))
-            entry = cols[j].pop(i) if kind == "moved" else draw(_entries(field))
+            entry = cols[j].pop(i) if kind == "moved" else draw(_entries(field, units))
             cols[j][row] = entry
     return CycMatrix(field, cols, mat.nrows)
 
@@ -542,7 +543,8 @@ def _scaled(mat, shift):
 @st.composite
 def _product_cases(draw):
     """(a, b, c, d, shift): the swap by x and the scaling by y of a module's letters, or drawn matrices,
-    with one operand or the shift changed or not."""
+    with one operand or the shift changed or not.  a and d stand for group-likes, as ``_products_equal``
+    requires: their entries are tagged powers of w."""
     shift = 0
     if draw(st.booleans()):
         module = draw(st.sampled_from(_relation_modules()))
@@ -559,13 +561,13 @@ def _product_cases(draw):
     else:
         field = get_field(draw(st.sampled_from((9, 12, 16))))
         n = draw(st.integers(1, 5))
-        a, b = draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n))
-        c, d = (a, b) if draw(st.booleans()) else (draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n)))
+        a, d = draw(_drawn_matrices(field, n, units=True)), draw(_drawn_matrices(field, n, units=True))
+        b, c = (d, a) if draw(st.booleans()) else (draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n)))
         shift = draw(st.sampled_from((0, draw(st.integers(-field.m, 2 * field.m)))))
     operands = [a, b, c, d]
     changed = draw(st.integers(0, 4))
     if changed < 4:
-        operands[changed] = draw(_variants(operands[changed]))
+        operands[changed] = draw(_variants(operands[changed], units=changed in (0, 3)))
     else:
         shift += draw(st.integers(1, 3))
     return (*operands, shift)
@@ -1010,10 +1012,16 @@ def test_relations_catch_a_raising_letter_that_does_not_square_to_zero(ctx12):
 
 
 def test_relations_catch_a_y_of_the_wrong_order(ctx12):
+    # 2 y is no power of w anywhere: refused when the module is built
     module = _verma(ctx12, "(2,3)", "e:rho1")
-    two = CycMatrix.diagonal(ctx12.field, [ctx12.field.from_integer(2)] * module.dim)
-    failures = check_relations(_mutated(module, y_mat=two * module.y_mat))
-    assert "y^12 != 1" in failures
+    with pytest.raises(AssertionError, match="y is not an invertible monomial matrix"):
+        _mutated(module, y_mat=_doubled(module.y_mat))
+    # one entry of a y-cycle of length 6 times w: the cycle's product is w, and w^2 != 1
+    module = _verma(ctx12, "(2,3)", "Mx:0,0")
+    cols = [dict(col) for col in module.y_mat.sparse_columns()]
+    ((i, val),) = cols[0].items()
+    cols[0][i] = val * ctx12.field.zeta(1)
+    assert "y^12 != 1" in check_relations(_mutated(module, y_mat=CycMatrix(ctx12.field, cols, module.dim)))
 
 
 def _signed_shift(field, dim, m):

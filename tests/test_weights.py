@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +18,7 @@ from dihedral_doubles.weights import (
     _blocks,
     _catalog_characters,
     _class_data,
+    _inner_product_failure,
     _order_failures,
     _trace_vector,
     all_weight_labels,
@@ -269,18 +269,17 @@ def _rescaled(ctx, module, factors):
 def _head_and_socle_layers(ctx):
     """Each layer of the head and socle of ``(1,6),(3,6)`` for every 4th weight, as built and rescaled.
 
-    Heads and socles come from quotient and subspace bases; in the rescaled
-    basis x and y have entries with denominators that are not units of Z[w].
+    Heads and socles come from quotient and subspace bases; in the basis
+    rescaled by powers of w, x and y have other powers of w as entries.
     """
     field = ctx.field
-    factor = field.from_integer(2) + field.zeta(1)
     index_set = parse_index_set(ctx, "(1,6),(3,6)")
     for label in all_weight_labels(ctx)[::4]:
         verma = build_verma(ctx, index_set, label)
         for name, module in (("head", head(verma)), ("socle", socle(verma))):
             for z in module.layer_indices():
                 layer = module.layer_module(z)
-                rescaled = _rescaled(ctx, layer, [factor ** (i % 3) * (i + 1) for i in range(layer.dim)])
+                rescaled = _rescaled(ctx, layer, [field.zeta(i) for i in range(layer.dim)])
                 yield f"{label} {name} [{z}]", layer, rescaled
 
 
@@ -314,8 +313,8 @@ def _walked_trace_vector(module, cls, block):
             if b < top:
                 vec = module.y_mat.apply(vec)
     values = [traces[h] for h, _, _ in cls.orbits]
-    den = lcm(*(value.den for value in values))
-    return [c * (den // value.den) for value in values for c in value.coords], den
+    assert all(value.den == 1 for value in values)
+    return [c for value in values for c in value.coords]
 
 
 def _times(a, b):
@@ -357,8 +356,8 @@ def _assert_refused(ctx, stand_in, generator="[xy]"):
 def _group_modules(draw):
     """A layer of a standard module at m = 12 to 24, as built or rescaled.
 
-    Rescaling by factors that are not units keeps x and y monomial with
-    entries off the units.  A layer of a rotation weight carries y diagonal
+    Rescaling by powers of w keeps x and y monomial with other powers of w
+    as entries.  A layer of a rotation weight carries y diagonal
     on its rotation degrees, so its y-cycles are shorter than the powers
     read.
     """
@@ -368,8 +367,8 @@ def _group_modules(draw):
     verma = build_verma(ctx, validate_index_set(ctx, [pair]), label)
     module = verma.layer_module(draw(st.sampled_from(sorted(verma.layer_indices()))))
     if draw(st.booleans()):
-        factor = ctx.field.from_integer(2) + ctx.field.zeta(1)
-        module = _rescaled(ctx, module, [factor ** (i % 3) * (i + 1) for i in range(module.dim)])
+        shift = draw(st.integers(1, ctx.m - 1))
+        module = _rescaled(ctx, module, [ctx.field.zeta(shift * i) for i in range(module.dim)])
     return ctx, module
 
 
@@ -539,16 +538,29 @@ def _one_dimensional(ctx, degree, x_value, y_value):
     )
 
 
+def _not_a_module_with_a_fraction(ctx):
+    """Degrees (e, e), x = 1 and y = diag(w^2, w^10) at m = 12: (x y)^2 != 1, and e:chi1 appears 3/4 times."""
+    return group_module(
+        ctx,
+        [ctx.group.identity] * 2,
+        CycMatrix.identity(ctx.field, 2),
+        CycMatrix.diagonal(ctx.field, [ctx.omega(2), ctx.omega(10)]),
+        ["a", "b"],
+    )
+
+
 def test_character_counts_reject_what_is_not_a_module(ctx12):
     group = ctx12.group
+    # x = 2 or -3 is no power of w: such a module is refused when it is built
+    for x_value in (2, -3):
+        with pytest.raises(AssertionError, match="x is not an invertible monomial matrix"):
+            _one_dimensional(ctx12, group.identity, x_value, 1)
     cases = {
         # x y x = y^-1 fails: the multiplicity of e:chi1 has an integer
         # rational part and a nonzero irrational one
         "e:chi1 is not an integer": _one_dimensional(ctx12, group.identity, 1, ctx12.omega(4)),
-        # tr(x) = 2: the trivial character appears 3/2 times
-        "not an integer: 3/2": _one_dimensional(ctx12, group.identity, 2, 1),
-        # tr(x) = -3: the trivial character appears -1 times
-        "negative": _one_dimensional(ctx12, group.identity, -3, 1),
+        # tr(x y) = w^2 + w^10 = 1 on the two vectors: the trivial character appears 3/4 times
+        "e:chi1 is not an integer: 3/4": _not_a_module_with_a_fraction(ctx12),
         # nothing on the class representative y
         "fill dimension 0": _one_dimensional(ctx12, group.rotation(-1), 1, 1),
         # y = w^3 on both vectors, not w^l and w^-l: the rational coordinates
@@ -564,6 +576,23 @@ def test_character_counts_reject_what_is_not_a_module(ctx12):
     for message, module in cases.items():
         with pytest.raises(AssertionError, match=message):
             decomposition_counts(ctx12, module)
+
+
+@pytest.mark.parametrize("label_text", ["e:chi1", "e:rho2", "M2,3", "Mxy:1,0"])
+def test_inner_product_failure_names_a_negative_multiplicity(ctx12, label_text):
+    # no module with power-of-w x and y is known to read a negative multiplicity, so the message is
+    # tested on a trace vector that is minus a catalog member's: every member before it reads 0
+    label = parse_weight_label(label_text)
+    cls, member = next(
+        (cls, member)
+        for cls in _class_data(ctx12)
+        for member in weight_catalog(ctx12).characters[cls.rep]
+        if member.label == label
+    )
+    support = [pos for pos, c in enumerate(member.trace) if c]
+    values = [-member.trace[pos] for pos in support]
+    message = _inner_product_failure(ctx12, weight_catalog(ctx12).characters[cls.rep], support, values, cls.order)
+    assert message == f"multiplicity of {label} is negative: -1"
 
 
 def test_known_tensor_products(ctx12):
@@ -773,9 +802,9 @@ def test_counts_memo_is_cleared_at_its_size_limit(monkeypatch):
 
 def test_counts_memo_never_stores_a_module_that_raises():
     ctx = DihedralContext(12)
-    module = _one_dimensional(ctx, ctx.group.identity, 2, 1)  # tr(x) = 2: not a module
+    module = _not_a_module_with_a_fraction(ctx)
     for _ in range(2):
-        with pytest.raises(AssertionError, match="not an integer: 3/2"):
+        with pytest.raises(AssertionError, match="not an integer: 3/4"):
             decomposition_counts(ctx, module)
     assert ctx._weight_cache["counts"] == {}
 
