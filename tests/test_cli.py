@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -533,3 +534,26 @@ def test_spherical_one_index_json(capsys):
     assert row["consistent"] is True
     assert set(row["pivots"]) == {"1", "2", "3", "4"}
     assert not any(row["pivots"].values())
+
+
+# Each command's JSON stdout, recorded in tests/pins; CI diffs the installed console script against the same files.
+PINNED = {
+    "verify_2_3": [
+        "verify", "--index", "(2,3)", "--weights", "e:chi1, e:chi3, e:rho1, yn:chi1, yn:rho1, M2,3, Mx:0,0, Mxy:1,1",
+        "--spherical", "--output", "json", "--threads", "1",
+    ],
+    "verify_1_6_3_6": [
+        "verify", "--index", "(1,6),(3,6)", "--weights", "e:chi1, Mx:0,0", "--output", "json", "--threads", "1",
+    ],
+    "simple_1_6_3_6": ["simple", "--index", "(1,6),(3,6)", "--weight", "Mx:0,0", "--full", "--output", "json"],
+    "spherical_16": ["spherical", "--m", "16", "--output", "json"],
+    "tensor_M2_3_Mx": ["tensor", "M2,3", "Mx:0,0", "--output", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_cli_output_matches_its_pin(capsys, name):
+    pin = Path(__file__).parent / "pins" / f"{name}.json"
+    code, out, err = run(capsys, PINNED[name])
+    assert (code, err) == (0, "")
+    assert out == pin.read_text()
