@@ -5,11 +5,12 @@ does not collect it.  It covers every singleton case at m = 12, 16, 20, 24,
 28 and 32, every case over the 39 two-pair sets at m = 12 and over every
 tenth of the 66 at m = 16, and every case over ``(1,6),(3,6),(5,6)``.  Every
 module these cases build, standard, induced, head, socle, layer and tensor,
-passes the check of ``weights.QDModule`` that x and y are invertible
-monomial matrices whose every entry is a tagged power of w, or its case
-raises.  The modules are built to pass it
-(see ``weights.QDModule``); a pass shows the construction holding over this
-regime.  Over the 39 two-pair sets at m = 12, the submodule generated by
+holds x and y as invertible monomial matrices with powers of w as entries
+(``cyclotomic.UnitMonomial``), whose row maps ``weights.QDModule`` checks
+to be permutations; a submodule or quotient converts to that form in
+``qdouble._on_positions``, in an adapted basis where it must, or its case
+raises.  A pass shows the construction holding over this regime.  Over the
+39 two-pair sets at m = 12, the submodule generated by
 the negative-degree joint kernel of every standard module, and the quotient
 by it, are built too, 312 of the submodules in an adapted basis, and their
 characters must add up to the module's.  Every singleton report at m = 12

@@ -7,7 +7,7 @@ bosonization as explicit matrices, their socles, heads and graded
 characters, and the closed-form classification these computations verify.
 """
 
-from .cyclotomic import CycMatrix, CycNum, CyclotomicField, get_field
+from .cyclotomic import CycMatrix, CycNum, CyclotomicField, UnitMonomial, get_field
 from .dihedral import DihedralContext, DihedralGroup, get_context
 from .nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from .qdouble import (
@@ -55,6 +55,7 @@ __all__ = [
     "IndexSet",
     "QDModule",
     "SimpleReport",
+    "UnitMonomial",
     "WeightLabel",
     "build_verma",
     "build_weight",

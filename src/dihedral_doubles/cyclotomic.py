@@ -8,10 +8,11 @@ equality and nothing is ever rounded.  A value that equals a power w^k is
 the field's one copy of it, tagged with k, so products and inverses of
 roots of unity add exponents.  Matrices store one dict of nonzero
 entries per column.  A matrix with at most one entry per column, such as
-the group action and the raising letters of a standard module, also has a
-monomial view, its row map and its entries: products, equality and zero
-tests of such matrices read the views and build no column dicts, and any
-other operand goes through the columns.  All elimination goes through
+a raising letter of a standard module, also has a monomial view, its row
+map and its entries, read off the columns.  The group action, an
+invertible monomial matrix with powers of w as entries, is held as integer
+row maps and exponents alone (:class:`UnitMonomial`), and its products
+are integer arithmetic.  All elimination goes through
 one sparse echelon basis, :class:`EchelonBasis`, built from sparse vectors
 by :func:`_rref`: callers hand it the rows of a system or the vectors of a
 span, and read off ranks (its pivots), span membership
@@ -203,14 +204,6 @@ class CyclotomicField:
         coords = [0] * self.degree
         coords[0] = value.numerator
         return CycNum._normalized(self, coords, value.denominator)
-
-    def num(self, value: CycNum | Fraction | int) -> CycNum:
-        """Coerce an int, Fraction or CycNum into this field."""
-        if isinstance(value, CycNum):
-            if value.field.m != self.m:
-                raise ValueError(f"cannot mix Q(zeta_{value.field.m}) with Q(zeta_{self.m})")
-            return value
-        return self.from_fraction(value)
 
     def parse(self, text: str) -> CycNum:
         """Inverse of ``str`` on field elements; accepts e.g. ``1/2 - 3*w^2``."""
@@ -508,16 +501,11 @@ class CycMatrix:
 
     A matrix with at most one entry per column, a monomial matrix, also has
     a view (:meth:`monomial`): its row map and its entries, which may be any
-    nonzero field elements.  The view is read off the columns on first use,
-    or it is all a product holds: the product of two monomial matrices
-    composes their row maps, and its column dicts are built only when asked
-    for.  Most entries are powers of w, tagged (see :class:`CycNum`), so an
-    entry product of a row-map product is a table lookup by exponent inside
-    the :class:`CycNum` operation.  ``==`` and :meth:`is_zero` of monomial
-    operands read the views alone, and of a non-monomial operand the column
-    dicts.  Products are formed of monomial matrices only.  There is no
-    matrix sum or negation: relation checks decide them column by column
-    (``qdouble``).
+    nonzero field elements, read off the columns on first use.  The letter
+    relation checks of ``qdouble`` read it.  There is no matrix product, sum
+    or negation: relation checks decide them column by column (``qdouble``),
+    and the group action, whose products are formed, is a
+    :class:`UnitMonomial`.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_columns", "_monomial")
@@ -526,48 +514,13 @@ class CycMatrix:
         self.field = field
         self.nrows = nrows
         self.ncols = len(columns)
-        self._columns: list[VecDict] | None = columns
+        self._columns = columns
         # None until first read; False for a matrix that is not monomial
         self._monomial: MonomialView | bool | None = None
 
     @classmethod
-    def _from_monomial(
-        cls, field: CyclotomicField, rows: list[int | None], vals: list[CycNum | None], nrows: int
-    ) -> CycMatrix:
-        """The monomial matrix with this view; its columns are built on demand."""
-        mat = cls.__new__(cls)
-        mat.field = field
-        mat.nrows = nrows
-        mat.ncols = len(rows)
-        mat._columns = None
-        mat._monomial = (rows, vals)
-        return mat
-
-    @classmethod
     def from_column_dicts(cls, field: CyclotomicField, cols: Sequence[VecDict], nrows: int) -> CycMatrix:
         return cls(field, [{i: x for i, x in col.items() if x} for col in cols], nrows)
-
-    @classmethod
-    def from_rows(cls, field: CyclotomicField, rows: Sequence[Sequence[CycNum | Fraction | int]]) -> CycMatrix:
-        ncols = len(rows[0]) if rows else 0
-        columns: list[VecDict] = [{} for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(row):
-                x = field.num(x)
-                if x:
-                    columns[j][i] = x
-        return cls(field, columns, len(rows))
-
-    @classmethod
-    def identity(cls, field: CyclotomicField, n: int) -> CycMatrix:
-        return cls.diagonal(field, [field.one] * n)
-
-    @classmethod
-    def diagonal(cls, field: CyclotomicField, entries: Sequence[CycNum]) -> CycMatrix:
-        vals = [x or None for x in entries]
-        return cls._from_monomial(field, [None if x is None else j for j, x in enumerate(vals)], vals, len(vals))
 
     def monomial(self) -> MonomialView | None:
         """The row map and entries of a matrix with at most one entry per column, else None.
@@ -594,19 +547,9 @@ class CycMatrix:
             self._monomial = view
         return view or None
 
-    def _cols(self) -> list[VecDict]:
-        # the columns, built from the view on first use; the matrix's own
-        # methods read them here, and callers through sparse_columns
-        columns = self._columns
-        if columns is None:
-            rows, vals = self._monomial
-            columns = [{} if i is None else {i: x} for i, x in zip(rows, vals)]
-            self._columns = columns
-        return columns
-
     def sparse_columns(self) -> list[VecDict]:
         """The columns: one dict of nonzero entries per column."""
-        return self._cols()
+        return self._columns
 
     def apply(self, vec: VecDict) -> VecDict:
         """The image of a sparse vector, with no zero entries.
@@ -616,7 +559,7 @@ class CycMatrix:
         no zero test; only a sum can cancel.
         """
         out: VecDict = {}
-        cols = self._cols()
+        cols = self._columns
         for j, x in vec.items():
             for i, a in cols[j].items():
                 cur = out.get(i)
@@ -630,50 +573,15 @@ class CycMatrix:
                         del out[i]
         return out
 
-    def __mul__(self, other: CycMatrix) -> CycMatrix:
-        """The product of two monomial matrices, composed from their views.
-
-        Raises:
-            ValueError: if the shapes do not match, or a factor has a column
-                with two entries.
-        """
-        if not isinstance(other, CycMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        left = self.monomial()
-        right = other.monomial() if left else None
-        if not right:
-            raise ValueError("a matrix product is formed of monomial matrices only")
-        # column j of the product is column rows[j] of the left factor, scaled
-        left_rows, left_vals = left
-        right_rows, right_vals = right
-        rows = [None if r is None else left_rows[r] for r in right_rows]
-        vals = [None if i is None else left_vals[r] * x for i, r, x in zip(rows, right_rows, right_vals)]
-        return CycMatrix._from_monomial(self.field, rows, vals, self.nrows)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> CycMatrix:
-        position = {i: t for t, i in enumerate(row_idx)}
-        cols = self._cols()
-        columns = [{position[i]: x for i, x in cols[j].items() if i in position} for j in col_idx]
-        return CycMatrix(self.field, columns, len(row_idx))
-
     def is_zero(self) -> bool:
-        view = self.monomial()
-        if view:
-            return view[0].count(None) == self.ncols
         return not any(self._columns)
 
     def __eq__(self, other: object) -> bool:
-        if not (isinstance(other, CycMatrix) and self.nrows == other.nrows and self.ncols == other.ncols):
-            return False
-        first = self.monomial()
-        second = other.monomial()
-        if first and second:
-            return first == second
-        if first or second:
-            return False  # one has a column with two entries, the other none
-        return self._columns == other._columns
+        return (
+            isinstance(other, CycMatrix)
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            and self._columns == other._columns
+        )
 
     def __repr__(self) -> str:
         return f"CycMatrix({self.nrows}x{self.ncols} over Q(zeta_{self.field.m}))"
@@ -681,8 +589,104 @@ class CycMatrix:
     def __str__(self) -> str:
         zero = self.field.zero
         return "\n".join(
-            "[" + ", ".join(str(col.get(i, zero)) for col in self._cols()) + "]" for i in range(self.nrows)
+            "[" + ", ".join(str(col.get(i, zero)) for col in self._columns) + "]" for i in range(self.nrows)
         )
+
+
+class UnitMonomial:
+    """An invertible monomial matrix whose entries are powers of w, held as integers.
+
+    Column j holds w^exps[j] in row rows[j], with the exponents reduced mod
+    m.  x and y act so on every module (``weights.QDModule``), so their
+    products, powers, blocks, Kronecker products and traces are integer
+    arithmetic on row maps and exponents.  The value is immutable and
+    hashable, and ``==`` compares row maps and exponents.  The constructor
+    takes the rows as given; ``QDModule`` checks that they are a permutation.
+    """
+
+    __slots__ = ("field", "rows", "exps")
+
+    def __init__(self, field: CyclotomicField, rows: Iterable[int], exps: Iterable[int]) -> None:
+        m = field.m
+        self.field = field
+        self.rows = tuple(rows)
+        self.exps = tuple([e % m for e in exps])
+
+    @classmethod
+    def identity(cls, field: CyclotomicField, n: int) -> UnitMonomial:
+        return cls(field, range(n), [0] * n)
+
+    @classmethod
+    def from_matrix(cls, mat: CycMatrix) -> UnitMonomial | None:
+        """The matrix as this type, or None unless it is one.
+
+        None when a column is empty or has two entries, when two columns
+        share a row, or when an entry is no power of w.
+        """
+        view = mat.monomial()
+        if view is None:
+            return None
+        rows, vals = view
+        if None in rows or len(set(rows)) != len(rows):
+            return None
+        exps = [val.unit for val in vals]
+        return None if None in exps else cls(mat.field, rows, exps)
+
+    def matrix(self) -> CycMatrix:
+        """The same matrix as a :class:`CycMatrix`."""
+        zeta = self.field.zeta
+        return CycMatrix(self.field, [{i: zeta(e)} for i, e in zip(self.rows, self.exps)], len(self.rows))
+
+    def __mul__(self, other: UnitMonomial) -> UnitMonomial:
+        """The product: column j is column ``other.rows[j]`` of self times ``w^other.exps[j]``."""
+        rows, exps = self.rows, self.exps
+        return UnitMonomial(
+            self.field, [rows[r] for r in other.rows], [exps[r] + e for r, e in zip(other.rows, other.exps)]
+        )
+
+    def __pow__(self, power: int) -> UnitMonomial:
+        """A power with ``power >= 0``, by repeated squaring."""
+        if power < 0:
+            raise ValueError(f"negative power {power} of a UnitMonomial")
+        result, base = UnitMonomial.identity(self.field, len(self.rows)), self
+        while power:
+            if power & 1:
+                result = result * base
+            base = base * base
+            power >>= 1
+        return result
+
+    def restricted(self, idxs: Sequence[int]) -> UnitMonomial:
+        """The block on the basis vectors ``idxs``, in that order.
+
+        Raises:
+            ValueError: if the matrix sends one of them outside the block.
+        """
+        position = {i: t for t, i in enumerate(idxs)}
+        rows = [position.get(self.rows[j]) for j in idxs]
+        if None in rows:
+            raise ValueError("the matrix does not keep the block")
+        return UnitMonomial(self.field, rows, [self.exps[j] for j in idxs])
+
+    def kron(self, other: UnitMonomial) -> UnitMonomial:
+        """The Kronecker product: column ``a n + b`` is the tensor of column a of self and column b of other."""
+        n = len(other.rows)
+        rows = [ia * n + ib for ia in self.rows for ib in other.rows]
+        return UnitMonomial(self.field, rows, [ea + eb for ea in self.exps for eb in other.exps])
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, UnitMonomial)
+            and self.field.m == other.field.m
+            and self.rows == other.rows
+            and self.exps == other.exps
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.exps))
+
+    def __repr__(self) -> str:
+        return f"UnitMonomial({self.field.m}, rows={self.rows}, exps={self.exps})"
 
 
 def add_into(target: dict, key, value: CycNum) -> None:

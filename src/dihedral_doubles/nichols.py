@@ -97,9 +97,11 @@ def parse_index_set(ctx: DihedralContext, text: str) -> IndexSet:
     pairs = []
     for chunk in raw[1:-1].split("),("):
         parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"malformed index set: {text!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            i, k = map(int, parts)
+        except ValueError:
+            raise ValueError(f"malformed index set: {text!r}") from None
+        pairs.append((i, k))
     return validate_index_set(ctx, pairs)
 
 

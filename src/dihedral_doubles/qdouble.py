@@ -8,11 +8,12 @@ an integer grading (the letter count, nonpositive) and the group grading.
 :func:`check_relations` checks the group part as ``weights`` does, then the
 letters.  Each letter relation is an exact equality of two matrix
 expressions, decided column by column without building a product, a sum
-or a cross-term matrix: on the monomial views of the operands, with tagged
-entries compared by exponent, and where an operand has no view, such as a
-lowering letter with two entries in a column, by walking that column's
-few entries.  The cross terms are read column by column from the group
-degrees and the view of a power of y.
+or a cross-term matrix: on the row maps and exponents of x and y and the
+monomial views of the letters, with tagged entries compared by exponent,
+and where a letter has no view, such as a lowering letter with two
+entries in a column, by walking that column's few entries.  The cross
+terms are read column by column from the group degrees and the row map
+and exponents of a power of y.
 
 Standard (Verma-type) modules are built by one induction that lets the
 exterior algebra of the letters act freely on a base module and rewrites
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, VecDict, _rref, add_into, kernel
+from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, _rref, add_into, kernel
 from .dihedral import DihedralContext
 from .nichols import (
     ExtMonomial,
@@ -53,32 +54,22 @@ from .weights import (
     decomposition_counts,
     grading_failure,
     group_relation_failures,
-    invertible_monomial,
     summand_text,
     tensor_dd,
 )
 
 
-def y_power(module: QDModule, power: int) -> CycMatrix:
-    """The matrix of y^power, cached on the module object.
+def y_power(module: QDModule, power: int) -> UnitMonomial:
+    """y^power, with the power taken mod m, cached on the module object.
 
-    The power is taken mod m.  y^p for p >= 2 is y^ceil(p/2) y^floor(p/2),
-    both cached, so a power costs one product beyond the about log2(p)
-    halves it needs.  y is an invertible monomial matrix (see
-    ``weights.QDModule``), so the products compose row maps and build no
-    column dicts.
+    y is held as a row map and exponents (see ``weights.QDModule``), so a
+    power composes row maps and adds exponents.
     """
     power %= module.ctx.m
-    cache: dict[int, CycMatrix] = module.__dict__.setdefault("_ypow", {})
+    cache: dict[int, UnitMonomial] = module.__dict__.setdefault("_ypow", {})
     mat = cache.get(power)
     if mat is None:
-        if power == 0:
-            mat = CycMatrix.identity(module.ctx.field, module.dim)
-        elif power == 1:
-            mat = module.y_mat
-        else:
-            mat = y_power(module, power - power // 2) * y_power(module, power // 2)
-        cache[power] = mat
+        mat = cache[power] = module.y_mat**power
     return mat
 
 
@@ -99,17 +90,18 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
     the mixed ones as a root-of-unity multiple of ``y^(-+i)``.  So it is
     ``[eps = mu] + y^p S`` for one power p and a diagonal S, whose entry
     ``-w^e`` the group degree of e_j gives as an integer exponent.  Column j
-    is read off y^p's monomial view, whose entries are tagged powers of w
-    (see ``weights.QDModule``): a mixed-sign column is ``w^(e + m/2)``
-    times y^p's entry, in y^p's row; an equal-sign rotation column where
-    y^p keeps e_j is ``1 + w^u`` in row j, from a table per field.
+    is read off y^p's row map and exponents (see ``weights.QDModule``): a
+    mixed-sign column is ``w^(u + e + m/2)`` in y^p's row, u the exponent
+    of y^p's entry; an equal-sign rotation column where y^p keeps e_j is
+    ``1 + w^u`` in row j, from a table per field.
     """
     ctx = module.ctx
     field, m, n = ctx.field, ctx.m, ctx.n
     i, k = pair
     same = eps == mu
     one, zeta, ones = field.one, field.zeta, _one_plus_powers(field)
-    rows, vals = y_power(module, eps * i if same else -eps * i).monomial()
+    turn = y_power(module, eps * i if same else -eps * i)
+    rows, exps = turn.rows, turn.exps
     gdeg = module.gdeg
 
     def column(j: int) -> VecDict:
@@ -123,7 +115,7 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
         else:
             return {}
         # the entry of y^p S in y^p's row r is -w^e w^u = w^(u + e + m/2)
-        r, u = rows[j], vals[j].unit
+        r, u = rows[j], exps[j]
         if same and r == j:
             total = ones[(u + e + n) % m]
             return {j: total} if total else {}
@@ -213,16 +205,16 @@ def _induce(
         for b2, val in base_col.items():
             add_into(target, position[(mask, b2)], val * scale)
 
-    x_cols: list[VecDict] = [dict() for _ in range(dim)]
-    y_cols: list[VecDict] = [dict() for _ in range(dim)]
-    base_x = base.x_mat.sparse_columns()
-    base_y = base.y_mat.sparse_columns()
-    base_y_powers = {p: y_power(base, p).sparse_columns() for i, _ in new_pairs for p in (i, -i)}
+    # x swaps v+ and v- of every pair, with a sign -1 = w^n; y scales the letters by a power of w
+    base_x, base_y = base.x_mat, base.y_mat
+    x_rows, x_exps, y_rows, y_exps = [], [], [], []
     for mask, b in entries:
-        j = position[(mask, b)]
         xsign, swapped = swap_letters(sub, mask)
-        scatter(base_x[b], x_cols[j], swapped, field.from_integer(xsign))
-        scatter(base_y[b], y_cols[j], mask, ctx.omega(mask_exponents[mask][1]))
+        x_rows.append(position[(swapped, base_x.rows[b])])
+        x_exps.append(base_x.exps[b] + (0 if xsign > 0 else ctx.n))
+        y_rows.append(position[(mask, base_y.rows[b])])
+        y_exps.append(base_y.exps[b] + mask_exponents[mask][1])
+    base_y_powers = {p: y_power(base, p) for i, _ in new_pairs for p in (i, -i)}
 
     v_cols: dict[tuple[int, int], list[VecDict]] = {}
     for q in range(nu):
@@ -246,9 +238,8 @@ def _induce(
 
         def add_y_power(power: int, scale: CycNum) -> None:
             # y^power on (mask, b): the letters only contribute a root of unity
-            total = scale * omega(power * ksum)
-            for b2, val in base_y_powers[power][b].items():
-                add_into(out, (mask, b2), total * val)
+            turn = base_y_powers[power]
+            add_into(out, (mask, turn.rows[b]), scale * omega(power * ksum + turn.exps[b]))
 
         if refl == 0:
             if eps == mu:
@@ -317,8 +308,8 @@ def _induce(
         labels,
         zdeg,
         gdeg,
-        CycMatrix(field, x_cols, dim),
-        CycMatrix(field, y_cols, dim),
+        UnitMonomial(field, x_rows, x_exps),
+        UnitMonomial(field, y_rows, y_exps),
         v_mats,
         a_mats,
         weight=weight,
@@ -401,39 +392,43 @@ def check_relations(module: QDModule) -> list[str]:
     return failures
 
 
-def _products_equal(a: CycMatrix, b: CycMatrix, c: CycMatrix, d: CycMatrix, shift: int) -> bool:
+def _products_equal(a: UnitMonomial, b: CycMatrix, c: CycMatrix, d: UnitMonomial, shift: int) -> bool:
     """Whether ``a b == w^shift c d``, column by column, with no product matrix built.
 
-    a and d must be group-likes: x, y or the pivot of a module, so their
-    entries are tagged powers of w (see ``weights.QDModule``); b and c are
-    letters.  On the monomial views column j of ``a b`` is ``a_vals[r]
-    b_vals[j]`` in row ``a_rows[r]``, r = ``b_rows[j]``, or empty; tagged
-    entries compare by exponent sums mod m, read off ``.unit``, and a
-    letter's untagged entry as a field element.  If a letter has no view,
-    each side's column j is walked from the sparse columns.
+    a and d are group-likes: x, y or the pivot of a module, held as row maps
+    and exponents (see ``weights.QDModule``); b and c are letters.  Column j
+    of ``c d`` is ``w^d_exps[j]`` times column ``d_rows[j]`` of c.  On the
+    letters' monomial views column j of ``a b`` is ``w^a_exps[r] b_vals[j]``
+    in row ``a_rows[r]``, r = ``b_rows[j]``, or empty; tagged letter
+    entries compare by exponent sums mod m, and an untagged one as a field
+    element.  If a letter has no view, each side's column j is walked from
+    its sparse columns.
     """
-    field = a.field
-    views = (a.monomial(), b.monomial(), c.monomial(), d.monomial())
+    field = b.field
+    m, zeta = field.m, field.zeta
+    a_rows, a_exps, d_rows, d_exps = a.rows, a.exps, d.rows, d.exps
+    views = (b.monomial(), c.monomial())
     if not all(views):
-        scale = field.zeta(shift)
-        for b_col, d_col in zip(b.sparse_columns(), d.sparse_columns()):
-            if a.apply(b_col) != {i: scale * val for i, val in c.apply(d_col).items()}:
+        c_cols = c.sparse_columns()
+        for j, b_col in enumerate(b.sparse_columns()):
+            scale = zeta(shift + d_exps[j])
+            left = {a_rows[r]: zeta(a_exps[r]) * val for r, val in b_col.items()}
+            if left != {i: scale * val for i, val in c_cols[d_rows[j]].items()}:
                 return False
         return True
-    (a_rows, a_vals), (b_rows, b_vals), (c_rows, c_vals), (d_rows, d_vals) = views
-    m = field.m
+    (b_rows, b_vals), (c_rows, c_vals) = views
     for j, r in enumerate(b_rows):
         s = d_rows[j]
         i = None if r is None else a_rows[r]
-        if i != (None if s is None else c_rows[s]):
+        if i != c_rows[s]:
             return False
         if i is not None:
-            x, y, p, q = a_vals[r], b_vals[j], c_vals[s], d_vals[j]
-            ux, uy, up, uq = x.unit, y.unit, p.unit, q.unit
+            y, p = b_vals[j], c_vals[s]
+            uy, up = y.unit, p.unit
             if uy is None or up is None:
-                if y != p * field.zeta(shift + uq - ux):
+                if y != p * zeta(shift + d_exps[j] - a_exps[r]):
                     return False
-            elif (ux + uy - up - uq - shift) % m:
+            elif (a_exps[r] + uy - up - d_exps[j] - shift) % m:
                 return False
     return True
 
@@ -563,6 +558,7 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     coordinate vector c e_j is c times the generator's column j, which spans
     the same line, so the column is inserted in its place, read as it
     stands: the columns are shared, and ``insert`` copies what it keeps.
+    x and y are turned into :class:`~.cyclotomic.CycMatrix` once per call.
     """
     space = EchelonBasis(module.ctx.field)
     queue: list[VecDict] = []
@@ -571,7 +567,7 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
             raise ValueError("vector is not homogeneous for the two gradings")
         if space.insert(vec):
             queue.append(vec)
-    gens = [module.x_mat, module.y_mat, *module.v_mats.values(), *module.a_mats.values()]
+    gens = [module.x_mat.matrix(), module.y_mat.matrix(), *module.v_mats.values(), *module.a_mats.values()]
     columns = [mat.sparse_columns() for mat in gens]
     while queue:
         vec = queue.pop()
@@ -682,14 +678,20 @@ def _on_positions(
     ``images(mat)`` lists, per kept position, the image under a generator of
     the vector that stands for it; read at the kept positions, it is the
     generator's new column.  The images must hold no zero entry, as those
-    of ``apply`` and ``reduce`` and the columns of a matrix do not.
+    of ``apply`` and ``reduce`` and the columns of a matrix do not.  x and
+    y are turned into :class:`~.cyclotomic.CycMatrix` for this, and their
+    new columns back into :class:`~.cyclotomic.UnitMonomial`.
 
     Where x or y is not an invertible monomial matrix with powers of w as
-    entries (``weights.invertible_monomial``) on those vectors, the
-    positions keep their labels but stand for the vectors b_t of
+    entries (``UnitMonomial.from_matrix``) on those vectors, the positions
+    keep their labels but stand for the vectors b_t of
     :func:`_adapted_basis`.  A column is then the coordinates of an image
     over them: with each b_t extended by 1 at ``dim + t``, a vector reduced
     by the extended rows keeps minus its coordinates at ``dim + t`` alone.
+
+    Raises:
+        AssertionError: if x or y is not such a matrix on the adapted basis
+            either; the message names the generator and ``kind``.
     """
     field, dim = module.ctx.field, len(kept)
     new_index = {old: new for new, old in enumerate(kept)}
@@ -699,10 +701,11 @@ def _on_positions(
         return CycMatrix(field, cols, dim)
 
     zdeg, gdeg = [module.zdeg[i] for i in kept], [module.gdeg[i] for i in kept]
-    x_mat, y_mat = restrict(module.x_mat), restrict(module.y_mat)
+    x_mat, y_mat = restrict(module.x_mat.matrix()), restrict(module.y_mat.matrix())
     letters = [{key: restrict(mat) for key, mat in mats.items()} for mats in (module.v_mats, module.a_mats)]
+    group = [UnitMonomial.from_matrix(x_mat), UnitMonomial.from_matrix(y_mat)]
     # the adapted basis for every module gives the same outputs, but runs the traced sweeps 1.7-3x slower
-    if not (invertible_monomial(x_mat) and invertible_monomial(y_mat)):
+    if None in group:
         basis = _adapted_basis(module.ctx, zdeg, gdeg, x_mat, y_mat)
         frame = _rref(field, [{**vec, dim + t: field.one} for t, vec in enumerate(basis)])
         if frame.pivots != list(range(dim)):
@@ -712,11 +715,12 @@ def _on_positions(
             cols = [frame.reduce(mat.apply(vec)) for vec in basis]
             return CycMatrix(field, [{i - dim: -val for i, val in col.items()} for col in cols], dim)
 
-        x_mat, y_mat = rebase(x_mat), rebase(y_mat)
+        group = [UnitMonomial.from_matrix(rebase(x_mat)), UnitMonomial.from_matrix(rebase(y_mat))]
         letters = [{key: rebase(mat) for key, mat in mats.items()} for mats in letters]
-    return QDModule(
-        module.ctx, module.index_set, labels, zdeg, gdeg, x_mat, y_mat, *letters, weight=module.weight, kind=kind
-    )
+    for name, mat in zip("xy", group):
+        if mat is None:
+            raise AssertionError(f"{name} is not an invertible monomial matrix on a module of kind {kind!r}")
+    return QDModule(module.ctx, module.index_set, labels, zdeg, gdeg, *group, *letters, weight=module.weight, kind=kind)
 
 
 def quotient(module: QDModule, space: EchelonBasis, kind: str = "quotient") -> QDModule:
@@ -901,16 +905,16 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
         i, _ = left.index_set.pairs[pos]
         va = mat.sparse_columns()
         vb = right.v_mats[(pos, sign)].sparse_columns()
-        ya = y_power(left, sign * i).sparse_columns()
+        turn = y_power(left, sign * i)
         cols = []
         for ja in range(left.dim):
+            ia, val = turn.rows[ja], field.zeta(turn.exps[ja])
             for jb in range(dim_r):
                 col: VecDict = {}
-                for ia, val in va[ja].items():
-                    add_into(col, fuse(ia, jb), val)
-                for ia, val in ya[ja].items():
-                    for ib, bval in vb[jb].items():
-                        add_into(col, fuse(ia, ib), val * bval)
+                for ra, aval in va[ja].items():
+                    add_into(col, fuse(ra, jb), aval)
+                for ib, bval in vb[jb].items():
+                    add_into(col, fuse(ia, ib), val * bval)
                 cols.append(col)
         v_mats[(pos, sign)] = CycMatrix.from_column_dicts(field, cols, dim)
     for (pos, sign), mat in left.a_mats.items():

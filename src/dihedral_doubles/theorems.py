@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CycMatrix, CycNum, _rref
+from .cyclotomic import CycNum, UnitMonomial, _rref
 from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 from .qdouble import (
@@ -41,7 +41,6 @@ from .qdouble import (
 from .weights import (
     QDModule,
     WeightLabel,
-    _squares_to_one,
     build_weight,
     decompose,
     decomposition_counts,
@@ -414,26 +413,28 @@ def is_spherical(ctx: DihedralContext, index_set: IndexSet) -> bool:
     return all(i % 2 != 0 or k % 2 != 0 for i, k in index_set.pairs)
 
 
-def pivot_candidate(ctx: DihedralContext, module: QDModule, character: int) -> CycMatrix:
+def pivot_candidate(ctx: DihedralContext, module: QDModule, character: int) -> UnitMonomial:
     """Candidate pivot on ``module``: y^n times the given sign character.
 
     ``character`` indexes the four sign characters of the group (1 trivial,
     2 negating the reflection, 3 negating the rotation, 4 negating both).
+    The character scales e_j by +-1 = w^0 or w^n, read off its group degree.
     """
     sx, sy = CHI_SIGNS[character]
-    signs = [ctx.field.from_integer(ctx.character_value(sx, sy, g)) for g in module.gdeg]
-    return y_power(module, ctx.n) * CycMatrix.diagonal(ctx.field, signs)
+    turn = y_power(module, ctx.n)
+    signs = [0 if ctx.character_value(sx, sy, g) > 0 else ctx.n for g in module.gdeg]
+    return UnitMonomial(ctx.field, turn.rows, map(sum, zip(turn.exps, signs)))
 
 
 def pivot_check(ctx: DihedralContext, module: QDModule, character: int) -> bool:
     """Whether the candidate pivot squares to one and negates every letter.
 
     The pivot must be an involution and must conjugate each raising and
-    lowering generator A to its negative, ``pivot A = w^(m/2) A pivot``;
-    both are decided on its monomial view, with no product formed.
+    lowering generator A to its negative, ``pivot A = w^(m/2) A pivot``,
+    decided column by column (``qdouble._products_equal``).
     """
     pivot = pivot_candidate(ctx, module, character)
-    if not _squares_to_one(*pivot.monomial(), ctx.field.one):
+    if pivot**2 != UnitMonomial.identity(ctx.field, module.dim):
         return False
     letters = [*module.v_mats.values(), *module.a_mats.values()]
     return all(_products_equal(pivot, mat, mat, pivot, ctx.m // 2) for mat in letters)
@@ -453,13 +454,14 @@ def quantum_dimension(ctx: DihedralContext, module: QDModule) -> CycNum:
     """Quantum dimension of ``module`` for the spherical pivot.
 
     The trace of :func:`pivot_candidate` for the rotation-negating sign
-    character.  Only meaningful when the index set is spherical; raises
-    otherwise.
+    character: the sum of w^e over its columns that keep their row.  Only
+    meaningful when the index set is spherical; raises otherwise.
     """
     if not is_spherical(ctx, module.index_set):
         raise ValueError(f"index set {module.index_set} is not spherical")
-    cols = pivot_candidate(ctx, module, 3).sparse_columns()
-    return sum((col[b] for b, col in enumerate(cols) if b in col), ctx.field.zero)
+    pivot = pivot_candidate(ctx, module, 3)
+    fixed = (ctx.field.zeta(e) for j, (r, e) in enumerate(zip(pivot.rows, pivot.exps)) if r == j)
+    return sum(fixed, ctx.field.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,9 @@ Hom spaces are solved only where explicit embeddings are needed
 (:func:`decompose`): the tensor splitting check, and the recheck of each
 socle's bottom layer.  There the characters name the members, and one hom
 space per named member plus a span check certify them.  Every module's x
-and y are invertible monomial matrices, checked once when it is built, so a
-hom space is walked along its two-term equations rather than eliminated
+and y are invertible monomial matrices with powers of w as entries, held as
+integer row maps and exponents (``cyclotomic.UnitMonomial``), so a hom
+space is walked along its two-term equations rather than eliminated
 (:func:`hom_space`).
 """
 
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, VecDict, _rref
+from .cyclotomic import CycMatrix, CycNum, UnitMonomial, VecDict, _rref
 from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 
@@ -149,22 +150,23 @@ class QDModule:
     empty index set, in degree 0, with no letters (:func:`group_module`).
 
     x and y act as invertible monomial matrices whose every entry is a
-    tagged power of w (:func:`invertible_monomial`) on every module that is
-    built: the catalog members are written so, an induced module lets them
-    act on letters times base vectors as a signed letter swap or a power of
-    w times their action on the base, a :func:`tensor_dd` takes Kronecker
-    products and a layer keeps a block, and a submodule or quotient
+    power of w on every module that is built, and are held so, as integer
+    row maps and exponents (``cyclotomic.UnitMonomial``): the catalog
+    members are written so, an induced module lets them act on letters
+    times base vectors as a signed letter swap or a power of w times their
+    action on the base, a :func:`tensor_dd` takes Kronecker products and a
+    layer keeps a block, and a submodule or quotient
     (``qdouble._on_positions``) is given a basis adapted to the group action
     wherever its reduced rows are not, on which the entries are eigenvalues
-    of elements of finite order.  It is checked here, once per module, so
-    the traces, hom spaces, tensor products, memo keys, cross terms and
-    commutation checks that read x and y take one path.  The letters may
-    have columns with two entries, and entries that are no power of w.
+    of elements of finite order.  So the traces, hom spaces, tensor
+    products, memo keys, cross terms and commutation checks that read x and
+    y read integers.  The row maps are checked here, once per module.  The
+    letters are :class:`~.cyclotomic.CycMatrix`: they may have columns with
+    two entries, and entries that are no power of w.
 
     Raises:
-        AssertionError: if x or y is not an invertible monomial matrix with
-            powers of w as entries; the message names the generator and the
-            module's kind.
+        AssertionError: if the row map of x or y is not a permutation of the
+            basis; the message names the generator and the module's kind.
 
     Attributes:
         ctx: shared dihedral context.
@@ -172,7 +174,7 @@ class QDModule:
         zdeg: integer degree of each basis vector (0 on the inducing weight).
         gdeg: group degree of each basis vector, as the integer
             ``refl * m + rot`` (see ``dihedral``).
-        x_mat, y_mat: group generator matrices.
+        x_mat, y_mat: the group generators x and y.
         v_mats: raising matrices, keyed by (pair position, sign).
         a_mats: lowering matrices, keyed by (pair position, sign).
         weight: label of the inducing weight, when one applies.
@@ -186,8 +188,8 @@ class QDModule:
         basis_labels: Sequence[str],
         zdeg: Sequence[int],
         gdeg: Sequence[int],
-        x_mat: CycMatrix,
-        y_mat: CycMatrix,
+        x_mat: UnitMonomial,
+        y_mat: UnitMonomial,
         v_mats: dict[tuple[int, int], CycMatrix],
         a_mats: dict[tuple[int, int], CycMatrix],
         weight: WeightLabel | None = None,
@@ -205,8 +207,9 @@ class QDModule:
         self.a_mats = a_mats
         self.weight = weight
         self.kind = kind
+        basis = list(range(self.dim))
         for name, mat in (("x", x_mat), ("y", y_mat)):
-            if not invertible_monomial(mat):
+            if sorted(mat.rows) != basis:
                 raise AssertionError(f"{name} is not an invertible monomial matrix on a module of kind {kind!r}")
 
     def layer_indices(self) -> dict[int, list[int]]:
@@ -224,8 +227,8 @@ class QDModule:
         return group_module(
             self.ctx,
             [self.gdeg[i] for i in idxs],
-            self.x_mat.submatrix(idxs, idxs),
-            self.y_mat.submatrix(idxs, idxs),
+            self.x_mat.restricted(idxs),
+            self.y_mat.restricted(idxs),
             [self.basis_labels[i] for i in idxs],
         )
 
@@ -234,17 +237,11 @@ class QDModule:
         return f"QDModule(kind={self.kind!r}, dim={self.dim}, index_set={str(self.index_set)!r}, weight={name!r})"
 
 
-def invertible_monomial(mat: CycMatrix) -> bool:
-    """Whether ``mat`` has a monomial view with no empty column, no two columns in one row and no untagged entry."""
-    rows, vals = mat.monomial() or ([None], [])  # no view reads as an empty column
-    return None not in rows and len(set(rows)) == len(rows) and all(val.unit is not None for val in vals)
-
-
 def group_module(
     ctx: DihedralContext,
     degrees: Sequence[int],
-    x_mat: CycMatrix,
-    y_mat: CycMatrix,
+    x_mat: UnitMonomial,
+    y_mat: UnitMonomial,
     labels: Sequence[str],
 ) -> QDModule:
     """A module over the double of the group: the module over the empty index set."""
@@ -252,27 +249,20 @@ def group_module(
 
 
 def grading_failure(
-    module: QDModule, name: str, mat: CycMatrix, zshift: int, images: Sequence[int]
+    module: QDModule, name: str, mat: CycMatrix | UnitMonomial, zshift: int, images: Sequence[int]
 ) -> str | None:
     """Why ``mat`` fails to shift each degree by ``zshift`` and send each group degree g to ``images[g]``.
 
     ``images`` is a row of the group's tables: ``conjugates[t]`` for the
     action of a group element t, ``products[h]`` for a letter that
-    multiplies group degrees by h.  A monomial ``mat`` is read through its
-    row map.
+    multiplies group degrees by h.  x and y are read through their row maps.
     """
     zdeg, gdeg = module.zdeg, module.gdeg
-    view = mat.monomial()
-    if view:
-        for j, i in enumerate(view[0]):
-            if i is not None and (zdeg[i] != zdeg[j] + zshift or gdeg[i] != images[gdeg[j]]):
-                return f"{name} breaks the grading at column {j}"
-        return None
-    sparse = mat.sparse_columns()
-    for j in range(module.dim):
+    columns = mat.sparse_columns() if isinstance(mat, CycMatrix) else [(i,) for i in mat.rows]
+    for j, col in enumerate(columns):
         target_z = zdeg[j] + zshift
         target_g = images[gdeg[j]]
-        for i in sparse[j]:
+        for i in col:
             if zdeg[i] != target_z or gdeg[i] != target_g:
                 return f"{name} breaks the grading at column {j}"
     return None
@@ -282,8 +272,7 @@ def group_relation_failures(module: QDModule) -> list[str]:
     """Check the group part of a module; list the failures.
 
     x and y must keep each degree and conjugate each group degree, and
-    satisfy x^2 = y^m = (x y)^2 = 1, decided on their views with no product
-    formed and nothing cached (:func:`_order_failures`).
+    satisfy x^2 = y^m = (x y)^2 = 1 (:func:`_order_failures`).
     """
     group = module.ctx.group
     failures = []
@@ -294,49 +283,24 @@ def group_relation_failures(module: QDModule) -> list[str]:
     return failures + _order_failures(module.x_mat, module.y_mat, module.ctx.m)
 
 
-def _order_failures(x: CycMatrix, y: CycMatrix, m: int) -> list[str]:
-    """Which of x^2 = 1, y^m = 1 and (x y)^2 = 1 fail, for invertible monomial x and y.
-
-    The view of x y composes the row maps and multiplies the entries.  On a
-    cycle of y of length l, y^l is the product c of the cycle's entries, so
-    y^m is ``c^(m/l)`` there if l divides m and moves the cycle otherwise.
-    Entries are multiplied as field elements, tagged or not.
-    """
-    (x_rows, x_vals), (y_rows, y_vals) = x.monomial(), y.monomial()
-    one = x.field.one
-    failures = [] if _squares_to_one(x_rows, x_vals, one) else ["x^2 != 1"]
-    seen = [False] * len(y_rows)
-    for start in range(len(y_rows)):
-        product, j, length = one, start, 0
-        while not seen[j]:
-            seen[j] = True
-            product, j, length = y_vals[j] * product, y_rows[j], length + 1
-        if length and (m % length or product ** (m // length) != one):
-            failures.append(f"y^{m} != 1")
-            break
-    xy_vals = [x_vals[r] * val for r, val in zip(y_rows, y_vals)]
-    if not _squares_to_one([x_rows[r] for r in y_rows], xy_vals, one):
-        failures.append("(x y)^2 != 1")
-    return failures
-
-
-def _squares_to_one(rows: list[int], vals: list[CycNum], one: CycNum) -> bool:
-    """Whether the invertible monomial matrix with this view squares to 1: each orbit's entries multiply to 1."""
-    return all(rows[r] == j and vals[r] * val == one for j, (r, val) in enumerate(zip(rows, vals)))
+def _order_failures(x: UnitMonomial, y: UnitMonomial, m: int) -> list[str]:
+    """Which of x^2 = 1, y^m = 1 and (x y)^2 = 1 fail, from the powers in row maps and exponents."""
+    one = UnitMonomial.identity(x.field, len(x.rows))
+    powers = (("x^2 != 1", x**2), (f"y^{m} != 1", y**m), ("(x y)^2 != 1", (x * y) ** 2))
+    return [failure for failure, power in powers if power != one]
 
 
 def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
     """Construct the simple module named by the label, with validated ranges."""
     field, group, m, n = ctx.field, ctx.group, ctx.m, ctx.n
     family, params = label.family, label.params
+    # -1 is w^n
     if family in ("e:chi", "yn:chi"):
         (j,) = params
         sx, sy = CHI_SIGNS[j]
         deg = group.identity if family == "e:chi" else group.rotation(n)
-        one = field.from_integer
-        return group_module(
-            ctx, [deg], CycMatrix.from_rows(field, [[one(sx)]]), CycMatrix.from_rows(field, [[one(sy)]]), ["m"]
-        )
+        x, y = (UnitMonomial(field, [0], [0 if sign > 0 else n]) for sign in (sx, sy))
+        return group_module(ctx, [deg], x, y, ["m"])
     if family in ("e:rho", "yn:rho"):
         (l,) = params
         if not 1 <= l <= n - 1:
@@ -354,28 +318,12 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
         odd = family == "Mxy"
         degrees = [group.reflection(2 * j + (1 if odd else 0)) for j in range(n)]
         labels = [f"m{j}" for j in range(n)]
-        one = field.one
-        xcols: list[dict[int, CycNum]] = []
-        for j in range(n):
-            if odd:
-                xcols.append({n - 1 - j: field.from_integer((-1) ** (s + t))})
-            elif j == 0:
-                xcols.append({0: field.from_integer((-1) ** s)})
-            else:
-                xcols.append({n - j: field.from_integer((-1) ** (s + t))})
-        ycols: list[dict[int, CycNum]] = []
-        for j in range(n):
-            if j == 0:
-                ycols.append({n - 1: field.from_integer((-1) ** t)})
-            else:
-                ycols.append({j - 1: one})
-        return group_module(
-            ctx,
-            degrees,
-            CycMatrix.from_column_dicts(field, xcols, n),
-            CycMatrix.from_column_dicts(field, ycols, n),
-            labels,
-        )
+        if odd:
+            x = UnitMonomial(field, [n - 1 - j for j in range(n)], [(s + t) * n] * n)
+        else:
+            x = UnitMonomial(field, [-j % n for j in range(n)], [s * n] + [(s + t) * n] * (n - 1))
+        y = UnitMonomial(field, [(j - 1) % n for j in range(n)], [t * n] + [0] * (n - 1))
+        return group_module(ctx, degrees, x, y, labels)
     raise ValueError(f"unknown weight family: {family!r}")
 
 
@@ -385,8 +333,8 @@ def _two_dimensional(ctx: DihedralContext, i: int, k: int) -> QDModule:
     return group_module(
         ctx,
         [group.rotation(i), group.rotation(-i)],
-        CycMatrix.from_rows(field, [[0, 1], [1, 0]]),
-        CycMatrix.diagonal(field, [ctx.omega(k), ctx.omega(-k)]),
+        UnitMonomial(field, [1, 0], [0, 0]),
+        UnitMonomial(field, [0, 1], [k, -k]),
         ["m+", "m-"],
     )
 
@@ -432,28 +380,13 @@ def tensor_dd(left: QDModule, right: QDModule) -> QDModule:
     products = ctx.group.products
     degrees = [products[ga][gb] for ga in left.gdeg for gb in right.gdeg]
     labels = [f"{la}⊗{lb}" for la in left.basis_labels for lb in right.basis_labels]
-    return group_module(
-        ctx,
-        degrees,
-        _kronecker(left.x_mat, right.x_mat),
-        _kronecker(left.y_mat, right.y_mat),
-        labels,
-    )
+    return group_module(ctx, degrees, left.x_mat.kron(right.x_mat), left.y_mat.kron(right.y_mat), labels)
 
 
 def _same_order(what: str, ctx: DihedralContext, other: DihedralContext) -> None:
     """Raise ``ValueError`` unless the two contexts have one group order."""
     if other.m != ctx.m:
         raise ValueError(f"{what} live over different group orders: m = {ctx.m} and m = {other.m}")
-
-
-def _kronecker(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    """The Kronecker product of two invertible monomial matrices, composed from their views."""
-    (a_rows, a_vals), (b_rows, b_vals) = a.monomial(), b.monomial()
-    n = b.nrows
-    rows = [ia * n + ib for ia in a_rows for ib in b_rows]
-    vals = [va * vb for va in a_vals for vb in b_vals]
-    return CycMatrix._from_monomial(a.field, rows, vals, a.nrows * n)
 
 
 def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
@@ -499,18 +432,19 @@ def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
 def _walked_kernel(source: QDModule, target: QDModule, variables: list[tuple[int, int]]) -> list[VecDict]:
     """The kernel :func:`hom_space` solves, walked along its two-term equations.
 
-    Write ``G e_r = a_r e_t(r)`` for a generator on the target and
-    ``G e_c = b_c e_s(c)`` for it on the source, read off the monomial
-    views.  Entry (t(r), c) of ``G_T F = F G_S`` has two terms,
-    ``a_r F[r, c] = b_c F[t(r), s(c)]``: it links unknown (r, c) to unknown
-    (t(r), s(c)).  Each generator permutes the unknowns, so every unknown
-    lies in one orbit of the group they generate, and following the links
-    forward from one root reaches all of it.  Roots are taken in descending
-    order, so each is the largest unknown of its orbit.  The orbit's values
-    are propagated from 1 at its root, and every link that meets a valued
-    unknown is checked as an exact equality; one failure makes the orbit's
-    solution zero, and otherwise it is one line v, nonzero on every unknown
-    of the orbit.
+    Write ``G e_r = w^a_r e_t(r)`` for a generator on the target and
+    ``G e_c = w^b_c e_s(c)`` for it on the source, read off their row maps
+    and exponents.  Entry (t(r), c) of ``G_T F = F G_S`` has two terms,
+    ``w^a_r F[r, c] = w^b_c F[t(r), s(c)]``: it links unknown (r, c) to
+    unknown (t(r), s(c)).  Each generator permutes the unknowns, so every
+    unknown lies in one orbit of the group they generate, and following the
+    links forward from one root reaches all of it.  Roots are taken in
+    descending order, so each is the largest unknown of its orbit.  The
+    orbit's values are propagated from 1 = w^0 at its root, so every value
+    is a power of w and is walked as its exponent, and every link that meets
+    a valued unknown is checked as an equality of exponents mod m; one
+    failure makes the orbit's solution zero, and otherwise it is one line
+    v, nonzero on every unknown of the orbit.
 
     The echelon rows of that orbit's equations are then ``e_u - (v_u /
     v_last) e_last`` for every unknown u but its largest, ``last``, so the
@@ -521,32 +455,32 @@ def _walked_kernel(source: QDModule, target: QDModule, variables: list[tuple[int
         AssertionError: if a link leaves the unknowns, which happens only
             when x or y of one of the modules breaks the group grading.
     """
-    links = []
-    for name, g_target, g_source in (("x", target.x_mat, source.x_mat), ("y", target.y_mat, source.y_mat)):
-        t_rows, t_vals = g_target.monomial()
-        s_rows, s_vals = g_source.monomial()
-        links.append((name, t_rows, t_vals, s_rows, [b.inverse() for b in s_vals]))
+    links = [
+        (name, g_target.rows, g_target.exps, g_source.rows, g_source.exps)
+        for name, g_target, g_source in (("x", target.x_mat, source.x_mat), ("y", target.y_mat, source.y_mat))
+    ]
     position = {var: pos for pos, var in enumerate(variables)}
-    values: list[CycNum | None] = [None] * len(variables)
-    one = source.ctx.field.one
+    values: list[int | None] = [None] * len(variables)
+    field = source.ctx.field
+    m = field.m
     vectors: list[VecDict] = []
     for root in reversed(range(len(variables))):
         if values[root] is not None:
             continue
-        values[root] = one
+        values[root] = 0
         orbit = [root]
         consistent = True
         for pos in orbit:  # grows as the walk reaches new unknowns
             r, c = variables[pos]
             value = values[pos]
-            for name, t_rows, t_vals, s_rows, s_inverses in links:
+            for name, t_rows, t_exps, s_rows, s_exps in links:
                 linked = position.get((t_rows[r], s_rows[c]))
                 if linked is None:
                     raise AssertionError(
                         f"{name} breaks the group grading of the source (kind {source.kind!r})"
                         f" or the target (kind {target.kind!r}) of a hom space"
                     )
-                image = t_vals[r] * value * s_inverses[c]
+                image = (t_exps[r] + value - s_exps[c]) % m
                 known = values[linked]
                 if known is None:
                     values[linked] = image
@@ -554,7 +488,7 @@ def _walked_kernel(source: QDModule, target: QDModule, variables: list[tuple[int
                 elif known != image:
                     consistent = False
         if consistent:
-            vectors.append({pos: values[pos] for pos in orbit})
+            vectors.append({pos: field.zeta(values[pos]) for pos in orbit})
     vectors.reverse()
     return vectors
 
@@ -674,9 +608,9 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> li
     """Traces of the orbit representatives on the block of basis vectors of degree g.
 
     Returned as the concatenated integer coordinates of the traces.  The
-    element ``x^a y^b`` acts as ``X^a Y^b``, and X and Y are invertible
-    monomial matrices whose entries are powers of w (see :class:`QDModule`),
-    so the traces come from the y-cycles of the block, walked in exponents.
+    element ``x^a y^b`` acts as ``X^a Y^b``, and X and Y are held as row
+    maps and exponents of powers of w (see :class:`QDModule`), so the traces
+    come from the y-cycles of the block, walked in exponents.
     Y e_k is ``w^c_k e_s(k)``, so Y^b e_j is one power of w times one basis
     vector, read off the walk j, s(j), s(s(j)), ... with the running sum of
     the c along it.  The walk stops when it returns to j, after L steps with
@@ -687,10 +621,8 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> li
     counted by exponent, and the counts become coordinates once at the end.
     """
     field, m = module.ctx.field, module.ctx.m
-    x_rows, x_vals = module.x_mat.monomial()
-    y_rows, y_vals = module.y_mat.monomial()
-    x_exps = [val.unit for val in x_vals]
-    y_exps = [val.unit for val in y_vals]
+    x_rows, x_exps = module.x_mat.rows, module.x_mat.exps
+    y_rows, y_exps = module.y_mat.rows, module.y_mat.exps
     rotations: dict[int, list[int]] = {}  # b: the positions of the orbits of y^b
     reflections: list[tuple[int, int]] = []  # (position, b) for the orbits of x y^b
     for pos, (h, _, _) in enumerate(cls.orbits):
@@ -885,8 +817,9 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
 
     Only ``x_mat``, ``y_mat`` and ``gdeg`` are read: these are the
     multiplicities in the restriction to the double of the group.  x and y
-    have powers of w as entries (see :class:`QDModule`), so the traces are
-    integer coordinate vectors (:func:`_trace_vector`).  A simple
+    are held as row maps and exponents of powers of w (see
+    :class:`QDModule`), so the traces are integer coordinate vectors
+    (:func:`_trace_vector`).  A simple
     module is a conjugacy class with an irreducible representation
     of the centraliser C(g) of its representative g, so the multiplicity of
     a member S in V is the inner product
@@ -904,12 +837,11 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
 
     The answers are memoised per context, in ``ctx._weight_cache["counts"]``,
     keyed on everything the computation reads besides the context's own
-    catalog: the group degrees and the row maps and entries of x and y
-    (:func:`_view_key`), each entry a power of w read as its exponent by the
-    invariant of :class:`QDModule`.  Two modules with one key have the same blocks and
-    the same traces, so a memoised answer is the one recomputing would
-    give; a module that differs from a memoised one in a single entry of x
-    misses the memo.  A module that raises is not stored, and every call
+    catalog: the group degrees, and x and y, whose equality and hash read
+    their row maps and exponents.  Two modules with one key have the same
+    blocks and the same traces, so a memoised answer is the one recomputing
+    would give; a module that differs from a memoised one in a single entry
+    of x misses the memo.  A module that raises is not stored, and every call
     returns a fresh list.  The memo is cleared when it holds
     ``_COUNTS_LIMIT`` (4,096) entries, so it never grows past that; a full
     singleton sweep at m = 16 leaves about 2,000.
@@ -922,7 +854,7 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     """
     _same_order("the context and the module", ctx, module.ctx)
     memo = ctx._weight_cache.setdefault("counts", {})
-    key = (module.gdeg, *_view_key(module.x_mat), *_view_key(module.y_mat))
+    key = (module.gdeg, module.x_mat, module.y_mat)
     known = memo.get(key)
     if known is not None:
         return list(known)
@@ -961,16 +893,6 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
         memo.clear()
     memo[key] = tuple(counts)
     return counts
-
-
-def _view_key(mat: CycMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The row map and entry exponents of x or y of a module, as a hashable key.
-
-    Every entry is a tagged power w^e (see :class:`QDModule`) and goes in as
-    the int e, so two keys are equal exactly when the matrices are.
-    """
-    rows, vals = mat.monomial()
-    return tuple(rows), tuple([x.unit for x in vals])
 
 
 def _inner_product_failure(

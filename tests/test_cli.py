@@ -7,7 +7,7 @@ import pytest
 
 import dihedral_doubles.cli as cli
 from dihedral_doubles import get_context, weights
-from dihedral_doubles.cyclotomic import CycMatrix
+from dihedral_doubles.cyclotomic import CycMatrix, UnitMonomial
 from dihedral_doubles.qdouble import build_verma
 
 
@@ -42,7 +42,7 @@ def test_weights_reports_a_catalog_member_that_breaks_a_group_relation(capsys, m
         if str(label) != "e:chi3":
             return module
         # y acting by a primitive m-th root of unity: x y is no longer an involution
-        y_mat = CycMatrix.from_rows(ctx.field, [[ctx.omega(1)]])
+        y_mat = UnitMonomial(ctx.field, [0], [1])
         return weights.group_module(ctx, module.gdeg, module.x_mat, y_mat, module.basis_labels)
 
     monkeypatch.setattr(weights, "build_weight", broken)
@@ -168,10 +168,16 @@ def test_an_arithmetic_error_is_a_verification_failure(capsys, monkeypatch, outp
     assert err == f"verification failure: {message}\n"
 
 
-def test_malformed_index_is_a_usage_error(capsys):
-    code, out, err = run(capsys, ["simple", "--index", "bogus", "--weight", "e:chi1"])
-    assert code == 2
-    assert err.startswith("error: malformed index set")
+@pytest.mark.parametrize("index", ["bogus", "((1,6))", "(a,b)", "(2,3.0)", "(1,6,3)"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--weights", "e:chi1", "--threads", "1"], ["simple", "--weight", "e:chi1"]],
+    ids=["verify", "simple"],
+)
+def test_malformed_index_is_a_usage_error(capsys, argv, index):
+    code, out, err = run(capsys, [*argv, "--index", index])
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed index set: {index!r}\n"
 
 
 @pytest.mark.parametrize("index", ["", "  "])

@@ -14,12 +14,14 @@ from dihedral_doubles.cyclotomic import (
     CycNum,
     CyclotomicField,
     EchelonBasis,
+    UnitMonomial,
     _rref,
     add_into,
     cyclotomic_polynomial,
     get_field,
     kernel,
 )
+from matrices import diagonal, from_rows, identity, negated, plus, times
 
 
 def _sympy_coeffs(m: int) -> tuple[int, ...]:
@@ -341,26 +343,6 @@ def _transpose(mat: CycMatrix) -> CycMatrix:
     return CycMatrix(mat.field, columns, mat.ncols)
 
 
-def _plus(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    """The sum of two matrices of one shape, from their column dicts."""
-    columns = [dict(col) for col in a.sparse_columns()]
-    for col, other in zip(columns, b.sparse_columns()):
-        for i, x in other.items():
-            add_into(col, i, x)
-    return CycMatrix(a.field, columns, a.nrows)
-
-
-def _negated(mat: CycMatrix) -> CycMatrix:
-    """The negative of a matrix, from its column dicts."""
-    return CycMatrix(mat.field, [{i: -x for i, x in col.items()} for col in mat.sparse_columns()], mat.nrows)
-
-
-def _times(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    """The product of two matrices, column by column from the left factor's action: the reference for
-    products that ``CycMatrix`` forms only of monomial matrices."""
-    return CycMatrix(a.field, [a.apply(col) for col in b.sparse_columns()], a.nrows)
-
-
 def _rows(mat: CycMatrix) -> list[dict]:
     return _transpose(mat).sparse_columns()
 
@@ -385,11 +367,11 @@ def _solve(mat: CycMatrix, rhs: dict) -> dict | None:
 def test_matrix_rank_and_kernel():
     field = get_field(12)
     w = field.zeta(1)
-    mat = CycMatrix.from_rows(field, [[field.one, w], [w.inverse(), field.one]])
+    mat = from_rows(field, [[field.one, w], [w.inverse(), field.one]])
     assert _rank(mat) == 1
     assert kernel(field, _rows(mat), mat.ncols) == [{0: -w, 1: field.one}]
     # an all-zero middle column is free and spans a kernel vector of its own
-    padded = CycMatrix.from_rows(field, [[field.one, 0, w], [w.inverse(), 0, field.one]])
+    padded = from_rows(field, [[field.one, 0, w], [w.inverse(), 0, field.one]])
     assert _rank(padded) == 1
     assert kernel(field, _rows(padded), padded.ncols) == [{1: field.one}, {0: -w, 2: field.one}]
     # no rows at all: every column is free
@@ -399,13 +381,13 @@ def test_matrix_rank_and_kernel():
 def test_matrix_solve_consistent_and_inconsistent():
     field = get_field(12)
     w = field.zeta(1)
-    mat = CycMatrix.from_rows(field, [[field.one, w], [w.inverse(), field.one]])
+    mat = from_rows(field, [[field.one, w], [w.inverse(), field.one]])
     rhs = {0: w, 1: field.one}
     sol = _solve(mat, rhs)
     assert sol is not None
     assert mat.apply(sol) == rhs
     assert _solve(mat, {0: field.one, 1: field.one}) is None
-    padded = CycMatrix.from_rows(field, [[field.one, 0, w], [w.inverse(), 0, field.one]])
+    padded = from_rows(field, [[field.one, 0, w], [w.inverse(), 0, field.one]])
     sol = _solve(padded, rhs)
     assert sol == {0: w}
     assert padded.apply(sol) == rhs
@@ -419,34 +401,30 @@ def test_matrix_solve_consistent_and_inconsistent():
 def test_matrix_algebra_identities():
     field = get_field(12)
     w = field.zeta(1)
-    a = CycMatrix.from_rows(field, [[1, 2], [3, 4]])
-    b = CycMatrix.from_rows(field, [[0, 1], [1, 0]])
-    ident = CycMatrix.identity(field, 2)
-    assert _times(a, ident) == a
-    assert _plus(_plus(a, b), _negated(b)) == a
-    assert _transpose(_times(a, b)) == _times(_transpose(b), _transpose(a))
-    assert _plus(_negated(a), a).is_zero()
+    a = from_rows(field, [[1, 2], [3, 4]])
+    b = from_rows(field, [[0, 1], [1, 0]])
+    ident = identity(field, 2)
+    assert times(a, ident) == a
+    assert plus(plus(a, b), negated(b)) == a
+    assert _transpose(times(a, b)) == times(_transpose(b), _transpose(a))
+    assert plus(negated(a), a).is_zero()
     # non-square, with an all-zero middle column
-    c = CycMatrix.from_rows(field, [[1, 0, w], [0, 0, 2]])
+    c = from_rows(field, [[1, 0, w], [0, 0, 2]])
     d = CycMatrix.from_column_dicts(field, [{1: w}, {0: field.zero}, {0: field.one, 1: -w}], 2)
-    assert _times(ident, c) == c
-    assert _times(c, CycMatrix.identity(field, 3)) == c
-    assert _plus(_plus(c, d), _negated(d)) == c
-    assert _transpose(_times(a, c)) == _times(_transpose(c), _transpose(a))
-    for left, right in ((a, ident), (ident, c), (b, c)):
-        with pytest.raises(ValueError, match="monomial matrices only"):
-            left * right
-    zero = _plus(_negated(c), c)
+    assert times(ident, c) == c
+    assert times(c, identity(field, 3)) == c
+    assert plus(plus(c, d), negated(d)) == c
+    assert _transpose(times(a, c)) == times(_transpose(c), _transpose(a))
+    zero = plus(negated(c), c)
     assert zero.is_zero() and (zero.nrows, zero.ncols) == (2, 3)
     assert _transpose(_transpose(c)) == c
-    assert c.submatrix([1], [0, 2]) == CycMatrix.from_rows(field, [[0, 2]])
     constructed = [
         a,
         b,
         c,
         d,
         ident,
-        CycMatrix.diagonal(field, [field.one, field.zero]),
+        diagonal(field, [field.one, field.zero]),
         zero,
     ]
     for mat in constructed:
@@ -457,7 +435,7 @@ def test_matrix_algebra_identities():
 def test_nonsingular_matrix_has_full_rank_and_no_kernel():
     field = get_field(12)
     w = field.zeta(1)
-    mat = CycMatrix.from_rows(
+    mat = from_rows(
         field, [[field.one, w], [w * w, field.one + w]]
     )
     assert _rank(mat) == 2
@@ -492,7 +470,7 @@ def _factor(draw, field, nrows, ncols, rational):
 def sparse_matrices(draw, rational=False):
     field = get_field(draw(st.sampled_from((12, 16))))
     nrows, ncols, inner = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    mat = _times(draw(_factor(field, nrows, inner, rational)), draw(_factor(field, inner, ncols, rational)))
+    mat = times(draw(_factor(field, nrows, inner, rational)), draw(_factor(field, inner, ncols, rational)))
     zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
     cols = [
@@ -688,50 +666,113 @@ def _partner_columns(draw, field, cols, nrows):
 @given(st.sampled_from((12, 16, 20, 24)), st.integers(0, 5), st.booleans(), st.data())
 def test_monomial_view_matches_the_column_dicts(m, n, monomial, data):
     field = get_field(m)
-    ident = CycMatrix.identity(field, n)
     a_cols = data.draw(_view_columns(field, n, n, True))
     b_cols = data.draw(_view_columns(field, n, n, monomial))
     c_cols = data.draw(_partner_columns(field, a_cols, n))
-    # read from column dicts, and as products of monomial matrices, which hold a view alone
     a, b, c = (CycMatrix(field, cols, n) for cols in (a_cols, b_cols, c_cols))
-    a_view, c_view = a * ident, ident * c
-    assert a.monomial() is not None and a_view.monomial() is not None
+    assert a.monomial() is not None and c.monomial() is not None
     assert (b.monomial() is not None) == all(len(col) <= 1 for col in b_cols)
-    for left, right in ((a, b), (b, a), (a_view, b), (a_view, a_view), (a_view, c_view), (c_view, a)):
-        expected = _times(left, right)
-        if left.monomial() is None or right.monomial() is None:
-            with pytest.raises(ValueError, match="monomial matrices only"):
-                left * right
-            continue
-        product = left * right
-        assert product.sparse_columns() == expected.sparse_columns()
-        assert product == expected
-        assert product.is_zero() == expected.is_zero()
-    for left, right in ((a_view, a), (a_view, c_view), (a_view, b), (a_view * a_view, a * a)):
-        assert (left == right) == (left.sparse_columns() == right.sparse_columns())
-    assert all(x for col in (a_view * c_view).sparse_columns() for x in col.values())
+    for mat, cols in ((a, a_cols), (b, b_cols), (c, c_cols)):
+        view = mat.monomial()
+        if view is not None:
+            assert [{} if i is None else {i: x} for i, x in zip(*view)] == cols
+        assert mat.is_zero() == (not any(cols))
+    for left, right in ((a, c), (a, a), (c, a)):
+        assert (left == right) == (left.monomial() == right.monomial())
 
 
-@given(st.sampled_from((12, 16, 20, 24)), st.integers(1, 5), st.data())
+# UnitMonomial against the column-dict products of the matrices it stands for.
+
+
+@st.composite
+def _unit_monomials(draw, field, n):
+    """An n x n UnitMonomial: a drawn permutation, and exponents drawn beyond 0 .. m-1 as well."""
+    rows = draw(st.permutations(range(n)))
+    return UnitMonomial(field, rows, draw(st.lists(st.integers(-2 * field.m, 2 * field.m), min_size=n, max_size=n)))
+
+
+def _cycles(rows):
+    """The cycles of a permutation given as its row map."""
+    cycles, seen = [], set()
+    for start in range(len(rows)):
+        if start not in seen:
+            cycle, j = [], start
+            while j not in seen:
+                seen.add(j)
+                cycle.append(j)
+                j = rows[j]
+            cycles.append(cycle)
+    return cycles
+
+
+def _kronecker(a, b):
+    """The Kronecker product of two matrices from their column dicts."""
+    n = b.nrows
+    cols = [
+        {ia * n + ib: x * y for ia, x in col_a.items() for ib, y in col_b.items()}
+        for col_a in a.sparse_columns()
+        for col_b in b.sparse_columns()
+    ]
+    return CycMatrix(a.field, cols, a.nrows * n)
+
+
+@given(st.integers(12, 24), st.integers(0, 5), st.data())
 def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
-    # entries mix powers of w, all of them tagged, and general numbers
+    # products, powers, blocks and Kronecker products of row maps and exponents stand for the products
+    # of the matrices they convert to, formed from the column dicts
     field = get_field(m)
-    a = CycMatrix(field, data.draw(_view_columns(field, n, n, True)), n)
-    b = CycMatrix(field, data.draw(_view_columns(field, n, n, True)), n)
-    b_cols = b.sparse_columns()
-    expected = [a.apply(col) for col in b_cols]
-    product = a * b
-    a_vals = a.monomial()[1]
-    for j, (col, want) in enumerate(zip(product.sparse_columns(), expected)):
-        assert col == want
-        for i, x in col.items():
-            assert x.unit == want[i].unit
-            ((r, y),) = b_cols[j].items()
-            left = a_vals[r]
-            if left.unit is not None and y.unit is not None:
-                assert x is field.zeta(left.unit + y.unit)
-            general = CycNum._normalized(field, field.mul_coords(left.coords, y.coords), left.den * y.den)
-            assert (x.coords, x.den) == (general.coords, general.den)
+    a, b = data.draw(_unit_monomials(field, n)), data.draw(_unit_monomials(field, n))
+    for g in (a, b):
+        assert all(0 <= e < m for e in g.exps)
+        assert UnitMonomial.from_matrix(g.matrix()) == g and hash(g) == hash(UnitMonomial(field, g.rows, g.exps))
+    assert (a * b).matrix() == times(a.matrix(), b.matrix())
+    assert (a * b == b * a) == (times(a.matrix(), b.matrix()) == times(b.matrix(), a.matrix()))
+    power = data.draw(st.integers(0, 2 * m))
+    expected = identity(field, n)
+    for _ in range(power):
+        expected = times(a.matrix(), expected)
+    assert (a**power).matrix() == expected
+    with pytest.raises(ValueError, match="negative power"):
+        a**-1
+    # a block a keeps is a union of its cycles, in any order
+    cycles = _cycles(a.rows)
+    chosen = data.draw(st.lists(st.sampled_from(cycles), unique_by=min)) if cycles else []
+    idxs = data.draw(st.permutations([j for cycle in chosen for j in cycle]))
+    position = {i: t for t, i in enumerate(idxs)}
+    cols = a.matrix().sparse_columns()
+    block = CycMatrix(field, [{position[i]: x for i, x in cols[j].items()} for j in idxs], len(idxs))
+    assert a.restricted(idxs).matrix() == block
+    for cycle in cycles:
+        if len(cycle) > 1:
+            with pytest.raises(ValueError, match="does not keep the block"):
+                a.restricted(cycle[1:])
+    c = data.draw(_unit_monomials(field, data.draw(st.integers(0, 4))))
+    assert a.kron(c).matrix() == _kronecker(a.matrix(), c.matrix())
+
+
+REFUSALS = ("empty column", "two entries in one column", "two columns in one row", "no power of w")
+
+
+@pytest.mark.parametrize("kind", ("kept",) + REFUSALS)
+@given(st.integers(12, 24), st.integers(2, 5), st.data())
+def test_a_matrix_converts_exactly_when_it_is_invertible_monomial_with_powers_of_w(kind, m, n, data):
+    field = get_field(m)
+    g = data.draw(_unit_monomials(field, n))
+    cols = [dict(col) for col in g.matrix().sparse_columns()]
+    j = data.draw(st.integers(0, n - 1))
+    other = data.draw(st.sampled_from([k for k in range(n) if k != j]))
+    if kind == "empty column":
+        cols[j] = {}
+    elif kind == "two entries in one column":
+        cols[j][g.rows[other]] = field.zeta(data.draw(st.integers(0, m - 1)))
+    elif kind == "two columns in one row":
+        cols[j] = {g.rows[other]: cols[j][g.rows[j]]}
+    elif kind == "no power of w":
+        # an entry of absolute value other than 1 is no root of unity
+        scale = data.draw(st.sampled_from((2, Fraction(-1, 3), Fraction(1, 2))))
+        cols[j] = {g.rows[j]: field.zeta(g.exps[j]) * scale}
+    converted = UnitMonomial.from_matrix(CycMatrix(field, cols, n))
+    assert converted == (g if kind == "kept" else None)
 
 
 # Coordinate rows of EchelonBasis against the forward-row clears they skip.

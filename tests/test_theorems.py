@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble, theorems
-from dihedral_doubles.cyclotomic import CycMatrix
+from dihedral_doubles.cyclotomic import UnitMonomial
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import build_verma, graded_character, head, induce_from_simple, socle
 from dihedral_doubles.theorems import (
@@ -234,9 +234,10 @@ def test_verify_simple_reports_a_broken_recursion(ctx12, monkeypatch):
     # computed character can tell the induced head from the true one
     def induce_from_twisted_head(ctx, simple, pair):
         if simple.kind != "socle":
-            minus = CycMatrix.diagonal(ctx.field, [-ctx.field.one] * simple.dim)
+            x = simple.x_mat
+            minus_x = UnitMonomial(ctx.field, x.rows, [e + ctx.n for e in x.exps])  # -1 = w^n
             simple = QDModule(
-                ctx, simple.index_set, simple.basis_labels, simple.zdeg, simple.gdeg, minus * simple.x_mat,
+                ctx, simple.index_set, simple.basis_labels, simple.zdeg, simple.gdeg, minus_x,
                 simple.y_mat, simple.v_mats, simple.a_mats, weight=simple.weight, kind=simple.kind,
             )
         return induce_from_simple(ctx, simple, pair)
@@ -359,9 +360,9 @@ def test_pivot_check_refuses_a_pivot_that_does_not_square_to_one(ctx12):
     # a module of m vectors of degree e with no letters, y a cyclic shift with one sign, so y^m = -1:
     # every candidate pivot is y^n, which squares to -1, and only the square check can refuse it
     m, field = ctx12.m, ctx12.field
-    y = CycMatrix(field, [{(j + 1) % m: field.one if j < m - 1 else -field.one} for j in range(m)], m)
+    y = UnitMonomial(field, [(j + 1) % m for j in range(m)], [0] * (m - 1) + [ctx12.n])
     labels = [f"e{j}" for j in range(m)]
-    module = group_module(ctx12, [ctx12.group.identity] * m, CycMatrix.identity(field, m), y, labels)
+    module = group_module(ctx12, [ctx12.group.identity] * m, UnitMonomial.identity(field, m), y, labels)
     assert [pivot_check(ctx12, module, j) for j in (1, 2, 3, 4)] == [False] * 4
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, weights
-from dihedral_doubles.cyclotomic import CycMatrix, add_into, get_field, kernel
+from dihedral_doubles.cyclotomic import CycMatrix, UnitMonomial, add_into, get_field, kernel
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, validate_index_set, valid_pairs
 from dihedral_doubles.qdouble import build_verma, head, socle
@@ -34,6 +33,7 @@ from dihedral_doubles.weights import (
     tensor_dd,
     weight_catalog,
 )
+from matrices import diagonal, from_rows, identity, times
 
 
 def test_catalog_count_and_dimension_sum(ctx12, ctx16):
@@ -74,27 +74,27 @@ def test_every_weight_satisfies_the_module_axioms(ctx12):
         assert group_relation_failures(build_weight(ctx12, label)) == [], label
 
 
-# x^2 = y^m = (x y)^2 = 1, decided on the views, against the formed products.
+# x^2 = y^m = (x y)^2 = 1, decided in row maps and exponents, against the products of the column dicts.
 
 
 def _reference_order_failures(x, y, m):
-    ident = CycMatrix.identity(x.field, x.nrows)
+    x, y = x.matrix(), y.matrix()
+    ident = identity(x.field, x.nrows)
     power = ident
     for _ in range(m):
-        power = y * power
-    xy = x * y
-    checks = (("x^2 != 1", x * x), (f"y^{m} != 1", power), ("(x y)^2 != 1", xy * xy))
+        power = times(y, power)
+    xy = times(x, y)
+    checks = (("x^2 != 1", times(x, x)), (f"y^{m} != 1", power), ("(x y)^2 != 1", times(xy, xy)))
     return [message for message, product in checks if product != ident]
 
 
 @st.composite
-def _monomial_entries(draw, field, exponents):
-    """Powers of w with these exponents, and now and then one changed to 2 or to another power of w."""
-    vals = [field.zeta(e) for e in exponents]
-    if vals and draw(st.integers(0, 3)) == 0:
-        j = draw(st.integers(0, len(vals) - 1))
-        vals[j] = draw(st.sampled_from((field.from_integer(2), field.zeta(exponents[j] + 1))))
-    return vals
+def _redrawn_exponents(draw, exponents):
+    """These exponents, now and then one raised by a drawn amount."""
+    exponents = list(exponents)
+    if exponents and draw(st.integers(0, 3)) == 0:
+        exponents[draw(st.integers(0, len(exponents) - 1))] += draw(st.integers(1, 3))
+    return exponents
 
 
 @st.composite
@@ -115,50 +115,45 @@ def _invertible_monomial_pairs(draw):
         x_exps[j] = draw(st.sampled_from((0, m // 2))) if m % 2 == 0 else 0
     y_rows = draw(st.permutations(range(n)))
     y_exps = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-    x_vals = draw(_monomial_entries(field, x_exps))
-    y_vals = draw(_monomial_entries(field, y_exps))
-    x = CycMatrix(field, [{i: val} for i, val in zip(x_rows, x_vals)], n)
-    y = CycMatrix(field, [{i: val} for i, val in zip(y_rows, y_vals)], n)
+    x = UnitMonomial(field, x_rows, draw(_redrawn_exponents(x_exps)))
+    y = UnitMonomial(field, y_rows, draw(_redrawn_exponents(y_exps)))
     return x, y, m
 
 
 @st.composite
 def _module_group_pairs(draw):
     """(x, y, 12) of a catalog member or a tensor product of two, which satisfy the group relations, with
-    their entries redrawn by ``_monomial_entries``: now and then one changed."""
+    their exponents redrawn by ``_redrawn_exponents``: now and then one changed."""
     ctx = get_context(12)
     labels = all_weight_labels(ctx)
     module = build_weight(ctx, draw(st.sampled_from(labels)))
     if draw(st.booleans()):
         module = tensor_dd(module, build_weight(ctx, draw(st.sampled_from(labels))))
-    mats = []
-    for mat in (module.x_mat, module.y_mat):
-        rows, vals = mat.monomial()
-        redrawn = draw(_monomial_entries(ctx.field, [val.unit for val in vals]))
-        mats.append(CycMatrix(ctx.field, [{i: val} for i, val in zip(rows, redrawn)], mat.nrows))
-    return (*mats, ctx.m)
+    x, y = module.x_mat, module.y_mat
+    redrawn = [UnitMonomial(ctx.field, mat.rows, draw(_redrawn_exponents(mat.exps))) for mat in (x, y)]
+    return (*redrawn, ctx.m)
 
 
 @settings(max_examples=200)
 @given(st.one_of(_invertible_monomial_pairs(), _module_group_pairs()))
 def test_group_relations_on_the_views_match_the_formed_products(case):
+    # the products and powers of row maps and exponents against those of the column dicts
     x, y, m = case
     assert _order_failures(x, y, m) == _reference_order_failures(x, y, m)
 
 
 def test_group_relations_catch_a_y_cycle_whose_length_does_not_divide_m(ctx12):
     # a 5-cycle of ones: y^5 = 1, and y^12 = y^2 moves every vector
-    one = ctx12.field.one
-    y = CycMatrix(ctx12.field, [{(j + 1) % 5: one} for j in range(5)], 5)
-    module = group_module(ctx12, [ctx12.group.identity] * 5, CycMatrix.identity(ctx12.field, 5), y, list("abcde"))
+    y = UnitMonomial(ctx12.field, [(j + 1) % 5 for j in range(5)], [0] * 5)
+    x = UnitMonomial.identity(ctx12.field, 5)
+    module = group_module(ctx12, [ctx12.group.identity] * 5, x, y, list("abcde"))
     assert group_relation_failures(module) == ["y^12 != 1", "(x y)^2 != 1"]
 
 
 def test_group_relations_catch_an_x_that_swaps_with_the_wrong_sign(ctx12):
     # x swaps the two vectors of e:rho1 as before, with -1 on one of them: x^2 = -1
     member = build_weight(ctx12, parse_weight_label("e:rho1"))
-    one = ctx12.field.one
-    x = CycMatrix(ctx12.field, [{1: one}, {0: -one}], 2)
+    x = UnitMonomial(ctx12.field, [1, 0], [0, ctx12.n])
     module = group_module(ctx12, member.gdeg, x, member.y_mat, member.basis_labels)
     assert group_relation_failures(module) == ["x^2 != 1", "(x y)^2 != 1"]
 
@@ -203,8 +198,8 @@ def test_catalog_check_rejects_a_repeated_or_reducible_member(ctx12):
     chi1_plus_chi2 = group_module(
         ctx12,
         [ctx12.group.identity] * 2,
-        CycMatrix.diagonal(field, [field.one, -field.one]),
-        CycMatrix.identity(field, 2),
+        UnitMonomial(field, [0, 1], [0, ctx12.n]),
+        UnitMonomial.identity(field, 2),
         ["a", "b"],
     )
     for label, stand_in in (("M1,3", cat.module(parse_weight_label("M1,4"))), ("e:rho1", chi1_plus_chi2)):
@@ -253,15 +248,13 @@ def test_character_counts_match_hom_spaces_on_standard_module_layers(ctx12, inde
             assert decomposition_counts(ctx12, layer) == _hom_space_counts(ctx12, layer), f"{label} [{z}]"
 
 
-def _rescaled(ctx, module, factors):
-    """The module in the basis ``factors[i] * e_i``."""
+def _rescaled(ctx, module, shifts):
+    """The module in the basis ``w^shifts[i] e_i``: column j of x and y gains ``w^(shifts[j] - shifts[i])``
+    at row i."""
 
     def conjugate(mat):
-        cols = [
-            {i: value * factors[j] / factors[i] for i, value in col.items()}
-            for j, col in enumerate(mat.sparse_columns())
-        ]
-        return CycMatrix.from_column_dicts(ctx.field, cols, module.dim)
+        exps = [e + shifts[j] - shifts[i] for j, (i, e) in enumerate(zip(mat.rows, mat.exps))]
+        return UnitMonomial(ctx.field, mat.rows, exps)
 
     return group_module(ctx, module.gdeg, conjugate(module.x_mat), conjugate(module.y_mat), module.basis_labels)
 
@@ -279,7 +272,7 @@ def _head_and_socle_layers(ctx):
         for name, module in (("head", head(verma)), ("socle", socle(verma))):
             for z in module.layer_indices():
                 layer = module.layer_module(z)
-                rescaled = _rescaled(ctx, layer, [field.zeta(i) for i in range(layer.dim)])
+                rescaled = _rescaled(ctx, layer, range(layer.dim))
                 yield f"{label} {name} [{z}]", layer, rescaled
 
 
@@ -297,7 +290,8 @@ def _walked_trace_vector(module, cls, block):
     for h, _, _ in cls.orbits:
         by_rot.setdefault(h % module.ctx.m, []).append(h)
     top = max(by_rot)
-    x_cols = module.x_mat.sparse_columns()
+    x_mat, y_mat = _matrix(module.x_mat), _matrix(module.y_mat)
+    x_cols = x_mat.sparse_columns()
     traces = {h: field.zero for h, _, _ in cls.orbits}
     for j in block:
         vec = {j: field.one}
@@ -311,16 +305,15 @@ def _walked_trace_vector(module, cls, block):
                 elif j in vec:
                     traces[h] = traces[h] + vec[j]
             if b < top:
-                vec = module.y_mat.apply(vec)
+                vec = y_mat.apply(vec)
     values = [traces[h] for h, _, _ in cls.orbits]
     assert all(value.den == 1 for value in values)
     return [c for value in values for c in value.coords]
 
 
-def _times(a, b):
-    """The product of two matrices, column by column from the left factor's action: the reference for
-    products that ``CycMatrix`` forms only of monomial matrices."""
-    return CycMatrix(a.field, [a.apply(col) for col in b.sparse_columns()], a.nrows)
+def _matrix(mat):
+    """x or y as a CycMatrix: a module holds a UnitMonomial, a stand-in a CycMatrix."""
+    return mat.matrix() if isinstance(mat, UnitMonomial) else mat
 
 
 def _sheared(ctx, module, i, j, c):
@@ -341,15 +334,14 @@ def _sheared(ctx, module, i, j, c):
         dim=module.dim,
         gdeg=module.gdeg,
         basis_labels=module.basis_labels,
-        x_mat=_times(_times(back, module.x_mat), forward),
-        y_mat=_times(_times(back, module.y_mat), forward),
+        x_mat=times(times(back, module.x_mat.matrix()), forward),
+        y_mat=times(times(back, module.y_mat.matrix()), forward),
     )
 
 
-def _assert_refused(ctx, stand_in, generator="[xy]"):
-    """Building a module from the stand-in's x and y raises the monomial gate's message."""
-    with pytest.raises(AssertionError, match=f"{generator} is not an invertible monomial matrix on a module of kind"):
-        group_module(ctx, stand_in.gdeg, stand_in.x_mat, stand_in.y_mat, stand_in.basis_labels)
+def _refused(mat):
+    """Whether the matrix does not convert to the UnitMonomial that a module holds as x or y."""
+    return UnitMonomial.from_matrix(mat) is None
 
 
 @st.composite
@@ -368,7 +360,7 @@ def _group_modules(draw):
     module = verma.layer_module(draw(st.sampled_from(sorted(verma.layer_indices()))))
     if draw(st.booleans()):
         shift = draw(st.integers(1, ctx.m - 1))
-        module = _rescaled(ctx, module, [ctx.field.zeta(shift * i) for i in range(module.dim)])
+        module = _rescaled(ctx, module, [shift * i for i in range(module.dim)])
     return ctx, module
 
 
@@ -388,13 +380,12 @@ def test_cycle_traces_match_the_walk_on_drawn_modules(case):
 
 @pytest.mark.parametrize("m", [12, 16, 20, 24])
 def test_traces_of_a_module_whose_y_is_not_monomial_match_the_walk(m):
-    # such a module is refused when it is built; the walk over its basis
-    # still gives the traces of the module in the monomial basis, so the
-    # characters lose nothing to the refusal
+    # such a y does not convert to what a module holds; the walk over its
+    # basis still gives the traces of the module in the monomial basis, so
+    # the characters lose nothing to the refusal
     ctx = get_context(m)
     rho = build_weight(ctx, parse_weight_label("e:rho1"))
     sheared = _sheared(ctx, rho, 0, 1, ctx.field.one)
-    assert rho.y_mat.monomial() is not None
     assert sheared.y_mat.monomial() is None
     # a standard module layer with a multiplicity, sheared inside one degree
     verma = build_verma(ctx, validate_index_set(ctx, [valid_pairs(ctx)[0]]), parse_weight_label("Mx:0,0"))
@@ -403,7 +394,7 @@ def test_traces_of_a_module_whose_y_is_not_monomial_match_the_walk(m):
     sheared_layer = _sheared(ctx, layer, i, j, ctx.field.zeta(1))
     assert sheared_layer.x_mat.monomial() is None or sheared_layer.y_mat.monomial() is None
     for module, stand_in in ((rho, sheared), (layer, sheared_layer)):
-        _assert_refused(ctx, stand_in)
+        assert _refused(stand_in.x_mat) or _refused(stand_in.y_mat)
         blocks = _blocks(module)
         for cls in _class_data(ctx):
             if cls.rep in blocks:
@@ -426,6 +417,7 @@ def _eliminated_hom_space(source, target):
     for gen_id, (g_target, g_source) in enumerate(
         ((target.x_mat, source.x_mat), (target.y_mat, source.y_mat))
     ):
+        g_target, g_source = _matrix(g_target), _matrix(g_source)
         t_cols = g_target.sparse_columns()
         s_rows: list[dict] = [{} for _ in range(g_source.nrows)]
         for j, col in enumerate(g_source.sparse_columns()):
@@ -486,9 +478,10 @@ def test_hom_spaces_into_head_and_socle_layers_match_elimination(ctx12):
 
 
 def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
-    # what the walk cannot read is refused: a y that is not monomial, and an x
-    # with an empty column or two columns in one row, when the module is built;
-    # an x that breaks the group grading when a hom space is asked of it
+    # what the walk cannot read does not convert to what a module holds: a y
+    # that is not monomial, and an x with an empty column or two columns in
+    # one row; an x that breaks the group grading is refused when a hom space
+    # is asked of it
     field, group = ctx12.field, ctx12.group
     one = field.one
     catalog = weight_catalog(ctx12)
@@ -500,7 +493,7 @@ def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
     i, j = next(block for block in _blocks(product).values() if len(block) > 1)[:2]
     sheared = _sheared(ctx12, product, i, j, ctx12.omega(1))
     assert sheared.y_mat.monomial() is None
-    _assert_refused(ctx12, sheared)
+    assert _refused(sheared.y_mat)
     # elimination in the sheared basis finds the hom spaces the walk finds in the monomial one
     for label, mult in decomposition_counts(ctx12, product):
         other = catalog.module(label)
@@ -508,17 +501,13 @@ def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
         assert len(_eliminated_hom_space(sheared, other)) == len(hom_space(product, other)) == mult
     for columns in ([{0: one}, {}], [{0: one}, {0: one}]):
         x_mat = CycMatrix.from_column_dicts(field, columns, 2)
-        assert x_mat.monomial() is not None
-        stand_in = SimpleNamespace(
-            gdeg=[group.identity] * 2, x_mat=x_mat, y_mat=CycMatrix.identity(field, 2), basis_labels=["a", "b"]
-        )
-        _assert_refused(ctx12, stand_in, "x")
+        assert x_mat.monomial() is not None and _refused(x_mat)
     # M1,3 plus a vector of degree y that x fixes, where x must send degree y to y^-1
     off_grading = group_module(
         ctx12,
         [group.rotation(1), group.rotation(-1), group.rotation(1)],
-        CycMatrix.from_column_dicts(field, [{1: one}, {0: one}, {2: one}], 3),
-        CycMatrix.diagonal(field, [ctx12.omega(3), ctx12.omega(-3), ctx12.omega(3)]),
+        UnitMonomial(field, [1, 0, 2], [0, 0, 0]),
+        UnitMonomial(field, [0, 1, 2], [3, -3, 3]),
         ["m+", "m-", "v"],
     )
     assert any(_eliminated_hom_space(member("M1,3"), off_grading))
@@ -527,15 +516,10 @@ def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
             hom_space(source, target)
 
 
-def _one_dimensional(ctx, degree, x_value, y_value):
+def _one_dimensional(ctx, degree, x_exp, y_exp):
+    """The module on one vector of this degree, with x = w^x_exp and y = w^y_exp."""
     field = ctx.field
-    return group_module(
-        ctx,
-        [degree],
-        CycMatrix.from_rows(field, [[x_value]]),
-        CycMatrix.from_rows(field, [[y_value]]),
-        ["v"],
-    )
+    return group_module(ctx, [degree], UnitMonomial(field, [0], [x_exp]), UnitMonomial(field, [0], [y_exp]), ["v"])
 
 
 def _not_a_module_with_a_fraction(ctx):
@@ -543,33 +527,32 @@ def _not_a_module_with_a_fraction(ctx):
     return group_module(
         ctx,
         [ctx.group.identity] * 2,
-        CycMatrix.identity(ctx.field, 2),
-        CycMatrix.diagonal(ctx.field, [ctx.omega(2), ctx.omega(10)]),
+        UnitMonomial.identity(ctx.field, 2),
+        UnitMonomial(ctx.field, [0, 1], [2, 10]),
         ["a", "b"],
     )
 
 
 def test_character_counts_reject_what_is_not_a_module(ctx12):
     group = ctx12.group
-    # x = 2 or -3 is no power of w: such a module is refused when it is built
+    # x = 2 or -3 is no power of w: it does not convert to what a module holds
     for x_value in (2, -3):
-        with pytest.raises(AssertionError, match="x is not an invertible monomial matrix"):
-            _one_dimensional(ctx12, group.identity, x_value, 1)
+        assert UnitMonomial.from_matrix(from_rows(ctx12.field, [[x_value]])) is None
     cases = {
         # x y x = y^-1 fails: the multiplicity of e:chi1 has an integer
         # rational part and a nonzero irrational one
-        "e:chi1 is not an integer": _one_dimensional(ctx12, group.identity, 1, ctx12.omega(4)),
+        "e:chi1 is not an integer": _one_dimensional(ctx12, group.identity, 0, 4),
         # tr(x y) = w^2 + w^10 = 1 on the two vectors: the trivial character appears 3/4 times
         "e:chi1 is not an integer: 3/4": _not_a_module_with_a_fraction(ctx12),
         # nothing on the class representative y
-        "fill dimension 0": _one_dimensional(ctx12, group.rotation(-1), 1, 1),
+        "fill dimension 0": _one_dimensional(ctx12, group.rotation(-1), 0, 0),
         # y = w^3 on both vectors, not w^l and w^-l: the rational coordinates
         # alone read e:rho3 once, and only the rebuilt trace vector differs
         r"e:chi1 is not an integer: 1/6\*w\^3": group_module(
             ctx12,
             [group.identity] * 2,
-            CycMatrix.from_rows(ctx12.field, [[0, 1], [1, 0]]),
-            CycMatrix.diagonal(ctx12.field, [ctx12.omega(3)] * 2),
+            UnitMonomial(ctx12.field, [1, 0], [0, 0]),
+            UnitMonomial(ctx12.field, [0, 1], [3, 3]),
             ["a", "b"],
         ),
     }
@@ -633,8 +616,8 @@ def test_counts_on_the_permutation_module_of_the_vertices_of_the_m_gon(m):
     # x and x y come from its open path; the character counts fixed vertices
     ctx = get_context(m)
     field, n = ctx.field, ctx.n
-    x = CycMatrix(field, [{-j % m: field.one} for j in range(m)], m)
-    y = CycMatrix(field, [{(j + 1) % m: field.one} for j in range(m)], m)
+    x = UnitMonomial(field, [-j % m for j in range(m)], [0] * m)
+    y = UnitMonomial(field, [(j + 1) % m for j in range(m)], [0] * m)
     module = group_module(ctx, [ctx.group.identity] * m, x, y, [f"v{j}" for j in range(m)])
     assert group_relation_failures(module) == []
     expected = [("e:chi1", 1), ("e:chi3", 1)] + [(f"e:rho{l}", 1) for l in range(1, n)]
@@ -682,24 +665,22 @@ def test_tensor_dimensions_multiply(ctx12, i, j):
 
 @st.composite
 def _invertible_monomial(draw, field, n):
-    """The columns of an invertible monomial n x n matrix: powers of w and rationals on a permutation."""
-    entries = st.sampled_from([field.zeta(1), -field.zeta(5), field.one, field.from_fraction(Fraction(-2, 3))])
-    return [{i: draw(entries)} for i in draw(st.permutations(range(n)))]
+    """An invertible monomial n x n matrix with powers of w as entries, on a drawn permutation."""
+    exps = draw(st.lists(st.sampled_from((0, 1, 5, 6, 11)), min_size=n, max_size=n))
+    return UnitMonomial(field, draw(st.permutations(range(n))), exps)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_kronecker_products_match_their_entries(na, nb, data):
     field = get_context(12).field
-    a_cols = data.draw(_invertible_monomial(field, na))
-    b_cols = data.draw(_invertible_monomial(field, nb))
-    a, b = CycMatrix(field, a_cols, na), CycMatrix(field, b_cols, nb)
+    a, b = data.draw(_invertible_monomial(field, na)), data.draw(_invertible_monomial(field, nb))
     # entry (ia nb + ib, ja nb + jb) of the product is A[ia, ja] B[ib, jb]
     expected = [
         {ia * nb + ib: x * y for ia, x in col_a.items() for ib, y in col_b.items()}
-        for col_a in a_cols
-        for col_b in b_cols
+        for col_a in a.matrix().sparse_columns()
+        for col_b in b.matrix().sparse_columns()
     ]
-    product = weights._kronecker(a, b)
+    product = a.kron(b).matrix()
     assert (product.nrows, product.ncols) == (na * nb, na * nb)
     assert product.sparse_columns() == expected
 
@@ -743,7 +724,7 @@ def test_decompose_rejects_embeddings_that_do_not_span(ctx12, monkeypatch):
     )
     (label, (emb,)), _ = decompose(ctx12, product)
     # a second embedding of the same summand: the counts and dimensions add up, the images coincide
-    turned = _times(emb, CycMatrix.diagonal(ctx12.field, [ctx12.field.zeta(1)] * emb.ncols))
+    turned = times(emb, diagonal(ctx12.field, [ctx12.field.zeta(1)] * emb.ncols))
     assert turned != emb and 2 * emb.ncols == product.dim
     monkeypatch.setattr(weights, "decomposition_counts", lambda ctx, module: [(label, 2)])
     monkeypatch.setattr(weights, "hom_space", lambda source, target: [emb, turned])
