@@ -2,7 +2,8 @@
 
 The package forms no product, sum or negation of :class:`CycMatrix`, and
 builds the group action as :class:`UnitMonomial`; the tests compare both
-against these, which read the column dicts alone.
+against these, which read the column dicts alone, and draw UnitMonomials
+with :func:`unit_monomials`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from dihedral_doubles.cyclotomic import CycMatrix, CycNum, CyclotomicField, add_into
+from hypothesis import strategies as st
+
+from dihedral_doubles.cyclotomic import CycMatrix, CycNum, CyclotomicField, UnitMonomial, add_into
 
 
 def times(a: CycMatrix, b: CycMatrix) -> CycMatrix:
@@ -52,3 +55,10 @@ def from_rows(field: CyclotomicField, rows: Sequence[Sequence[CycNum | Fraction 
             if x:
                 columns[j][i] = x
     return CycMatrix(field, columns, len(rows))
+
+
+@st.composite
+def unit_monomials(draw, field: CyclotomicField, n: int) -> UnitMonomial:
+    """An n x n UnitMonomial: a drawn permutation, and exponents drawn beyond 0 .. m-1 as well."""
+    exps = draw(st.lists(st.integers(-2 * field.m, 2 * field.m), min_size=n, max_size=n))
+    return UnitMonomial(field, draw(st.permutations(range(n))), exps)

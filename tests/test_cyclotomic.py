@@ -21,7 +21,7 @@ from dihedral_doubles.cyclotomic import (
     get_field,
     kernel,
 )
-from matrices import diagonal, from_rows, identity, negated, plus, times
+from matrices import diagonal, from_rows, identity, negated, plus, times, unit_monomials
 
 
 def _sympy_coeffs(m: int) -> tuple[int, ...]:
@@ -684,13 +684,6 @@ def test_monomial_view_matches_the_column_dicts(m, n, monomial, data):
 # UnitMonomial against the column-dict products of the matrices it stands for.
 
 
-@st.composite
-def _unit_monomials(draw, field, n):
-    """An n x n UnitMonomial: a drawn permutation, and exponents drawn beyond 0 .. m-1 as well."""
-    rows = draw(st.permutations(range(n)))
-    return UnitMonomial(field, rows, draw(st.lists(st.integers(-2 * field.m, 2 * field.m), min_size=n, max_size=n)))
-
-
 def _cycles(rows):
     """The cycles of a permutation given as its row map."""
     cycles, seen = [], set()
@@ -721,7 +714,7 @@ def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
     # products, powers, blocks and Kronecker products of row maps and exponents stand for the products
     # of the matrices they convert to, formed from the column dicts
     field = get_field(m)
-    a, b = data.draw(_unit_monomials(field, n)), data.draw(_unit_monomials(field, n))
+    a, b = data.draw(unit_monomials(field, n)), data.draw(unit_monomials(field, n))
     for g in (a, b):
         assert all(0 <= e < m for e in g.exps)
         assert UnitMonomial.from_matrix(g.matrix()) == g and hash(g) == hash(UnitMonomial(field, g.rows, g.exps))
@@ -746,7 +739,7 @@ def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
         if len(cycle) > 1:
             with pytest.raises(ValueError, match="does not keep the block"):
                 a.restricted(cycle[1:])
-    c = data.draw(_unit_monomials(field, data.draw(st.integers(0, 4))))
+    c = data.draw(unit_monomials(field, data.draw(st.integers(0, 4))))
     assert a.kron(c).matrix() == _kronecker(a.matrix(), c.matrix())
 
 
@@ -757,7 +750,7 @@ REFUSALS = ("empty column", "two entries in one column", "two columns in one row
 @given(st.integers(12, 24), st.integers(2, 5), st.data())
 def test_a_matrix_converts_exactly_when_it_is_invertible_monomial_with_powers_of_w(kind, m, n, data):
     field = get_field(m)
-    g = data.draw(_unit_monomials(field, n))
+    g = data.draw(unit_monomials(field, n))
     cols = [dict(col) for col in g.matrix().sparse_columns()]
     j = data.draw(st.integers(0, n - 1))
     other = data.draw(st.sampled_from([k for k in range(n) if k != j]))

@@ -39,7 +39,7 @@ from dihedral_doubles.weights import (
     parse_weight_label,
     tensor_dd,
 )
-from matrices import diagonal, identity, negated, plus, times
+from matrices import diagonal, identity, negated, plus, times, unit_monomials
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -526,13 +526,6 @@ def _scaled(mat, shift):
 
 
 @st.composite
-def _unit_monomials(draw, field, n):
-    """An n x n UnitMonomial with a drawn permutation and exponents."""
-    exps = draw(st.lists(st.integers(0, field.m - 1), min_size=n, max_size=n))
-    return UnitMonomial(field, draw(st.permutations(range(n))), exps)
-
-
-@st.composite
 def _unit_variants(draw, g):
     """The UnitMonomial itself, or a copy with one exponent raised by 1 or two columns' rows swapped."""
     kind = draw(st.sampled_from(("same", "same", "flipped", "swapped")))
@@ -566,7 +559,7 @@ def _product_cases(draw):
     else:
         field = get_field(draw(st.sampled_from((9, 12, 16))))
         n = draw(st.integers(1, 5))
-        a, d = draw(_unit_monomials(field, n)), draw(_unit_monomials(field, n))
+        a, d = draw(unit_monomials(field, n)), draw(unit_monomials(field, n))
         if draw(st.booleans()):
             b, c = d.matrix(), a.matrix()
         else:

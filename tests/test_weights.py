@@ -33,7 +33,7 @@ from dihedral_doubles.weights import (
     tensor_dd,
     weight_catalog,
 )
-from matrices import diagonal, from_rows, identity, times
+from matrices import diagonal, from_rows, identity, times, unit_monomials
 
 
 def test_catalog_count_and_dimension_sum(ctx12, ctx16):
@@ -663,17 +663,10 @@ def test_tensor_dimensions_multiply(ctx12, i, j):
     assert sum(lab.dimension(6) * mult for lab, mult in counts) == product.dim
 
 
-@st.composite
-def _invertible_monomial(draw, field, n):
-    """An invertible monomial n x n matrix with powers of w as entries, on a drawn permutation."""
-    exps = draw(st.lists(st.sampled_from((0, 1, 5, 6, 11)), min_size=n, max_size=n))
-    return UnitMonomial(field, draw(st.permutations(range(n))), exps)
-
-
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_kronecker_products_match_their_entries(na, nb, data):
     field = get_context(12).field
-    a, b = data.draw(_invertible_monomial(field, na)), data.draw(_invertible_monomial(field, nb))
+    a, b = data.draw(unit_monomials(field, na)), data.draw(unit_monomials(field, nb))
     # entry (ia nb + ib, ja nb + jb) of the product is A[ia, ja] B[ib, jb]
     expected = [
         {ia * nb + ib: x * y for ia, x in col_a.items() for ib, y in col_b.items()}
