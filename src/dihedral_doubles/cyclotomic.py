@@ -599,9 +599,10 @@ class UnitMonomial:
     Column j holds w^exps[j] in row rows[j], with the exponents reduced mod
     m.  x and y act so on every module (``weights.QDModule``), so their
     products, powers, blocks, Kronecker products and traces are integer
-    arithmetic on row maps and exponents.  The value is immutable and
-    hashable, and ``==`` compares row maps and exponents.  The constructor
-    takes the rows as given; ``QDModule`` checks that they are a permutation.
+    arithmetic on row maps and exponents.  The value is never changed once
+    built, so it is hashable, and ``==`` compares row maps and exponents.
+    The constructor takes the rows as given; ``QDModule`` checks that they
+    are a permutation.
     """
 
     __slots__ = ("field", "rows", "exps")
