@@ -358,7 +358,8 @@ def check_relations(module: QDModule) -> list[str]:
     for kind, mats, zshift in (("v", module.v_mats, -1), ("a", module.a_mats, 1)):
         for (pos, sign), mat in mats.items():
             shift = group.rotation(-zshift * sign * pairs[pos][0])
-            failure = grading_failure(module, f"{kind}({pos},{sign:+d})", mat, zshift, group.products[shift])
+            name = f"{kind}({pos},{sign:+d})"
+            failure = grading_failure(module, name, mat.sparse_columns(), zshift, group.products[shift])
             if failure:
                 failures.append(failure)
             letters[(kind, (pos, sign))] = mat

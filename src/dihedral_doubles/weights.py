@@ -249,16 +249,16 @@ def group_module(
 
 
 def grading_failure(
-    module: QDModule, name: str, mat: CycMatrix | UnitMonomial, zshift: int, images: Sequence[int]
+    module: QDModule, name: str, columns: Iterable[Iterable[int]], zshift: int, images: Sequence[int]
 ) -> str | None:
-    """Why ``mat`` fails to shift each degree by ``zshift`` and send each group degree g to ``images[g]``.
+    """Why a map fails to shift each degree by ``zshift`` and send each group degree g to ``images[g]``.
 
-    ``images`` is a row of the group's tables: ``conjugates[t]`` for the
-    action of a group element t, ``products[h]`` for a letter that
-    multiplies group degrees by h.  x and y are read through their row maps.
+    ``columns`` holds, for each column of the map, the rows of its nonzero
+    entries.  ``images`` is a row of the group's tables: ``conjugates[t]``
+    for the action of a group element t, ``products[h]`` for a letter that
+    multiplies group degrees by h.
     """
     zdeg, gdeg = module.zdeg, module.gdeg
-    columns = mat.sparse_columns() if isinstance(mat, CycMatrix) else [(i,) for i in mat.rows]
     for j, col in enumerate(columns):
         target_z = zdeg[j] + zshift
         target_g = images[gdeg[j]]
@@ -277,7 +277,7 @@ def group_relation_failures(module: QDModule) -> list[str]:
     group = module.ctx.group
     failures = []
     for name, mat, t in (("x", module.x_mat, group.x), ("y", module.y_mat, group.y)):
-        failure = grading_failure(module, name, mat, 0, group.conjugates[t])
+        failure = grading_failure(module, name, [(i,) for i in mat.rows], 0, group.conjugates[t])
         if failure:
             failures.append(failure)
     return failures + _order_failures(module.x_mat, module.y_mat, module.ctx.m)

@@ -698,21 +698,10 @@ def _cycles(rows):
     return cycles
 
 
-def _kronecker(a, b):
-    """The Kronecker product of two matrices from their column dicts."""
-    n = b.nrows
-    cols = [
-        {ia * n + ib: x * y for ia, x in col_a.items() for ib, y in col_b.items()}
-        for col_a in a.sparse_columns()
-        for col_b in b.sparse_columns()
-    ]
-    return CycMatrix(a.field, cols, a.nrows * n)
-
-
 @given(st.integers(12, 24), st.integers(0, 5), st.data())
 def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
-    # products, powers, blocks and Kronecker products of row maps and exponents stand for the products
-    # of the matrices they convert to, formed from the column dicts
+    # products, powers and blocks of row maps and exponents stand for the products of the matrices
+    # they convert to, formed from the column dicts; Kronecker products are checked in test_weights.py
     field = get_field(m)
     a, b = data.draw(unit_monomials(field, n)), data.draw(unit_monomials(field, n))
     for g in (a, b):
@@ -739,8 +728,6 @@ def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
         if len(cycle) > 1:
             with pytest.raises(ValueError, match="does not keep the block"):
                 a.restricted(cycle[1:])
-    c = data.draw(unit_monomials(field, data.draw(st.integers(0, 4))))
-    assert a.kron(c).matrix() == _kronecker(a.matrix(), c.matrix())
 
 
 REFUSALS = ("empty column", "two entries in one column", "two columns in one row", "no power of w")

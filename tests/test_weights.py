@@ -663,9 +663,9 @@ def test_tensor_dimensions_multiply(ctx12, i, j):
     assert sum(lab.dimension(6) * mult for lab, mult in counts) == product.dim
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_kronecker_products_match_their_entries(na, nb, data):
-    field = get_context(12).field
+@given(st.integers(12, 24), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_kronecker_products_match_their_entries(m, na, nb, data):
+    field = get_field(m)
     a, b = data.draw(unit_monomials(field, na)), data.draw(unit_monomials(field, nb))
     # entry (ia nb + ib, ja nb + jb) of the product is A[ia, ja] B[ib, jb]
     expected = [
