@@ -15,7 +15,11 @@ the negative-degree joint kernel of every standard module, and the quotient
 by it, are built too, 312 of the submodules in an adapted basis, and their
 characters must add up to the module's.  Every singleton report at m = 12
 and 16 is also compared with the report of a context whose memo of
-``weights.decomposition_counts`` stores nothing.
+``weights.decomposition_counts`` stores nothing.  Every singleton report at
+m = 12 and 16, and every two-pair report at m = 12, is compared with the
+report made while ``qdouble.highest_weight_vectors`` solves every kernel
+again and ``qdouble.subspace_as_module`` builds every submodule, a full span
+too, through ``qdouble._on_positions``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from dihedral_doubles import get_context
+from dihedral_doubles import get_context, qdouble
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
@@ -90,6 +94,51 @@ def test_the_counts_memo_changes_no_singleton_report(m):
             )
             assert first == second, f"{pair} / {label}"
     assert memoised._weight_cache["counts"] and not forgetful._weight_cache["counts"]
+
+
+def _solved_again(module, degree=None):
+    """``highest_weight_vectors`` with the module's kernel table dropped first, so every call solves."""
+    module.__dict__.pop("_kernels", None)
+    return highest_weight_vectors(module, degree)
+
+
+def _assert_no_report_changes_without_the_kernel_table_or_the_full_span_return(ctx, index_sets):
+    full_spans = 0
+
+    def every_row_restricted(module, space, kind="submodule"):
+        """``subspace_as_module`` without its full-span return: every row's images restricted and reduced."""
+        nonlocal full_spans
+        full_spans += len(space.pivots) == module.dim
+
+        def images(mat):
+            cols = mat.sparse_columns()
+            out = [cols[p] if len(row) == 1 else mat.apply(row) for p, row in zip(space.pivots, space.rows)]
+            assert not any(space.reduce(image) for image in out)
+            return out
+
+        labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
+        return qdouble._on_positions(module, space.pivots, images, labels, kind)
+
+    for index_set in index_sets:
+        for label in all_weight_labels(ctx):
+            kept = verify_simple(ctx, index_set, label).to_json_obj()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qdouble, "highest_weight_vectors", _solved_again)
+                patch.setattr(qdouble, "subspace_as_module", every_row_restricted)
+                assert verify_simple(ctx, index_set, label).to_json_obj() == kept, f"{index_set} / {label}"
+    assert full_spans
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_the_kernel_table_and_the_full_span_return_change_no_singleton_report(m):
+    ctx = get_context(m)
+    index_sets = [validate_index_set(ctx, [pair]) for pair in valid_pairs(ctx)]
+    _assert_no_report_changes_without_the_kernel_table_or_the_full_span_return(ctx, index_sets)
+
+
+@pytest.mark.parametrize("index_set", TWO_PAIR_SETS, ids=str)
+def test_the_kernel_table_and_the_full_span_return_change_no_two_pair_report_at_m_12(index_set):
+    _assert_no_report_changes_without_the_kernel_table_or_the_full_span_return(get_context(12), [index_set])
 
 
 def test_there_are_39_two_pair_sets_at_m_12_and_66_at_m_16():

@@ -586,12 +586,6 @@ class CycMatrix:
     def __repr__(self) -> str:
         return f"CycMatrix({self.nrows}x{self.ncols} over Q(zeta_{self.field.m}))"
 
-    def __str__(self) -> str:
-        zero = self.field.zero
-        return "\n".join(
-            "[" + ", ".join(str(col.get(i, zero)) for col in self._columns) + "]" for i in range(self.nrows)
-        )
-
 
 class UnitMonomial:
     """An invertible monomial matrix whose entries are powers of w, held as integers.

@@ -524,29 +524,34 @@ def highest_weight_vectors(
 
     With a degree given, returns the list of kernel vectors in that degree;
     otherwise a mapping from each populated degree to its (possibly empty)
-    list, highest degree first.
+    list, highest degree first.  Each degree is solved once per module
+    object and its kernel kept on it (``_kernels``), so :func:`head` and
+    :func:`socle` of one module share the solve.  Every call hands out
+    copies of the kept vectors, which a caller may change.
     """
     if degree is None:
         return {
             z: highest_weight_vectors(module, z)
             for z in sorted(module.layer_indices(), reverse=True)
         }
-    idxs = module.layer_indices().get(degree, [])
-    if not idxs:
-        return []
-    # one equation per lowering letter and row of the degree above: the
-    # letter's row restricted to the layer, in the layer's coordinates
-    rows: list[VecDict] = []
-    for mat in module.a_mats.values():
-        cols = mat.sparse_columns()
-        by_row: dict[int, VecDict] = {}
-        for t, j in enumerate(idxs):
-            for i, val in cols[j].items():
-                by_row.setdefault(i, {})[t] = val
-        rows.extend(by_row[i] for i in sorted(by_row))
-    return [
-        {idxs[t]: val for t, val in vec.items()} for vec in kernel(module.ctx.field, rows, len(idxs))
-    ]
+    kernels: dict[int, list[VecDict]] = module.__dict__.setdefault("_kernels", {})
+    found = kernels.get(degree)
+    if found is None:
+        idxs = module.layer_indices().get(degree, [])
+        # one equation per lowering letter and row of the degree above: the
+        # letter's row restricted to the layer, in the layer's coordinates
+        rows: list[VecDict] = []
+        for mat in module.a_mats.values():
+            cols = mat.sparse_columns()
+            by_row: dict[int, VecDict] = {}
+            for t, j in enumerate(idxs):
+                for i, val in cols[j].items():
+                    by_row.setdefault(i, {})[t] = val
+            rows.extend(by_row[i] for i in sorted(by_row))
+        found = kernels[degree] = [
+            {idxs[t]: val for t, val in vec.items()} for vec in kernel(module.ctx.field, rows, len(idxs))
+        ]
+    return [dict(vec) for vec in found]
 
 
 def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> EchelonBasis:
@@ -560,6 +565,8 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     the same line, so the column is inserted in its place, read as it
     stands: the columns are shared, and ``insert`` copies what it keeps.
     x and y are turned into :class:`~.cyclotomic.CycMatrix` once per call.
+    The closure stops once the basis has ``module.dim`` pivots: no image
+    can grow a span that holds every basis vector.
     """
     space = EchelonBasis(module.ctx.field)
     queue: list[VecDict] = []
@@ -570,7 +577,7 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
             queue.append(vec)
     gens = [module.x_mat.matrix(), module.y_mat.matrix(), *module.v_mats.values(), *module.a_mats.values()]
     columns = [mat.sparse_columns() for mat in gens]
-    while queue:
+    while queue and len(space.pivots) < module.dim:
         vec = queue.pop()
         if len(vec) == 1:
             (j,) = vec
@@ -752,7 +759,17 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     stands.  Every image is reduced, and one that leaves the span raises.
     Where x or y is not an invertible monomial matrix on the rows, the
     pivots stand for the vectors of an adapted basis (:func:`_on_positions`).
+
+    A span of every basis vector is stable, and its reduced rows are the
+    unit vectors, on which :func:`_on_positions` would rebuild the module's
+    own matrices.  So it is returned at once as a new module that shares
+    those matrices, which are read-only (``weights.QDModule``), with the
+    ``[label]`` labels, the weight and the kind given, and empty caches.
     """
+    labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
+    if len(space.pivots) == module.dim:
+        mats = (module.x_mat, module.y_mat, module.v_mats, module.a_mats)
+        return QDModule(module.ctx, module.index_set, labels, module.zdeg, module.gdeg, *mats, weight=module.weight, kind=kind)
 
     def images(mat: CycMatrix) -> list[VecDict]:
         cols = mat.sparse_columns()
@@ -761,7 +778,6 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
             raise AssertionError("subspace is not stable under a generator")
         return out
 
-    labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
     return _on_positions(module, space.pivots, images, labels, kind)
 
 

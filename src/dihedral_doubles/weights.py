@@ -164,6 +164,13 @@ class QDModule:
     letters are :class:`~.cyclotomic.CycMatrix`: they may have columns with
     two entries, and entries that are no power of w.
 
+    A module's matrices are read-only once it is built: a submodule that
+    spans the whole module shares them (``qdouble.subspace_as_module``), and
+    each object keeps answers read from them in its own caches, ``_layers``
+    (:meth:`layer_indices`), ``_ypow`` (``qdouble.y_power``) and
+    ``_kernels`` (``qdouble.highest_weight_vectors``).  A module built from
+    another's matrices starts with empty caches.
+
     Raises:
         AssertionError: if the row map of x or y is not a permutation of the
             basis; the message names the generator and the module's kind.

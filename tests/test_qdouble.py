@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble
-from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, _rref, get_field
+from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, _rref, get_field, kernel
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs
 from dihedral_doubles.qdouble import (
     GradedCharacter,
@@ -292,6 +292,61 @@ def test_socle_of_a_standard_module_must_reach_its_whole_bottom_layer(ctx12, mon
     assert _char_text(graded_character(socle(_direct_sum(verma, top, bottom, "sum")))) == "[-2] e:chi2"
     with pytest.raises(AssertionError, match="misses part of the bottom layer"):
         socle(padded)
+
+
+# The socle is generated by the joint kernel of lowest degree.  Over (1,6), (2,3), (1,6),(3,6) and (2,3),(2,9)
+# at m = 12, 80 of the 344 standard modules have joint kernels in more than one degree, and each of the 180
+# kernels above the lowest generates a submodule of another character than the socle's.  Some of them:
+KERNELS_IN_SEVERAL_DEGREES = [
+    ("(2,3)", "e:chi1", [-2, -1, 0]),
+    ("(1,6)", "Mx:0,0", [-1, 0]),
+    ("(1,6),(3,6)", "e:chi1", [-4, -3, -2, -1, 0]),
+    ("(2,3),(2,9)", "M2,3", [-4, -3, -2, -1, 0]),
+    ("(2,3),(2,9)", "Mxy:1,1", [-2, -1, 0]),
+]
+
+
+@pytest.mark.parametrize("iset_text, label_text, degrees", KERNELS_IN_SEVERAL_DEGREES)
+def test_a_joint_kernel_above_the_lowest_degree_generates_no_socle(ctx12, iset_text, label_text, degrees):
+    verma = _verma(ctx12, iset_text, label_text)
+    kernels = {z: vecs for z, vecs in highest_weight_vectors(verma).items() if vecs}
+    assert sorted(kernels) == degrees
+    socle_char = graded_character(socle(verma))
+    # the socle's top is the lowest kernel
+    assert socle_char.degrees()[0] == degrees[0]
+    for z in degrees[1:]:
+        generated = subspace_as_module(verma, submodule_generated(verma, kernels[z]))
+        assert graded_character(generated) != socle_char, z
+
+
+def test_joint_kernels_are_solved_once_per_module_and_handed_out_as_copies(ctx12, monkeypatch):
+    verma = _verma(ctx12, "(2,3)", "e:chi1")
+    first = highest_weight_vectors(verma)
+    assert {z: len(vecs) for z, vecs in first.items()} == {0: 1, -1: 2, -2: 1}
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(qdouble, "kernel", counted)
+    # repeated calls answer alike from the kept kernels, and a changed answer leaves the next one as it was
+    expected = {z: [dict(vec) for vec in vecs] for z, vecs in first.items()}
+    first[-1][0].clear()
+    first[-2].append({0: ctx12.field.one})
+    assert highest_weight_vectors(verma) == {z: highest_weight_vectors(verma, z) for z in first} == expected
+    assert solves == []
+    top = head(verma)
+    socle(verma)
+    # head solves only the layers of its quotient, and socle none
+    assert len(solves) == len(top.layer_indices())
+    # copies made from the module's matrices solve their own kernels
+    zero = {key: CycMatrix(ctx12.field, [{} for _ in range(verma.dim)], verma.dim) for key in verma.a_mats}
+    assert {z: len(vecs) for z, vecs in highest_weight_vectors(_mutated(verma, a_mats=zero)).items()} == {
+        z: len(idxs) for z, idxs in verma.layer_indices().items()
+    }
+    padded = highest_weight_vectors(_direct_sum(verma, head(verma), -2, "sum"))
+    assert {z: len(vecs) for z, vecs in padded.items()} == {0: 1, -1: 2, -2: 2}
 
 
 def test_cross_term_operators_detect_weight_class(ctx12):
@@ -676,9 +731,12 @@ def _negatives(module):
     return [vec for z, vecs in highest_weight_vectors(module).items() if z < 0 for vec in vecs]
 
 
+def _lowest_kernel(module):
+    return next(vecs for z in sorted(module.layer_indices()) if (vecs := highest_weight_vectors(module, z)))
+
+
 def _reference_socle(module):
-    lowest = next(vecs for z in sorted(module.layer_indices()) if (vecs := highest_weight_vectors(module, z)))
-    return _reference_submodule(module, _reference_generated(module, lowest), "socle")
+    return _reference_submodule(module, _reference_generated(module, _lowest_kernel(module)), "socle")
 
 
 def _reference_head(module):
@@ -738,9 +796,14 @@ def _standard_and_recursion_modules(iset_text):
 def test_socles_heads_and_submodules_match_a_reference_that_applies_every_generator(iset_text):
     field = get_context(12).field
     scale = field.from_integer(2) + field.zeta(1)
-    coordinate_seeds = adapted = 0
+    coordinate_seeds = adapted = full_spans = 0
     for module in _standard_and_recursion_modules(iset_text):
-        _assert_same_module(socle(module), _reference_socle(module))
+        soc = socle(module)
+        _assert_same_module(soc, _reference_socle(module))
+        # a socle that spans the whole module is built on the module's own matrices
+        full_spans += soc.v_mats is module.v_mats
+        lowest = _lowest_kernel(module)
+        assert submodule_generated(module, lowest).rows == _reference_generated(module, lowest).rows
         _assert_same_module(head(module), _reference_head(module))
         negatives = _negatives(module)
         if negatives:
@@ -753,7 +816,7 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
             adapted += _assert_same_module(
                 subspace_as_module(module, space), _reference_submodule(module, space, "submodule")
             )
-    assert coordinate_seeds
+    assert coordinate_seeds and full_spans
     # x is not monomial on the reduced rows of that submodule of the standard modules of reflection weights
     assert adapted
 
