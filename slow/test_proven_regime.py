@@ -3,7 +3,8 @@
 Run with ``PYTHONPATH=src python -m pytest -q slow``; tier-1's ``testpaths``
 does not collect it.  It covers every singleton case at m = 12, 16, 20, 24,
 28 and 32, every case over the 39 two-pair sets at m = 12 and over every
-tenth of the 66 at m = 16, and every case over ``(1,6),(3,6),(5,6)``.  Every
+tenth of the 66 at m = 16, every case over ``(1,6),(3,6),(5,6)``, and seven
+weights over each of the 91 three-pair sets at m = 12.  Every
 module these cases build, standard, induced, head, socle, layer and tensor,
 holds x and y as invertible monomial matrices with powers of w as entries
 (``cyclotomic.UnitMonomial``), whose row maps ``weights.QDModule`` checks
@@ -16,10 +17,12 @@ by it, are built too, 312 of the submodules in an adapted basis, and their
 characters must add up to the module's.  Every singleton report at m = 12
 and 16 is also compared with the report of a context whose memo of
 ``weights.decomposition_counts`` stores nothing.  Every singleton report at
-m = 12 and 16, and every two-pair report at m = 12, is compared with the
-report made while ``qdouble.highest_weight_vectors`` solves every kernel
-again and ``qdouble.subspace_as_module`` builds every submodule, a full span
-too, through ``qdouble._on_positions``.
+m = 12 and 16, every two-pair report at m = 12 and every report over
+``(1,6),(3,6),(5,6)`` is compared with the report made while
+``qdouble.highest_weight_vectors`` solves every kernel again,
+``qdouble.subspace_as_module`` builds every submodule, a full span too,
+through ``qdouble._on_positions``, and ``theorems.verify_simple`` induces the
+smaller head and the smaller socle apart at every recursion step.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from dihedral_doubles import get_context, qdouble
+from dihedral_doubles import get_context, qdouble, theorems
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
@@ -40,23 +43,23 @@ from dihedral_doubles.qdouble import (
     subspace_as_module,
 )
 from dihedral_doubles.theorems import verify_simple
-from dihedral_doubles.weights import all_weight_labels
+from dihedral_doubles.weights import all_weight_labels, parse_weight_label
 
 
-def _assert_every_report_passes(ctx, index_sets):
+def _assert_every_report_passes(ctx, index_sets, labels=None):
     failures = [
         f"{index_set} / {label}"
         for index_set in index_sets
-        for label in all_weight_labels(ctx)
+        for label in labels or all_weight_labels(ctx)
         if not verify_simple(ctx, index_set, label).ok
     ]
     assert not failures, "mismatched cases: " + ", ".join(failures)
 
 
-def _two_pair_sets(ctx):
-    """Every admissible set of two pairs, a pair taken twice included."""
+def _pair_sets(ctx, size):
+    """Every admissible set of ``size`` pairs, a pair taken more than once included."""
     sets = []
-    for pairs in combinations_with_replacement(valid_pairs(ctx), 2):
+    for pairs in combinations_with_replacement(valid_pairs(ctx), size):
         try:
             sets.append(validate_index_set(ctx, pairs))
         except ValueError:
@@ -64,9 +67,12 @@ def _two_pair_sets(ctx):
     return sets
 
 
-TWO_PAIR_SETS = _two_pair_sets(get_context(12))
+TWO_PAIR_SETS = _pair_sets(get_context(12), 2)
 # every tenth of the 66 two-pair sets at m = 16, in the order they are listed
-SOME_TWO_PAIR_SETS_AT_16 = _two_pair_sets(get_context(16))[::10]
+SOME_TWO_PAIR_SETS_AT_16 = _pair_sets(get_context(16), 2)[::10]
+THREE_PAIR_SETS = _pair_sets(get_context(12), 3)
+# one or two weights of each family, rigid, projective and reflection type at some pair
+SEVEN_WEIGHTS = ("e:chi3", "e:rho1", "yn:chi3", "yn:rho1", "M2,3", "Mx:0,0", "Mxy:1,1")
 
 
 @pytest.mark.parametrize("m", [12, 16, 20, 24, 28, 32])
@@ -102,8 +108,23 @@ def _solved_again(module, degree=None):
     return highest_weight_vectors(module, degree)
 
 
-def _assert_no_report_changes_without_the_kernel_table_or_the_full_span_return(ctx, index_sets):
-    full_spans = 0
+def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
+    """Every report equals the one made with no reuse between modules.
+
+    The kernel table is dropped before every call, every submodule, a full
+    span too, is restricted row by row, and every recursion step induces
+    the smaller head and the smaller socle apart, even when they hold the
+    same matrices.  The full-span return must have been taken, and over
+    index sets of two or more pairs the shared induction too.
+    """
+    full_spans = shared = 0
+    same_action = theorems._same_action
+
+    def counted_same_action(one, other):
+        nonlocal shared
+        same = same_action(one, other)
+        shared += same
+        return same
 
     def every_row_restricted(module, space, kind="submodule"):
         """``subspace_as_module`` without its full-span return: every row's images restricted and reduced."""
@@ -121,29 +142,39 @@ def _assert_no_report_changes_without_the_kernel_table_or_the_full_span_return(c
 
     for index_set in index_sets:
         for label in all_weight_labels(ctx):
-            kept = verify_simple(ctx, index_set, label).to_json_obj()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(theorems, "_same_action", counted_same_action)
+                kept = verify_simple(ctx, index_set, label).to_json_obj()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(qdouble, "highest_weight_vectors", _solved_again)
                 patch.setattr(qdouble, "subspace_as_module", every_row_restricted)
+                patch.setattr(theorems, "_same_action", lambda one, other: False)
                 assert verify_simple(ctx, index_set, label).to_json_obj() == kept, f"{index_set} / {label}"
     assert full_spans
+    assert shared or all(index_set.size == 1 for index_set in index_sets)
 
 
 @pytest.mark.parametrize("m", [12, 16])
-def test_the_kernel_table_and_the_full_span_return_change_no_singleton_report(m):
+def test_no_reuse_changes_a_singleton_report(m):
     ctx = get_context(m)
     index_sets = [validate_index_set(ctx, [pair]) for pair in valid_pairs(ctx)]
-    _assert_no_report_changes_without_the_kernel_table_or_the_full_span_return(ctx, index_sets)
+    _assert_no_report_changes_without_the_reuse(ctx, index_sets)
 
 
 @pytest.mark.parametrize("index_set", TWO_PAIR_SETS, ids=str)
-def test_the_kernel_table_and_the_full_span_return_change_no_two_pair_report_at_m_12(index_set):
-    _assert_no_report_changes_without_the_kernel_table_or_the_full_span_return(get_context(12), [index_set])
+def test_no_reuse_changes_a_two_pair_report_at_m_12(index_set):
+    _assert_no_report_changes_without_the_reuse(get_context(12), [index_set])
 
 
-def test_there_are_39_two_pair_sets_at_m_12_and_66_at_m_16():
+def test_no_reuse_changes_a_report_over_three_pairs():
+    ctx = get_context(12)
+    _assert_no_report_changes_without_the_reuse(ctx, [parse_index_set(ctx, "(1,6),(3,6),(5,6)")])
+
+
+def test_there_are_39_two_pair_and_91_three_pair_sets_at_m_12_and_66_two_pair_sets_at_m_16():
     assert len(TWO_PAIR_SETS) == 39
-    assert len(_two_pair_sets(get_context(16))) == 66
+    assert len(THREE_PAIR_SETS) == 91
+    assert len(_pair_sets(get_context(16), 2)) == 66
 
 
 @pytest.mark.parametrize("index_set", TWO_PAIR_SETS, ids=str)
@@ -170,3 +201,9 @@ def test_every_negative_kernel_submodule_and_quotient_at_m_12(index_set):
 def test_every_case_over_three_pairs():
     ctx = get_context(12)
     _assert_every_report_passes(ctx, [parse_index_set(ctx, "(1,6),(3,6),(5,6)")])
+
+
+@pytest.mark.parametrize("index_set", THREE_PAIR_SETS, ids=str)
+def test_seven_weights_over_every_three_pair_set_at_m_12(index_set):
+    ctx = get_context(12)
+    _assert_every_report_passes(ctx, [index_set], [parse_weight_label(text) for text in SEVEN_WEIGHTS])

@@ -567,6 +567,16 @@ def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
     return len(parts) == 1 and len(parts[0][1]) == 1
 
 
+def _same_action(one: QDModule, other: QDModule) -> bool:
+    """Whether two modules hold the very same degrees and matrices, by object identity.
+
+    A socle that spans its module does (``qdouble.subspace_as_module``); the two induce one module up to
+    basis labels, ``x⊗b`` against ``x⊗[b]``, which no report reads.
+    """
+    shared = ("zdeg", "gdeg", "x_mat", "y_mat", "v_mats", "a_mats")
+    return all(getattr(one, name) is getattr(other, name) for name in shared)
+
+
 def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel) -> SimpleReport:
     """Build the standard module of ``label``, verify every claim about it.
 
@@ -582,7 +592,9 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     * when the index set has more than one pair: for each distinct
       removable pair, the modules induced from the head and from the socle
       of the smaller standard module satisfy the relations and reproduce
-      the head and socle respectively;
+      the head and socle respectively; when that smaller module is simple,
+      its head and socle hold the same matrices (:func:`_same_action`), so
+      one induced module, checked once, serves both sides;
     * when the index set is spherical: the quantum dimension of the simple
       is nonzero exactly when every pair is rigid for the weight.
     """
@@ -610,9 +622,11 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
         for pair in sorted(set(pairs)):
             pos = pairs.index(pair)
             sub_verma = build_verma(ctx, index_set.without(pos), label)
-            from_head = induce_from_simple(ctx, head(sub_verma), pair)
-            from_socle = induce_from_simple(ctx, socle(sub_verma), pair)
-            rec_relations = not check_relations(from_head) and not check_relations(from_socle)
+            sub_head, sub_socle = head(sub_verma), socle(sub_verma)
+            from_head = induce_from_simple(ctx, sub_head, pair)
+            same = _same_action(sub_head, sub_socle)
+            from_socle = from_head if same else induce_from_simple(ctx, sub_socle, pair)
+            rec_relations = not check_relations(from_head) and (same or not check_relations(from_socle))
             rec_head = graded_character(head(from_head)) == head_char
             rec_socle = graded_character(socle(from_socle)) == socle_char
             recursion.append(

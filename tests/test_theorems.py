@@ -279,6 +279,58 @@ def test_the_recursion_check_tells_the_induced_head_from_the_induced_socle(
     assert next(rc for rc in report.recursion if rc.pair == pair).socle_matches
 
 
+def _count_inductions_and_relation_checks(monkeypatch):
+    calls = {"induce_from_simple": 0, "check_relations": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(theorems, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(theorems, name, counted)
+    return calls
+
+
+# Each step over (1,6),(3,6) at m = 12 leaves a singleton standard module.  For e:rho1 both are simple, for
+# M1,2 the one over (1,6) is, for e:chi1 neither is.  A simple one is induced and checked once, for both sides.
+@pytest.mark.parametrize(("label_text", "inductions"), [("e:rho1", 2), ("M1,2", 3), ("e:chi1", 4)])
+def test_a_simple_smaller_standard_module_is_induced_once_for_head_and_socle(
+    ctx12, monkeypatch, label_text, inductions
+):
+    calls = _count_inductions_and_relation_checks(monkeypatch)
+    report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label(label_text))
+    assert report.ok
+    # the standard module is checked once, and each induced module once
+    assert calls == {"induce_from_simple": inductions, "check_relations": 1 + inductions}
+
+
+def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ctx12, monkeypatch):
+    # both smaller standard modules of e:chi3 are simple, and their socles come back here with x negated, in
+    # a matrix of their own: the simple of e:chi4, not the head, so it is induced and checked on its own, and
+    # the socle it induces is told from the true one
+    def socle_with_x_negated(module):
+        soc = socle(module)
+        if module.index_set.size > 1:
+            return soc
+        x = soc.x_mat
+        minus_x = UnitMonomial(ctx12.field, x.rows, [e + ctx12.n for e in x.exps])  # -1 = w^n
+        return QDModule(
+            ctx12, soc.index_set, soc.basis_labels, soc.zdeg, soc.gdeg, minus_x,
+            soc.y_mat, soc.v_mats, soc.a_mats, weight=soc.weight, kind=soc.kind,
+        )
+
+    monkeypatch.setattr(theorems, "socle", socle_with_x_negated)
+    calls = _count_inductions_and_relation_checks(monkeypatch)
+    report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("e:chi3"))
+    assert calls == {"induce_from_simple": 4, "check_relations": 5}
+    assert [rc.pair for rc in report.recursion] == [(1, 6), (3, 6)]
+    for rc in report.recursion:
+        assert rc.relations_ok and rc.head_matches
+        assert rc.socle_matches is False
+    assert report.socle_matches
+    assert report.ok is False
+
+
 def _admissible(ctx, pairs) -> bool:
     try:
         validate_index_set(ctx, pairs)
@@ -418,6 +470,48 @@ def test_rigid_tensor_verification(ctx12):
         verify_rigid_tensor(
             ctx12, iset, parse_weight_label("e:rho3"), parse_weight_label("e:chi1")
         )
+
+
+# Negative control for the rigidity hypothesis of the tensor theorem: verify_rigid_tensor with μ not rigid for
+# the pair.  Lifting only its guard, the first |I| calls of classify_weight, which ask whether μ is rigid, the
+# joint kernel of these products reaches degree -1, and L(μ) ⊗ L(e:chi1) = L(μ) still passes.  Over every
+# non-rigid μ × every λ at (2,3) and at (1,6), 11,794 of 13,244 cases fail, all of them on the joint kernel.
+RIGIDITY_DROPPED = [
+    ("(2,3)", "e:rho1", "M1,2", "joint kernel vectors in degree -1"),
+    ("(2,3)", "Mx:0,0", "e:rho3", "joint kernel vectors in degree -1"),
+    ("(2,3)", "yn:chi1", "Mx:0,1", "joint kernel vectors in degree -1"),
+    ("(1,6)", "e:chi3", "M1,2", "joint kernel vectors in degree -1"),
+    ("(1,6)", "Mxy:1,1", "yn:rho1", "joint kernel vectors in degree -1"),
+    ("(1,6)", "e:rho1", "e:chi3", "joint kernel vectors in degree -1"),
+    ("(2,3)", "e:rho1", "e:chi1", None),
+    ("(1,6)", "e:chi3", "e:chi1", None),
+]
+
+
+@pytest.mark.parametrize(("index_text", "mu_text", "lam_text", "failure"), RIGIDITY_DROPPED)
+def test_the_tensor_theorem_fails_without_a_rigid_factor(ctx12, monkeypatch, index_text, mu_text, lam_text, failure):
+    index_set, mu = parse_index_set(ctx12, index_text), parse_weight_label(mu_text)
+    assert all(classify_weight(ctx12, mu, pair) != RIGID for pair in index_set.pairs)
+    guard, real = [RIGID] * index_set.size, theorems.classify_weight
+    monkeypatch.setattr(
+        theorems, "classify_weight", lambda ctx, label, pair: guard.pop() if guard else real(ctx, label, pair)
+    )
+    if failure is None:
+        verify_rigid_tensor(ctx12, index_set, mu, parse_weight_label(lam_text))
+    else:
+        with pytest.raises(AssertionError, match=failure):
+            verify_rigid_tensor(ctx12, index_set, mu, parse_weight_label(lam_text))
+    assert not guard
+
+
+# With every weight reported rigid, the closed form of the parts of μ ⊗ λ changes too: the character of
+# L(μ) ⊗ L(e:chi1) = L(μ), which passes above, now differs from the prediction of μ alone in degree 0.
+@pytest.mark.parametrize(("index_text", "mu_text"), [("(2,3)", "e:rho1"), ("(2,3)", "yn:chi1"), ("(1,6)", "e:chi3")])
+def test_the_tensor_character_check_fails_when_every_weight_is_called_rigid(ctx12, monkeypatch, index_text, mu_text):
+    monkeypatch.setattr(theorems, "classify_weight", lambda ctx, label, pair: RIGID)
+    index_set, mu, trivial = parse_index_set(ctx12, index_text), parse_weight_label(mu_text), parse_weight_label("e:chi1")
+    with pytest.raises(AssertionError, match=r"(?s)character .* differs from predicted \[0\] " + mu_text):
+        verify_rigid_tensor(ctx12, index_set, mu, trivial)
 
 
 def test_verify_simple_checks_the_recursion_once_per_distinct_pair(ctx12):
