@@ -173,15 +173,6 @@ class CyclotomicField:
             out.append(tuple(cur))
         return out
 
-    def conjugate_coords(self, coords: Sequence[int]) -> list[int]:
-        """Coordinates of the complex conjugate, the image under w -> w^-1."""
-        out = [0] * self.degree
-        for a, c in enumerate(coords):
-            if c:
-                for t, e in enumerate(self._zeta_pows[-a % self.m].coords):
-                    out[t] += c * e
-        return out
-
     def zeta(self, exponent: int = 1) -> CycNum:
         """The root of unity w raised to the given exponent."""
         return self._zeta_pows[exponent % self.m]

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -574,9 +575,12 @@ class _Member(NamedTuple):
     ``weights[c]`` dotted with the trace vector of a module on the class
     representative g (:func:`_trace_vector`) gives coordinate c of
     ``|C(g)|`` times the multiplicity of the member in the module.
-    ``trace`` is the member's own trace vector.  The
-    trace vector of a module is the sum of its summands' trace vectors, each
-    taken its multiplicity times, which :func:`decomposition_counts` checks.
+    ``trace`` is the member's own trace vector.  Both are built from the
+    member's exponent counts (:func:`_trace_counts`) by
+    :func:`_catalog_characters`; :func:`decomposition_counts` reads them
+    as coordinates.  The trace vector of a module is the sum of its
+    summands' trace vectors, each taken its multiplicity times, which
+    :func:`decomposition_counts` checks.
     """
 
     index: int
@@ -611,10 +615,11 @@ def _class_data(ctx: DihedralContext) -> list[_ClassData]:
     return classes
 
 
-def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> list[int]:
-    """Traces of the orbit representatives on the block of basis vectors of degree g.
+def _trace_counts(module: QDModule, cls: _ClassData, block: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Traces of the orbit representatives on the block of basis vectors of degree g, as exponent counts.
 
-    Returned as the concatenated integer coordinates of the traces.  The
+    Returned as ``{(orbit position, e): number of w^e terms}``; the trace of
+    an orbit is the sum of w^e over its counts.  The
     element ``x^a y^b`` acts as ``X^a Y^b``, and X and Y are held as row
     maps and exponents of powers of w (see :class:`QDModule`), so the traces
     come from the y-cycles of the block, walked in exponents.
@@ -625,9 +630,9 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> li
     e_j = w^(P (b div L)) Y^(b mod L) e_j``.  So e_j adds w^(P b/L) to the
     trace of y^b for each multiple b of L, and to that of x y^b the entry of
     X that takes Y^b e_j back to e_j, if there is one.  The terms are
-    counted by exponent, and the counts become coordinates once at the end.
+    counted by exponent.
     """
-    field, m = module.ctx.field, module.ctx.m
+    m = module.ctx.m
     x_rows, x_exps = module.x_mat.rows, module.x_mat.exps
     y_rows, y_exps = module.y_mat.rows, module.y_mat.exps
     rotations: dict[int, list[int]] = {}  # b: the positions of the orbits of y^b
@@ -665,9 +670,20 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> li
             if t < length and x_rows[path[t]] == j:
                 key = (pos, (x_exps[path[t]] + sums[t] + turns * cycle) % m)
                 counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> list[int]:
+    """Traces of the orbit representatives on the block, as concatenated integer coordinates.
+
+    :func:`decomposition_counts` dots this vector with the members' weight
+    rows.  The exponent counts of :func:`_trace_counts` become coordinates
+    once, here.
+    """
+    field = module.ctx.field
     degree = field.degree
     vector = [0] * (degree * len(cls.orbits))
-    for (pos, e), count in counts.items():
+    for (pos, e), count in _trace_counts(module, cls, block).items():
         for t, c in enumerate(field.zeta(e).coords, pos * degree):
             if c:
                 vector[t] += count * c
@@ -691,20 +707,51 @@ def _catalog_characters(
     the orbit, a module V with trace T at h contributes
     ``same * T conj(t) + inverse * conj(T) t`` to ``|C(g)|`` times the
     multiplicity of S, so the orbit's weights pair coordinate a of T with the
-    coordinates of ``same * conj(t) w^a + inverse * t w^-a``.  Traces are
-    sums of powers of w, so the weights are integers.
+    coordinates of ``same * conj(t) w^a + inverse * t w^-a``.
 
-    The Gram matrix of the members of each class, the traces of one against
-    the weights of the other, must be the identity: Schur orthonormality.
+    All of it is read from exponent counts (:func:`_trace_counts`).  With t
+    the sum of ``c_f w^f``, weight column a is the sum of
+    ``c_f (same * w^(a-f) + inverse * w^(f-a))``, integers taken from one
+    table of the sparse coordinates of each w^e; an orbit's rows and trace
+    coordinates are made once per (counts, same, inverse) met.  The Gram
+    matrix of the members of each class, the traces of one against the
+    weights of the other, must be the identity: Schur orthonormality.  Each
+    entry is the orbit sum above gathered as integer counts per exponent
+    (``e - f`` for ``same``, ``f - e`` for ``inverse``), turned into
+    coordinates once per pair of members and compared in every coordinate.
 
     Raises:
         AssertionError: if the characters are not orthonormal.
     """
-    field = ctx.field
+    field, m = ctx.field, ctx.m
     degree = field.degree
+    # the nonzero (coordinate, value) of each power w^e
+    powers = [[(c, v) for c, v in enumerate(field.zeta(e).coords) if v] for e in range(m)]
+    # (counts, same, inverse): an orbit's weight rows and trace coordinates
+    orbit_parts: dict[tuple, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
+
+    def orbit_part(
+        counts: tuple[tuple[int, int], ...], same: int, inverse: int
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        part = orbit_parts.get((counts, same, inverse))
+        if part is None:
+            rows = [[0] * degree for _ in range(degree)]
+            trace = [0] * degree
+            for f, count in counts:
+                for c, v in powers[f]:
+                    trace[c] += count * v
+                for a in range(degree):
+                    for c, v in powers[(a - f) % m]:
+                        rows[c][a] += same * count * v
+                    for c, v in powers[(f - a) % m]:
+                        rows[c][a] += inverse * count * v
+            part = orbit_parts[counts, same, inverse] = (tuple(map(tuple, rows)), tuple(trace))
+        return part
+
     characters: dict[int, list[_Member]] = {}
     for cls in _class_data(ctx):
         members: list[_Member] = []
+        member_counts: list[list[tuple[tuple[int, int], ...]]] = []
         for index, label in enumerate(labels):
             module = modules[label]
             support = frozenset(module.gdeg)
@@ -715,17 +762,29 @@ def _catalog_characters(
             block = _blocks(module).get(cls.rep)
             if block is None:
                 raise AssertionError(f"{label} has no basis vector in degree {ctx.group.name(cls.rep)}")
-            vector = _trace_vector(module, cls, block)
-            columns: list[tuple[int, ...]] = []
-            for pos, (_, same, inverse) in enumerate(cls.orbits):
-                trace = vector[pos * degree : (pos + 1) * degree]
-                plain = field.zeta_multiples([same * c for c in field.conjugate_coords(trace)])
-                flipped = field.zeta_multiples([inverse * c for c in trace])
-                columns += [tuple(map(add, plain[a], flipped[-a])) for a in range(degree)]
-            members.append(_Member(index, label, module.dim, tuple(zip(*columns)), tuple(vector)))
-        for member in members:
-            for other in members:
-                gram = [sum(map(mul, member.trace, row)) for row in other.weights]
+            by_orbit: list[list[tuple[int, int]]] = [[] for _ in cls.orbits]
+            for (pos, e), count in sorted(_trace_counts(module, cls, block).items()):
+                by_orbit[pos].append((e, count))
+            counts = list(map(tuple, by_orbit))
+            parts = [orbit_part(terms, same, inverse) for terms, (_, same, inverse) in zip(counts, cls.orbits)]
+            rows = tuple(map(tuple, map(chain.from_iterable, zip(*(orbit_rows for orbit_rows, _ in parts)))))
+            trace = tuple(chain.from_iterable(orbit_trace for _, orbit_trace in parts))
+            members.append(_Member(index, label, module.dim, rows, trace))
+            member_counts.append(counts)
+        for member, counts in zip(members, member_counts):
+            for other, other_counts in zip(members, member_counts):
+                # the pair's inner product as integer counts of each power of w
+                exponents = [0] * m
+                for (_, same, inverse), terms, other_terms in zip(cls.orbits, counts, other_counts):
+                    for e, count in terms:
+                        for f, other_count in other_terms:
+                            product = count * other_count
+                            exponents[(e - f) % m] += same * product
+                            exponents[(f - e) % m] += inverse * product
+                gram = [0] * degree
+                for e, count in enumerate(exponents):
+                    for c, v in powers[e] if count else ():
+                        gram[c] += count * v
                 expected = [cls.order if other is member else 0] + [0] * (degree - 1)
                 if gram != expected:
                     raise AssertionError(

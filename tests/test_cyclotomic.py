@@ -41,7 +41,7 @@ def test_minimal_polynomial_order_twelve():
 
 
 @given(st.sampled_from([6, 8, 12, 16]), st.lists(st.integers(-5, 5), min_size=8, max_size=8))
-def test_coordinate_rotations_and_conjugation_match_field_products(m, raw):
+def test_coordinate_rotations_match_field_products(m, raw):
     field = get_field(m)
     coords = tuple(raw[: field.degree])
     value = CycNum(field, coords, 1)
@@ -49,11 +49,6 @@ def test_coordinate_rotations_and_conjugation_match_field_products(m, raw):
     assert len(multiples) == m
     for b, row in enumerate(multiples):
         assert row == (value * field.zeta(b)).coords
-    # conjugation is the field automorphism w -> w^-1
-    conj = CycNum(field, tuple(field.conjugate_coords(coords)), 1)
-    expected = sum((field.zeta(-a) * c for a, c in enumerate(coords)), field.zero)
-    assert conj == expected
-    assert field.conjugate_coords(conj.coords) == list(coords)
 
 
 @given(

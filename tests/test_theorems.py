@@ -514,6 +514,40 @@ def test_the_tensor_character_check_fails_when_every_weight_is_called_rigid(ctx1
         verify_rigid_tensor(ctx12, index_set, mu, trivial)
 
 
+def test_the_socle_check_fails_with_the_split_rules_half_turn_flip(ctx12, monkeypatch):
+    # predicted_reflection_split flips s by t at the half-turn i = n; the socle rule has no such flip.
+    # Adding it to mu's s parameter must fail socle_formula exactly on the half-turn cases with t = 1.
+    real = theorems.predicted_socle_top
+
+    def with_half_turn_flip(ctx, index_set, label):
+        top, z0 = real(ctx, index_set, label)
+        if label.is_reflection_type:
+            (i, _), = index_set.pairs
+            flip = label.params[1] if i == ctx.n else 0
+            s, t = top.params
+            top = theorems._reflection_label(0 if top.family == "Mx" else 1, s + flip, t)
+        return top, z0
+
+    monkeypatch.setattr(theorems, "predicted_socle_top", with_half_turn_flip)
+    reflections = [label for label in all_weight_labels(ctx12) if label.is_reflection_type]
+    failed, passed = set(), set()
+    for i, k in valid_pairs(ctx12):
+        index_set = parse_index_set(ctx12, f"({i},{k})")
+        for label in reflections:
+            report = verify_simple(ctx12, index_set, label)
+            if report.ok:
+                passed.add(((i, k), str(label)))
+            else:
+                failed.add(((i, k), str(label)))
+                assert [name for name, ok in report.to_json_obj()["checks"].items() if ok is False] == ["socle_formula"]
+    half_turn_t1 = {
+        ((6, k), text) for k in (1, 3, 5, 7, 9, 11) for text in ("Mx:0,1", "Mx:1,1", "Mxy:0,1", "Mxy:1,1")
+    }
+    assert failed == half_turn_t1
+    assert len(passed) == 24 + 56
+    assert sum(pair[0] == ctx12.n for pair, _ in passed) == 24
+
+
 def test_verify_simple_checks_the_recursion_once_per_distinct_pair(ctx12):
     report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(1,6),(3,6)"), parse_weight_label("e:chi1"))
     assert [check.pair for check in report.recursion] == [(1, 6), (3, 6)]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from operator import add, mul
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from dihedral_doubles.nichols import parse_index_set, validate_index_set, valid_
 from dihedral_doubles.qdouble import build_verma, head, socle
 from dihedral_doubles.weights import (
     WeightLabel,
+    _Member,
     _blocks,
     _catalog_characters,
     _class_data,
@@ -207,6 +209,79 @@ def test_catalog_check_rejects_a_repeated_or_reducible_member(ctx12):
         broken[parse_weight_label(label)] = stand_in
         with pytest.raises(AssertionError, match="not orthonormal"):
             _catalog_characters(ctx12, labels, broken)
+
+
+def _coordinate_characters(ctx, labels, modules):
+    """The reference for ``_catalog_characters``: weight rows and Gram matrix in field coordinates.
+
+    Each orbit's weight column a holds the coordinates of ``same * conj(t) w^a``
+    plus those of ``inverse * t w^-a``, taken from ``zeta_multiples`` of the
+    conjugated trace and of the trace.  The Gram matrix is d dot products of
+    one member's trace vector with the other's weight rows, for every pair
+    of members of a class.
+    """
+    field = ctx.field
+    degree = field.degree
+    characters = {}
+    for cls in _class_data(ctx):
+        members = []
+        for index, label in enumerate(labels):
+            module = modules[label]
+            block = _blocks(module).get(cls.rep)
+            if block is None:
+                continue
+            vector = _trace_vector(module, cls, block)
+            columns = []
+            for pos, (_, same, inverse) in enumerate(cls.orbits):
+                trace = vector[pos * degree : (pos + 1) * degree]
+                conjugate = sum((field.zeta(-a) * c for a, c in enumerate(trace)), field.zero).coords
+                plain = field.zeta_multiples([same * c for c in conjugate])
+                flipped = field.zeta_multiples([inverse * c for c in trace])
+                columns += [tuple(map(add, plain[a], flipped[-a])) for a in range(degree)]
+            members.append(_Member(index, label, module.dim, tuple(zip(*columns)), tuple(vector)))
+        for member in members:
+            for other in members:
+                gram = [sum(map(mul, member.trace, row)) for row in other.weights]
+                expected = [cls.order if other is member else 0] + [0] * (degree - 1)
+                assert gram == expected, f"{member.label} and {other.label} are not orthonormal"
+        characters[cls.rep] = members
+    return characters
+
+
+def assert_catalog_matches_the_coordinate_reference(m):
+    """Every member's weight rows and trace vector, class by class, equal the reference's."""
+    ctx = DihedralContext(m)
+    catalog = weight_catalog(ctx)
+    modules = {label: catalog.module(label) for label in catalog.labels}
+    reference = _coordinate_characters(ctx, catalog.labels, modules)
+    assert list(catalog.characters) == list(reference)
+    for rep, members in catalog.characters.items():
+        for member, expected in zip(members, reference[rep], strict=True):
+            assert type(member) is _Member
+            assert member == expected, f"{member.label} on the class of {ctx.group.name(rep)}"
+
+
+@pytest.mark.parametrize("m", [12, 16, 20])
+def test_catalog_members_match_the_coordinate_reference(m):
+    assert_catalog_matches_the_coordinate_reference(m)
+
+
+def test_the_catalog_gram_counts_both_halves_of_each_orbit(ctx12):
+    # On the class of y^i, 0 < i < n, the centraliser is the rotation group, so y^b and y^-b
+    # (0 < b < n) form one orbit: its same half and its inverse half.  The members there, M<i>,<k>,
+    # have one basis vector in degree y^i, so each trace is one power of w and a member's norm
+    # counts every element of C(g) once: m with both halves, n + 1 with the same halves alone.
+    n = ctx12.n
+    catalog = weight_catalog(ctx12)
+    for cls in _class_data(ctx12):
+        if 0 < cls.rep < n:
+            assert cls.orbits == tuple((b, 1, int(0 < b < n)) for b in range(n + 1))
+            assert sum(same + inverse for _, same, inverse in cls.orbits) == cls.order == ctx12.m
+            members = catalog.characters[cls.rep]
+            assert [str(member.label) for member in members] == [f"M{cls.rep},{k}" for k in range(ctx12.m)]
+            assert all(_blocks(catalog.module(member.label))[cls.rep] == [0] for member in members)
+    modules = {label: catalog.module(label) for label in catalog.labels}
+    assert _catalog_characters(ctx12, catalog.labels, modules) == catalog.characters
 
 
 def _hom_space_counts(ctx, module):
