@@ -7,9 +7,7 @@ over one positive denominator in lowest terms, so equality is literal tuple
 equality and nothing is ever rounded.  A value that equals a power w^k is
 the field's one copy of it, tagged with k, so products and inverses of
 roots of unity add exponents.  Matrices store one dict of nonzero
-entries per column.  A matrix with at most one entry per column, such as
-a raising letter of a standard module, also has a monomial view, its row
-map and its entries, read off the columns.  The group action, an
+entries per column, and nothing derived from them.  The group action, an
 invertible monomial matrix with powers of w as entries, is held as integer
 row maps and exponents alone (:class:`UnitMonomial`), and its products
 are integer arithmetic.  All elimination goes through
@@ -477,9 +475,6 @@ class CycNum:
 
 
 VecDict = dict[int, CycNum]
-# The view of a monomial matrix: per column, the row of its one entry and the
-# entry, or None and None for an empty column.
-MonomialView = tuple[list[int | None], list[CycNum | None]]
 
 
 class CycMatrix:
@@ -490,53 +485,22 @@ class CycMatrix:
     column dicts are.  The columns are shared, never copied: treat the
     result of :meth:`sparse_columns` as read-only.
 
-    A matrix with at most one entry per column, a monomial matrix, also has
-    a view (:meth:`monomial`): its row map and its entries, which may be any
-    nonzero field elements, read off the columns on first use.  The letter
-    relation checks of ``qdouble`` read it.  There is no matrix product, sum
-    or negation: relation checks decide them column by column (``qdouble``),
-    and the group action, whose products are formed, is a
-    :class:`UnitMonomial`.
+    There is no matrix product, sum or negation: relation checks decide them
+    column by column (``qdouble``), and the group action, whose products are
+    formed, is a :class:`UnitMonomial`.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_columns", "_monomial")
+    __slots__ = ("field", "nrows", "ncols", "_columns")
 
     def __init__(self, field: CyclotomicField, columns: list[VecDict], nrows: int) -> None:
         self.field = field
         self.nrows = nrows
         self.ncols = len(columns)
         self._columns = columns
-        # None until first read; False for a matrix that is not monomial
-        self._monomial: MonomialView | bool | None = None
 
     @classmethod
     def from_column_dicts(cls, field: CyclotomicField, cols: Sequence[VecDict], nrows: int) -> CycMatrix:
         return cls(field, [{i: x for i, x in col.items() if x} for col in cols], nrows)
-
-    def monomial(self) -> MonomialView | None:
-        """The row map and entries of a matrix with at most one entry per column, else None.
-
-        ``rows[j]`` is the row of column j's entry and ``vals[j]`` the entry,
-        both None for an empty column.  Computed once; treat it as read-only.
-        """
-        view = self._monomial
-        if view is None:
-            rows: list[int | None] = []
-            vals: list[CycNum | None] = []
-            view = (rows, vals)
-            for col in self._columns:
-                if not col:
-                    rows.append(None)
-                    vals.append(None)
-                elif len(col) == 1:
-                    ((i, x),) = col.items()
-                    rows.append(i)
-                    vals.append(x)
-                else:
-                    view = False
-                    break
-            self._monomial = view
-        return view or None
 
     def sparse_columns(self) -> list[VecDict]:
         """The columns: one dict of nonzero entries per column."""
@@ -609,14 +573,16 @@ class UnitMonomial:
         None when a column is empty or has two entries, when two columns
         share a row, or when an entry is no power of w.
         """
-        view = mat.monomial()
-        if view is None:
+        rows, exps = [], []
+        for col in mat.sparse_columns():
+            if len(col) != 1:
+                return None
+            ((i, val),) = col.items()
+            rows.append(i)
+            exps.append(val.unit)
+        if len(set(rows)) != len(rows) or None in exps:
             return None
-        rows, vals = view
-        if None in rows or len(set(rows)) != len(rows):
-            return None
-        exps = [val.unit for val in vals]
-        return None if None in exps else cls(mat.field, rows, exps)
+        return cls(mat.field, rows, exps)
 
     def matrix(self) -> CycMatrix:
         """The same matrix as a :class:`CycMatrix`."""

@@ -8,10 +8,12 @@ an integer grading (the letter count, nonpositive) and the group grading.
 :func:`check_relations` checks the group part as ``weights`` does, then the
 letters.  Each letter relation is an exact equality of two matrix
 expressions, decided column by column without building a product, a sum
-or a cross-term matrix: on the row maps and exponents of x and y and the
-monomial views of the letters, with tagged entries compared by exponent,
-and where a letter has no view, such as a lowering letter with two
-entries in a column, by walking that column's few entries.  The cross
+or a cross-term matrix.  The products with x and y read the row maps and
+exponents of x and y and the letters' sparse columns, on one path.  The
+brackets of letters read each letter's row map and entries, a view that
+:func:`check_relations` builds once per letter, and walk a column's few
+entries where a letter has none, such as a lowering letter with two
+entries in a column.  Tagged entries compare by exponent.  The cross
 terms are read column by column from the group degrees and the row map
 and exponents of a power of y.
 
@@ -344,7 +346,8 @@ def check_relations(module: QDModule) -> list[str]:
     :func:`_products_equal`), all anticommutators among raising letters,
     among lowering letters, and the mixed ones, where the same-pair bracket
     must equal the cross term read by :func:`_cross_term` and distinct
-    pairs must anticommute (decided by :func:`_bracket_equals`).  A letter's
+    pairs must anticommute (decided by :func:`_bracket_equals`, on each
+    letter's :func:`_letter_view`, built once here).  A letter's
     bracket with itself is checked as A^2 = 0.  Each check is an exact
     equality on this module, decided column by column with no product, sum
     or cross-term matrix built, and the failures are listed in that order.
@@ -374,21 +377,22 @@ def check_relations(module: QDModule) -> list[str]:
         if not _products_equal(y, mat, mat, y, sign * k if kind == "v" else -sign * k):
             failures.append(f"y does not scale {name} as expected")
 
+    views = {key: _letter_view(mat) for key, mat in letters.items()}
     # a letter is bracketed with itself, as the same matrix, only to check A^2 = 0
     v_keys = sorted(module.v_mats, key=lambda key: (key[0], -key[1]))
     a_keys = sorted(module.a_mats, key=lambda key: (key[0], -key[1]))
     for idx, ka in enumerate(v_keys):
         for kb in v_keys[idx:]:
-            if not _bracket_equals(module.v_mats[ka], module.v_mats[kb], None):
+            if not _bracket_equals(module.v_mats[ka], module.v_mats[kb], None, views[("v", ka)], views[("v", kb)]):
                 failures.append(f"raising letters {ka} and {kb} do not anticommute")
     for idx, ka in enumerate(a_keys):
         for kb in a_keys[idx:]:
-            if not _bracket_equals(module.a_mats[ka], module.a_mats[kb], None):
+            if not _bracket_equals(module.a_mats[ka], module.a_mats[kb], None, views[("a", ka)], views[("a", kb)]):
                 failures.append(f"lowering letters {ka} and {kb} do not anticommute")
     for ka in a_keys:
         for kb in v_keys:
             cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1]) if ka[0] == kb[0] else None
-            if not _bracket_equals(module.a_mats[ka], module.v_mats[kb], cross):
+            if not _bracket_equals(module.a_mats[ka], module.v_mats[kb], cross, views[("a", ka)], views[("v", kb)]):
                 failures.append(f"mixed bracket of a{ka} with v{kb} does not match the cross term")
     return failures
 
@@ -397,34 +401,27 @@ def _products_equal(a: UnitMonomial, b: CycMatrix, c: CycMatrix, d: UnitMonomial
     """Whether ``a b == w^shift c d``, column by column, with no product matrix built.
 
     a and d are group-likes: x, y or the pivot of a module, held as row maps
-    and exponents (see ``weights.QDModule``); b and c are letters.  Column j
-    of ``c d`` is ``w^d_exps[j]`` times column ``d_rows[j]`` of c.  On the
-    letters' monomial views column j of ``a b`` is ``w^a_exps[r] b_vals[j]``
-    in row ``a_rows[r]``, r = ``b_rows[j]``, or empty; tagged letter
-    entries compare by exponent sums mod m, and an untagged one as a field
-    element.  If a letter has no view, each side's column j is walked from
-    its sparse columns.
+    and exponents (see ``weights.QDModule``); b and c are letters, read from
+    their sparse columns.  Column j of ``a b`` holds ``w^a_exps[r] y`` in row
+    ``a_rows[r]`` for each entry y of b's column j in row r, and column j of
+    ``c d`` is ``w^d_exps[j]`` times column ``d_rows[j]`` of c.  a's row map
+    is one to one, so the two columns are equal when they have as many
+    entries and each entry of the first meets one of the second in its row.
+    Two tagged entries compare by exponent sums mod m, any other pair as
+    field elements.
     """
     field = b.field
     m, zeta = field.m, field.zeta
     a_rows, a_exps, d_rows, d_exps = a.rows, a.exps, d.rows, d.exps
-    views = (b.monomial(), c.monomial())
-    if not all(views):
-        c_cols = c.sparse_columns()
-        for j, b_col in enumerate(b.sparse_columns()):
-            scale = zeta(shift + d_exps[j])
-            left = {a_rows[r]: zeta(a_exps[r]) * val for r, val in b_col.items()}
-            if left != {i: scale * val for i, val in c_cols[d_rows[j]].items()}:
-                return False
-        return True
-    (b_rows, b_vals), (c_rows, c_vals) = views
-    for j, r in enumerate(b_rows):
-        s = d_rows[j]
-        i = None if r is None else a_rows[r]
-        if i != c_rows[s]:
+    c_cols = c.sparse_columns()
+    for j, b_col in enumerate(b.sparse_columns()):
+        c_col = c_cols[d_rows[j]]
+        if len(b_col) != len(c_col):
             return False
-        if i is not None:
-            y, p = b_vals[j], c_vals[s]
+        for r, y in b_col.items():
+            p = c_col.get(a_rows[r])
+            if p is None:
+                return False
             uy, up = y.unit, p.unit
             if uy is None or up is None:
                 if y != p * zeta(shift + d_exps[j] - a_exps[r]):
@@ -434,19 +431,48 @@ def _products_equal(a: UnitMonomial, b: CycMatrix, c: CycMatrix, d: UnitMonomial
     return True
 
 
-def _bracket_equals(a: CycMatrix, b: CycMatrix, cross: Callable[[int], VecDict] | None) -> bool:
+# The row map and entries of a letter with at most one entry per column: per
+# column, the row of its entry and the entry, or None and None when it is empty.
+LetterView = tuple[list[int | None], list[CycNum | None]]
+
+
+def _letter_view(mat: CycMatrix) -> LetterView | None:
+    """The row map and entries of a letter, or None if a column has two entries."""
+    rows: list[int | None] = []
+    vals: list[CycNum | None] = []
+    for col in mat.sparse_columns():
+        if not col:
+            rows.append(None)
+            vals.append(None)
+        elif len(col) == 1:
+            ((i, x),) = col.items()
+            rows.append(i)
+            vals.append(x)
+        else:
+            return None
+    return rows, vals
+
+
+def _bracket_equals(
+    a: CycMatrix,
+    b: CycMatrix,
+    cross: Callable[[int], VecDict] | None,
+    a_view: LetterView | None,
+    b_view: LetterView | None,
+) -> bool:
     """Whether ``a b + b a`` equals the target read by ``cross``, column by column, with no matrix built.
 
     ``cross`` maps j to the target's column j (:func:`_cross_term`); None is
-    the zero target, and ``a is b`` against it checks ``a^2 == 0``.  On the
-    monomial views each term of column j has at most one entry.  Against the
-    zero target both must be empty or cancel in one row: ``x y == -(p q)``,
-    for tagged powers of w an exponent difference of m/2.  Against a cross
-    term the column is compared as field elements.  If an operand has no
-    view, both terms of column j are walked from the sparse columns.
+    the zero target, and ``a is b`` against it checks ``a^2 == 0``.
+    ``a_view`` and ``b_view`` are the operands' :func:`_letter_view`, built
+    once per letter by the caller.  On the views each term of column j has
+    at most one entry.  Against the zero target both must be empty or cancel
+    in one row: ``x y == -(p q)``, for tagged powers of w an exponent
+    difference of m/2.  Against a cross term the column is compared as
+    field elements.  If an operand has no view, both terms of column j are
+    walked from the sparse columns.
     """
     square = a is b and cross is None
-    a_view, b_view = a.monomial(), b.monomial()
     if not (a_view and b_view):
         a_cols = a.sparse_columns()
         for j, b_col in enumerate(b.sparse_columns()):

@@ -163,7 +163,9 @@ class QDModule:
     products, memo keys, cross terms and commutation checks that read x and
     y read integers.  The row maps are checked here, once per module.  The
     letters are :class:`~.cyclotomic.CycMatrix`: they may have columns with
-    two entries, and entries that are no power of w.
+    two entries, and entries that are no power of w.  The relation checks
+    read their columns (``qdouble._products_equal``), and the brackets a
+    row-map view of each letter that ``qdouble.check_relations`` builds.
 
     A module's matrices are read-only once it is built: a submodule that
     spans the whole module shares them (``qdouble.subspace_as_module``), and

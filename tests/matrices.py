@@ -21,6 +21,11 @@ def times(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     return CycMatrix(a.field, [a.apply(col) for col in b.sparse_columns()], a.nrows)
 
 
+def has_two_entry_column(mat: CycMatrix) -> bool:
+    """Whether a column of the matrix holds more than one entry."""
+    return any(len(col) > 1 for col in mat.sparse_columns())
+
+
 def plus(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     """The sum of two matrices of one shape, from their column dicts."""
     columns = [dict(col) for col in a.sparse_columns()]

@@ -13,6 +13,7 @@ from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs
 from dihedral_doubles.qdouble import (
     GradedCharacter,
     _bracket_equals,
+    _letter_view,
     _products_equal,
     build_verma,
     check_relations,
@@ -39,7 +40,7 @@ from dihedral_doubles.weights import (
     parse_weight_label,
     tensor_dd,
 )
-from matrices import diagonal, identity, negated, plus, times, unit_monomials
+from matrices import diagonal, has_two_entry_column, identity, negated, plus, times, unit_monomials
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -123,16 +124,16 @@ def test_a_generator_that_breaks_the_group_grading_is_named_with_its_column(ctx1
         )
 
     j, letter = _moved_to_a_wrong_group_degree(verma, verma.v_mats[(0, 1)], keep)
-    assert (letter.monomial() is None) == keep
+    assert has_two_entry_column(letter) == keep
     broken = with_mats(verma.x_mat, {**verma.v_mats, (0, 1): letter})
     assert f"v(0,+1) breaks the grading at column {j}" in check_relations(broken)
     # an x with an entry moved is singular, and with an entry added not monomial: neither converts, and a
     # row map with two columns in one row is refused
     _, moved = _moved_to_a_wrong_group_degree(verma, verma.x_mat.matrix(), keep)
-    assert (moved.monomial() is None) == keep
+    assert has_two_entry_column(moved) == keep
     assert UnitMonomial.from_matrix(moved) is None
     if not keep:
-        rows, vals = moved.monomial()
+        rows, vals = zip(*(entry for col in moved.sparse_columns() for entry in col.items()))
         with pytest.raises(AssertionError, match="x is not an invertible monomial matrix on a module of kind 'verma'"):
             with_mats(UnitMonomial(ctx12.field, rows, [val.unit for val in vals]), verma.v_mats)
     j, x_mat = _swapped_to_a_wrong_group_degree(verma, verma.x_mat)
@@ -543,7 +544,8 @@ def _bracket_cases(draw):
 @given(_bracket_cases())
 def test_the_bracket_kernel_decides_the_matrix_equality(case):
     a, b, target = case
-    assert _bracket_equals(a, b, _columns_of(target)) == _bracket_reference(a, b, target)
+    found = _bracket_equals(a, b, _columns_of(target), _letter_view(a), _letter_view(b))
+    assert found == _bracket_reference(a, b, target)
 
 
 def _each_entry_moved(mat):
@@ -568,9 +570,10 @@ def test_the_bracket_kernel_reads_the_row_of_every_target_entry(ctx12, iset_text
     y, square = module.y_mat.matrix(), (module.y_mat**2).matrix()
     cases.append((y, y, plus(square, square)))
     for a, b, target in cases:
-        assert target.monomial() is not None and _bracket_equals(a, b, _columns_of(target))
+        assert not has_two_entry_column(target)
+        assert _bracket_equals(a, b, _columns_of(target), _letter_view(a), _letter_view(b))
         for moved in _each_entry_moved(target):
-            assert not _bracket_equals(a, b, _columns_of(moved))
+            assert not _bracket_equals(a, b, _columns_of(moved), _letter_view(a), _letter_view(b))
             assert not _bracket_reference(a, b, moved)
 
 
@@ -1036,7 +1039,7 @@ def test_relations_catch_one_flipped_sign_in_a_lowering_letter(ctx12, key):
     # in this induced module the lowering letters of pair 0 have columns with two entries
     module = induce_from_simple(ctx12, head(_verma(ctx12, "(3,6)", "Mx:0,0")), (1, 6))
     letter = module.a_mats[key]
-    assert (letter.monomial() is None) == (key == (0, 1))
+    assert has_two_entry_column(letter) == (key == (0, 1))
     failures = check_relations(_mutated(module, a_mats={key: _flip_one_sign(letter)}))
     brackets = [line for line in failures if line.startswith(("lowering", "mixed"))]
     if key == (1, 1):

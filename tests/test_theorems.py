@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from dihedral_doubles import get_context, qdouble, theorems
 from dihedral_doubles.cyclotomic import UnitMonomial
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
-from dihedral_doubles.qdouble import build_verma, graded_character, head, induce_from_simple, socle
+from dihedral_doubles.qdouble import (
+    build_verma,
+    check_relations,
+    graded_character,
+    head,
+    induce_from_simple,
+    socle,
+    theta_congruence,
+)
 from dihedral_doubles.theorems import (
     PROJECTIVE,
     REFLECTION,
@@ -360,15 +368,17 @@ def test_verify_simple_holds_on_drawn_two_pair_sets(case):
 
 
 @st.composite
-def index_set_cases(draw, reflection=True):
-    """An order m in {12, 16, 20}, one to three pairs that pass the braiding check, a weight.
+def index_set_cases(draw, reflection=True, four_pairs=False):
+    """An order m in {12, 16, 20}, pairs that pass the braiding check, a weight.
 
-    With ``reflection`` a coin picks the class of the weight, so the few
-    reflection weights of the catalog are drawn as often as the rotation ones.
+    There are one to four pairs at m = 12 and one to three at m = 16 and 20;
+    with ``four_pairs``, m = 12 and exactly four pairs.  With ``reflection``
+    a coin picks the class of the weight, so the few reflection weights of
+    the catalog are drawn as often as the rotation ones.
     """
-    ctx = get_context(draw(st.sampled_from((12, 16, 20))))
+    ctx = get_context(12 if four_pairs else draw(st.sampled_from((12, 16, 20))))
     pairs = [draw(st.sampled_from(valid_pairs(ctx)))]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(3 if four_pairs else draw(st.integers(0, 3 if ctx.m == 12 else 2))):
         pairs.append(draw(st.sampled_from([pair for pair in valid_pairs(ctx) if _admissible(ctx, pairs + [pair])])))
     wanted = reflection and draw(st.booleans())
     label = draw(st.sampled_from([lab for lab in all_weight_labels(ctx) if lab.is_reflection_type == wanted]))
@@ -392,6 +402,17 @@ def test_socle_is_the_simple_of_its_lowest_weight(case):
     ctx, index_set, label = case
     socle_char = graded_character(socle(build_verma(ctx, index_set, label)))
     assert socle_char == _predicted_socle(ctx, index_set, label)
+
+
+@settings(max_examples=10)
+@given(index_set_cases(four_pairs=True))
+def test_four_pair_standard_modules_satisfy_the_relations(case):
+    # the lowering letters of a reflection weight have columns with two
+    # entries here, so the brackets walk them and the products meet them
+    ctx, index_set, label = case
+    verma = build_verma(ctx, index_set, label)
+    assert check_relations(verma) == []
+    assert theta_congruence(verma) == []
 
 
 def test_closed_forms_build_no_standard_module(ctx12, monkeypatch):
