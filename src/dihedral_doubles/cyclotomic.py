@@ -6,7 +6,9 @@ the m-th cyclotomic polynomial.  A value keeps integer numerator coordinates
 over one positive denominator in lowest terms, so equality is literal tuple
 equality and nothing is ever rounded.  A value that equals a power w^k is
 the field's one copy of it, tagged with k, so products and inverses of
-roots of unity add exponents.  Matrices store one dict of nonzero
+roots of unity add exponents.  Arithmetic takes field elements only: sums,
+negatives, products and inverses, with integers entering through
+:meth:`CyclotomicField.from_integer`.  Matrices store one dict of nonzero
 entries per column, and nothing derived from them.  The group action, an
 invertible monomial matrix with powers of w as entries, is held as integer
 row maps and exponents alone (:class:`UnitMonomial`), and its products
@@ -23,7 +25,6 @@ read.  A submodule in ``qdouble`` is one such basis over the whole module.
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
@@ -185,49 +186,6 @@ class CyclotomicField:
         coords[0] = value
         return CycNum(self, tuple(coords), 1)
 
-    def from_fraction(self, value: Fraction | int) -> CycNum:
-        """A rational; integers come from :meth:`from_integer`."""
-        value = Fraction(value)
-        if value.denominator == 1:
-            return self.from_integer(value.numerator)
-        coords = [0] * self.degree
-        coords[0] = value.numerator
-        return CycNum._normalized(self, coords, value.denominator)
-
-    def parse(self, text: str) -> CycNum:
-        """Inverse of ``str`` on field elements; accepts e.g. ``1/2 - 3*w^2``."""
-        stripped = text.replace(" ", "")
-        if not stripped:
-            raise ValueError("empty field element")
-        terms: list[tuple[int, str]] = []
-        sign, start = 1, 0
-        if stripped[0] in "+-":
-            sign = -1 if stripped[0] == "-" else 1
-            start = 1
-        cur = start
-        for pos in range(start, len(stripped) + 1):
-            if pos == len(stripped) or stripped[pos] in "+-":
-                if pos > cur and stripped[pos - 1] in "*/^":
-                    continue  # sign inside an exponent/coefficient is not supported anyway
-                terms.append((sign, stripped[cur:pos]))
-                if pos < len(stripped):
-                    sign = -1 if stripped[pos] == "-" else 1
-                    cur = pos + 1
-        total = self.zero
-        for tsign, term in terms:
-            if not term:
-                raise ValueError(f"malformed field element: {text!r}")
-            if "w" in term:
-                coeff_part, _, tail = term.partition("w")
-                coeff = Fraction(coeff_part.rstrip("*")) if coeff_part.rstrip("*") else Fraction(1)
-                exponent = int(tail[1:]) if tail.startswith("^") else (1 if not tail else None)
-                if exponent is None:
-                    raise ValueError(f"malformed field element: {text!r}")
-                total = total + self.zeta(exponent) * (tsign * coeff)
-            else:
-                total = total + self.from_fraction(tsign * Fraction(term))
-        return total
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CyclotomicField) and other.m == self.m
 
@@ -249,15 +207,17 @@ class CycNum:
     ``unit`` is k exactly when the number equals w^k, and None otherwise:
     every power of w that arithmetic produces is the field's shared power
     table entry, tagged with its exponent.  A result is tagged where it is
-    made: a product, power, negation or inverse of tagged numbers by its
-    exponent, and a sum, a normalised quotient or a parsed value by looking
-    its integer coordinates up in the field's table of powers.  So the products
-    and inverses of roots of unity, which are almost every entry of the
-    group action and the letters, add exponents mod m.  This rule is what
-    makes ``==`` correct: when either side is tagged the two are equal
-    exactly when their tags are, and only two untagged numbers compare
-    coordinates.  The constructor takes the tag as given: it is for
-    coordinates that are no power of w, or whose tag is known.
+    made: a product, negation or inverse of tagged numbers by its exponent,
+    an integer by :meth:`CyclotomicField.from_integer`, and a sum or a
+    normalised value by looking its integer coordinates up in the field's
+    table of powers.  So the products and inverses of roots of unity, which
+    are almost every entry of the group action and the letters, add
+    exponents mod m.  This rule is what makes ``==`` correct: when either
+    side is tagged the two are equal exactly when their tags are, and only
+    two untagged numbers compare coordinates.  The constructor takes the tag
+    as given: it is for coordinates that are no power of w, or whose tag is
+    known.  Every operand is a ``CycNum``: an ``int`` or ``Fraction`` is
+    refused, and compares unequal, rather than converted.
     """
 
     __slots__ = ("field", "coords", "den", "unit")
@@ -293,20 +253,12 @@ class CycNum:
         k = field._exponents.get(coords)
         return CycNum(field, coords, 1) if k is None else field._zeta_pows[k]
 
-    def _coerce(self, other: CycNum | Fraction | int) -> CycNum | None:
-        if isinstance(other, CycNum):
-            if other.field.m != self.field.m:
-                raise ValueError("field elements belong to different cyclotomic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(other)
-        return None
-
-    def __add__(self, other: CycNum | Fraction | int) -> CycNum:
-        o = self._coerce(other)
-        if o is None:
+    def __add__(self, o: CycNum) -> CycNum:
+        if not isinstance(o, CycNum):
             return NotImplemented
         field = self.field
+        if o.field is not field and o.field.m != field.m:
+            raise ValueError("field elements belong to different cyclotomic fields")
         if self.unit is not None and o.unit is not None and (self.unit - o.unit) % field.m == field._half_turn:
             return field.zero  # w^k and -w^k, the cancellation every anticommutator check ends in
         if self.den == 1 and o.den == 1:
@@ -315,8 +267,6 @@ class CycNum:
         fa, fb = o.den // g, self.den // g
         coords = [a * fa + b * fb for a, b in zip(self.coords, o.coords)]
         return CycNum._normalized(field, coords, self.den * fa)
-
-    __radd__ = __add__
 
     def __neg__(self) -> CycNum:
         field = self.field
@@ -328,16 +278,7 @@ class CycNum:
             return field._zeta_pows[(self.unit + field._half_turn) % field.m]
         return CycNum(field, tuple([-c for c in self.coords]), self.den)
 
-    def __sub__(self, other: CycNum | Fraction | int) -> CycNum:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: Fraction | int) -> CycNum:
-        return (-self) + other
-
-    def __mul__(self, other: CycNum | Fraction | int) -> CycNum:
+    def __mul__(self, o: CycNum) -> CycNum:
         """The product; a power of w on either side takes a fast path.
 
         Almost every product in module construction and relation checks has
@@ -347,15 +288,11 @@ class CycNum:
         so the product keeps that operand's denominator and stays in lowest
         terms, and it is no power of w: no gcd and no lookup are needed.
         """
+        if not isinstance(o, CycNum):
+            return NotImplemented
         field = self.field
-        if isinstance(other, CycNum):
-            if other.field is not field and other.field.m != field.m:
-                raise ValueError("field elements belong to different cyclotomic fields")
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
+        if o.field is not field and o.field.m != field.m:
+            raise ValueError("field elements belong to different cyclotomic fields")
         if self.unit is not None:
             if o.unit is not None:
                 return field._zeta_pows[(self.unit + o.unit) % field.m]
@@ -373,8 +310,6 @@ class CycNum:
                 for t, e in column:
                     out[t] += c * e
         return CycNum(field, tuple(out), x.den)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
         """Multiplicative inverse: the other Galois conjugates over the norm.
@@ -411,37 +346,12 @@ class CycNum:
         field._inverses[key] = inverse
         return inverse
 
-    def __truediv__(self, other: CycNum | Fraction | int) -> CycNum:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: Fraction | int) -> CycNum:
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int) -> CycNum:
-        if self.unit is not None:
-            return self.field._zeta_pows[self.unit * exponent % self.field.m]
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result, base = self.field.one, self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def __bool__(self) -> bool:
         return any(self.coords)
 
     def __eq__(self, other: object) -> bool:
-        # Fraction is an ABC, so testing for it costs more than this test
         if not isinstance(other, CycNum):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = self.field.from_fraction(other)
+            return NotImplemented
         if self.field.m != other.field.m:
             return False
         if self.unit is not None or other.unit is not None:
@@ -456,9 +366,10 @@ class CycNum:
         for j, c in enumerate(self.coords):
             if not c:
                 continue
-            mag = Fraction(abs(c), self.den)
+            g = gcd(c, self.den)
+            mag = f"{abs(c) // g}" if g == self.den else f"{abs(c) // g}/{self.den // g}"
             if j == 0:
-                body = str(mag)
+                body = mag
             elif j == 1:
                 body = f"{mag}*w"
             else:

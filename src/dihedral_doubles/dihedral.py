@@ -90,30 +90,6 @@ class DihedralGroup:
             return power or "e"
         return f"x*{power}" if power else "x"
 
-    def parse(self, text: str) -> int:
-        """Inverse of :meth:`name`; the exponent of y is taken mod m."""
-        raw = text.replace(" ", "")
-        if raw == "e":
-            return self.identity
-        refl = 0
-        if raw.startswith("x"):
-            refl = 1
-            raw = raw[1:]
-            if raw.startswith("*"):
-                raw = raw[1:]
-        if not raw:
-            return self.element(refl, 0)
-        if not raw.startswith("y"):
-            raise ValueError(f"malformed group element: {text!r}")
-        raw = raw[1:]
-        if not raw:
-            rot = 1
-        elif raw.startswith("^"):
-            rot = int(raw[1:])
-        else:
-            raise ValueError(f"malformed group element: {text!r}")
-        return self.element(refl, rot)
-
     def __repr__(self) -> str:
         return f"DihedralGroup(m={self.m})"
 

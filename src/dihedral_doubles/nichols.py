@@ -111,10 +111,6 @@ class ExtMonomial:
 
     mask: int
 
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
     def letters(self) -> Iterator[int]:
         mask = self.mask
         while mask:

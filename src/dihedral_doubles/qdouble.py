@@ -881,12 +881,6 @@ class GradedCharacter:
                 layers.append((z, entries))
         return cls(tuple(layers))
 
-    def degrees(self) -> list[int]:
-        return [z for z, _ in self.layers]
-
-    def dimension(self, n: int) -> int:
-        return sum(mult * label.dimension(n) for _, entries in self.layers for label, mult in entries)
-
     def shifted(self, offset: int) -> GradedCharacter:
         return GradedCharacter(tuple((z + offset, entries) for z, entries in self.layers))
 

@@ -529,9 +529,6 @@ class WeightCatalog:
         except KeyError:
             raise KeyError(f"label {label} is not in the catalog for m={self.ctx.m}") from None
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def __contains__(self, label: WeightLabel) -> bool:
         return label in self._modules
 

@@ -49,6 +49,12 @@ def identity(field: CyclotomicField, n: int) -> CycMatrix:
     return diagonal(field, [field.one] * n)
 
 
+def rational(field: CyclotomicField, value: Fraction | int) -> CycNum:
+    """The field element for a rational, normalised and tagged as arithmetic would leave it."""
+    value = Fraction(value)
+    return CycNum._normalized(field, (value.numerator,) + (0,) * (field.degree - 1), value.denominator)
+
+
 def from_rows(field: CyclotomicField, rows: Sequence[Sequence[CycNum | Fraction | int]]) -> CycMatrix:
     """The matrix with these rows, each entry an int, a Fraction or a field element."""
     ncols = len(rows[0]) if rows else 0
@@ -56,7 +62,7 @@ def from_rows(field: CyclotomicField, rows: Sequence[Sequence[CycNum | Fraction 
     for i, row in enumerate(rows):
         assert len(row) == ncols, "ragged rows"
         for j, x in enumerate(row):
-            x = x if isinstance(x, CycNum) else field.from_fraction(x)
+            x = x if isinstance(x, CycNum) else rational(field, x)
             if x:
                 columns[j][i] = x
     return CycMatrix(field, columns, len(rows))

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles.cyclotomic import (
@@ -22,7 +22,7 @@ from dihedral_doubles.cyclotomic import (
     kernel,
 )
 from dihedral_doubles.qdouble import _letter_view
-from matrices import diagonal, from_rows, identity, negated, plus, times, unit_monomials
+from matrices import diagonal, from_rows, identity, negated, plus, rational, times, unit_monomials
 
 
 def _sympy_coeffs(m: int) -> tuple[int, ...]:
@@ -72,8 +72,9 @@ def test_unit_products_match_mul_coords(m, raw, den):
         assert value * unit == expected(unit.coords)
         assert unit * value == expected(unit.coords)
     for sign in (1, -1):
-        assert value * sign == expected(field.from_integer(sign).coords)
-        assert sign * value == expected(field.from_integer(sign).coords)
+        unit = field.from_integer(sign)
+        assert value * unit == expected(unit.coords)
+        assert unit * value == expected(unit.coords)
 
 
 def _power_coords(field, k):
@@ -160,9 +161,9 @@ def test_a_number_is_tagged_exactly_when_it_equals_a_power_of_w(m, k, raw, den, 
     results = [
         CycNum._normalized(field, [c * den for c in power.coords], den),
         CycNum._normalized(field, [-c * den for c in power.coords], -den),
-        check(value + power) - value,
-        power - value + value,
-        value - value,
+        check(value + power) + -value,
+        power + -value + value,
+        value + -value,
         -power,
         -(-power),
         -value,
@@ -171,14 +172,12 @@ def test_a_number_is_tagged_exactly_when_it_equals_a_power_of_w(m, k, raw, den, 
         power * power,
         power.inverse(),
         (-power).inverse(),
-        field.from_fraction(Fraction(sign, den)),
-        field.from_fraction(sign),
-        field.parse(str(power)),
-        field.parse(str(-power)),
-        field.parse(str(value)),
+        rational(field, Fraction(sign, den)),
+        field.from_integer(sign),
     ]
     if value:
-        results += [value.inverse(), value * value.inverse(), check(value * power) * value.inverse(), power / value]
+        inverse = value.inverse()
+        results += [inverse, value * inverse, check(value * power) * inverse, power * inverse]
     for x in results:
         check(x)
 
@@ -186,7 +185,7 @@ def test_a_number_is_tagged_exactly_when_it_equals_a_power_of_w(m, k, raw, den, 
 @st.composite
 def _operands(draw, field):
     """A power of w, its negative, a rational multiple of one, a sum of two, or a number with drawn
-    coordinates: operands whose sums, products, quotients and powers are powers of w often enough."""
+    coordinates: operands whose sums, products and inverses are powers of w often enough."""
     a, b = (field.zeta(draw(st.integers(0, field.m - 1))) for _ in range(2))
     kind = draw(st.sampled_from(("power", "negated", "scaled", "sum", "drawn")))
     if kind == "power":
@@ -194,7 +193,7 @@ def _operands(draw, field):
     if kind == "negated":
         return -a
     if kind == "scaled":
-        return a * draw(st.sampled_from((2, Fraction(1, 2), Fraction(-2, 3))))
+        return a * rational(field, draw(st.sampled_from((2, Fraction(1, 2), Fraction(-2, 3)))))
     if kind == "sum":
         return a + b
     coords = draw(st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree))
@@ -208,12 +207,12 @@ def test_every_result_that_equals_a_power_of_w_carries_its_tag(m, data):
     field = get_field(m)
     exponents = _power_exponents(m)
     x, y = data.draw(_operands(field)), data.draw(_operands(field))
-    exponent = data.draw(st.integers(-4, 4))
-    results = [x + y, x - y, y - x, x * y, -x, (x + y) - y, (x - y) + y, (x * 2) * Fraction(1, 2)]
+    two, half = field.from_integer(2), rational(field, Fraction(1, 2))
+    results = [x + y, x + -y, y + -x, x * y, -x, (x + y) + -y, (x + -y) + y, (x * two) * half, two, half]
     if y:
-        results += [x / y, (x * y) / y, y.inverse(), x * y.inverse(), y**exponent, (x * y) * y.inverse()]
+        results += [y.inverse(), x * y.inverse(), (x * y) * y.inverse()]
     if x:
-        results += [x**exponent, x**2 / x, 1 / x]
+        results += [x.inverse(), (x * x) * x.inverse()]
     for result in results:
         k = exponents.get(result.coords) if result.den == 1 else None
         assert result.unit == k
@@ -225,9 +224,10 @@ def test_zeta_power_reduction():
     field = get_field(12)
     w = field.zeta(1)
     w2 = field.zeta(2)
-    assert w ** 4 == w2 - field.one
-    assert w ** 6 == -field.one
-    assert w ** 12 == field.one
+    w4 = w2 * w2
+    assert w4 == w2 + -field.one
+    assert w4 * w2 == -field.one
+    assert w4 * w4 * w4 == field.one
 
 
 def test_primitive_root_sums_to_zero():
@@ -241,7 +241,7 @@ def test_primitive_root_sums_to_zero():
 def test_inverse_of_binomial():
     field = get_field(12)
     w2 = field.zeta(2)
-    value = w2 - field.one
+    value = w2 + -field.one
     assert value.inverse() == -w2
     assert value * value.inverse() == field.one
 
@@ -273,17 +273,72 @@ def test_zero_has_no_inverse_on_every_call():
 
 def test_rational_value_round_trip():
     field = get_field(12)
-    x = field.from_fraction(Fraction(-7, 3))
+    x = rational(field, Fraction(-7, 3))
     assert not any(x.coords[1:])
     assert Fraction(x.coords[0], x.den) == Fraction(-7, 3)
     assert any((field.zeta(1) + x).coords[1:])
 
 
-def test_str_parse_round_trip():
+def _reference_str(x: CycNum) -> str:
+    """The text form from Fraction coefficients: ``3/7 - 1*w^2``, ``-1/2 + 3/4*w``, ``0``."""
+    terms = []
+    for j, c in enumerate(x.coords):
+        if c:
+            mag = Fraction(abs(c), x.den)
+            terms.append(("-" if c < 0 else "+", f"{mag}" if j == 0 else f"{mag}*w" if j == 1 else f"{mag}*w^{j}"))
+    if not terms:
+        return "0"
+    (sign, first), rest = terms[0], terms[1:]
+    return " ".join([("-" if sign == "-" else "") + first] + [f"{mark} {body}" for mark, body in rest])
+
+
+def test_str_writes_reduced_coefficients():
     field = get_field(12)
-    x = field.from_fraction(Fraction(3, 7)) - field.zeta(2)
+    x = rational(field, Fraction(3, 7)) + -field.zeta(2)
     assert str(x) == "3/7 - 1*w^2"
-    assert field.parse(str(x)) == x
+    assert str(rational(field, Fraction(-1, 2)) + field.zeta(1) * rational(field, Fraction(3, 4))) == "-1/2 + 3/4*w"
+
+
+@example(12, [0] * 32, 1)  # zero
+@example(12, [-3, 1, 0, 2] + [0] * 28, 6)  # negative first coefficient, w, w^3, mixed denominators
+@example(32, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -5] + [0] * 16, 10)  # w^15 alone
+@given(
+    st.integers(12, 32),
+    st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5, 12)), min_size=32, max_size=32),
+    st.integers(1, 12),
+)
+def test_str_matches_a_fraction_reference(m, raw, den):
+    field = get_field(m)
+    x = CycNum._normalized(field, raw[: field.degree], den)
+    assert str(x) == _reference_str(x)
+    assert repr(x) == f"CycNum({m}, {_reference_str(x)!r})"
+
+
+def test_arithmetic_takes_only_field_elements():
+    field = get_field(12)
+    one = field.one
+    refused = [
+        lambda: one + 1,
+        lambda: 1 + one,
+        lambda: 2 * one,
+        lambda: one * 2,
+        lambda: one * Fraction(1, 2),
+        lambda: one / one,
+        lambda: one - one,
+        lambda: one**2,
+    ]
+    for combine in refused:
+        with pytest.raises(TypeError):
+            combine()
+    # a comparison with a number that is no field element is False, never an error
+    assert (one == 1) is False and (one != 1) is True
+    assert (field.zero == 0) is False and (one == Fraction(1)) is False
+    # elements of two fields do not combine, and are unequal even with equal coordinates
+    other = get_field(8).one
+    for combine in (lambda: one + other, lambda: one * other, lambda: other * one):
+        with pytest.raises(ValueError, match="different cyclotomic fields"):
+            combine()
+    assert one != other and one.coords == other.coords
 
 
 coeff = st.integers(min_value=-30, max_value=30)
@@ -293,7 +348,7 @@ denom = st.integers(min_value=1, max_value=12)
 def _num(field, coords, den) -> CycNum:
     total = field.zero
     for power, c in enumerate(coords):
-        total = total + field.zeta(power) * Fraction(c, den)
+        total = total + field.zeta(power) * rational(field, Fraction(c, den))
     return total
 
 
@@ -312,7 +367,7 @@ def test_field_axioms_hold(a, b, c, p, q):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    assert x - x == field.zero
+    assert x + -x == field.zero
     assert x * field.one == x
 
 
@@ -448,25 +503,25 @@ _SCALARS = (0, 0, 0, 1, -1, 2, Fraction(-1, 3))
 
 
 @st.composite
-def _factor(draw, field, nrows, ncols, rational):
+def _factor(draw, field, nrows, ncols, rational_only):
     cols = []
     for _ in range(ncols):
         col = {}
         for i in range(nrows):
             c = draw(st.sampled_from(_SCALARS))
-            if c and rational:
-                col[i] = field.from_fraction(c)
+            if c and rational_only:
+                col[i] = rational(field, c)
             elif c:
-                col[i] = field.zeta(draw(st.integers(0, field.m - 1))) * c
+                col[i] = field.zeta(draw(st.integers(0, field.m - 1))) * rational(field, c)
         cols.append(col)
     return CycMatrix(field, cols, nrows)
 
 
 @st.composite
-def sparse_matrices(draw, rational=False):
+def sparse_matrices(draw, rational_only=False):
     field = get_field(draw(st.sampled_from((12, 16))))
     nrows, ncols, inner = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    mat = times(draw(_factor(field, nrows, inner, rational)), draw(_factor(field, inner, ncols, rational)))
+    mat = times(draw(_factor(field, nrows, inner, rational_only)), draw(_factor(field, inner, ncols, rational_only)))
     zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
     cols = [
@@ -524,7 +579,7 @@ def test_reduce_finds_a_vector_in_the_span_exactly_when_the_rank_does_not_grow(m
         assert mat.apply(sol) == b
 
 
-@given(sparse_matrices(rational=True))
+@given(sparse_matrices(rational_only=True))
 def test_reduced_rows_match_sympy_on_rational_matrices(mat):
     field = mat.field
     dense = [[0] * mat.ncols for _ in range(mat.nrows)]
@@ -537,7 +592,7 @@ def test_reduced_rows_match_sympy_on_rational_matrices(mat):
     assert basis.pivots == list(pivots)
     for r, row in enumerate(basis.rows):
         expected = {
-            j: field.from_fraction(Fraction(int(reduced[r, j].p), int(reduced[r, j].q)))
+            j: rational(field, Fraction(int(reduced[r, j].p), int(reduced[r, j].q)))
             for j in range(mat.ncols)
             if reduced[r, j] != 0
         }
@@ -556,7 +611,7 @@ def test_echelon_basis_does_not_depend_on_insertion_order(mat, data):
     assert first.rows == second.rows
     assert first.pivots == second.pivots
     # a combination of the rows has the combination's coefficients at the pivots
-    coeffs = [mat.field.zeta(r) + r for r in range(len(first.rows))]
+    coeffs = [mat.field.zeta(r) + mat.field.from_integer(r) for r in range(len(first.rows))]
     combo: dict = {}
     for c, row in zip(coeffs, first.rows):
         for t, x in row.items():
@@ -624,10 +679,11 @@ def _entries(draw, field):
     if kind == "negated":
         return -power
     if kind == "summed":
-        return (power + power) * Fraction(1, 2)  # 2 w^k is untagged, and halving it finds the tag again
+        # 2 w^k is untagged, and halving it finds the tag again
+        return (power + power) * rational(field, Fraction(1, 2))
     if kind == "non-unit":
-        return field.one - power if k else field.from_integer(2)  # such as 1 - w^k in a lowering letter
-    return power * Fraction(-1, 3)
+        return field.one + -power if k else field.from_integer(2)  # such as 1 - w^k in a lowering letter
+    return power * rational(field, Fraction(-1, 3))
 
 
 @st.composite
@@ -746,7 +802,7 @@ def test_a_matrix_converts_exactly_when_it_is_invertible_monomial_with_powers_of
     elif kind == "no power of w":
         # an entry of absolute value other than 1 is no root of unity
         scale = data.draw(st.sampled_from((2, Fraction(-1, 3), Fraction(1, 2))))
-        cols[j] = {g.rows[j]: field.zeta(g.exps[j]) * scale}
+        cols[j] = {g.rows[j]: field.zeta(g.exps[j]) * rational(field, scale)}
     converted = UnitMonomial.from_matrix(CycMatrix(field, cols, n))
     assert converted == (g if kind == "kept" else None)
 

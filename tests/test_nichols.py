@@ -118,7 +118,7 @@ def test_rotation_exponents_are_additive_in_letters(ctx12):
 
 def test_monomial_labels_list_letters(ctx12):
     mono = ExtMonomial(0b0110)
-    assert mono.degree == 2
+    assert list(mono.letters()) == [1, 2]
     assert str(mono) == "v-0∧v+1"
 
 

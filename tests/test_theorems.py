@@ -36,6 +36,7 @@ from dihedral_doubles.theorems import (
     verify_simple,
 )
 from dihedral_doubles.weights import QDModule, all_weight_labels, group_module, parse_weight_label
+from test_qdouble import character_dimension
 
 
 def _char_text(char) -> str:
@@ -98,7 +99,7 @@ def test_predicted_character_for_rotation_weights(ctx12):
         "[0] e:rho3 | [-1] 2*M2,0 + 2*M2,6 | [-2] 4*e:rho3 + M4,3 + M4,9"
         " | [-3] 2*M2,0 + 2*M2,6 | [-4] e:rho3"
     )
-    assert char.dimension(ctx12.n) == 32
+    assert character_dimension(char, ctx12.n) == 32
 
 
 def test_predicted_character_for_reflection_weights(ctx12):
@@ -106,7 +107,7 @@ def test_predicted_character_for_reflection_weights(ctx12):
     label = parse_weight_label("Mx:0,0")
     char = predicted_character(ctx12, iset, label)
     assert _char_text(char) == "[0] Mx:0,0 | [-1] 2*Mxy:0,0 | [-2] Mx:0,0"
-    assert char.dimension(ctx12.n) == 24
+    assert character_dimension(char, ctx12.n) == 24
     assert predicted_simple_dimension(ctx12, iset, label) == 24
 
 
@@ -472,8 +473,8 @@ def test_quantum_dimensions(ctx12, ctx16):
     for text in ["e:chi1", "M2,3", "Mx:0,0", "e:rho3"]:
         simple = head(build_verma(ctx12, iset, parse_weight_label(text)))
         values[text] = quantum_dimension(ctx12, simple)
-    assert values["e:chi1"] == 1
-    assert values["M2,3"] == -2
+    assert values["e:chi1"] == ctx12.field.one
+    assert values["M2,3"] == ctx12.field.from_integer(-2)
     assert not values["Mx:0,0"]
     assert not values["e:rho3"]
     bad = head(

@@ -40,10 +40,10 @@ from matrices import diagonal, from_rows, has_two_entry_column, identity, times,
 
 def test_catalog_count_and_dimension_sum(ctx12, ctx16):
     cat12 = weight_catalog(ctx12)
-    assert len(cat12) == 86
+    assert len(cat12.labels) == 86
     assert sum(lab.dimension(6) ** 2 for lab in cat12.labels) == 576
     cat16 = weight_catalog(ctx16)
-    assert len(cat16) == 142
+    assert len(cat16.labels) == 142
     assert sum(lab.dimension(8) ** 2 for lab in cat16.labels) == 1024
 
 
@@ -234,7 +234,8 @@ def _coordinate_characters(ctx, labels, modules):
             columns = []
             for pos, (_, same, inverse) in enumerate(cls.orbits):
                 trace = vector[pos * degree : (pos + 1) * degree]
-                conjugate = sum((field.zeta(-a) * c for a, c in enumerate(trace)), field.zero).coords
+                terms = (field.zeta(-a) * field.from_integer(c) for a, c in enumerate(trace))
+                conjugate = sum(terms, field.zero).coords
                 plain = field.zeta_multiples([same * c for c in conjugate])
                 flipped = field.zeta_multiples([inverse * c for c in trace])
                 columns += [tuple(map(add, plain[a], flipped[-a])) for a in range(degree)]
