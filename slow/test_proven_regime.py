@@ -8,14 +8,15 @@ weights over each of the 91 three-pair sets at m = 12.  Every
 module these cases build, standard, induced, head, socle, layer and tensor,
 holds x and y as invertible monomial matrices with powers of w as entries
 (``cyclotomic.UnitMonomial``), whose row maps ``weights.QDModule`` checks
-to be permutations; a submodule or quotient converts to that form in
-``qdouble._on_positions``, in an adapted basis where it must, or its case
-raises.  A pass shows the construction holding over this regime.  Over the
-39 two-pair sets at m = 12, the submodule generated by
-the negative-degree joint kernel of every standard module, and the quotient
-by it, are built too, 312 of the submodules in an adapted basis, and their
-characters must add up to the module's.  Every singleton report at m = 12
-and 16 is also compared with the report of a context whose memo of
+to be permutations; a socle or head converts to that form in
+``qdouble._on_positions``, or its case raises.  A pass shows the
+construction holding over this regime.  Over the 39 two-pair sets at
+m = 12, the submodule generated by the negative-degree joint kernel of
+every standard module, and the quotient by it, are built too, by the test
+helper ``tests/adapted.py``, 312 of the submodules in a basis adapted to
+the group action, since ``qdouble.subspace_as_module`` refuses them, and
+their characters must add up to the module's.  Every singleton report at
+m = 12 and 16 is also compared with the report of a context whose memo of
 ``weights.decomposition_counts`` stores nothing.  Every singleton report at
 m = 12 and 16, every two-pair report at m = 12 and every report over
 ``(1,6),(3,6),(5,6)`` is compared with the report made while
@@ -27,23 +28,22 @@ smaller head and the smaller socle apart at every recursion step.
 
 from __future__ import annotations
 
+import sys
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 from dihedral_doubles import get_context, qdouble, theorems
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
-from dihedral_doubles.qdouble import (
-    build_verma,
-    graded_character,
-    highest_weight_vectors,
-    quotient,
-    submodule_generated,
-    subspace_as_module,
-)
+from dihedral_doubles.qdouble import build_verma, graded_character, highest_weight_vectors, submodule_generated
 from dihedral_doubles.theorems import verify_simple
 from dihedral_doubles.weights import all_weight_labels, parse_weight_label
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from adapted import adapted_quotient, as_module, needs_adapted_basis, reference_submodule  # noqa: E402
 
 
 def _assert_every_report_passes(ctx, index_sets, labels=None):
@@ -187,15 +187,31 @@ def test_every_tenth_two_pair_case_at_m_16(index_set):
     _assert_every_report_passes(get_context(16), [index_set])
 
 
-@pytest.mark.parametrize("index_set", TWO_PAIR_SETS, ids=str)
-def test_every_negative_kernel_submodule_and_quotient_at_m_12(index_set):
+@lru_cache(maxsize=None)
+def _adapted_negative_kernel_submodules(index_set):
+    """Over every weight, the submodule generated by the negative-degree joint kernel of the standard module
+    and the quotient by it, built by the test helper, whose characters must add up to the module's; returns
+    how many of the submodules are built in the adapted basis."""
     ctx = get_context(12)
+    adapted = 0
     for label in all_weight_labels(ctx):
         module = build_verma(ctx, index_set, label)
         negatives = [vec for z, vecs in highest_weight_vectors(module).items() if z < 0 for vec in vecs]
         space = submodule_generated(module, negatives)
-        sub, quot = subspace_as_module(module, space), quotient(module, space)
+        reference = reference_submodule(module, space, "submodule")
+        adapted += needs_adapted_basis(reference)
+        sub, quot = as_module(module, reference), adapted_quotient(module, space)
         assert graded_character(sub) + graded_character(quot) == graded_character(module), f"{index_set} / {label}"
+    return adapted
+
+
+@pytest.mark.parametrize("index_set", TWO_PAIR_SETS, ids=str)
+def test_every_negative_kernel_submodule_and_quotient_at_m_12(index_set):
+    _adapted_negative_kernel_submodules(index_set)
+
+
+def test_312_negative_kernel_submodules_at_m_12_are_built_in_the_adapted_basis():
+    assert sum(_adapted_negative_kernel_submodules(index_set) for index_set in TWO_PAIR_SETS) == 312
 
 
 def test_every_case_over_three_pairs():

@@ -24,7 +24,6 @@ from .qdouble import (
 from .theorems import (
     SimpleReport,
     classify_weight,
-    classify_weight_by_action,
     is_spherical,
     pivot_check,
     predicted_character,
@@ -61,7 +60,6 @@ __all__ = [
     "build_weight",
     "check_relations",
     "classify_weight",
-    "classify_weight_by_action",
     "decompose",
     "decomposition_counts",
     "get_context",

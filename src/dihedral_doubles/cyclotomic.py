@@ -409,10 +409,6 @@ class CycMatrix:
         self.ncols = len(columns)
         self._columns = columns
 
-    @classmethod
-    def from_column_dicts(cls, field: CyclotomicField, cols: Sequence[VecDict], nrows: int) -> CycMatrix:
-        return cls(field, [{i: x for i, x in col.items() if x} for col in cols], nrows)
-
     def sparse_columns(self) -> list[VecDict]:
         """The columns: one dict of nonzero entries per column."""
         return self._columns
@@ -438,9 +434,6 @@ class CycMatrix:
                     else:
                         del out[i]
         return out
-
-    def is_zero(self) -> bool:
-        return not any(self._columns)
 
     def __eq__(self, other: object) -> bool:
         return (

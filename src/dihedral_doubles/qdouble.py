@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, _rref, add_into, kernel
+from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, add_into, kernel
 from .dihedral import DihedralContext
 from .nichols import (
     ExtMonomial,
@@ -141,18 +141,6 @@ def _theta_column(terms: tuple[Callable[[int], VecDict], ...], j: int) -> VecDic
             for row, entry in second(r).items():
                 add_into(out, row, entry * val if sign > 0 else -(entry * val))
     return out
-
-
-def phi_action(ctx: DihedralContext, pair: tuple[int, int], eps: int, mu: int, module: QDModule) -> CycMatrix:
-    """Matrix of the rank-lowering cross term for one choice of signs, from :func:`_cross_term`."""
-    column = _cross_term(module, pair, eps, mu)
-    return CycMatrix(ctx.field, [column(j) for j in range(module.dim)], module.dim)
-
-
-def theta_action(ctx: DihedralContext, pair: tuple[int, int], module: QDModule) -> CycMatrix:
-    """The degree-preserving combination ``pm mp - pp mm`` of the four cross terms of one pair."""
-    terms = _pair_terms(module, pair)
-    return CycMatrix(ctx.field, [_theta_column(terms, j) for j in range(module.dim)], module.dim)
 
 
 def _induce(
@@ -616,90 +604,6 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     return space
 
 
-def _eigenspaces(
-    ctx: DihedralContext, act: Callable[[VecDict], VecDict], order: int, spaces: list[list[VecDict]]
-) -> list[list[VecDict]]:
-    """Split each space, spanned by its vectors and kept by ``act``, into the eigenspaces of ``act``.
-
-    ``act`` has order dividing ``order`` there, so its eigenvalues are
-    ``w^(k m / order)``; the one for k, k ascending, is spanned by the images
-    under ``sum_j w^(-j k m / order) act^j``.  Empty eigenspaces are kept.
-    """
-    out = []
-    for vectors in spaces:
-        powers = [vectors]
-        while len(powers) < order:
-            powers.append([act(vec) for vec in powers[-1]])
-        for k in range(order):
-            scales = [ctx.omega(-j * k * (ctx.m // order)) for j in range(order)]
-            images = [{} for _ in vectors]
-            for scale, vecs in zip(scales, powers):
-                for image, vec in zip(images, vecs):
-                    for i, val in vec.items():
-                        add_into(image, i, scale * val)
-            out.append(_rref(ctx.field, images).rows)
-    return out
-
-
-def _adapted_basis(
-    ctx: DihedralContext, zdeg: Sequence[int], gdeg: Sequence[int], x: CycMatrix, y: CycMatrix
-) -> list[VecDict]:
-    """A basis on which x and y act as invertible monomial matrices, one vector per position.
-
-    A position gets a vector of its (degree, group degree) cell.  The cells
-    of one degree whose group degrees are conjugate form an orbit.  Its
-    first cell (z, h) gets a basis that the centraliser of h permutes up to
-    scalars: the eigenvectors of h and y^n for a reflection h, of y for a
-    rotation h other than e and y^n, and for e and y^n those of y for w^k
-    with 0 < k < n, their images under x, and in the eigenspaces of y for
-    1 and -1 the eigenvectors of x.  Every other cell is reached from one
-    already filled by x or y, and gets the images of its vectors.  So g
-    sends the vector u e of a cell, e from the first cell, to ``u' c e``
-    with c in the centraliser, and c e is a multiple of one e'.
-    """
-    m, n, group = ctx.m, ctx.n, ctx.group
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(zip(zdeg, gdeg)):
-        cells.setdefault(key, []).append(i)
-
-    def turned(vec: VecDict, power: int) -> VecDict:
-        for _ in range(power):
-            vec = y.apply(vec)
-        return vec
-
-    filled: dict[tuple[int, int], list[VecDict]] = {}
-    for (z, h), idxs in cells.items():
-        if (z, h) in filled:
-            continue
-        refl, rot = divmod(h, m)
-        spaces = [[{i: ctx.field.one} for i in idxs]]
-        if refl:
-            spaces = _eigenspaces(ctx, lambda vec: x.apply(turned(vec, rot)), 2, spaces)
-            spaces = _eigenspaces(ctx, lambda vec: turned(vec, n), 2, spaces)
-        else:
-            spaces = _eigenspaces(ctx, y.apply, m, spaces)
-        if not refl and rot % n == 0:
-            by_k, spaces = spaces, []
-            for k, space in enumerate(by_k):
-                if k % n == 0:
-                    spaces += _eigenspaces(ctx, x.apply, 2, [space])
-                elif k < n:
-                    spaces += [space, [x.apply(vec) for vec in space]]
-        filled[(z, h)] = [vec for space in spaces for vec in space]
-        orbit = [(z, h)]
-        for key in orbit:
-            for mat, t in ((x, group.x), (y, group.y)):
-                image = (z, group.conjugates[t][key[1]])
-                if image not in filled:
-                    filled[image] = [mat.apply(vec) for vec in filled[key]]
-                    orbit.append(image)
-    basis: list[VecDict] = [{}] * len(zdeg)
-    for key, idxs in cells.items():
-        for i, vec in zip(idxs, filled[key]):
-            basis[i] = vec
-    return basis
-
-
 def _on_positions(
     module: QDModule,
     kept: Sequence[int],
@@ -716,16 +620,10 @@ def _on_positions(
     y are turned into :class:`~.cyclotomic.CycMatrix` for this, and their
     new columns back into :class:`~.cyclotomic.UnitMonomial`.
 
-    Where x or y is not an invertible monomial matrix with powers of w as
-    entries (``UnitMonomial.from_matrix``) on those vectors, the positions
-    keep their labels but stand for the vectors b_t of
-    :func:`_adapted_basis`.  A column is then the coordinates of an image
-    over them: with each b_t extended by 1 at ``dim + t``, a vector reduced
-    by the extended rows keeps minus its coordinates at ``dim + t`` alone.
-
     Raises:
-        AssertionError: if x or y is not such a matrix on the adapted basis
-            either; the message names the generator and ``kind``.
+        AssertionError: if x or y is not an invertible monomial matrix with
+            powers of w as entries (``UnitMonomial.from_matrix``) on those
+            vectors; the message names the generator and ``kind``.
     """
     field, dim = module.ctx.field, len(kept)
     new_index = {old: new for new, old in enumerate(kept)}
@@ -735,22 +633,8 @@ def _on_positions(
         return CycMatrix(field, cols, dim)
 
     zdeg, gdeg = [module.zdeg[i] for i in kept], [module.gdeg[i] for i in kept]
-    x_mat, y_mat = restrict(module.x_mat.matrix()), restrict(module.y_mat.matrix())
+    group = [UnitMonomial.from_matrix(restrict(g.matrix())) for g in (module.x_mat, module.y_mat)]
     letters = [{key: restrict(mat) for key, mat in mats.items()} for mats in (module.v_mats, module.a_mats)]
-    group = [UnitMonomial.from_matrix(x_mat), UnitMonomial.from_matrix(y_mat)]
-    # the adapted basis for every module gives the same outputs, but runs the traced sweeps 1.7-3x slower
-    if None in group:
-        basis = _adapted_basis(module.ctx, zdeg, gdeg, x_mat, y_mat)
-        frame = _rref(field, [{**vec, dim + t: field.one} for t, vec in enumerate(basis)])
-        if frame.pivots != list(range(dim)):
-            raise AssertionError("the adapted vectors are not a basis")
-
-        def rebase(mat: CycMatrix) -> CycMatrix:
-            cols = [frame.reduce(mat.apply(vec)) for vec in basis]
-            return CycMatrix(field, [{i - dim: -val for i, val in col.items()} for col in cols], dim)
-
-        group = [UnitMonomial.from_matrix(rebase(x_mat)), UnitMonomial.from_matrix(rebase(y_mat))]
-        letters = [{key: rebase(mat) for key, mat in mats.items()} for mats in letters]
     for name, mat in zip("xy", group):
         if mat is None:
             raise AssertionError(f"{name} is not an invertible monomial matrix on a module of kind {kind!r}")
@@ -761,9 +645,9 @@ def quotient(module: QDModule, space: EchelonBasis, kind: str = "quotient") -> Q
     """Quotient by a stable subspace, on the positions that are not its pivots.
 
     Position j stands for the class of e_j, and the class of a vector is
-    read off its reduction, so a generator's column at j is ``reduce(g e_j)``;
-    where x or y is not an invertible monomial matrix on those classes, the
-    positions stand for the vectors of an adapted basis (:func:`_on_positions`).
+    read off its reduction, so a generator's column at j is ``reduce(g e_j)``.
+    x and y must be invertible monomial matrices on those classes
+    (:func:`_on_positions`), as they are for every quotient :func:`head` takes.
     """
     pivots = set(space.pivots)
     kept = [i for i in range(module.dim) if i not in pivots]
@@ -783,8 +667,8 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     generator's column at p is ``g r_p`` read at the pivots.  A row with
     one entry is e_p, and its image is the generator's column p as it
     stands.  Every image is reduced, and one that leaves the span raises.
-    Where x or y is not an invertible monomial matrix on the rows, the
-    pivots stand for the vectors of an adapted basis (:func:`_on_positions`).
+    x and y must be invertible monomial matrices on the rows
+    (:func:`_on_positions`), as they are for every socle.
 
     A span of every basis vector is stable, and its reduced rows are the
     unit vectors, on which :func:`_on_positions` would rebuild the module's
@@ -953,7 +837,7 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
                 for ib, bval in vb[jb].items():
                     add_into(col, fuse(ia, ib), val * bval)
                 cols.append(col)
-        v_mats[(pos, sign)] = CycMatrix.from_column_dicts(field, cols, dim)
+        v_mats[(pos, sign)] = CycMatrix(field, cols, dim)
     for (pos, sign), mat in left.a_mats.items():
         _, k = left.index_set.pairs[pos]
         aa = mat.sparse_columns()
@@ -973,7 +857,7 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
                 for ib, val in partner[jb].items():
                     add_into(col, fuse(ja, ib), scale * val)
                 cols.append(col)
-        a_mats[(pos, sign)] = CycMatrix.from_column_dicts(field, cols, dim)
+        a_mats[(pos, sign)] = CycMatrix(field, cols, dim)
     result = QDModule(
         ctx,
         left.index_set,

@@ -3,9 +3,10 @@
 Every weight of the double falls, relative to one index pair, into one of
 three classes: rigid (every cross term vanishes on it), projective (the
 standard module it induces is already simple), or reflection type (the mixed
-cross terms act nontrivially).  The class is implemented twice on purpose:
-once as a closed-form table in the arithmetic of the pair, once by evaluating
-the cross-term operators themselves; tests insist the two agree everywhere.
+cross terms act nontrivially).  The class is a closed-form table in the
+arithmetic of the pair (:func:`classify_weight`).  Its second side, the
+operator oracle that evaluates the cross-term operators themselves, lives
+with the tests (``tests/oracle.py``), which insist the two agree everywhere.
 
 On top of the classification sit the predicted graded characters of the
 simple quotients, the top weight and degree of the socle of every standard
@@ -31,10 +32,8 @@ from .qdouble import (
     head,
     highest_weight_vectors,
     induce_from_simple,
-    phi_action,
     socle,
     tensor_qd,
-    theta_action,
     theta_congruence,
     y_power,
 )
@@ -94,37 +93,6 @@ def classify_weight(ctx: DihedralContext, label: WeightLabel, pair: tuple[int, i
         p, q = label.params
         return RIGID if (i * q + p * k) % m == 0 else PROJECTIVE
     raise ValueError(f"unknown weight family {fam!r}")
-
-
-def classify_weight_by_action(
-    ctx: DihedralContext, label: WeightLabel, pair: tuple[int, int]
-) -> str:
-    """Class of ``label`` relative to ``pair``, read off the cross terms.
-
-    Independent of :func:`classify_weight`: builds the weight as explicit
-    matrices, the module over the empty index set, and evaluates the four
-    cross-term operators on it.  Nonzero mixed terms mean reflection type;
-    all four vanishing means rigid; a nonvanishing quadratic combination
-    with zero mixed terms means projective.
-    """
-    module = build_weight(ctx, label)
-    ops = {
-        (eps, mu): phi_action(ctx, pair, eps, mu, module)
-        for eps in (+1, -1)
-        for mu in (+1, -1)
-    }
-    mixed_nonzero = not ops[(+1, -1)].is_zero() or not ops[(-1, +1)].is_zero()
-    if mixed_nonzero:
-        return REFLECTION
-    if all(op.is_zero() for op in ops.values()):
-        return RIGID
-    theta = theta_action(ctx, pair, module)
-    if not theta.is_zero():
-        return PROJECTIVE
-    raise ArithmeticError(
-        f"degenerate cross terms for {label} at pair {pair}: "
-        "diagonal terms nonzero but their product vanishes"
-    )
 
 
 @dataclass(frozen=True)
@@ -408,7 +376,9 @@ def verify_rigid_tensor(
 def is_spherical(ctx: DihedralContext, index_set: IndexSet) -> bool:
     """Whether the double of this index set admits a spherical pivot.
 
-    Fails exactly when some pair has both entries even.
+    Fails exactly when some pair has both entries even.  This is the
+    paper's rule for 4 | m; for m = 2 mod 4 it is applied as it stands, and
+    README's table of outcomes outside the proven regime records the result.
     """
     return all(i % 2 != 0 or k % 2 != 0 for i, k in index_set.pairs)
 
@@ -455,7 +425,11 @@ def quantum_dimension(ctx: DihedralContext, module: QDModule) -> CycNum:
 
     The trace of :func:`pivot_candidate` for the rotation-negating sign
     character: the sum of w^e over its columns that keep their row.  Only
-    meaningful when the index set is spherical; raises otherwise.
+    meaningful when the index set is spherical; raises otherwise.  That it
+    vanishes exactly off the rigid simples is the paper's rule for 4 | m.
+    For m = 2 mod 4, n is odd and a simple that is not rigid can have a
+    nonzero quantum dimension; README's table of outcomes outside the
+    proven regime counts those cases.
     """
     if not is_spherical(ctx, module.index_set):
         raise ValueError(f"index set {module.index_set} is not spherical")

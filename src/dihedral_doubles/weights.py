@@ -157,9 +157,9 @@ class QDModule:
     times base vectors as a signed letter swap or a power of w times their
     action on the base, a :func:`tensor_dd` takes Kronecker products and a
     layer keeps a block, and a submodule or quotient
-    (``qdouble._on_positions``) is given a basis adapted to the group action
-    wherever its reduced rows are not, on which the entries are eigenvalues
-    of elements of finite order.  So the traces, hom spaces, tensor
+    (``qdouble._on_positions``) is built only where x and y are such
+    matrices on its reduced rows or classes, and raises otherwise, which no
+    socle or head does.  So the traces, hom spaces, tensor
     products, memo keys, cross terms and commutation checks that read x and
     y read integers.  The row maps are checked here, once per module.  The
     letters are :class:`~.cyclotomic.CycMatrix`: they may have columns with
@@ -435,7 +435,7 @@ def hom_space(source: QDModule, target: QDModule) -> list[CycMatrix]:
         for idx, value in vec.items():
             r, c = variables[idx]
             cols[c][r] = value
-        homs.append(CycMatrix.from_column_dicts(field, cols, target.dim))
+        homs.append(CycMatrix(field, cols, target.dim))
     return homs
 
 

@@ -3,7 +3,8 @@
 The package forms no product, sum or negation of :class:`CycMatrix`, and
 builds the group action as :class:`UnitMonomial`; the tests compare both
 against these, which read the column dicts alone, and draw UnitMonomials
-with :func:`unit_monomials`.
+with :func:`unit_monomials`.  A CycMatrix holds no zero entry; references
+whose column dicts may hold one build through :func:`without_zeros`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,19 @@ def negated(mat: CycMatrix) -> CycMatrix:
     return CycMatrix(mat.field, [{i: -x for i, x in col.items()} for col in mat.sparse_columns()], mat.nrows)
 
 
+def is_zero(mat: CycMatrix) -> bool:
+    """Whether every column of the matrix is empty."""
+    return not any(mat.sparse_columns())
+
+
+def without_zeros(field: CyclotomicField, columns: Sequence[dict], nrows: int) -> CycMatrix:
+    """The matrix of these column dicts, with their zero entries dropped: a CycMatrix holds none."""
+    return CycMatrix(field, [{i: x for i, x in col.items() if x} for col in columns], nrows)
+
+
 def diagonal(field: CyclotomicField, entries: Sequence[CycNum]) -> CycMatrix:
     """The diagonal matrix with these entries; a zero entry leaves its column empty."""
-    return CycMatrix.from_column_dicts(field, [{j: x} for j, x in enumerate(entries)], len(entries))
+    return without_zeros(field, [{j: x} for j, x in enumerate(entries)], len(entries))
 
 
 def identity(field: CyclotomicField, n: int) -> CycMatrix:

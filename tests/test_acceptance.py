@@ -35,7 +35,6 @@ from dihedral_doubles.theorems import (
     PROJECTIVE,
     RIGID,
     classify_weight,
-    classify_weight_by_action,
     is_spherical,
     spherical_report,
     verify_reflection_split,
@@ -49,6 +48,7 @@ from dihedral_doubles.weights import (
     parse_weight_label,
     weight_catalog,
 )
+from oracle import classify_weight_by_action
 
 SINGLETON_SETS = ("(2,3)", "(1,6)")
 TWO_PAIR_SETS = ("(1,6),(3,6)", "(2,3),(2,9)")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +20,11 @@ from dihedral_doubles.qdouble import (
     head,
     highest_weight_vectors,
     induce_from_simple,
-    phi_action,
     quotient,
     socle,
     submodule_generated,
     subspace_as_module,
     tensor_qd,
-    theta_action,
     theta_congruence,
     y_power,
 )
@@ -35,12 +32,24 @@ from dihedral_doubles.weights import (
     QDModule,
     all_weight_labels,
     build_weight,
+    decomposition_counts,
     group_module,
     group_relation_failures,
+    hom_space,
     parse_weight_label,
     tensor_dd,
+    weight_catalog,
 )
-from matrices import diagonal, has_two_entry_column, identity, negated, plus, times, unit_monomials
+from adapted import (
+    adapted_basis,
+    adapted_submodule,
+    as_module,
+    needs_adapted_basis,
+    reference_quotient,
+    reference_submodule,
+)
+from matrices import diagonal, has_two_entry_column, identity, is_zero, negated, plus, times, unit_monomials
+from oracle import phi_action, theta_action
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -316,8 +325,20 @@ def test_a_joint_kernel_above_the_lowest_degree_generates_no_socle(ctx12, iset_t
     # the socle's top is the lowest kernel
     assert socle_char.layers[0][0] == degrees[0]
     for z in degrees[1:]:
-        generated = subspace_as_module(verma, submodule_generated(verma, kernels[z]))
+        # x or y need not be an invertible monomial matrix on these rows: the test helper builds the module
+        generated = adapted_submodule(verma, submodule_generated(verma, kernels[z]))
         assert graded_character(generated) != socle_char, z
+
+
+def test_a_submodule_on_whose_rows_x_is_not_monomial_is_refused(ctx12):
+    # the negative-degree joint kernel of this standard module generates a submodule on whose reduced rows x is
+    # no invertible monomial matrix: the package changes to no other basis, and the test helper builds it
+    verma = _verma(ctx12, "(1,6),(3,6)", "Mx:0,0")
+    space = submodule_generated(verma, _negatives(verma))
+    with pytest.raises(AssertionError, match="x is not an invertible monomial matrix on a module of kind 'submodule'"):
+        subspace_as_module(verma, space)
+    assert needs_adapted_basis(reference_submodule(verma, space, "submodule"))
+    assert adapted_submodule(verma, space).dim == len(space.pivots)
 
 
 def test_joint_kernels_are_solved_once_per_module_and_handed_out_as_copies(ctx12, monkeypatch):
@@ -358,11 +379,11 @@ def test_cross_term_operators_detect_weight_class(ctx12):
     rigid = weight("e:chi1")
     for eps in (1, -1):
         for mu in (1, -1):
-            assert phi_action(ctx12, (2, 3), eps, mu, rigid).is_zero()
+            assert is_zero(phi_action(ctx12, (2, 3), eps, mu, rigid))
     projective = weight("e:rho3")
-    assert not theta_action(ctx12, (2, 3), projective).is_zero()
+    assert not is_zero(theta_action(ctx12, (2, 3), projective))
     reflection = weight("Mx:0,0")
-    assert not phi_action(ctx12, (2, 3), 1, -1, reflection).is_zero()
+    assert not is_zero(phi_action(ctx12, (2, 3), 1, -1, reflection))
 
 
 def _reference_phi_action(ctx, pair, eps, mu, module):
@@ -426,7 +447,7 @@ def test_cross_terms_match_the_reference_for_a_y_that_moves_rotation_degrees(ctx
 
 def _bracket_reference(a, b, target):
     bracket = plus(times(a, b), times(b, a))
-    return bracket.is_zero() if target is None else bracket == target
+    return is_zero(bracket) if target is None else bracket == target
 
 
 def _columns_of(target):
@@ -690,47 +711,6 @@ def _reference_generated(module, vectors):
     return space
 
 
-def _reference_on_positions(module, kept, images, labels, kind):
-    """``_on_positions`` on the vectors that stand for the positions, with the zero filter of
-    ``from_column_dicts``: a namespace, since x and y need not be monomial on those vectors."""
-    new_index = {old: new for new, old in enumerate(kept)}
-
-    def restrict(mat):
-        cols = [{new_index[i]: x for i, x in image.items() if i in new_index} for image in images(mat)]
-        return CycMatrix.from_column_dicts(module.ctx.field, cols, len(kept))
-
-    return SimpleNamespace(
-        ctx=module.ctx,
-        dim=len(kept),
-        basis_labels=tuple(labels),
-        zdeg=tuple(module.zdeg[i] for i in kept),
-        gdeg=tuple(module.gdeg[i] for i in kept),
-        x_mat=restrict(module.x_mat.matrix()),
-        y_mat=restrict(module.y_mat.matrix()),
-        v_mats={key: restrict(mat) for key, mat in module.v_mats.items()},
-        a_mats={key: restrict(mat) for key, mat in module.a_mats.items()},
-        kind=kind,
-    )
-
-
-def _reference_submodule(module, space, kind):
-    def images(mat):
-        return [mat.apply(row) for row in space.rows]
-
-    labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
-    return _reference_on_positions(module, space.pivots, images, labels, kind)
-
-
-def _reference_quotient(module, space, kind):
-    kept = [i for i in range(module.dim) if i not in space.pivots]
-    one = module.ctx.field.one
-
-    def images(mat):
-        return [space.reduce(mat.apply({j: one})) for j in kept]
-
-    return _reference_on_positions(module, kept, images, [module.basis_labels[i] for i in kept], kind)
-
-
 def _negatives(module):
     return [vec for z, vecs in highest_weight_vectors(module).items() if z < 0 for vec in vecs]
 
@@ -740,14 +720,14 @@ def _lowest_kernel(module):
 
 
 def _reference_socle(module):
-    return _reference_submodule(module, _reference_generated(module, _lowest_kernel(module)), "socle")
+    return reference_submodule(module, _reference_generated(module, _lowest_kernel(module)), "socle")
 
 
 def _reference_head(module):
     """The chain of quotients ``head`` takes, each step checked against the reference quotient."""
     while negatives := _negatives(module):
         space = _reference_generated(module, negatives)
-        reference = _reference_quotient(module, space, "head")
+        reference = reference_quotient(module, space, "head")
         module = quotient(module, space, kind="head")
         _assert_same_module(module, reference)
     return module
@@ -759,7 +739,7 @@ def _change_of_basis(reference):
     x_mat, y_mat = _generators(reference)[:2]
     if None not in (UnitMonomial.from_matrix(x_mat), UnitMonomial.from_matrix(y_mat)):
         return None
-    basis = qdouble._adapted_basis(reference.ctx, reference.zdeg, reference.gdeg, x_mat, y_mat)
+    basis = adapted_basis(reference.ctx, reference.zdeg, reference.gdeg, x_mat, y_mat)
     cells = list(zip(reference.zdeg, reference.gdeg))
     assert all({cells[i] for i in vec} == {cells[j]} for j, vec in enumerate(basis))
     assert len(_rref(reference.ctx.field, basis).pivots) == reference.dim
@@ -780,6 +760,24 @@ def _assert_same_module(built, reference):
         else:
             assert times(ref, change).sparse_columns() == times(change, mat).sparse_columns()
     return change is not None
+
+
+def _subquotient(build, module, space, reference):
+    """The submodule or quotient of ``space`` as ``build`` (``subspace_as_module`` or ``quotient``) makes it,
+    equal to the reference, where x and y are invertible monomial matrices on the reference's vectors, as is
+    the test helper's; elsewhere ``build`` must refuse it, and the test helper builds it in the adapted basis,
+    checked against the reference.  Returns the module and whether the basis was adapted."""
+    if not needs_adapted_basis(reference):
+        built = build(module, space)
+        assert not _assert_same_module(built, reference)
+        assert not _assert_same_module(as_module(module, reference), reference)
+        return built, False
+    refusal = f"is not an invertible monomial matrix on a module of kind '{reference.kind}'"
+    with pytest.raises(AssertionError, match=refusal):
+        build(module, space)
+    built = as_module(module, reference)
+    assert _assert_same_module(built, reference)
+    return built, True
 
 
 @lru_cache(maxsize=None)
@@ -817,9 +815,10 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
             scaled = [{i: scale * x for i, x in vec.items()} for vec in negatives]
             coordinate_seeds += sum(len(vec) == 1 for vec in scaled)
             assert submodule_generated(module, scaled).rows == _reference_generated(module, scaled).rows == space.rows
-            adapted += _assert_same_module(
-                subspace_as_module(module, space), _reference_submodule(module, space, "submodule")
+            _, in_adapted_basis = _subquotient(
+                subspace_as_module, module, space, reference_submodule(module, space, "submodule")
             )
+            adapted += in_adapted_basis
     assert coordinate_seeds and full_spans
     # x is not monomial on the reduced rows of that submodule of the standard modules of reflection weights
     assert adapted
@@ -851,13 +850,9 @@ def test_submodules_and_quotients_get_a_basis_adapted_to_the_group_action(ctx12,
     vec = {i: _omega_sum(ctx12, exponents) for i, exponents in vector.items()}
     assert all(module.gdeg[i] == degree for i in vec)
     space = submodule_generated(module, [vec])
-    sub = subspace_as_module(module, space)
-    quot = quotient(module, space)
-    adapted = [
-        _assert_same_module(sub, _reference_submodule(module, space, "submodule")),
-        _assert_same_module(quot, _reference_quotient(module, space, "quotient")),
-    ]
-    assert any(adapted)
+    sub, sub_adapted = _subquotient(subspace_as_module, module, space, reference_submodule(module, space, "submodule"))
+    quot, quot_adapted = _subquotient(quotient, module, space, reference_quotient(module, space, "quotient"))
+    assert sub_adapted or quot_adapted
     assert group_relation_failures(sub) == group_relation_failures(quot) == []
     assert graded_character(sub) + graded_character(quot) == graded_character(module)
 
@@ -919,7 +914,7 @@ def test_the_adapted_basis_makes_x_and_y_permute_its_lines(ctx12, summands):
     module = _sum_of_tensor_products(ctx12, summands)
     x_mat, y_mat = _sheared_in_each_cell(module)
     assert UnitMonomial.from_matrix(x_mat) is None and UnitMonomial.from_matrix(y_mat) is None
-    basis = qdouble._adapted_basis(ctx12, module.zdeg, module.gdeg, x_mat, y_mat)
+    basis = adapted_basis(ctx12, module.zdeg, module.gdeg, x_mat, y_mat)
     assert all({module.gdeg[i] for i in vec} == {module.gdeg[j]} for j, vec in enumerate(basis))
     assert len(_rref(ctx12.field, basis).pivots) == module.dim
     lines = {_line(vec): j for j, vec in enumerate(basis)}
@@ -930,16 +925,43 @@ def test_the_adapted_basis_makes_x_and_y_permute_its_lines(ctx12, summands):
 
 @pytest.mark.parametrize("label_text", ["e:chi1", "e:rho3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"])
 def test_socle_head_and_subquotient_matrices_hold_no_zero_entry(ctx12, label_text):
-    # _on_positions builds its matrices from the images as they stand, with no pass that drops zeros
+    # _on_positions builds its matrices from the images as they stand, with no pass that drops zeros; a
+    # subquotient it refuses is built by the test helper
     for module in _standard_and_induced(ctx12, label_text):
         built = [socle(module), head(module)]
         negatives = _negatives(module)
         if negatives:
             space = submodule_generated(module, negatives)
-            built += [quotient(module, space), subspace_as_module(module, space)]
+            built += [
+                _subquotient(quotient, module, space, reference_quotient(module, space, "quotient"))[0],
+                _subquotient(subspace_as_module, module, space, reference_submodule(module, space, "submodule"))[0],
+            ]
         for part in built:
             for mat in _generators(part):
                 assert all(x for col in mat.sparse_columns() for x in col.values())
+
+
+def test_hom_space_and_tensor_letter_matrices_hold_no_zero_entry(ctx12):
+    # hom_space and tensor_qd build their matrices from column dicts as they stand, with no pass that drops
+    # zeros: a hom space writes powers of w, and a tensor letter writes through add_into
+    catalog = weight_catalog(ctx12)
+    members = [catalog.module(parse_weight_label(text)) for text in ("e:rho1", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0")]
+    built = []
+    for left in members:
+        for right in members:
+            product = tensor_dd(left, right)
+            for label, _ in decomposition_counts(ctx12, product):
+                member = catalog.module(label)
+                built += hom_space(member, product) + hom_space(product, member)
+    iset = parse_index_set(ctx12, "(2,3)")
+    simples = [head(build_verma(ctx12, iset, parse_weight_label(text))) for text in ("e:chi2", "e:rho3", "Mx:0,0")]
+    for left in simples:
+        for right in simples:
+            product = tensor_qd(ctx12, left, right)
+            built += [*product.v_mats.values(), *product.a_mats.values()]
+    assert built
+    for mat in built:
+        assert all(x for col in mat.sparse_columns() for x in col.values())
 
 
 def test_tensor_of_simples_passes_relations(ctx12):
@@ -1078,7 +1100,7 @@ def test_relations_catch_a_raising_letter_that_does_not_square_to_zero(ctx12):
     cols[j] = dict(module.v_mats[(1, 1)].sparse_columns()[j])
     assert cols[j]
     letter = CycMatrix(ctx12.field, cols, module.dim)
-    assert not times(letter, letter).is_zero()
+    assert not is_zero(times(letter, letter))
     failures = check_relations(_mutated(module, v_mats={(0, 1): letter}))
     assert "raising letters (0, 1) and (0, 1) do not anticommute" in failures
 

@@ -21,7 +21,6 @@ from dihedral_doubles.theorems import (
     REFLECTION,
     RIGID,
     classify_weight,
-    classify_weight_by_action,
     is_spherical,
     pivot_check,
     predicted_character,
@@ -36,6 +35,7 @@ from dihedral_doubles.theorems import (
     verify_simple,
 )
 from dihedral_doubles.weights import QDModule, all_weight_labels, group_module, parse_weight_label
+from oracle import classify_weight_by_action
 from test_qdouble import character_dimension
 
 

@@ -35,7 +35,7 @@ from dihedral_doubles.weights import (
     tensor_dd,
     weight_catalog,
 )
-from matrices import diagonal, from_rows, has_two_entry_column, identity, times, unit_monomials
+from matrices import diagonal, from_rows, has_two_entry_column, identity, times, unit_monomials, without_zeros
 
 
 def test_catalog_count_and_dimension_sum(ctx12, ctx16):
@@ -510,7 +510,7 @@ def _eliminated_hom_space(source, target):
         for idx, value in vec.items():
             r, c = variables[idx]
             cols[c][r] = value
-        homs.append(CycMatrix.from_column_dicts(field, cols, target.dim))
+        homs.append(without_zeros(field, cols, target.dim))
     return homs
 
 
@@ -576,7 +576,7 @@ def test_hom_spaces_the_walk_declines_match_elimination(ctx12):
         assert len(_eliminated_hom_space(other, sheared)) == len(hom_space(other, product)) == mult
         assert len(_eliminated_hom_space(sheared, other)) == len(hom_space(product, other)) == mult
     for columns in ([{0: one}, {}], [{0: one}, {0: one}]):
-        x_mat = CycMatrix.from_column_dicts(field, columns, 2)
+        x_mat = CycMatrix(field, columns, 2)
         assert not has_two_entry_column(x_mat) and _refused(x_mat)
     # M1,3 plus a vector of degree y that x fixes, where x must send degree y to y^-1
     off_grading = group_module(
