@@ -501,16 +501,77 @@ class UnitMonomial:
         )
 
     def __pow__(self, power: int) -> UnitMonomial:
-        """A power with ``power >= 0``, by repeated squaring."""
+        """A power with ``power >= 0``, read off the cycles of the row map.
+
+        Column j of the power lies ``power`` steps further along j's cycle.
+        For a cycle of length L and exponent sum P, its exponent is
+        ``(power // L) * P`` plus the exponents of the ``power % L`` columns
+        passed on the way: a difference of the cycle's prefix sums, which
+        gains one more P when the walk wraps past the cycle's start.  A
+        fixed point takes ``power`` times its exponent.  One walk per cycle,
+        and no intermediate products.
+        """
         if power < 0:
             raise ValueError(f"negative power {power} of a UnitMonomial")
-        result, base = UnitMonomial.identity(self.field, len(self.rows)), self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
+        rows, exps = self.rows, self.exps
+        n = len(rows)
+        out_rows, out_exps = list(range(n)), [0] * n
+        seen = [False] * n
+        for start in range(n):
+            j = rows[start]
+            if j == start:
+                out_exps[start] = power * exps[start]
+                continue
+            if seen[start]:
+                continue
+            # the cycle through start, with the exponent sums of its first i columns
+            cycle, total = [start], exps[start]
+            prefix = [0, total]
+            while j != start:
+                seen[j] = True
+                cycle.append(j)
+                total += exps[j]
+                prefix.append(total)
+                j = rows[j]
+            length = len(cycle)
+            turns, shift = divmod(power, length)
+            base = turns * total
+            for i, j in enumerate(cycle):
+                end = i + shift
+                if end < length:
+                    out_rows[j] = cycle[end]
+                    out_exps[j] = base + prefix[end] - prefix[i]
+                else:
+                    out_rows[j] = cycle[end - length]
+                    out_exps[j] = base + total + prefix[end - length] - prefix[i]
+        return UnitMonomial(self.field, out_rows, out_exps)
+
+    def order_divides(self, k: int) -> bool:
+        """Whether the k-th power is the identity, decided without forming it.
+
+        It is exactly when every cycle of the row map has a length L that
+        divides k and an exponent sum P with ``P * (k / L) = 0`` mod m: k
+        steps are k / L full turns of each cycle.
+        """
+        rows, exps, m = self.rows, self.exps, self.field.m
+        seen = [False] * len(rows)
+        for start in range(len(rows)):
+            j = rows[start]
+            if j == start:
+                if exps[start] * k % m:
+                    return False
+                continue
+            if seen[start]:
+                continue
+            length, total = 1, exps[start]
+            while j != start:
+                seen[j] = True
+                length += 1
+                total += exps[j]
+                j = rows[j]
+            if k % length or total * (k // length) % m:
+                return False
+        return True
 
     def restricted(self, idxs: Sequence[int]) -> UnitMonomial:
         """The block on the basis vectors ``idxs``, in that order.

@@ -399,12 +399,13 @@ def pivot_candidate(ctx: DihedralContext, module: QDModule, character: int) -> U
 def pivot_check(ctx: DihedralContext, module: QDModule, character: int) -> bool:
     """Whether the candidate pivot squares to one and negates every letter.
 
-    The pivot must be an involution and must conjugate each raising and
+    The pivot must be an involution, read off its cycles
+    (``UnitMonomial.order_divides``), and must conjugate each raising and
     lowering generator A to its negative, ``pivot A = w^(m/2) A pivot``,
     decided column by column (``qdouble._products_equal``).
     """
     pivot = pivot_candidate(ctx, module, character)
-    if pivot**2 != UnitMonomial.identity(ctx.field, module.dim):
+    if not pivot.order_divides(2):
         return False
     letters = [*module.v_mats.values(), *module.a_mats.values()]
     return all(_products_equal(pivot, mat, mat, pivot, ctx.m // 2) for mat in letters)

@@ -294,10 +294,13 @@ def group_relation_failures(module: QDModule) -> list[str]:
 
 
 def _order_failures(x: UnitMonomial, y: UnitMonomial, m: int) -> list[str]:
-    """Which of x^2 = 1, y^m = 1 and (x y)^2 = 1 fail, from the powers in row maps and exponents."""
-    one = UnitMonomial.identity(x.field, len(x.rows))
-    powers = (("x^2 != 1", x**2), (f"y^{m} != 1", y**m), ("(x y)^2 != 1", (x * y) ** 2))
-    return [failure for failure, power in powers if power != one]
+    """Which of x^2 = 1, y^m = 1 and (x y)^2 = 1 fail, read off the cycles of x, y and x y.
+
+    No power is formed: ``UnitMonomial.order_divides`` decides each from the
+    lengths and exponent sums of the cycles.
+    """
+    orders = (("x^2 != 1", x, 2), (f"y^{m} != 1", y, m), ("(x y)^2 != 1", x * y, 2))
+    return [failure for failure, g, k in orders if not g.order_divides(k)]
 
 
 def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
@@ -717,7 +720,11 @@ def _catalog_characters(
     weights of the other, must be the identity: Schur orthonormality.  Each
     entry is the orbit sum above gathered as integer counts per exponent
     (``e - f`` for ``same``, ``f - e`` for ``inverse``), turned into
-    coordinates once per pair of members and compared in every coordinate.
+    coordinates and compared in every coordinate.  The entry of (T, S)
+    counts the exponents of (S, T) negated: it is the conjugate entry, and
+    right exactly when that one is, since the expected value is a rational
+    integer.  So each unordered pair of members, a member with itself
+    included, is checked once.
 
     Raises:
         AssertionError: if the characters are not orthonormal.
@@ -770,8 +777,9 @@ def _catalog_characters(
             trace = tuple(chain.from_iterable(orbit_trace for _, orbit_trace in parts))
             members.append(_Member(index, label, module.dim, rows, trace))
             member_counts.append(counts)
-        for member, counts in zip(members, member_counts):
-            for other, other_counts in zip(members, member_counts):
+        for idx, (member, counts) in enumerate(zip(members, member_counts)):
+            # (other, member) would give the conjugate entry: one check per unordered pair
+            for other, other_counts in zip(members[idx:], member_counts[idx:]):
                 # the pair's inner product as integer counts of each power of w
                 exponents = [0] * m
                 for (_, same, inverse), terms, other_terms in zip(cls.orbits, counts, other_counts):

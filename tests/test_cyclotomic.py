@@ -3,6 +3,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 import sympy
@@ -760,7 +761,8 @@ def _cycles(rows):
     return cycles
 
 
-@given(st.integers(12, 24), st.integers(0, 5), st.data())
+@settings(max_examples=40)
+@given(st.integers(12, 24), st.integers(0, 24), st.data())
 def test_row_map_products_of_powers_of_w_add_exponents(m, n, data):
     # products, powers and blocks of row maps and exponents stand for the products of the matrices
     # they convert to, formed from the column dicts; Kronecker products are checked in test_weights.py
@@ -927,3 +929,54 @@ def test_coordinate_rows_match_the_forward_row_clears(case, data):
     assert basis.rows == reference.rows
     assert rows == given_rows
     assert all(row[pivot] == field.one for pivot, row in zip(basis.pivots, basis.rows))
+
+
+def _matrix_power(mat, k):
+    """mat^k from the column dicts, by squaring with ``times``."""
+    result = identity(mat.field, mat.nrows)
+    while k:
+        if k & 1:
+            result = times(result, mat)
+        mat = times(mat, mat)
+        k >>= 1
+    return result
+
+
+@st.composite
+def _cycle_monomials(draw):
+    """(g, cycle lengths): a UnitMonomial on up to 48 points, built from drawn cycles of length 1 to 20,
+    so some are longer than m and some have a length that does not divide m.  Most cycles get an
+    exponent sum P = (m / d) u, for a divisor d of m: P times a number of turns vanishes mod m only
+    once d / gcd(d, u) divides it."""
+    m = draw(st.sampled_from((9, 12, 16)))
+    lengths = []
+    for length in draw(st.lists(st.integers(1, 20), min_size=1, max_size=6)):
+        if sum(lengths) + length <= 48:
+            lengths.append(length)
+    points = draw(st.permutations(range(sum(lengths))))
+    rows, exps = [0] * len(points), [0] * len(points)
+    start = 0
+    for length in lengths:
+        cycle = points[start : start + length]
+        start += length
+        walk = draw(st.lists(st.integers(-2 * m, 2 * m), min_size=length, max_size=length))
+        if draw(st.integers(0, 3)):
+            d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+            walk[-1] += (m // d) * draw(st.integers(0, d - 1)) - sum(walk)
+        for i, j in enumerate(cycle):
+            rows[j], exps[j] = cycle[(i + 1) % length], walk[i]
+    return UnitMonomial(get_field(m), rows, exps), lengths
+
+
+@settings(max_examples=100)
+@given(_cycle_monomials(), st.data())
+def test_order_divides_and_powers_read_off_the_cycles(case, data):
+    # against the k-th power of the column dicts: k drawn freely, or a multiple of every cycle's length,
+    # where only the exponent sums decide whether it is the identity
+    g, lengths = case
+    m, n = g.field.m, len(g.rows)
+    turns = lcm(*lengths)
+    k = data.draw(st.one_of(st.integers(0, 3 * m), st.integers(0, 2 * m).map(lambda t: t * turns)))
+    power = _matrix_power(g.matrix(), k)
+    assert g.order_divides(k) == (power == identity(g.field, n))
+    assert (g**k).matrix() == power

@@ -467,6 +467,15 @@ def test_pivot_check_refuses_a_pivot_that_does_not_square_to_one(ctx12):
     assert [pivot_check(ctx12, module, j) for j in (1, 2, 3, 4)] == [False] * 4
 
 
+def test_pivot_check_refuses_a_pivot_whose_square_is_a_three_cycle(ctx16):
+    # three vectors of degree e with no letters, y a 3-cycle of ones: the pivot y^8 = y^2 squares to y,
+    # whose exponent sum is 0, so only the cycle length, 3 not dividing 2, refuses it
+    field = ctx16.field
+    y = UnitMonomial(field, [1, 2, 0], [0, 0, 0])
+    module = group_module(ctx16, [ctx16.group.identity] * 3, UnitMonomial.identity(field, 3), y, list("abc"))
+    assert [pivot_check(ctx16, module, j) for j in (1, 2, 3, 4)] == [False] * 4
+
+
 def test_quantum_dimensions(ctx12, ctx16):
     iset = parse_index_set(ctx12, "(2,3)")
     values = {}

@@ -204,10 +204,22 @@ def test_catalog_check_rejects_a_repeated_or_reducible_member(ctx12):
         UnitMonomial.identity(field, 2),
         ["a", "b"],
     )
-    for label, stand_in in (("M1,3", cat.module(parse_weight_label("M1,4"))), ("e:rho1", chi1_plus_chi2)):
+    # e:rho1 taken twice is wrong on the Gram diagonal alone: <chi, chi> = 4, and 0 against every other member
+    rho1 = cat.module(parse_weight_label("e:rho1"))
+
+    def twice(g):
+        return UnitMonomial(field, [*g.rows, *(r + rho1.dim for r in g.rows)], g.exps * 2)
+
+    labels_twice = [f"{a}{b}" for b in "12" for a in rho1.basis_labels]
+    rho1_twice = group_module(ctx12, rho1.gdeg * 2, twice(rho1.x_mat), twice(rho1.y_mat), labels_twice)
+    for label, stand_in, refused in (
+        ("M1,3", cat.module(parse_weight_label("M1,4")), "not orthonormal"),
+        ("e:rho1", chi1_plus_chi2, "not orthonormal"),
+        ("e:rho1", rho1_twice, "catalog characters of e:rho1 and e:rho1 are not orthonormal"),
+    ):
         broken = dict(modules)
         broken[parse_weight_label(label)] = stand_in
-        with pytest.raises(AssertionError, match="not orthonormal"):
+        with pytest.raises(AssertionError, match=refused):
             _catalog_characters(ctx12, labels, broken)
 
 
