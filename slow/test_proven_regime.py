@@ -137,8 +137,7 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
             assert not any(space.reduce(image) for image in out)
             return out
 
-        labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
-        return qdouble._on_positions(module, space.pivots, images, labels, kind)
+        return qdouble._on_positions(module, space.pivots, images, kind)
 
     for index_set in index_sets:
         for label in all_weight_labels(ctx):

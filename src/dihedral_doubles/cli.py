@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -45,6 +44,7 @@ from .weights import (
     class_key,
     decomposition_counts,
     parse_weight_label,
+    parse_weight_list,
     summand_text,
     tensor_dd,
     weight_catalog,
@@ -57,25 +57,6 @@ EXIT_USAGE = 2
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
-
-
-_LABEL_TOKEN = re.compile(r"Mxy:\d+,\d+|Mx:\d+,\d+|M\d+,\d+|e:chi\d+|e:rho\d+|yn:chi\d+|yn:rho\d+")
-
-
-def _split_weight_list(text: str) -> list[str]:
-    """Split a list of weight labels; labels themselves may contain commas."""
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] in ", ;":
-            pos += 1
-            continue
-        match = _LABEL_TOKEN.match(text, pos)
-        if not match:
-            raise ValueError(f"malformed weight list at {text[pos:]!r}")
-        tokens.append(match.group())
-        pos = match.end()
-    return tokens
 
 
 def _character_lines(char) -> list[str]:
@@ -244,7 +225,7 @@ def cmd_verify(args) -> int:
     if args.weights == "all":
         labels = list(catalog.labels)
     else:
-        labels = [parse_weight_label(text) for text in _split_weight_list(args.weights)]
+        labels = parse_weight_list(args.weights)
         if not labels:
             raise ValueError(f"--weights names no weight: {args.weights!r}")
         unknown = [str(label) for label in labels if label not in catalog]

@@ -73,7 +73,7 @@ class CyclotomicField:
 
     __slots__ = (
         "m", "minpoly", "degree", "_reduction", "zero", "one", "_half_turn",
-        "_zeta_pows", "_exponents", "_unit_actions", "_conjugations", "_inverses",
+        "_zeta_pows", "_exponents", "_unit_actions", "_conjugations",
     )
 
     def __init__(self, m: int) -> None:
@@ -97,8 +97,6 @@ class CyclotomicField:
             for a in range(2, m)
             if gcd(a, m) == 1
         )
-        # inverses computed so far, keyed by (coords, den): elimination pivots repeat
-        self._inverses: dict[tuple[tuple[int, ...], int], CycNum] = {}
 
     def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
         # row j holds the canonical coordinates of w^(degree + j), as integers
@@ -317,19 +315,16 @@ class CycNum:
         For integer coordinates c, the product of the conjugates of c under
         every automorphism w -> w^a, a != 1 coprime to m, is a cofactor whose
         product with c is the norm of c, a nonzero integer; all of it stays in
-        integer arithmetic.  Elimination divides by the same few pivots over
-        and over, so each field memoises the inverses it has computed.  The
-        inverse of w^k is w^-k, read off the tag.
+        integer arithmetic.  The inverse of w^k is w^-k, read off the tag.
+        Nothing is memoised: over every case of the benchmark's workloads,
+        each number inverted is a power of w, so a memo of the norm path
+        would never be read there.
         """
         field = self.field
         if self.unit is not None:
             return field._zeta_pows[-self.unit % field.m]
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        key = (self.coords, self.den)
-        cached = field._inverses.get(key)
-        if cached is not None:
-            return cached
         cofactor = field.one.coords
         for images in field._conjugations:
             conj = [0] * field.degree
@@ -342,9 +337,7 @@ class CycNum:
         norm = field.mul_coords(self.coords, cofactor)
         if any(norm[1:]) or not norm[0]:
             raise ArithmeticError(f"norm of {self} is not a nonzero rational")
-        inverse = CycNum._normalized(field, [c * self.den for c in cofactor], norm[0])
-        field._inverses[key] = inverse
-        return inverse
+        return CycNum._normalized(field, [c * self.den for c in cofactor], norm[0])
 
     def __bool__(self) -> bool:
         return any(self.coords)

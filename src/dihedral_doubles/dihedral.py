@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicField, CycNum, get_field
+from .cyclotomic import CyclotomicField, get_field
 
 # the four one-dimensional characters, by index: the signs they send x and y to
 CHI_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
@@ -107,10 +107,6 @@ class DihedralContext:
         self.m = m
         self.n = m // 2
         self._weight_cache: dict = {}
-
-    def omega(self, exponent: int = 1) -> CycNum:
-        """The primitive m-th root of unity attached to rotations, to a power."""
-        return self.field.zeta(exponent)
 
     def character_value(self, sign_x: int, sign_y: int, g: int) -> int:
         """Value at g of the 1-dimensional character sending x, y to +-1."""

@@ -9,8 +9,9 @@ exterior algebra on the 2r letters.
 
 Monomials are bitmasks over the letters in pair-major order, the + letter
 before the - letter of the same pair: bit 2p is v+ of pair p, bit 2p+1 is
-v- of pair p.  Products carry the usual alternating sign, one factor -1 per
-crossing when merging two sorted letter lists.
+v- of pair p; :func:`mask_letters` lists a mask's letters.  Products carry
+the usual alternating sign, one factor -1 per crossing when merging two
+sorted letter lists.
 
 This layer is pure combinatorics of masks and pairs and builds no module:
 the exterior algebra on a weight is the standard module of
@@ -105,28 +106,12 @@ def parse_index_set(ctx: DihedralContext, text: str) -> IndexSet:
     return validate_index_set(ctx, pairs)
 
 
-@dataclass(frozen=True)
-class ExtMonomial:
-    """A basis monomial of the exterior algebra, as a bitmask over letters."""
-
-    mask: int
-
-    def letters(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def __str__(self) -> str:
-        if not self.mask:
-            return "1"
-        return "∧".join(letter_name(b) for b in self.letters())
-
-
-def letter_name(letter: int) -> str:
-    sign = "+" if letter % 2 == 0 else "-"
-    return f"v{sign}{letter // 2}"
+def mask_letters(mask: int) -> Iterator[int]:
+    """The letters of a basis monomial of the exterior algebra, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def letter_pair(letter: int) -> int:
@@ -157,7 +142,7 @@ def swap_letters(index_set: IndexSet, mask: int) -> tuple[int, int]:
 def rotation_exponents(index_set: IndexSet, mask: int) -> tuple[int, int]:
     """(sum of +-i_p, sum of +-k_p) over the letters of the mask."""
     isum = ksum = 0
-    for letter in ExtMonomial(mask).letters():
+    for letter in mask_letters(mask):
         i, k = index_set.pairs[letter_pair(letter)]
         if letter % 2 == 0:
             isum += i

@@ -39,11 +39,11 @@ from typing import Callable, Iterable, Sequence
 from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, add_into, kernel
 from .dihedral import DihedralContext
 from .nichols import (
-    ExtMonomial,
     IndexSet,
     letter_insert,
     letter_pair,
     letter_sign,
+    mask_letters,
     nichols_basis,
     rotation_exponents,
     swap_letters,
@@ -62,17 +62,12 @@ from .weights import (
 
 
 def y_power(module: QDModule, power: int) -> UnitMonomial:
-    """y^power, with the power taken mod m, cached on the module object.
+    """y^power, with the power taken mod m, since y^m = 1.
 
-    y is held as a row map and exponents (see ``weights.QDModule``), so a
-    power composes row maps and adds exponents.
+    y is held as a row map and exponents (see ``weights.QDModule``), so the
+    power is read off its cycles, one walk per cycle (``UnitMonomial.__pow__``).
     """
-    power %= module.ctx.m
-    cache: dict[int, UnitMonomial] = module.__dict__.setdefault("_ypow", {})
-    mat = cache.get(power)
-    if mat is None:
-        mat = cache[power] = module.y_mat**power
-    return mat
+    return module.y_mat ** (power % module.ctx.m)
 
 
 @lru_cache(maxsize=None)
@@ -168,17 +163,9 @@ def _induce(
     for deg in range(2 * nu + 1):
         masks.extend(nichols_basis(sub, deg))
     mask_exponents = {mask: rotation_exponents(sub, mask) for mask in masks}
-    mask_letters = {mask: tuple(ExtMonomial(mask).letters()) for mask in masks}
-    mask_names = {mask: str(ExtMonomial(mask)) for mask in masks}
+    letters = {mask: tuple(mask_letters(mask)) for mask in masks}
     entries = [(mask, b) for mask in masks for b in range(base.dim)]
-    entries.sort(
-        key=lambda mb: (
-            -(base.zdeg[mb[1]] - mb[0].bit_count()),
-            mb[0].bit_count(),
-            mask_letters[mb[0]],
-            mb[1],
-        )
-    )
+    entries.sort(key=lambda mb: (mb[0].bit_count() - base.zdeg[mb[1]], mb[0].bit_count(), letters[mb[0]], mb[1]))
     position = {mb: idx for idx, mb in enumerate(entries)}
     dim = len(entries)
     zdeg = [base.zdeg[b] - mask.bit_count() for mask, b in entries]
@@ -189,7 +176,6 @@ def _induce(
         for b, g in enumerate(base.gdeg):
             degree_of[(isum, b)] = turn[g]
     gdeg = [degree_of[(mask_exponents[mask][0], b)] for mask, b in entries]
-    labels = [f"{mask_names[mask]}⊗{base.basis_labels[b]}" for mask, b in entries]
 
     def scatter(base_col: VecDict, target: VecDict, mask: int, scale: CycNum) -> None:
         for b2, val in base_col.items():
@@ -217,8 +203,7 @@ def _induce(
                     cols[position[(mask, b)]][position[(bigger, b)]] = field.from_integer(lsign)
             v_cols[(q, sign)] = cols
 
-    omega = ctx.omega
-    alpha_memo: dict[tuple[int, int, int, int], dict[tuple[int, int], CycNum]] = {}
+    zeta = field.zeta
 
     def phi_on(q: int, eps: int, mu: int, mask: int, b: int) -> dict[tuple[int, int], CycNum]:
         i, k = new_pairs[q]
@@ -229,28 +214,24 @@ def _induce(
         def add_y_power(power: int, scale: CycNum) -> None:
             # y^power on (mask, b): the letters only contribute a root of unity
             turn = base_y_powers[power]
-            add_into(out, (mask, turn.rows[b]), scale * omega(power * ksum + turn.exps[b]))
+            add_into(out, (mask, turn.rows[b]), scale * zeta(power * ksum + turn.exps[b]))
 
         if refl == 0:
             if eps == mu:
                 out[(mask, b)] = field.one
-                add_y_power(i if eps > 0 else -i, -omega(a * k if eps > 0 else -a * k))
+                add_y_power(i if eps > 0 else -i, -zeta(a * k if eps > 0 else -a * k))
         else:
             if eps == mu:
                 out[(mask, b)] = field.one
             elif eps > 0:
-                add_y_power(-i, -omega(-(a + 2 * i) * k))
+                add_y_power(-i, -zeta(-(a + 2 * i) * k))
             else:
-                add_y_power(i, -omega((a - 2 * i) * k))
+                add_y_power(i, -zeta((a - 2 * i) * k))
         return out
 
     def alpha_on(q: int, eps: int, mask: int, b: int) -> dict[tuple[int, int], CycNum]:
         if mask == 0:
             return {}
-        key = (q, eps, mask, b)
-        cached = alpha_memo.get(key)
-        if cached is not None:
-            return cached
         low = mask & -mask
         letter = low.bit_length() - 1
         rest = mask ^ low
@@ -262,7 +243,6 @@ def _induce(
         if letter_pair(letter) == q:
             for key2, val in phi_on(q, eps, letter_sign(letter), rest, b).items():
                 add_into(out, key2, val)
-        alpha_memo[key] = out
         return out
 
     a_cols: dict[tuple[int, int], list[VecDict]] = {}
@@ -292,19 +272,8 @@ def _induce(
                 scatter(cols[b], new_cols[position[(mask, b)]], mask, flip)
             shifted = pos if pos < insert_pos else pos + nu
             mats[(shifted, sign)] = CycMatrix(field, new_cols, dim)
-    return QDModule(
-        ctx,
-        merged,
-        labels,
-        zdeg,
-        gdeg,
-        UnitMonomial(field, x_rows, x_exps),
-        UnitMonomial(field, y_rows, y_exps),
-        v_mats,
-        a_mats,
-        weight=weight,
-        kind=kind,
-    )
+    x_mat, y_mat = UnitMonomial(field, x_rows, x_exps), UnitMonomial(field, y_rows, y_exps)
+    return QDModule(ctx, merged, zdeg, gdeg, x_mat, y_mat, v_mats, a_mats, weight=weight, kind=kind)
 
 
 def build_verma(ctx: DihedralContext, index_set: IndexSet, weight: WeightLabel) -> QDModule:
@@ -512,7 +481,7 @@ def theta_congruence(module: QDModule) -> list[str]:
     column (:func:`_cross_term`) and applied to that vector only.
     """
     failures: list[str] = []
-    one = module.ctx.field.one
+    one, name = module.ctx.field.one, module.ctx.group.name
     top = [idx for idx, z in enumerate(module.zdeg) if z == 0]
     for pos, pair in enumerate(module.index_set.pairs):
         chain = [
@@ -527,7 +496,9 @@ def theta_congruence(module: QDModule) -> list[str]:
             for mat in chain:
                 vec = mat.apply(vec)
             if vec != _theta_column(terms, b):
-                failures.append(f"degree-zero congruence fails for pair {pair} on {module.basis_labels[b]}")
+                failures.append(
+                    f"degree-zero congruence fails for pair {pair} on vector {b}, of group degree {name(module.gdeg[b])}"
+                )
     return failures
 
 
@@ -608,7 +579,6 @@ def _on_positions(
     module: QDModule,
     kept: Sequence[int],
     images: Callable[[CycMatrix], list[VecDict]],
-    labels: Sequence[str],
     kind: str,
 ) -> QDModule:
     """The module with one basis vector per kept position of ``module``.
@@ -638,7 +608,7 @@ def _on_positions(
     for name, mat in zip("xy", group):
         if mat is None:
             raise AssertionError(f"{name} is not an invertible monomial matrix on a module of kind {kind!r}")
-    return QDModule(module.ctx, module.index_set, labels, zdeg, gdeg, *group, *letters, weight=module.weight, kind=kind)
+    return QDModule(module.ctx, module.index_set, zdeg, gdeg, *group, *letters, weight=module.weight, kind=kind)
 
 
 def quotient(module: QDModule, space: EchelonBasis, kind: str = "quotient") -> QDModule:
@@ -656,7 +626,7 @@ def quotient(module: QDModule, space: EchelonBasis, kind: str = "quotient") -> Q
         cols = mat.sparse_columns()
         return [space.reduce(cols[j]) for j in kept]
 
-    return _on_positions(module, kept, images, [module.basis_labels[i] for i in kept], kind)
+    return _on_positions(module, kept, images, kind)
 
 
 def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submodule") -> QDModule:
@@ -674,12 +644,11 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     unit vectors, on which :func:`_on_positions` would rebuild the module's
     own matrices.  So it is returned at once as a new module that shares
     those matrices, which are read-only (``weights.QDModule``), with the
-    ``[label]`` labels, the weight and the kind given, and empty caches.
+    weight and the kind given, and empty caches.
     """
-    labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
     if len(space.pivots) == module.dim:
         mats = (module.x_mat, module.y_mat, module.v_mats, module.a_mats)
-        return QDModule(module.ctx, module.index_set, labels, module.zdeg, module.gdeg, *mats, weight=module.weight, kind=kind)
+        return QDModule(module.ctx, module.index_set, module.zdeg, module.gdeg, *mats, weight=module.weight, kind=kind)
 
     def images(mat: CycMatrix) -> list[VecDict]:
         cols = mat.sparse_columns()
@@ -688,7 +657,7 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
             raise AssertionError("subspace is not stable under a generator")
         return out
 
-    return _on_positions(module, space.pivots, images, labels, kind)
+    return _on_positions(module, space.pivots, images, kind)
 
 
 def socle(module: QDModule) -> QDModule:
@@ -847,9 +816,9 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
         for ja in range(left.dim):
             refl, a = divmod(left.gdeg[ja], ctx.m)
             if refl == 0:
-                scale, partner = ctx.omega(sign * a * k), ab_same
+                scale, partner = field.zeta(sign * a * k), ab_same
             else:
-                scale, partner = ctx.omega(-sign * a * k), ab_opp
+                scale, partner = field.zeta(-sign * a * k), ab_opp
             for jb in range(dim_r):
                 col = {}
                 for ia, val in aa[ja].items():
@@ -861,7 +830,6 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
     result = QDModule(
         ctx,
         left.index_set,
-        group.basis_labels,
         [za + zb for za in left.zdeg for zb in right.zdeg],
         group.gdeg,
         group.x_mat,

@@ -176,16 +176,20 @@ def _volume(ctx: DihedralContext) -> QDModule:
     return build_weight(ctx, WeightLabel.e_chi(2))
 
 
+def _reflection_parity(label: WeightLabel) -> int:
+    """0 for ``Mx``, on the even reflections, and 1 for ``Mxy``, on the odd ones."""
+    return 0 if label.family == "Mx" else 1
+
+
 def _reflection_label(fam: int, s: int, t: int) -> WeightLabel:
-    if fam % 2 == 0:
-        return WeightLabel.even_reflection(s % 2, t % 2)
-    return WeightLabel.odd_reflection(s % 2, t % 2)
+    """``Mx:s,t`` for an even ``fam`` and ``Mxy:s,t`` for an odd one, s and t mod 2."""
+    return WeightLabel("Mxy" if fam % 2 else "Mx", (s % 2, t % 2))
 
 
 def _predicted_reflection_character(
     ctx: DihedralContext, index_set: IndexSet, label: WeightLabel
 ) -> GradedCharacter:
-    fam = 0 if label.family == "Mx" else 1
+    fam = _reflection_parity(label)
     s, t = label.params
     pairs = index_set.pairs
     counts: dict[int, dict[WeightLabel, int]] = {}
@@ -232,7 +236,7 @@ def predicted_reflection_split(
     if not label.is_reflection_type:
         raise ValueError(f"{label} is not a reflection-type weight")
     i, k = pair
-    fam = 0 if label.family == "Mx" else 1
+    fam = _reflection_parity(label)
     s, t = label.params
     delta = t if i == ctx.n else 0
     plus = _reflection_label(fam + i, s + 1 + delta, t + k)
@@ -252,8 +256,7 @@ def reflection_split_vectors(
     """
     i, k = pair
     n = ctx.n
-    fam = 0 if label.family == "Mx" else 1
-    coeff = ctx.field.zeta((fam * k) % ctx.m)
+    coeff = ctx.field.zeta(_reflection_parity(label) * k)
     one = ctx.field.one
     plus = {n + 0: coeff, (i % n): one}
     minus = {n + 0: coeff, (i % n): -one}
@@ -315,10 +318,9 @@ def predicted_socle_top(
     """
     pairs = index_set.pairs
     if label.is_reflection_type:
-        fam = 0 if label.family == "Mx" else 1
         s, t = label.params
         i_sum, k_sum = sum(i for i, _ in pairs), sum(k for _, k in pairs)
-        return _reflection_label(fam + i_sum, s + len(pairs), t + k_sum), -len(pairs)
+        return _reflection_label(_reflection_parity(label) + i_sum, s + len(pairs), t + k_sum), -len(pairs)
     rigid = len(split_index(ctx, index_set, label).rigid)
     if rigid % 2 == 0:
         return label, -2 * rigid
@@ -488,19 +490,25 @@ class SimpleReport:
     qdim_ok: bool | None
 
     @property
+    def checks(self) -> dict:
+        """Every check's outcome by its JSON name; ``qdim_pattern`` is None off a spherical index set."""
+        return {
+            "relations": self.relations_ok,
+            "theta": self.theta_ok,
+            "head_formula": self.head_matches,
+            "dimension_formula": self.simple_dimension == self.predicted_dimension,
+            "socle_simple": self.socle_simple,
+            "socle_formula": self.socle_matches,
+            "recursion": [{"pair": list(rec.pair), "ok": rec.ok} for rec in self.recursion],
+            "qdim_pattern": self.qdim_ok,
+        }
+
+    @property
     def ok(self) -> bool:
-        checks = [
-            self.relations_ok,
-            self.theta_ok,
-            self.head_matches,
-            self.simple_dimension == self.predicted_dimension,
-            self.socle_simple,
-            self.socle_matches,
-        ]
-        if self.qdim_ok is not None:
-            checks.append(self.qdim_ok)
-        checks.extend(rec.ok for rec in self.recursion)
-        return all(checks)
+        """Whether no check is False: a check that is None did not apply."""
+        checks = self.checks
+        recursion = checks.pop("recursion")
+        return False not in checks.values() and all(rec["ok"] for rec in recursion)
 
     def to_json_obj(self) -> dict:
         return {
@@ -512,18 +520,7 @@ class SimpleReport:
             "simple_dimension": self.simple_dimension,
             "head": self.head_character.to_json_obj(),
             "socle": self.socle_character.to_json_obj(),
-            "checks": {
-                "relations": self.relations_ok,
-                "theta": self.theta_ok,
-                "head_formula": self.head_matches,
-                "dimension_formula": self.simple_dimension == self.predicted_dimension,
-                "socle_simple": self.socle_simple,
-                "socle_formula": self.socle_matches,
-                "recursion": [
-                    {"pair": list(rec.pair), "ok": rec.ok} for rec in self.recursion
-                ],
-                "qdim_pattern": self.qdim_ok,
-            },
+            "checks": self.checks,
             "qdim": str(self.qdim) if self.qdim is not None else None,
             "ok": self.ok,
         }
@@ -545,8 +542,7 @@ def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
 def _same_action(one: QDModule, other: QDModule) -> bool:
     """Whether two modules hold the very same degrees and matrices, by object identity.
 
-    A socle that spans its module does (``qdouble.subspace_as_module``); the two induce one module up to
-    basis labels, ``x⊗b`` against ``x⊗[b]``, which no report reads.
+    A socle that spans its module does (``qdouble.subspace_as_module``); the two then induce one module.
     """
     shared = ("zdeg", "gdeg", "x_mat", "y_mat", "v_mats", "a_mats")
     return all(getattr(one, name) is getattr(other, name) for name in shared)

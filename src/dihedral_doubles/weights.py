@@ -64,13 +64,13 @@ from .nichols import IndexSet
 _FAMILY_RANK = {"e:chi": 0, "e:rho": 1, "yn:chi": 2, "yn:rho": 3, "M": 4, "Mx": 5, "Mxy": 6}
 
 _LABEL_PATTERNS = (
-    ("e:chi", re.compile(r"e:chi([1-4])\Z")),
-    ("e:rho", re.compile(r"e:rho(\d+)\Z")),
-    ("yn:chi", re.compile(r"yn:chi([1-4])\Z")),
-    ("yn:rho", re.compile(r"yn:rho(\d+)\Z")),
-    ("Mx", re.compile(r"Mx:([01]),([01])\Z")),
-    ("Mxy", re.compile(r"Mxy:([01]),([01])\Z")),
-    ("M", re.compile(r"M(\d+),(\d+)\Z")),
+    ("e:chi", re.compile(r"e:chi([1-4])")),
+    ("e:rho", re.compile(r"e:rho(\d+)")),
+    ("yn:chi", re.compile(r"yn:chi([1-4])")),
+    ("yn:rho", re.compile(r"yn:rho(\d+)")),
+    ("Mx", re.compile(r"Mx:([01]),([01])")),
+    ("Mxy", re.compile(r"Mxy:([01]),([01])")),
+    ("M", re.compile(r"M(\d+),(\d+)")),
 )
 
 
@@ -134,14 +134,38 @@ class WeightLabel:
         return f"WeightLabel({str(self)!r})"
 
 
+def _label_at(text: str, pos: int) -> tuple[WeightLabel | None, int]:
+    """The label that starts at ``text[pos]`` and the position after it, or None and ``pos``."""
+    for family, pattern in _LABEL_PATTERNS:
+        match = pattern.match(text, pos)
+        if match:
+            return WeightLabel(family, tuple(int(g) for g in match.groups())), match.end()
+    return None, pos
+
+
 def parse_weight_label(text: str) -> WeightLabel:
     """Inverse of ``str`` on weight labels."""
     raw = text.replace(" ", "")
-    for family, pattern in _LABEL_PATTERNS:
-        match = pattern.match(raw)
-        if match:
-            return WeightLabel(family, tuple(int(g) for g in match.groups()))
-    raise ValueError(f"malformed weight label: {text!r}")
+    label, end = _label_at(raw, 0)
+    if label is None or end != len(raw):
+        raise ValueError(f"malformed weight label: {text!r}")
+    return label
+
+
+def parse_weight_list(text: str) -> list[WeightLabel]:
+    """Weight labels separated by commas, spaces or semicolons; a label may hold a comma itself."""
+    labels: list[WeightLabel] = []
+    pos = 0
+    while pos < len(text):
+        if text[pos] in ", ;":
+            pos += 1
+            continue
+        label, end = _label_at(text, pos)
+        if label is None or (end < len(text) and text[end] not in ", ;"):
+            raise ValueError(f"malformed weight list at {text[pos:]!r}")
+        labels.append(label)
+        pos = end
+    return labels
 
 
 class QDModule:
@@ -170,9 +194,10 @@ class QDModule:
     A module's matrices are read-only once it is built: a submodule that
     spans the whole module shares them (``qdouble.subspace_as_module``), and
     each object keeps answers read from them in its own caches, ``_layers``
-    (:meth:`layer_indices`), ``_ypow`` (``qdouble.y_power``) and
-    ``_kernels`` (``qdouble.highest_weight_vectors``).  A module built from
-    another's matrices starts with empty caches.
+    (:meth:`layer_indices`) and ``_kernels``
+    (``qdouble.highest_weight_vectors``).  A module built from another's
+    matrices starts with empty caches.  A basis vector has no name: its
+    position, integer degree and group degree identify it.
 
     Raises:
         AssertionError: if the row map of x or y is not a permutation of the
@@ -181,6 +206,7 @@ class QDModule:
     Attributes:
         ctx: shared dihedral context.
         index_set: the index pairs the double is built on.
+        dim: the number of basis vectors, ``len(zdeg)``.
         zdeg: integer degree of each basis vector (0 on the inducing weight).
         gdeg: group degree of each basis vector, as the integer
             ``refl * m + rot`` (see ``dihedral``).
@@ -195,7 +221,6 @@ class QDModule:
         self,
         ctx: DihedralContext,
         index_set: IndexSet,
-        basis_labels: Sequence[str],
         zdeg: Sequence[int],
         gdeg: Sequence[int],
         x_mat: UnitMonomial,
@@ -207,10 +232,9 @@ class QDModule:
     ) -> None:
         self.ctx = ctx
         self.index_set = index_set
-        self.basis_labels = tuple(basis_labels)
         self.zdeg = tuple(zdeg)
         self.gdeg = tuple(gdeg)
-        self.dim = len(self.basis_labels)
+        self.dim = len(self.zdeg)
         self.x_mat = x_mat
         self.y_mat = y_mat
         self.v_mats = v_mats
@@ -234,28 +258,17 @@ class QDModule:
     def layer_module(self, z: int) -> QDModule:
         """The degree-z layer as a module over the double of the group alone."""
         idxs = self.layer_indices().get(z, [])
-        return group_module(
-            self.ctx,
-            [self.gdeg[i] for i in idxs],
-            self.x_mat.restricted(idxs),
-            self.y_mat.restricted(idxs),
-            [self.basis_labels[i] for i in idxs],
-        )
+        x, y = self.x_mat.restricted(idxs), self.y_mat.restricted(idxs)
+        return group_module(self.ctx, [self.gdeg[i] for i in idxs], x, y)
 
     def __repr__(self) -> str:
         name = str(self.weight) if self.weight else None
         return f"QDModule(kind={self.kind!r}, dim={self.dim}, index_set={str(self.index_set)!r}, weight={name!r})"
 
 
-def group_module(
-    ctx: DihedralContext,
-    degrees: Sequence[int],
-    x_mat: UnitMonomial,
-    y_mat: UnitMonomial,
-    labels: Sequence[str],
-) -> QDModule:
+def group_module(ctx: DihedralContext, degrees: Sequence[int], x_mat: UnitMonomial, y_mat: UnitMonomial) -> QDModule:
     """A module over the double of the group: the module over the empty index set."""
-    return QDModule(ctx, IndexSet(ctx.m, ()), labels, (0,) * len(degrees), degrees, x_mat, y_mat, {}, {})
+    return QDModule(ctx, IndexSet(ctx.m, ()), (0,) * len(degrees), degrees, x_mat, y_mat, {}, {})
 
 
 def grading_failure(
@@ -313,7 +326,7 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
         sx, sy = CHI_SIGNS[j]
         deg = group.identity if family == "e:chi" else group.rotation(n)
         x, y = (UnitMonomial(field, [0], [0 if sign > 0 else n]) for sign in (sx, sy))
-        return group_module(ctx, [deg], x, y, ["m"])
+        return group_module(ctx, [deg], x, y)
     if family in ("e:rho", "yn:rho"):
         (l,) = params
         if not 1 <= l <= n - 1:
@@ -330,26 +343,19 @@ def build_weight(ctx: DihedralContext, label: WeightLabel) -> QDModule:
         s, t = params
         odd = family == "Mxy"
         degrees = [group.reflection(2 * j + (1 if odd else 0)) for j in range(n)]
-        labels = [f"m{j}" for j in range(n)]
         if odd:
             x = UnitMonomial(field, [n - 1 - j for j in range(n)], [(s + t) * n] * n)
         else:
             x = UnitMonomial(field, [-j % n for j in range(n)], [s * n] + [(s + t) * n] * (n - 1))
         y = UnitMonomial(field, [(j - 1) % n for j in range(n)], [t * n] + [0] * (n - 1))
-        return group_module(ctx, degrees, x, y, labels)
+        return group_module(ctx, degrees, x, y)
     raise ValueError(f"unknown weight family: {family!r}")
 
 
 def _two_dimensional(ctx: DihedralContext, i: int, k: int) -> QDModule:
     """Degrees y^(+-i), x swapping the two vectors, y = diag(w^k, w^-k)."""
-    field, group = ctx.field, ctx.group
-    return group_module(
-        ctx,
-        [group.rotation(i), group.rotation(-i)],
-        UnitMonomial(field, [1, 0], [0, 0]),
-        UnitMonomial(field, [0, 1], [k, -k]),
-        ["m+", "m-"],
-    )
+    x, y = UnitMonomial(ctx.field, [1, 0], [0, 0]), UnitMonomial(ctx.field, [0, 1], [k, -k])
+    return group_module(ctx, [ctx.group.rotation(i), ctx.group.rotation(-i)], x, y)
 
 
 def pair_module(ctx: DihedralContext, i: int, k: int) -> QDModule:
@@ -392,8 +398,7 @@ def tensor_dd(left: QDModule, right: QDModule) -> QDModule:
     _same_order("tensor factors", ctx, right.ctx)
     products = ctx.group.products
     degrees = [products[ga][gb] for ga in left.gdeg for gb in right.gdeg]
-    labels = [f"{la}⊗{lb}" for la in left.basis_labels for lb in right.basis_labels]
-    return group_module(ctx, degrees, left.x_mat.kron(right.x_mat), left.y_mat.kron(right.y_mat), labels)
+    return group_module(ctx, degrees, left.x_mat.kron(right.x_mat), left.y_mat.kron(right.y_mat))
 
 
 def _same_order(what: str, ctx: DihedralContext, other: DihedralContext) -> None:

@@ -22,7 +22,7 @@ from dihedral_doubles.weights import QDModule
 from matrices import without_zeros
 
 
-def reference_on_positions(module, kept, images, labels, kind):
+def reference_on_positions(module, kept, images, kind):
     """The generators on the vectors that stand for the kept positions, with no zero entry: a namespace,
     since x and y need not be monomial on those vectors.  ``images(mat)`` lists the image of each vector
     under a generator; read at the kept positions, it is the generator's new column."""
@@ -35,7 +35,6 @@ def reference_on_positions(module, kept, images, labels, kind):
     return SimpleNamespace(
         ctx=module.ctx,
         dim=len(kept),
-        basis_labels=tuple(labels),
         zdeg=tuple(module.zdeg[i] for i in kept),
         gdeg=tuple(module.gdeg[i] for i in kept),
         x_mat=restrict(module.x_mat.matrix()),
@@ -54,8 +53,7 @@ def reference_submodule(module, space: EchelonBasis, kind: str):
         assert not any(space.reduce(image) for image in out), "subspace is not stable under a generator"
         return out
 
-    labels = [f"[{module.basis_labels[p]}]" for p in space.pivots]
-    return reference_on_positions(module, space.pivots, images, labels, kind)
+    return reference_on_positions(module, space.pivots, images, kind)
 
 
 def reference_quotient(module, space: EchelonBasis, kind: str):
@@ -66,7 +64,7 @@ def reference_quotient(module, space: EchelonBasis, kind: str):
     def images(mat):
         return [space.reduce(mat.apply({j: one})) for j in kept]
 
-    return reference_on_positions(module, kept, images, [module.basis_labels[i] for i in kept], kind)
+    return reference_on_positions(module, kept, images, kind)
 
 
 def needs_adapted_basis(reference) -> bool:
@@ -89,7 +87,7 @@ def _eigenspaces(
         while len(powers) < order:
             powers.append([act(vec) for vec in powers[-1]])
         for k in range(order):
-            scales = [ctx.omega(-j * k * (ctx.m // order)) for j in range(order)]
+            scales = [ctx.field.zeta(-j * k * (ctx.m // order)) for j in range(order)]
             images = [{} for _ in vectors]
             for scale, vecs in zip(scales, powers):
                 for image, vec in zip(images, vecs):
@@ -163,7 +161,7 @@ def as_module(module: QDModule, reference) -> QDModule:
 
     Where x and y are invertible monomial matrices with powers of w as
     entries on the reference's vectors, its matrices are the reference's.
-    Elsewhere the positions keep their labels but stand for the vectors b_t
+    Elsewhere the positions keep their degrees but stand for the vectors b_t
     of :func:`adapted_basis`.  A column is then the coordinates of an image
     over them: with each b_t extended by 1 at ``dim + t``, a vector reduced
     by the extended rows keeps minus its coordinates at ``dim + t`` alone.
@@ -192,7 +190,6 @@ def as_module(module: QDModule, reference) -> QDModule:
     return QDModule(
         module.ctx,
         module.index_set,
-        reference.basis_labels,
         reference.zdeg,
         reference.gdeg,
         *group,

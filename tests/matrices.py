@@ -5,6 +5,8 @@ builds the group action as :class:`UnitMonomial`; the tests compare both
 against these, which read the column dicts alone, and draw UnitMonomials
 with :func:`unit_monomials`.  A CycMatrix holds no zero entry; references
 whose column dicts may hold one build through :func:`without_zeros`.
+A basis vector of a module has no name; :func:`induced_position` finds
+one of an induced module by the letters that reach it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,20 @@ def diagonal(field: CyclotomicField, entries: Sequence[CycNum]) -> CycMatrix:
 
 def identity(field: CyclotomicField, n: int) -> CycMatrix:
     return diagonal(field, [field.one] * n)
+
+
+def induced_position(module, letters: Sequence[tuple[int, int]], b: int = 0) -> int:
+    """The position of the basis vector ``letters ⊗ b`` of an induced module.
+
+    ``letters`` lists raising letters as ``(pair position, sign)``, leftmost
+    first; applied to the b-th vector of degree zero they give that basis
+    vector, up to its sign.
+    """
+    vec = {module.layer_indices()[0][b]: module.ctx.field.one}
+    for key in reversed(letters):
+        vec = module.v_mats[key].apply(vec)
+    (position,) = vec
+    return position
 
 
 def rational(field: CyclotomicField, value: Fraction | int) -> CycNum:

@@ -43,7 +43,7 @@ def test_weights_reports_a_catalog_member_that_breaks_a_group_relation(capsys, m
             return module
         # y acting by a primitive m-th root of unity: x y is no longer an involution
         y_mat = UnitMonomial(ctx.field, [0], [1])
-        return weights.group_module(ctx, module.gdeg, module.x_mat, y_mat, module.basis_labels)
+        return weights.group_module(ctx, module.gdeg, module.x_mat, y_mat)
 
     monkeypatch.setattr(weights, "build_weight", broken)
     code, out, err = run(capsys, ["weights"])
@@ -110,7 +110,6 @@ def _standard_module_with_a_flipped_letter(ctx, index_set, label):
     return weights.QDModule(
         ctx,
         index_set,
-        module.basis_labels,
         module.zdeg,
         module.gdeg,
         module.x_mat,

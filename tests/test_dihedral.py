@@ -109,7 +109,7 @@ def test_context_character_values():
     assert ctx.character_value(-1, 1, g) == -1
     assert ctx.character_value(1, -1, g) == -1
     assert ctx.character_value(-1, -1, g) == 1
-    assert ctx.omega(6) == -ctx.field.one
+    assert ctx.field.zeta(6) == -ctx.field.one
 
 
 def test_get_context_is_one_object_per_order_however_called():

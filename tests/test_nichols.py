@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dihedral_doubles.nichols import (
-    ExtMonomial,
     letter_insert,
+    mask_letters,
     nichols_basis,
     parse_index_set,
     rotation_exponents,
@@ -116,10 +116,9 @@ def test_rotation_exponents_are_additive_in_letters(ctx12):
     assert rotation_exponents(iset, 0b0101) == (4, 12)
 
 
-def test_monomial_labels_list_letters(ctx12):
-    mono = ExtMonomial(0b0110)
-    assert list(mono.letters()) == [1, 2]
-    assert str(mono) == "v-0∧v+1"
+def test_mask_letters_lists_letters_ascending():
+    assert list(mask_letters(0b0110)) == [1, 2]
+    assert list(mask_letters(0)) == []
 
 
 def _exterior_layer(ctx, text, degree):

@@ -246,7 +246,7 @@ def test_verify_simple_reports_a_broken_recursion(ctx12, monkeypatch):
             x = simple.x_mat
             minus_x = UnitMonomial(ctx.field, x.rows, [e + ctx.n for e in x.exps])  # -1 = w^n
             simple = QDModule(
-                ctx, simple.index_set, simple.basis_labels, simple.zdeg, simple.gdeg, minus_x,
+                ctx, simple.index_set, simple.zdeg, simple.gdeg, minus_x,
                 simple.y_mat, simple.v_mats, simple.a_mats, weight=simple.weight, kind=simple.kind,
             )
         return induce_from_simple(ctx, simple, pair)
@@ -324,7 +324,7 @@ def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ct
         x = soc.x_mat
         minus_x = UnitMonomial(ctx12.field, x.rows, [e + ctx12.n for e in x.exps])  # -1 = w^n
         return QDModule(
-            ctx12, soc.index_set, soc.basis_labels, soc.zdeg, soc.gdeg, minus_x,
+            ctx12, soc.index_set, soc.zdeg, soc.gdeg, minus_x,
             soc.y_mat, soc.v_mats, soc.a_mats, weight=soc.weight, kind=soc.kind,
         )
 
@@ -462,8 +462,7 @@ def test_pivot_check_refuses_a_pivot_that_does_not_square_to_one(ctx12):
     # every candidate pivot is y^n, which squares to -1, and only the square check can refuse it
     m, field = ctx12.m, ctx12.field
     y = UnitMonomial(field, [(j + 1) % m for j in range(m)], [0] * (m - 1) + [ctx12.n])
-    labels = [f"e{j}" for j in range(m)]
-    module = group_module(ctx12, [ctx12.group.identity] * m, UnitMonomial.identity(field, m), y, labels)
+    module = group_module(ctx12, [ctx12.group.identity] * m, UnitMonomial.identity(field, m), y)
     assert [pivot_check(ctx12, module, j) for j in (1, 2, 3, 4)] == [False] * 4
 
 
@@ -472,7 +471,7 @@ def test_pivot_check_refuses_a_pivot_whose_square_is_a_three_cycle(ctx16):
     # whose exponent sum is 0, so only the cycle length, 3 not dividing 2, refuses it
     field = ctx16.field
     y = UnitMonomial(field, [1, 2, 0], [0, 0, 0])
-    module = group_module(ctx16, [ctx16.group.identity] * 3, UnitMonomial.identity(field, 3), y, list("abc"))
+    module = group_module(ctx16, [ctx16.group.identity] * 3, UnitMonomial.identity(field, 3), y)
     assert [pivot_check(ctx16, module, j) for j in (1, 2, 3, 4)] == [False] * 4
 
 
