@@ -257,6 +257,21 @@ def test_inverse_of_binomial():
     assert value * value.inverse() == field.one
 
 
+def test_one_coordinate_tuple_has_its_own_inverse_in_each_field():
+    # Q(zeta_8) and Q(zeta_12) have degree 4: one coordinate tuple names a
+    # different number in each, and each field inverts it by its own norm
+    coords, den = (1, 2, 0, -1), 3
+    inverses = []
+    for m in (8, 12):
+        field = get_field(m)
+        x = CycNum(field, coords, den)
+        first = x.inverse()
+        assert x * first == field.one
+        assert x.inverse() == first
+        inverses.append((first.coords, first.den))
+    assert inverses[0] != inverses[1]
+
+
 def test_zero_has_no_inverse_on_every_call():
     field = get_field(12)
     for _ in range(3):

@@ -12,7 +12,7 @@ from dihedral_doubles import get_context, weights
 from dihedral_doubles.cyclotomic import CycMatrix, UnitMonomial, add_into, get_field, kernel
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, validate_index_set, valid_pairs
-from dihedral_doubles.qdouble import build_verma, head, socle
+from dihedral_doubles.qdouble import build_verma, head, socle, y_power
 from dihedral_doubles.weights import (
     WeightLabel,
     _Member,
@@ -46,6 +46,22 @@ def test_catalog_count_and_dimension_sum(ctx12, ctx16):
     cat16 = weight_catalog(ctx16)
     assert len(cat16.labels) == 142
     assert sum(lab.dimension(8) ** 2 for lab in cat16.labels) == 1024
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_catalog_y_powers_match_repeated_products(m):
+    # y^p is read off the cycles of y, and the power is taken mod m; the
+    # products of y with itself are formed one factor at a time
+    ctx = get_context(m)
+    catalog = weight_catalog(ctx)
+    for label in catalog.labels:
+        module = catalog.module(label)
+        product = UnitMonomial.identity(ctx.field, module.dim)
+        for power in range(m):
+            for shift in (-m, 0, m):
+                assert y_power(module, power + shift) == product, (label, power + shift)
+            product = product * module.y_mat
+        assert product == UnitMonomial.identity(ctx.field, module.dim), label
 
 
 def test_catalog_partition_by_central_class(ctx12):
