@@ -8,14 +8,17 @@ an integer grading (the letter count, nonpositive) and the group grading.
 :func:`check_relations` checks the group part as ``weights`` does, then the
 letters.  Each letter relation is an exact equality of two matrix
 expressions, decided column by column without building a product, a sum
-or a cross-term matrix.  The products with x and y read the row maps and
-exponents of x and y and the letters' sparse columns, on one path.  The
-brackets of letters read each letter's row map and entries, a view that
-:func:`check_relations` builds once per letter, and walk a column's few
-entries where a letter has none, such as a lowering letter with two
-entries in a column.  Tagged entries compare by exponent.  The cross
-terms are read column by column from the group degrees and the row map
-and exponents of a power of y.
+or a cross-term matrix.  When the group part holds, conjugation by x swaps
+the signs of the letters and of the cross terms, so a relation whose first
+letter has sign -1 takes the outcome of its mirror of sign +1, once the
+letters' x-swaps hold; only the others are decided on the matrices.  The
+products with x and y read the row maps and exponents of x and y and the
+letters' sparse columns, on one path.  The brackets of letters read each
+letter's row map and entries, a view that :func:`check_relations` builds
+once per letter, and walk a column's few entries where a letter has none,
+such as a lowering letter with two entries in a column.  Tagged entries
+compare by exponent.  The cross terms are read column by column from the
+group degrees and the row map and exponents of a power of y.
 
 Standard (Verma-type) modules are built by one induction that lets the
 exterior algebra of the letters act freely on a base module and rewrites
@@ -91,6 +94,17 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
     mixed-sign column is ``w^(u + e + m/2)`` in y^p's row, u the exponent
     of y^p's entry; an equal-sign rotation column where y^p keeps e_j is
     ``1 + w^u`` in row j, from a table per field.
+
+    When the group part of the module holds, ``x C(eps, mu) x`` is
+    ``C(-eps, -mu)``, which lets :func:`check_relations` decide a mixed
+    bracket on its mirror.  With x^2 = 1 and x y x = y^-1, x y^p x is
+    y^-p, the power of the flipped signs; and x S x is the diagonal whose
+    entry at j is S's entry at x(j), whose group degree is the x-conjugate
+    of that of e_j: a rotation or reflection exponent a becomes -a.  So S's
+    exponent at -a must be that of the flipped signs at a, and it is: for
+    equal signs ``eps (-a) k`` is ``(-eps) a k``; for mixed ones the eps = +1
+    exponent ``-(a + 2 i) k`` at -a is ``(a - 2 i) k``, the eps = -1 one at
+    a, and the eps = -1 exponent ``(a - 2 i) k`` at -a is ``-(a + 2 i) k``.
     """
     ctx = module.ctx
     field, m, n = ctx.field, ctx.m, ctx.n
@@ -308,9 +322,28 @@ def check_relations(module: QDModule) -> list[str]:
     bracket with itself is checked as A^2 = 0.  Each check is an exact
     equality on this module, decided column by column with no product, sum
     or cross-term matrix built, and the failures are listed in that order.
+
+    When the group part holds, conjugation by x is an automorphism of the
+    relations: x^2 = 1, x y x = y^-1, and a letter A whose x-swap holds has
+    ``x A x = A'``, its partner of the other sign.  So a relation whose
+    first letter has sign -1 is decided once, on its mirror with sign +1,
+    and given the mirror's outcome:
+
+    - the x-swap of A' holds exactly when that of A does, by x^2 = 1;
+    - if it holds, ``y A' == c^-1 A' y`` is x times ``y A == c A y`` times
+      x, since x y x = y^-1;
+    - if both letters' x-swaps hold, the bracket of A' with B' is x times
+      that of A with B times x, and so is its target, the cross term with
+      both signs flipped (:func:`_cross_term`) or zero.  The brackets are
+      walked with the sign +1 letter of a pair first, so the mirror is
+      decided before.
+
+    Any other relation, and every relation when the group part fails, is
+    decided directly.  Each keeps its own failure line.
     """
     group = module.ctx.group
     failures = group_relation_failures(module)
+    mirrored = not failures
     pairs = module.index_set.pairs
     letters: dict[tuple[str, tuple[int, int]], CycMatrix] = {}
     # a raising letter lowers the degree by one and multiplies the group
@@ -325,31 +358,55 @@ def check_relations(module: QDModule) -> list[str]:
             letters[(kind, (pos, sign))] = mat
 
     x, y = module.x_mat, module.y_mat
-    for (kind, (pos, sign)), mat in letters.items():
+    swaps: dict[tuple[str, tuple[int, int]], bool] = {}
+    scales: dict[tuple[str, tuple[int, int]], bool] = {}
+    # the sign +1 letters first, so that a sign -1 letter finds its partner's outcomes
+    for key in sorted(letters, key=lambda key: -key[1][1]):
+        kind, (pos, sign) = key
+        partner = (kind, (pos, -sign))
+        reuse = mirrored and sign < 0
+        swaps[key] = swaps[partner] if reuse else _products_equal(x, letters[key], letters[partner], x, 0)
+        if reuse and swaps[partner]:
+            scales[key] = scales[partner]
+        else:
+            k = pairs[pos][1]
+            scales[key] = _products_equal(y, letters[key], letters[key], y, sign * k if kind == "v" else -sign * k)
+    for key in letters:
+        kind, (pos, sign) = key
         name = f"{kind}({pos},{sign:+d})"
-        partner = letters[(kind, (pos, -sign))]
-        k = pairs[pos][1]
-        if not _products_equal(x, mat, partner, x, 0):
+        if not swaps[key]:
             failures.append(f"x does not swap the sign of {name}")
-        if not _products_equal(y, mat, mat, y, sign * k if kind == "v" else -sign * k):
+        if not scales[key]:
             failures.append(f"y does not scale {name} as expected")
 
     views = {key: _letter_view(mat) for key, mat in letters.items()}
+    held: dict[tuple[str, tuple[int, int], str, tuple[int, int]], bool] = {}
+
+    def bracket_holds(first: str, ka: tuple[int, int], second: str, kb: tuple[int, int]) -> bool:
+        left, right = (first, ka), (second, kb)
+        if mirrored and ka[1] < 0 and swaps[left] and swaps[right]:
+            # the loops below reach the mirror, both signs flipped, first
+            holds = held[(first, (ka[0], 1), second, (kb[0], -kb[1]))]
+        else:
+            cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1]) if first != second and ka[0] == kb[0] else None
+            holds = _bracket_equals(letters[left], letters[right], cross, views[left], views[right])
+        held[(first, ka, second, kb)] = holds
+        return holds
+
     # a letter is bracketed with itself, as the same matrix, only to check A^2 = 0
     v_keys = sorted(module.v_mats, key=lambda key: (key[0], -key[1]))
     a_keys = sorted(module.a_mats, key=lambda key: (key[0], -key[1]))
     for idx, ka in enumerate(v_keys):
         for kb in v_keys[idx:]:
-            if not _bracket_equals(module.v_mats[ka], module.v_mats[kb], None, views[("v", ka)], views[("v", kb)]):
+            if not bracket_holds("v", ka, "v", kb):
                 failures.append(f"raising letters {ka} and {kb} do not anticommute")
     for idx, ka in enumerate(a_keys):
         for kb in a_keys[idx:]:
-            if not _bracket_equals(module.a_mats[ka], module.a_mats[kb], None, views[("a", ka)], views[("a", kb)]):
+            if not bracket_holds("a", ka, "a", kb):
                 failures.append(f"lowering letters {ka} and {kb} do not anticommute")
     for ka in a_keys:
         for kb in v_keys:
-            cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1]) if ka[0] == kb[0] else None
-            if not _bracket_equals(module.a_mats[ka], module.v_mats[kb], cross, views[("a", ka)], views[("v", kb)]):
+            if not bracket_holds("a", ka, "v", kb):
                 failures.append(f"mixed bracket of a{ka} with v{kb} does not match the cross term")
     return failures
 

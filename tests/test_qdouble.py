@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble
 from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, _rref, get_field, kernel
-from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs
+from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
     GradedCharacter,
     _bracket_equals,
@@ -60,6 +60,7 @@ from matrices import (
     unit_monomials,
 )
 from oracle import phi_action, theta_action
+from relations import every_relation_failures
 
 
 def _char_text(char: GradedCharacter) -> str:
@@ -414,12 +415,19 @@ def _reference_phi_action(ctx, pair, eps, mu, module):
 
 
 def _assert_cross_terms_match_the_reference(module, pairs=None):
+    """Each cross term against its reference, and ``x C(eps, mu) x == C(-eps, -mu)`` column by column:
+    ``check_relations`` decides a mixed bracket of a sign -1 lowering letter on that mirror."""
+    assert group_relation_failures(module) == []
+    x_mat = module.x_mat.matrix()
     for pair in module.index_set.pairs if pairs is None else pairs:
         for eps in (1, -1):
             for mu in (1, -1):
                 built = phi_action(module.ctx, pair, eps, mu, module)
                 assert built == _reference_phi_action(module.ctx, pair, eps, mu, module)
                 assert all(x for col in built.sparse_columns() for x in col.values())
+                conjugated = times(times(x_mat, built), x_mat).sparse_columns()
+                for j, col in enumerate(phi_action(module.ctx, pair, -eps, -mu, module).sparse_columns()):
+                    assert conjugated[j] == col, (pair, eps, mu, j)
 
 
 @pytest.mark.parametrize("iset_text", ["(1,6),(3,6)", "(2,3),(2,9)"])
@@ -1032,14 +1040,14 @@ def test_socle_refuses_modules_without_kernel_vectors(ctx12):
 # Each mutation below breaks one relation; check_relations must name it.
 
 
-def _mutated(module, y_mat=None, v_mats=(), a_mats=()):
-    """A copy of the module with its y matrix or some letters replaced."""
+def _mutated(module, y_mat=None, v_mats=(), a_mats=(), x_mat=None):
+    """A copy of the module with its x or y matrix or some letters replaced."""
     return QDModule(
         module.ctx,
         module.index_set,
         module.zdeg,
         module.gdeg,
-        module.x_mat,
+        module.x_mat if x_mat is None else x_mat,
         module.y_mat if y_mat is None else y_mat,
         {**module.v_mats, **dict(v_mats)},
         {**module.a_mats, **dict(a_mats)},
@@ -1124,9 +1132,11 @@ def test_relations_catch_a_y_of_the_wrong_order(ctx12):
 
 
 def _signed_shift(field, dim, m):
-    """On each run of m basis vectors, e_t -> e_(t+1) and the last back to -e_0 = w^(m/2) e_0: order 2m."""
-    rows = [j + 1 if (j + 1) % m else j + 1 - m for j in range(dim)]
-    return UnitMonomial(field, rows, [0 if (j + 1) % m else m // 2 for j in range(dim)])
+    """On each run of m basis vectors, e_t -> e_(t+1) and the last back to -e_0 = w^(m/2) e_0: order 2m.
+    A last run shorter than m, of length L, is shifted so too, with order 2L."""
+    ends = [min(j - j % m + m, dim) for j in range(dim)]
+    rows = [j + 1 if j + 1 < end else j - j % m for j, end in enumerate(ends)]
+    return UnitMonomial(field, rows, [0 if j + 1 < end else m // 2 for j, end in enumerate(ends)])
 
 
 def test_relations_catch_a_y_whose_mth_power_is_minus_one(ctx12):
@@ -1182,3 +1192,162 @@ def test_relations_name_a_flipped_sign_in_the_second_copy_of_a_repeated_pair(ctx
     assert "mixed bracket of a(1, 1) with v(1, 1) does not match the cross term" in failures
     brackets = [line for line in failures if line.startswith(("raising", "lowering", "mixed"))]
     assert all("(1, 1)" in line for line in brackets)
+
+
+# check_relations decides a relation whose first letter has sign -1 on its x-mirror; the loop of
+# tests/relations.py decides every relation directly.  The two must list the same lines in one order.
+
+
+def _braiding(ctx, pairs):
+    """Whether every two of the pairs, a pair with itself too, satisfy w^(i k) = -1."""
+    return all((s[0] * t[1]) % ctx.m == ctx.n for s in pairs for t in pairs)
+
+
+@st.composite
+def _index_sets(draw, ctx, most):
+    """One to ``most`` pairs that braid; when there is room, a pair is taken twice in half the draws."""
+    valid = valid_pairs(ctx)
+    picked = [draw(st.sampled_from(valid))]
+    for pair in draw(st.lists(st.sampled_from(valid), max_size=most - 1)):
+        if _braiding(ctx, picked + [pair]):
+            picked.append(pair)
+    if len(picked) < most and draw(st.booleans()):
+        picked.append(draw(st.sampled_from(picked)))
+    return validate_index_set(ctx, picked)
+
+
+@lru_cache(maxsize=None)
+def _head_and_socle(ctx, iset, label):
+    verma = build_verma(ctx, iset, label)
+    return head(verma), socle(verma)
+
+
+@st.composite
+def _relation_checked_modules(draw):
+    """A standard module at m = 12, 16 or 20 over one to three pairs, a module induced from the head or
+    the socle of one over one or two pairs at m = 12, or the tensor product of two heads over one pair.
+    At least half the weights drawn are reflection weights, on which y moves basis vectors."""
+    source = draw(st.sampled_from(("standard", "standard", "head", "socle", "tensor")))
+    ctx = get_context(draw(st.sampled_from((12, 16, 20))) if source == "standard" else 12)
+    labels = all_weight_labels(ctx)
+    reflections = [label for label in labels if label.family in ("Mx", "Mxy")]
+
+    def weight():
+        return draw(st.sampled_from(reflections if draw(st.booleans()) else labels))
+
+    if source == "standard":
+        return build_verma(ctx, draw(_index_sets(ctx, 3)), weight())
+    if source == "tensor":
+        iset = draw(_index_sets(ctx, 1))
+        left, right = (_head_and_socle(ctx, iset, weight())[0] for _ in range(2))
+        return tensor_qd(ctx, left, right)
+    iset = draw(_index_sets(ctx, 2))
+    base = _head_and_socle(ctx, iset, weight())[source == "socle"]
+    fresh = [pair for pair in valid_pairs(ctx) if _braiding(ctx, iset.pairs + (pair,))]
+    return induce_from_simple(ctx, base, draw(st.sampled_from(fresh)))
+
+
+def _letter(module, kind, key):
+    return (module.v_mats if kind == "v" else module.a_mats)[key]
+
+
+def _flipped(module, kind, key):
+    """One entry of a letter negated: its x-swap fails, and so may its bracket and y relations."""
+    return _mutated(module, **{f"{kind}_mats": {key: _flip_one_sign(_letter(module, kind, key))}})
+
+
+def _x_mirrored(module, kind, key, i, j, t):
+    """Entry (i, j) of a letter and entry (x(i), x(j)) of its partner, each times w^t: as x^2 = 1,
+    ``x A x`` is still the partner, so every x-swap holds and only brackets or y can fail."""
+    scale, rows = module.ctx.field.zeta(t), module.x_mat.rows
+    changed = {}
+    for (r, c), name in (((i, j), key), ((rows[i], rows[j]), (key[0], -key[1]))):
+        cols = [dict(col) for col in _letter(module, kind, name).sparse_columns()]
+        cols[c][r] = cols[c][r] * scale
+        changed[name] = CycMatrix(module.ctx.field, cols, module.dim)
+    return _mutated(module, **{f"{kind}_mats": changed})
+
+
+def _twisted(module, group_like, kind, key, t):
+    """x or y times a diagonal D that commutes with one letter: D is w^(t c) on the c-th connected
+    component of the graph of the letter's entries.  The letter's x-swap or y relation still holds,
+    its partner's may not, and the group part may fail: x^2 or (x y)^2 need not be 1."""
+    parent = list(range(module.dim))
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for j, col in enumerate(_letter(module, kind, key).sparse_columns()):
+        for i in col:
+            parent[root(i)] = root(j)
+    components = {}
+    twist = [t * components.setdefault(root(j), len(components)) for j in range(module.dim)]
+    g = module.x_mat if group_like == "x" else module.y_mat
+    g = UnitMonomial(module.ctx.field, g.rows, [e + d for e, d in zip(g.exps, twist)])
+    return _mutated(module, **{f"{group_like}_mat": g})
+
+
+def _letter_keys(module):
+    """(kind, key) of every letter with an entry."""
+    keys = [("v", key) for key, mat in module.v_mats.items() if not is_zero(mat)]
+    return keys + [("a", key) for key, mat in module.a_mats.items() if not is_zero(mat)]
+
+
+@st.composite
+def _mutants(draw, module):
+    """The module, or one with a letter's sign flipped, an x-mirrored pair of entries scaled, x or y
+    twisted along a letter (``_twisted``), or a y of order 2m on runs of m basis vectors."""
+    mutation = draw(st.sampled_from(("none", "flipped", "mirrored", "x", "y", "shift")))
+    if mutation == "shift":
+        return _mutated(module, y_mat=_signed_shift(module.ctx.field, module.dim, module.ctx.m))
+    letters = _letter_keys(module)
+    if mutation == "none" or not letters:
+        return module
+    kind, key = draw(st.sampled_from(letters))
+    if mutation == "flipped":
+        return _flipped(module, kind, key)
+    if mutation in "xy":
+        return _twisted(module, mutation, kind, key, draw(st.integers(1, module.ctx.m - 1)))
+    cols = _letter(module, kind, key).sparse_columns()
+    j = draw(st.sampled_from([j for j, col in enumerate(cols) if col]))
+    i = draw(st.sampled_from(sorted(cols[j])))
+    return _x_mirrored(module, kind, key, i, j, draw(st.integers(1, module.ctx.m - 1)))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_relations_decided_on_x_mirrors_match_every_relation_decided(data):
+    module = data.draw(_mutants(data.draw(_relation_checked_modules())))
+    assert check_relations(module) == every_relation_failures(module)
+
+
+@pytest.mark.parametrize("mutation", ["flipped", "mirrored", "x", "y"])
+@pytest.mark.parametrize("index", range(4))
+def test_each_letter_mutated_lists_the_failures_of_every_relation_decided(index, mutation):
+    # flipped: both x-swaps of the pair fail, and on a reflection weight the y relation of the flipped
+    # letter alone; mirrored: the group part and every x-swap hold, so each relation with a sign -1
+    # first letter takes its mirror's outcome; x or y twisted: the group part fails, and the letter
+    # twisted along keeps its x-swap or y relation while its partner's may fail
+    module = _relation_modules()[index]
+    for kind, key in _letter_keys(module):
+        if mutation == "flipped":
+            mutant = _flipped(module, kind, key)
+        elif mutation == "mirrored":
+            j, col = next((j, col) for j, col in enumerate(_letter(module, kind, key).sparse_columns()) if col)
+            mutant = _x_mirrored(module, kind, key, min(col), j, 1)
+        else:
+            mutant = _twisted(module, mutation, kind, key, 1)
+        failures = check_relations(mutant)
+        assert failures == every_relation_failures(mutant)
+        group_part = group_relation_failures(mutant)
+        swaps = [line for line in failures if line.startswith("x does not swap")]
+        if mutation == "flipped":
+            assert {f"x does not swap the sign of {kind}({key[0]},{sign:+d})" for sign in (1, -1)} <= set(swaps)
+        elif mutation == "mirrored":
+            assert failures and not group_part and not swaps
+        else:
+            relation = "x does not swap the sign of {}" if mutation == "x" else "y does not scale {} as expected"
+            assert failures and group_part
+            assert relation.format(f"{kind}({key[0]},{key[1]:+d})") not in failures
