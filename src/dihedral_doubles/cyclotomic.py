@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def _poly_divide_exact(num: list[int], den: Sequence[int]) -> list[int]:
@@ -493,6 +493,25 @@ class UnitMonomial:
             self.field, [rows[r] for r in other.rows], [exps[r] + e for r, e in zip(other.rows, other.exps)]
         )
 
+    def _cycles(self) -> Iterator[tuple[int, int, int]]:
+        """``(start, length, exponent sum)`` of each cycle of the row map, start its smallest column.
+
+        A fixed point is a cycle of length 1.  This is the walk that
+        :meth:`order_divides` and :meth:`cycle_starts` share.
+        """
+        rows, exps = self.rows, self.exps
+        seen = [False] * len(rows)
+        for start, j in enumerate(rows):
+            if seen[start]:
+                continue
+            length, total = 1, exps[start]
+            while j != start:
+                seen[j] = True
+                length += 1
+                total += exps[j]
+                j = rows[j]
+            yield start, length, total
+
     def __pow__(self, power: int) -> UnitMonomial:
         """A power with ``power >= 0``, read off the cycles of the row map.
 
@@ -546,25 +565,22 @@ class UnitMonomial:
         divides k and an exponent sum P with ``P * (k / L) = 0`` mod m: k
         steps are k / L full turns of each cycle.
         """
-        rows, exps, m = self.rows, self.exps, self.field.m
-        seen = [False] * len(rows)
-        for start in range(len(rows)):
-            j = rows[start]
-            if j == start:
-                if exps[start] * k % m:
-                    return False
-                continue
-            if seen[start]:
-                continue
-            length, total = 1, exps[start]
-            while j != start:
-                seen[j] = True
-                length += 1
-                total += exps[j]
-                j = rows[j]
+        m = self.field.m
+        for _, length, total in self._cycles():
             if k % length or total * (k // length) % m:
                 return False
         return True
+
+    def cycle_starts(self) -> Sequence[int]:
+        """The smallest column of each cycle of the row map, fixed points included, in increasing order.
+
+        When the row map is the identity, every column is its own cycle, and
+        the columns are returned as a range with no walk.
+        """
+        n = len(self.rows)
+        if self.rows == tuple(range(n)):
+            return range(n)
+        return [start for start, _, _ in self._cycles()]
 
     def restricted(self, idxs: Sequence[int]) -> UnitMonomial:
         """The block on the basis vectors ``idxs``, in that order.

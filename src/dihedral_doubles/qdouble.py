@@ -11,9 +11,12 @@ expressions, decided column by column without building a product, a sum
 or a cross-term matrix.  When the group part holds, conjugation by x swaps
 the signs of the letters and of the cross terms, so a relation whose first
 letter has sign -1 takes the outcome of its mirror of sign +1, once the
-letters' x-swaps hold; only the others are decided on the matrices.  The
-products with x and y read the row maps and exponents of x and y and the
-letters' sparse columns, on one path.  The brackets of letters read each
+letters' x-swaps hold; only the others are decided on the matrices.  And
+conjugation by y scales a bracket whose letters' y-scalings hold, so it is
+decided on one column per cycle of y's row map: one column in m/2 on a
+reflection weight, every column where y keeps each basis line, as on a
+rotation weight.  The products with x and y read the row maps and
+exponents of x and y and the letters' sparse columns, on one path.  The brackets of letters read each
 letter's row map and entries, a view that :func:`check_relations` builds
 once per letter, and walk a column's few entries where a letter has none,
 such as a lowering letter with two entries in a column.  Tagged entries
@@ -27,7 +30,9 @@ defining relations act through the group degree of the vector alone.  The
 base is a weight, the module over the empty index set, or for one step of
 the recursion a simple module.  Socles and heads are computed from scratch
 by exact linear algebra, with no appeal to any closed-form answer, so they
-can serve as independent evidence for one.  The closed-form side
+can serve as independent evidence for one.  A generated submodule is closed
+in PBW order, U = U+ D(G) U-: under the lowering letters first, then under
+x, y and the raising letters.  The closed-form side
 (``theorems.predicted_character``) builds no module here: it takes the
 exterior algebra of the letters one pair at a time, as weights.
 """
@@ -330,6 +335,10 @@ def check_relations(module: QDModule) -> list[str]:
     and given the mirror's outcome:
 
     - the x-swap of A' holds exactly when that of A does, by x^2 = 1;
+    - if it holds, A' = x A x is graded exactly when A is, since x keeps
+      each degree and conjugates group degrees, and x h x = h^-1 for the
+      rotation h that A multiplies group degrees by; when A is not graded,
+      A' is checked itself, so that its failure line names its own column;
     - if it holds, ``y A' == c^-1 A' y`` is x times ``y A == c A y`` times
       x, since x y x = y^-1;
     - if both letters' x-swaps hold, the bracket of A' with B' is x times
@@ -340,26 +349,40 @@ def check_relations(module: QDModule) -> list[str]:
 
     Any other relation, and every relation when the group part fails, is
     decided directly.  Each keeps its own failure line.
+
+    A bracket decided directly is decided on one column per cycle of y's
+    row map, when the group part holds and both letters' y-scalings hold.
+    Then ``R = A B + B A - T`` has ``y R y^-1 = c_A c_B R``: the products
+    are scaled so by ``y A y^-1 = c_A A`` and ``y B y^-1 = c_B B``, and the
+    target T, zero or the cross term ``[eps = mu] + y^p S``, is scaled so
+    too.  y commutes with y^p, and ``y S y^-1`` is the diagonal whose entry
+    in y's row of j is S's entry at j.  As y conjugates group degrees, that
+    row has the rotation exponent of j, or the reflection exponent a - 2
+    where j has a.  The entries of S depend on the degree alone: at a
+    rotation exponent they are kept, as ``c_A c_B = 1`` for equal signs and
+    a mixed-sign S vanishes there; at a reflection exponent, equal signs
+    give no S, and the mixed-sign exponent ``-(a + 2 i) k`` or
+    ``(a - 2 i) k`` at a is that at a - 2 plus ``-2 k`` or ``2 k``, the
+    exponent of ``c_A c_B``.  So with ``y e_j = w^u e_r``, column r of R is
+    ``c^-1 w^-u y`` times column j: it vanishes exactly when column j does,
+    and the first column of each cycle decides the cycle.  That is one
+    column in m/2 on a reflection weight, and every column, with no cycle
+    walk, where y's row map is the identity (``UnitMonomial.cycle_starts``).
+    The x-swaps and y-scalings, the premises, are decided on every column,
+    and so is a bracket whose premises fail.
     """
     group = module.ctx.group
     failures = group_relation_failures(module)
     mirrored = not failures
     pairs = module.index_set.pairs
-    letters: dict[tuple[str, tuple[int, int]], CycMatrix] = {}
-    # a raising letter lowers the degree by one and multiplies the group
-    # degree by y^(+-i); a lowering letter does the opposite
-    for kind, mats, zshift in (("v", module.v_mats, -1), ("a", module.a_mats, 1)):
-        for (pos, sign), mat in mats.items():
-            shift = group.rotation(-zshift * sign * pairs[pos][0])
-            name = f"{kind}({pos},{sign:+d})"
-            failure = grading_failure(module, name, mat.sparse_columns(), zshift, group.products[shift])
-            if failure:
-                failures.append(failure)
-            letters[(kind, (pos, sign))] = mat
+    letters = {
+        (kind, key): mat for kind, mats in (("v", module.v_mats), ("a", module.a_mats)) for key, mat in mats.items()
+    }
 
     x, y = module.x_mat, module.y_mat
     swaps: dict[tuple[str, tuple[int, int]], bool] = {}
     scales: dict[tuple[str, tuple[int, int]], bool] = {}
+    gradings: dict[tuple[str, tuple[int, int]], str | None] = {}
     # the sign +1 letters first, so that a sign -1 letter finds its partner's outcomes
     for key in sorted(letters, key=lambda key: -key[1][1]):
         kind, (pos, sign) = key
@@ -371,6 +394,17 @@ def check_relations(module: QDModule) -> list[str]:
         else:
             k = pairs[pos][1]
             scales[key] = _products_equal(y, letters[key], letters[key], y, sign * k if kind == "v" else -sign * k)
+        if reuse and swaps[key] and gradings[partner] is None:
+            # A' = x A x is graded as A is, since x keeps degrees and conjugates group degrees
+            gradings[key] = None
+        else:
+            # a raising letter lowers the degree by one and multiplies the group
+            # degree by y^(+-i); a lowering letter does the opposite
+            zshift = -1 if kind == "v" else 1
+            shift = group.rotation(-zshift * sign * pairs[pos][0])
+            name = f"{kind}({pos},{sign:+d})"
+            gradings[key] = grading_failure(module, name, letters[key].sparse_columns(), zshift, group.products[shift])
+    failures += [gradings[key] for key in letters if gradings[key]]
     for key in letters:
         kind, (pos, sign) = key
         name = f"{kind}({pos},{sign:+d})"
@@ -381,6 +415,8 @@ def check_relations(module: QDModule) -> list[str]:
 
     views = {key: _letter_view(mat) for key, mat in letters.items()}
     held: dict[tuple[str, tuple[int, int], str, tuple[int, int]], bool] = {}
+    every = range(module.dim)
+    starts = y.cycle_starts() if mirrored else every
 
     def bracket_holds(first: str, ka: tuple[int, int], second: str, kb: tuple[int, int]) -> bool:
         left, right = (first, ka), (second, kb)
@@ -389,7 +425,9 @@ def check_relations(module: QDModule) -> list[str]:
             holds = held[(first, (ka[0], 1), second, (kb[0], -kb[1]))]
         else:
             cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1]) if first != second and ka[0] == kb[0] else None
-            holds = _bracket_equals(letters[left], letters[right], cross, views[left], views[right])
+            # y R y^-1 = c R once both letters' y-scalings hold, so one column per cycle of y decides R
+            columns = starts if scales[left] and scales[right] else every
+            holds = _bracket_equals(letters[left], letters[right], cross, views[left], views[right], columns)
         held[(first, ka, second, kb)] = holds
         return holds
 
@@ -473,6 +511,7 @@ def _bracket_equals(
     cross: Callable[[int], VecDict] | None,
     a_view: LetterView | None,
     b_view: LetterView | None,
+    columns: Iterable[int],
 ) -> bool:
     """Whether ``a b + b a`` equals the target read by ``cross``, column by column, with no matrix built.
 
@@ -485,12 +524,19 @@ def _bracket_equals(
     difference of m/2.  Against a cross term the column is compared as
     field elements.  If an operand has no view, both terms of column j are
     walked from the sparse columns.
+
+    ``columns`` lists the columns decided: every column, or, from
+    :func:`check_relations`, the first column of each cycle of y's
+    row map when conjugation by y scales ``a b + b a`` minus the target by
+    one root of unity c: with ``y e_j = w^u e_r``, column r of the
+    difference is ``c^-1 w^-u y`` times its column j, so the one vanishes
+    exactly when the other does, and the cycle's first column decides it.
     """
     square = a is b and cross is None
     if not (a_view and b_view):
-        a_cols = a.sparse_columns()
-        for j, b_col in enumerate(b.sparse_columns()):
-            col = a.apply(b_col)
+        a_cols, b_cols = a.sparse_columns(), b.sparse_columns()
+        for j in columns:
+            col = a.apply(b_cols[j])
             if not square:
                 for i, val in b.apply(a_cols[j]).items():
                     add_into(col, i, val)
@@ -501,7 +547,8 @@ def _bracket_equals(
     m = a.field.m
     # -w^e is w^(e + m/2); for odd m no power of w is -1, and -1 matches no exponent
     half = m // 2 if m % 2 == 0 else -1
-    for j, r in enumerate(b_rows):
+    for j in columns:
+        r = b_rows[j]
         i = None if r is None else a_rows[r]
         s = None if square else a_rows[j]
         k = None if s is None else b_rows[s]
@@ -602,25 +649,57 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     Each vector must lie in one (degree, group degree) cell.  The generators
     are graded, so their images do too, and reduced rows from different
     cells share no coordinate: every row of the basis lies in one cell.
-    Every image of a queued vector is inserted.  The image of a queued
-    coordinate vector c e_j is c times the generator's column j, which spans
-    the same line, so the column is inserted in its place, read as it
+
+    The closure runs in PBW order.  The double is U = U+ D(G) U-: by the
+    defining relations a lowering letter passes a raising one at the cost
+    of a cross term in D(G), and x and y pass a letter at the cost of a
+    root of unity or a sign swap, so every word in the generators is a sum
+    of words with the raising letters left of x and y, and these left of
+    the lowering letters.  The submodule U S is therefore U+ D(G) (U- S).
+    First the span of the seeds is closed under the lowering letters alone,
+    which takes no step when the seeds lie in the joint kernel, as those of
+    :func:`head` and :func:`socle` do.  Then that span is closed under x, y
+    and the raising letters.  The dual group-likes act on a vector of one
+    cell by a scalar, so every vector inserted already spans their images.
+    This holds on a module whose relations hold (:func:`check_relations`);
+    :func:`subspace_as_module` still checks the result's stability under
+    every generator.  A span's pivots and reduced rows are unique, so the
+    basis is the one the closure under every generator at once would give.
+
+    Every image of a walked vector is inserted (:func:`_close`).  The image
+    of a coordinate vector c e_j is c times the generator's column j, which
+    spans the same line, so the column is inserted in its place, read as it
     stands: the columns are shared, and ``insert`` copies what it keeps.
     x and y are turned into :class:`~.cyclotomic.CycMatrix` once per call.
-    The closure stops once the basis has ``module.dim`` pivots: no image
-    can grow a span that holds every basis vector.
+    Each phase stops once the basis has ``module.dim`` pivots: no image can
+    grow a span that holds every basis vector.
     """
     space = EchelonBasis(module.ctx.field)
-    queue: list[VecDict] = []
+    seeds: list[VecDict] = []
     for vec in vectors:
         if len({(module.zdeg[i], module.gdeg[i]) for i in vec}) > 1:
             raise ValueError("vector is not homogeneous for the two gradings")
         if space.insert(vec):
-            queue.append(vec)
-    gens = [module.x_mat.matrix(), module.y_mat.matrix(), *module.v_mats.values(), *module.a_mats.values()]
+            seeds.append(vec)
+    lowered = _close(space, seeds, list(module.a_mats.values()), module.dim)
+    _close(space, lowered, [module.x_mat.matrix(), module.y_mat.matrix(), *module.v_mats.values()], module.dim)
+    return space
+
+
+def _close(space: EchelonBasis, vectors: list[VecDict], gens: list[CycMatrix], dim: int) -> list[VecDict]:
+    """Insert the images under ``gens`` of the vectors, and of each image that grows the span.
+
+    The vectors are walked breadth first, in the order they were inserted,
+    so a span of all ``dim`` basis vectors is often reached before the
+    last layer is walked.  Returns the vectors and those images: they span
+    the closure.
+    """
     columns = [mat.sparse_columns() for mat in gens]
-    while queue and len(space.pivots) < module.dim:
-        vec = queue.pop()
+    kept = list(vectors)
+    # kept grows while it is walked
+    for vec in kept:
+        if len(space.pivots) == dim:
+            break
         if len(vec) == 1:
             (j,) = vec
             images = [cols[j] for cols in columns]
@@ -628,8 +707,8 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
             images = [mat.apply(vec) for mat in gens]
         for image in images:
             if space.insert(image):
-                queue.append(image)
-    return space
+                kept.append(image)
+    return kept
 
 
 def _on_positions(

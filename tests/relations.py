@@ -1,10 +1,12 @@
 """The every-relation reference for ``qdouble.check_relations``.
 
 ``check_relations`` decides a relation whose first letter has sign -1 on
-its x-mirror, when the group part allows.  :func:`every_relation_failures`
-is the loop it replaced: it decides every relation directly, in the same
-order and with the same failure lines, so the tests can insist that the
-two lists are equal.
+its x-mirror, when the group part allows, and a bracket on the first column
+of each cycle of y's row map, when the group part and both letters'
+y-scalings hold.  :func:`every_relation_failures` is the loop it replaced:
+it decides every relation directly, each letter's grading and every
+bracket on every column, in the same order and with the same failure
+lines, so the tests can insist that the two lists are equal.
 """
 
 from __future__ import annotations
@@ -42,20 +44,25 @@ def every_relation_failures(module: QDModule) -> list[str]:
             failures.append(f"y does not scale {name} as expected")
 
     views = {key: _letter_view(mat) for key, mat in letters.items()}
+    every = range(module.dim)
+
+    def bracket_holds(left, right, cross):
+        return _bracket_equals(letters[left], letters[right], cross, views[left], views[right], every)
+
     # a letter is bracketed with itself, as the same matrix, only to check A^2 = 0
     v_keys = sorted(module.v_mats, key=lambda key: (key[0], -key[1]))
     a_keys = sorted(module.a_mats, key=lambda key: (key[0], -key[1]))
     for idx, ka in enumerate(v_keys):
         for kb in v_keys[idx:]:
-            if not _bracket_equals(module.v_mats[ka], module.v_mats[kb], None, views[("v", ka)], views[("v", kb)]):
+            if not bracket_holds(("v", ka), ("v", kb), None):
                 failures.append(f"raising letters {ka} and {kb} do not anticommute")
     for idx, ka in enumerate(a_keys):
         for kb in a_keys[idx:]:
-            if not _bracket_equals(module.a_mats[ka], module.a_mats[kb], None, views[("a", ka)], views[("a", kb)]):
+            if not bracket_holds(("a", ka), ("a", kb), None):
                 failures.append(f"lowering letters {ka} and {kb} do not anticommute")
     for ka in a_keys:
         for kb in v_keys:
             cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1]) if ka[0] == kb[0] else None
-            if not _bracket_equals(module.a_mats[ka], module.v_mats[kb], cross, views[("a", ka)], views[("v", kb)]):
+            if not bracket_holds(("a", ka), ("v", kb), cross):
                 failures.append(f"mixed bracket of a{ka} with v{kb} does not match the cross term")
     return failures

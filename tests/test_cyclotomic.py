@@ -976,3 +976,6 @@ def test_order_divides_and_powers_read_off_the_cycles(case, data):
     power = _matrix_power(g.matrix(), k)
     assert g.order_divides(k) == (power == identity(g.field, n))
     assert (g**k).matrix() == power
+    # one start per cycle, its smallest column, fixed points too; the identity's columns as a range
+    assert sorted(g.cycle_starts()) == sorted(min(cycle) for cycle in _cycles(g.rows))
+    assert UnitMonomial(g.field, range(n), g.exps).cycle_starts() == range(n)

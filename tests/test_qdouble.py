@@ -583,7 +583,7 @@ def _bracket_cases(draw):
 @given(_bracket_cases())
 def test_the_bracket_kernel_decides_the_matrix_equality(case):
     a, b, target = case
-    found = _bracket_equals(a, b, _columns_of(target), _letter_view(a), _letter_view(b))
+    found = _bracket_equals(a, b, _columns_of(target), _letter_view(a), _letter_view(b), range(a.ncols))
     assert found == _bracket_reference(a, b, target)
 
 
@@ -610,9 +610,9 @@ def test_the_bracket_kernel_reads_the_row_of_every_target_entry(ctx12, iset_text
     cases.append((y, y, plus(square, square)))
     for a, b, target in cases:
         assert not has_two_entry_column(target)
-        assert _bracket_equals(a, b, _columns_of(target), _letter_view(a), _letter_view(b))
+        assert _bracket_equals(a, b, _columns_of(target), _letter_view(a), _letter_view(b), range(a.ncols))
         for moved in _each_entry_moved(target):
-            assert not _bracket_equals(a, b, _columns_of(moved), _letter_view(a), _letter_view(b))
+            assert not _bracket_equals(a, b, _columns_of(moved), _letter_view(a), _letter_view(b), range(a.ncols))
             assert not _bracket_reference(a, b, moved)
 
 
@@ -838,6 +838,34 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
     assert coordinate_seeds and full_spans
     # x is not monomial on the reduced rows of that submodule of the standard modules of reflection weights
     assert adapted
+
+
+def _seeds_outside_the_joint_kernel(module):
+    """Seed lists of one vector each: e_j for the first j of the bottom degree, and a combination with
+    coefficients w^t of the basis vectors of the first cell one degree above it."""
+    layers = module.layer_indices()
+    bottom = min(layers)
+    seeds = [[{layers[bottom][0]: module.ctx.field.one}]]
+    above = layers.get(bottom + 1, [])
+    if above:
+        cell = [j for j in above if module.gdeg[j] == module.gdeg[above[0]]]
+        seeds.append([{j: module.ctx.field.zeta(t) for t, j in enumerate(cell)}])
+    return seeds
+
+
+@pytest.mark.parametrize("iset_text", ["(1,6),(3,6)", "(2,3),(2,9)"])
+def test_submodules_generated_from_seeds_outside_the_joint_kernel_match_the_reference(iset_text):
+    # the lowering letters move these seeds, so the first phase of the closure in PBW order does work;
+    # on standard modules, induced modules of the recursion, and the quotients by their negative kernels
+    lowered = 0
+    for module in _standard_and_recursion_modules(iset_text):
+        negatives = _negatives(module)
+        quotients = [quotient(module, submodule_generated(module, negatives))] if negatives else []
+        for mod in [module, *(q for q in quotients if q.dim)]:
+            for seeds in _seeds_outside_the_joint_kernel(mod):
+                assert submodule_generated(mod, seeds).rows == _reference_generated(mod, seeds).rows
+                lowered += any(mat.apply(vec) for mat in mod.a_mats.values() for vec in seeds)
+    assert lowered
 
 
 def _omega_sum(ctx, exponents):
@@ -1194,8 +1222,9 @@ def test_relations_name_a_flipped_sign_in_the_second_copy_of_a_repeated_pair(ctx
     assert all("(1, 1)" in line for line in brackets)
 
 
-# check_relations decides a relation whose first letter has sign -1 on its x-mirror; the loop of
-# tests/relations.py decides every relation directly.  The two must list the same lines in one order.
+# check_relations decides a relation whose first letter has sign -1 on its x-mirror, and a bracket on one
+# column per cycle of y; the loop of tests/relations.py decides every relation directly, on every column.
+# The two must list the same lines in one order.
 
 
 def _braiding(ctx, pairs):
@@ -1247,6 +1276,14 @@ def _relation_checked_modules(draw):
     return induce_from_simple(ctx, base, draw(st.sampled_from(fresh)))
 
 
+@st.composite
+def _reflection_standard_modules(draw, m):
+    """A standard module of a reflection weight at order m over one or two pairs: y has cycles of length m/2."""
+    ctx = get_context(m)
+    reflections = [label for label in all_weight_labels(ctx) if label.family in ("Mx", "Mxy")]
+    return build_verma(ctx, draw(_index_sets(ctx, 2)), draw(st.sampled_from(reflections)))
+
+
 def _letter(module, kind, key):
     return (module.v_mats if kind == "v" else module.a_mats)[key]
 
@@ -1289,6 +1326,33 @@ def _twisted(module, group_like, kind, key, t):
     return _mutated(module, **{f"{group_like}_mat": g})
 
 
+def _off_cycle_start(module, kind, key, i, j, t):
+    """Entry (i, j) of a letter times w^t, j a column that is not the first of its y-cycle: the letter's
+    y-scaling fails, so its brackets are decided on every column."""
+    cols = [dict(col) for col in _letter(module, kind, key).sparse_columns()]
+    cols[j][i] = cols[j][i] * module.ctx.field.zeta(t)
+    return _mutated(module, **{f"{kind}_mats": {key: CycMatrix(module.ctx.field, cols, module.dim)}})
+
+
+def _misgraded(module, kind, key, i, j):
+    """Entry (i, j) of a letter moved to the first row of another (degree, group degree) cell that column j
+    leaves empty: the letter breaks the grading at column j, and its x-swap fails."""
+    cells = list(zip(module.zdeg, module.gdeg))
+    cols = [dict(col) for col in _letter(module, kind, key).sparse_columns()]
+    row = next(r for r in range(module.dim) if cells[r] != cells[i] and r not in cols[j])
+    cols[j][row] = cols[j].pop(i)
+    return _mutated(module, **{f"{kind}_mats": {key: CycMatrix(module.ctx.field, cols, module.dim)}})
+
+
+def _regraded(module, j):
+    """Basis vector j given the group degree of y e_j: on a reflection cell that is another degree, so the
+    group part fails, while every letter's y-scaling holds and the cross terms change in column j alone."""
+    gdeg = list(module.gdeg)
+    gdeg[j] = module.gdeg[module.y_mat.rows[j]]
+    mats = (module.x_mat, module.y_mat, module.v_mats, module.a_mats)
+    return QDModule(module.ctx, module.index_set, module.zdeg, gdeg, *mats, weight=module.weight, kind=module.kind)
+
+
 def _letter_keys(module):
     """(kind, key) of every letter with an entry."""
     keys = [("v", key) for key, mat in module.v_mats.items() if not is_zero(mat)]
@@ -1297,46 +1361,88 @@ def _letter_keys(module):
 
 @st.composite
 def _mutants(draw, module):
-    """The module, or one with a letter's sign flipped, an x-mirrored pair of entries scaled, x or y
-    twisted along a letter (``_twisted``), or a y of order 2m on runs of m basis vectors."""
-    mutation = draw(st.sampled_from(("none", "flipped", "mirrored", "x", "y", "shift")))
+    """(mutation, module): the module, or one with a letter's sign flipped, an x-mirrored pair of entries
+    scaled, x or y twisted along a letter (``_twisted``), a y of order 2m on runs of m basis vectors, one
+    entry of a letter scaled in a column that is not the first of its y-cycle (``_off_cycle_start``), where
+    y moves a column with an entry, the group degree of such a column changed (``_regraded``), or one entry
+    of a letter moved out of its cell (``_misgraded``)."""
+    mutations = ("none", "flipped", "mirrored", "x", "y", "shift", "off_start", "regraded", "misgraded")
+    mutation = draw(st.sampled_from(mutations))
     if mutation == "shift":
-        return _mutated(module, y_mat=_signed_shift(module.ctx.field, module.dim, module.ctx.m))
+        return mutation, _mutated(module, y_mat=_signed_shift(module.ctx.field, module.dim, module.ctx.m))
     letters = _letter_keys(module)
+    starts = set(module.y_mat.cycle_starts())
+    moved = [j for j in range(module.dim) if j not in starts]
+    if mutation == "regraded":
+        return ("regraded", _regraded(module, draw(st.sampled_from(moved)))) if moved else ("none", module)
+    if mutation == "off_start":
+        letters = [letter for letter in letters if any(_letter(module, *letter).sparse_columns()[j] for j in moved)]
     if mutation == "none" or not letters:
-        return module
+        return "none", module
     kind, key = draw(st.sampled_from(letters))
     if mutation == "flipped":
-        return _flipped(module, kind, key)
+        return mutation, _flipped(module, kind, key)
     if mutation in "xy":
-        return _twisted(module, mutation, kind, key, draw(st.integers(1, module.ctx.m - 1)))
+        return mutation, _twisted(module, mutation, kind, key, draw(st.integers(1, module.ctx.m - 1)))
     cols = _letter(module, kind, key).sparse_columns()
-    j = draw(st.sampled_from([j for j, col in enumerate(cols) if col]))
+    j = draw(st.sampled_from([j for j, col in enumerate(cols) if col and (mutation != "off_start" or j in moved)]))
     i = draw(st.sampled_from(sorted(cols[j])))
-    return _x_mirrored(module, kind, key, i, j, draw(st.integers(1, module.ctx.m - 1)))
+    if mutation == "misgraded":
+        return mutation, _misgraded(module, kind, key, i, j)
+    build = _x_mirrored if mutation == "mirrored" else _off_cycle_start
+    return mutation, build(module, kind, key, i, j, draw(st.integers(1, module.ctx.m - 1)))
 
 
 @settings(max_examples=60)
 @given(st.data())
 def test_relations_decided_on_x_mirrors_match_every_relation_decided(data):
-    module = data.draw(_mutants(data.draw(_relation_checked_modules())))
-    assert check_relations(module) == every_relation_failures(module)
+    # every example also takes a reflection weight at m = 16 and at m = 20, where y has 8- and 10-cycles
+    sources = (_relation_checked_modules(), _reflection_standard_modules(16), _reflection_standard_modules(20))
+    for source in sources:
+        mutation, module = data.draw(_mutants(data.draw(source)))
+        failures = check_relations(module)
+        assert failures == every_relation_failures(module)
+        if mutation == "off_start":
+            assert any(line.startswith("y does not scale") for line in failures)
 
 
-@pytest.mark.parametrize("mutation", ["flipped", "mirrored", "x", "y"])
+def test_a_sign_minus_letter_conjugated_by_an_x_that_breaks_the_grading_is_checked_itself(ctx12):
+    # x a transposition of two basis vectors of different cells and v(0,-1) = x v(0,+1) x: both x-swaps
+    # hold while the group part fails, so the grading of v(0,-1) is decided on v(0,-1), which breaks it
+    module = _verma(ctx12, "(2,3)", "Mx:0,0")
+    plus = module.v_mats[(0, 1)]
+    cells = list(zip(module.zdeg, module.gdeg))
+    # p a column with an entry, q a vector outside the cells of p and of p's image
+    p, col = next((j, col) for j, col in enumerate(plus.sparse_columns()) if col)
+    q = next(j for j in range(module.dim) if cells[j] not in (cells[p], *(cells[r] for r in col)))
+    rows = list(range(module.dim))
+    rows[p], rows[q] = q, p
+    x = UnitMonomial(ctx12.field, rows, [0] * module.dim).matrix()
+    mutant = _mutated(module, x_mat=UnitMonomial.from_matrix(x), v_mats={(0, -1): times(x, times(plus, x))})
+    failures = check_relations(mutant)
+    assert failures == every_relation_failures(mutant)
+    assert group_relation_failures(mutant)
+    assert not {f"x does not swap the sign of v(0,{sign:+d})" for sign in (1, -1)} & set(failures)
+    assert any(line.startswith("v(0,-1) breaks the grading") for line in failures)
+
+
+@pytest.mark.parametrize("mutation", ["flipped", "mirrored", "x", "y", "misgraded"])
 @pytest.mark.parametrize("index", range(4))
 def test_each_letter_mutated_lists_the_failures_of_every_relation_decided(index, mutation):
     # flipped: both x-swaps of the pair fail, and on a reflection weight the y relation of the flipped
     # letter alone; mirrored: the group part and every x-swap hold, so each relation with a sign -1
     # first letter takes its mirror's outcome; x or y twisted: the group part fails, and the letter
-    # twisted along keeps its x-swap or y relation while its partner's may fail
+    # twisted along keeps its x-swap or y relation while its partner's may fail; misgraded: the group
+    # part holds and the letter's x-swap fails, so a sign -1 letter is checked for grading itself
     module = _relation_modules()[index]
     for kind, key in _letter_keys(module):
+        j, col = next((j, col) for j, col in enumerate(_letter(module, kind, key).sparse_columns()) if col)
         if mutation == "flipped":
             mutant = _flipped(module, kind, key)
         elif mutation == "mirrored":
-            j, col = next((j, col) for j, col in enumerate(_letter(module, kind, key).sparse_columns()) if col)
             mutant = _x_mirrored(module, kind, key, min(col), j, 1)
+        elif mutation == "misgraded":
+            mutant = _misgraded(module, kind, key, min(col), j)
         else:
             mutant = _twisted(module, mutation, kind, key, 1)
         failures = check_relations(mutant)
@@ -1347,6 +1453,8 @@ def test_each_letter_mutated_lists_the_failures_of_every_relation_decided(index,
             assert {f"x does not swap the sign of {kind}({key[0]},{sign:+d})" for sign in (1, -1)} <= set(swaps)
         elif mutation == "mirrored":
             assert failures and not group_part and not swaps
+        elif mutation == "misgraded":
+            assert f"{kind}({key[0]},{key[1]:+d}) breaks the grading at column {j}" in failures and not group_part
         else:
             relation = "x does not swap the sign of {}" if mutation == "x" else "y does not scale {} as expected"
             assert failures and group_part
