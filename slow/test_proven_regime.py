@@ -23,7 +23,10 @@ m = 12 and 16, every two-pair report at m = 12 and every report over
 ``qdouble.highest_weight_vectors`` solves every kernel again,
 ``qdouble.subspace_as_module`` builds every submodule, a full span too,
 through ``qdouble._on_positions``, and ``theorems.verify_simple`` induces the
-smaller head and the smaller socle apart at every recursion step.
+smaller head and the smaller socle apart at every recursion step.  Every
+standard module over the 39 two-pair sets at m = 12, built one pair at a
+time, is compared matrix by matrix with the test helper
+``tests/exterior.py``, which induces both pairs at once.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dihedral_doubles.weights import all_weight_labels, parse_weight_label
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from adapted import adapted_quotient, as_module, needs_adapted_basis, reference_submodule  # noqa: E402
+from exterior import assert_standard_module_matches_the_reference  # noqa: E402
 
 
 def _assert_every_report_passes(ctx, index_sets, labels=None):
@@ -179,6 +183,13 @@ def test_there_are_39_two_pair_and_91_three_pair_sets_at_m_12_and_66_two_pair_se
 @pytest.mark.parametrize("index_set", TWO_PAIR_SETS, ids=str)
 def test_every_two_pair_case_at_m_12(index_set):
     _assert_every_report_passes(get_context(12), [index_set])
+
+
+@pytest.mark.parametrize("index_set", TWO_PAIR_SETS, ids=str)
+def test_every_two_pair_standard_module_at_m_12_matches_the_reference(index_set):
+    ctx = get_context(12)
+    for label in all_weight_labels(ctx):
+        assert_standard_module_matches_the_reference(ctx, index_set, label)
 
 
 @pytest.mark.parametrize("index_set", SOME_TWO_PAIR_SETS_AT_16, ids=str)

@@ -7,25 +7,19 @@ allowed, each occupying its own slot).  Each pair contributes two letters
 v+ and v-; the Nichols algebra of the resulting braided vector space is an
 exterior algebra on the 2r letters.
 
-Monomials are bitmasks over the letters in pair-major order, the + letter
-before the - letter of the same pair: bit 2p is v+ of pair p, bit 2p+1 is
-v- of pair p; :func:`mask_letters` lists a mask's letters.  Products carry
-the usual alternating sign, one factor -1 per crossing when merging two
-sorted letter lists.
-
-This layer is pure combinatorics of masks and pairs and builds no module:
-the exterior algebra on a weight is the standard module of
-``qdouble.build_verma``.  For one pair (i, k) its layers are the weight
-``e:chi1``, the pair module with degrees y^(+-i) and the volume v+ ∧ v-
-(``e:chi2``), and the algebra of an index set is the tensor product of
-those of its pairs.
+This layer parses and checks index sets and builds no module: the
+exterior algebra on a weight is the standard module of
+``qdouble.build_verma``, which lets the four monomials 1, v+, v- and
+v+ v- of one pair act at a time, from fixed tables.  For one pair (i, k)
+the layers of its exterior algebra are the weight ``e:chi1``, the pair
+module with degrees y^(+-i) and the volume v+ ∧ v- (``e:chi2``), and the
+algebra of an index set is the tensor product of those of its pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .dihedral import DihedralContext
 
@@ -40,10 +34,6 @@ class IndexSet:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    @property
-    def nletters(self) -> int:
-        return 2 * len(self.pairs)
 
     def without(self, position: int) -> IndexSet:
         pairs = self.pairs[:position] + self.pairs[position + 1 :]
@@ -104,59 +94,3 @@ def parse_index_set(ctx: DihedralContext, text: str) -> IndexSet:
             raise ValueError(f"malformed index set: {text!r}") from None
         pairs.append((i, k))
     return validate_index_set(ctx, pairs)
-
-
-def mask_letters(mask: int) -> Iterator[int]:
-    """The letters of a basis monomial of the exterior algebra, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def letter_pair(letter: int) -> int:
-    return letter // 2
-
-def letter_sign(letter: int) -> int:
-    """+1 for a v+ letter, -1 for a v- letter."""
-    return 1 if letter % 2 == 0 else -1
-
-
-def letter_insert(letter: int, mask: int) -> tuple[int, int]:
-    """Left-multiply a mask by one letter: (sign, mask), sign 0 when it vanishes."""
-    bit = 1 << letter
-    if mask & bit:
-        return 0, 0
-    below = (mask & (bit - 1)).bit_count()
-    return (-1 if below % 2 else 1), mask | bit
-
-
-def swap_letters(index_set: IndexSet, mask: int) -> tuple[int, int]:
-    """Exchange v+ and v- of every pair; sign is -1 per fully present pair."""
-    even = sum(1 << (2 * p) for p in range(index_set.size))
-    swapped = ((mask & even) << 1) | ((mask & (even << 1)) >> 1)
-    full_pairs = (mask & (mask >> 1) & even).bit_count()
-    return (-1 if full_pairs % 2 else 1), swapped
-
-
-def rotation_exponents(index_set: IndexSet, mask: int) -> tuple[int, int]:
-    """(sum of +-i_p, sum of +-k_p) over the letters of the mask."""
-    isum = ksum = 0
-    for letter in mask_letters(mask):
-        i, k = index_set.pairs[letter_pair(letter)]
-        if letter % 2 == 0:
-            isum += i
-            ksum += k
-        else:
-            isum -= i
-            ksum -= k
-    return isum, ksum
-
-
-def nichols_basis(index_set: IndexSet, degree: int) -> list[int]:
-    """Monomial masks spanning the given exterior degree, in letter-lex order."""
-    letters = range(index_set.nletters)
-    if not 0 <= degree <= index_set.nletters:
-        return []
-    masks = [sum(1 << b for b in combo) for combo in combinations(letters, degree)]
-    return masks

@@ -23,16 +23,18 @@ such as a lowering letter with two entries in a column.  Tagged entries
 compare by exponent.  The cross terms are read column by column from the
 group degrees and the row map and exponents of a power of y.
 
-Standard (Verma-type) modules are built by one induction that lets the
-exterior algebra of the letters act freely on a base module and rewrites
-each lowering generator past the letters; the cross terms produced by the
-defining relations act through the group degree of the vector alone.  The
-base is a weight, the module over the empty index set, or for one step of
-the recursion a simple module.  Socles and heads are computed from scratch
-by exact linear algebra, with no appeal to any closed-form answer, so they
-can serve as independent evidence for one.  A generated submodule is closed
-in PBW order, U = U+ D(G) U-: under the lowering letters first, then under
-x, y and the raising letters.  The closed-form side
+Standard (Verma-type) modules are built one pair at a time: an induction
+lets the exterior algebra of one new pair, four monomials written out as
+tables, act freely on a base module, and rewrites each new lowering letter
+past at most two letters; the cross terms produced by the defining
+relations act through the group degree of the vector alone.  A standard
+module folds the induction over its pairs in order, starting from the
+weight, the module over the empty index set; one step of the recursion
+induces one pair on a simple module.  Socles and heads are computed from
+scratch by exact linear algebra, with no appeal to any closed-form answer,
+so they can serve as independent evidence for one.  A generated submodule
+is closed in PBW order, U = U+ D(G) U-: under the lowering letters first,
+then under x, y and the raising letters.  The closed-form side
 (``theorems.predicted_character``) builds no module here: it takes the
 exterior algebra of the letters one pair at a time, as weights.
 """
@@ -46,23 +48,14 @@ from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, add_into, kernel
 from .dihedral import DihedralContext
-from .nichols import (
-    IndexSet,
-    letter_insert,
-    letter_pair,
-    letter_sign,
-    mask_letters,
-    nichols_basis,
-    rotation_exponents,
-    swap_letters,
-    validate_index_set,
-)
+from .nichols import IndexSet, validate_index_set
 from .weights import (
     QDModule,
     WeightLabel,
     build_weight,
     decomposition_counts,
     grading_failure,
+    group_module,
     group_relation_failures,
     summand_text,
     tensor_dd,
@@ -157,141 +150,92 @@ def _theta_column(terms: tuple[Callable[[int], VecDict], ...], j: int) -> VecDic
     return out
 
 
+# One pair's exterior algebra has four basis monomials, 1, v+, v- and v+ v-,
+# numbered 0 to 3 by the bits of their letters (v+ is bit 0, v- bit 1).  Per
+# monomial: its letter count; the multiple t of (i, k) that it adds to the
+# rotation exponent of the group degree and to y's exponent; x's signed swap,
+# since x v+ = v- x, so x v+ v- = v- v+ x = -v+ v- x; and the product with
+# v+ and with v- on its left, with its sign: v- v+ = -v+ v-, and v+ v+ = 0.
+_LETTER_COUNT = (0, 1, 1, 2)
+_TURN = (0, 1, -1, 0)
+_X_SWAP = ((1, 0), (1, 2), (1, 1), (-1, 3))
+_TIMES = {1: {0: (1, 1), 2: (1, 3)}, -1: {0: (1, 2), 1: (-1, 3)}}
+
+
 def _induce(
-    ctx: DihedralContext,
-    base: QDModule,
-    new_pairs: tuple[tuple[int, int], ...],
-    insert_pos: int,
-    merged: IndexSet,
-    weight: WeightLabel | None,
-    kind: str,
+    ctx: DihedralContext, base: QDModule, pair: tuple[int, int], weight: WeightLabel | None, kind: str
 ) -> QDModule:
-    """Let the exterior algebra on fresh letters act freely on the base module.
+    """Let the exterior algebra of one fresh pair act freely on the base module.
 
-    The base is a module over the double of a smaller index set: a weight
-    over the empty one for a standard module, a simple module for one step
-    of the recursion.  Its letters pass the new ones with one sign flip per
-    letter; the fresh lowering letters are rewritten recursively past the
-    leading letter, picking up a cross term whenever they meet their own
-    partner.
+    The base is a module over the double of a smaller index set: for a
+    standard module the weight or the module induced so far, for one step of
+    the recursion a simple module.  The new module has the basis s b, for the
+    monomials s of the tables above and the base vectors b, ordered by
+    degree, then s, then b.  The base letters pass the new ones with one sign
+    flip per letter.  A new lowering letter a of sign eps kills 1 b, and by
+    the defining relations takes v b to C b, for the cross term C of eps and
+    v's sign (:func:`_cross_term`), read on the new module's group part.  On
+    v+ v- b it is rewritten past v+ once:
+    ``a v+ v- b = -v+ (a v- b) + C(eps, +) v- b``, two terms on v+ and on v-.
     """
-    field = ctx.field
-    sub = IndexSet(ctx.m, new_pairs)
-    nu = len(new_pairs)
-    masks: list[int] = []
-    for deg in range(2 * nu + 1):
-        masks.extend(nichols_basis(sub, deg))
-    mask_exponents = {mask: rotation_exponents(sub, mask) for mask in masks}
-    letters = {mask: tuple(mask_letters(mask)) for mask in masks}
-    entries = [(mask, b) for mask in masks for b in range(base.dim)]
-    entries.sort(key=lambda mb: (mb[0].bit_count() - base.zdeg[mb[1]], mb[0].bit_count(), letters[mb[0]], mb[1]))
-    position = {mb: idx for idx, mb in enumerate(entries)}
+    field, group = ctx.field, ctx.group
+    i, k = pair
+    old = base.index_set.pairs
+    merged = validate_index_set(ctx, old + (pair,))
+    insert_pos = bisect_left(old, pair)
+    size = base.dim
+    entries = [(s, b) for s in range(4) for b in range(size)]
+    entries.sort(key=lambda sb: (_LETTER_COUNT[sb[0]] - base.zdeg[sb[1]], sb))
     dim = len(entries)
-    zdeg = [base.zdeg[b] - mask.bit_count() for mask, b in entries]
-    # the group degree of (mask, b), keyed by the mask's rotation exponent and b
-    degree_of: dict[tuple[int, int], int] = {}
-    for isum in {isum for isum, _ in mask_exponents.values()}:
-        turn = ctx.group.products[ctx.group.rotation(isum)]
-        for b, g in enumerate(base.gdeg):
-            degree_of[(isum, b)] = turn[g]
-    gdeg = [degree_of[(mask_exponents[mask][0], b)] for mask, b in entries]
+    # position[s * size + b] is the position of s b
+    position = [0] * dim
+    for idx, (s, b) in enumerate(entries):
+        position[s * size + b] = idx
+    zdeg = [base.zdeg[b] - _LETTER_COUNT[s] for s, b in entries]
+    turns = {t: group.products[group.rotation(t * i)] for t in (-1, 0, 1)}
+    gdeg = [turns[_TURN[s]][base.gdeg[b]] for s, b in entries]
 
-    def scatter(base_col: VecDict, target: VecDict, mask: int, scale: CycNum) -> None:
-        for b2, val in base_col.items():
-            add_into(target, position[(mask, b2)], val * scale)
-
-    # x swaps v+ and v- of every pair, with a sign -1 = w^n; y scales the letters by a power of w
+    # x swaps v+ and v- with a sign -1 = w^n on v+ v-; y scales the letters by a power of w
     base_x, base_y = base.x_mat, base.y_mat
     x_rows, x_exps, y_rows, y_exps = [], [], [], []
-    for mask, b in entries:
-        xsign, swapped = swap_letters(sub, mask)
-        x_rows.append(position[(swapped, base_x.rows[b])])
+    for s, b in entries:
+        xsign, swapped = _X_SWAP[s]
+        x_rows.append(position[swapped * size + base_x.rows[b]])
         x_exps.append(base_x.exps[b] + (0 if xsign > 0 else ctx.n))
-        y_rows.append(position[(mask, base_y.rows[b])])
-        y_exps.append(base_y.exps[b] + mask_exponents[mask][1])
-    base_y_powers = {p: y_power(base, p) for i, _ in new_pairs for p in (i, -i)}
+        y_rows.append(position[s * size + base_y.rows[b]])
+        y_exps.append(base_y.exps[b] + _TURN[s] * k)
+    x_mat, y_mat = UnitMonomial(field, x_rows, x_exps), UnitMonomial(field, y_rows, y_exps)
 
-    v_cols: dict[tuple[int, int], list[VecDict]] = {}
-    for q in range(nu):
-        for sign in (1, -1):
-            letter = 2 * q + (0 if sign > 0 else 1)
-            cols: list[VecDict] = [dict() for _ in range(dim)]
-            for mask, b in entries:
-                lsign, bigger = letter_insert(letter, mask)
-                if lsign:
-                    cols[position[(mask, b)]][position[(bigger, b)]] = field.from_integer(lsign)
-            v_cols[(q, sign)] = cols
-
-    zeta = field.zeta
-
-    def phi_on(q: int, eps: int, mu: int, mask: int, b: int) -> dict[tuple[int, int], CycNum]:
-        i, k = new_pairs[q]
-        isum, ksum = mask_exponents[mask]
-        refl, a = divmod(degree_of[(isum, b)], ctx.m)
-        out: dict[tuple[int, int], CycNum] = {}
-
-        def add_y_power(power: int, scale: CycNum) -> None:
-            # y^power on (mask, b): the letters only contribute a root of unity
-            turn = base_y_powers[power]
-            add_into(out, (mask, turn.rows[b]), scale * zeta(power * ksum + turn.exps[b]))
-
-        if refl == 0:
-            if eps == mu:
-                out[(mask, b)] = field.one
-                add_y_power(i if eps > 0 else -i, -zeta(a * k if eps > 0 else -a * k))
-        else:
-            if eps == mu:
-                out[(mask, b)] = field.one
-            elif eps > 0:
-                add_y_power(-i, -zeta(-(a + 2 * i) * k))
-            else:
-                add_y_power(i, -zeta((a - 2 * i) * k))
-        return out
-
-    def alpha_on(q: int, eps: int, mask: int, b: int) -> dict[tuple[int, int], CycNum]:
-        if mask == 0:
-            return {}
-        low = mask & -mask
-        letter = low.bit_length() - 1
-        rest = mask ^ low
-        out: dict[tuple[int, int], CycNum] = {}
-        for (mk, b2), val in alpha_on(q, eps, rest, b).items():
-            # the leading letter is smaller than every letter left in the
-            # tail, so re-inserting it in front costs no crossing sign
-            out[(mk | low, b2)] = -val
-        if letter_pair(letter) == q:
-            for key2, val in phi_on(q, eps, letter_sign(letter), rest, b).items():
-                add_into(out, key2, val)
-        return out
-
-    a_cols: dict[tuple[int, int], list[VecDict]] = {}
-    for q in range(nu):
-        for sign in (1, -1):
-            cols = []
-            for mask, b in entries:
-                cols.append(
-                    {position[mb]: val for mb, val in alpha_on(q, sign, mask, b).items()}
-                )
-            a_cols[(q, sign)] = cols
-
-    v_mats = {
-        (insert_pos + q, sign): CycMatrix(field, cols, dim)
-        for (q, sign), cols in v_cols.items()
-    }
-    a_mats = {
-        (insert_pos + q, sign): CycMatrix(field, cols, dim)
-        for (q, sign), cols in a_cols.items()
-    }
+    v_mats: dict[tuple[int, int], CycMatrix] = {}
+    a_mats: dict[tuple[int, int], CycMatrix] = {}
     for base_mats, mats in ((base.v_mats, v_mats), (base.a_mats, a_mats)):
         for (pos, sign), mat in base_mats.items():
             cols = mat.sparse_columns()
-            new_cols: list[VecDict] = [dict() for _ in range(dim)]
-            for mask, b in entries:
-                flip = field.from_integer(-1 if mask.bit_count() % 2 else 1)
-                scatter(cols[b], new_cols[position[(mask, b)]], mask, flip)
-            shifted = pos if pos < insert_pos else pos + nu
-            mats[(shifted, sign)] = CycMatrix(field, new_cols, dim)
-    x_mat, y_mat = UnitMonomial(field, x_rows, x_exps), UnitMonomial(field, y_rows, y_exps)
+            new_cols = [
+                {position[s * size + r]: -val if _LETTER_COUNT[s] % 2 else val for r, val in cols[b].items()}
+                for s, b in entries
+            ]
+            mats[(pos if pos < insert_pos else pos + 1, sign)] = CycMatrix(field, new_cols, dim)
+    for sign, products in _TIMES.items():
+        cols = [{} for _ in range(dim)]
+        for s, (tsign, t) in products.items():
+            entry = field.one if tsign > 0 else -field.one
+            for b in range(size):
+                cols[position[s * size + b]] = {position[t * size + b]: entry}
+        v_mats[(insert_pos, sign)] = CycMatrix(field, cols, dim)
+    frame = group_module(ctx, gdeg, x_mat, y_mat)
+    for eps in (1, -1):
+        plus, minus = (_cross_term(frame, pair, eps, mu) for mu in (1, -1))
+        cols = [{} for _ in range(dim)]
+        for b in range(size):
+            start, low = position[b], position[2 * size + b]
+            cols[position[size + b]] = plus(start)
+            cols[low] = lowered = minus(start)
+            # the cross term keeps the monomial, so a v- b lies on 1 and v+ (a v- b) on v+
+            top = {position[size + entries[r][1]]: -val for r, val in lowered.items()}
+            top.update(plus(low))
+            cols[position[3 * size + b]] = top
+        a_mats[(insert_pos, eps)] = CycMatrix(field, cols, dim)
     return QDModule(ctx, merged, zdeg, gdeg, x_mat, y_mat, v_mats, a_mats, weight=weight, kind=kind)
 
 
@@ -299,18 +243,20 @@ def build_verma(ctx: DihedralContext, index_set: IndexSet, weight: WeightLabel) 
     """The standard module: the exterior algebra of the letters on a weight.
 
     The weight, as :func:`build_weight` makes it, is the module over the
-    empty index set in degree 0, the base case of the recursion; over the
-    empty index set the result is that module itself.
+    empty index set in degree 0, the base case of the recursion.  The pairs
+    are induced on it one at a time, in order (:func:`_induce`).  Over the
+    empty index set the result is the weight's module itself, of kind
+    ``"module"`` and weight None.
     """
-    return _induce(ctx, build_weight(ctx, weight), index_set.pairs, 0, index_set, weight, "verma")
+    module = build_weight(ctx, weight)
+    for pair in index_set.pairs:
+        module = _induce(ctx, module, pair, weight, "verma")
+    return module
 
 
 def induce_from_simple(ctx: DihedralContext, simple: QDModule, pair: tuple[int, int]) -> QDModule:
     """Extend a module over a smaller double by one fresh index pair."""
-    old = simple.index_set
-    merged = validate_index_set(ctx, old.pairs + (pair,))
-    insert_pos = bisect_left(old.pairs, pair)
-    return _induce(ctx, simple, (pair,), insert_pos, merged, simple.weight, "induced")
+    return _induce(ctx, simple, pair, simple.weight, "induced")
 
 
 def check_relations(module: QDModule) -> list[str]:
