@@ -17,13 +17,17 @@ helper ``tests/adapted.py``, 312 of the submodules in a basis adapted to
 the group action, since ``qdouble.subspace_as_module`` refuses them, and
 their characters must add up to the module's.  Every singleton report at
 m = 12 and 16 is also compared with the report of a context whose memo of
-``weights.decomposition_counts`` stores nothing.  Every singleton report at
-m = 12 and 16, every two-pair report at m = 12 and every report over
-``(1,6),(3,6),(5,6)`` is compared with the report made while
-``qdouble.highest_weight_vectors`` solves every kernel again,
+``weights.decomposition_counts`` stores nothing, and every elimination lead
+that those reports invert must be a tagged power of w.  Every singleton
+report at m = 12 and 16, every two-pair report at m = 12 and every report
+over ``(1,6),(3,6),(5,6)`` is compared with the report made while
 ``qdouble.subspace_as_module`` builds every submodule, a full span too,
 through ``qdouble._on_positions``, and ``theorems.verify_simple`` induces the
-smaller head and the smaller socle apart at every recursion step.  Every
+smaller head and the smaller socle apart at every recursion step.  The head
+that ``qdouble.head`` reads off degree 0 is compared with the test helper's
+shaving by negative-degree joint kernels, on character, dimension and
+relations, for every singleton case and every two-pair case at m = 12, the
+modules the recursion induces from the smaller head and socle included.  Every
 standard module over the 39 two-pair sets at m = 12, built one pair at a
 time, is compared matrix by matrix with the test helper
 ``tests/exterior.py``, which induces both pairs at once.
@@ -41,13 +45,28 @@ import pytest
 from dihedral_doubles import get_context, qdouble, theorems
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
-from dihedral_doubles.qdouble import build_verma, graded_character, highest_weight_vectors, submodule_generated
+from dihedral_doubles.qdouble import (
+    build_verma,
+    graded_character,
+    head,
+    highest_weight_vectors,
+    induce_from_simple,
+    socle,
+    submodule_generated,
+)
 from dihedral_doubles.theorems import verify_simple
 from dihedral_doubles.weights import all_weight_labels, parse_weight_label
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from adapted import adapted_quotient, as_module, needs_adapted_basis, reference_submodule  # noqa: E402
+from adapted import (  # noqa: E402
+    adapted_quotient,
+    as_module,
+    assert_head_matches_the_reference,
+    needs_adapted_basis,
+    reference_submodule,
+)
 from exterior import assert_standard_module_matches_the_reference  # noqa: E402
+from matrices import inverted_operands  # noqa: E402
 
 
 def _assert_every_report_passes(ctx, index_sets, labels=None):
@@ -106,20 +125,27 @@ def test_the_counts_memo_changes_no_singleton_report(m):
     assert memoised._weight_cache["counts"] and not forgetful._weight_cache["counts"]
 
 
-def _solved_again(module, degree=None):
-    """``highest_weight_vectors`` with the module's kernel table dropped first, so every call solves."""
-    module.__dict__.pop("_kernels", None)
-    return highest_weight_vectors(module, degree)
+@pytest.mark.parametrize("m", [12, 16])
+def test_every_inverted_elimination_lead_of_a_singleton_case_is_a_tagged_power_of_w(m):
+    ctx = DihedralContext(m)
+
+    def run():
+        for pair in valid_pairs(ctx):
+            for label in all_weight_labels(ctx):
+                verify_simple(ctx, validate_index_set(ctx, [pair]), label)
+
+    count, untagged = inverted_operands(run)
+    assert count and untagged == []
 
 
 def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
     """Every report equals the one made with no reuse between modules.
 
-    The kernel table is dropped before every call, every submodule, a full
-    span too, is restricted row by row, and every recursion step induces
-    the smaller head and the smaller socle apart, even when they hold the
-    same matrices.  The full-span return must have been taken, and over
-    index sets of two or more pairs the shared induction too.
+    Every submodule, a full span too, is restricted row by row, and every
+    recursion step induces the smaller head and the smaller socle apart,
+    even when they hold the same matrices.  The full-span return must have
+    been taken, and over index sets of two or more pairs the shared
+    induction too.
     """
     full_spans = shared = 0
     same_action = theorems._same_action
@@ -149,7 +175,6 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
                 patch.setattr(theorems, "_same_action", counted_same_action)
                 kept = verify_simple(ctx, index_set, label).to_json_obj()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(qdouble, "highest_weight_vectors", _solved_again)
                 patch.setattr(qdouble, "subspace_as_module", every_row_restricted)
                 patch.setattr(theorems, "_same_action", lambda one, other: False)
                 assert verify_simple(ctx, index_set, label).to_json_obj() == kept, f"{index_set} / {label}"
@@ -222,6 +247,29 @@ def test_every_negative_kernel_submodule_and_quotient_at_m_12(index_set):
 
 def test_312_negative_kernel_submodules_at_m_12_are_built_in_the_adapted_basis():
     assert sum(_adapted_negative_kernel_submodules(index_set) for index_set in TWO_PAIR_SETS) == 312
+
+
+def _assert_heads_match_the_reference(ctx, index_set):
+    """Over every weight, the head of the standard module and of the modules the recursion induces from the
+    smaller head and socle against the test helper's shaving."""
+    for label in all_weight_labels(ctx):
+        assert_head_matches_the_reference(build_verma(ctx, index_set, label))
+        if index_set.size > 1:
+            for pos, pair in enumerate(index_set.pairs):
+                small = build_verma(ctx, index_set.without(pos), label)
+                for base in (head(small), socle(small)):
+                    assert_head_matches_the_reference(induce_from_simple(ctx, base, pair))
+
+
+def test_every_singleton_head_at_m_12_matches_the_reference():
+    ctx = get_context(12)
+    for pair in valid_pairs(ctx):
+        _assert_heads_match_the_reference(ctx, validate_index_set(ctx, [pair]))
+
+
+@pytest.mark.parametrize("index_set", TWO_PAIR_SETS, ids=str)
+def test_every_two_pair_head_at_m_12_matches_the_reference(index_set):
+    _assert_heads_match_the_reference(get_context(12), index_set)
 
 
 def test_every_case_over_three_pairs():

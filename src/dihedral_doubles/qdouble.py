@@ -32,9 +32,11 @@ module folds the induction over its pairs in order, starting from the
 weight, the module over the empty index set; one step of the recursion
 induces one pair on a simple module.  Socles and heads are computed from
 scratch by exact linear algebra, with no appeal to any closed-form answer,
-so they can serve as independent evidence for one.  A generated submodule
-is closed in PBW order, U = U+ D(G) U-: under the lowering letters first,
-then under x, y and the raising letters.  The closed-form side
+so they can serve as independent evidence for one.  The head is read off
+degree 0 in one pass, through the functionals that the degree-0 layer
+spans under the lowering letters.  A generated submodule is closed in PBW
+order, U = U+ D(G) U-: under the lowering letters first, then under x, y
+and the raising letters.  The closed-form side
 (``theorems.predicted_character``) builds no module here: it takes the
 exterior algebra of the letters one pair at a time, as weights.
 """
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, add_into, kernel
+from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, _rref, add_into, kernel
 from .dihedral import DihedralContext
 from .nichols import IndexSet, validate_index_set
 from .weights import (
@@ -559,34 +561,25 @@ def highest_weight_vectors(
 
     With a degree given, returns the list of kernel vectors in that degree;
     otherwise a mapping from each populated degree to its (possibly empty)
-    list, highest degree first.  Each degree is solved once per module
-    object and its kernel kept on it (``_kernels``), so :func:`head` and
-    :func:`socle` of one module share the solve.  Every call hands out
-    copies of the kept vectors, which a caller may change.
+    list, highest degree first.  Every call solves the degrees it returns.
     """
     if degree is None:
         return {
             z: highest_weight_vectors(module, z)
             for z in sorted(module.layer_indices(), reverse=True)
         }
-    kernels: dict[int, list[VecDict]] = module.__dict__.setdefault("_kernels", {})
-    found = kernels.get(degree)
-    if found is None:
-        idxs = module.layer_indices().get(degree, [])
-        # one equation per lowering letter and row of the degree above: the
-        # letter's row restricted to the layer, in the layer's coordinates
-        rows: list[VecDict] = []
-        for mat in module.a_mats.values():
-            cols = mat.sparse_columns()
-            by_row: dict[int, VecDict] = {}
-            for t, j in enumerate(idxs):
-                for i, val in cols[j].items():
-                    by_row.setdefault(i, {})[t] = val
-            rows.extend(by_row[i] for i in sorted(by_row))
-        found = kernels[degree] = [
-            {idxs[t]: val for t, val in vec.items()} for vec in kernel(module.ctx.field, rows, len(idxs))
-        ]
-    return [dict(vec) for vec in found]
+    idxs = module.layer_indices().get(degree, [])
+    # one equation per lowering letter and row of the degree above: the
+    # letter's row restricted to the layer, in the layer's coordinates
+    rows: list[VecDict] = []
+    for mat in module.a_mats.values():
+        cols = mat.sparse_columns()
+        by_row: dict[int, VecDict] = {}
+        for t, j in enumerate(idxs):
+            for i, val in cols[j].items():
+                by_row.setdefault(i, {})[t] = val
+        rows.extend(by_row[i] for i in sorted(by_row))
+    return [{idxs[t]: val for t, val in vec.items()} for vec in kernel(module.ctx.field, rows, len(idxs))]
 
 
 def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> EchelonBasis:
@@ -604,7 +597,7 @@ def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> Echelon
     the lowering letters.  The submodule U S is therefore U+ D(G) (U- S).
     First the span of the seeds is closed under the lowering letters alone,
     which takes no step when the seeds lie in the joint kernel, as those of
-    :func:`head` and :func:`socle` do.  Then that span is closed under x, y
+    :func:`socle` do.  Then that span is closed under x, y
     and the raising letters.  The dual group-likes act on a vector of one
     cell by a scalar, so every vector inserted already spans their images.
     This holds on a module whose relations hold (:func:`check_relations`);
@@ -693,24 +686,6 @@ def _on_positions(
     return QDModule(module.ctx, module.index_set, zdeg, gdeg, *group, *letters, weight=module.weight, kind=kind)
 
 
-def quotient(module: QDModule, space: EchelonBasis, kind: str = "quotient") -> QDModule:
-    """Quotient by a stable subspace, on the positions that are not its pivots.
-
-    Position j stands for the class of e_j, and the class of a vector is
-    read off its reduction, so a generator's column at j is ``reduce(g e_j)``.
-    x and y must be invertible monomial matrices on those classes
-    (:func:`_on_positions`), as they are for every quotient :func:`head` takes.
-    """
-    pivots = set(space.pivots)
-    kept = [i for i in range(module.dim) if i not in pivots]
-
-    def images(mat: CycMatrix) -> list[VecDict]:
-        cols = mat.sparse_columns()
-        return [space.reduce(cols[j]) for j in kept]
-
-    return _on_positions(module, kept, images, kind)
-
-
 def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submodule") -> QDModule:
     """A generator-stable subspace as a module, on the pivots of its reduced rows.
 
@@ -726,7 +701,7 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     unit vectors, on which :func:`_on_positions` would rebuild the module's
     own matrices.  So it is returned at once as a new module that shares
     those matrices, which are read-only (``weights.QDModule``), with the
-    weight and the kind given, and empty caches.
+    weight and the kind given.
     """
     if len(space.pivots) == module.dim:
         mats = (module.x_mat, module.y_mat, module.v_mats, module.a_mats)
@@ -776,24 +751,57 @@ def socle(module: QDModule) -> QDModule:
     return soc
 
 
-def head(module: QDModule) -> QDModule:
-    """The maximal semisimple quotient, by repeatedly shaving negative kernels.
+def _from_rows(field: CyclotomicField, rows: Iterable[tuple[int, VecDict]], dim: int) -> CycMatrix:
+    """The square matrix of size ``dim`` with the given rows, each with its row index; every other row is 0."""
+    cols: list[VecDict] = [{} for _ in range(dim)]
+    for i, row in rows:
+        for j, val in row.items():
+            cols[j][i] = val
+    return CycMatrix(field, cols, dim)
 
-    Each pass quotients by the submodule generated by every joint kernel
-    vector in negative degree; the loop must terminate with all joint kernel
-    vectors concentrated in degree zero.
+
+def head(module: QDModule) -> QDModule:
+    """The quotient by the largest graded submodule that meets degree 0 in zero, read off degree 0 in one pass.
+
+    That submodule is the common kernel of the functionals f u, f on the
+    degree-0 layer and u in the double.  In PBW order, U = U+ D(G) U-
+    (:func:`submodule_generated`), a raising letter lowers the degree, so
+    f u+ vanishes unless u+ is a scalar, and D(G) keeps the degree-0
+    functionals.  So the f u span W, graded by degree: W_0 holds the unit
+    functionals e_t* of the degree-0 layer, and W_(z-1) is the echelon
+    basis of every reduced row of W_z times every lowering letter, one
+    ``apply`` of the letter transposed once per call.  The classes of the
+    basis vectors at the pivots of W's reduced rows are a basis of the
+    quotient: paired with those rows, the class of e_p is the unit vector
+    at p.  So a generator's column at p is its column p read by that
+    pairing (:func:`_on_positions`).  When W fills the module, the module
+    itself is returned; with no degree-0 layer, the result is the zero
+    module.
+
+    The result is the head exactly when the module is generated by its
+    degree-0 layer and that layer is one weight of multiplicity one, as on
+    every standard module and every module induced from a simple one.  x
+    and y must be invertible monomial matrices on the classes, as they are
+    on every such head.
     """
-    current = module
-    for _ in range(2 * len(module.index_set.pairs) + 2):
-        by_degree = highest_weight_vectors(current)
-        negatives = [vec for z, vecs in by_degree.items() if z < 0 for vec in vecs]
-        if not negatives:
-            break
-        space = submodule_generated(current, negatives)
-        current = quotient(current, space, kind="head")
-    else:
-        raise AssertionError("head computation did not stabilize")
-    return current
+    field, dim = module.ctx.field, module.dim
+    lowering = [_from_rows(field, enumerate(mat.sparse_columns()), dim) for mat in module.a_mats.values()]
+    found = [(t, {t: field.one}) for t in module.layer_indices().get(0, [])]
+    kept: list[tuple[int, VecDict]] = []
+    while found:
+        kept += found
+        below = _rref(field, [mat.apply(row) for _, row in found for mat in lowering])
+        found = list(zip(below.pivots, below.rows))
+    if len(kept) == dim:
+        return module
+    pairing = _from_rows(field, kept, dim)
+    positions = sorted(p for p, _ in kept)
+
+    def images(mat: CycMatrix) -> list[VecDict]:
+        cols = mat.sparse_columns()
+        return [pairing.apply(cols[p]) for p in positions]
+
+    return _on_positions(module, positions, images, "head")
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ def predicted_character(
 
 def _volume(ctx: DihedralContext) -> QDModule:
     """The top exterior power v+ ∧ v- of one pair: the weight ``e:chi2``."""
-    return build_weight(ctx, WeightLabel.e_chi(2))
+    return build_weight(ctx, WeightLabel("e:chi", (2,)))
 
 
 def _reflection_parity(label: WeightLabel) -> int:
@@ -419,7 +419,7 @@ def spherical_report(ctx: DihedralContext, index_set: IndexSet) -> dict[int, boo
     Runs on the standard module of the top weight, whose letter matrices
     exercise every generator.
     """
-    probe = build_verma(ctx, index_set, WeightLabel.e_chi(1))
+    probe = build_verma(ctx, index_set, WeightLabel("e:chi", (1,)))
     return {j: pivot_check(ctx, probe, j) for j in (1, 2, 3, 4)}
 
 

@@ -81,34 +81,6 @@ class WeightLabel:
     family: str
     params: tuple[int, ...]
 
-    @classmethod
-    def e_chi(cls, j: int) -> WeightLabel:
-        return cls("e:chi", (j,))
-
-    @classmethod
-    def e_rho(cls, l: int) -> WeightLabel:
-        return cls("e:rho", (l,))
-
-    @classmethod
-    def yn_chi(cls, j: int) -> WeightLabel:
-        return cls("yn:chi", (j,))
-
-    @classmethod
-    def yn_rho(cls, l: int) -> WeightLabel:
-        return cls("yn:rho", (l,))
-
-    @classmethod
-    def rotation_pair(cls, i: int, k: int) -> WeightLabel:
-        return cls("M", (i, k))
-
-    @classmethod
-    def even_reflection(cls, s: int, t: int) -> WeightLabel:
-        return cls("Mx", (s % 2, t % 2))
-
-    @classmethod
-    def odd_reflection(cls, s: int, t: int) -> WeightLabel:
-        return cls("Mxy", (s % 2, t % 2))
-
     @property
     def is_reflection_type(self) -> bool:
         return self.family in ("Mx", "Mxy")
@@ -180,7 +152,7 @@ class QDModule:
     members are written so, an induced module lets them act on letters
     times base vectors as a signed letter swap or a power of w times their
     action on the base, a :func:`tensor_dd` takes Kronecker products and a
-    layer keeps a block, and a submodule or quotient
+    layer keeps a block, and a submodule or head
     (``qdouble._on_positions``) is built only where x and y are such
     matrices on its reduced rows or classes, and raises otherwise, which no
     socle or head does.  So the traces, hom spaces, tensor
@@ -193,10 +165,9 @@ class QDModule:
 
     A module's matrices are read-only once it is built: a submodule that
     spans the whole module shares them (``qdouble.subspace_as_module``), and
-    each object keeps answers read from them in its own caches, ``_layers``
-    (:meth:`layer_indices`) and ``_kernels``
-    (``qdouble.highest_weight_vectors``).  A module built from another's
-    matrices starts with empty caches.  A basis vector has no name: its
+    each object keeps its layers, read from its degrees, in its own cache
+    ``_layers`` (:meth:`layer_indices`).  A module built from another's
+    matrices starts with an empty cache.  A basis vector has no name: its
     position, integer degree and group degree identify it.
 
     Raises:
@@ -214,7 +185,7 @@ class QDModule:
         v_mats: raising matrices, keyed by (pair position, sign).
         a_mats: lowering matrices, keyed by (pair position, sign).
         weight: label of the inducing weight, when one applies.
-        kind: how the module was produced (verma, induced, quotient, ...).
+        kind: how the module was produced (verma, induced, head, socle, ...).
     """
 
     def __init__(
@@ -545,13 +516,13 @@ def all_weight_labels(ctx: DihedralContext) -> list[WeightLabel]:
     """Every catalog label in canonical order."""
     n, m = ctx.n, ctx.m
     labels: list[WeightLabel] = []
-    labels += [WeightLabel.e_chi(j) for j in range(1, 5)]
-    labels += [WeightLabel.e_rho(l) for l in range(1, n)]
-    labels += [WeightLabel.yn_chi(j) for j in range(1, 5)]
-    labels += [WeightLabel.yn_rho(l) for l in range(1, n)]
-    labels += [WeightLabel.rotation_pair(i, k) for i in range(1, n) for k in range(m)]
-    labels += [WeightLabel.even_reflection(s, t) for s in (0, 1) for t in (0, 1)]
-    labels += [WeightLabel.odd_reflection(s, t) for s in (0, 1) for t in (0, 1)]
+    labels += [WeightLabel("e:chi", (j,)) for j in range(1, 5)]
+    labels += [WeightLabel("e:rho", (l,)) for l in range(1, n)]
+    labels += [WeightLabel("yn:chi", (j,)) for j in range(1, 5)]
+    labels += [WeightLabel("yn:rho", (l,)) for l in range(1, n)]
+    labels += [WeightLabel("M", (i, k)) for i in range(1, n) for k in range(m)]
+    labels += [WeightLabel("Mx", (s, t)) for s in (0, 1) for t in (0, 1)]
+    labels += [WeightLabel("Mxy", (s, t)) for s in (0, 1) for t in (0, 1)]
     return labels
 
 

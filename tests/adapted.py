@@ -1,14 +1,18 @@
-"""Submodules and quotients in a basis adapted to the group action, for the tests.
+"""Submodules and quotients in a basis adapted to the group action, and the head by shaving, for the tests.
 
-``qdouble.subspace_as_module`` and ``qdouble.quotient`` build a module only
-where x and y are invertible monomial matrices on the reduced rows or on
-the classes of the kept positions, as on every socle and head, and raise
-otherwise.  The tests also take submodules generated by kernels above the
-lowest degree and subquotients of modules they make, on which x or y need
-not be monomial.  This builds those: :func:`reference_on_positions` reads
-each generator on the vectors that stand for the kept positions, and
+``qdouble.subspace_as_module`` builds a submodule only where x and y are
+invertible monomial matrices on its reduced rows, as on every socle, and
+raises otherwise; the package builds no quotient but the head.  The tests
+also take submodules generated by kernels above the lowest degree,
+quotients, and subquotients of modules they make, on which x or y need not
+be monomial.  This builds those: :func:`reference_on_positions` reads each
+generator on the vectors that stand for the kept positions, and
 :func:`as_module` turns that into a module, changing to the basis of
 :func:`adapted_basis` where x or y is not monomial there.
+:func:`reference_head` reaches the head from the bottom, by quotients by
+the submodules that the negative-degree joint kernels generate, the
+reference that ``qdouble.head``, which reads it off degree 0, is compared
+with (:func:`assert_head_matches_the_reference`).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Callable, Sequence
 
 from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, VecDict, _rref, add_into
 from dihedral_doubles.dihedral import DihedralContext
+from dihedral_doubles.qdouble import check_relations, graded_character, head, highest_weight_vectors, submodule_generated
 from dihedral_doubles.weights import QDModule
 from matrices import without_zeros
 
@@ -207,3 +212,27 @@ def adapted_submodule(module: QDModule, space: EchelonBasis, kind: str = "submod
 def adapted_quotient(module: QDModule, space: EchelonBasis, kind: str = "quotient") -> QDModule:
     """The quotient by a stable subspace, in the adapted basis where x or y is not monomial on its classes."""
     return as_module(module, reference_quotient(module, space, kind))
+
+
+def reference_head(module: QDModule) -> QDModule:
+    """The head by shaving: the quotient by the submodule generated by every negative-degree joint kernel
+    vector, taken until no such vector is left, in at most ``2 |I| + 2`` passes.
+
+    Each quotient is the reference quotient, as :func:`as_module` builds it.
+    """
+    for _ in range(2 * len(module.index_set.pairs) + 2):
+        negatives = [vec for z, vecs in highest_weight_vectors(module).items() if z < 0 for vec in vecs]
+        if not negatives:
+            return module
+        module = adapted_quotient(module, submodule_generated(module, negatives), "head")
+    raise AssertionError("head computation did not stabilize")
+
+
+def assert_head_matches_the_reference(module: QDModule) -> QDModule:
+    """``qdouble.head`` against :func:`reference_head`: the same dimension and graded character, and every
+    defining relation holds on it.  Returns the head."""
+    built, reference = head(module), reference_head(module)
+    assert built.dim == reference.dim, module
+    assert graded_character(built) == graded_character(reference), module
+    assert check_relations(built) == [], module
+    return built

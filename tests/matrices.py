@@ -7,13 +7,15 @@ with :func:`unit_monomials`.  A CycMatrix holds no zero entry; references
 whose column dicts may hold one build through :func:`without_zeros`.
 A basis vector of a module has no name; :func:`induced_position` finds
 one of an induced module by the letters that reach it.
+:func:`inverted_operands` records what the eliminations invert.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
+import pytest
 from hypothesis import strategies as st
 
 from dihedral_doubles.cyclotomic import CycMatrix, CycNum, CyclotomicField, UnitMonomial, add_into
@@ -100,3 +102,23 @@ def unit_monomials(draw, field: CyclotomicField, n: int) -> UnitMonomial:
     """An n x n UnitMonomial: a drawn permutation, and exponents drawn beyond 0 .. m-1 as well."""
     exps = draw(st.lists(st.integers(-2 * field.m, 2 * field.m), min_size=n, max_size=n))
     return UnitMonomial(field, draw(st.permutations(range(n))), exps)
+
+
+def inverted_operands(run: Callable[[], object]) -> tuple[int, list[CycNum]]:
+    """How many times ``CycNum.inverse`` is called while ``run()`` runs, and the operands of those calls
+    that carry no tag as a power of w (``CycNum.unit`` None).  Only eliminations invert: the leads of
+    ``cyclotomic.EchelonBasis``."""
+    inverse = CycNum.inverse
+    count, untagged = 0, []
+
+    def recorded(self: CycNum) -> CycNum:
+        nonlocal count
+        count += 1
+        if self.unit is None:
+            untagged.append(self)
+        return inverse(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CycNum, "inverse", recorded)
+        run()
+    return count, untagged

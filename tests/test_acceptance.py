@@ -103,8 +103,8 @@ def test_criterion_02_reflection_tensor_splits():
     checked = 0
     for m in (12, 16, 20, 24):
         ctx = get_context(m)
-        labels = [WeightLabel.even_reflection(s, t) for s in (0, 1) for t in (0, 1)]
-        labels += [WeightLabel.odd_reflection(s, t) for s in (0, 1) for t in (0, 1)]
+        labels = [WeightLabel("Mx", (s, t)) for s in (0, 1) for t in (0, 1)]
+        labels += [WeightLabel("Mxy", (s, t)) for s in (0, 1) for t in (0, 1)]
         for pair in valid_pairs(ctx):
             for label in labels:
                 verify_reflection_split(ctx, pair, label)

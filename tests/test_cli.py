@@ -341,7 +341,7 @@ def test_verify_rejects_a_weight_outside_the_catalog_before_any_case_runs(capsys
     assert ran == [] and _RecordingExecutor.sizes == []
 
 
-def _raise_for_one_weight(failing: str, error: Exception = AssertionError("head computation did not stabilize")):
+def _raise_for_one_weight(failing: str, error: Exception = AssertionError("socle of a standard module misses part of the bottom layer")):
     real = cli.verify_simple
 
     def verify(ctx, index_set, label):
@@ -359,7 +359,7 @@ def test_verify_reports_a_failing_case_and_the_others(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert lines[0].split() == ["e:chi1", "ok"]
-    assert lines[1].split(maxsplit=1) == ["M2,3", "ERROR: head computation did not stabilize"]
+    assert lines[1].split(maxsplit=1) == ["M2,3", "ERROR: socle of a standard module misses part of the bottom layer"]
     assert lines[2].split() == ["Mx:0,0", "ok"]
     assert "MISMATCH" not in out
 
@@ -373,7 +373,7 @@ def test_verify_reports_a_failing_case_and_the_others(capsys, monkeypatch):
         "index_set": [[2, 3]],
         "weight": "M2,3",
         "ok": False,
-        "error": "head computation did not stabilize",
+        "error": "socle of a standard module misses part of the bottom layer",
     }
     for case in (obj["cases"][0], obj["cases"][2]):
         assert case["ok"] is True

@@ -41,7 +41,7 @@ def test_parse_index_set_normalizes_order(ctx12):
 
 def _exterior_layer(ctx, text, degree):
     """Layer ``degree`` of the standard module on e:chi1: that exterior power of the letters."""
-    return build_verma(ctx, parse_index_set(ctx, text), WeightLabel.e_chi(1)).layer_module(degree)
+    return build_verma(ctx, parse_index_set(ctx, text), WeightLabel("e:chi", (1,))).layer_module(degree)
 
 
 def test_exterior_power_modules_decompose_as_expected(ctx12):

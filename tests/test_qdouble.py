@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble
-from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, _rref, get_field, kernel
+from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, _rref, get_field
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
     GradedCharacter,
@@ -20,7 +20,6 @@ from dihedral_doubles.qdouble import (
     head,
     highest_weight_vectors,
     induce_from_simple,
-    quotient,
     socle,
     submodule_generated,
     subspace_as_module,
@@ -42,8 +41,10 @@ from dihedral_doubles.weights import (
 )
 from adapted import (
     adapted_basis,
+    adapted_quotient,
     adapted_submodule,
     as_module,
+    assert_head_matches_the_reference,
     needs_adapted_basis,
     reference_quotient,
     reference_submodule,
@@ -216,7 +217,7 @@ def test_submodule_and_quotient_dimensions(ctx12):
     hw = highest_weight_vectors(verma)
     space = submodule_generated(verma, hw[-1])
     assert len(space.rows) == 12
-    quotient_module = quotient(verma, space)
+    quotient_module = adapted_quotient(verma, space)
     assert quotient_module.dim == 12
     assert check_relations(quotient_module) == []
     assert _char_text(graded_character(quotient_module)) == "[0] Mx:0,0 | [-1] Mx:0,1"
@@ -351,28 +352,12 @@ def test_a_submodule_on_whose_rows_x_is_not_monomial_is_refused(ctx12):
     assert adapted_submodule(verma, space).dim == len(space.pivots)
 
 
-def test_joint_kernels_are_solved_once_per_module_and_handed_out_as_copies(ctx12, monkeypatch):
+def test_joint_kernels_per_degree_of_a_module_and_of_modules_built_from_its_matrices(ctx12):
     verma = _verma(ctx12, "(2,3)", "e:chi1")
     first = highest_weight_vectors(verma)
     assert {z: len(vecs) for z, vecs in first.items()} == {0: 1, -1: 2, -2: 1}
-    solves = []
-
-    def counted(*args):
-        solves.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(qdouble, "kernel", counted)
-    # repeated calls answer alike from the kept kernels, and a changed answer leaves the next one as it was
-    expected = {z: [dict(vec) for vec in vecs] for z, vecs in first.items()}
-    first[-1][0].clear()
-    first[-2].append({0: ctx12.field.one})
-    assert highest_weight_vectors(verma) == {z: highest_weight_vectors(verma, z) for z in first} == expected
-    assert solves == []
-    top = head(verma)
-    socle(verma)
-    # head solves only the layers of its quotient, and socle none
-    assert len(solves) == len(top.layer_indices())
-    # copies made from the module's matrices solve their own kernels
+    assert highest_weight_vectors(verma) == {z: highest_weight_vectors(verma, z) for z in first} == first
+    # modules made from the module's matrices have kernels of their own
     zero = {key: CycMatrix(ctx12.field, [{} for _ in range(verma.dim)], verma.dim) for key in verma.a_mats}
     assert {z: len(vecs) for z, vecs in highest_weight_vectors(_mutated(verma, a_mats=zero)).items()} == {
         z: len(idxs) for z, idxs in verma.layer_indices().items()
@@ -740,16 +725,6 @@ def _reference_socle(module):
     return reference_submodule(module, _reference_generated(module, _lowest_kernel(module)), "socle")
 
 
-def _reference_head(module):
-    """The chain of quotients ``head`` takes, each step checked against the reference quotient."""
-    while negatives := _negatives(module):
-        space = _reference_generated(module, negatives)
-        reference = reference_quotient(module, space, "head")
-        module = quotient(module, space, kind="head")
-        _assert_same_module(module, reference)
-    return module
-
-
 def _change_of_basis(reference):
     """None where x and y are invertible monomial matrices on the reference's vectors; otherwise the
     matrix whose columns are the adapted basis, checked to be a basis of vectors of their positions' cells."""
@@ -778,22 +753,30 @@ def _assert_same_module(built, reference):
     return change is not None
 
 
-def _subquotient(build, module, space, reference):
-    """The submodule or quotient of ``space`` as ``build`` (``subspace_as_module`` or ``quotient``) makes it,
-    equal to the reference, where x and y are invertible monomial matrices on the reference's vectors, as is
-    the test helper's; elsewhere ``build`` must refuse it, and the test helper builds it in the adapted basis,
-    checked against the reference.  Returns the module and whether the basis was adapted."""
+def _submodule(module, space):
+    """The submodule ``space`` as ``subspace_as_module`` makes it, equal to the reference, where x and y are
+    invertible monomial matrices on the reference's vectors, as is the test helper's; elsewhere
+    ``subspace_as_module`` must refuse it, and the test helper builds it in the adapted basis, checked against
+    the reference.  Returns the module and whether the basis was adapted."""
+    reference = reference_submodule(module, space, "submodule")
     if not needs_adapted_basis(reference):
-        built = build(module, space)
+        built = subspace_as_module(module, space)
         assert not _assert_same_module(built, reference)
         assert not _assert_same_module(as_module(module, reference), reference)
         return built, False
-    refusal = f"is not an invertible monomial matrix on a module of kind '{reference.kind}'"
-    with pytest.raises(AssertionError, match=refusal):
-        build(module, space)
+    with pytest.raises(AssertionError, match="is not an invertible monomial matrix on a module of kind 'submodule'"):
+        subspace_as_module(module, space)
     built = as_module(module, reference)
     assert _assert_same_module(built, reference)
     return built, True
+
+
+def _quotient(module, space):
+    """The quotient by ``space`` as the test helper builds it, checked against the reference quotient.
+    Returns the module and whether the basis was adapted."""
+    reference = reference_quotient(module, space, "quotient")
+    built = as_module(module, reference)
+    return built, _assert_same_module(built, reference)
 
 
 @lru_cache(maxsize=None)
@@ -814,7 +797,7 @@ def _standard_and_recursion_modules(iset_text):
 def test_socles_heads_and_submodules_match_a_reference_that_applies_every_generator(iset_text):
     field = get_context(12).field
     scale = field.from_integer(2) + field.zeta(1)
-    coordinate_seeds = adapted = full_spans = 0
+    coordinate_seeds = adapted = full_spans = zero_heads = 0
     for module in _standard_and_recursion_modules(iset_text):
         soc = socle(module)
         _assert_same_module(soc, _reference_socle(module))
@@ -822,7 +805,8 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
         full_spans += soc.v_mats is module.v_mats
         lowest = _lowest_kernel(module)
         assert submodule_generated(module, lowest).rows == _reference_generated(module, lowest).rows
-        _assert_same_module(head(module), _reference_head(module))
+        # head reads the quotient off degree 0 in another basis than the reference's chain of quotients
+        zero_heads += not assert_head_matches_the_reference(module).dim
         negatives = _negatives(module)
         if negatives:
             space = submodule_generated(module, negatives)
@@ -831,13 +815,34 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
             scaled = [{i: scale * x for i, x in vec.items()} for vec in negatives]
             coordinate_seeds += sum(len(vec) == 1 for vec in scaled)
             assert submodule_generated(module, scaled).rows == _reference_generated(module, scaled).rows == space.rows
-            _, in_adapted_basis = _subquotient(
-                subspace_as_module, module, space, reference_submodule(module, space, "submodule")
-            )
+            _, in_adapted_basis = _submodule(module, space)
             adapted += in_adapted_basis
-    assert coordinate_seeds and full_spans
+    # the modules induced from a socle below degree 0 have no degree-0 layer: both heads are zero
+    assert coordinate_seeds and full_spans and zero_heads
     # x is not monomial on the reduced rows of that submodule of the standard modules of reflection weights
     assert adapted
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_heads_of_drawn_standard_modules_match_the_shaving_reference(data):
+    # one to three pairs at m = 12, 16 and 20: head reads the quotient off degree 0, the reference shaves
+    ctx = get_context(data.draw(st.sampled_from((12, 16, 20))))
+    iset = data.draw(_index_sets(ctx, 3))
+    assert_head_matches_the_reference(build_verma(ctx, iset, data.draw(st.sampled_from(all_weight_labels(ctx)))))
+
+
+def test_a_simple_module_is_its_own_head_and_a_module_without_degree_0_has_a_zero_head(ctx12):
+    # the functionals read off degree 0 span every degree of a simple standard module
+    simple = _verma(ctx12, "(2,3)", "e:rho3")
+    assert head(simple) is simple
+    empty = group_module(ctx12, [], UnitMonomial.identity(ctx12.field, 0), UnitMonomial.identity(ctx12.field, 0))
+    assert head(empty) is empty
+    # the socle of the smaller module lies in degree -1, and so does the module induced from it
+    below = induce_from_simple(ctx12, socle(_verma(ctx12, "(3,6)", "Mx:0,0")), (1, 6))
+    assert max(below.zdeg) < 0
+    top = head(below)
+    assert (top.dim, top.kind) == (0, "head")
 
 
 def _seeds_outside_the_joint_kernel(module):
@@ -860,7 +865,7 @@ def test_submodules_generated_from_seeds_outside_the_joint_kernel_match_the_refe
     lowered = 0
     for module in _standard_and_recursion_modules(iset_text):
         negatives = _negatives(module)
-        quotients = [quotient(module, submodule_generated(module, negatives))] if negatives else []
+        quotients = [adapted_quotient(module, submodule_generated(module, negatives))] if negatives else []
         for mod in [module, *(q for q in quotients if q.dim)]:
             for seeds in _seeds_outside_the_joint_kernel(mod):
                 assert submodule_generated(mod, seeds).rows == _reference_generated(mod, seeds).rows
@@ -894,8 +899,8 @@ def test_submodules_and_quotients_get_a_basis_adapted_to_the_group_action(ctx12,
     vec = {i: _omega_sum(ctx12, exponents) for i, exponents in vector.items()}
     assert all(module.gdeg[i] == degree for i in vec)
     space = submodule_generated(module, [vec])
-    sub, sub_adapted = _subquotient(subspace_as_module, module, space, reference_submodule(module, space, "submodule"))
-    quot, quot_adapted = _subquotient(quotient, module, space, reference_quotient(module, space, "quotient"))
+    sub, sub_adapted = _submodule(module, space)
+    quot, quot_adapted = _quotient(module, space)
     assert sub_adapted or quot_adapted
     assert group_relation_failures(sub) == group_relation_failures(quot) == []
     assert graded_character(sub) + graded_character(quot) == graded_character(module)
@@ -970,16 +975,12 @@ def test_the_adapted_basis_makes_x_and_y_permute_its_lines(ctx12, summands):
 @pytest.mark.parametrize("label_text", ["e:chi1", "e:rho3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"])
 def test_socle_head_and_subquotient_matrices_hold_no_zero_entry(ctx12, label_text):
     # _on_positions builds its matrices from the images as they stand, with no pass that drops zeros; a
-    # subquotient it refuses is built by the test helper
+    # submodule it refuses is built by the test helper
     for module in _standard_and_induced(ctx12, label_text):
         built = [socle(module), head(module)]
         negatives = _negatives(module)
         if negatives:
-            space = submodule_generated(module, negatives)
-            built += [
-                _subquotient(quotient, module, space, reference_quotient(module, space, "quotient"))[0],
-                _subquotient(subspace_as_module, module, space, reference_submodule(module, space, "submodule"))[0],
-            ]
+            built.append(_submodule(module, submodule_generated(module, negatives))[0])
         for part in built:
             for mat in _generators(part):
                 assert all(x for col in mat.sparse_columns() for x in col.values())

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble, theorems
+from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.cyclotomic import UnitMonomial
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
@@ -35,6 +36,7 @@ from dihedral_doubles.theorems import (
     verify_simple,
 )
 from dihedral_doubles.weights import QDModule, all_weight_labels, group_module, parse_weight_label
+from matrices import inverted_operands
 from oracle import classify_weight_by_action
 from test_qdouble import character_dimension
 
@@ -583,3 +585,20 @@ def test_verify_simple_checks_the_recursion_once_per_distinct_pair(ctx12):
     assert [check.pair for check in report.recursion] == [(1, 6), (3, 6)]
     assert all(check.ok for check in report.recursion)
     assert report.ok
+
+
+def test_every_inverted_elimination_lead_is_a_tagged_power_of_w():
+    # on a context of its own, so that the catalog and every decomposition are built inside the count too
+    ctx = DihedralContext(12)
+    reflections = [label for label in all_weight_labels(ctx) if label.is_reflection_type]
+
+    def run():
+        for text in ("(2,3)", "(1,6)", "(1,6),(3,6)"):
+            for label in all_weight_labels(ctx):
+                verify_simple(ctx, parse_index_set(ctx, text), label)
+        for pair in valid_pairs(ctx):
+            for label in reflections:
+                verify_reflection_split(ctx, pair, label)
+
+    count, untagged = inverted_operands(run)
+    assert count and untagged == []

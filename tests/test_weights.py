@@ -689,7 +689,7 @@ def test_known_tensor_products(ctx12):
 
 
 def test_tensor_with_trivial_weight_is_identity(ctx12):
-    trivial = build_weight(ctx12, WeightLabel.e_chi(1))
+    trivial = build_weight(ctx12, WeightLabel("e:chi", (1,)))
     for label in all_weight_labels(ctx12)[:20]:
         module = build_weight(ctx12, label)
         counts = decomposition_counts(ctx12, tensor_dd(trivial, module))
