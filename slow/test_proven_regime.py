@@ -12,10 +12,10 @@ to be permutations; a socle or head converts to that form in
 ``qdouble._on_positions``, or its case raises.  A pass shows the
 construction holding over this regime.  Over the 39 two-pair sets at
 m = 12, the submodule generated by the negative-degree joint kernel of
-every standard module, and the quotient by it, are built too, by the test
-helper ``tests/adapted.py``, 312 of the submodules in a basis adapted to
-the group action, since ``qdouble.subspace_as_module`` refuses them, and
-their characters must add up to the module's.  Every singleton report at
+every standard module, and the quotient by it, are generated and built
+too, by the test helper ``tests/adapted.py``, 312 of the submodules in a
+basis adapted to the group action, since ``qdouble.subspace_as_module``
+refuses them, and their characters must add up to the module's.  Every singleton report at
 m = 12 and 16 is also compared with the report of a context whose memo of
 ``weights.decomposition_counts`` stores nothing, and every elimination lead
 that those reports invert must be a tagged power of w.  Every singleton
@@ -26,8 +26,11 @@ through ``qdouble._on_positions``, and ``theorems.verify_simple`` induces the
 smaller head and the smaller socle apart at every recursion step.  The head
 that ``qdouble.head`` reads off degree 0 is compared with the test helper's
 shaving by negative-degree joint kernels, on character, dimension and
-relations, for every singleton case and every two-pair case at m = 12, the
-modules the recursion induces from the smaller head and socle included.  Every
+relations, and the socle that ``qdouble.socle`` spans under the raising
+letters alone matrix by matrix with the test helper's closure of the lowest
+joint kernel under every generator, for every singleton case and every
+two-pair case at m = 12, the modules the recursion induces from the smaller
+head and socle included.  Every
 standard module over the 39 two-pair sets at m = 12, built one pair at a
 time, is compared matrix by matrix with the test helper
 ``tests/exterior.py``, which induces both pairs at once.
@@ -52,7 +55,6 @@ from dihedral_doubles.qdouble import (
     highest_weight_vectors,
     induce_from_simple,
     socle,
-    submodule_generated,
 )
 from dihedral_doubles.theorems import verify_simple
 from dihedral_doubles.weights import all_weight_labels, parse_weight_label
@@ -62,7 +64,9 @@ from adapted import (  # noqa: E402
     adapted_quotient,
     as_module,
     assert_head_matches_the_reference,
+    assert_socle_matches_the_reference,
     needs_adapted_basis,
+    reference_generated,
     reference_submodule,
 )
 from exterior import assert_standard_module_matches_the_reference  # noqa: E402
@@ -232,7 +236,7 @@ def _adapted_negative_kernel_submodules(index_set):
     for label in all_weight_labels(ctx):
         module = build_verma(ctx, index_set, label)
         negatives = [vec for z, vecs in highest_weight_vectors(module).items() if z < 0 for vec in vecs]
-        space = submodule_generated(module, negatives)
+        space = reference_generated(module, negatives)
         reference = reference_submodule(module, space, "submodule")
         adapted += needs_adapted_basis(reference)
         sub, quot = as_module(module, reference), adapted_quotient(module, space)
@@ -250,15 +254,18 @@ def test_312_negative_kernel_submodules_at_m_12_are_built_in_the_adapted_basis()
 
 
 def _assert_heads_match_the_reference(ctx, index_set):
-    """Over every weight, the head of the standard module and of the modules the recursion induces from the
-    smaller head and socle against the test helper's shaving."""
+    """Over every weight, the head and the socle of the standard module and of the modules the recursion
+    induces from the smaller head and socle against the test helper's: the head against its shaving, the
+    socle against the closure of the lowest joint kernel under every generator."""
     for label in all_weight_labels(ctx):
-        assert_head_matches_the_reference(build_verma(ctx, index_set, label))
+        modules = [build_verma(ctx, index_set, label)]
         if index_set.size > 1:
             for pos, pair in enumerate(index_set.pairs):
                 small = build_verma(ctx, index_set.without(pos), label)
-                for base in (head(small), socle(small)):
-                    assert_head_matches_the_reference(induce_from_simple(ctx, base, pair))
+                modules += [induce_from_simple(ctx, base, pair) for base in (head(small), socle(small))]
+        for module in modules:
+            assert_head_matches_the_reference(module)
+            assert_socle_matches_the_reference(module)
 
 
 def test_every_singleton_head_at_m_12_matches_the_reference():

@@ -32,11 +32,13 @@ module folds the induction over its pairs in order, starting from the
 weight, the module over the empty index set; one step of the recursion
 induces one pair on a simple module.  Socles and heads are computed from
 scratch by exact linear algebra, with no appeal to any closed-form answer,
-so they can serve as independent evidence for one.  The head is read off
-degree 0 in one pass, through the functionals that the degree-0 layer
-spans under the lowering letters.  A generated submodule is closed in PBW
-order, U = U+ D(G) U-: under the lowering letters first, then under x, y
-and the raising letters.  The closed-form side
+so they can serve as independent evidence for one.  Both are one span,
+walked breadth first under one kind of letter.  By the PBW order of the
+double, U = U+ D(G) U-, the head is read off degree 0 in one pass, through
+the functionals that the degree-0 layer spans under the lowering letters,
+and the socle is the span of the lowest joint kernel of the lowering
+letters under the raising letters alone, whose stability under every
+generator is then checked.  The closed-form side
 (``theorems.predicted_character``) builds no module here: it takes the
 exterior algebra of the letters one pair at a time, as weights.
 """
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, _rref, add_into, kernel
+from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, add_into, kernel
 from .dihedral import DihedralContext
 from .nichols import IndexSet, validate_index_set
 from .weights import (
@@ -562,6 +564,9 @@ def highest_weight_vectors(
     With a degree given, returns the list of kernel vectors in that degree;
     otherwise a mapping from each populated degree to its (possibly empty)
     list, highest degree first.  Every call solves the degrees it returns.
+    :func:`socle` solves from the bottom up and spans the first nonempty
+    kernel under the raising letters; the rigid tensor check asks for every
+    degree.
     """
     if degree is None:
         return {
@@ -582,59 +587,25 @@ def highest_weight_vectors(
     return [{idxs[t]: val for t, val in vec.items()} for vec in kernel(module.ctx.field, rows, len(idxs))]
 
 
-def submodule_generated(module: QDModule, vectors: Iterable[VecDict]) -> EchelonBasis:
-    """Smallest subspace containing the vectors and stable under every generator.
+def _close(field: CyclotomicField, seeds: Iterable[VecDict], gens: list[CycMatrix], dim: int) -> EchelonBasis:
+    """The echelon basis of the span of the seeds and their images under every word in ``gens``.
 
-    Each vector must lie in one (degree, group degree) cell.  The generators
-    are graded, so their images do too, and reduced rows from different
-    cells share no coordinate: every row of the basis lies in one cell.
+    The seeds are inserted, and each vector that grows the span is walked
+    breadth first, in the order it was inserted: its image under every
+    generator is inserted, and each image that grows the span is walked in
+    turn.  Every walked vector's images lie in the span, so the span of the
+    walked vectors is closed under ``gens``.  The walk stops once the basis
+    has ``dim`` pivots: no image can grow a span that holds every basis
+    vector, and breadth first it is often reached before the last layer.
 
-    The closure runs in PBW order.  The double is U = U+ D(G) U-: by the
-    defining relations a lowering letter passes a raising one at the cost
-    of a cross term in D(G), and x and y pass a letter at the cost of a
-    root of unity or a sign swap, so every word in the generators is a sum
-    of words with the raising letters left of x and y, and these left of
-    the lowering letters.  The submodule U S is therefore U+ D(G) (U- S).
-    First the span of the seeds is closed under the lowering letters alone,
-    which takes no step when the seeds lie in the joint kernel, as those of
-    :func:`socle` do.  Then that span is closed under x, y
-    and the raising letters.  The dual group-likes act on a vector of one
-    cell by a scalar, so every vector inserted already spans their images.
-    This holds on a module whose relations hold (:func:`check_relations`);
-    :func:`subspace_as_module` still checks the result's stability under
-    every generator.  A span's pivots and reduced rows are unique, so the
-    basis is the one the closure under every generator at once would give.
-
-    Every image of a walked vector is inserted (:func:`_close`).  The image
-    of a coordinate vector c e_j is c times the generator's column j, which
-    spans the same line, so the column is inserted in its place, read as it
-    stands: the columns are shared, and ``insert`` copies what it keeps.
-    x and y are turned into :class:`~.cyclotomic.CycMatrix` once per call.
-    Each phase stops once the basis has ``module.dim`` pivots: no image can
-    grow a span that holds every basis vector.
+    The image of a coordinate vector c e_j is c times the generator's column
+    j, which spans the same line, so the column is inserted in its place,
+    read as it stands: the columns are shared, and ``insert`` copies what it
+    keeps.
     """
-    space = EchelonBasis(module.ctx.field)
-    seeds: list[VecDict] = []
-    for vec in vectors:
-        if len({(module.zdeg[i], module.gdeg[i]) for i in vec}) > 1:
-            raise ValueError("vector is not homogeneous for the two gradings")
-        if space.insert(vec):
-            seeds.append(vec)
-    lowered = _close(space, seeds, list(module.a_mats.values()), module.dim)
-    _close(space, lowered, [module.x_mat.matrix(), module.y_mat.matrix(), *module.v_mats.values()], module.dim)
-    return space
-
-
-def _close(space: EchelonBasis, vectors: list[VecDict], gens: list[CycMatrix], dim: int) -> list[VecDict]:
-    """Insert the images under ``gens`` of the vectors, and of each image that grows the span.
-
-    The vectors are walked breadth first, in the order they were inserted,
-    so a span of all ``dim`` basis vectors is often reached before the
-    last layer is walked.  Returns the vectors and those images: they span
-    the closure.
-    """
+    space = EchelonBasis(field)
     columns = [mat.sparse_columns() for mat in gens]
-    kept = list(vectors)
+    kept = [vec for vec in seeds if space.insert(vec)]
     # kept grows while it is walked
     for vec in kept:
         if len(space.pivots) == dim:
@@ -647,7 +618,7 @@ def _close(space: EchelonBasis, vectors: list[VecDict], gens: list[CycMatrix], d
         for image in images:
             if space.insert(image):
                 kept.append(image)
-    return kept
+    return space
 
 
 def _on_positions(
@@ -693,9 +664,12 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     coefficients over the rows as its entries at the pivots, so a
     generator's column at p is ``g r_p`` read at the pivots.  A row with
     one entry is e_p, and its image is the generator's column p as it
-    stands.  Every image is reduced, and one that leaves the span raises.
-    x and y must be invertible monomial matrices on the rows
-    (:func:`_on_positions`), as they are for every socle.
+    stands.  Every image under every generator is reduced, and one that
+    leaves the span raises: this is the one check that the span is a
+    submodule, and :func:`socle`, which spans under the raising letters
+    alone, relies on it for x, y and the lowering letters.  x and y must be
+    invertible monomial matrices on the rows (:func:`_on_positions`), as
+    they are for every socle.
 
     A span of every basis vector is stable, and its reduced rows are the
     unit vectors, on which :func:`_on_positions` would rebuild the module's
@@ -721,8 +695,24 @@ def socle(module: QDModule) -> QDModule:
     """The submodule generated by the lowest nonvanishing joint kernel.
 
     Scans degrees from the bottom up for the first degree z carrying vectors
-    killed by every lowering letter and returns the submodule they generate.
-    Its degree-z layer must be exactly their span, and must be a single
+    killed by every lowering letter, the joint kernel K, and returns the
+    submodule U K that they generate.  By the defining relations a lowering
+    letter passes a raising one at the cost of a cross term in D(G), and x
+    and y pass a letter at the cost of a root of unity or a sign swap, so
+    the double is U = U+ D(G) U-: every word in the generators is a sum of
+    words with the raising letters left of x and y, and these left of the
+    lowering letters.  U- K is K, since every lowering letter kills K, and
+    D(G) keeps K: x and y carry each lowering letter to a multiple of a
+    lowering letter and keep the degree, and the dual group-likes act on a
+    vector of one cell by a scalar.  So U K is U+ K, the span of K under the
+    raising letters alone (:func:`_close`).  A raising letter lowers the
+    degree, so the span's degree-z layer is exactly the span of K.
+
+    That holds on a module whose relations hold (:func:`check_relations`).
+    :func:`subspace_as_module` checks the span's stability under every
+    generator, which certifies what x, y and the lowering letters would add,
+    so on a module whose relations fail, or from part of the joint kernel,
+    the socle may be refused there.  The degree-z layer must be a single
     multiplicity-one weight over the double of the group.  For standard
     modules the bottom layer of the result must also exhaust the bottom
     layer of the module.
@@ -734,10 +724,8 @@ def socle(module: QDModule) -> QDModule:
             break
     else:
         raise AssertionError("module has no joint kernel vectors at all")
-    soc = subspace_as_module(module, submodule_generated(module, found), kind="socle")
-    soc_layers = soc.layer_indices()
-    if len(soc_layers[z]) != len(found):
-        raise AssertionError("lowest joint kernel is not stable under the generators")
+    span = _close(module.ctx.field, found, list(module.v_mats.values()), module.dim)
+    soc = subspace_as_module(module, span, kind="socle")
     counts = decomposition_counts(module.ctx, soc.layer_module(z))
     if len(counts) != 1 or counts[0][1] != 1:
         raise AssertionError(
@@ -746,7 +734,7 @@ def socle(module: QDModule) -> QDModule:
         )
     if module.kind == "verma":
         zmin = min(layers)
-        if len(soc_layers.get(zmin, [])) != len(layers[zmin]):
+        if len(soc.layer_indices().get(zmin, [])) != len(layers[zmin]):
             raise AssertionError("socle of a standard module misses part of the bottom layer")
     return soc
 
@@ -765,18 +753,16 @@ def head(module: QDModule) -> QDModule:
 
     That submodule is the common kernel of the functionals f u, f on the
     degree-0 layer and u in the double.  In PBW order, U = U+ D(G) U-
-    (:func:`submodule_generated`), a raising letter lowers the degree, so
-    f u+ vanishes unless u+ is a scalar, and D(G) keeps the degree-0
-    functionals.  So the f u span W, graded by degree: W_0 holds the unit
-    functionals e_t* of the degree-0 layer, and W_(z-1) is the echelon
-    basis of every reduced row of W_z times every lowering letter, one
-    ``apply`` of the letter transposed once per call.  The classes of the
-    basis vectors at the pivots of W's reduced rows are a basis of the
-    quotient: paired with those rows, the class of e_p is the unit vector
-    at p.  So a generator's column at p is its column p read by that
-    pairing (:func:`_on_positions`).  When W fills the module, the module
-    itself is returned; with no degree-0 layer, the result is the zero
-    module.
+    (:func:`socle`), a raising letter lowers the degree, so f u+ vanishes
+    unless u+ is a scalar, and D(G) keeps the degree-0 functionals.  So the
+    f u span W, the span of the unit functionals e_t* of the degree-0 layer
+    under the lowering letters, each transposed once per call
+    (:func:`_close`).  The classes of the basis vectors at the pivots of W's
+    reduced rows are a basis of the quotient: paired with those rows, the
+    class of e_p is the unit vector at p.  So a generator's column at p is
+    its column p read by that pairing (:func:`_on_positions`).  When W fills
+    the module, the module itself is returned; with no degree-0 layer, the
+    result is the zero module.
 
     The result is the head exactly when the module is generated by its
     degree-0 layer and that layer is one weight of multiplicity one, as on
@@ -786,22 +772,17 @@ def head(module: QDModule) -> QDModule:
     """
     field, dim = module.ctx.field, module.dim
     lowering = [_from_rows(field, enumerate(mat.sparse_columns()), dim) for mat in module.a_mats.values()]
-    found = [(t, {t: field.one}) for t in module.layer_indices().get(0, [])]
-    kept: list[tuple[int, VecDict]] = []
-    while found:
-        kept += found
-        below = _rref(field, [mat.apply(row) for _, row in found for mat in lowering])
-        found = list(zip(below.pivots, below.rows))
-    if len(kept) == dim:
+    units = [{t: field.one} for t in module.layer_indices().get(0, [])]
+    span = _close(field, units, lowering, dim)
+    if len(span.pivots) == dim:
         return module
-    pairing = _from_rows(field, kept, dim)
-    positions = sorted(p for p, _ in kept)
+    pairing = _from_rows(field, zip(span.pivots, span.rows), dim)
 
     def images(mat: CycMatrix) -> list[VecDict]:
         cols = mat.sparse_columns()
-        return [pairing.apply(cols[p]) for p in positions]
+        return [pairing.apply(cols[p]) for p in span.pivots]
 
-    return _on_positions(module, positions, images, "head")
+    return _on_positions(module, span.pivots, images, "head")
 
 
 @dataclass(frozen=True)

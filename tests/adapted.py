@@ -1,5 +1,10 @@
-"""Submodules and quotients in a basis adapted to the group action, and the head by shaving, for the tests.
+"""The closure under every generator, submodules and quotients in a basis adapted to the group action, and
+the head by shaving, for the tests.
 
+:func:`reference_generated` spans the images of its seeds under every word
+in every generator, the reference that ``qdouble.socle``, which spans the
+lowest joint kernel under the raising letters alone, is compared with, and
+the one way the tests generate a submodule.
 ``qdouble.subspace_as_module`` builds a submodule only where x and y are
 invertible monomial matrices on its reduced rows, as on every socle, and
 raises otherwise; the package builds no quotient but the head.  The tests
@@ -22,9 +27,24 @@ from typing import Callable, Sequence
 
 from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, VecDict, _rref, add_into
 from dihedral_doubles.dihedral import DihedralContext
-from dihedral_doubles.qdouble import check_relations, graded_character, head, highest_weight_vectors, submodule_generated
+from dihedral_doubles.qdouble import check_relations, graded_character, head, highest_weight_vectors, socle
 from dihedral_doubles.weights import QDModule
 from matrices import without_zeros
+
+
+def reference_generated(module: QDModule, vectors) -> EchelonBasis:
+    """The smallest subspace that holds the vectors and is stable under every generator, x and y included:
+    every image of every vector that grows the span is inserted, each from ``apply``."""
+    gens = [module.x_mat.matrix(), module.y_mat.matrix(), *module.v_mats.values(), *module.a_mats.values()]
+    space = EchelonBasis(module.ctx.field)
+    queue = [vec for vec in vectors if space.insert(vec)]
+    while queue:
+        vec = queue.pop()
+        for mat in gens:
+            image = mat.apply(vec)
+            if space.insert(image):
+                queue.append(image)
+    return space
 
 
 def reference_on_positions(module, kept, images, kind):
@@ -59,6 +79,26 @@ def reference_submodule(module, space: EchelonBasis, kind: str):
         return out
 
     return reference_on_positions(module, space.pivots, images, kind)
+
+
+def reference_socle(module: QDModule):
+    """The submodule that the lowest nonempty joint kernel generates under every generator, as the reference
+    submodule on the pivots of its reduced rows."""
+    lowest = next(vecs for z in sorted(module.layer_indices()) if (vecs := highest_weight_vectors(module, z)))
+    return reference_submodule(module, reference_generated(module, lowest), "socle")
+
+
+def assert_socle_matches_the_reference(module: QDModule) -> QDModule:
+    """``qdouble.socle``, the span of the lowest joint kernel under the raising letters, against
+    :func:`reference_socle`: the same degrees and every generator the same matrix.  Returns the socle."""
+    built, reference = socle(module), reference_socle(module)
+    assert (built.zdeg, built.gdeg, built.kind) == (reference.zdeg, reference.gdeg, reference.kind), module
+    pairs = [(built.x_mat.matrix(), reference.x_mat), (built.y_mat.matrix(), reference.y_mat)]
+    pairs += [(mat, reference.v_mats[key]) for key, mat in built.v_mats.items()]
+    pairs += [(mat, reference.a_mats[key]) for key, mat in built.a_mats.items()]
+    for mat, ref in pairs:
+        assert mat.sparse_columns() == ref.sparse_columns(), module
+    return built
 
 
 def reference_quotient(module, space: EchelonBasis, kind: str):
@@ -224,7 +264,7 @@ def reference_head(module: QDModule) -> QDModule:
         negatives = [vec for z, vecs in highest_weight_vectors(module).items() if z < 0 for vec in vecs]
         if not negatives:
             return module
-        module = adapted_quotient(module, submodule_generated(module, negatives), "head")
+        module = adapted_quotient(module, reference_generated(module, negatives), "head")
     raise AssertionError("head computation did not stabilize")
 
 

@@ -551,6 +551,8 @@ PINNED = {
         "verify", "--index", "(1,6),(3,6)", "--weights", "e:chi1, Mx:0,0", "--output", "json", "--threads", "1",
     ],
     "simple_1_6_3_6": ["simple", "--index", "(1,6),(3,6)", "--weight", "Mx:0,0", "--full", "--output", "json"],
+    # a 32-dimensional simple whose socle spreads over degrees -2 to -6
+    "simple_1_6_3_6_5_6": ["simple", "--index", "(1,6),(3,6),(5,6)", "--weight", "M1,2", "--full", "--output", "json"],
     "spherical_16": ["spherical", "--m", "16", "--output", "json"],
     "tensor_M2_3_Mx": ["tensor", "M2,3", "Mx:0,0", "--output", "json"],
 }

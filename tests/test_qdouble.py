@@ -21,7 +21,6 @@ from dihedral_doubles.qdouble import (
     highest_weight_vectors,
     induce_from_simple,
     socle,
-    submodule_generated,
     subspace_as_module,
     tensor_qd,
     theta_congruence,
@@ -45,8 +44,11 @@ from adapted import (
     adapted_submodule,
     as_module,
     assert_head_matches_the_reference,
+    assert_socle_matches_the_reference,
     needs_adapted_basis,
+    reference_generated,
     reference_quotient,
+    reference_socle,
     reference_submodule,
 )
 from matrices import (
@@ -215,7 +217,7 @@ def test_highest_weight_vector_layout(ctx12):
 def test_submodule_and_quotient_dimensions(ctx12):
     verma = _verma(ctx12, "(2,3)", "Mx:0,0")
     hw = highest_weight_vectors(verma)
-    space = submodule_generated(verma, hw[-1])
+    space = reference_generated(verma, hw[-1])
     assert len(space.rows) == 12
     quotient_module = adapted_quotient(verma, space)
     assert quotient_module.dim == 12
@@ -230,14 +232,14 @@ def test_submodule_and_quotient_dimensions(ctx12):
 
 @pytest.mark.parametrize("iset_text", ["(2,3)", "(1,6),(3,6)", "(2,3),(2,9)"])
 def test_generated_submodules_have_each_reduced_row_in_one_cell(ctx12, iset_text):
-    # one weight per family; the seeds are those of head and socle
+    # one weight per family; the seeds are those of the socle and of the shaving head
     for label_text in ("e:chi2", "e:rho1", "yn:chi3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"):
         verma = _verma(ctx12, iset_text, label_text)
         by_degree = highest_weight_vectors(verma)
         lowest = by_degree[min(z for z, vecs in by_degree.items() if vecs)]
         negatives = [vec for z, vecs in by_degree.items() if z < 0 for vec in vecs]
         for seed in (lowest, negatives):
-            for row in submodule_generated(verma, seed).rows:
+            for row in reference_generated(verma, seed).rows:
                 assert len({(verma.zdeg[i], verma.gdeg[i]) for i in row}) == 1
 
 
@@ -248,10 +250,6 @@ def test_subspaces_that_are_not_submodules_are_rejected(ctx12):
     span.insert({0: one})
     with pytest.raises(AssertionError, match="not stable under a generator"):
         subspace_as_module(verma, span)
-    layer = verma.layer_indices()[0]
-    mixed = next(i for i in layer if verma.gdeg[i] != verma.gdeg[layer[0]])
-    with pytest.raises(ValueError, match="not homogeneous"):
-        submodule_generated(verma, [{layer[0]: one, mixed: one}])
 
 
 def test_socle_rejects_part_of_the_lowest_kernel(ctx12, monkeypatch):
@@ -262,7 +260,8 @@ def test_socle_rejects_part_of_the_lowest_kernel(ctx12, monkeypatch):
         return full(module, degree)[:1]
 
     monkeypatch.setattr(qdouble, "highest_weight_vectors", first_only)
-    with pytest.raises(AssertionError, match="not stable under the generators"):
+    # the raising letters span the part, and x, y or a lowering letter leaves that span
+    with pytest.raises(AssertionError, match="not stable under a generator"):
         socle(verma)
 
 
@@ -337,7 +336,7 @@ def test_a_joint_kernel_above_the_lowest_degree_generates_no_socle(ctx12, iset_t
     assert socle_char.layers[0][0] == degrees[0]
     for z in degrees[1:]:
         # x or y need not be an invertible monomial matrix on these rows: the test helper builds the module
-        generated = adapted_submodule(verma, submodule_generated(verma, kernels[z]))
+        generated = adapted_submodule(verma, reference_generated(verma, kernels[z]))
         assert graded_character(generated) != socle_char, z
 
 
@@ -345,7 +344,7 @@ def test_a_submodule_on_whose_rows_x_is_not_monomial_is_refused(ctx12):
     # the negative-degree joint kernel of this standard module generates a submodule on whose reduced rows x is
     # no invertible monomial matrix: the package changes to no other basis, and the test helper builds it
     verma = _verma(ctx12, "(1,6),(3,6)", "Mx:0,0")
-    space = submodule_generated(verma, _negatives(verma))
+    space = reference_generated(verma, _negatives(verma))
     with pytest.raises(AssertionError, match="x is not an invertible monomial matrix on a module of kind 'submodule'"):
         subspace_as_module(verma, space)
     assert needs_adapted_basis(reference_submodule(verma, space, "submodule"))
@@ -700,29 +699,8 @@ def test_induced_matrices_hold_no_zero_entry(ctx12, label_text):
 # Socles, heads and submodules against a reference that applies every generator to every row.
 
 
-def _reference_generated(module, vectors):
-    """``submodule_generated`` with every image from ``apply``."""
-    space = EchelonBasis(module.ctx.field)
-    queue = [vec for vec in vectors if space.insert(vec)]
-    while queue:
-        vec = queue.pop()
-        for mat in _generators(module):
-            image = mat.apply(vec)
-            if space.insert(image):
-                queue.append(image)
-    return space
-
-
 def _negatives(module):
     return [vec for z, vecs in highest_weight_vectors(module).items() if z < 0 for vec in vecs]
-
-
-def _lowest_kernel(module):
-    return next(vecs for z in sorted(module.layer_indices()) if (vecs := highest_weight_vectors(module, z)))
-
-
-def _reference_socle(module):
-    return reference_submodule(module, _reference_generated(module, _lowest_kernel(module)), "socle")
 
 
 def _change_of_basis(reference):
@@ -795,30 +773,21 @@ def _standard_and_recursion_modules(iset_text):
 
 @pytest.mark.parametrize("iset_text", ["(1,6),(3,6)", "(2,3),(2,9)"])
 def test_socles_heads_and_submodules_match_a_reference_that_applies_every_generator(iset_text):
-    field = get_context(12).field
-    scale = field.from_integer(2) + field.zeta(1)
-    coordinate_seeds = adapted = full_spans = zero_heads = 0
+    adapted = full_spans = zero_heads = 0
     for module in _standard_and_recursion_modules(iset_text):
+        # the socle spans the lowest joint kernel under the raising letters, the reference under every generator
         soc = socle(module)
-        _assert_same_module(soc, _reference_socle(module))
+        _assert_same_module(soc, reference_socle(module))
         # a socle that spans the whole module is built on the module's own matrices
         full_spans += soc.v_mats is module.v_mats
-        lowest = _lowest_kernel(module)
-        assert submodule_generated(module, lowest).rows == _reference_generated(module, lowest).rows
         # head reads the quotient off degree 0 in another basis than the reference's chain of quotients
         zero_heads += not assert_head_matches_the_reference(module).dim
         negatives = _negatives(module)
         if negatives:
-            space = submodule_generated(module, negatives)
-            assert space.rows == _reference_generated(module, negatives).rows
-            # seeds c e_j with c != 1 are read as columns too, and span the same
-            scaled = [{i: scale * x for i, x in vec.items()} for vec in negatives]
-            coordinate_seeds += sum(len(vec) == 1 for vec in scaled)
-            assert submodule_generated(module, scaled).rows == _reference_generated(module, scaled).rows == space.rows
-            _, in_adapted_basis = _submodule(module, space)
+            _, in_adapted_basis = _submodule(module, reference_generated(module, negatives))
             adapted += in_adapted_basis
     # the modules induced from a socle below degree 0 have no degree-0 layer: both heads are zero
-    assert coordinate_seeds and full_spans and zero_heads
+    assert full_spans and zero_heads
     # x is not monomial on the reduced rows of that submodule of the standard modules of reflection weights
     assert adapted
 
@@ -826,10 +795,13 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
 @settings(max_examples=30)
 @given(st.data())
 def test_heads_of_drawn_standard_modules_match_the_shaving_reference(data):
-    # one to three pairs at m = 12, 16 and 20: head reads the quotient off degree 0, the reference shaves
+    # one to three pairs at m = 12, 16 and 20: head reads the quotient off degree 0, the reference shaves; the
+    # socle spans the lowest joint kernel under the raising letters, the reference under every generator
     ctx = get_context(data.draw(st.sampled_from((12, 16, 20))))
     iset = data.draw(_index_sets(ctx, 3))
-    assert_head_matches_the_reference(build_verma(ctx, iset, data.draw(st.sampled_from(all_weight_labels(ctx)))))
+    module = build_verma(ctx, iset, data.draw(st.sampled_from(all_weight_labels(ctx))))
+    assert_head_matches_the_reference(module)
+    assert_socle_matches_the_reference(module)
 
 
 def test_a_simple_module_is_its_own_head_and_a_module_without_degree_0_has_a_zero_head(ctx12):
@@ -843,34 +815,6 @@ def test_a_simple_module_is_its_own_head_and_a_module_without_degree_0_has_a_zer
     assert max(below.zdeg) < 0
     top = head(below)
     assert (top.dim, top.kind) == (0, "head")
-
-
-def _seeds_outside_the_joint_kernel(module):
-    """Seed lists of one vector each: e_j for the first j of the bottom degree, and a combination with
-    coefficients w^t of the basis vectors of the first cell one degree above it."""
-    layers = module.layer_indices()
-    bottom = min(layers)
-    seeds = [[{layers[bottom][0]: module.ctx.field.one}]]
-    above = layers.get(bottom + 1, [])
-    if above:
-        cell = [j for j in above if module.gdeg[j] == module.gdeg[above[0]]]
-        seeds.append([{j: module.ctx.field.zeta(t) for t, j in enumerate(cell)}])
-    return seeds
-
-
-@pytest.mark.parametrize("iset_text", ["(1,6),(3,6)", "(2,3),(2,9)"])
-def test_submodules_generated_from_seeds_outside_the_joint_kernel_match_the_reference(iset_text):
-    # the lowering letters move these seeds, so the first phase of the closure in PBW order does work;
-    # on standard modules, induced modules of the recursion, and the quotients by their negative kernels
-    lowered = 0
-    for module in _standard_and_recursion_modules(iset_text):
-        negatives = _negatives(module)
-        quotients = [adapted_quotient(module, submodule_generated(module, negatives))] if negatives else []
-        for mod in [module, *(q for q in quotients if q.dim)]:
-            for seeds in _seeds_outside_the_joint_kernel(mod):
-                assert submodule_generated(mod, seeds).rows == _reference_generated(mod, seeds).rows
-                lowered += any(mat.apply(vec) for mat in mod.a_mats.values() for vec in seeds)
-    assert lowered
 
 
 def _omega_sum(ctx, exponents):
@@ -898,7 +842,7 @@ def test_submodules_and_quotients_get_a_basis_adapted_to_the_group_action(ctx12,
     degree = next(g for g in ctx12.group.elements() if ctx12.group.name(g) == cell)
     vec = {i: _omega_sum(ctx12, exponents) for i, exponents in vector.items()}
     assert all(module.gdeg[i] == degree for i in vec)
-    space = submodule_generated(module, [vec])
+    space = reference_generated(module, [vec])
     sub, sub_adapted = _submodule(module, space)
     quot, quot_adapted = _quotient(module, space)
     assert sub_adapted or quot_adapted
@@ -980,7 +924,7 @@ def test_socle_head_and_subquotient_matrices_hold_no_zero_entry(ctx12, label_tex
         built = [socle(module), head(module)]
         negatives = _negatives(module)
         if negatives:
-            built.append(_submodule(module, submodule_generated(module, negatives))[0])
+            built.append(_submodule(module, reference_generated(module, negatives))[0])
         for part in built:
             for mat in _generators(part):
                 assert all(x for col in mat.sparse_columns() for x in col.values())
