@@ -792,6 +792,37 @@ def test_socles_heads_and_submodules_match_a_reference_that_applies_every_genera
     assert adapted
 
 
+def _seeds_outside_the_joint_kernel(module):
+    """Seed lists of one vector each: e_j for the first j of the bottom degree, and a combination with
+    coefficients w^t of the basis vectors of the first cell one degree above it."""
+    layers = module.layer_indices()
+    bottom = min(layers)
+    seeds = [[{layers[bottom][0]: module.ctx.field.one}]]
+    above = layers.get(bottom + 1, [])
+    if above:
+        cell = [j for j in above if module.gdeg[j] == module.gdeg[above[0]]]
+        seeds.append([{j: module.ctx.field.zeta(t) for t, j in enumerate(cell)}])
+    return seeds
+
+
+@pytest.mark.parametrize("iset_text", ["(1,6),(3,6)", "(2,3),(2,9)"])
+def test_submodules_generated_from_seeds_outside_the_joint_kernel_match_the_reference(iset_text):
+    # qdouble._close walks breadth first and stops at dim pivots; given every generator, on seeds that the
+    # lowering letters move, its span is the reference's, which walks depth first to the end; on standard
+    # modules, induced modules of the recursion, and the quotients by their negative kernels
+    lowered = 0
+    for module in _standard_and_recursion_modules(iset_text):
+        negatives = _negatives(module)
+        quotients = [adapted_quotient(module, reference_generated(module, negatives))] if negatives else []
+        for mod in [module, *(q for q in quotients if q.dim)]:
+            gens = [mod.x_mat.matrix(), mod.y_mat.matrix(), *mod.v_mats.values(), *mod.a_mats.values()]
+            for seeds in _seeds_outside_the_joint_kernel(mod):
+                closed = qdouble._close(mod.ctx.field, seeds, gens, mod.dim)
+                assert closed.rows == reference_generated(mod, seeds).rows
+                lowered += any(mat.apply(vec) for mat in mod.a_mats.values() for vec in seeds)
+    assert lowered
+
+
 @settings(max_examples=30)
 @given(st.data())
 def test_heads_of_drawn_standard_modules_match_the_shaving_reference(data):
