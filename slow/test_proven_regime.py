@@ -22,8 +22,10 @@ that those reports invert must be a tagged power of w.  Every singleton
 report at m = 12 and 16, every two-pair report at m = 12 and every report
 over ``(1,6),(3,6),(5,6)`` is compared with the report made while
 ``qdouble.subspace_as_module`` builds every submodule, a full span too,
-through ``qdouble._on_positions``, and ``theorems.verify_simple`` induces the
-smaller head and the smaller socle apart at every recursion step.  The head
+through ``qdouble._on_positions``, and its recursion is compared with the
+test helper's ``reference_recursion``, which builds every standard module on
+its own and induces the smaller head and the smaller socle apart at every
+recursion step.  The head
 that ``qdouble.head`` reads off degree 0 is compared with the test helper's
 shaving by negative-degree joint kernels, on character, dimension and
 relations, and the socle that ``qdouble.socle`` spans under the raising
@@ -67,6 +69,7 @@ from adapted import (  # noqa: E402
     assert_socle_matches_the_reference,
     needs_adapted_basis,
     reference_generated,
+    reference_recursion,
     reference_submodule,
 )
 from exterior import assert_standard_module_matches_the_reference  # noqa: E402
@@ -145,20 +148,19 @@ def test_every_inverted_elimination_lead_of_a_singleton_case_is_a_tagged_power_o
 def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
     """Every report equals the one made with no reuse between modules.
 
-    Every submodule, a full span too, is restricted row by row, and every
-    recursion step induces the smaller head and the smaller socle apart,
-    even when they hold the same matrices.  The full-span return must have
-    been taken, and over index sets of two or more pairs the shared
-    induction too.
+    Every submodule, a full span too, is restricted row by row, and the
+    recursion equals the test helper's (``reference_recursion``), which
+    builds every standard module on its own and induces the smaller head
+    and the smaller socle apart at every step.  The full-span return must
+    have been taken, and over index sets of two or more pairs the last
+    pair's step must have been the standard module's own, inducing nothing.
     """
-    full_spans = shared = 0
-    same_action = theorems._same_action
+    full_spans = own_steps = 0
+    induced = []
 
-    def counted_same_action(one, other):
-        nonlocal shared
-        same = same_action(one, other)
-        shared += same
-        return same
+    def recorded(context, simple, pair):
+        induced.append(pair)
+        return induce_from_simple(context, simple, pair)
 
     def every_row_restricted(module, space, kind="submodule"):
         """``subspace_as_module`` without its full-span return: every row's images restricted and reduced."""
@@ -175,15 +177,18 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
 
     for index_set in index_sets:
         for label in all_weight_labels(ctx):
+            induced.clear()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(theorems, "_same_action", counted_same_action)
-                kept = verify_simple(ctx, index_set, label).to_json_obj()
+                patch.setattr(theorems, "induce_from_simple", recorded)
+                report = verify_simple(ctx, index_set, label)
+            own_steps += index_set.size > 1 and index_set.pairs[-1] not in induced
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(qdouble, "subspace_as_module", every_row_restricted)
-                patch.setattr(theorems, "_same_action", lambda one, other: False)
-                assert verify_simple(ctx, index_set, label).to_json_obj() == kept, f"{index_set} / {label}"
+                restricted = verify_simple(ctx, index_set, label)
+                assert restricted.to_json_obj() == report.to_json_obj(), f"{index_set} / {label}"
+                assert reference_recursion(ctx, index_set, label) == report.recursion, f"{index_set} / {label}"
     assert full_spans
-    assert shared or all(index_set.size == 1 for index_set in index_sets)
+    assert own_steps or all(index_set.size == 1 for index_set in index_sets)
 
 
 @pytest.mark.parametrize("m", [12, 16])

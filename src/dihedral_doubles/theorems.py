@@ -25,6 +25,7 @@ from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 from .qdouble import (
     GradedCharacter,
+    _induce,
     _products_equal,
     build_verma,
     check_relations,
@@ -455,6 +456,14 @@ class RecursionCheck:
     socle of the module induced from the smaller socle.  Inducing the head
     does not reproduce the socle: the induced module is a proper quotient of
     the standard module and its socle is a different simple in general.
+
+    Induction is transitive, so when the smaller standard module is simple
+    the module induced from it is the standard module.  For the last pair it
+    is the standard module that was checked, matrix for matrix, so that step
+    is the standard module's own: its relations flag is the standard
+    module's and its head and socle match by construction.  For any other
+    pair it is the standard module in another basis order, and the step is
+    checked as usual.
     """
 
     pair: tuple[int, int]
@@ -539,15 +548,6 @@ def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
     return len(parts) == 1 and len(parts[0][1]) == 1
 
 
-def _same_action(one: QDModule, other: QDModule) -> bool:
-    """Whether two modules hold the very same degrees and matrices, by object identity.
-
-    A socle that spans its module does (``qdouble.subspace_as_module``); the two then induce one module.
-    """
-    shared = ("zdeg", "gdeg", "x_mat", "y_mat", "v_mats", "a_mats")
-    return all(getattr(one, name) is getattr(other, name) for name in shared)
-
-
 def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel) -> SimpleReport:
     """Build the standard module of ``label``, verify every claim about it.
 
@@ -563,16 +563,29 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     * when the index set has more than one pair: for each distinct
       removable pair, the modules induced from the head and from the socle
       of the smaller standard module satisfy the relations and reproduce
-      the head and socle respectively; when that smaller module is simple,
-      its head and socle hold the same matrices (:func:`_same_action`), so
-      one induced module, checked once, serves both sides;
+      the head and socle respectively.  A simple smaller module is its own
+      head and socle, so one induced module, checked once, serves both
+      sides (:class:`RecursionCheck`);
     * when the index set is spherical: the quantum dimension of the simple
       is nonzero exactly when every pair is rigid for the weight.
+
+    Over more than one pair the smaller standard modules are built first,
+    one per distinct pair, and the standard module is induced from the one
+    without the last pair.  Induction is transitive, so that is the last
+    step of :func:`build_verma`'s own fold, a repeated last pair included,
+    and when that smaller module is simple it is also the last pair's
+    recursion step, which is then not induced or checked again.
     """
     pairs = index_set.pairs
     classes = tuple(classify_weight(ctx, label, pair) for pair in pairs)
 
-    verma = build_verma(ctx, index_set, label)
+    subs: dict[tuple[int, int], QDModule] = {}
+    if index_set.size > 1:
+        subs = {pair: build_verma(ctx, index_set.without(pairs.index(pair)), label) for pair in sorted(set(pairs))}
+        # the last step of build_verma's own fold, a repeated last pair too: _induce inserts at bisect_left
+        verma = _induce(ctx, subs[pairs[-1]], pairs[-1], label, "verma")
+    else:
+        verma = build_verma(ctx, index_set, label)
     relations_ok = not check_relations(verma)
     theta_ok = not theta_congruence(verma)
 
@@ -589,25 +602,20 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     socle_matches = socle_char == socle_top.shifted(z0)
 
     recursion: list[RecursionCheck] = []
-    if index_set.size > 1:
-        for pair in sorted(set(pairs)):
-            pos = pairs.index(pair)
-            sub_verma = build_verma(ctx, index_set.without(pos), label)
-            sub_head, sub_socle = head(sub_verma), socle(sub_verma)
-            from_head = induce_from_simple(ctx, sub_head, pair)
-            same = _same_action(sub_head, sub_socle)
-            from_socle = from_head if same else induce_from_simple(ctx, sub_socle, pair)
-            rec_relations = not check_relations(from_head) and (same or not check_relations(from_socle))
-            rec_head = graded_character(head(from_head)) == head_char
-            rec_socle = graded_character(socle(from_socle)) == socle_char
-            recursion.append(
-                RecursionCheck(
-                    pair=pair,
-                    relations_ok=rec_relations,
-                    head_matches=rec_head,
-                    socle_matches=rec_socle,
-                )
-            )
+    for pair, sub_verma in subs.items():
+        sub_head = head(sub_verma)
+        # head returns its argument exactly when the module is simple, and a simple module is its own socle
+        same = sub_head is sub_verma
+        if same and pair == pairs[-1]:
+            # the module induced from the simple smaller module is verma itself, checked above
+            recursion.append(RecursionCheck(pair, relations_ok, True, True))
+            continue
+        from_head = induce_from_simple(ctx, sub_head, pair)
+        from_socle = from_head if same else induce_from_simple(ctx, socle(sub_verma), pair)
+        rec_relations = not check_relations(from_head) and (same or not check_relations(from_socle))
+        rec_head = graded_character(head(from_head)) == head_char
+        rec_socle = graded_character(socle(from_socle)) == socle_char
+        recursion.append(RecursionCheck(pair, rec_relations, rec_head, rec_socle))
 
     qdim: CycNum | None = None
     qdim_ok: bool | None = None

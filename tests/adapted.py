@@ -18,6 +18,8 @@ generator on the vectors that stand for the kept positions, and
 the submodules that the negative-degree joint kernels generate, the
 reference that ``qdouble.head``, which reads it off degree 0, is compared
 with (:func:`assert_head_matches_the_reference`).
+:func:`reference_recursion` runs the recursion steps of
+``theorems.verify_simple`` with no reuse between modules.
 """
 
 from __future__ import annotations
@@ -27,8 +29,18 @@ from typing import Callable, Sequence
 
 from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, VecDict, _rref, add_into
 from dihedral_doubles.dihedral import DihedralContext
-from dihedral_doubles.qdouble import check_relations, graded_character, head, highest_weight_vectors, socle
-from dihedral_doubles.weights import QDModule
+from dihedral_doubles.nichols import IndexSet
+from dihedral_doubles.qdouble import (
+    build_verma,
+    check_relations,
+    graded_character,
+    head,
+    highest_weight_vectors,
+    induce_from_simple,
+    socle,
+)
+from dihedral_doubles.theorems import RecursionCheck
+from dihedral_doubles.weights import QDModule, WeightLabel
 from matrices import without_zeros
 
 
@@ -276,3 +288,22 @@ def assert_head_matches_the_reference(module: QDModule) -> QDModule:
     assert graded_character(built) == graded_character(reference), module
     assert check_relations(built) == [], module
     return built
+
+
+def reference_recursion(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel) -> tuple[RecursionCheck, ...]:
+    """The recursion steps of ``theorems.verify_simple`` with no reuse: the standard module and each smaller
+    one built on its own by ``build_verma``, and at each distinct pair the smaller head and the smaller socle
+    induced apart, each induced module checked for the relations, even where the smaller module is simple."""
+    if index_set.size == 1:
+        return ()
+    verma = build_verma(ctx, index_set, label)
+    head_char, socle_char = graded_character(head(verma)), graded_character(socle(verma))
+    steps = []
+    for pair in sorted(set(index_set.pairs)):
+        small = build_verma(ctx, index_set.without(index_set.pairs.index(pair)), label)
+        from_head, from_socle = (induce_from_simple(ctx, base, pair) for base in (head(small), socle(small)))
+        relations_ok = not check_relations(from_head) and not check_relations(from_socle)
+        head_ok = graded_character(head(from_head)) == head_char
+        socle_ok = graded_character(socle(from_socle)) == socle_char
+        steps.append(RecursionCheck(pair, relations_ok, head_ok, socle_ok))
+    return tuple(steps)

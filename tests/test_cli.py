@@ -550,6 +550,11 @@ PINNED = {
     "verify_1_6_3_6": [
         "verify", "--index", "(1,6),(3,6)", "--weights", "e:chi1, Mx:0,0", "--output", "json", "--threads", "1",
     ],
+    # the smaller standard module over (1,6) is simple for each of these weights, so the last pair's recursion
+    # step is the standard module's own; for those of verify_1_6_3_6 it is not
+    "verify_1_6_3_6_simple_smaller": [
+        "verify", "--index", "(1,6),(3,6)", "--weights", "e:rho1, M1,2, e:chi3", "--output", "json", "--threads", "1",
+    ],
     "simple_1_6_3_6": ["simple", "--index", "(1,6),(3,6)", "--weight", "Mx:0,0", "--full", "--output", "json"],
     # a 32-dimensional simple whose socle spreads over degrees -2 to -6
     "simple_1_6_3_6_5_6": ["simple", "--index", "(1,6),(3,6),(5,6)", "--weight", "M1,2", "--full", "--output", "json"],

@@ -232,14 +232,26 @@ def test_submodule_and_quotient_dimensions(ctx12):
 
 @pytest.mark.parametrize("iset_text", ["(2,3)", "(1,6),(3,6)", "(2,3),(2,9)"])
 def test_generated_submodules_have_each_reduced_row_in_one_cell(ctx12, iset_text):
-    # one weight per family; the seeds are those of the socle and of the shaving head
-    for label_text in ("e:chi2", "e:rho1", "yn:chi3", "yn:rho2", "M2,3", "Mx:0,0", "Mxy:1,0"):
-        verma = _verma(ctx12, iset_text, label_text)
+    # every weight; the spans qdouble._close makes for socle, the lowest joint kernel under the raising letters,
+    # and for head, the degree-0 unit functionals under the transposed lowering letters, and the test helper's
+    # span of the negative-degree joint kernels under every generator, which the shaving head divides out
+    field = ctx12.field
+    for label in all_weight_labels(ctx12):
+        verma = build_verma(ctx12, parse_index_set(ctx12, iset_text), label)
         by_degree = highest_weight_vectors(verma)
         lowest = by_degree[min(z for z, vecs in by_degree.items() if vecs)]
         negatives = [vec for z, vecs in by_degree.items() if z < 0 for vec in vecs]
-        for seed in (lowest, negatives):
-            for row in reference_generated(verma, seed).rows:
+        lowering = [
+            qdouble._from_rows(field, enumerate(mat.sparse_columns()), verma.dim) for mat in verma.a_mats.values()
+        ]
+        units = [{t: field.one} for t in verma.layer_indices()[0]]
+        spans = (
+            qdouble._close(field, lowest, list(verma.v_mats.values()), verma.dim),
+            qdouble._close(field, units, lowering, verma.dim),
+            reference_generated(verma, negatives),
+        )
+        for span in spans:
+            for row in span.rows:
                 assert len({(verma.zdeg[i], verma.gdeg[i]) for i in row}) == 1
 
 

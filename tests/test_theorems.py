@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble, theorems
@@ -36,6 +36,7 @@ from dihedral_doubles.theorems import (
     verify_simple,
 )
 from dihedral_doubles.weights import QDModule, all_weight_labels, group_module, parse_weight_label
+from adapted import reference_recursion
 from matrices import inverted_operands
 from oracle import classify_weight_by_action
 from test_qdouble import character_dimension
@@ -238,27 +239,48 @@ def test_verify_simple_reports_recursion_for_two_pairs(ctx12):
     assert all(rc.ok for rc in report.recursion)
 
 
-def test_verify_simple_reports_a_broken_recursion(ctx12, monkeypatch):
-    # the head side of the recursion induced from the smaller head with x
-    # negated: that is the head twisted by the sign character e:chi2, a
-    # module with the same degrees, dimension and weight, so only its
-    # computed character can tell the induced head from the true one
-    def induce_from_twisted_head(ctx, simple, pair):
-        if simple.kind != "socle":
-            x = simple.x_mat
-            minus_x = UnitMonomial(ctx.field, x.rows, [e + ctx.n for e in x.exps])  # -1 = w^n
-            simple = QDModule(
-                ctx, simple.index_set, simple.zdeg, simple.gdeg, minus_x,
-                simple.y_mat, simple.v_mats, simple.a_mats, weight=simple.weight, kind=simple.kind,
-            )
-        return induce_from_simple(ctx, simple, pair)
+def _induce_from_twisted_head(ctx, simple, pair):
+    """``induce_from_simple`` from the head with x negated: the head twisted by the sign character e:chi2, a
+    module with the same degrees, dimension and weight, so only its computed character can tell the induced
+    head from the true one.  A socle is induced as it stands."""
+    if simple.kind != "socle":
+        x = simple.x_mat
+        minus_x = UnitMonomial(ctx.field, x.rows, [e + ctx.n for e in x.exps])  # -1 = w^n
+        simple = QDModule(
+            ctx, simple.index_set, simple.zdeg, simple.gdeg, minus_x,
+            simple.y_mat, simple.v_mats, simple.a_mats, weight=simple.weight, kind=simple.kind,
+        )
+    return induce_from_simple(ctx, simple, pair)
 
-    monkeypatch.setattr(theorems, "induce_from_simple", induce_from_twisted_head)
+
+def test_verify_simple_reports_a_broken_recursion(ctx12, monkeypatch):
+    # the head side of the recursion induced from the twisted smaller head
+    monkeypatch.setattr(theorems, "induce_from_simple", _induce_from_twisted_head)
     report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("Mx:0,0"))
     assert [rc.pair for rc in report.recursion] == [(1, 6), (3, 6)]
     for rc in report.recursion:
         assert rc.head_matches is False
         assert rc.relations_ok and rc.socle_matches
+    assert report.head_matches
+    assert report.ok is False
+
+
+def test_a_broken_recursion_is_caught_before_the_last_pair_that_is_the_standard_modules_own(ctx12, monkeypatch):
+    # both smaller standard modules of e:chi3 over (1,6),(3,6) are simple: the (1,6) step induces the twisted
+    # head, whose weight is e:chi4, and the (3,6) step is the standard module itself, induced from the one
+    # over (1,6), so it induces nothing.  e:rho1 would not do: twisted by e:chi2 it is e:rho1 again.
+    induced = []
+
+    def recorded(ctx, simple, pair):
+        induced.append(pair)
+        return _induce_from_twisted_head(ctx, simple, pair)
+
+    monkeypatch.setattr(theorems, "induce_from_simple", recorded)
+    report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("e:chi3"))
+    assert induced == [(1, 6)]
+    first, last = report.recursion
+    assert (first.pair, first.relations_ok, first.head_matches) == ((1, 6), True, False)
+    assert (last.pair, last.ok) == ((3, 6), True)
     assert report.head_matches
     assert report.ok is False
 
@@ -303,8 +325,10 @@ def _count_inductions_and_relation_checks(monkeypatch):
 
 
 # Each step over (1,6),(3,6) at m = 12 leaves a singleton standard module.  For e:rho1 both are simple, for
-# M1,2 the one over (1,6) is, for e:chi1 neither is.  A simple one is induced and checked once, for both sides.
-@pytest.mark.parametrize(("label_text", "inductions"), [("e:rho1", 2), ("M1,2", 3), ("e:chi1", 4)])
+# M1,2 the one over (1,6) is, for e:chi1 neither is.  A simple one is induced and checked once, for both sides,
+# and the one over (1,6), left by the last pair (3,6), is not induced at all: the standard module is induced
+# from it, and is the module that step would induce.
+@pytest.mark.parametrize(("label_text", "inductions"), [("e:rho1", 1), ("M1,2", 2), ("e:chi1", 4)])
 def test_a_simple_smaller_standard_module_is_induced_once_for_head_and_socle(
     ctx12, monkeypatch, label_text, inductions
 ):
@@ -316,9 +340,9 @@ def test_a_simple_smaller_standard_module_is_induced_once_for_head_and_socle(
 
 
 def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ctx12, monkeypatch):
-    # both smaller standard modules of e:chi3 are simple, and their socles come back here with x negated, in
-    # a matrix of their own: the simple of e:chi4, not the head, so it is induced and checked on its own, and
-    # the socle it induces is told from the true one
+    # neither smaller standard module of e:chi1 is simple, and their socles come back here with x negated: a
+    # simple that is not the socle, so it is induced and checked on its own, and the socle it induces is told
+    # from the true one
     def socle_with_x_negated(module):
         soc = socle(module)
         if module.index_set.size > 1:
@@ -332,7 +356,7 @@ def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ct
 
     monkeypatch.setattr(theorems, "socle", socle_with_x_negated)
     calls = _count_inductions_and_relation_checks(monkeypatch)
-    report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("e:chi3"))
+    report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("e:chi1"))
     assert calls == {"induce_from_simple": 4, "check_relations": 5}
     assert [rc.pair for rc in report.recursion] == [(1, 6), (3, 6)]
     for rc in report.recursion:
@@ -416,6 +440,73 @@ def test_four_pair_standard_modules_satisfy_the_relations(case):
     verma = build_verma(ctx, index_set, label)
     assert check_relations(verma) == []
     assert theta_congruence(verma) == []
+
+
+@st.composite
+def recursion_cases(draw, most):
+    """An order m in {12, 16}, two to ``most`` pairs at m = 12 and two or three at m = 16 that pass the
+    braiding check, a weight.  With a coin the last pair drawn is the largest of the others once more, so
+    that the last pair of the set is repeated; other pairs repeat as they are drawn."""
+    ctx = get_context(draw(st.sampled_from((12, 16))))
+    pairs = [draw(st.sampled_from(valid_pairs(ctx)))]
+
+    def admissible():
+        return draw(st.sampled_from([pair for pair in valid_pairs(ctx) if _admissible(ctx, pairs + [pair])]))
+
+    for _ in range(draw(st.integers(2, most if ctx.m == 12 else 3)) - 2):
+        pairs.append(admissible())
+    pairs.append(max(pairs) if draw(st.booleans()) else admissible())
+    label = draw(st.sampled_from(all_weight_labels(ctx)))
+    return ctx, validate_index_set(ctx, pairs), label
+
+
+def _case(m, index_text, label_text):
+    ctx = get_context(m)
+    return ctx, parse_index_set(ctx, index_text), parse_weight_label(label_text)
+
+
+class _Checked(Exception):
+    """Stops ``verify_simple`` at its first relation check, with the module it checks in hand."""
+
+
+def _matrices(module):
+    return (
+        module.index_set, module.weight, module.kind, module.zdeg, module.gdeg, module.x_mat, module.y_mat,
+        list(module.v_mats.items()), list(module.a_mats.items()),
+    )
+
+
+@settings(max_examples=20)
+@given(recursion_cases(most=4))
+@example(_case(12, "(1,6),(3,6),(3,6)", "e:chi3"))
+@example(_case(12, "(1,6),(1,6),(3,6),(3,6)", "Mx:0,0"))
+def test_verify_simple_checks_the_standard_module_that_build_verma_builds(case):
+    # verify_simple induces the standard module from the smaller one without the last pair; its first relation
+    # check is on that module, which must be build_verma's matrix for matrix, letter keys in order included
+    ctx, index_set, label = case
+    checked = []
+
+    def stop(module):
+        checked.append(module)
+        raise _Checked
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(theorems, "check_relations", stop)
+        with pytest.raises(_Checked):
+            verify_simple(ctx, index_set, label)
+    (module,) = checked
+    assert _matrices(module) == _matrices(build_verma(ctx, index_set, label))
+
+
+@settings(max_examples=16)
+@given(recursion_cases(most=3))
+@example(_case(12, "(1,6),(3,6),(3,6)", "e:chi3"))
+@example(_case(12, "(1,6),(1,6),(3,6)", "e:rho1"))
+@example(_case(16, "(2,4),(2,12),(2,12)", "e:chi3"))
+def test_the_recursion_equals_the_reference_with_no_reuse(case):
+    # the reference builds every standard module on its own and induces the smaller head and socle apart
+    ctx, index_set, label = case
+    assert verify_simple(ctx, index_set, label).recursion == reference_recursion(ctx, index_set, label)
 
 
 def test_closed_forms_build_no_standard_module(ctx12, monkeypatch):
