@@ -25,7 +25,9 @@ over ``(1,6),(3,6),(5,6)`` is compared with the report made while
 through ``qdouble._on_positions``, and its recursion is compared with the
 test helper's ``reference_recursion``, which builds every standard module on
 its own and induces the smaller head and the smaller socle apart at every
-recursion step.  The head
+recursion step; its socle character and socle simplicity are compared with
+those of the socle scanned from the standard module, which ``verify_simple``
+does not scan when ``head`` returns the module unchanged.  The head
 that ``qdouble.head`` reads off degree 0 is compared with the test helper's
 shaving by negative-degree joint kernels, on character, dimension and
 relations, and the socle that ``qdouble.socle`` spans under the raising
@@ -58,7 +60,7 @@ from dihedral_doubles.qdouble import (
     induce_from_simple,
     socle,
 )
-from dihedral_doubles.theorems import verify_simple
+from dihedral_doubles.theorems import _socle_is_simple, verify_simple
 from dihedral_doubles.weights import all_weight_labels, parse_weight_label
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -151,9 +153,12 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
     Every submodule, a full span too, is restricted row by row, and the
     recursion equals the test helper's (``reference_recursion``), which
     builds every standard module on its own and induces the smaller head
-    and the smaller socle apart at every step.  The full-span return must
-    have been taken, and over index sets of two or more pairs the last
-    pair's step must have been the standard module's own, inducing nothing.
+    and the smaller socle apart at every step.  The socle ``verify_simple``
+    reports, which is the standard module itself when that is simple,
+    equals the one scanned from the standard module, in character and in
+    the simplicity of its bottom layer.  The full-span return must have
+    been taken, and over index sets of two or more pairs the last pair's
+    step must have been the standard module's own, inducing nothing.
     """
     full_spans = own_steps = 0
     induced = []
@@ -187,6 +192,9 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
                 restricted = verify_simple(ctx, index_set, label)
                 assert restricted.to_json_obj() == report.to_json_obj(), f"{index_set} / {label}"
                 assert reference_recursion(ctx, index_set, label) == report.recursion, f"{index_set} / {label}"
+                scanned = socle(build_verma(ctx, index_set, label))
+                assert graded_character(scanned) == report.socle_character, f"{index_set} / {label}"
+                assert _socle_is_simple(ctx, scanned) == report.socle_simple, f"{index_set} / {label}"
     assert full_spans
     assert own_steps or all(index_set.size == 1 for index_set in index_sets)
 

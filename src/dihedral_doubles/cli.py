@@ -151,9 +151,9 @@ def cmd_simple(args) -> int:
     relations_ok = not check_relations(verma)
     theta_ok = not theta_congruence(verma)
     simple = head(verma)
-    soc = socle(verma)
     head_char = graded_character(simple)
-    socle_char = graded_character(soc)
+    # head returns its argument exactly when the module is simple, and a simple module is its own socle
+    socle_char = head_char if simple is verma else graded_character(socle(verma))
     obj = {
         "m": ctx.m,
         "index_set": [list(pair) for pair in index_set.pairs],
@@ -164,7 +164,7 @@ def cmd_simple(args) -> int:
         "checks": {"relations": relations_ok, "theta": theta_ok},
     }
     if args.full:
-        verma_char = graded_character(verma)
+        verma_char = head_char if simple is verma else graded_character(verma)
         obj["verma_dimension"] = verma.dim
         obj["verma_character"] = verma_char.to_json_obj()
     failed = _failed_checks(obj)

@@ -716,6 +716,11 @@ def socle(module: QDModule) -> QDModule:
     multiplicity-one weight over the double of the group.  For standard
     modules the bottom layer of the result must also exhaust the bottom
     layer of the module.
+
+    On a simple module the scan ends in a span of the whole module.
+    :func:`head` returns its argument exactly when the module is simple, so
+    ``verify_simple`` does not ask for the socle of a module that ``head``
+    returned unchanged: it is its own socle.
     """
     layers = module.layer_indices()
     for z in sorted(layers):

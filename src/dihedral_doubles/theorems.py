@@ -463,7 +463,9 @@ class RecursionCheck:
     is the standard module's own: its relations flag is the standard
     module's and its head and socle match by construction.  For any other
     pair it is the standard module in another basis order, and the step is
-    checked as usual.
+    checked as usual, except that when :func:`head` returns that induced
+    module unchanged it is simple and its own socle, so the socle side
+    compares the character of that head and scans no socle.
     """
 
     pair: tuple[int, int]
@@ -559,13 +561,18 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     * simplicity of the socle (single weight, multiplicity one), and its
       graded character against the predicted character of the weight
       :func:`predicted_socle_top` names, shifted to its degree; when that
-      weight is ``label`` the head prediction is reused;
+      weight is ``label`` the head prediction is reused.  :func:`head`
+      returns its argument exactly when the module is simple, and a simple
+      module is its own socle, so :func:`socle` scans only a standard
+      module that is not simple; a simple one's socle character is its
+      head's;
     * when the index set has more than one pair: for each distinct
       removable pair, the modules induced from the head and from the socle
       of the smaller standard module satisfy the relations and reproduce
       the head and socle respectively.  A simple smaller module is its own
       head and socle, so one induced module, checked once, serves both
-      sides (:class:`RecursionCheck`);
+      sides, and when that module is simple too its socle is its head
+      (:class:`RecursionCheck`);
     * when the index set is spherical: the quantum dimension of the simple
       is nonzero exactly when every pair is rigid for the weight.
 
@@ -594,8 +601,12 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     predicted = predicted_character(ctx, index_set, label)
     predicted_dim = predicted_simple_dimension(ctx, index_set, label)
 
-    soc = socle(verma)
-    socle_char = graded_character(soc)
+    if simple is verma:
+        # head returns its argument exactly when the module is simple, and a simple module is its own socle
+        soc, socle_char = verma, head_char
+    else:
+        soc = socle(verma)
+        socle_char = graded_character(soc)
     socle_simple = _socle_is_simple(ctx, soc)
     top, z0 = predicted_socle_top(ctx, index_set, label)
     socle_top = predicted if top == label else predicted_character(ctx, index_set, top)
@@ -613,8 +624,14 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
         from_head = induce_from_simple(ctx, sub_head, pair)
         from_socle = from_head if same else induce_from_simple(ctx, socle(sub_verma), pair)
         rec_relations = not check_relations(from_head) and (same or not check_relations(from_socle))
-        rec_head = graded_character(head(from_head)) == head_char
-        rec_socle = graded_character(socle(from_socle)) == socle_char
+        induced_head = head(from_head)
+        induced_head_char = graded_character(induced_head)
+        rec_head = induced_head_char == head_char
+        if same and induced_head is from_head:
+            # the induced module is simple, so it is its own socle
+            rec_socle = induced_head_char == socle_char
+        else:
+            rec_socle = graded_character(socle(from_socle)) == socle_char
         recursion.append(RecursionCheck(pair, rec_relations, rec_head, rec_socle))
 
     qdim: CycNum | None = None

@@ -558,6 +558,10 @@ PINNED = {
     "simple_1_6_3_6": ["simple", "--index", "(1,6),(3,6)", "--weight", "Mx:0,0", "--full", "--output", "json"],
     # a 32-dimensional simple whose socle spreads over degrees -2 to -6
     "simple_1_6_3_6_5_6": ["simple", "--index", "(1,6),(3,6),(5,6)", "--weight", "M1,2", "--full", "--output", "json"],
+    # a simple standard module: its own socle, and its character is the simple's
+    "simple_1_6_3_6_5_6_rho1": [
+        "simple", "--index", "(1,6),(3,6),(5,6)", "--weight", "e:rho1", "--full", "--output", "json",
+    ],
     "spherical_16": ["spherical", "--m", "16", "--output", "json"],
     "tensor_M2_3_Mx": ["tensor", "M2,3", "Mx:0,0", "--output", "json"],
 }
@@ -569,3 +573,18 @@ def test_cli_output_matches_its_pin(capsys, name):
     code, out, err = run(capsys, PINNED[name])
     assert (code, err) == (0, "")
     assert out == pin.read_text()
+
+
+@pytest.mark.parametrize(("name", "scans"), [("simple_1_6_3_6", 1), ("simple_1_6_3_6_5_6_rho1", 0)])
+def test_simple_scans_for_a_socle_only_when_the_standard_module_is_not_simple(capsys, monkeypatch, name, scans):
+    # head returns the standard module itself exactly when it is simple, and then it is its own socle
+    scanned = []
+
+    def recorded(module, _real=cli.socle):
+        scanned.append(module)
+        return _real(module)
+
+    monkeypatch.setattr(cli, "socle", recorded)
+    code, _, err = run(capsys, PINNED[name])
+    assert (code, err) == (0, "")
+    assert len(scanned) == scans

@@ -21,6 +21,7 @@ from dihedral_doubles.theorems import (
     PROJECTIVE,
     REFLECTION,
     RIGID,
+    _socle_is_simple,
     classify_weight,
     is_spherical,
     pivot_check,
@@ -366,6 +367,33 @@ def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ct
     assert report.ok is False
 
 
+# head returns its argument exactly when the module is simple, and verify_simple then scans for no socle: not on
+# a simple standard module, e:rho1 over (2,3) and over (1,6),(3,6), nor on the simple module the (1,6) step of
+# e:rho1 induces from its simple smaller module.  M1,2 over (1,6),(3,6) scans the standard module, the smaller
+# one over (3,6) and the module induced from that one's socle; e:chi1 scans both smaller modules and both.  At
+# m = 16 the smaller module of M1,6 left by (2,4) is simple, but the standard module and so the module induced
+# from it are not, and that one is scanned too.
+@pytest.mark.parametrize(
+    ("m", "index_text", "label_text", "scans"),
+    [(12, "(2,3)", "e:rho1", 0), (12, "(2,3)", "e:chi1", 1), (12, "(1,6),(3,6)", "e:rho1", 0),
+     (12, "(1,6),(3,6)", "M1,2", 3), (12, "(1,6),(3,6)", "e:chi1", 5), (16, "(2,4),(2,12)", "M1,6", 4)],
+)
+def test_the_socle_is_scanned_exactly_on_the_modules_that_are_not_simple(
+    monkeypatch, m, index_text, label_text, scans
+):
+    scanned = []
+
+    def recorded(module):
+        scanned.append(module)
+        return socle(module)
+
+    monkeypatch.setattr(theorems, "socle", recorded)
+    report = verify_simple(*_case(m, index_text, label_text))
+    assert report.ok
+    assert len(scanned) == scans
+    assert all(head(module) is not module for module in scanned)
+
+
 def _admissible(ctx, pairs) -> bool:
     try:
         validate_index_set(ctx, pairs)
@@ -503,10 +531,35 @@ def test_verify_simple_checks_the_standard_module_that_build_verma_builds(case):
 @example(_case(12, "(1,6),(3,6),(3,6)", "e:chi3"))
 @example(_case(12, "(1,6),(1,6),(3,6)", "e:rho1"))
 @example(_case(16, "(2,4),(2,12),(2,12)", "e:chi3"))
+# the smaller module left by (2,4) is simple and the standard module is not: the module induced from it is
+# then not simple either, and its socle must be scanned
+@example(_case(16, "(2,4),(2,12)", "M1,6"))
 def test_the_recursion_equals_the_reference_with_no_reuse(case):
     # the reference builds every standard module on its own and induces the smaller head and socle apart
     ctx, index_set, label = case
     assert verify_simple(ctx, index_set, label).recursion == reference_recursion(ctx, index_set, label)
+
+
+def _assert_the_socle_is_the_scanned_one(ctx, index_set, label):
+    """verify_simple takes a simple standard module for its own socle; the scan must agree."""
+    report = verify_simple(ctx, index_set, label)
+    scanned = socle(build_verma(ctx, index_set, label))
+    assert report.socle_character == graded_character(scanned), f"{index_set} / {label}"
+    assert report.socle_simple == _socle_is_simple(ctx, scanned), f"{index_set} / {label}"
+
+
+@pytest.mark.parametrize("index_text", ["(2,3)", "(1,6),(3,6)"])
+def test_every_socle_at_m_12_is_the_scanned_one(ctx12, index_text):
+    index_set = parse_index_set(ctx12, index_text)
+    for label in all_weight_labels(ctx12):
+        _assert_the_socle_is_the_scanned_one(ctx12, index_set, label)
+
+
+@settings(max_examples=16)
+@given(recursion_cases(most=3))
+@example(_case(16, "(2,4)", "M1,6"))
+def test_the_socle_is_the_scanned_one_on_drawn_sets(case):
+    _assert_the_socle_is_the_scanned_one(*case)
 
 
 def test_closed_forms_build_no_standard_module(ctx12, monkeypatch):
