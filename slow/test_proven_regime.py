@@ -27,7 +27,9 @@ test helper's ``reference_recursion``, which builds every standard module on
 its own and induces the smaller head and the smaller socle apart at every
 recursion step; its socle character and socle simplicity are compared with
 those of the socle scanned from the standard module, which ``verify_simple``
-does not scan when ``head`` returns the module unchanged.  The head
+does not scan when ``head`` returns the module unchanged; over index sets
+with two distinct pairs or more, some recursion step must have been
+certified by ``qdouble.basis_change``.  The head
 that ``qdouble.head`` reads off degree 0 is compared with the test helper's
 shaving by negative-degree joint kernels, on character, dimension and
 relations, and the socle that ``qdouble.socle`` spans under the raising
@@ -53,6 +55,7 @@ from dihedral_doubles import get_context, qdouble, theorems
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
+    basis_change,
     build_verma,
     graded_character,
     head,
@@ -158,14 +161,23 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
     equals the one scanned from the standard module, in character and in
     the simplicity of its bottom layer.  The full-span return must have
     been taken, and over index sets of two or more pairs the last pair's
-    step must have been the standard module's own, inducing nothing.
+    step must have been the standard module's own, inducing nothing.  Over
+    index sets with two distinct pairs or more, some step must have been
+    certified by a basis change onto the standard module
+    (``qdouble.basis_change``), with no check of its own.
     """
-    full_spans = own_steps = 0
+    full_spans = own_steps = certified = 0
     induced = []
 
     def recorded(context, simple, pair):
         induced.append(pair)
         return induce_from_simple(context, simple, pair)
+
+    def counted(src, dst):
+        nonlocal certified
+        change = basis_change(src, dst)
+        certified += change is not None
+        return change
 
     def every_row_restricted(module, space, kind="submodule"):
         """``subspace_as_module`` without its full-span return: every row's images restricted and reduced."""
@@ -185,6 +197,7 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
             induced.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(theorems, "induce_from_simple", recorded)
+                patch.setattr(theorems, "basis_change", counted)
                 report = verify_simple(ctx, index_set, label)
             own_steps += index_set.size > 1 and index_set.pairs[-1] not in induced
             with pytest.MonkeyPatch.context() as patch:
@@ -197,6 +210,7 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
                 assert _socle_is_simple(ctx, scanned) == report.socle_simple, f"{index_set} / {label}"
     assert full_spans
     assert own_steps or all(index_set.size == 1 for index_set in index_sets)
+    assert certified or all(len(set(index_set.pairs)) == 1 for index_set in index_sets)
 
 
 @pytest.mark.parametrize("m", [12, 16])

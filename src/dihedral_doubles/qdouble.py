@@ -263,6 +263,66 @@ def induce_from_simple(ctx: DihedralContext, simple: QDModule, pair: tuple[int, 
     return _induce(ctx, simple, pair, simple.weight, "induced")
 
 
+def basis_change(src: QDModule, dst: QDModule) -> UnitMonomial | None:
+    """A unit monomial D with ``D g = g' D`` for every generator g of ``src`` and g' of ``dst``, or None.
+
+    D is the identity on the degree-0 layer and keeps every degree and group
+    degree, so it is an isomorphism of graded modules: it carries x, y and
+    every letter, and the cross terms, which are read off the group degrees
+    and y (:func:`_cross_term`).  Each relation, the head, the socle and
+    their graded characters are then the same on both.  So when
+    ``theorems.verify_simple`` induces a simple smaller standard module,
+    which is that module's own head and socle, and D carries the induced
+    module onto the standard module, that recursion step needs no check of
+    its own.
+
+    D is found breadth first along the raising letters, from the identity on
+    degree 0, the layer the raising letters span the module from.  If A
+    takes e_i to ``c e_j`` and its partner A' takes ``D e_i`` to ``d e_r``,
+    ``D e_j`` is ``d c^-1 w^u e_r``, u the exponent of ``D e_i``; c and d
+    must be tagged powers of w, compared by exponent.  None when a reached
+    column is not one such entry, a position is left unreached, the rows are
+    not a permutation, or a degree differs; and when D fails to carry x or
+    y (products of unit monomials) or a letter (:func:`_products_equal`).
+    """
+    dim = src.dim
+    shape = (dim, src.index_set, src.v_mats.keys(), src.a_mats.keys())
+    if shape != (dst.dim, dst.index_set, dst.v_mats.keys(), dst.a_mats.keys()):
+        return None
+    rows: list[int | None] = [None] * dim
+    exps = [0] * dim
+    reached = [j for j, z in enumerate(src.zdeg) if z == 0]
+    for j in reached:
+        rows[j] = j
+    raising = [(mat.sparse_columns(), dst.v_mats[key].sparse_columns()) for key, mat in src.v_mats.items()]
+    for i in reached:
+        for cols, partner in raising:
+            col = cols[i]
+            if not col:
+                continue
+            image = partner[rows[i]]
+            if len(col) != 1 or len(image) != 1:
+                return None
+            ((j, c),), ((r, d),) = col.items(), image.items()
+            if c.unit is None or d.unit is None:
+                return None
+            if rows[j] is None:
+                rows[j], exps[j] = r, exps[i] + d.unit - c.unit
+                reached.append(j)
+    if None in rows or len(set(rows)) != dim:
+        return None
+    if any(src.zdeg[j] != dst.zdeg[r] or src.gdeg[j] != dst.gdeg[r] for j, r in enumerate(rows)):
+        return None
+    change = UnitMonomial(src.ctx.field, rows, exps)
+    if change * src.x_mat != dst.x_mat * change or change * src.y_mat != dst.y_mat * change:
+        return None
+    letters = [(mat, dst.v_mats[key]) for key, mat in src.v_mats.items()]
+    letters += [(mat, dst.a_mats[key]) for key, mat in src.a_mats.items()]
+    if not all(_products_equal(change, mat, partner, change, 0) for mat, partner in letters):
+        return None
+    return change
+
+
 def check_relations(module: QDModule) -> list[str]:
     """Verify every defining relation on explicit matrices; list the failures.
 

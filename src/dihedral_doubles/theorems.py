@@ -27,6 +27,7 @@ from .qdouble import (
     GradedCharacter,
     _induce,
     _products_equal,
+    basis_change,
     build_verma,
     check_relations,
     graded_character,
@@ -462,10 +463,15 @@ class RecursionCheck:
     is the standard module that was checked, matrix for matrix, so that step
     is the standard module's own: its relations flag is the standard
     module's and its head and socle match by construction.  For any other
-    pair it is the standard module in another basis order, and the step is
-    checked as usual, except that when :func:`head` returns that induced
-    module unchanged it is simple and its own socle, so the socle side
-    compares the character of that head and scans no socle.
+    pair it is the standard module in another basis order, and
+    :func:`~.qdouble.basis_change` finds the unit monomial that carries it
+    onto the standard module, generator for generator and degree for
+    degree.  Each relation, the head and the socle then agree with the
+    standard module's, so that step has the same outcome as the last
+    pair's.  A step with no such basis change, or whose smaller module is
+    not simple, is checked in full: the relations of both induced modules,
+    the character of the head induced from the head and of the socle
+    induced from the socle.
     """
 
     pair: tuple[int, int]
@@ -570,9 +576,11 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
       removable pair, the modules induced from the head and from the socle
       of the smaller standard module satisfy the relations and reproduce
       the head and socle respectively.  A simple smaller module is its own
-      head and socle, so one induced module, checked once, serves both
-      sides, and when that module is simple too its socle is its head
-      (:class:`RecursionCheck`);
+      head and socle, so one induced module serves both sides, and it is
+      the standard module in another basis order: when
+      :func:`~.qdouble.basis_change` carries it onto the standard module,
+      the step takes the standard module's outcome and is not checked
+      again (:class:`RecursionCheck`);
     * when the index set is spherical: the quantum dimension of the simple
       is nonzero exactly when every pair is rigid for the weight.
 
@@ -622,16 +630,14 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
             recursion.append(RecursionCheck(pair, relations_ok, True, True))
             continue
         from_head = induce_from_simple(ctx, sub_head, pair)
+        if same and basis_change(from_head, verma) is not None:
+            # the induced module is verma in another basis order, carried onto it generator for generator
+            recursion.append(RecursionCheck(pair, relations_ok, True, True))
+            continue
         from_socle = from_head if same else induce_from_simple(ctx, socle(sub_verma), pair)
         rec_relations = not check_relations(from_head) and (same or not check_relations(from_socle))
-        induced_head = head(from_head)
-        induced_head_char = graded_character(induced_head)
-        rec_head = induced_head_char == head_char
-        if same and induced_head is from_head:
-            # the induced module is simple, so it is its own socle
-            rec_socle = induced_head_char == socle_char
-        else:
-            rec_socle = graded_character(socle(from_socle)) == socle_char
+        rec_head = graded_character(head(from_head)) == head_char
+        rec_socle = graded_character(socle(from_socle)) == socle_char
         recursion.append(RecursionCheck(pair, rec_relations, rec_head, rec_socle))
 
     qdim: CycNum | None = None

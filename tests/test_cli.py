@@ -555,6 +555,13 @@ PINNED = {
     "verify_1_6_3_6_simple_smaller": [
         "verify", "--index", "(1,6),(3,6)", "--weights", "e:rho1, M1,2, e:chi3", "--output", "json", "--threads", "1",
     ],
+    # over three pairs the steps at (1,6) and (3,6) of e:rho1 and e:chi3, and the one at (3,6) of M1,2, induce a
+    # simple smaller standard module that is not the last pair's, and a basis change carries it onto the standard
+    # module; the step at (5,6) of e:rho1 and e:chi3 is the standard module's own
+    "verify_1_6_3_6_5_6_simple_smaller": [
+        "verify", "--index", "(1,6),(3,6),(5,6)", "--weights", "e:rho1, M1,2, e:chi3", "--output", "json",
+        "--threads", "1",
+    ],
     "simple_1_6_3_6": ["simple", "--index", "(1,6),(3,6)", "--weight", "Mx:0,0", "--full", "--output", "json"],
     # a 32-dimensional simple whose socle spreads over degrees -2 to -6
     "simple_1_6_3_6_5_6": ["simple", "--index", "(1,6),(3,6),(5,6)", "--weight", "M1,2", "--full", "--output", "json"],

@@ -14,6 +14,7 @@ from dihedral_doubles.qdouble import (
     _bracket_equals,
     _letter_view,
     _products_equal,
+    basis_change,
     build_verma,
     check_relations,
     graded_character,
@@ -162,6 +163,35 @@ def test_a_generator_that_breaks_the_group_grading_is_named_with_its_column(ctx1
     j, x_mat = _swapped_to_a_wrong_group_degree(verma, verma.x_mat)
     failures = group_relation_failures(with_mats(x_mat, verma.v_mats))
     assert failures[0] == f"x breaks the grading at column {j}"
+
+
+def test_a_standard_module_is_carried_onto_itself_by_the_identity(ctx12):
+    verma = _verma(ctx12, "(1,6),(3,6)", "M1,2")
+    assert basis_change(verma, verma) == UnitMonomial.identity(ctx12.field, verma.dim)
+
+
+def test_basis_change_refuses_what_no_unit_monomial_carries(ctx12):
+    verma = _verma(ctx12, "(1,6),(3,6)", "e:chi1")
+    field, key = ctx12.field, (0, 1)
+
+    def with_raising(v_mats):
+        return QDModule(
+            ctx12, verma.index_set, verma.zdeg, verma.gdeg, verma.x_mat, verma.y_mat,
+            v_mats, verma.a_mats, verma.weight, verma.kind,
+        )
+
+    # an entry of a raising letter that is no power of w, on either side
+    two = field.from_integer(2)
+    doubled = [{r: val * two for r, val in col.items()} for col in verma.v_mats[key].sparse_columns()]
+    assert doubled[0][next(iter(doubled[0]))].unit is None
+    broken = with_raising({**verma.v_mats, key: CycMatrix(field, doubled, verma.dim)})
+    assert basis_change(broken, verma) is None
+    assert basis_change(verma, broken) is None
+    # raising letters that reach nothing beyond degree 0
+    silent = with_raising({k: CycMatrix(field, [{} for _ in range(verma.dim)], verma.dim) for k in verma.v_mats})
+    assert basis_change(silent, verma) is None
+    # the head has another dimension
+    assert basis_change(head(verma), verma) is None
 
 
 def test_head_and_socle_of_singletons(ctx12):

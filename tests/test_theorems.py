@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble, theorems
 from dihedral_doubles.dihedral import DihedralContext
-from dihedral_doubles.cyclotomic import UnitMonomial
+from dihedral_doubles.cyclotomic import CycMatrix, UnitMonomial
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
+    basis_change,
     build_verma,
     check_relations,
     graded_character,
@@ -240,18 +241,27 @@ def test_verify_simple_reports_recursion_for_two_pairs(ctx12):
     assert all(rc.ok for rc in report.recursion)
 
 
+def _with(module, **changes):
+    """The module with some of its gradings or generators replaced, the others shared."""
+    parts = {
+        "zdeg": module.zdeg, "gdeg": module.gdeg, "x_mat": module.x_mat, "y_mat": module.y_mat,
+        "v_mats": module.v_mats, "a_mats": module.a_mats,
+    }
+    parts.update(changes)
+    return QDModule(module.ctx, module.index_set, **parts, weight=module.weight, kind=module.kind)
+
+
+def _negated(module, name):
+    """The module with its generator ``x_mat`` or ``y_mat`` negated: -1 = w^n."""
+    g = getattr(module, name)
+    return _with(module, **{name: UnitMonomial(module.ctx.field, g.rows, [e + module.ctx.n for e in g.exps])})
+
+
 def _induce_from_twisted_head(ctx, simple, pair):
     """``induce_from_simple`` from the head with x negated: the head twisted by the sign character e:chi2, a
     module with the same degrees, dimension and weight, so only its computed character can tell the induced
     head from the true one.  A socle is induced as it stands."""
-    if simple.kind != "socle":
-        x = simple.x_mat
-        minus_x = UnitMonomial(ctx.field, x.rows, [e + ctx.n for e in x.exps])  # -1 = w^n
-        simple = QDModule(
-            ctx, simple.index_set, simple.zdeg, simple.gdeg, minus_x,
-            simple.y_mat, simple.v_mats, simple.a_mats, weight=simple.weight, kind=simple.kind,
-        )
-    return induce_from_simple(ctx, simple, pair)
+    return induce_from_simple(ctx, simple if simple.kind == "socle" else _negated(simple, "x_mat"), pair)
 
 
 def test_verify_simple_reports_a_broken_recursion(ctx12, monkeypatch):
@@ -284,6 +294,97 @@ def test_a_broken_recursion_is_caught_before_the_last_pair_that_is_the_standard_
     assert (last.pair, last.ok) == ((3, 6), True)
     assert report.head_matches
     assert report.ok is False
+
+
+def _one_lowering_entry_negated(module):
+    key = min(module.a_mats)
+    cols = [dict(col) for col in module.a_mats[key].sparse_columns()]
+    col = next(col for col in cols if col)
+    row = next(iter(col))
+    col[row] = -col[row]
+    return _with(module, a_mats={**module.a_mats, key: CycMatrix(module.ctx.field, cols, module.dim)})
+
+
+def _two_group_degrees_swapped(module):
+    # two vectors of degree -1 whose group degrees differ, so only the group grading tells them apart
+    first, second = [j for j, z in enumerate(module.zdeg) if z == -1][:2]
+    gdeg = list(module.gdeg)
+    assert gdeg[first] != gdeg[second]
+    gdeg[first], gdeg[second] = gdeg[second], gdeg[first]
+    return _with(module, gdeg=gdeg)
+
+
+def _broken_after_induction(breaking):
+    def induce(ctx, simple, pair):
+        return breaking(induce_from_simple(ctx, simple, pair))
+
+    return induce
+
+
+# The (1,6) step of e:chi3 over (1,6),(3,6) induces a simple smaller module and is not the last, so a basis change
+# onto the standard module would certify it.  Broken here, the induced module has none, and the step is checked in
+# full: the twisted head has another character, y negated changes the cross terms, and a negated lowering entry or
+# two swapped group degrees break the relations.  The flags are those of the full check.
+@pytest.mark.parametrize(
+    ("induce", "flags"),
+    [
+        (_induce_from_twisted_head, (True, False, False)),
+        (_broken_after_induction(_one_lowering_entry_negated), (False, True, True)),
+        (_broken_after_induction(_two_group_degrees_swapped), (False, True, True)),
+        (_broken_after_induction(lambda module: _negated(module, "y_mat")), (False, False, False)),
+    ],
+    ids=["twisted_head", "lowering_entry_negated", "group_degrees_swapped", "y_negated"],
+)
+def test_an_induced_module_with_no_basis_change_is_checked_in_full(ctx12, monkeypatch, induce, flags):
+    changes = []
+
+    def recorded(src, dst):
+        changes.append(basis_change(src, dst))
+        return changes[-1]
+
+    monkeypatch.setattr(theorems, "induce_from_simple", induce)
+    monkeypatch.setattr(theorems, "basis_change", recorded)
+    report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("e:chi3"))
+    assert changes == [None]
+    first, last = report.recursion
+    assert (first.pair, first.relations_ok, first.head_matches, first.socle_matches) == ((1, 6), *flags)
+    assert (last.pair, last.ok) == ((3, 6), True)
+    assert report.ok is False
+
+
+def _simple_smaller_steps(ctx, index_set, label):
+    """The steps verify_simple certifies by a basis change: each distinct pair but the last whose smaller
+    standard module is simple, with the module induced from that smaller module."""
+    last = index_set.pairs[-1]
+    for pair in sorted(set(index_set.pairs) - {last}):
+        small = build_verma(ctx, index_set.without(index_set.pairs.index(pair)), label)
+        if head(small) is small:
+            yield pair, induce_from_simple(ctx, small, pair)
+
+
+def _assert_certified_steps_pass_in_full(ctx, index_set, label) -> int:
+    """Each step certified by a basis change passes the full check, and its basis change is the identity on
+    degree 0; returns the number of such steps."""
+    report = verify_simple(ctx, index_set, label)
+    verma = build_verma(ctx, index_set, label)
+    steps = 0
+    for pair, from_head in _simple_smaller_steps(ctx, index_set, label):
+        where = f"{index_set} / {label} / {pair}"
+        change = basis_change(from_head, verma)
+        assert change is not None, where
+        assert all(change.rows[j] == j and change.exps[j] == 0 for j, z in enumerate(from_head.zdeg) if z == 0)
+        assert check_relations(from_head) == [], where
+        assert graded_character(head(from_head)) == report.head_character, where
+        assert graded_character(socle(from_head)) == report.socle_character, where
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize(("index_text", "steps"), [("(1,6),(3,6)", 57), ("(2,3),(2,9)", 69)])
+def test_every_certified_step_at_m_12_passes_in_full(ctx12, index_text, steps):
+    index_set = parse_index_set(ctx12, index_text)
+    labels = all_weight_labels(ctx12)
+    assert sum(_assert_certified_steps_pass_in_full(ctx12, index_set, label) for label in labels) == steps
 
 
 # Inducing the smaller head does not give the socle.  Over (1,6),(3,6) and (2,3),(2,9) at m = 12, on 80 of
@@ -326,18 +427,21 @@ def _count_inductions_and_relation_checks(monkeypatch):
 
 
 # Each step over (1,6),(3,6) at m = 12 leaves a singleton standard module.  For e:rho1 both are simple, for
-# M1,2 the one over (1,6) is, for e:chi1 neither is.  A simple one is induced and checked once, for both sides,
-# and the one over (1,6), left by the last pair (3,6), is not induced at all: the standard module is induced
-# from it, and is the module that step would induce.
-@pytest.mark.parametrize(("label_text", "inductions"), [("e:rho1", 1), ("M1,2", 2), ("e:chi1", 4)])
+# M1,2 the one over (1,6) is, for e:chi1 neither is.  A simple one is induced once, for both sides, and the one
+# over (1,6), left by the last pair (3,6), is not induced at all: the standard module is induced from it, and is
+# the module that step would induce.  The module induced from the simple one over (3,6), by the (1,6) step, is
+# the standard module in another basis order, carried onto it by basis_change, and is not checked again.
+@pytest.mark.parametrize(
+    ("label_text", "inductions", "checks"), [("e:rho1", 1, 1), ("M1,2", 2, 3), ("e:chi1", 4, 5)]
+)
 def test_a_simple_smaller_standard_module_is_induced_once_for_head_and_socle(
-    ctx12, monkeypatch, label_text, inductions
+    ctx12, monkeypatch, label_text, inductions, checks
 ):
     calls = _count_inductions_and_relation_checks(monkeypatch)
     report = verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label(label_text))
     assert report.ok
-    # the standard module is checked once, and each induced module once
-    assert calls == {"induce_from_simple": inductions, "check_relations": 1 + inductions}
+    # the standard module is checked once, and each induced module that no basis change certifies once
+    assert calls == {"induce_from_simple": inductions, "check_relations": checks}
 
 
 def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ctx12, monkeypatch):
@@ -346,14 +450,7 @@ def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ct
     # from the true one
     def socle_with_x_negated(module):
         soc = socle(module)
-        if module.index_set.size > 1:
-            return soc
-        x = soc.x_mat
-        minus_x = UnitMonomial(ctx12.field, x.rows, [e + ctx12.n for e in x.exps])  # -1 = w^n
-        return QDModule(
-            ctx12, soc.index_set, soc.zdeg, soc.gdeg, minus_x,
-            soc.y_mat, soc.v_mats, soc.a_mats, weight=soc.weight, kind=soc.kind,
-        )
+        return soc if module.index_set.size > 1 else _negated(soc, "x_mat")
 
     monkeypatch.setattr(theorems, "socle", socle_with_x_negated)
     calls = _count_inductions_and_relation_checks(monkeypatch)
@@ -368,15 +465,16 @@ def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ct
 
 
 # head returns its argument exactly when the module is simple, and verify_simple then scans for no socle: not on
-# a simple standard module, e:rho1 over (2,3) and over (1,6),(3,6), nor on the simple module the (1,6) step of
-# e:rho1 induces from its simple smaller module.  M1,2 over (1,6),(3,6) scans the standard module, the smaller
-# one over (3,6) and the module induced from that one's socle; e:chi1 scans both smaller modules and both.  At
-# m = 16 the smaller module of M1,6 left by (2,4) is simple, but the standard module and so the module induced
-# from it are not, and that one is scanned too.
+# a simple standard module, e:rho1 over (2,3) and over (1,6),(3,6), nor on the module the (1,6) step of e:rho1
+# induces from its simple smaller module, which basis_change carries onto the standard module.  M1,2 over
+# (1,6),(3,6) scans the standard module, the smaller one over (3,6) and the module induced from that one's
+# socle; e:chi1 scans both smaller modules and both.  At m = 16 the smaller module of M1,6 left by (2,4) is
+# simple, and the standard module is not: the module induced from the smaller one is carried onto it, so only
+# the standard module, the smaller one over (2,4) and the module induced from that one's socle are scanned.
 @pytest.mark.parametrize(
     ("m", "index_text", "label_text", "scans"),
     [(12, "(2,3)", "e:rho1", 0), (12, "(2,3)", "e:chi1", 1), (12, "(1,6),(3,6)", "e:rho1", 0),
-     (12, "(1,6),(3,6)", "M1,2", 3), (12, "(1,6),(3,6)", "e:chi1", 5), (16, "(2,4),(2,12)", "M1,6", 4)],
+     (12, "(1,6),(3,6)", "M1,2", 3), (12, "(1,6),(3,6)", "e:chi1", 5), (16, "(2,4),(2,12)", "M1,6", 3)],
 )
 def test_the_socle_is_scanned_exactly_on_the_modules_that_are_not_simple(
     monkeypatch, m, index_text, label_text, scans
@@ -532,12 +630,30 @@ def test_verify_simple_checks_the_standard_module_that_build_verma_builds(case):
 @example(_case(12, "(1,6),(1,6),(3,6)", "e:rho1"))
 @example(_case(16, "(2,4),(2,12),(2,12)", "e:chi3"))
 # the smaller module left by (2,4) is simple and the standard module is not: the module induced from it is
-# then not simple either, and its socle must be scanned
+# then not simple either, and the basis change carries it onto the standard module
 @example(_case(16, "(2,4),(2,12)", "M1,6"))
 def test_the_recursion_equals_the_reference_with_no_reuse(case):
     # the reference builds every standard module on its own and induces the smaller head and socle apart
     ctx, index_set, label = case
     assert verify_simple(ctx, index_set, label).recursion == reference_recursion(ctx, index_set, label)
+
+
+@st.composite
+def two_and_three_pair_cases(draw):
+    """An order m in {12, 16, 20}, two or three pairs that pass the braiding check, a weight."""
+    ctx = get_context(draw(st.sampled_from((12, 16, 20))))
+    pairs = [draw(st.sampled_from(valid_pairs(ctx)))]
+    for _ in range(draw(st.integers(1, 2))):
+        pairs.append(draw(st.sampled_from([pair for pair in valid_pairs(ctx) if _admissible(ctx, pairs + [pair])])))
+    return ctx, validate_index_set(ctx, pairs), draw(st.sampled_from(all_weight_labels(ctx)))
+
+
+@settings(max_examples=16)
+@given(two_and_three_pair_cases())
+@example(_case(16, "(2,4),(2,12)", "M1,6"))
+@example(_case(20, "(1,10),(3,10),(5,10)", "e:rho1"))
+def test_every_certified_step_passes_in_full_on_drawn_sets(case):
+    _assert_certified_steps_pass_in_full(*case)
 
 
 def _assert_the_socle_is_the_scanned_one(ctx, index_set, label):
