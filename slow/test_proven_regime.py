@@ -26,16 +26,19 @@ through ``qdouble._on_positions``, and its recursion is compared with the
 test helper's ``reference_recursion``, which builds every standard module on
 its own and induces the smaller head and the smaller socle apart at every
 recursion step; its socle character and socle simplicity are compared with
-those of the socle scanned from the standard module, which ``verify_simple``
-does not scan when ``head`` returns the module unchanged; over index sets
-with two distinct pairs or more, some recursion step must have been
+those of the socle that ``qdouble.socle`` spans from the standard module's
+bottom layer, which ``verify_simple`` does not ask for when ``head``
+returns the module unchanged; over index sets with two distinct pairs or
+more, some recursion step must have been
 certified by ``qdouble.basis_change``.  The head
 that ``qdouble.head`` reads off degree 0 is compared with the test helper's
 shaving by negative-degree joint kernels, on character, dimension and
-relations, and the socle that ``qdouble.socle`` spans under the raising
-letters alone matrix by matrix with the test helper's closure of the lowest
-joint kernel under every generator, for every singleton case and every
-two-pair case at m = 12, the modules the recursion induces from the smaller
+relations, and the socle that ``qdouble.socle`` spans from the bottom
+layer under the lowering letters alone matrix by matrix with the test
+helper's closure of the lowest joint kernel under every generator, a second
+construction that solves the kernel the socle does not, for every
+singleton case and every two-pair case at m = 12, the modules the
+recursion induces from the smaller
 head and socle included.  Every
 standard module over the 39 two-pair sets at m = 12, built one pair at a
 time, is compared matrix by matrix with the test helper
@@ -158,10 +161,11 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
     builds every standard module on its own and induces the smaller head
     and the smaller socle apart at every step.  The socle ``verify_simple``
     reports, which is the standard module itself when that is simple,
-    equals the one scanned from the standard module, in character and in
-    the simplicity of its bottom layer.  The full-span return must have
-    been taken, and over index sets of two or more pairs the last pair's
-    step must have been the standard module's own, inducing nothing.  Over
+    equals the one spanned from the standard module's bottom layer, in
+    character and in the simplicity of its bottom layer.  The full-span
+    return must have been taken, and over index sets of two or more pairs
+    the last pair's step must have been the standard module's own,
+    inducing nothing.  Over
     index sets with two distinct pairs or more, some step must have been
     certified by a basis change onto the standard module
     (``qdouble.basis_change``), with no check of its own.
@@ -205,9 +209,9 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
                 restricted = verify_simple(ctx, index_set, label)
                 assert restricted.to_json_obj() == report.to_json_obj(), f"{index_set} / {label}"
                 assert reference_recursion(ctx, index_set, label) == report.recursion, f"{index_set} / {label}"
-                scanned = socle(build_verma(ctx, index_set, label))
-                assert graded_character(scanned) == report.socle_character, f"{index_set} / {label}"
-                assert _socle_is_simple(ctx, scanned) == report.socle_simple, f"{index_set} / {label}"
+                spanned = socle(build_verma(ctx, index_set, label))
+                assert graded_character(spanned) == report.socle_character, f"{index_set} / {label}"
+                assert _socle_is_simple(ctx, spanned) == report.socle_simple, f"{index_set} / {label}"
     assert full_spans
     assert own_steps or all(index_set.size == 1 for index_set in index_sets)
     assert certified or all(len(set(index_set.pairs)) == 1 for index_set in index_sets)

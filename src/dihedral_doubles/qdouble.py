@@ -33,12 +33,13 @@ weight, the module over the empty index set; one step of the recursion
 induces one pair on a simple module.  Socles and heads are computed from
 scratch by exact linear algebra, with no appeal to any closed-form answer,
 so they can serve as independent evidence for one.  Both are one span,
-walked breadth first under one kind of letter.  By the PBW order of the
-double, U = U+ D(G) U-, the head is read off degree 0 in one pass, through
-the functionals that the degree-0 layer spans under the lowering letters,
-and the socle is the span of the lowest joint kernel of the lowering
-letters under the raising letters alone, whose stability under every
-generator is then checked.  The closed-form side
+walked breadth first under the lowering letters, mirror images of each
+other.  By the PBW order of the double, U = U+ D(G) U-, the head is read
+off degree 0 in one pass, through the functionals that the degree-0 layer
+spans under the transposed lowering letters.  In the other order,
+U = U- D(G) U+, the socle of a module free over the raising letters is
+the span of its bottom layer under the lowering letters, whose stability
+under every generator is then checked.  The closed-form side
 (``theorems.predicted_character``) builds no module here: it takes the
 exterior algebra of the letters one pair at a time, as weights.
 """
@@ -616,35 +617,30 @@ def theta_congruence(module: QDModule) -> list[str]:
     return failures
 
 
-def highest_weight_vectors(
-    module: QDModule, degree: int | None = None
-) -> dict[int, list[VecDict]] | list[VecDict]:
+def highest_weight_vectors(module: QDModule) -> dict[int, list[VecDict]]:
     """Joint kernel of the lowering letters, per integer degree.
 
-    With a degree given, returns the list of kernel vectors in that degree;
-    otherwise a mapping from each populated degree to its (possibly empty)
-    list, highest degree first.  Every call solves the degrees it returns.
-    :func:`socle` solves from the bottom up and spans the first nonempty
-    kernel under the raising letters; the rigid tensor check asks for every
-    degree.
+    A mapping from each populated degree to its (possibly empty) list of
+    kernel vectors, highest degree first, each degree solved once per call.
+    The rigid tensor check asks that every vector lie in degree 0.  No
+    socle or head solves it: :func:`socle` spans the bottom layer and
+    :func:`head` reads degree 0.
     """
-    if degree is None:
-        return {
-            z: highest_weight_vectors(module, z)
-            for z in sorted(module.layer_indices(), reverse=True)
-        }
-    idxs = module.layer_indices().get(degree, [])
-    # one equation per lowering letter and row of the degree above: the
-    # letter's row restricted to the layer, in the layer's coordinates
-    rows: list[VecDict] = []
-    for mat in module.a_mats.values():
-        cols = mat.sparse_columns()
-        by_row: dict[int, VecDict] = {}
-        for t, j in enumerate(idxs):
-            for i, val in cols[j].items():
-                by_row.setdefault(i, {})[t] = val
-        rows.extend(by_row[i] for i in sorted(by_row))
-    return [{idxs[t]: val for t, val in vec.items()} for vec in kernel(module.ctx.field, rows, len(idxs))]
+    field = module.ctx.field
+    columns = [mat.sparse_columns() for mat in module.a_mats.values()]
+    kernels: dict[int, list[VecDict]] = {}
+    for z, idxs in sorted(module.layer_indices().items(), reverse=True):
+        # one equation per lowering letter and row of the degree above: the
+        # letter's row restricted to the layer, in the layer's coordinates
+        rows: list[VecDict] = []
+        for cols in columns:
+            by_row: dict[int, VecDict] = {}
+            for t, j in enumerate(idxs):
+                for i, val in cols[j].items():
+                    by_row.setdefault(i, {})[t] = val
+            rows.extend(by_row[i] for i in sorted(by_row))
+        kernels[z] = [{idxs[t]: val for t, val in vec.items()} for vec in kernel(field, rows, len(idxs))]
+    return kernels
 
 
 def _close(field: CyclotomicField, seeds: Iterable[VecDict], gens: list[CycMatrix], dim: int) -> EchelonBasis:
@@ -726,8 +722,8 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     one entry is e_p, and its image is the generator's column p as it
     stands.  Every image under every generator is reduced, and one that
     leaves the span raises: this is the one check that the span is a
-    submodule, and :func:`socle`, which spans under the raising letters
-    alone, relies on it for x, y and the lowering letters.  x and y must be
+    submodule, and :func:`socle`, which spans under the lowering letters
+    alone, relies on it for x, y and the raising letters.  x and y must be
     invertible monomial matrices on the rows (:func:`_on_positions`), as
     they are for every socle.
 
@@ -752,56 +748,63 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
 
 
 def socle(module: QDModule) -> QDModule:
-    """The submodule generated by the lowest nonvanishing joint kernel.
+    """The socle of a standard module or of a module induced from a simple one: its bottom layer's span.
 
-    Scans degrees from the bottom up for the first degree z carrying vectors
-    killed by every lowering letter, the joint kernel K, and returns the
-    submodule U K that they generate.  By the defining relations a lowering
-    letter passes a raising one at the cost of a cross term in D(G), and x
-    and y pass a letter at the cost of a root of unity or a sign swap, so
-    the double is U = U+ D(G) U-: every word in the generators is a sum of
-    words with the raising letters left of x and y, and these left of the
-    lowering letters.  U- K is K, since every lowering letter kills K, and
-    D(G) keeps K: x and y carry each lowering letter to a multiple of a
-    lowering letter and keep the degree, and the dual group-likes act on a
-    vector of one cell by a scalar.  So U K is U+ K, the span of K under the
-    raising letters alone (:func:`_close`).  A raising letter lowers the
-    degree, so the span's degree-z layer is exactly the span of K.
+    A standard module M = B(V) (x) λ is free over the Nichols algebra B(V)
+    of the raising letters.  B(V) has a one-dimensional top degree Λ, and
+    multiplication into it pairs its degrees nondegenerately, so every
+    nonzero B(V)-submodule of M meets Λ (x) λ, the bottom layer B of M.  A
+    nonzero submodule N of M meets B in a nonzero module over the double of
+    the group; B is one weight of multiplicity one, a simple module there,
+    so N holds B.  A module that one step of the recursion induces,
+    B(V_p) (x) L for L simple over the double of the smaller index set, is
+    free over B(V_p) in the same way, so N meets Λ_p (x) L.  The letters of
+    the other pairs pass those of p with a sign and no cross term, and x
+    and y scale v+ v-, so Λ_p (x) L is a module over the smaller double, L
+    twisted by a character and so simple: N holds it, and B with it.
+    Either way every nonzero submodule holds B and the submodule U B that B
+    generates, which is therefore the one simple submodule: the socle.
+
+    The defining relations rewrite any word in the generators as a sum of
+    words with the lowering letters left of x and y, and these left of the
+    raising letters: U = U- D(G) U+, the other PBW order to :func:`head`'s.
+    A raising letter lowers the degree, so it kills the bottom layer, and
+    D(G) keeps B: x and y keep the degree, and the dual group-likes act on
+    a vector of one cell by a scalar.  So U B is U- B, the span of B's unit
+    vectors under the lowering letters alone (:func:`_close`), the mirror
+    of :func:`head`'s span; no kernel is solved.
 
     That holds on a module whose relations hold (:func:`check_relations`).
     :func:`subspace_as_module` checks the span's stability under every
-    generator, which certifies what x, y and the lowering letters would add,
-    so on a module whose relations fail, or from part of the joint kernel,
-    the socle may be refused there.  The degree-z layer must be a single
-    multiplicity-one weight over the double of the group.  For standard
-    modules the bottom layer of the result must also exhaust the bottom
-    layer of the module.
+    generator, which certifies what x, y and the raising letters would
+    add, so on a module whose relations fail the socle may be refused
+    there.  The abstract puts the socle's top layer at the lowest degree
+    with a joint kernel (:func:`highest_weight_vectors`); the socle is not
+    built from that claim, and the tests check it.
 
-    On a simple module the scan ends in a span of the whole module.
-    :func:`head` returns its argument exactly when the module is simple, so
-    ``verify_simple`` does not ask for the socle of a module that ``head``
-    returned unchanged: it is its own socle.
+    On a simple module the span is the whole module.  :func:`head` returns
+    its argument exactly when the module is simple, so ``verify_simple``
+    does not ask for the socle of a module that ``head`` returned
+    unchanged: it is its own socle.
+
+    Raises:
+        AssertionError: if the module is of another kind than ``"verma"``
+            or ``"induced"``, whose freeness the argument needs; or if its
+            bottom layer is not a single multiplicity-one weight over the
+            double of the group.
     """
-    layers = module.layer_indices()
-    for z in sorted(layers):
-        found = highest_weight_vectors(module, z)
-        if found:
-            break
-    else:
-        raise AssertionError("module has no joint kernel vectors at all")
-    span = _close(module.ctx.field, found, list(module.v_mats.values()), module.dim)
-    soc = subspace_as_module(module, span, kind="socle")
-    counts = decomposition_counts(module.ctx, soc.layer_module(z))
+    if module.kind not in ("verma", "induced"):
+        raise AssertionError(f"socle needs a standard or an induced module, not one of kind {module.kind!r}")
+    field, layers = module.ctx.field, module.layer_indices()
+    bottom = min(layers)
+    counts = decomposition_counts(module.ctx, module.layer_module(bottom))
     if len(counts) != 1 or counts[0][1] != 1:
         raise AssertionError(
-            "lowest joint kernel is not a single multiplicity-one weight: "
+            "bottom layer is not a single multiplicity-one weight: "
             + ", ".join(f"{label} x{mult}" for label, mult in counts)
         )
-    if module.kind == "verma":
-        zmin = min(layers)
-        if len(soc.layer_indices().get(zmin, [])) != len(layers[zmin]):
-            raise AssertionError("socle of a standard module misses part of the bottom layer")
-    return soc
+    units = [{t: field.one} for t in layers[bottom]]
+    return subspace_as_module(module, _close(field, units, list(module.a_mats.values()), module.dim), kind="socle")
 
 
 def _from_rows(field: CyclotomicField, rows: Iterable[tuple[int, VecDict]], dim: int) -> CycMatrix:
@@ -817,8 +820,13 @@ def head(module: QDModule) -> QDModule:
     """The quotient by the largest graded submodule that meets degree 0 in zero, read off degree 0 in one pass.
 
     That submodule is the common kernel of the functionals f u, f on the
-    degree-0 layer and u in the double.  In PBW order, U = U+ D(G) U-
-    (:func:`socle`), a raising letter lowers the degree, so f u+ vanishes
+    degree-0 layer and u in the double.  By the defining relations a
+    lowering letter passes a raising one at the cost of a cross term in
+    D(G), and x and y pass a letter at the cost of a root of unity or a
+    sign swap, so every word in the generators is a sum of words with the
+    raising letters left of x and y, and these left of the lowering
+    letters: the PBW order U = U+ D(G) U- (:func:`socle` takes the other).
+    A raising letter lowers the degree, so f u+ vanishes
     unless u+ is a scalar, and D(G) keeps the degree-0 functionals.  So the
     f u span W, the span of the unit functionals e_t* of the degree-0 layer
     under the lowering letters, each transposed once per call

@@ -546,10 +546,12 @@ class SimpleReport:
 def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
     """Whether the socle's bottom layer is one weight of multiplicity one.
 
-    :func:`socle` certifies only its top layer, the span of the kernel
-    vectors it starts from.  The bottom layer is checked here, with
-    :func:`decompose`: the characters name the members, and a hom space per
-    member plus a span check certify them.
+    :func:`socle` refuses a module whose bottom layer is not, by its
+    character, and spans the socle from that whole layer, so this holds on
+    every socle it returns; a simple standard module, its own socle, holds
+    Λ (x) λ as its bottom layer.  The layer is decided again here, with
+    :func:`decompose`'s embeddings: the characters name the members, and a
+    hom space per member plus a span check certify them.
     """
     bottom = min(soc.zdeg)
     parts = decompose(ctx, soc.layer_module(bottom))
@@ -569,7 +571,7 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
       :func:`predicted_socle_top` names, shifted to its degree; when that
       weight is ``label`` the head prediction is reused.  :func:`head`
       returns its argument exactly when the module is simple, and a simple
-      module is its own socle, so :func:`socle` scans only a standard
+      module is its own socle, so :func:`socle` spans only a standard
       module that is not simple; a simple one's socle character is its
       head's;
     * when the index set has more than one pair: for each distinct

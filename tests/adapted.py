@@ -2,9 +2,12 @@
 the head by shaving, for the tests.
 
 :func:`reference_generated` spans the images of its seeds under every word
-in every generator, the reference that ``qdouble.socle``, which spans the
-lowest joint kernel under the raising letters alone, is compared with, and
-the one way the tests generate a submodule.
+in every generator, and is the one way the tests generate a submodule.
+From the lowest joint kernel it gives :func:`reference_socle`, the socle as
+the abstract describes it, the submodule that the highest weight of minimum
+degree generates; ``qdouble.socle``, which spans the bottom layer under the
+lowering letters alone and solves no kernel, is compared with it, a second
+construction and not the same one run twice.
 ``qdouble.subspace_as_module`` builds a submodule only where x and y are
 invertible monomial matrices on its reduced rows, as on every socle, and
 raises otherwise; the package builds no quotient but the head.  The tests
@@ -93,17 +96,27 @@ def reference_submodule(module, space: EchelonBasis, kind: str):
     return reference_on_positions(module, space.pivots, images, kind)
 
 
+def lowest_joint_kernel(module: QDModule) -> tuple[int, list[VecDict]]:
+    """The lowest degree whose joint kernel is not zero, and that kernel, read from the every-degree mapping."""
+    by_degree = highest_weight_vectors(module)
+    lowest = min(z for z, vecs in by_degree.items() if vecs)
+    return lowest, by_degree[lowest]
+
+
 def reference_socle(module: QDModule):
     """The submodule that the lowest nonempty joint kernel generates under every generator, as the reference
     submodule on the pivots of its reduced rows."""
-    lowest = next(vecs for z in sorted(module.layer_indices()) if (vecs := highest_weight_vectors(module, z)))
-    return reference_submodule(module, reference_generated(module, lowest), "socle")
+    return reference_submodule(module, reference_generated(module, lowest_joint_kernel(module)[1]), "socle")
 
 
 def assert_socle_matches_the_reference(module: QDModule) -> QDModule:
-    """``qdouble.socle``, the span of the lowest joint kernel under the raising letters, against
-    :func:`reference_socle`: the same degrees and every generator the same matrix.  Returns the socle."""
-    built, reference = socle(module), reference_socle(module)
+    """``qdouble.socle``, the span of the bottom layer under the lowering letters, against
+    :func:`reference_socle`: the same degrees and every generator the same matrix, and the top layer in the
+    degree of the lowest joint kernel, as the abstract says.  Returns the socle."""
+    lowest, vectors = lowest_joint_kernel(module)
+    built = socle(module)
+    reference = reference_submodule(module, reference_generated(module, vectors), "socle")
+    assert max(built.zdeg) == lowest, module
     assert (built.zdeg, built.gdeg, built.kind) == (reference.zdeg, reference.gdeg, reference.kind), module
     pairs = [(built.x_mat.matrix(), reference.x_mat), (built.y_mat.matrix(), reference.y_mat)]
     pairs += [(mat, reference.v_mats[key]) for key, mat in built.v_mats.items()]

@@ -341,7 +341,7 @@ def test_verify_rejects_a_weight_outside_the_catalog_before_any_case_runs(capsys
     assert ran == [] and _RecordingExecutor.sizes == []
 
 
-def _raise_for_one_weight(failing: str, error: Exception = AssertionError("socle of a standard module misses part of the bottom layer")):
+def _raise_for_one_weight(failing: str, error: Exception = AssertionError("bottom layer is not a single multiplicity-one weight: e:chi2 x2")):
     real = cli.verify_simple
 
     def verify(ctx, index_set, label):
@@ -359,7 +359,7 @@ def test_verify_reports_a_failing_case_and_the_others(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert lines[0].split() == ["e:chi1", "ok"]
-    assert lines[1].split(maxsplit=1) == ["M2,3", "ERROR: socle of a standard module misses part of the bottom layer"]
+    assert lines[1].split(maxsplit=1) == ["M2,3", "ERROR: bottom layer is not a single multiplicity-one weight: e:chi2 x2"]
     assert lines[2].split() == ["Mx:0,0", "ok"]
     assert "MISMATCH" not in out
 
@@ -373,7 +373,7 @@ def test_verify_reports_a_failing_case_and_the_others(capsys, monkeypatch):
         "index_set": [[2, 3]],
         "weight": "M2,3",
         "ok": False,
-        "error": "socle of a standard module misses part of the bottom layer",
+        "error": "bottom layer is not a single multiplicity-one weight: e:chi2 x2",
     }
     for case in (obj["cases"][0], obj["cases"][2]):
         assert case["ok"] is True
@@ -569,6 +569,12 @@ PINNED = {
     "simple_1_6_3_6_5_6_rho1": [
         "simple", "--index", "(1,6),(3,6),(5,6)", "--weight", "e:rho1", "--full", "--output", "json",
     ],
+    # two reflection pairs at m = 16: the recursion certifies M1,6's step at (2,4) by a basis change, and the
+    # socles of Mx:0,0 and Mxy:1,1 span the bottom layer of modules on which y has 8-cycles
+    "verify_16_2_4_2_12": [
+        "verify", "--m", "16", "--index", "(2,4),(2,12)", "--weights", "e:chi1, M1,6, Mx:0,0, Mxy:1,1",
+        "--output", "json", "--threads", "1",
+    ],
     "spherical_16": ["spherical", "--m", "16", "--output", "json"],
     "tensor_M2_3_Mx": ["tensor", "M2,3", "Mx:0,0", "--output", "json"],
 }
@@ -582,16 +588,17 @@ def test_cli_output_matches_its_pin(capsys, name):
     assert out == pin.read_text()
 
 
-@pytest.mark.parametrize(("name", "scans"), [("simple_1_6_3_6", 1), ("simple_1_6_3_6_5_6_rho1", 0)])
-def test_simple_scans_for_a_socle_only_when_the_standard_module_is_not_simple(capsys, monkeypatch, name, scans):
-    # head returns the standard module itself exactly when it is simple, and then it is its own socle
-    scanned = []
+@pytest.mark.parametrize(("name", "socles"), [("simple_1_6_3_6", 1), ("simple_1_6_3_6_5_6_rho1", 0)])
+def test_simple_scans_for_a_socle_only_when_the_standard_module_is_not_simple(capsys, monkeypatch, name, socles):
+    # head returns the standard module itself exactly when it is simple, and then it is its own socle: socle
+    # spans no bottom layer for it
+    spanned = []
 
     def recorded(module, _real=cli.socle):
-        scanned.append(module)
+        spanned.append(module)
         return _real(module)
 
     monkeypatch.setattr(cli, "socle", recorded)
     code, _, err = run(capsys, PINNED[name])
     assert (code, err) == (0, "")
-    assert len(scanned) == scans
+    assert len(spanned) == socles

@@ -46,6 +46,7 @@ from adapted import (
     as_module,
     assert_head_matches_the_reference,
     assert_socle_matches_the_reference,
+    lowest_joint_kernel,
     needs_adapted_basis,
     reference_generated,
     reference_quotient,
@@ -262,9 +263,10 @@ def test_submodule_and_quotient_dimensions(ctx12):
 
 @pytest.mark.parametrize("iset_text", ["(2,3)", "(1,6),(3,6)", "(2,3),(2,9)"])
 def test_generated_submodules_have_each_reduced_row_in_one_cell(ctx12, iset_text):
-    # every weight; the spans qdouble._close makes for socle, the lowest joint kernel under the raising letters,
-    # and for head, the degree-0 unit functionals under the transposed lowering letters, and the test helper's
-    # span of the negative-degree joint kernels under every generator, which the shaving head divides out
+    # every weight; the spans qdouble._close makes for socle, the bottom layer's unit vectors under the
+    # lowering letters, and for head, the degree-0 unit functionals under the transposed lowering letters; the
+    # lowest joint kernel under the raising letters, the same span as socle's; and the test helper's span of the
+    # negative-degree joint kernels under every generator, which the shaving head divides out
     field = ctx12.field
     for label in all_weight_labels(ctx12):
         verma = build_verma(ctx12, parse_index_set(ctx12, iset_text), label)
@@ -274,12 +276,16 @@ def test_generated_submodules_have_each_reduced_row_in_one_cell(ctx12, iset_text
         lowering = [
             qdouble._from_rows(field, enumerate(mat.sparse_columns()), verma.dim) for mat in verma.a_mats.values()
         ]
-        units = [{t: field.one} for t in verma.layer_indices()[0]]
+        layers = verma.layer_indices()
+        bottom = [{t: field.one} for t in layers[min(layers)]]
+        units = [{t: field.one} for t in layers[0]]
         spans = (
-            qdouble._close(field, lowest, list(verma.v_mats.values()), verma.dim),
+            qdouble._close(field, bottom, list(verma.a_mats.values()), verma.dim),
             qdouble._close(field, units, lowering, verma.dim),
+            qdouble._close(field, lowest, list(verma.v_mats.values()), verma.dim),
             reference_generated(verma, negatives),
         )
+        assert spans[0].rows == spans[2].rows
         for span in spans:
             for row in span.rows:
                 assert len({(verma.zdeg[i], verma.gdeg[i]) for i in row}) == 1
@@ -296,13 +302,14 @@ def test_subspaces_that_are_not_submodules_are_rejected(ctx12):
 
 def test_socle_rejects_part_of_the_lowest_kernel(ctx12, monkeypatch):
     verma = _verma(ctx12, "(2,3)", "Mx:0,0")
-    full = qdouble.highest_weight_vectors
+    full = qdouble._close
 
-    def first_only(module, degree=None):
-        return full(module, degree)[:1]
+    def first_seed_only(field, seeds, gens, dim):
+        return full(field, list(seeds)[:1], gens, dim)
 
-    monkeypatch.setattr(qdouble, "highest_weight_vectors", first_only)
-    # the raising letters span the part, and x, y or a lowering letter leaves that span
+    monkeypatch.setattr(qdouble, "_close", first_seed_only)
+    # the lowering letters span the first unit vector of the bottom layer, and x, y or a raising letter leaves
+    # that span
     with pytest.raises(AssertionError, match="not stable under a generator"):
         socle(verma)
 
@@ -335,25 +342,20 @@ def _direct_sum(first, second, zshift, kind):
     )
 
 
-def test_socle_of_a_standard_module_must_reach_its_whole_bottom_layer(ctx12, monkeypatch):
+def test_socle_of_a_standard_module_must_reach_its_whole_bottom_layer(ctx12):
     # the standard module with its one-dimensional head set beside its bottom
-    # layer: the lowest joint kernel is then two weights
+    # layer: the bottom layer is then two weights
     verma = _verma(ctx12, "(2,3)", "e:chi1")
     top, bottom = head(verma), min(verma.zdeg)
     padded = _direct_sum(verma, top, bottom, "verma")
     with pytest.raises(AssertionError, match="not a single multiplicity-one weight"):
         socle(padded)
-    full = qdouble.highest_weight_vectors
-
-    def standard_part_only(module, degree=None):
-        return [vec for vec in full(module, degree) if max(vec) < verma.dim]
-
-    # a kernel that drops the added weight gives a socle that passes every
-    # other check but holds only half of the bottom layer
-    monkeypatch.setattr(qdouble, "highest_weight_vectors", standard_part_only)
-    assert _char_text(graded_character(socle(_direct_sum(verma, top, bottom, "sum")))) == "[-2] e:chi2"
-    with pytest.raises(AssertionError, match="misses part of the bottom layer"):
-        socle(padded)
+    # with the head set beside degree 0 the bottom layer is one weight, but a direct sum is not free over the
+    # raising letters, and socle takes only the kinds that are
+    summed = _direct_sum(verma, top, 0, "sum")
+    assert decomposition_counts(ctx12, summed.layer_module(bottom)) == [(parse_weight_label("e:chi2"), 1)]
+    with pytest.raises(AssertionError, match="not one of kind 'sum'"):
+        socle(summed)
 
 
 # The socle is generated by the joint kernel of lowest degree.  Over (1,6), (2,3), (1,6),(3,6) and (2,3),(2,9)
@@ -382,6 +384,29 @@ def test_a_joint_kernel_above_the_lowest_degree_generates_no_socle(ctx12, iset_t
         assert graded_character(generated) != socle_char, z
 
 
+@pytest.mark.parametrize("iset_text", ["(2,3)", "(1,6)", "(1,6),(3,6)", "(2,3),(2,9)"])
+def test_the_socle_top_is_the_lowest_joint_kernel(ctx12, monkeypatch, iset_text):
+    # the abstract's claim, which socle does not build on: the highest weight of minimum degree determines the
+    # socle.  socle spans the bottom layer; the top layer of that span must be the lowest nonzero joint kernel,
+    # in the same degree and with the same reduced rows
+    spans = []
+
+    def recorded(module, space, kind="submodule"):
+        spans.append(space)
+        return subspace_as_module(module, space, kind)
+
+    monkeypatch.setattr(qdouble, "subspace_as_module", recorded)
+    for label in all_weight_labels(ctx12):
+        verma = build_verma(ctx12, parse_index_set(ctx12, iset_text), label)
+        soc = socle(verma)
+        z, lowest = lowest_joint_kernel(verma)
+        assert max(soc.zdeg) == z, label
+        rows = spans.pop().rows
+        assert all(len({verma.zdeg[i] for i in row}) == 1 for row in rows), label
+        top = [row for row in rows if verma.zdeg[next(iter(row))] == z]
+        assert _rref(ctx12.field, top).rows == _rref(ctx12.field, lowest).rows, label
+
+
 def test_a_submodule_on_whose_rows_x_is_not_monomial_is_refused(ctx12):
     # the negative-degree joint kernel of this standard module generates a submodule on whose reduced rows x is
     # no invertible monomial matrix: the package changes to no other basis, and the test helper builds it
@@ -397,7 +422,7 @@ def test_joint_kernels_per_degree_of_a_module_and_of_modules_built_from_its_matr
     verma = _verma(ctx12, "(2,3)", "e:chi1")
     first = highest_weight_vectors(verma)
     assert {z: len(vecs) for z, vecs in first.items()} == {0: 1, -1: 2, -2: 1}
-    assert highest_weight_vectors(verma) == {z: highest_weight_vectors(verma, z) for z in first} == first
+    assert highest_weight_vectors(verma) == first
     # modules made from the module's matrices have kernels of their own
     zero = {key: CycMatrix(ctx12.field, [{} for _ in range(verma.dim)], verma.dim) for key in verma.a_mats}
     assert {z: len(vecs) for z, vecs in highest_weight_vectors(_mutated(verma, a_mats=zero)).items()} == {
@@ -817,7 +842,8 @@ def _standard_and_recursion_modules(iset_text):
 def test_socles_heads_and_submodules_match_a_reference_that_applies_every_generator(iset_text):
     adapted = full_spans = zero_heads = 0
     for module in _standard_and_recursion_modules(iset_text):
-        # the socle spans the lowest joint kernel under the raising letters, the reference under every generator
+        # the socle spans the bottom layer under the lowering letters, the reference the lowest joint kernel under
+        # every generator
         soc = socle(module)
         _assert_same_module(soc, reference_socle(module))
         # a socle that spans the whole module is built on the module's own matrices
@@ -869,7 +895,8 @@ def test_submodules_generated_from_seeds_outside_the_joint_kernel_match_the_refe
 @given(st.data())
 def test_heads_of_drawn_standard_modules_match_the_shaving_reference(data):
     # one to three pairs at m = 12, 16 and 20: head reads the quotient off degree 0, the reference shaves; the
-    # socle spans the lowest joint kernel under the raising letters, the reference under every generator
+    # socle spans the bottom layer under the lowering letters, the reference the lowest joint kernel under every
+    # generator
     ctx = get_context(data.draw(st.sampled_from((12, 16, 20))))
     iset = data.draw(_index_sets(ctx, 3))
     module = build_verma(ctx, iset, data.draw(st.sampled_from(all_weight_labels(ctx))))

@@ -464,32 +464,44 @@ def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ct
     assert report.ok is False
 
 
-# head returns its argument exactly when the module is simple, and verify_simple then scans for no socle: not on
-# a simple standard module, e:rho1 over (2,3) and over (1,6),(3,6), nor on the module the (1,6) step of e:rho1
-# induces from its simple smaller module, which basis_change carries onto the standard module.  M1,2 over
-# (1,6),(3,6) scans the standard module, the smaller one over (3,6) and the module induced from that one's
-# socle; e:chi1 scans both smaller modules and both.  At m = 16 the smaller module of M1,6 left by (2,4) is
-# simple, and the standard module is not: the module induced from the smaller one is carried onto it, so only
-# the standard module, the smaller one over (2,4) and the module induced from that one's socle are scanned.
+# head returns its argument exactly when the module is simple, and verify_simple then asks socle for nothing:
+# not on a simple standard module, e:rho1 over (2,3) and over (1,6),(3,6), nor on the module the (1,6) step of
+# e:rho1 induces from its simple smaller module, which basis_change carries onto the standard module.  M1,2 over
+# (1,6),(3,6) takes the socles of the standard module, the smaller one over (3,6) and the module induced from
+# that one's socle; e:chi1 those of both smaller modules and both.  At m = 16 the smaller module of M1,6 left by
+# (2,4) is simple, and the standard module is not: the module induced from the smaller one is carried onto it,
+# so only the standard module, the smaller one over (2,4) and the module induced from that one's socle are
+# spanned.
 @pytest.mark.parametrize(
-    ("m", "index_text", "label_text", "scans"),
+    ("m", "index_text", "label_text", "socles"),
     [(12, "(2,3)", "e:rho1", 0), (12, "(2,3)", "e:chi1", 1), (12, "(1,6),(3,6)", "e:rho1", 0),
      (12, "(1,6),(3,6)", "M1,2", 3), (12, "(1,6),(3,6)", "e:chi1", 5), (16, "(2,4),(2,12)", "M1,6", 3)],
 )
 def test_the_socle_is_scanned_exactly_on_the_modules_that_are_not_simple(
-    monkeypatch, m, index_text, label_text, scans
+    monkeypatch, m, index_text, label_text, socles
 ):
-    scanned = []
+    spanned = []
 
     def recorded(module):
-        scanned.append(module)
+        spanned.append(module)
         return socle(module)
 
     monkeypatch.setattr(theorems, "socle", recorded)
     report = verify_simple(*_case(m, index_text, label_text))
     assert report.ok
-    assert len(scanned) == scans
-    assert all(head(module) is not module for module in scanned)
+    assert len(spanned) == socles
+    assert all(head(module) is not module for module in spanned)
+
+
+def test_verify_simple_solves_no_joint_kernel(ctx12, monkeypatch):
+    # socle spans the bottom layer and head reads degree 0; e:chi1 over (1,6),(3,6) takes five socles
+    def refuse(*args, **kwargs):
+        raise AssertionError("a joint kernel was solved")
+
+    monkeypatch.setattr(qdouble, "highest_weight_vectors", refuse)
+    monkeypatch.setattr(qdouble, "kernel", refuse)
+    monkeypatch.setattr(theorems, "highest_weight_vectors", refuse)
+    assert verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("e:chi1")).ok
 
 
 def _admissible(ctx, pairs) -> bool:
@@ -656,26 +668,26 @@ def test_every_certified_step_passes_in_full_on_drawn_sets(case):
     _assert_certified_steps_pass_in_full(*case)
 
 
-def _assert_the_socle_is_the_scanned_one(ctx, index_set, label):
-    """verify_simple takes a simple standard module for its own socle; the scan must agree."""
+def _assert_the_socle_is_the_spanned_one(ctx, index_set, label):
+    """verify_simple takes a simple standard module for its own socle; the span of its bottom layer must agree."""
     report = verify_simple(ctx, index_set, label)
-    scanned = socle(build_verma(ctx, index_set, label))
-    assert report.socle_character == graded_character(scanned), f"{index_set} / {label}"
-    assert report.socle_simple == _socle_is_simple(ctx, scanned), f"{index_set} / {label}"
+    spanned = socle(build_verma(ctx, index_set, label))
+    assert report.socle_character == graded_character(spanned), f"{index_set} / {label}"
+    assert report.socle_simple == _socle_is_simple(ctx, spanned), f"{index_set} / {label}"
 
 
 @pytest.mark.parametrize("index_text", ["(2,3)", "(1,6),(3,6)"])
 def test_every_socle_at_m_12_is_the_scanned_one(ctx12, index_text):
     index_set = parse_index_set(ctx12, index_text)
     for label in all_weight_labels(ctx12):
-        _assert_the_socle_is_the_scanned_one(ctx12, index_set, label)
+        _assert_the_socle_is_the_spanned_one(ctx12, index_set, label)
 
 
 @settings(max_examples=16)
 @given(recursion_cases(most=3))
 @example(_case(16, "(2,4)", "M1,6"))
 def test_the_socle_is_the_scanned_one_on_drawn_sets(case):
-    _assert_the_socle_is_the_scanned_one(*case)
+    _assert_the_socle_is_the_spanned_one(*case)
 
 
 def test_closed_forms_build_no_standard_module(ctx12, monkeypatch):
