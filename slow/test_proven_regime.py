@@ -42,7 +42,12 @@ recursion induces from the smaller
 head and socle included.  Every
 standard module over the 39 two-pair sets at m = 12, built one pair at a
 time, is compared matrix by matrix with the test helper
-``tests/exterior.py``, which induces both pairs at once.
+``tests/exterior.py``, which induces both pairs at once.  With the
+rigidity guard lifted, ``theorems.verify_rigid_tensor`` runs on every
+mu x every lambda over ``(2,3)`` and over ``(1,6)`` at m = 12, and must
+fail exactly where the test helper's per-degree joint kernel of the
+product is nonzero outside degree 0, naming the highest such degree;
+11,794 of the 13,244 products of a non-rigid mu fail.
 """
 
 from __future__ import annotations
@@ -62,11 +67,10 @@ from dihedral_doubles.qdouble import (
     build_verma,
     graded_character,
     head,
-    highest_weight_vectors,
     induce_from_simple,
     socle,
 )
-from dihedral_doubles.theorems import _socle_is_simple, verify_simple
+from dihedral_doubles.theorems import RIGID, _socle_is_simple, classify_weight, verify_simple
 from dihedral_doubles.weights import all_weight_labels, parse_weight_label
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -74,7 +78,9 @@ from adapted import (  # noqa: E402
     adapted_quotient,
     as_module,
     assert_head_matches_the_reference,
+    assert_rigid_tensor_matches_the_reference,
     assert_socle_matches_the_reference,
+    highest_weight_vectors,
     needs_adapted_basis,
     reference_generated,
     reference_recursion,
@@ -319,3 +325,32 @@ def test_every_case_over_three_pairs():
 def test_seven_weights_over_every_three_pair_set_at_m_12(index_set):
     ctx = get_context(12)
     _assert_every_report_passes(ctx, [index_set], [parse_weight_label(text) for text in SEVEN_WEIGHTS])
+
+
+@lru_cache(maxsize=None)
+def _rigid_tensor_checks_without_the_guard(index_text):
+    """Every mu x every lambda over one pair at m = 12, the guard lifted, against the joint kernel of the product
+    solved per degree; every rigid mu must pass.  Returns how many products of a non-rigid mu fail, and how many
+    there are."""
+    ctx = get_context(12)
+    index_set = parse_index_set(ctx, index_text)
+    labels = all_weight_labels(ctx)
+    failed = cases = 0
+    for mu in labels:
+        rigid = all(classify_weight(ctx, mu, pair) == RIGID for pair in index_set.pairs)
+        for lam in labels:
+            outcome = assert_rigid_tensor_matches_the_reference(ctx, index_set, mu, lam, lift_guard=True)
+            assert outcome is None or not rigid, outcome
+            failed += outcome is not None
+            cases += not rigid
+    return failed, cases
+
+
+@pytest.mark.parametrize("index_text", ["(2,3)", "(1,6)"])
+def test_every_rigid_tensor_check_without_the_guard_at_m_12_matches_the_reference(index_text):
+    _rigid_tensor_checks_without_the_guard(index_text)
+
+
+def test_11794_of_13244_tensor_products_of_a_non_rigid_weight_fail():
+    counts = [_rigid_tensor_checks_without_the_guard(text) for text in ("(2,3)", "(1,6)")]
+    assert tuple(map(sum, zip(*counts))) == (11794, 13244)

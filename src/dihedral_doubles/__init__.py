@@ -16,7 +16,6 @@ from .qdouble import (
     check_relations,
     graded_character,
     head,
-    highest_weight_vectors,
     induce_from_simple,
     socle,
     tensor_qd,
@@ -66,7 +65,6 @@ __all__ = [
     "get_field",
     "graded_character",
     "head",
-    "highest_weight_vectors",
     "induce_from_simple",
     "is_spherical",
     "parse_index_set",

@@ -30,9 +30,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .dihedral import DihedralContext, get_context, in_proven_regime
 from .nichols import IndexSet, parse_index_set, valid_pairs
-from .qdouble import build_verma, check_relations, graded_character, head, socle, theta_congruence
+from .qdouble import build_verma, check_relations, graded_character, theta_congruence
 from .theorems import (
     RIGID,
+    _head_and_socle,
     classify_weight,
     is_spherical,
     spherical_report,
@@ -150,10 +151,7 @@ def cmd_simple(args) -> int:
     verma = build_verma(ctx, index_set, label)
     relations_ok = not check_relations(verma)
     theta_ok = not theta_congruence(verma)
-    simple = head(verma)
-    head_char = graded_character(simple)
-    # head returns its argument exactly when the module is simple, and a simple module is its own socle
-    socle_char = head_char if simple is verma else graded_character(socle(verma))
+    simple, head_char, _, socle_char = _head_and_socle(verma)
     obj = {
         "m": ctx.m,
         "index_set": [list(pair) for pair in index_set.pairs],

@@ -15,11 +15,11 @@ row maps and exponents alone (:class:`UnitMonomial`), and its products
 are integer arithmetic.  All elimination goes through
 one sparse echelon basis, :class:`EchelonBasis`, built from sparse vectors
 by :func:`_rref`: callers hand it the rows of a system or the vectors of a
-span, and read off ranks (its pivots), span membership
-(:meth:`EchelonBasis.reduce`) and kernels (:func:`kernel`).  Inserts
-eliminate forward only, which is all a rank or a membership test needs;
-the reduced rows that kernels and submodules read are built once, on first
-read.  A submodule in ``qdouble`` is one such basis over the whole module.
+span, and read off ranks (its pivots) and span membership
+(:meth:`EchelonBasis.reduce`).  Inserts eliminate forward only, which is
+all a rank or a membership test needs; the reduced rows that submodules
+and heads read are built once, on first read.  A submodule in ``qdouble``
+is one such basis over the whole module.
 """
 
 from __future__ import annotations
@@ -736,18 +736,3 @@ def _rref(field: CyclotomicField, rows: Iterable[VecDict]) -> EchelonBasis:
         basis.insert(row)
     return basis
 
-
-def kernel(field: CyclotomicField, rows: Iterable[VecDict], ncols: int) -> list[VecDict]:
-    """Basis of the vectors in ``ncols`` coordinates that every row annihilates.
-
-    One sparse vector per free column of the reduced rows: 1 at that column,
-    minus the column's entry in each row at the row's pivot.
-    """
-    basis = _rref(field, rows)
-    pivot_set = set(basis.pivots)
-    out = {free: {free: field.one} for free in range(ncols) if free not in pivot_set}
-    for pivot, row in zip(basis.pivots, basis.rows):
-        for free, x in row.items():
-            if free != pivot:
-                out[free][pivot] = -x
-    return list(out.values())

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, add_into, kernel
+from .cyclotomic import CycMatrix, CycNum, CyclotomicField, EchelonBasis, UnitMonomial, VecDict, add_into
 from .dihedral import DihedralContext
 from .nichols import IndexSet, validate_index_set
 from .weights import (
@@ -617,32 +617,6 @@ def theta_congruence(module: QDModule) -> list[str]:
     return failures
 
 
-def highest_weight_vectors(module: QDModule) -> dict[int, list[VecDict]]:
-    """Joint kernel of the lowering letters, per integer degree.
-
-    A mapping from each populated degree to its (possibly empty) list of
-    kernel vectors, highest degree first, each degree solved once per call.
-    The rigid tensor check asks that every vector lie in degree 0.  No
-    socle or head solves it: :func:`socle` spans the bottom layer and
-    :func:`head` reads degree 0.
-    """
-    field = module.ctx.field
-    columns = [mat.sparse_columns() for mat in module.a_mats.values()]
-    kernels: dict[int, list[VecDict]] = {}
-    for z, idxs in sorted(module.layer_indices().items(), reverse=True):
-        # one equation per lowering letter and row of the degree above: the
-        # letter's row restricted to the layer, in the layer's coordinates
-        rows: list[VecDict] = []
-        for cols in columns:
-            by_row: dict[int, VecDict] = {}
-            for t, j in enumerate(idxs):
-                for i, val in cols[j].items():
-                    by_row.setdefault(i, {})[t] = val
-            rows.extend(by_row[i] for i in sorted(by_row))
-        kernels[z] = [{idxs[t]: val for t, val in vec.items()} for vec in kernel(field, rows, len(idxs))]
-    return kernels
-
-
 def _close(field: CyclotomicField, seeds: Iterable[VecDict], gens: list[CycMatrix], dim: int) -> EchelonBasis:
     """The echelon basis of the span of the seeds and their images under every word in ``gens``.
 
@@ -779,8 +753,8 @@ def socle(module: QDModule) -> QDModule:
     generator, which certifies what x, y and the raising letters would
     add, so on a module whose relations fail the socle may be refused
     there.  The abstract puts the socle's top layer at the lowest degree
-    with a joint kernel (:func:`highest_weight_vectors`); the socle is not
-    built from that claim, and the tests check it.
+    with a joint kernel of the lowering letters; the socle is not built
+    from that claim, and the tests check it against that kernel, solved.
 
     On a simple module the span is the whole module.  :func:`head` returns
     its argument exactly when the module is simple, so ``verify_simple``
@@ -816,6 +790,22 @@ def _from_rows(field: CyclotomicField, rows: Iterable[tuple[int, VecDict]], dim:
     return CycMatrix(field, cols, dim)
 
 
+def _head_span(module: QDModule) -> EchelonBasis:
+    """The span of the degree-0 unit functionals under the transposed lowering letters (:func:`_close`).
+
+    Each functional is a row; each lowering letter is transposed once per
+    call.  The rows are homogeneous, as the seeds are and a letter shifts
+    the degree by one, so each degree's positions that are not pivots count
+    the vectors of that degree on which the span vanishes.  :func:`head`
+    reads its pivots and ``theorems.verify_rigid_tensor`` the positions that
+    are not.
+    """
+    field, dim = module.ctx.field, module.dim
+    lowering = [_from_rows(field, enumerate(mat.sparse_columns()), dim) for mat in module.a_mats.values()]
+    units = [{t: field.one} for t in module.layer_indices().get(0, [])]
+    return _close(field, units, lowering, dim)
+
+
 def head(module: QDModule) -> QDModule:
     """The quotient by the largest graded submodule that meets degree 0 in zero, read off degree 0 in one pass.
 
@@ -829,10 +819,10 @@ def head(module: QDModule) -> QDModule:
     A raising letter lowers the degree, so f u+ vanishes
     unless u+ is a scalar, and D(G) keeps the degree-0 functionals.  So the
     f u span W, the span of the unit functionals e_t* of the degree-0 layer
-    under the lowering letters, each transposed once per call
-    (:func:`_close`).  The classes of the basis vectors at the pivots of W's
-    reduced rows are a basis of the quotient: paired with those rows, the
-    class of e_p is the unit vector at p.  So a generator's column at p is
+    under the transposed lowering letters (:func:`_head_span`, whose second
+    caller is ``theorems.verify_rigid_tensor``).  The classes of the basis
+    vectors at the pivots of W's reduced rows are a basis of the quotient:
+    paired with those rows, the class of e_p is the unit vector at p.  So a generator's column at p is
     its column p read by that pairing (:func:`_on_positions`).  When W fills
     the module, the module itself is returned; with no degree-0 layer, the
     result is the zero module.
@@ -843,13 +833,10 @@ def head(module: QDModule) -> QDModule:
     and y must be invertible monomial matrices on the classes, as they are
     on every such head.
     """
-    field, dim = module.ctx.field, module.dim
-    lowering = [_from_rows(field, enumerate(mat.sparse_columns()), dim) for mat in module.a_mats.values()]
-    units = [{t: field.one} for t in module.layer_indices().get(0, [])]
-    span = _close(field, units, lowering, dim)
-    if len(span.pivots) == dim:
+    span = _head_span(module)
+    if len(span.pivots) == module.dim:
         return module
-    pairing = _from_rows(field, zip(span.pivots, span.rows), dim)
+    pairing = _from_rows(module.ctx.field, zip(span.pivots, span.rows), module.dim)
 
     def images(mat: CycMatrix) -> list[VecDict]:
         cols = mat.sparse_columns()

@@ -25,6 +25,7 @@ from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 from .qdouble import (
     GradedCharacter,
+    _head_span,
     _induce,
     _products_equal,
     basis_change,
@@ -32,7 +33,6 @@ from .qdouble import (
     check_relations,
     graded_character,
     head,
-    highest_weight_vectors,
     induce_from_simple,
     socle,
     tensor_qd,
@@ -344,10 +344,30 @@ def verify_rigid_tensor(
 
     Requires ``mu`` to be rigid for every pair of the index set.  Builds
     both simples, forms their tensor product over the double, and checks
-    that every joint kernel vector sits in degree zero and that the graded
-    character equals the sum of predicted simple characters over the
-    decomposition of the weight product.  Raises ``AssertionError`` on any
-    failure.
+    that every joint kernel vector of the lowering letters sits in degree
+    zero and that the graded character equals the sum of predicted simple
+    characters over the decomposition of the weight product.  Raises
+    ``AssertionError`` on any failure.
+
+    The joint kernel is not solved: the product's span W of the degree-0
+    unit functionals under the transposed lowering letters, the span that
+    :func:`head` reads (``qdouble._head_span``), decides it.  Let K be the
+    vectors v with f(u v) = 0 for every degree-0 functional f and every
+    word u in the lowering letters, the vectors on which W vanishes.
+
+    * K is graded, as W is spanned by homogeneous rows, and stable under
+      the lowering letters, since a letter times a word is a word.
+    * K_0 = 0, as the degree-0 unit functionals lie in W.  So a lowering
+      letter, which raises the degree by one, takes K's top layer into
+      K_0 = 0: that layer lies in the joint kernel.
+    * A joint-kernel vector v in degree z < 0 lies in K: u v = 0 for every
+      nonempty word u, and f(v) = 0 as f reads degree 0 alone.
+
+    So K = 0 exactly when W has a pivot at every position, and then no
+    joint-kernel vector lies outside degree 0.  Otherwise K's top degree is
+    the highest degree z != 0 whose joint kernel is nonzero: above it the
+    joint kernel lies in K and is zero.  W's rows are homogeneous, so that
+    is the highest degree of a position that is not a pivot.
     """
     for pair in index_set.pairs:
         if classify_weight(ctx, mu, pair) != RIGID:
@@ -355,11 +375,11 @@ def verify_rigid_tensor(
     left = head(build_verma(ctx, index_set, mu))
     right = head(build_verma(ctx, index_set, lam))
     product = tensor_qd(ctx, left, right)
-    for z, vecs in highest_weight_vectors(product).items():
-        if z != 0 and vecs:
-            raise AssertionError(
-                f"L({mu}) x L({lam}): joint kernel vectors in degree {z}"
-            )
+    span = _head_span(product)
+    if len(span.pivots) < product.dim:
+        pivots = set(span.pivots)
+        top = max(z for i, z in enumerate(product.zdeg) if i not in pivots)
+        raise AssertionError(f"L({mu}) x L({lam}): joint kernel vectors in degree {top}")
     expected = GradedCharacter.from_counts({})
     weight_product = tensor_dd(build_weight(ctx, mu), build_weight(ctx, lam))
     for part_label, mult in decomposition_counts(ctx, weight_product):
@@ -558,6 +578,21 @@ def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
     return len(parts) == 1 and len(parts[0][1]) == 1
 
 
+def _head_and_socle(verma: QDModule) -> tuple[QDModule, GradedCharacter, QDModule, GradedCharacter]:
+    """The head of a standard module and its character, then its socle and the socle's character.
+
+    :func:`head` returns its argument exactly when the module is simple, and
+    a simple module is its own socle, so :func:`socle` spans only a module
+    that is not simple, and a simple one's socle character is its head's.
+    """
+    simple = head(verma)
+    head_char = graded_character(simple)
+    if simple is verma:
+        return simple, head_char, verma, head_char
+    soc = socle(verma)
+    return simple, head_char, soc, graded_character(soc)
+
+
 def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel) -> SimpleReport:
     """Build the standard module of ``label``, verify every claim about it.
 
@@ -569,11 +604,10 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     * simplicity of the socle (single weight, multiplicity one), and its
       graded character against the predicted character of the weight
       :func:`predicted_socle_top` names, shifted to its degree; when that
-      weight is ``label`` the head prediction is reused.  :func:`head`
-      returns its argument exactly when the module is simple, and a simple
-      module is its own socle, so :func:`socle` spans only a standard
-      module that is not simple; a simple one's socle character is its
-      head's;
+      weight is ``label`` the head prediction is reused.  The head, the
+      socle and their characters come from :func:`_head_and_socle`, which
+      the ``simple`` command shares: a simple standard module is its own
+      socle, so :func:`socle` spans only one that is not simple;
     * when the index set has more than one pair: for each distinct
       removable pair, the modules induced from the head and from the socle
       of the smaller standard module satisfy the relations and reproduce
@@ -606,17 +640,9 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     relations_ok = not check_relations(verma)
     theta_ok = not theta_congruence(verma)
 
-    simple = head(verma)
-    head_char = graded_character(simple)
+    simple, head_char, soc, socle_char = _head_and_socle(verma)
     predicted = predicted_character(ctx, index_set, label)
     predicted_dim = predicted_simple_dimension(ctx, index_set, label)
-
-    if simple is verma:
-        # head returns its argument exactly when the module is simple, and a simple module is its own socle
-        soc, socle_char = verma, head_char
-    else:
-        soc = socle(verma)
-        socle_char = graded_character(soc)
     socle_simple = _socle_is_simple(ctx, soc)
     top, z0 = predicted_socle_top(ctx, index_set, label)
     socle_top = predicted if top == label else predicted_character(ctx, index_set, top)

@@ -1,6 +1,12 @@
-"""The closure under every generator, submodules and quotients in a basis adapted to the group action, and
-the head by shaving, for the tests.
+"""The joint kernels, the closure under every generator, submodules and quotients in a basis adapted to the
+group action, and the head by shaving, for the tests.
 
+:func:`highest_weight_vectors` solves the joint kernel of the lowering
+letters in every degree, which the package never does; the references
+below that start from a joint kernel read it.
+:func:`assert_rigid_tensor_matches_the_reference` holds
+``theorems.verify_rigid_tensor``, which reads the span ``qdouble.head``
+closes, to the degrees where that kernel is not zero.
 :func:`reference_generated` spans the images of its seeds under every word
 in every generator, and is the one way the tests generate a submodule.
 From the lowest joint kernel it gives :func:`reference_socle`, the socle as
@@ -30,6 +36,9 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
+import pytest
+
+from dihedral_doubles import theorems
 from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, VecDict, _rref, add_into
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import IndexSet
@@ -38,13 +47,12 @@ from dihedral_doubles.qdouble import (
     check_relations,
     graded_character,
     head,
-    highest_weight_vectors,
     induce_from_simple,
     socle,
 )
-from dihedral_doubles.theorems import RecursionCheck
+from dihedral_doubles.theorems import RIGID, RecursionCheck
 from dihedral_doubles.weights import QDModule, WeightLabel
-from matrices import without_zeros
+from matrices import kernel, without_zeros
 
 
 def reference_generated(module: QDModule, vectors) -> EchelonBasis:
@@ -94,6 +102,70 @@ def reference_submodule(module, space: EchelonBasis, kind: str):
         return out
 
     return reference_on_positions(module, space.pivots, images, kind)
+
+
+def highest_weight_vectors(module: QDModule) -> dict[int, list[VecDict]]:
+    """Joint kernel of the lowering letters, per integer degree.
+
+    A mapping from each populated degree to its (possibly empty) list of
+    kernel vectors, highest degree first, each degree solved once per call.
+    The package solves no joint kernel: the socle, the head and the rigid
+    tensor check are compared with this.
+    """
+    field = module.ctx.field
+    columns = [mat.sparse_columns() for mat in module.a_mats.values()]
+    kernels: dict[int, list[VecDict]] = {}
+    for z, idxs in sorted(module.layer_indices().items(), reverse=True):
+        # one equation per lowering letter and row of the degree above: the
+        # letter's row restricted to the layer, in the layer's coordinates
+        rows: list[VecDict] = []
+        for cols in columns:
+            by_row: dict[int, VecDict] = {}
+            for t, j in enumerate(idxs):
+                for i, val in cols[j].items():
+                    by_row.setdefault(i, {})[t] = val
+            rows.extend(by_row[i] for i in sorted(by_row))
+        kernels[z] = [{idxs[t]: val for t, val in vec.items()} for vec in kernel(field, rows, len(idxs))]
+    return kernels
+
+
+def assert_rigid_tensor_matches_the_reference(
+    ctx: DihedralContext,
+    index_set: IndexSet,
+    mu: WeightLabel,
+    lam: WeightLabel,
+    lift_guard: bool = False,
+    replace: Callable[[QDModule], QDModule] | None = None,
+) -> str | None:
+    """``theorems.verify_rigid_tensor`` on L(mu) x L(lam) against the joint kernel of its product, solved per
+    degree: it must raise naming the highest degree z != 0 whose joint kernel is not zero, and pass when there
+    is none.  ``lift_guard`` reports mu rigid to the guard, the first |I| calls of ``classify_weight``;
+    ``replace`` puts a module of its own in place of the product.  Returns the message, or None on a pass."""
+    guard = [RIGID] * index_set.size if lift_guard else []
+    classify, tensor = theorems.classify_weight, theorems.tensor_qd
+    products = []
+
+    def recorded(ctx, left, right):
+        product = tensor(ctx, left, right)
+        products.append(product if replace is None else replace(product))
+        return products[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            theorems, "classify_weight", lambda ctx, label, pair: guard.pop() if guard else classify(ctx, label, pair)
+        )
+        patch.setattr(theorems, "tensor_qd", recorded)
+        try:
+            theorems.verify_rigid_tensor(ctx, index_set, mu, lam)
+            outcome = None
+        except AssertionError as exc:
+            outcome = str(exc)
+    assert not guard
+    (product,) = products
+    degrees = [z for z, vecs in highest_weight_vectors(product).items() if z != 0 and vecs]
+    expected = f"L({mu}) x L({lam}): joint kernel vectors in degree {degrees[0]}" if degrees else None
+    assert outcome == expected, (index_set, mu, lam)
+    return outcome
 
 
 def lowest_joint_kernel(module: QDModule) -> tuple[int, list[VecDict]]:

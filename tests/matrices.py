@@ -3,8 +3,10 @@
 The package forms no product, sum or negation of :class:`CycMatrix`, and
 builds the group action as :class:`UnitMonomial`; the tests compare both
 against these, which read the column dicts alone, and draw UnitMonomials
-with :func:`unit_monomials`.  A CycMatrix holds no zero entry; references
-whose column dicts may hold one build through :func:`without_zeros`.
+with :func:`unit_monomials`.  The package solves no kernel; :func:`kernel`
+solves one by elimination, for the references that need it.  A CycMatrix
+holds no zero entry; references whose column dicts may hold one build
+through :func:`without_zeros`.
 A basis vector of a module has no name; :func:`induced_position` finds
 one of an induced module by the letters that reach it.
 :func:`inverted_operands` records what the eliminations invert.
@@ -13,17 +15,33 @@ one of an induced module by the letters that reach it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from dihedral_doubles.cyclotomic import CycMatrix, CycNum, CyclotomicField, UnitMonomial, add_into
+from dihedral_doubles.cyclotomic import CycMatrix, CycNum, CyclotomicField, UnitMonomial, VecDict, _rref, add_into
 
 
 def times(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     """The product of two matrices, column by column from the left factor's action."""
     return CycMatrix(a.field, [a.apply(col) for col in b.sparse_columns()], a.nrows)
+
+
+def kernel(field: CyclotomicField, rows: Iterable[VecDict], ncols: int) -> list[VecDict]:
+    """Basis of the vectors in ``ncols`` coordinates that every row annihilates.
+
+    One sparse vector per free column of the reduced rows: 1 at that column,
+    minus the column's entry in each row at the row's pivot.
+    """
+    basis = _rref(field, rows)
+    pivot_set = set(basis.pivots)
+    out = {free: {free: field.one} for free in range(ncols) if free not in pivot_set}
+    for pivot, row in zip(basis.pivots, basis.rows):
+        for free, x in row.items():
+            if free != pivot:
+                out[free][pivot] = -x
+    return list(out.values())
 
 
 def has_two_entry_column(mat: CycMatrix) -> bool:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import dihedral_doubles.cli as cli
-from dihedral_doubles import get_context, weights
+from dihedral_doubles import get_context, theorems, weights
 from dihedral_doubles.cyclotomic import CycMatrix, UnitMonomial
 from dihedral_doubles.qdouble import build_verma
 
@@ -575,6 +575,11 @@ PINNED = {
         "verify", "--m", "16", "--index", "(2,4),(2,12)", "--weights", "e:chi1, M1,6, Mx:0,0, Mxy:1,1",
         "--output", "json", "--threads", "1",
     ],
+    # 9 rigid weights, each tensored with 6 partners, over two pairs: the rigid tensor check on every product
+    "verify_1_6_3_6_tensor_rigid": [
+        "verify", "--index", "(1,6),(3,6)", "--weights", "e:chi1", "--spherical", "--tensor-rigid", "--output", "json",
+        "--threads", "1",
+    ],
     "spherical_16": ["spherical", "--m", "16", "--output", "json"],
     "tensor_M2_3_Mx": ["tensor", "M2,3", "Mx:0,0", "--output", "json"],
 }
@@ -591,14 +596,14 @@ def test_cli_output_matches_its_pin(capsys, name):
 @pytest.mark.parametrize(("name", "socles"), [("simple_1_6_3_6", 1), ("simple_1_6_3_6_5_6_rho1", 0)])
 def test_simple_scans_for_a_socle_only_when_the_standard_module_is_not_simple(capsys, monkeypatch, name, socles):
     # head returns the standard module itself exactly when it is simple, and then it is its own socle: socle
-    # spans no bottom layer for it
+    # spans no bottom layer for it.  The command shares verify_simple's stage, theorems._head_and_socle
     spanned = []
 
-    def recorded(module, _real=cli.socle):
+    def recorded(module, _real=theorems.socle):
         spanned.append(module)
         return _real(module)
 
-    monkeypatch.setattr(cli, "socle", recorded)
+    monkeypatch.setattr(theorems, "socle", recorded)
     code, _, err = run(capsys, PINNED[name])
     assert (code, err) == (0, "")
     assert len(spanned) == socles

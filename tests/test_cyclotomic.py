@@ -19,7 +19,6 @@ from dihedral_doubles.cyclotomic import (
     add_into,
     cyclotomic_polynomial,
     get_field,
-    kernel,
 )
 from dihedral_doubles.qdouble import _letter_view
 from matrices import (
@@ -27,6 +26,7 @@ from matrices import (
     from_rows,
     identity,
     is_zero,
+    kernel,
     negated,
     plus,
     rational,

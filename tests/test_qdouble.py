@@ -19,7 +19,6 @@ from dihedral_doubles.qdouble import (
     check_relations,
     graded_character,
     head,
-    highest_weight_vectors,
     induce_from_simple,
     socle,
     subspace_as_module,
@@ -46,6 +45,7 @@ from adapted import (
     as_module,
     assert_head_matches_the_reference,
     assert_socle_matches_the_reference,
+    highest_weight_vectors,
     lowest_joint_kernel,
     needs_adapted_basis,
     reference_generated,
@@ -264,7 +264,8 @@ def test_submodule_and_quotient_dimensions(ctx12):
 @pytest.mark.parametrize("iset_text", ["(2,3)", "(1,6),(3,6)", "(2,3),(2,9)"])
 def test_generated_submodules_have_each_reduced_row_in_one_cell(ctx12, iset_text):
     # every weight; the spans qdouble._close makes for socle, the bottom layer's unit vectors under the
-    # lowering letters, and for head, the degree-0 unit functionals under the transposed lowering letters; the
+    # lowering letters, and for head and the rigid tensor check, the degree-0 unit functionals under the
+    # transposed lowering letters (qdouble._head_span); the
     # lowest joint kernel under the raising letters, the same span as socle's; and the test helper's span of the
     # negative-degree joint kernels under every generator, which the shaving head divides out
     field = ctx12.field
@@ -273,15 +274,11 @@ def test_generated_submodules_have_each_reduced_row_in_one_cell(ctx12, iset_text
         by_degree = highest_weight_vectors(verma)
         lowest = by_degree[min(z for z, vecs in by_degree.items() if vecs)]
         negatives = [vec for z, vecs in by_degree.items() if z < 0 for vec in vecs]
-        lowering = [
-            qdouble._from_rows(field, enumerate(mat.sparse_columns()), verma.dim) for mat in verma.a_mats.values()
-        ]
         layers = verma.layer_indices()
         bottom = [{t: field.one} for t in layers[min(layers)]]
-        units = [{t: field.one} for t in layers[0]]
         spans = (
             qdouble._close(field, bottom, list(verma.a_mats.values()), verma.dim),
-            qdouble._close(field, units, lowering, verma.dim),
+            qdouble._head_span(verma),
             qdouble._close(field, lowest, list(verma.v_mats.values()), verma.dim),
             reference_generated(verma, negatives),
         )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dihedral_doubles import get_context, qdouble, theorems
+from dihedral_doubles import cyclotomic, get_context, qdouble, theorems, weights
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.cyclotomic import CycMatrix, UnitMonomial
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
@@ -37,11 +37,11 @@ from dihedral_doubles.theorems import (
     verify_rigid_tensor,
     verify_simple,
 )
-from dihedral_doubles.weights import QDModule, all_weight_labels, group_module, parse_weight_label
-from adapted import reference_recursion
+from dihedral_doubles.weights import QDModule, all_weight_labels, group_module, parse_weight_label, weight_catalog
+from adapted import assert_rigid_tensor_matches_the_reference, highest_weight_vectors, reference_recursion
 from matrices import inverted_operands
 from oracle import classify_weight_by_action
-from test_qdouble import character_dimension
+from test_qdouble import _direct_sum, _mutated, character_dimension
 
 
 def _char_text(char) -> str:
@@ -493,15 +493,28 @@ def test_the_socle_is_scanned_exactly_on_the_modules_that_are_not_simple(
     assert all(head(module) is not module for module in spanned)
 
 
-def test_verify_simple_solves_no_joint_kernel(ctx12, monkeypatch):
-    # socle spans the bottom layer and head reads degree 0; e:chi1 over (1,6),(3,6) takes five socles
+def test_verify_simple_and_the_rigid_tensor_check_solve_no_joint_kernel(ctx12, monkeypatch):
+    # socle spans the bottom layer, head reads degree 0 and the rigid tensor check reads head's span, so no
+    # elimination runs inside cyclotomic, where a kernel solve would call _rref; e:chi1 over (1,6),(3,6) takes
+    # five socles
     def refuse(*args, **kwargs):
-        raise AssertionError("a joint kernel was solved")
+        raise AssertionError("a kernel was solved")
 
-    monkeypatch.setattr(qdouble, "highest_weight_vectors", refuse)
-    monkeypatch.setattr(qdouble, "kernel", refuse)
-    monkeypatch.setattr(theorems, "highest_weight_vectors", refuse)
+    monkeypatch.setattr(cyclotomic, "_rref", refuse)
     assert verify_simple(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("e:chi1")).ok
+    # the rigid tensor check eliminates through no binding of _rref at all, once the catalog is built
+    weight_catalog(ctx12)
+    monkeypatch.setattr(weights, "_rref", refuse)
+    monkeypatch.setattr(theorems, "_rref", refuse)
+    index_set = parse_index_set(ctx12, "(2,3)")
+    verify_rigid_tensor(ctx12, index_set, parse_weight_label("e:chi2"), parse_weight_label("M2,3"))
+    guard, real = [RIGID], theorems.classify_weight
+    monkeypatch.setattr(
+        theorems, "classify_weight", lambda ctx, label, pair: guard.pop() if guard else real(ctx, label, pair)
+    )
+    with pytest.raises(AssertionError, match="joint kernel vectors in degree -1"):
+        verify_rigid_tensor(ctx12, index_set, parse_weight_label("e:rho1"), parse_weight_label("M1,2"))
+    assert not guard
 
 
 def _admissible(ctx, pairs) -> bool:
@@ -806,6 +819,57 @@ def test_the_tensor_theorem_fails_without_a_rigid_factor(ctx12, monkeypatch, ind
         with pytest.raises(AssertionError, match=failure):
             verify_rigid_tensor(ctx12, index_set, mu, parse_weight_label(lam_text))
     assert not guard
+
+
+# verify_rigid_tensor names the highest degree of a position outside the span that head closes; the reference
+# solves the product's joint kernel in every degree.  The same outcome and message on every product: the
+# RIGIDITY_DROPPED products with the guard lifted, products that pass, and a module whose lowering letters are
+# zero, whose joint kernel fills every degree, so that the highest degree and the lowest differ.
+@pytest.mark.parametrize(("index_text", "mu_text", "lam_text", "failure"), RIGIDITY_DROPPED)
+def test_the_rigid_tensor_check_names_the_reference_degree_without_the_guard(
+    ctx12, index_text, mu_text, lam_text, failure
+):
+    index_set, mu, lam = parse_index_set(ctx12, index_text), parse_weight_label(mu_text), parse_weight_label(lam_text)
+    outcome = assert_rigid_tensor_matches_the_reference(ctx12, index_set, mu, lam, lift_guard=True)
+    assert (outcome is None) == (failure is None)
+
+
+@pytest.mark.parametrize(
+    ("m", "index_text"), [(12, "(2,3)"), (12, "(1,6),(3,6)"), (16, "(2,4)"), (16, "(2,4),(2,12)")]
+)
+def test_the_rigid_tensor_check_passes_with_the_reference(m, index_text):
+    ctx = get_context(m)
+    index_set = parse_index_set(ctx, index_text)
+    labels = weight_catalog(ctx).labels
+    rigid = [
+        label
+        for label in labels
+        if not label.is_reflection_type and all(classify_weight(ctx, label, pair) == RIGID for pair in index_set.pairs)
+    ]
+    partners = list(labels[:3]) + [label for label in labels if label.is_reflection_type][:1]
+    for mu in rigid[:3]:
+        for lam in partners:
+            assert assert_rigid_tensor_matches_the_reference(ctx, index_set, mu, lam) is None
+
+
+def test_the_rigid_tensor_check_names_the_highest_of_several_kernel_degrees(ctx12):
+    verma = build_verma(ctx12, parse_index_set(ctx12, "(1,6),(3,6)"), parse_weight_label("e:chi1"))
+    zero = {key: CycMatrix(ctx12.field, [{} for _ in range(verma.dim)], verma.dim) for key in verma.a_mats}
+    zeroed = _mutated(verma, a_mats=zero)
+    assert [z for z, vecs in highest_weight_vectors(zeroed).items() if vecs] == [0, -1, -2, -3, -4]
+    index_set, chi1 = parse_index_set(ctx12, "(2,3)"), parse_weight_label("e:chi1")
+    outcome = assert_rigid_tensor_matches_the_reference(ctx12, index_set, chi1, chi1, replace=lambda _: zeroed)
+    assert outcome == "L(e:chi1) x L(e:chi1): joint kernel vectors in degree -1"
+
+
+def test_the_rigid_tensor_check_fails_on_one_vector_outside_the_span(ctx12):
+    # the trivial simple beside a copy of itself in degree -1: the span misses that one position
+    index_set, chi1 = parse_index_set(ctx12, "(2,3)"), parse_weight_label("e:chi1")
+    trivial = head(build_verma(ctx12, index_set, chi1))
+    summed = _direct_sum(trivial, trivial, -1, "sum")
+    assert (summed.dim, len(qdouble._head_span(summed).pivots)) == (2, 1)
+    outcome = assert_rigid_tensor_matches_the_reference(ctx12, index_set, chi1, chi1, replace=lambda _: summed)
+    assert outcome == "L(e:chi1) x L(e:chi1): joint kernel vectors in degree -1"
 
 
 # With every weight reported rigid, the closed form of the parts of μ ⊗ λ changes too: the character of

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, weights
-from dihedral_doubles.cyclotomic import CycMatrix, UnitMonomial, add_into, get_field, kernel
+from dihedral_doubles.cyclotomic import CycMatrix, UnitMonomial, add_into, get_field
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, validate_index_set, valid_pairs
 from dihedral_doubles.qdouble import build_verma, head, socle, y_power
@@ -36,7 +36,16 @@ from dihedral_doubles.weights import (
     tensor_dd,
     weight_catalog,
 )
-from matrices import diagonal, from_rows, has_two_entry_column, identity, times, unit_monomials, without_zeros
+from matrices import (
+    diagonal,
+    from_rows,
+    has_two_entry_column,
+    identity,
+    kernel,
+    times,
+    unit_monomials,
+    without_zeros,
+)
 
 
 def test_catalog_count_and_dimension_sum(ctx12, ctx16):
