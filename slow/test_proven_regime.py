@@ -17,7 +17,9 @@ too, by the test helper ``tests/adapted.py``, 312 of the submodules in a
 basis adapted to the group action, since ``qdouble.subspace_as_module``
 refuses them, and their characters must add up to the module's.  Every singleton report at
 m = 12 and 16 is also compared with the report of a context whose memo of
-``weights.decomposition_counts`` stores nothing, and every elimination lead
+``weights.decomposition_counts`` stores nothing, and with the report of one
+whose memo stores nothing and whose trace tables are empty, so that every
+block takes the dot products, and every elimination lead
 that those reports invert must be a tagged power of w.  Every singleton
 report at m = 12 and 16, every two-pair report at m = 12 and every report
 over ``(1,6),(3,6),(5,6)`` is compared with the report made while
@@ -71,7 +73,7 @@ from dihedral_doubles.qdouble import (
     socle,
 )
 from dihedral_doubles.theorems import RIGID, _socle_is_simple, classify_weight, verify_simple
-from dihedral_doubles.weights import all_weight_labels, parse_weight_label
+from dihedral_doubles.weights import all_weight_labels, parse_weight_label, weight_catalog
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from adapted import (  # noqa: E402
@@ -144,6 +146,25 @@ def test_the_counts_memo_changes_no_singleton_report(m):
             )
             assert first == second, f"{pair} / {label}"
     assert memoised._weight_cache["counts"] and not forgetful._weight_cache["counts"]
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_the_trace_lookup_changes_no_singleton_report(m):
+    # the second context stores no counts and has every trace table emptied, so every block of every
+    # layer it decomposes takes the dot products
+    looked_up, dotted = DihedralContext(m), DihedralContext(m)
+    dotted._weight_cache["counts"] = _Forgetful()
+    tables = weight_catalog(dotted).traces
+    for table in tables.values():
+        table.clear()
+    for pair in valid_pairs(looked_up):
+        for label in all_weight_labels(looked_up):
+            first, second = (
+                verify_simple(ctx, validate_index_set(ctx, [pair]), label).to_json_obj()
+                for ctx in (looked_up, dotted)
+            )
+            assert first == second, f"{pair} / {label}"
+    assert not dotted._weight_cache["counts"] and not any(tables.values())
 
 
 @pytest.mark.parametrize("m", [12, 16])

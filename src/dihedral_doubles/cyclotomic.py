@@ -285,6 +285,10 @@ class CycNum:
         other operand's integer coordinates by an invertible integer matrix,
         so the product keeps that operand's denominator and stays in lowest
         terms, and it is no power of w: no gcd and no lookup are needed.
+        Of two untagged operands, a rational one, such as the 2 and -2 of
+        the relation checks, scales the other's coordinates with no
+        convolution; the scaled number is brought to lowest terms when a
+        denominator is involved, and tagged if it is a power of w.
         """
         if not isinstance(o, CycNum):
             return NotImplemented
@@ -298,7 +302,18 @@ class CycNum:
         elif o.unit is not None:
             action, x = field._unit_actions[o.unit], self
         else:
-            return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
+            if not any(o.coords[1:]):
+                scale, x = o, self
+            elif not any(self.coords[1:]):
+                scale, x = self, o
+            else:
+                return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
+            # a rational operand scales the other's coordinates
+            r = scale.coords[0]
+            coords = [r * c for c in x.coords]
+            if scale.den == 1 and x.den == 1:
+                return CycNum._integral(field, tuple(coords))
+            return CycNum._normalized(field, coords, scale.den * x.den)
         sign, columns = action
         if columns is None:
             return x if sign > 0 else -x

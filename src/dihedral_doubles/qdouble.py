@@ -82,7 +82,14 @@ def _one_plus_powers(field: CyclotomicField) -> tuple[CycNum, ...]:
     return tuple(field.one + field.zeta(u) for u in range(field.m))
 
 
-def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> Callable[[int], VecDict]:
+def _y_turns(module: QDModule, i: int) -> dict[int, UnitMonomial]:
+    """y^i and y^-i, keyed by the sign of the power: the powers of y the cross terms of a pair read."""
+    return {sign: y_power(module, sign * i) for sign in (1, -1)}
+
+
+def _cross_term(
+    module: QDModule, pair: tuple[int, int], eps: int, mu: int, turns: dict[int, UnitMonomial]
+) -> Callable[[int], VecDict]:
     """Column reader of the rank-lowering cross term for one choice of signs; no matrix is built.
 
     The operator produced by commuting the lowering generator of sign eps
@@ -92,7 +99,10 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
     reflection-degree vector the equal-sign choices act as the identity and
     the mixed ones as a root-of-unity multiple of ``y^(-+i)``.  So it is
     ``[eps = mu] + y^p S`` for one power p and a diagonal S, whose entry
-    ``-w^e`` the group degree of e_j gives as an integer exponent.  Column j
+    ``-w^e`` the group degree of e_j gives as an integer exponent.  The
+    power is p = mu i for equal and mixed signs alike, and y^p is taken from
+    ``turns``, the pair's :func:`_y_turns`, so the caller forms each power
+    of y once for all four choices of signs.  Column j
     is read off y^p's row map and exponents (see ``weights.QDModule``): a
     mixed-sign column is ``w^(u + e + m/2)`` in y^p's row, u the exponent
     of y^p's entry; an equal-sign rotation column where y^p keeps e_j is
@@ -114,7 +124,7 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
     i, k = pair
     same = eps == mu
     one, zeta, ones = field.one, field.zeta, _one_plus_powers(field)
-    turn = y_power(module, eps * i if same else -eps * i)
+    turn = turns[mu]
     rows, exps = turn.rows, turn.exps
     gdeg = module.gdeg
 
@@ -141,7 +151,8 @@ def _cross_term(module: QDModule, pair: tuple[int, int], eps: int, mu: int) -> C
 
 def _pair_terms(module: QDModule, pair: tuple[int, int]) -> tuple[Callable[[int], VecDict], ...]:
     """The cross-term readers of one pair, for the signs (+,+), (-,-), (+,-) and (-,+)."""
-    return tuple(_cross_term(module, pair, eps, mu) for eps, mu in ((1, 1), (-1, -1), (1, -1), (-1, 1)))
+    turns = _y_turns(module, pair[0])
+    return tuple(_cross_term(module, pair, eps, mu, turns) for eps, mu in ((1, 1), (-1, -1), (1, -1), (-1, 1)))
 
 
 def _theta_column(terms: tuple[Callable[[int], VecDict], ...], j: int) -> VecDict:
@@ -229,8 +240,9 @@ def _induce(
                 cols[position[s * size + b]] = {position[t * size + b]: entry}
         v_mats[(insert_pos, sign)] = CycMatrix(field, cols, dim)
     frame = group_module(ctx, gdeg, x_mat, y_mat)
+    turns = _y_turns(frame, i)
     for eps in (1, -1):
-        plus, minus = (_cross_term(frame, pair, eps, mu) for mu in (1, -1))
+        plus, minus = (_cross_term(frame, pair, eps, mu, turns) for mu in (1, -1))
         cols = [{} for _ in range(dim)]
         for b in range(size):
             start, low = position[b], position[2 * size + b]
@@ -425,6 +437,8 @@ def check_relations(module: QDModule) -> list[str]:
             failures.append(f"y does not scale {name} as expected")
 
     views = {key: _letter_view(mat) for key, mat in letters.items()}
+    # each pair's y^i and y^-i, formed once for the cross terms of its mixed brackets
+    turns = [_y_turns(module, i) for i, _ in pairs]
     held: dict[tuple[str, tuple[int, int], str, tuple[int, int]], bool] = {}
     every = range(module.dim)
     starts = y.cycle_starts() if mirrored else every
@@ -435,7 +449,9 @@ def check_relations(module: QDModule) -> list[str]:
             # the loops below reach the mirror, both signs flipped, first
             holds = held[(first, (ka[0], 1), second, (kb[0], -kb[1]))]
         else:
-            cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1]) if first != second and ka[0] == kb[0] else None
+            # the target of a mixed bracket of one pair is its cross term, of any other bracket zero
+            mixed = first != second and ka[0] == kb[0]
+            cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1], turns[ka[0]]) if mixed else None
             # y R y^-1 = c R once both letters' y-scalings hold, so one column per cycle of y decides R
             columns = starts if scales[left] and scales[right] else every
             holds = _bracket_equals(letters[left], letters[right], cross, views[left], views[right], columns)

@@ -31,10 +31,12 @@ other two facts through Schur orthonormality of the members' characters on
 the centralisers of the class representatives.
 
 Multiplicities come from those characters (:func:`decomposition_counts`):
-traces on the block of one degree per class and one integer dot product per
-member, with no linear solve.  The members' traces, each taken its
-multiplicity times, must rebuild the block's traces exactly, and with
-orthonormality that makes every inner product the integer it was read as.
+traces on the block of one degree per class, with no linear solve.  A block
+whose traces are one member's is that member, looked up in a table per
+class; any other takes one integer dot product per member.  The members'
+traces, each taken its multiplicity times, must then rebuild the block's
+traces exactly, and with orthonormality that makes every inner product the
+integer it was read as.
 Each context memoises these multiplicities, keyed on the group degrees and
 the exact x and y of the module, so a layer, tensor piece or socle met
 again is not decomposed again.
@@ -53,11 +55,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, UnitMonomial, VecDict, _rref
+from .cyclotomic import CycMatrix, CycNum, CyclotomicField, UnitMonomial, VecDict, _rref
 from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 
@@ -486,8 +489,12 @@ class WeightCatalog:
     """All simple modules over the double for one group order, verified complete.
 
     ``characters`` maps each conjugacy class representative g to the
-    characters of the members on its class, in catalog order (see
-    :func:`decomposition_counts`).
+    characters of the members on its class, in catalog order, and
+    ``traces`` maps g to a table of those members by trace vector
+    (``_Member.trace``), which :func:`decomposition_counts` looks a block
+    up in before any inner product.  Orthonormality makes the trace
+    vectors of one class distinct: a member's own trace vector dotted with
+    its weight row gives |C(g)|, and with any other member's gives 0.
     """
 
     def __init__(
@@ -501,6 +508,7 @@ class WeightCatalog:
         self.labels = tuple(labels)
         self._modules = modules
         self.characters = characters
+        self.traces = {rep: {member.trace: member for member in members} for rep, members in characters.items()}
 
     def module(self, label: WeightLabel) -> QDModule:
         try:
@@ -539,12 +547,20 @@ class _ClassData:
             elements conjugate to h, and the number conjugate to h^-1 but not
             to h.  A character takes one value on the first part and its
             complex conjugate on the second, so its value at h determines it.
+        rotations: the orbits split by kind, for :func:`_trace_counts`:
+            each b with an orbit h = y^b, mapped to the positions of those
+            orbits.
+        reflections: ``(position, b)`` for each orbit whose h is x y^b.
+        top: the largest b of any orbit, the longest walk along y.
     """
 
     rep: int
     elements: frozenset[int]
     order: int
     orbits: tuple[tuple[int, int, int], ...]
+    rotations: dict[int, list[int]]
+    reflections: tuple[tuple[int, int], ...]
+    top: int
 
 
 class _Member(NamedTuple):
@@ -553,12 +569,13 @@ class _Member(NamedTuple):
     ``weights[c]`` dotted with the trace vector of a module on the class
     representative g (:func:`_trace_vector`) gives coordinate c of
     ``|C(g)|`` times the multiplicity of the member in the module.
-    ``trace`` is the member's own trace vector.  Both are built from the
-    member's exponent counts (:func:`_trace_counts`) by
-    :func:`_catalog_characters`; :func:`decomposition_counts` reads them
-    as coordinates.  The trace vector of a module is the sum of its
-    summands' trace vectors, each taken its multiplicity times, which
-    :func:`decomposition_counts` checks.
+    ``trace`` is the member's own trace vector, and its key in its class's
+    table ``WeightCatalog.traces``.  Both are built from the member's
+    exponent counts (:func:`_trace_counts`) by :func:`_catalog_characters`;
+    :func:`decomposition_counts` looks a block's trace vector up among them
+    and, on a miss, reads them as coordinates.  The trace vector of a
+    module is the sum of its summands' trace vectors, each taken its
+    multiplicity times, which :func:`decomposition_counts` checks.
     """
 
     index: int
@@ -569,7 +586,7 @@ class _Member(NamedTuple):
 
 
 def _class_data(ctx: DihedralContext) -> list[_ClassData]:
-    """Every conjugacy class with its centraliser orbits, built once and cached on the context."""
+    """Every conjugacy class with its centraliser orbits split by kind, built once and cached on the context."""
     cached = ctx._weight_cache.get("classes")
     if cached is not None:
         return cached
@@ -588,7 +605,18 @@ def _class_data(ctx: DihedralContext) -> list[_ClassData]:
             inverse = {conjugates[t][group.inverses[h]] for t in centraliser} - same
             seen |= same | inverse
             orbits.append((h, len(same), len(inverse)))
-        classes.append(_ClassData(rep, elements, len(centraliser), tuple(orbits)))
+        rotations: dict[int, list[int]] = {}
+        reflections = []
+        for pos, (h, _, _) in enumerate(orbits):
+            refl, b = divmod(h, ctx.m)
+            if refl:
+                reflections.append((pos, b))
+            else:
+                rotations.setdefault(b, []).append(pos)
+        top = max(h % ctx.m for h, _, _ in orbits)
+        classes.append(
+            _ClassData(rep, elements, len(centraliser), tuple(orbits), rotations, tuple(reflections), top)
+        )
     ctx._weight_cache["classes"] = classes
     return classes
 
@@ -597,7 +625,8 @@ def _trace_counts(module: QDModule, cls: _ClassData, block: Sequence[int]) -> di
     """Traces of the orbit representatives on the block of basis vectors of degree g, as exponent counts.
 
     Returned as ``{(orbit position, e): number of w^e terms}``; the trace of
-    an orbit is the sum of w^e over its counts.  The
+    an orbit is the sum of w^e over its counts.  The orbits come split by
+    kind from ``cls``, built once per class (:func:`_class_data`).  The
     element ``x^a y^b`` acts as ``X^a Y^b``, and X and Y are held as row
     maps and exponents of powers of w (see :class:`QDModule`), so the traces
     come from the y-cycles of the block, walked in exponents.
@@ -613,15 +642,7 @@ def _trace_counts(module: QDModule, cls: _ClassData, block: Sequence[int]) -> di
     m = module.ctx.m
     x_rows, x_exps = module.x_mat.rows, module.x_mat.exps
     y_rows, y_exps = module.y_mat.rows, module.y_mat.exps
-    rotations: dict[int, list[int]] = {}  # b: the positions of the orbits of y^b
-    reflections: list[tuple[int, int]] = []  # (position, b) for the orbits of x y^b
-    for pos, (h, _, _) in enumerate(cls.orbits):
-        refl, b = divmod(h, m)
-        if refl:
-            reflections.append((pos, b))
-        else:
-            rotations.setdefault(b, []).append(pos)
-    top = max(h % m for h, _, _ in cls.orbits)
+    rotations, reflections, top = cls.rotations, cls.reflections, cls.top
     # (orbit, e): the number of w^e terms; y^0 adds 1 = w^0 for every vector
     counts = {(pos, 0): len(block) for pos in rotations.get(0, ())}
     for j in block:
@@ -651,20 +672,28 @@ def _trace_counts(module: QDModule, cls: _ClassData, block: Sequence[int]) -> di
     return counts
 
 
+@lru_cache(maxsize=None)
+def _power_terms(field: CyclotomicField) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero ``(coordinate, value)`` of each power w^e, e = 0 .. m-1, one table per field."""
+    return tuple(tuple((c, v) for c, v in enumerate(field.zeta(e).coords) if v) for e in range(field.m))
+
+
 def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> list[int]:
     """Traces of the orbit representatives on the block, as concatenated integer coordinates.
 
-    :func:`decomposition_counts` dots this vector with the members' weight
-    rows.  The exponent counts of :func:`_trace_counts` become coordinates
-    once, here.
+    :func:`decomposition_counts` looks this vector up among the members'
+    trace vectors, and on a miss dots it with their weight rows.  The
+    exponent counts of :func:`_trace_counts` become coordinates once, here,
+    each w^e through its nonzero coordinates alone (:func:`_power_terms`).
     """
     field = module.ctx.field
     degree = field.degree
+    powers = _power_terms(field)
     vector = [0] * (degree * len(cls.orbits))
     for (pos, e), count in _trace_counts(module, cls, block).items():
-        for t, c in enumerate(field.zeta(e).coords, pos * degree):
-            if c:
-                vector[t] += count * c
+        start = pos * degree
+        for c, v in powers[e]:
+            vector[start + c] += count * v
     return vector
 
 
@@ -689,26 +718,25 @@ def _catalog_characters(
 
     All of it is read from exponent counts (:func:`_trace_counts`).  With t
     the sum of ``c_f w^f``, weight column a is the sum of
-    ``c_f (same * w^(a-f) + inverse * w^(f-a))``, integers taken from one
-    table of the sparse coordinates of each w^e; an orbit's rows and trace
-    coordinates are made once per (counts, same, inverse) met.  The Gram
-    matrix of the members of each class, the traces of one against the
-    weights of the other, must be the identity: Schur orthonormality.  Each
-    entry is the orbit sum above gathered as integer counts per exponent
-    (``e - f`` for ``same``, ``f - e`` for ``inverse``), turned into
-    coordinates and compared in every coordinate.  The entry of (T, S)
-    counts the exponents of (S, T) negated: it is the conjugate entry, and
-    right exactly when that one is, since the expected value is a rational
-    integer.  So each unordered pair of members, a member with itself
-    included, is checked once.
+    ``c_f (same * w^(a-f) + inverse * w^(f-a))``, integers taken from the
+    table of the nonzero coordinates of each w^e (:func:`_power_terms`); an
+    orbit's rows and trace coordinates are made once per (counts, same,
+    inverse) met.  The Gram matrix of the members of each class, the traces
+    of one against the weights of the other, must be the identity: Schur
+    orthonormality.  Each entry is the orbit sum above gathered as integer
+    counts per exponent (``e - f`` for ``same``, ``f - e`` for
+    ``inverse``), turned into coordinates and compared in every coordinate.
+    The entry of (T, S) counts the exponents of (S, T) negated: it is the
+    conjugate entry, and right exactly when that one is, since the expected
+    value is a rational integer.  So each unordered pair of members, a
+    member with itself included, is checked once.
 
     Raises:
         AssertionError: if the characters are not orthonormal.
     """
     field, m = ctx.field, ctx.m
     degree = field.degree
-    # the nonzero (coordinate, value) of each power w^e
-    powers = [[(c, v) for c, v in enumerate(field.zeta(e).coords) if v] for e in range(m)]
+    powers = _power_terms(field)
     # (counts, same, inverse): an orbit's weight rows and trace coordinates
     orbit_parts: dict[tuple, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
@@ -877,12 +905,22 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     dot products only: no linear solve and no field inverse.  Members of
     multiplicity zero are left out.
 
-    Each multiplicity is read from the rational coordinate of its inner
-    product alone, one dot product per member.  The block is then certified
-    at once: the members' trace vectors, each taken its multiplicity times,
-    must add up to the block's trace vector exactly.  The inner product is
-    linear in the traces and the catalog characters are orthonormal, so
-    then every inner product equals its integer in all coordinates.
+    The block's trace vector is first looked up among the trace vectors of
+    the class's members (``WeightCatalog.traces``).  A hit is that member
+    with multiplicity one, and exact: the characters are orthonormal in the
+    very form the dot products below use, the trace vector of a member S
+    dotted with coordinate c of the weight rows of a member T being |C(g)|
+    for T = S and c = 0 and 0 otherwise, so a block with S's trace vector
+    has S's inner products.  Most blocks are one member.
+
+    On a miss each multiplicity is read from the rational coordinate of its
+    inner product alone, one dot product per member.  The block is then
+    certified at once: the members' trace vectors, each taken its
+    multiplicity times, must add up to the block's trace vector exactly.
+    The inner product is linear in the traces and the catalog characters
+    are orthonormal, so then every inner product equals its integer in all
+    coordinates.  The dot products are the one general way to the
+    multiplicities; a hit is the answer they would give.
 
     The answers are memoised per context, in ``ctx._weight_cache["counts"]``,
     keyed on everything the computation reads besides the context's own
@@ -907,7 +945,7 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     known = memo.get(key)
     if known is not None:
         return list(known)
-    characters = weight_catalog(ctx).characters
+    catalog = weight_catalog(ctx)
     found: list[tuple[int, WeightLabel, int]] = []
     filled = 0
     blocks = _blocks(module)
@@ -916,7 +954,13 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
         if block is None:
             continue
         vector = _trace_vector(module, cls, block)
-        members = characters[cls.rep]
+        # a block that is one member has that member's trace vector, and so its inner products
+        member = catalog.traces[cls.rep].get(tuple(vector))
+        if member is not None:
+            found.append((member.index, member.label, 1))
+            filled += member.dim
+            continue
+        members = catalog.characters[cls.rep]
         # most trace coordinates are zero: take the dot products over the others
         support = [pos for pos, c in enumerate(vector) if c]
         values = [vector[pos] for pos in support]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dihedral_doubles.cyclotomic import CycMatrix
 from dihedral_doubles.dihedral import DihedralContext
-from dihedral_doubles.qdouble import _cross_term, _pair_terms, _theta_column
+from dihedral_doubles.qdouble import _cross_term, _pair_terms, _theta_column, _y_turns
 from dihedral_doubles.theorems import PROJECTIVE, REFLECTION, RIGID
 from dihedral_doubles.weights import QDModule, WeightLabel, build_weight
 from matrices import is_zero
@@ -19,7 +19,7 @@ from matrices import is_zero
 
 def phi_action(ctx: DihedralContext, pair: tuple[int, int], eps: int, mu: int, module: QDModule) -> CycMatrix:
     """Matrix of the rank-lowering cross term for one choice of signs, from ``qdouble._cross_term``."""
-    column = _cross_term(module, pair, eps, mu)
+    column = _cross_term(module, pair, eps, mu, _y_turns(module, pair[0]))
     return CycMatrix(ctx.field, [column(j) for j in range(module.dim)], module.dim)
 
 

@@ -12,7 +12,7 @@ lines, so the tests can insist that the two lists are equal.
 from __future__ import annotations
 
 from dihedral_doubles.cyclotomic import CycMatrix
-from dihedral_doubles.qdouble import _bracket_equals, _cross_term, _letter_view, _products_equal
+from dihedral_doubles.qdouble import _bracket_equals, _cross_term, _letter_view, _products_equal, _y_turns
 from dihedral_doubles.weights import QDModule, grading_failure, group_relation_failures
 
 
@@ -62,7 +62,8 @@ def every_relation_failures(module: QDModule) -> list[str]:
                 failures.append(f"lowering letters {ka} and {kb} do not anticommute")
     for ka in a_keys:
         for kb in v_keys:
-            cross = _cross_term(module, pairs[ka[0]], ka[1], kb[1]) if ka[0] == kb[0] else None
+            pair = pairs[ka[0]]
+            cross = _cross_term(module, pair, ka[1], kb[1], _y_turns(module, pair[0])) if ka[0] == kb[0] else None
             if not bracket_holds(("a", ka), ("v", kb), cross):
                 failures.append(f"mixed bracket of a{ka} with v{kb} does not match the cross term")
     return failures

@@ -88,6 +88,29 @@ def test_unit_products_match_mul_coords(m, raw, den):
         assert unit * value == expected(unit.coords)
 
 
+@given(
+    st.sampled_from([9, 12, 16, 20]),
+    st.lists(st.integers(-6, 6), min_size=8, max_size=8),
+    st.integers(1, 12),
+    st.integers(-6, 6),
+    st.integers(1, 12),
+)
+# products that are powers of w and must come out tagged: w^3 / 2 times 2, 2 w^5 / 3 times 3/2, and,
+# at the odd m = 9, where -1 and -w^2 are no powers of w and carry no tag, -w^2 times -1
+@example(12, [0, 0, 0, 1, 0, 0, 0, 0], 2, 2, 1)
+@example(16, [0, 0, 0, 0, 0, 2, 0, 0], 3, 3, 2)
+@example(9, [0, 0, -1, 0, 0, 0, 0, 0], 1, -1, 1)
+def test_a_rational_factor_scales_as_the_convolution_would(m, raw, den, numerator, denominator):
+    # two untagged operands, one of them rational: the scaled coordinates, in lowest terms and tagged
+    # when a power of w, are exactly what the convolution and _normalized give
+    field = get_field(m)
+    value = CycNum._normalized(field, raw[: field.degree], den)
+    scale = CycNum._normalized(field, [numerator] + [0] * (field.degree - 1), denominator)
+    expected = CycNum._normalized(field, field.mul_coords(value.coords, scale.coords), value.den * scale.den)
+    for product in (value * scale, scale * value):
+        assert (product.coords, product.den, product.unit) == (expected.coords, expected.den, expected.unit)
+
+
 def _power_coords(field, k):
     """Coordinates of w^k by k general products with the coordinates of w."""
     zeta = [0] * field.degree

@@ -888,6 +888,103 @@ def test_counts_memo_never_stores_a_module_that_raises():
     assert ctx._weight_cache["counts"] == {}
 
 
+# The trace lookup of decomposition_counts against its dot products.
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_each_member_trace_against_each_weight_row_is_the_centraliser_order_times_delta(m):
+    # the premise of the lookup: a block with member S's trace vector has S's inner products, in the
+    # very form the dot products take them, so a hit is the answer the dot products would give
+    ctx = get_context(m)
+    catalog = weight_catalog(ctx)
+    pairs = 0
+    for cls in _class_data(ctx):
+        members = catalog.characters[cls.rep]
+        assert len({member.trace for member in members}) == len(members)
+        assert catalog.traces[cls.rep] == {member.trace: member for member in members}
+        for source in members:
+            for target in members:
+                dots = [sum(map(mul, row, source.trace)) for row in target.weights]
+                assert dots == [cls.order if target is source else 0] + [0] * (len(dots) - 1)
+                pairs += 1
+    assert pairs == {12: 914, 16: 2066}[m]
+
+
+@pytest.fixture(scope="module")
+def lookup_and_dot_path():
+    """Per group order, a fresh context with its trace tables and one whose tables are emptied, so
+    that its every block takes the dot products."""
+    sides = {}
+    for m in (12, 16, 20, 24):
+        looked_up, dotted = DihedralContext(m), DihedralContext(m)
+        for table in weight_catalog(dotted).traces.values():
+            table.clear()
+        sides[m] = looked_up, dotted
+    return sides
+
+
+def _assert_the_lookup_matches_the_dot_path(sides, module, name=None):
+    """The counts of the module on both contexts of its order, each memo cleared first, are equal."""
+    counts = []
+    for ctx in sides[module.ctx.m]:
+        ctx._weight_cache.pop("counts", None)
+        counts.append(decomposition_counts(ctx, module))
+    assert counts[0] == counts[1], name
+    assert not any(weight_catalog(sides[module.ctx.m][1]).traces.values())
+
+
+def test_the_lookup_matches_the_dot_path_on_every_catalog_member(ctx12, lookup_and_dot_path):
+    for label in all_weight_labels(ctx12):
+        module = build_weight(ctx12, label)
+        assert decomposition_counts(ctx12, module) == [(label, 1)]
+        _assert_the_lookup_matches_the_dot_path(lookup_and_dot_path, module, label)
+
+
+def test_the_lookup_matches_the_dot_path_on_every_layer_of_every_singleton_standard_module(
+    ctx12, lookup_and_dot_path
+):
+    for pair in valid_pairs(ctx12):
+        for label in all_weight_labels(ctx12):
+            verma = build_verma(ctx12, validate_index_set(ctx12, [pair]), label)
+            for z in verma.layer_indices():
+                name = f"{pair} {label} [{z}]"
+                _assert_the_lookup_matches_the_dot_path(lookup_and_dot_path, verma.layer_module(z), name)
+
+
+@st.composite
+def _two_pair_layers_and_tensor_products(draw):
+    """A layer of a two-pair standard module, or a tensor product of two members, at m = 12 to 24.
+
+    Each weight's family is drawn first, so the few reflection members come
+    up as often as the others; the second pair is drawn from those
+    admissible with the first.
+    """
+    ctx = get_context(draw(st.sampled_from((12, 16, 20, 24))))
+    labels = all_weight_labels(ctx)
+    families = sorted({label.family for label in labels})
+
+    def weight():
+        family = draw(st.sampled_from(families))
+        return draw(st.sampled_from([label for label in labels if label.family == family]))
+
+    if draw(st.booleans()):
+        return tensor_dd(build_weight(ctx, weight()), build_weight(ctx, weight()))
+    first = draw(st.sampled_from(valid_pairs(ctx)))
+    admissible = []
+    for pair in valid_pairs(ctx):
+        try:
+            admissible.append(validate_index_set(ctx, [first, pair]))
+        except ValueError:
+            continue
+    verma = build_verma(ctx, draw(st.sampled_from(admissible)), weight())
+    return verma.layer_module(draw(st.sampled_from(sorted(verma.layer_indices()))))
+
+
+@given(_two_pair_layers_and_tensor_products())
+def test_the_lookup_matches_the_dot_path_on_drawn_layers_and_tensor_products(lookup_and_dot_path, module):
+    _assert_the_lookup_matches_the_dot_path(lookup_and_dot_path, module)
+
+
 def test_class_key_separates_degree_support(ctx12):
     assert class_key(ctx12, parse_weight_label("e:chi3")) == "e"
     assert class_key(ctx12, parse_weight_label("yn:rho2")) == "yn"
