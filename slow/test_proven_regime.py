@@ -8,8 +8,8 @@ weights over each of the 91 three-pair sets at m = 12.  Every
 module these cases build, standard, induced, head, socle, layer and tensor,
 holds x and y as invertible monomial matrices with powers of w as entries
 (``cyclotomic.UnitMonomial``), whose row maps ``weights.QDModule`` checks
-to be permutations; a socle or head converts to that form in
-``qdouble._on_positions``, or its case raises.  A pass shows the
+to be permutations; a socle or head reads them so on its rows or
+classes in ``qdouble._on_positions``, or its case raises.  A pass shows the
 construction holding over this regime.  Over the 39 two-pair sets at
 m = 12, the submodule generated by the negative-degree joint kernel of
 every standard module, and the quotient by it, are generated and built
@@ -211,17 +211,10 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
         return change
 
     def every_row_restricted(module, space, kind="submodule"):
-        """``subspace_as_module`` without its full-span return: every row's images restricted and reduced."""
+        """``subspace_as_module`` without its full-span return: every row's images read over the rows."""
         nonlocal full_spans
         full_spans += len(space.pivots) == module.dim
-
-        def images(mat):
-            cols = mat.sparse_columns()
-            out = [cols[p] if len(row) == 1 else mat.apply(row) for p, row in zip(space.pivots, space.rows)]
-            assert not any(space.reduce(image) for image in out)
-            return out
-
-        return qdouble._on_positions(module, space.pivots, images, kind)
+        return qdouble._on_positions(module, space.pivots, space.rows, qdouble._span_reader(space), kind)
 
     for index_set in index_sets:
         for label in all_weight_labels(ctx):

@@ -86,6 +86,9 @@ def _case_status(ok: bool, report: dict) -> str:
 
 
 def _context_from(args) -> DihedralContext:
+    # the library's own message names its keyword; name the flag here
+    if not (args.unsafe_m or in_proven_regime(args.m)):
+        raise ValueError(f"m must be >= 12 and divisible by 4 (pass --unsafe-m to relax), got {args.m}")
     return get_context(args.m, unsafe=args.unsafe_m)
 
 

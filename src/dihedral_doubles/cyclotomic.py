@@ -478,29 +478,6 @@ class UnitMonomial:
     def identity(cls, field: CyclotomicField, n: int) -> UnitMonomial:
         return cls(field, range(n), [0] * n)
 
-    @classmethod
-    def from_matrix(cls, mat: CycMatrix) -> UnitMonomial | None:
-        """The matrix as this type, or None unless it is one.
-
-        None when a column is empty or has two entries, when two columns
-        share a row, or when an entry is no power of w.
-        """
-        rows, exps = [], []
-        for col in mat.sparse_columns():
-            if len(col) != 1:
-                return None
-            ((i, val),) = col.items()
-            rows.append(i)
-            exps.append(val.unit)
-        if len(set(rows)) != len(rows) or None in exps:
-            return None
-        return cls(mat.field, rows, exps)
-
-    def matrix(self) -> CycMatrix:
-        """The same matrix as a :class:`CycMatrix`."""
-        zeta = self.field.zeta
-        return CycMatrix(self.field, [{i: zeta(e)} for i, e in zip(self.rows, self.exps)], len(self.rows))
-
     def __mul__(self, other: UnitMonomial) -> UnitMonomial:
         """The product: column j is column ``other.rows[j]`` of self times ``w^other.exps[j]``."""
         rows, exps = self.rows, self.exps

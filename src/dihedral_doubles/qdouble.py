@@ -668,54 +668,101 @@ def _close(field: CyclotomicField, seeds: Iterable[VecDict], gens: list[CycMatri
 
 
 def _on_positions(
-    module: QDModule,
-    kept: Sequence[int],
-    images: Callable[[CycMatrix], list[VecDict]],
-    kind: str,
+    module: QDModule, kept: Sequence[int], stand_ins: Sequence[VecDict], read: Callable[[VecDict], VecDict], kind: str
 ) -> QDModule:
     """The module with one basis vector per kept position of ``module``.
 
-    ``images(mat)`` lists, per kept position, the image under a generator of
-    the vector that stands for it; read at the kept positions, it is the
-    generator's new column.  The images must hold no zero entry, as those
-    of ``apply`` and ``reduce`` and the columns of a matrix do not.  x and
-    y are turned into :class:`~.cyclotomic.CycMatrix` for this, and their
-    new columns back into :class:`~.cyclotomic.UnitMonomial`.
+    ``stand_ins`` lists, per kept position, the vector that stands for it,
+    and ``read`` gives the coordinates of an image of a stand-in, keyed by
+    new position: over the reduced rows of a submodule, raising when the
+    image leaves their span (:func:`_span_reader`), or by the head's
+    pairing.  Each generator is read once per kept position: the image of
+    the stand-in is computed and read, and that is the generator's new
+    column.  A letter's image of a coordinate
+    stand-in e_p is its column p as it stands, of any other its ``apply``.
+    x and y stay row maps and exponents: the image of a stand-in moves its
+    entry at t to row ``rows[t]`` and scales it by ``w^exps[t]``, and its
+    new column must be one power of w, the new row and exponent.  What
+    ``read`` returns must hold no zero entry, as the columns of a matrix
+    and the results of ``apply`` do not.
 
     Raises:
         AssertionError: if x or y is not an invertible monomial matrix with
-            powers of w as entries (``UnitMonomial.from_matrix``) on those
-            vectors; the message names the generator and ``kind``.
+            powers of w as entries on the stand-ins: a new column of it is
+            not one tagged entry, or its new row map is no permutation
+            (``weights.QDModule``); the message names the generator and
+            ``kind``.
     """
     field, dim = module.ctx.field, len(kept)
-    new_index = {old: new for new, old in enumerate(kept)}
 
-    def restrict(mat: CycMatrix) -> CycMatrix:
-        cols = [{new_index[i]: val for i, val in image.items() if i in new_index} for image in images(mat)]
-        return CycMatrix(field, cols, dim)
+    def letter(mat: CycMatrix) -> CycMatrix:
+        # a stand-in with one entry is a coordinate vector {p: 1}
+        cols = mat.sparse_columns()
+        images = (cols[p] if len(vec) == 1 else mat.apply(vec) for p, vec in zip(kept, stand_ins))
+        return CycMatrix(field, [read(image) for image in images], dim)
 
-    zdeg, gdeg = [module.zdeg[i] for i in kept], [module.gdeg[i] for i in kept]
-    group = [UnitMonomial.from_matrix(restrict(g.matrix())) for g in (module.x_mat, module.y_mat)]
-    letters = [{key: restrict(mat) for key, mat in mats.items()} for mats in (module.v_mats, module.a_mats)]
-    for name, mat in zip("xy", group):
-        if mat is None:
+    letters = [{key: letter(mat) for key, mat in mats.items()} for mats in (module.v_mats, module.a_mats)]
+    group = []
+    for name, g in (("x", module.x_mat), ("y", module.y_mat)):
+        cols = [read({g.rows[t]: val * field.zeta(g.exps[t]) for t, val in vec.items()}) for vec in stand_ins]
+        if any(len(col) != 1 or next(iter(col.values())).unit is None for col in cols):
             raise AssertionError(f"{name} is not an invertible monomial matrix on a module of kind {kind!r}")
+        entries = [next(iter(col.items())) for col in cols]
+        group.append(UnitMonomial(field, [r for r, _ in entries], [val.unit for _, val in entries]))
+    zdeg, gdeg = [module.zdeg[i] for i in kept], [module.gdeg[i] for i in kept]
     return QDModule(module.ctx, module.index_set, zdeg, gdeg, *group, *letters, weight=module.weight, kind=kind)
+
+
+def _span_reader(space: EchelonBasis) -> Callable[[VecDict], VecDict]:
+    """The reader of a vector's coordinates over the reduced rows of ``space``, keyed by row position.
+
+    Row r_q, at pivot q, is 1 at q and 0 at the other pivots.  So a vector
+    v lies in the span exactly when ``v = sum over the pivots q of v of
+    v[q] r_q``, and then its coordinates are its entries at the pivots.
+    The check touches only the rows at v's own pivots, and a coordinate
+    row, {q: 1}, adds nothing beyond the entry at q.  It is the one
+    certificate of stability that :func:`subspace_as_module` asks for;
+    ``EchelonBasis.reduce`` decides the same membership on the forward rows.
+
+    Raises:
+        AssertionError: if v is not in the span.
+    """
+    at_pivot = {q: (new, row) for new, (q, row) in enumerate(zip(space.pivots, space.rows))}
+
+    def read(vec: VecDict) -> VecDict:
+        out, rest = {}, dict(vec)
+        for q, c in vec.items():
+            if q in at_pivot:
+                new, row = at_pivot[q]
+                out[new] = c
+                del rest[q]
+                # a coordinate row {q: 1} is 0 off q; elsewhere the term most often cancels an entry of v
+                if len(row) > 1:
+                    for t, val in row.items():
+                        if t != q:
+                            term = val * c
+                            if rest.get(t) == term:
+                                del rest[t]
+                            else:
+                                add_into(rest, t, -term)
+        if rest:
+            raise AssertionError("subspace is not stable under a generator")
+        return out
+
+    return read
 
 
 def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submodule") -> QDModule:
     """A generator-stable subspace as a module, on the pivots of its reduced rows.
 
-    Pivot p stands for the row r_p.  A vector in the span has its
-    coefficients over the rows as its entries at the pivots, so a
-    generator's column at p is ``g r_p`` read at the pivots.  A row with
-    one entry is e_p, and its image is the generator's column p as it
-    stands.  Every image under every generator is reduced, and one that
-    leaves the span raises: this is the one check that the span is a
-    submodule, and :func:`socle`, which spans under the lowering letters
-    alone, relies on it for x, y and the raising letters.  x and y must be
-    invertible monomial matrices on the rows (:func:`_on_positions`), as
-    they are for every socle.
+    Pivot p stands for the reduced row r_p, and a generator's column at p
+    is ``g r_p`` read over the rows (:func:`_on_positions`): its entries at
+    the pivots, once :func:`_span_reader` has found it in the span.  An
+    image of a row that leaves the span raises: this is the one check that
+    the span is a submodule, and :func:`socle`, which spans under the
+    lowering letters alone, relies on it for x, y and the raising letters.
+    x and y must be invertible monomial matrices on the rows
+    (:func:`_on_positions`), as they are for every socle.
 
     A span of every basis vector is stable, and its reduced rows are the
     unit vectors, on which :func:`_on_positions` would rebuild the module's
@@ -726,15 +773,7 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     if len(space.pivots) == module.dim:
         mats = (module.x_mat, module.y_mat, module.v_mats, module.a_mats)
         return QDModule(module.ctx, module.index_set, module.zdeg, module.gdeg, *mats, weight=module.weight, kind=kind)
-
-    def images(mat: CycMatrix) -> list[VecDict]:
-        cols = mat.sparse_columns()
-        out = [cols[p] if len(row) == 1 else mat.apply(row) for p, row in zip(space.pivots, space.rows)]
-        if any(space.reduce(image) for image in out):
-            raise AssertionError("subspace is not stable under a generator")
-        return out
-
-    return _on_positions(module, space.pivots, images, kind)
+    return _on_positions(module, space.pivots, space.rows, _span_reader(space), kind)
 
 
 def socle(module: QDModule) -> QDModule:
@@ -839,7 +878,9 @@ def head(module: QDModule) -> QDModule:
     caller is ``theorems.verify_rigid_tensor``).  The classes of the basis
     vectors at the pivots of W's reduced rows are a basis of the quotient:
     paired with those rows, the class of e_p is the unit vector at p.  So a generator's column at p is
-    its column p read by that pairing (:func:`_on_positions`).  When W fills
+    its column p read by that pairing (:func:`_on_positions`); for x or y,
+    with ``g e_p = w^e e_r``, it is w^e times the pairing's column r, which
+    must be one power of w, and no matrix is formed for x or y.  When W fills
     the module, the module itself is returned; with no degree-0 layer, the
     result is the zero module.
 
@@ -852,13 +893,10 @@ def head(module: QDModule) -> QDModule:
     span = _head_span(module)
     if len(span.pivots) == module.dim:
         return module
-    pairing = _from_rows(module.ctx.field, zip(span.pivots, span.rows), module.dim)
-
-    def images(mat: CycMatrix) -> list[VecDict]:
-        cols = mat.sparse_columns()
-        return [pairing.apply(cols[p]) for p in span.pivots]
-
-    return _on_positions(module, span.pivots, images, "head")
+    field = module.ctx.field
+    # column t of the pairing holds each row's entry at t, in the row's new position
+    pairing = _from_rows(field, enumerate(span.rows), module.dim)
+    return _on_positions(module, span.pivots, [{p: field.one} for p in span.pivots], pairing.apply, "head")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import pytest
 
 from dihedral_doubles import theorems
-from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, VecDict, _rref, add_into
+from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, VecDict, _rref, add_into
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import IndexSet
 from dihedral_doubles.qdouble import (
@@ -52,13 +52,14 @@ from dihedral_doubles.qdouble import (
 )
 from dihedral_doubles.theorems import RIGID, RecursionCheck
 from dihedral_doubles.weights import QDModule, WeightLabel
-from matrices import kernel, without_zeros
+from matrices import as_monomial, kernel, monomial_matrix, without_zeros
 
 
 def reference_generated(module: QDModule, vectors) -> EchelonBasis:
     """The smallest subspace that holds the vectors and is stable under every generator, x and y included:
     every image of every vector that grows the span is inserted, each from ``apply``."""
-    gens = [module.x_mat.matrix(), module.y_mat.matrix(), *module.v_mats.values(), *module.a_mats.values()]
+    gens = [monomial_matrix(g) for g in (module.x_mat, module.y_mat)]
+    gens += [*module.v_mats.values(), *module.a_mats.values()]
     space = EchelonBasis(module.ctx.field)
     queue = [vec for vec in vectors if space.insert(vec)]
     while queue:
@@ -85,8 +86,8 @@ def reference_on_positions(module, kept, images, kind):
         dim=len(kept),
         zdeg=tuple(module.zdeg[i] for i in kept),
         gdeg=tuple(module.gdeg[i] for i in kept),
-        x_mat=restrict(module.x_mat.matrix()),
-        y_mat=restrict(module.y_mat.matrix()),
+        x_mat=restrict(monomial_matrix(module.x_mat)),
+        y_mat=restrict(monomial_matrix(module.y_mat)),
         v_mats={key: restrict(mat) for key, mat in module.v_mats.items()},
         a_mats={key: restrict(mat) for key, mat in module.a_mats.items()},
         kind=kind,
@@ -190,7 +191,7 @@ def assert_socle_matches_the_reference(module: QDModule) -> QDModule:
     reference = reference_submodule(module, reference_generated(module, vectors), "socle")
     assert max(built.zdeg) == lowest, module
     assert (built.zdeg, built.gdeg, built.kind) == (reference.zdeg, reference.gdeg, reference.kind), module
-    pairs = [(built.x_mat.matrix(), reference.x_mat), (built.y_mat.matrix(), reference.y_mat)]
+    pairs = [(monomial_matrix(built.x_mat), reference.x_mat), (monomial_matrix(built.y_mat), reference.y_mat)]
     pairs += [(mat, reference.v_mats[key]) for key, mat in built.v_mats.items()]
     pairs += [(mat, reference.a_mats[key]) for key, mat in built.a_mats.items()]
     for mat, ref in pairs:
@@ -211,7 +212,7 @@ def reference_quotient(module, space: EchelonBasis, kind: str):
 
 def needs_adapted_basis(reference) -> bool:
     """Whether x or y is not an invertible monomial matrix on the reference's vectors."""
-    return None in (UnitMonomial.from_matrix(reference.x_mat), UnitMonomial.from_matrix(reference.y_mat))
+    return None in (as_monomial(reference.x_mat), as_monomial(reference.y_mat))
 
 
 def _eigenspaces(
@@ -314,7 +315,7 @@ def as_module(module: QDModule, reference) -> QDModule:
     """
     field, dim = module.ctx.field, reference.dim
     x_mat, y_mat = reference.x_mat, reference.y_mat
-    group = [UnitMonomial.from_matrix(x_mat), UnitMonomial.from_matrix(y_mat)]
+    group = [as_monomial(x_mat), as_monomial(y_mat)]
     letters = [reference.v_mats, reference.a_mats]
     if None in group:
         basis = adapted_basis(module.ctx, reference.zdeg, reference.gdeg, x_mat, y_mat)
@@ -325,7 +326,7 @@ def as_module(module: QDModule, reference) -> QDModule:
             cols = [frame.reduce(mat.apply(vec)) for vec in basis]
             return CycMatrix(field, [{i - dim: -val for i, val in col.items()} for col in cols], dim)
 
-        group = [UnitMonomial.from_matrix(rebase(x_mat)), UnitMonomial.from_matrix(rebase(y_mat))]
+        group = [as_monomial(rebase(x_mat)), as_monomial(rebase(y_mat))]
         letters = [{key: rebase(mat) for key, mat in mats.items()} for mats in letters]
     for name, mat in zip("xy", group):
         assert mat is not None, f"{name} is not an invertible monomial matrix on a module of kind {reference.kind!r}"

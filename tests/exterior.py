@@ -28,6 +28,7 @@ from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import IndexSet, validate_index_set
 from dihedral_doubles.qdouble import build_verma, y_power
 from dihedral_doubles.weights import QDModule, WeightLabel, build_weight
+from matrices import monomial_matrix
 
 
 def mask_letters(mask: int) -> Iterator[int]:
@@ -284,7 +285,7 @@ def assert_same_module(left: QDModule, right: QDModule, perm: Sequence[int], sig
     assert [left.zdeg[p] for p in perm] == list(right.zdeg)
     assert [left.gdeg[p] for p in perm] == list(right.gdeg)
     assert left.v_mats.keys() == right.v_mats.keys() and left.a_mats.keys() == right.a_mats.keys()
-    pairs = [(left.x_mat.matrix(), right.x_mat.matrix()), (left.y_mat.matrix(), right.y_mat.matrix())]
+    pairs = [(monomial_matrix(a), monomial_matrix(b)) for a, b in ((left.x_mat, right.x_mat), (left.y_mat, right.y_mat))]
     for mats_left, mats_right in ((left.v_mats, right.v_mats), (left.a_mats, right.a_mats)):
         pairs += [(mats_left[key], mats_right[key]) for key in mats_left]
     for mat_left, mat_right in pairs:

@@ -1,10 +1,12 @@
 """Column-dict references for the matrix algebra the package decides without forming it.
 
 The package forms no product, sum or negation of :class:`CycMatrix`, and
-builds the group action as :class:`UnitMonomial`; the tests compare both
-against these, which read the column dicts alone, and draw UnitMonomials
-with :func:`unit_monomials`.  The package solves no kernel; :func:`kernel`
-solves one by elimination, for the references that need it.  A CycMatrix
+builds the group action as :class:`UnitMonomial`, which it never turns into
+a CycMatrix or back; the tests compare both against these, which read the
+column dicts alone, convert with :func:`monomial_matrix` and
+:func:`as_monomial`, and draw UnitMonomials with :func:`unit_monomials`.
+The package solves no kernel; :func:`kernel` solves one by elimination,
+for the references that need it.  A CycMatrix
 holds no zero entry; references whose column dicts may hold one build
 through :func:`without_zeros`.
 A basis vector of a module has no name; :func:`induced_position` finds
@@ -113,6 +115,30 @@ def from_rows(field: CyclotomicField, rows: Sequence[Sequence[CycNum | Fraction 
             if x:
                 columns[j][i] = x
     return CycMatrix(field, columns, len(rows))
+
+
+def monomial_matrix(g: UnitMonomial) -> CycMatrix:
+    """The unit monomial as a :class:`CycMatrix`: column j holds ``w^exps[j]`` in row ``rows[j]``."""
+    zeta = g.field.zeta
+    return CycMatrix(g.field, [{i: zeta(e)} for i, e in zip(g.rows, g.exps)], len(g.rows))
+
+
+def as_monomial(mat: CycMatrix) -> UnitMonomial | None:
+    """The matrix as a :class:`UnitMonomial`, or None unless it is one.
+
+    None when a column is empty or has two entries, when two columns
+    share a row, or when an entry is no power of w.
+    """
+    rows, exps = [], []
+    for col in mat.sparse_columns():
+        if len(col) != 1:
+            return None
+        ((i, val),) = col.items()
+        rows.append(i)
+        exps.append(val.unit)
+    if len(set(rows)) != len(rows) or None in exps:
+        return None
+    return UnitMonomial(mat.field, rows, exps)
 
 
 @st.composite

@@ -198,6 +198,14 @@ def test_unsupported_order_is_a_usage_error(capsys):
     assert "m must be >= 12 and divisible by 4" in err
 
 
+@pytest.mark.parametrize("command", ["weights", "spherical"])
+def test_an_order_outside_the_regime_names_the_cli_flag(capsys, command):
+    code, out, err = run(capsys, [command, "--m", "13"])
+    assert code == 2
+    assert err == "error: m must be >= 12 and divisible by 4 (pass --unsafe-m to relax), got 13\n"
+    assert out == ""
+
+
 def test_verify_subset(capsys):
     code, out, err = run(
         capsys,

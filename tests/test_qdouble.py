@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_doubles import get_context, qdouble
-from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, _rref, get_field
+from dihedral_doubles.cyclotomic import CycMatrix, EchelonBasis, UnitMonomial, _rref, add_into, get_field
 from dihedral_doubles.nichols import IndexSet, parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
     GradedCharacter,
@@ -54,13 +55,16 @@ from adapted import (
     reference_submodule,
 )
 from matrices import (
+    as_monomial,
     diagonal,
     has_two_entry_column,
     identity,
     induced_position,
     is_zero,
+    monomial_matrix,
     negated,
     plus,
+    rational,
     times,
     unit_monomials,
 )
@@ -154,9 +158,9 @@ def test_a_generator_that_breaks_the_group_grading_is_named_with_its_column(ctx1
     assert f"v(0,+1) breaks the grading at column {j}" in check_relations(broken)
     # an x with an entry moved is singular, and with an entry added not monomial: neither converts, and a
     # row map with two columns in one row is refused
-    _, moved = _moved_to_a_wrong_group_degree(verma, verma.x_mat.matrix(), keep)
+    _, moved = _moved_to_a_wrong_group_degree(verma, monomial_matrix(verma.x_mat), keep)
     assert has_two_entry_column(moved) == keep
-    assert UnitMonomial.from_matrix(moved) is None
+    assert as_monomial(moved) is None
     if not keep:
         rows, vals = zip(*(entry for col in moved.sparse_columns() for entry in col.items()))
         with pytest.raises(AssertionError, match="x is not an invertible monomial matrix on a module of kind 'verma'"):
@@ -311,6 +315,97 @@ def test_socle_rejects_part_of_the_lowest_kernel(ctx12, monkeypatch):
         socle(verma)
 
 
+@st.composite
+def _spans_and_vectors(draw):
+    """A span of drawn rows of 1 to 3 entries at m = 12 or 16, and a vector drawn in it or, where the span
+    leaves a basis vector out, outside it; the flag says which."""
+    field = get_field(draw(st.sampled_from((12, 16))))
+    dim = draw(st.integers(1, 8))
+
+    def entry():
+        power = field.zeta(draw(st.integers(0, field.m - 1)))
+        kind = draw(st.sampled_from(("power", "scaled", "sum")))
+        if kind == "scaled":
+            return power * rational(field, draw(st.sampled_from((2, -1, Fraction(1, 2), Fraction(-2, 3)))))
+        if kind == "sum":
+            # a sum of two powers of w, often untagged; where it is zero, which no entry may be, the first power
+            return power + field.zeta(draw(st.integers(0, field.m - 1))) or power
+        return power
+
+    rows = []
+    for _ in range(draw(st.integers(0, dim))):
+        positions = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=3, unique=True))
+        rows.append({t: entry() for t in positions})
+    space = _rref(field, rows)
+    vec = {}
+    for row in rows:
+        if draw(st.booleans()):
+            scale = entry()
+            for t, val in row.items():
+                add_into(vec, t, val * scale)
+    outside = [t for t in range(dim) if space.reduce({t: field.one})]
+    inside = not outside or draw(st.booleans())
+    if not inside:
+        # a basis vector outside the span, added to a vector in it, leaves it outside
+        add_into(vec, draw(st.sampled_from(outside)), entry())
+    return space, vec, inside
+
+
+@settings(max_examples=300)
+@given(_spans_and_vectors())
+def test_the_reduced_row_membership_read_agrees_with_reduce(case):
+    # subspace_as_module decides stability on the reduced rows at a vector's own pivots
+    # (qdouble._span_reader); EchelonBasis.reduce clears every pivot with the forward rows
+    space, vec, inside = case
+    assert (not space.reduce(vec)) == inside
+    read = qdouble._span_reader(space)
+    if not inside:
+        with pytest.raises(AssertionError, match="subspace is not stable under a generator"):
+            read(vec)
+        return
+    coords = read(vec)
+    assert coords == {new: vec[q] for new, q in enumerate(space.pivots) if q in vec}
+    rebuilt = {}
+    for new, scale in coords.items():
+        for t, val in space.rows[new].items():
+            add_into(rebuilt, t, val * scale)
+    assert rebuilt == vec
+
+
+def _leaving_kinds(module, space):
+    """The kinds of generator, of x and y ("group"), raising or lowering letters, that take some reduced row
+    of ``space`` out of it, each image applied and reduced."""
+    kinds = {
+        "group": [monomial_matrix(module.x_mat), monomial_matrix(module.y_mat)],
+        "raising": list(module.v_mats.values()),
+        "lowering": list(module.a_mats.values()),
+    }
+    return {kind for kind, mats in kinds.items() if any(space.reduce(g.apply(row)) for g in mats for row in space.rows)}
+
+
+@pytest.mark.parametrize("part", ["degree 0", "bottom layer", "socle below its top"])
+def test_spans_that_only_one_kind_of_letter_leaves_are_refused(ctx12, part):
+    # x and y keep each of these spans, and so does one kind of letter: the refusal must come from the other
+    field = ctx12.field
+    verma = _verma(ctx12, "(1,6),(3,6)", "Mx:0,0")
+    layers = verma.layer_indices()
+    bottom = [{t: field.one} for t in layers[min(layers)]]
+    if part == "degree 0":
+        rows, leaving = [{t: field.one} for t in layers[0]], "raising"
+    elif part == "bottom layer":
+        rows, leaving = bottom, "lowering"
+    else:
+        spanned = qdouble._close(field, bottom, list(verma.a_mats.values()), verma.dim).rows
+        top = max(verma.zdeg[next(iter(row))] for row in spanned)
+        rows, leaving = [row for row in spanned if verma.zdeg[next(iter(row))] < top], "lowering"
+        assert any(len(row) > 1 for row in rows)
+    space = _rref(field, rows)
+    assert space.rows == rows
+    assert _leaving_kinds(verma, space) == {leaving}
+    with pytest.raises(AssertionError, match="subspace is not stable under a generator"):
+        subspace_as_module(verma, space)
+
+
 def _unit_block(a, b):
     """The block diagonal matrix of two UnitMonomials."""
     n = len(a.rows)
@@ -458,7 +553,7 @@ def _reference_phi_action(ctx, pair, eps, mu, module):
             scales.append(field.zero)
         else:
             scales.append(-field.zeta(-(a + 2 * i) * k if eps > 0 else (a - 2 * i) * k))
-    part = times(y_power(module, eps * i if same else -eps * i).matrix(), diagonal(field, scales))
+    part = times(monomial_matrix(y_power(module, eps * i if same else -eps * i)), diagonal(field, scales))
     return plus(identity(field, module.dim), part) if same else part
 
 
@@ -466,7 +561,7 @@ def _assert_cross_terms_match_the_reference(module, pairs=None):
     """Each cross term against its reference, and ``x C(eps, mu) x == C(-eps, -mu)`` column by column:
     ``check_relations`` decides a mixed bracket of a sign -1 lowering letter on that mirror."""
     assert group_relation_failures(module) == []
-    x_mat = module.x_mat.matrix()
+    x_mat = monomial_matrix(module.x_mat)
     for pair in module.index_set.pairs if pairs is None else pairs:
         for eps in (1, -1):
             for mu in (1, -1):
@@ -499,7 +594,7 @@ def test_cross_terms_match_the_reference_for_a_y_that_moves_rotation_degrees(ctx
     moved = 0
     for summands in ("Mx:0,0 Mx:1,0", "Mxy:0,1 Mx:1,1", "e:rho1 M2,3 + Mxy:1,0"):
         built = _sum_of_tensor_products(ctx12, summands)
-        assert UnitMonomial.from_matrix(_doubled(built.y_mat.matrix())) is None
+        assert as_monomial(_doubled(monomial_matrix(built.y_mat))) is None
         _assert_cross_terms_match_the_reference(built, pairs)
         for eps in (1, -1):
             columns = phi_action(ctx12, pairs[0], eps, eps, built).sparse_columns()
@@ -654,7 +749,7 @@ def test_the_bracket_kernel_reads_the_row_of_every_target_entry(ctx12, iset_text
             cross = phi_action(ctx12, (2, 3), eps, mu, module)
             cases.append((module.a_mats[(0, eps)], module.v_mats[(0, mu)], cross))
     # y bracketed with itself is 2 y^2: both terms of each column land in one row
-    y, square = module.y_mat.matrix(), (module.y_mat**2).matrix()
+    y, square = monomial_matrix(module.y_mat), monomial_matrix(module.y_mat**2)
     cases.append((y, y, plus(square, square)))
     for a, b, target in cases:
         assert not has_two_entry_column(target)
@@ -706,7 +801,7 @@ def _product_cases(draw):
         n = draw(st.integers(1, 5))
         a, d = draw(unit_monomials(field, n)), draw(unit_monomials(field, n))
         if draw(st.booleans()):
-            b, c = d.matrix(), a.matrix()
+            b, c = monomial_matrix(d), monomial_matrix(a)
         else:
             b, c = draw(_drawn_matrices(field, n)), draw(_drawn_matrices(field, n))
         shift = draw(st.sampled_from((0, draw(st.integers(-field.m, 2 * field.m)))))
@@ -725,7 +820,8 @@ def _product_cases(draw):
 @given(_product_cases())
 def test_the_product_kernel_decides_the_matrix_equality(case):
     a, b, c, d, shift = case
-    assert _products_equal(a, b, c, d, shift) == (times(a.matrix(), b) == _scaled(times(c, d.matrix()), shift))
+    expected = times(monomial_matrix(a), b) == _scaled(times(c, monomial_matrix(d)), shift)
+    assert _products_equal(a, b, c, d, shift) == expected
 
 
 def test_induction_multiplies_dimension_by_four(ctx12):
@@ -741,7 +837,7 @@ def test_induction_multiplies_dimension_by_four(ctx12):
 
 def _generators(module):
     """Every generator as a CycMatrix; x and y of a reference namespace already are."""
-    group = [g.matrix() if isinstance(g, UnitMonomial) else g for g in (module.x_mat, module.y_mat)]
+    group = [monomial_matrix(g) if isinstance(g, UnitMonomial) else g for g in (module.x_mat, module.y_mat)]
     return [*group, *module.v_mats.values(), *module.a_mats.values()]
 
 
@@ -771,7 +867,7 @@ def _change_of_basis(reference):
     """None where x and y are invertible monomial matrices on the reference's vectors; otherwise the
     matrix whose columns are the adapted basis, checked to be a basis of vectors of their positions' cells."""
     x_mat, y_mat = _generators(reference)[:2]
-    if None not in (UnitMonomial.from_matrix(x_mat), UnitMonomial.from_matrix(y_mat)):
+    if None not in (as_monomial(x_mat), as_monomial(y_mat)):
         return None
     basis = adapted_basis(reference.ctx, reference.zdeg, reference.gdeg, x_mat, y_mat)
     cells = list(zip(reference.zdeg, reference.gdeg))
@@ -880,7 +976,7 @@ def test_submodules_generated_from_seeds_outside_the_joint_kernel_match_the_refe
         negatives = _negatives(module)
         quotients = [adapted_quotient(module, reference_generated(module, negatives))] if negatives else []
         for mod in [module, *(q for q in quotients if q.dim)]:
-            gens = [mod.x_mat.matrix(), mod.y_mat.matrix(), *mod.v_mats.values(), *mod.a_mats.values()]
+            gens = [monomial_matrix(mod.x_mat), monomial_matrix(mod.y_mat), *mod.v_mats.values(), *mod.a_mats.values()]
             for seeds in _seeds_outside_the_joint_kernel(mod):
                 closed = qdouble._close(mod.ctx.field, seeds, gens, mod.dim)
                 assert closed.rows == reference_generated(mod, seeds).rows
@@ -961,7 +1057,7 @@ def _sheared_in_each_cell(module):
     shear = CycMatrix(field, cols, module.dim)
     ident = identity(field, module.dim)
     back, forward = plus(ident, negated(shear)), plus(ident, shear)
-    return [times(times(back, mat.matrix()), forward) for mat in (module.x_mat, module.y_mat)]
+    return [times(times(back, monomial_matrix(mat)), forward) for mat in (module.x_mat, module.y_mat)]
 
 
 def _sum_of_tensor_products(ctx, text):
@@ -1003,7 +1099,7 @@ ADAPTED_MODULES = [
 def test_the_adapted_basis_makes_x_and_y_permute_its_lines(ctx12, summands):
     module = _sum_of_tensor_products(ctx12, summands)
     x_mat, y_mat = _sheared_in_each_cell(module)
-    assert UnitMonomial.from_matrix(x_mat) is None and UnitMonomial.from_matrix(y_mat) is None
+    assert as_monomial(x_mat) is None and as_monomial(y_mat) is None
     basis = adapted_basis(ctx12, module.zdeg, module.gdeg, x_mat, y_mat)
     assert all({module.gdeg[i] for i in vec} == {module.gdeg[j]} for j, vec in enumerate(basis))
     assert len(_rref(ctx12.field, basis).pivots) == module.dim
@@ -1069,10 +1165,10 @@ def test_y_power_columns_match_repeated_y(ctx12, source):
     one = ctx12.field.one
     expected = [{j: one} for j in range(module.dim)]
     for power in range(ctx12.m):
-        assert y_power(module, power).matrix().sparse_columns() == expected, power
-        expected = [module.y_mat.matrix().apply(col) for col in expected]
+        assert monomial_matrix(y_power(module, power)).sparse_columns() == expected, power
+        expected = [monomial_matrix(module.y_mat).apply(col) for col in expected]
     # y^m = 1, and a power is read mod m
-    assert expected == y_power(module, 0).matrix().sparse_columns()
+    assert expected == monomial_matrix(y_power(module, 0)).sparse_columns()
     assert y_power(module, -1) == y_power(module, ctx12.m - 1)
 
 
@@ -1193,7 +1289,7 @@ def test_relations_catch_a_raising_letter_that_does_not_square_to_zero(ctx12):
 def test_relations_catch_a_y_of_the_wrong_order(ctx12):
     # 2 y is no power of w anywhere: it does not convert to the type a module holds
     module = _verma(ctx12, "(2,3)", "e:rho1")
-    assert UnitMonomial.from_matrix(_doubled(module.y_mat.matrix())) is None
+    assert as_monomial(_doubled(monomial_matrix(module.y_mat))) is None
     # one entry of a y-cycle of length 6 times w: the cycle's product is w, and w^2 != 1
     module = _verma(ctx12, "(2,3)", "Mx:0,0")
     y = module.y_mat
@@ -1216,7 +1312,7 @@ def test_relations_catch_a_y_whose_mth_power_is_minus_one(ctx12):
     ident = identity(ctx12.field, module.dim)
     power = ident
     for _ in range(ctx12.m):
-        power = times(shift.matrix(), power)
+        power = times(monomial_matrix(shift), power)
     assert power == negated(ident)
     assert times(power, power) == ident
     assert "y^12 != 1" in check_relations(_mutated(module, y_mat=shift))
@@ -1459,8 +1555,8 @@ def test_a_sign_minus_letter_conjugated_by_an_x_that_breaks_the_grading_is_check
     q = next(j for j in range(module.dim) if cells[j] not in (cells[p], *(cells[r] for r in col)))
     rows = list(range(module.dim))
     rows[p], rows[q] = q, p
-    x = UnitMonomial(ctx12.field, rows, [0] * module.dim).matrix()
-    mutant = _mutated(module, x_mat=UnitMonomial.from_matrix(x), v_mats={(0, -1): times(x, times(plus, x))})
+    x = monomial_matrix(UnitMonomial(ctx12.field, rows, [0] * module.dim))
+    mutant = _mutated(module, x_mat=as_monomial(x), v_mats={(0, -1): times(x, times(plus, x))})
     failures = check_relations(mutant)
     assert failures == every_relation_failures(mutant)
     assert group_relation_failures(mutant)

@@ -37,11 +37,13 @@ from dihedral_doubles.weights import (
     weight_catalog,
 )
 from matrices import (
+    as_monomial,
     diagonal,
     from_rows,
     has_two_entry_column,
     identity,
     kernel,
+    monomial_matrix,
     times,
     unit_monomials,
     without_zeros,
@@ -97,7 +99,7 @@ def test_every_weight_satisfies_the_module_axioms(ctx12):
 
 
 def _reference_order_failures(x, y, m):
-    x, y = x.matrix(), y.matrix()
+    x, y = monomial_matrix(x), monomial_matrix(y)
     ident = identity(x.field, x.nrows)
     power = ident
     for _ in range(m):
@@ -422,7 +424,7 @@ def _walked_trace_vector(module, cls, block):
 
 def _matrix(mat):
     """x or y as a CycMatrix: a module holds a UnitMonomial, a stand-in a CycMatrix."""
-    return mat.matrix() if isinstance(mat, UnitMonomial) else mat
+    return monomial_matrix(mat) if isinstance(mat, UnitMonomial) else mat
 
 
 def _sheared(ctx, module, i, j, c):
@@ -442,14 +444,14 @@ def _sheared(ctx, module, i, j, c):
         ctx=ctx,
         dim=module.dim,
         gdeg=module.gdeg,
-        x_mat=times(times(back, module.x_mat.matrix()), forward),
-        y_mat=times(times(back, module.y_mat.matrix()), forward),
+        x_mat=times(times(back, monomial_matrix(module.x_mat)), forward),
+        y_mat=times(times(back, monomial_matrix(module.y_mat)), forward),
     )
 
 
 def _refused(mat):
     """Whether the matrix does not convert to the UnitMonomial that a module holds as x or y."""
-    return UnitMonomial.from_matrix(mat) is None
+    return as_monomial(mat) is None
 
 
 @st.composite
@@ -643,7 +645,7 @@ def test_character_counts_reject_what_is_not_a_module(ctx12):
     group = ctx12.group
     # x = 2 or -3 is no power of w: it does not convert to what a module holds
     for x_value in (2, -3):
-        assert UnitMonomial.from_matrix(from_rows(ctx12.field, [[x_value]])) is None
+        assert as_monomial(from_rows(ctx12.field, [[x_value]])) is None
     cases = {
         # x y x = y^-1 fails: the multiplicity of e:chi1 has an integer
         # rational part and a nonzero irrational one
@@ -775,10 +777,10 @@ def test_kronecker_products_match_their_entries(m, na, nb, data):
     # entry (ia nb + ib, ja nb + jb) of the product is A[ia, ja] B[ib, jb]
     expected = [
         {ia * nb + ib: x * y for ia, x in col_a.items() for ib, y in col_b.items()}
-        for col_a in a.matrix().sparse_columns()
-        for col_b in b.matrix().sparse_columns()
+        for col_a in monomial_matrix(a).sparse_columns()
+        for col_b in monomial_matrix(b).sparse_columns()
     ]
-    product = a.kron(b).matrix()
+    product = monomial_matrix(a.kron(b))
     assert (product.nrows, product.ncols) == (na * nb, na * nb)
     assert product.sparse_columns() == expected
 
