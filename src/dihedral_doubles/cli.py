@@ -18,6 +18,13 @@ outside the proven regime (``--unsafe-m`` with m < 12 or 4 not dividing m)
 it is reported as such rather than as a mismatch, on its own line and in
 the summary line.  A ``--weights`` label outside the catalog is a usage
 error, reported before any case runs.
+
+Two sizes are refused before anything is built, each with exit code 2 and
+a message that names the bound and the size asked for: an order m above
+:data:`MAX_M`, with or without ``--unsafe-m``, and a standard module M(I)
+of more than :data:`MAX_STANDARD_DIM` basis vectors, 4^|I| dim(lambda).
+``simple`` and ``spherical`` refuse the whole run; ``verify`` reports each
+such case as that case's error, runs the others, and exits 2.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .dihedral import DihedralContext, get_context, in_proven_regime
-from .nichols import IndexSet, parse_index_set, valid_pairs
+from .nichols import IndexSet, parse_index_set, parse_pairs, valid_pairs, validate_index_set
 from .qdouble import build_verma, check_relations, graded_character, theta_congruence
 from .theorems import (
     RIGID,
@@ -41,6 +48,7 @@ from .theorems import (
     verify_simple,
 )
 from .weights import (
+    WeightLabel,
     build_weight,
     class_key,
     decomposition_counts,
@@ -54,6 +62,14 @@ from .weights import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# The largest order, and the most basis vectors of a standard module, that
+# are built: each the largest size measured to stay under 1 GB peak RSS
+# (README, "Sizes that are refused").
+MAX_M = 72
+MAX_STANDARD_DIM = 65_536
+# e:chi1, and a weight of the largest dimension, m/2
+_TOP, _LARGEST = WeightLabel("e:chi", (1,)), WeightLabel("Mx", (0, 0))
 
 
 def _print_json(obj) -> None:
@@ -85,11 +101,44 @@ def _case_status(ok: bool, report: dict) -> str:
     return f"{status}: " + ", ".join(failed) if failed else status
 
 
-def _context_from(args) -> DihedralContext:
+def _check_order(args) -> None:
+    """Refuse an order above the bound or, without ``--unsafe-m``, outside the regime; nothing is built."""
+    if args.m > MAX_M:
+        raise ValueError(f"m must be at most {MAX_M}, the largest order that is built, got {args.m}")
     # the library's own message names its keyword; name the flag here
     if not (args.unsafe_m or in_proven_regime(args.m)):
         raise ValueError(f"m must be >= 12 and divisible by 4 (pass --unsafe-m to relax), got {args.m}")
+
+
+def _context_from(args) -> DihedralContext:
+    _check_order(args)
     return get_context(args.m, unsafe=args.unsafe_m)
+
+
+def _size_refusal(pairs: int, label: WeightLabel, m: int) -> str | None:
+    """Why the standard module of ``label`` over ``pairs`` pairs is not built, or None; nothing is built.
+
+    M(I) has 4^|I| dim(label) basis vectors, the exterior algebra on the
+    2|I| letters times the weight.
+    """
+    estimate = 4**pairs * label.dimension(m // 2)
+    if estimate <= MAX_STANDARD_DIM:
+        return None
+    return (
+        f"the standard module of {label} over {pairs} pairs would have {estimate:,} basis vectors, "
+        f"more than the {MAX_STANDARD_DIM:,} that are built"
+    )
+
+
+def _error_report(m: int, index_set: IndexSet, weight_text: str, error: str) -> dict:
+    """The JSON report of a case that ended in an error, with its context."""
+    return {
+        "m": m,
+        "index_set": [list(pair) for pair in index_set.pairs],
+        "weight": weight_text,
+        "ok": False,
+        "error": error,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +188,23 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
-def _named_index_set(ctx: DihedralContext, text: str) -> IndexSet:
-    """The index set ``--index`` names; one with no pair is a usage error."""
-    index_set = parse_index_set(ctx, text)
-    if not index_set.pairs:
+def _named_pairs(text: str) -> list[tuple[int, int]]:
+    """The pairs ``--index`` names, not yet validated; none is a usage error."""
+    pairs = parse_pairs(text)
+    if not pairs:
         raise ValueError(f"--index names no pair: {text!r}")
-    return index_set
+    return pairs
 
 
 def cmd_simple(args) -> int:
-    ctx = _context_from(args)
-    index_set = _named_index_set(ctx, args.index)
+    _check_order(args)
+    pairs = _named_pairs(args.index)
     label = parse_weight_label(args.weight)
+    refusal = _size_refusal(len(pairs), label, args.m)
+    if refusal:
+        raise ValueError(refusal)
+    ctx = get_context(args.m, unsafe=args.unsafe_m)
+    index_set = validate_index_set(ctx, pairs)
     verma = build_verma(ctx, index_set, label)
     relations_ok = not check_relations(verma)
     theta_ok = not theta_congruence(verma)
@@ -203,13 +257,7 @@ def _verify_weight_task(payload: tuple[int, bool, str, str]) -> tuple[str, bool,
         report = verify_simple(ctx, index_set, label)
     except (AssertionError, ArithmeticError) as exc:
         ok = False
-        obj = {
-            "m": m,
-            "index_set": [list(pair) for pair in index_set.pairs],
-            "weight": weight_text,
-            "ok": False,
-            "error": str(exc) or type(exc).__name__,
-        }
+        obj = _error_report(m, index_set, weight_text, str(exc) or type(exc).__name__)
     else:
         ok, obj = report.ok, report.to_json_obj()
     if not ok and not in_proven_regime(m):
@@ -221,7 +269,7 @@ def cmd_verify(args) -> int:
     if args.threads < 0:
         raise ValueError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     ctx = _context_from(args)
-    index_set = _named_index_set(ctx, args.index)
+    index_set = validate_index_set(ctx, _named_pairs(args.index))
     catalog = weight_catalog(ctx)
     if args.weights == "all":
         labels = list(catalog.labels)
@@ -232,11 +280,18 @@ def cmd_verify(args) -> int:
         unknown = [str(label) for label in labels if label not in catalog]
         if unknown:
             raise ValueError(f"--weights names weights not in the catalog for m={ctx.m}: {', '.join(unknown)}")
+    if args.spherical or args.tensor_rigid:
+        # the pivot check builds M(I) on e:chi1; the rigid tensor check builds it on reflection weights too
+        flag, probe = ("--tensor-rigid", _LARGEST) if args.tensor_rigid else ("--spherical", _TOP)
+        refusal = _size_refusal(index_set.size, probe, ctx.m)
+        if refusal:
+            raise ValueError(f"{flag}: {refusal}")
     failures: list[str] = []
     results: list[dict] = []
     tensor_failures: list[dict] = []
 
-    payloads = [(ctx.m, args.unsafe_m, args.index, str(label)) for label in labels]
+    refusals = {label: _size_refusal(index_set.size, label, ctx.m) for label in labels}
+    payloads = [(ctx.m, args.unsafe_m, args.index, str(label)) for label in labels if not refusals[label]]
     # the pool starts every worker up front, so never ask for more than there are cases
     workers = min(args.threads or os.cpu_count() or 1, len(payloads))
     if workers > 1:
@@ -244,7 +299,13 @@ def cmd_verify(args) -> int:
             outcomes = list(pool.map(_verify_weight_task, payloads))
     else:
         outcomes = [_verify_weight_task(p) for p in payloads]
-    for weight_text, ok, obj in outcomes:
+    ran = iter(outcomes)
+    for label in labels:
+        refusal = refusals[label]
+        if refusal:
+            weight_text, ok, obj = str(label), False, _error_report(ctx.m, index_set, str(label), refusal)
+        else:
+            weight_text, ok, obj = next(ran)
         results.append(obj)
         if not ok:
             failures.append(weight_text)
@@ -296,18 +357,31 @@ def cmd_verify(args) -> int:
         if args.tensor_rigid:
             obj["tensor_rigid"] = tensor_failures
         _print_json(obj)
-    elif failures and not in_proven_regime(ctx.m):
-        print(f"{len(failures)} failures outside the proven regime (m={ctx.m}): {', '.join(failures)}")
-    elif failures:
-        print(f"{len(failures)} mismatches: {', '.join(failures)}")
     else:
-        print(f"all {len(labels)} cases verified")
+        refused = [str(label) for label, refusal in refusals.items() if refusal]
+        if refused:
+            print(f"{len(refused)} refused as too large to build: {', '.join(refused)}")
+        mismatches = [name for name in failures if name not in refused]
+        if mismatches and not in_proven_regime(ctx.m):
+            print(f"{len(mismatches)} failures outside the proven regime (m={ctx.m}): {', '.join(mismatches)}")
+        elif mismatches:
+            print(f"{len(mismatches)} mismatches: {', '.join(mismatches)}")
+        elif not refused:
+            print(f"all {len(labels)} cases verified")
+    if any(refusals.values()):
+        return EXIT_USAGE
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
 def cmd_spherical(args) -> int:
-    ctx = _context_from(args)
-    named = parse_index_set(ctx, args.index)
+    _check_order(args)
+    pairs = parse_pairs(args.index)
+    # the pivot structure is read off the standard module of e:chi1
+    refusal = _size_refusal(len(pairs), _TOP, args.m)
+    if refusal:
+        raise ValueError(refusal)
+    ctx = get_context(args.m, unsafe=args.unsafe_m)
+    named = validate_index_set(ctx, pairs)
     if named.pairs:
         sets = [named]
     else:

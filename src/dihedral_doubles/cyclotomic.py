@@ -16,7 +16,7 @@ are integer arithmetic.  All elimination goes through
 one sparse echelon basis, :class:`EchelonBasis`, built from sparse vectors
 by :func:`_rref`: callers hand it the rows of a system or the vectors of a
 span, and read off ranks (its pivots) and span membership
-(:meth:`EchelonBasis.reduce`).  Inserts eliminate forward only, which is
+(:meth:`EchelonBasis.insert`).  Inserts eliminate forward only, which is
 all a rank or a membership test needs; the reduced rows that submodules
 and heads read are built once, on first read.  A submodule in ``qdouble``
 is one such basis over the whole module.
@@ -60,8 +60,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# per power-basis coordinate j: the nonzero (t, e) of a power of w times w^j
-UnitColumns = tuple[tuple[tuple[int, int], ...], ...]
+# the nonzero (t, e) of the coordinates of one power of w
+PowerTerms = tuple[tuple[int, int], ...]
 
 
 class CyclotomicField:
@@ -69,74 +69,50 @@ class CyclotomicField:
 
     Instances are shared per m (see :func:`get_field`); numbers carry a
     reference to their field and arithmetic requires matching fields.
+    The powers of w are tabulated once, in ``_zeta_pows`` and, by their
+    nonzero coordinates, in ``power_terms``; the reduction rows of
+    :meth:`mul_coords`, the action of each power by multiplication and the
+    Galois images of the basis are read off that table.
     """
 
     __slots__ = (
         "m", "minpoly", "degree", "_reduction", "zero", "one", "_half_turn",
-        "_zeta_pows", "_exponents", "_unit_actions", "_conjugations",
+        "_zeta_pows", "power_terms", "_exponents", "_unit_actions", "_conjugations",
     )
 
     def __init__(self, m: int) -> None:
         self.m = m
         self.minpoly = cyclotomic_polynomial(m)
-        self.degree = len(self.minpoly) - 1
-        self._reduction = self._reduction_rows()
-        self.zero = CycNum(self, (0,) * self.degree, 1)
-        one = [0] * self.degree
+        d = self.degree = len(self.minpoly) - 1
+        self.zero = CycNum(self, (0,) * d, 1)
+        one = [0] * d
         one[0] = 1
         # w^k carries its exponent k as a unit tag; -1 is w^(m/2) for even m
         self._zeta_pows = tuple(CycNum(self, c, 1, k) for k, c in enumerate(self.zeta_multiples(one)))
+        self.power_terms: tuple[PowerTerms, ...] = tuple(
+            tuple((t, e) for t, e in enumerate(power.coords) if e) for power in self._zeta_pows
+        )
         # the coordinates of each w^k, to tag a number that comes out equal to one
         self._exponents = {power.coords: k for k, power in enumerate(self._zeta_pows)}
         self.one = self._zeta_pows[0]
         self._half_turn = m // 2 if m % 2 == 0 else None
-        self._unit_actions = self._unit_table()
-        # per Galois automorphism w -> w^a with a != 1: the images of the basis
+        # row j: the coordinates of w^(d + j), enough for products of degree up to 2d - 2
+        self._reduction = tuple(self._zeta_pows[(d + j) % m].coords for j in range(max(1, d - 1)))
+        # multiplying by w^k: 1 and, for even m, -1 = w^(m/2) by a sign; any
+        # other power by columns, column j the terms of w^(k+j), so the
+        # product of w^k with coordinates c has sum_j c_j e at each t
+        self._unit_actions: tuple[tuple[int, tuple[PowerTerms, ...] | None], ...] = tuple(
+            (1, None) if k == 0
+            else (-1, None) if k == self._half_turn
+            else (1, tuple(self.power_terms[(k + j) % m] for j in range(d)))
+            for k in range(m)
+        )
+        # per Galois automorphism w -> w^a with a != 1: the terms of the images of the basis
         self._conjugations = tuple(
-            tuple(self._zeta_pows[a * j % m].coords for j in range(self.degree))
+            tuple(self.power_terms[a * j % m] for j in range(d))
             for a in range(2, m)
             if gcd(a, m) == 1
         )
-
-    def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
-        # row j holds the canonical coordinates of w^(degree + j), as integers
-        # (the minimal polynomial is monic), enough for degree-2*degree-2 products.
-        d = self.degree
-        rows: list[tuple[int, ...]] = []
-        row = [-c for c in self.minpoly[:d]]
-        rows.append(tuple(row))
-        for _ in range(1, max(1, d - 1)):
-            top = row[d - 1]
-            row = [0] + row[: d - 1]
-            if top:
-                base = rows[0]
-                for t in range(d):
-                    row[t] += top * base[t]
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def _unit_table(self) -> tuple[tuple[int, UnitColumns | None], ...]:
-        """How multiplying by w^k acts, indexed by the exponent k.
-
-        1 is ``(1, None)`` and, for even m, -1 = w^(m/2) is ``(-1, None)``.
-        Any other power is ``(1, columns)``: column j lists the nonzero
-        ``(t, e)`` of the coordinates of w^(k+j), so the product of w^k with
-        coordinates c has ``sum_j c_j e`` at each t.  A number tagged k
-        multiplies by entry k.
-        """
-        actions: list[tuple[int, UnitColumns | None]] = []
-        for k in range(self.m):
-            if k == 0:
-                actions.append((1, None))
-            elif k == self._half_turn:
-                actions.append((-1, None))
-            else:
-                columns = tuple(
-                    tuple((t, e) for t, e in enumerate(self._zeta_pows[(k + j) % self.m].coords) if e)
-                    for j in range(self.degree)
-                )
-                actions.append((1, columns))
-        return tuple(actions)
 
     def mul_coords(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Canonical integer coordinates of the product of two coordinate vectors."""
@@ -158,7 +134,7 @@ class CyclotomicField:
     def zeta_multiples(self, coords: Sequence[int]) -> list[tuple[int, ...]]:
         """Canonical integer coordinates of ``c * w^b`` for b = 0 .. m-1, c given by coordinates."""
         d = self.degree
-        top_row = self._reduction[0]  # w^degree
+        top_row = [-c for c in self.minpoly[:d]]  # w^degree
         cur = list(coords)
         out = [tuple(cur)]
         for _ in range(1, self.m):
@@ -345,9 +321,8 @@ class CycNum:
             conj = [0] * field.degree
             for c, image in zip(self.coords, images):
                 if c:
-                    for t, e in enumerate(image):
-                        if e:
-                            conj[t] += c * e
+                    for t, e in image:
+                        conj[t] += c * e
             cofactor = field.mul_coords(cofactor, conj)
         norm = field.mul_coords(self.coords, cofactor)
         if any(norm[1:]) or not norm[0]:
@@ -637,14 +612,15 @@ class EchelonBasis:
     The rows are neither scaled to 1 nor cleared at the larger pivots:
     :meth:`insert` clears a vector's leading entry until its leading index
     is new or the vector is zero.  That alone answers rank (``pivots``, kept
-    sorted) and span membership (:meth:`reduce`).
+    sorted) and span membership: :meth:`insert` returns False exactly when
+    the vector already lay in the span.
 
     ``rows`` is the reduced row echelon form: each row 1 at its pivot and 0
     at the pivots of the others, so a vector in the span is the combination
     of the rows whose coefficients are its own entries at the pivots.  It is
     built once, by back-substitution, when first read after an insert, and
-    kept until the next insert that grows the span; :meth:`reduce` clears
-    the forward rows and does not read it.  The reduced form of a row space
+    kept until the next insert that grows the span; :meth:`insert` clears
+    with the forward rows and does not read it.  The reduced form of a row space
     is unique, so ``rows`` does not depend on the order in which vectors
     were inserted.  Rows hold no zero entries, and neither may the vectors
     handed in: an explicit zero could be taken for a pivot.  Treat ``rows``
@@ -693,18 +669,13 @@ class EchelonBasis:
             reduced = self._reduced = {pivot: built[pivot] for pivot in self.pivots}
         return reduced
 
-    def reduce(self, vec: VecDict) -> VecDict:
-        """The vector minus its component in the span: zero at every pivot."""
-        out = dict(vec)
-        # A forward row is 0 below its pivot, so clearing the pivots in
-        # ascending order never brings back one already cleared.
-        for pivot in self.pivots:
-            if pivot in out:
-                _clear(out, pivot, self._forward[pivot])
-        return out
-
     def insert(self, vec: VecDict) -> bool:
-        """Add the vector to the span; False if it already lay in it."""
+        """Add the vector to the span; False if it already lay in it.
+
+        A forward row is 0 below its pivot, so clearing the vector's
+        smallest index each time never brings back an index already
+        cleared; the vector lay in the span exactly when it clears to zero.
+        """
         row = dict(vec)
         forward = self._forward
         while row:

@@ -78,11 +78,11 @@ def valid_pairs(ctx: DihedralContext) -> list[tuple[int, int]]:
     ]
 
 
-def parse_index_set(ctx: DihedralContext, text: str) -> IndexSet:
-    """Parse ``(i1,k1),(i2,k2),...`` into a validated index set."""
+def parse_pairs(text: str) -> list[tuple[int, int]]:
+    """The pairs of ``(i1,k1),(i2,k2),...`` as written, not yet validated; none for empty text."""
     raw = text.replace(" ", "")
     if not raw:
-        return IndexSet(ctx.m, ())
+        return []
     if not (raw.startswith("(") and raw.endswith(")")):
         raise ValueError(f"malformed index set: {text!r}")
     pairs = []
@@ -93,4 +93,9 @@ def parse_index_set(ctx: DihedralContext, text: str) -> IndexSet:
         except ValueError:
             raise ValueError(f"malformed index set: {text!r}") from None
         pairs.append((i, k))
-    return validate_index_set(ctx, pairs)
+    return pairs
+
+
+def parse_index_set(ctx: DihedralContext, text: str) -> IndexSet:
+    """Parse ``(i1,k1),(i2,k2),...`` into a validated index set."""
+    return validate_index_set(ctx, parse_pairs(text))

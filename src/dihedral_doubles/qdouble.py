@@ -722,7 +722,8 @@ def _span_reader(space: EchelonBasis) -> Callable[[VecDict], VecDict]:
     The check touches only the rows at v's own pivots, and a coordinate
     row, {q: 1}, adds nothing beyond the entry at q.  It is the one
     certificate of stability that :func:`subspace_as_module` asks for;
-    ``EchelonBasis.reduce`` decides the same membership on the forward rows.
+    ``EchelonBasis.insert`` decides the same membership with the forward
+    rows, but grows the span by a vector outside it.
 
     Raises:
         AssertionError: if v is not in the span.
@@ -960,9 +961,16 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
 
     The group part is :func:`tensor_dd` of the two; a raising letter acts on
     the right factor through the group degree of the left one, and a
-    lowering letter likewise, swapping its sign on reflection-degree vectors.  The
-    construction is guarded: the defining relations are re-checked on the
-    result and any failure raises instead of being patched over.
+    lowering letter likewise, swapping its sign on reflection-degree vectors.
+    Both kinds are built by one loop: column ``(ja, jb)`` is the left letter's
+    column ja tensored with e_jb, plus ``w^e e_ia`` tensored with column jb
+    of a right letter.  For a raising letter, ia and e are column ja of
+    y^(sign i) and the right letter has the same sign; for a lowering letter,
+    ia is ja, e is ``sign a k`` and the right letter has the same sign on a
+    rotation degree y^a, while on a reflection degree e is ``-sign a k`` and
+    the sign is the opposite.  The construction is guarded: the defining
+    relations are re-checked on the result and any failure raises instead of
+    being patched over.
     """
     if left.index_set != right.index_set:
         raise ValueError("tensor factors must share one index set")
@@ -970,48 +978,35 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
     dim_r = right.dim
     dim = left.dim * dim_r
 
-    def fuse(a: int, b: int) -> int:
-        return a * dim_r + b
-
     group = tensor_dd(left, right)
     v_mats: dict[tuple[int, int], CycMatrix] = {}
     a_mats: dict[tuple[int, int], CycMatrix] = {}
-    for (pos, sign), mat in left.v_mats.items():
-        i, _ = left.index_set.pairs[pos]
-        va = mat.sparse_columns()
-        vb = right.v_mats[(pos, sign)].sparse_columns()
-        turn = y_power(left, sign * i)
-        cols = []
-        for ja in range(left.dim):
-            ia, val = turn.rows[ja], field.zeta(turn.exps[ja])
-            for jb in range(dim_r):
-                col: VecDict = {}
-                for ra, aval in va[ja].items():
-                    add_into(col, fuse(ra, jb), aval)
-                for ib, bval in vb[jb].items():
-                    add_into(col, fuse(ia, ib), val * bval)
-                cols.append(col)
-        v_mats[(pos, sign)] = CycMatrix(field, cols, dim)
-    for (pos, sign), mat in left.a_mats.items():
-        _, k = left.index_set.pairs[pos]
-        aa = mat.sparse_columns()
-        ab_same = right.a_mats[(pos, sign)].sparse_columns()
-        ab_opp = right.a_mats[(pos, -sign)].sparse_columns()
-        cols = []
-        for ja in range(left.dim):
-            refl, a = divmod(left.gdeg[ja], ctx.m)
-            if refl == 0:
-                scale, partner = field.zeta(sign * a * k), ab_same
+    for raising, mats, built in ((True, left.v_mats, v_mats), (False, left.a_mats, a_mats)):
+        for (pos, sign), mat in mats.items():
+            i, k = left.index_set.pairs[pos]
+            # per left column ja: the row ia, exponent e and right letter of the term w^e e_ia (x) letter
+            if raising:
+                turn = y_power(left, sign * i)
+                partner = right.v_mats[(pos, sign)].sparse_columns()
+                terms = [(ia, e, partner) for ia, e in zip(turn.rows, turn.exps)]
             else:
-                scale, partner = field.zeta(-sign * a * k), ab_opp
-            for jb in range(dim_r):
-                col = {}
-                for ia, val in aa[ja].items():
-                    add_into(col, fuse(ia, jb), val)
-                for ib, val in partner[jb].items():
-                    add_into(col, fuse(ja, ib), scale * val)
-                cols.append(col)
-        a_mats[(pos, sign)] = CycMatrix(field, cols, dim)
+                same = right.a_mats[(pos, sign)].sparse_columns()
+                opposite = right.a_mats[(pos, -sign)].sparse_columns()
+                terms = []
+                for ja, g in enumerate(left.gdeg):
+                    refl, a = divmod(g, ctx.m)
+                    terms.append((ja, sign * a * k, same) if refl == 0 else (ja, -sign * a * k, opposite))
+            cols = []
+            for own, (ia, e, partner) in zip(mat.sparse_columns(), terms):
+                scale = field.zeta(e)
+                for jb in range(dim_r):
+                    col: VecDict = {}
+                    for ra, val in own.items():
+                        add_into(col, ra * dim_r + jb, val)
+                    for ib, val in partner[jb].items():
+                        add_into(col, ia * dim_r + ib, scale * val)
+                    cols.append(col)
+            built[(pos, sign)] = CycMatrix(field, cols, dim)
     result = QDModule(
         ctx,
         left.index_set,

@@ -289,8 +289,9 @@ def verify_reflection_split(
         )
     plus_vec, minus_vec = reflection_split_vectors(ctx, pair, label)
     for vec, part_label in ((plus_vec, plus_label), (minus_vec, minus_label)):
+        # the summand's span is thrown away after one membership test, so insert may grow it
         image = _rref(ctx.field, [col for emb in found[part_label] for col in emb.sparse_columns()])
-        if image.reduce(vec):
+        if image.insert(vec):
             raise AssertionError(
                 f"distinguished vector for {part_label} at pair {pair}, weight {label} "
                 "does not lie in its summand"
@@ -403,6 +404,16 @@ def is_spherical(ctx: DihedralContext, index_set: IndexSet) -> bool:
     Fails exactly when some pair has both entries even.  This is the
     paper's rule for 4 | m; for m = 2 mod 4 it is applied as it stands, and
     README's table of outcomes outside the proven regime records the result.
+    A letter of the pair (i, k) lies in degree y^(+-i), and the candidate
+    pivot y^n times a sign character scales it by (-1)^k, from y^n, times
+    the character's sign on y^i.  For 4 | m, i k = n mod m is even, so a pair
+    that passes the rule has exactly one odd entry, and the character that
+    negates the rotation (:func:`pivot_candidate` 3) negates every letter.
+    For m = 2 mod 4, n is odd, so every admissible pair has i and k odd: the
+    rule always passes, and the pivots are y^n times characters 1 and 2,
+    which keep the rotation, never character 3 (``spherical_report`` reads
+    ``{1: True, 2: True, 3: False, 4: False}`` on every single pair at
+    m = 6, 10 and 14).
     """
     return all(i % 2 != 0 or k % 2 != 0 for i, k in index_set.pairs)
 
@@ -452,9 +463,15 @@ def quantum_dimension(ctx: DihedralContext, module: QDModule) -> CycNum:
     character: the sum of w^e over its columns that keep their row.  Only
     meaningful when the index set is spherical; raises otherwise.  That it
     vanishes exactly off the rigid simples is the paper's rule for 4 | m.
-    For m = 2 mod 4, n is odd and a simple that is not rigid can have a
-    nonzero quantum dimension; README's table of outcomes outside the
-    proven regime counts those cases.
+    For m = 2 mod 4, n is odd, and candidate 3 is no pivot: the letters of
+    a pair (i, k) with i and k odd commute with it (see :func:`is_spherical`),
+    and the pivots are y^n times characters 1 and 2.  Its trace then need
+    not vanish off the rigid simples, and that is the only check that fails
+    there: ``(1,5)``, ``e:chi3`` at m = 10 is not rigid and reads -4, where
+    the trace of candidate 1 is 0.  Over every single pair at m = 6, 10 and
+    14, candidate 3 breaks the rule on 98, 372 and 978 cases, the counts
+    README's table of outcomes outside the proven regime pins, and
+    candidate 1 on none.
     """
     if not is_spherical(ctx, module.index_set):
         raise ValueError(f"index set {module.index_set} is not spherical")

@@ -55,12 +55,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, CyclotomicField, UnitMonomial, VecDict, _rref
+from .cyclotomic import CycMatrix, CycNum, UnitMonomial, VecDict, _rref
 from .dihedral import CHI_SIGNS, DihedralContext
 from .nichols import IndexSet
 
@@ -672,23 +671,17 @@ def _trace_counts(module: QDModule, cls: _ClassData, block: Sequence[int]) -> di
     return counts
 
 
-@lru_cache(maxsize=None)
-def _power_terms(field: CyclotomicField) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero ``(coordinate, value)`` of each power w^e, e = 0 .. m-1, one table per field."""
-    return tuple(tuple((c, v) for c, v in enumerate(field.zeta(e).coords) if v) for e in range(field.m))
-
-
 def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> list[int]:
     """Traces of the orbit representatives on the block, as concatenated integer coordinates.
 
     :func:`decomposition_counts` looks this vector up among the members'
     trace vectors, and on a miss dots it with their weight rows.  The
     exponent counts of :func:`_trace_counts` become coordinates once, here,
-    each w^e through its nonzero coordinates alone (:func:`_power_terms`).
+    each w^e through its nonzero coordinates alone (the field's ``power_terms``).
     """
     field = module.ctx.field
     degree = field.degree
-    powers = _power_terms(field)
+    powers = field.power_terms
     vector = [0] * (degree * len(cls.orbits))
     for (pos, e), count in _trace_counts(module, cls, block).items():
         start = pos * degree
@@ -719,7 +712,7 @@ def _catalog_characters(
     All of it is read from exponent counts (:func:`_trace_counts`).  With t
     the sum of ``c_f w^f``, weight column a is the sum of
     ``c_f (same * w^(a-f) + inverse * w^(f-a))``, integers taken from the
-    table of the nonzero coordinates of each w^e (:func:`_power_terms`); an
+    table of the nonzero coordinates of each w^e (the field's ``power_terms``); an
     orbit's rows and trace coordinates are made once per (counts, same,
     inverse) met.  The Gram matrix of the members of each class, the traces
     of one against the weights of the other, must be the identity: Schur
@@ -736,7 +729,7 @@ def _catalog_characters(
     """
     field, m = ctx.field, ctx.m
     degree = field.degree
-    powers = _power_terms(field)
+    powers = field.power_terms
     # (counts, same, inverse): an orbit's weight rows and trace coordinates
     orbit_parts: dict[tuple, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 

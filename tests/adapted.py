@@ -52,7 +52,7 @@ from dihedral_doubles.qdouble import (
 )
 from dihedral_doubles.theorems import RIGID, RecursionCheck
 from dihedral_doubles.weights import QDModule, WeightLabel
-from matrices import as_monomial, kernel, monomial_matrix, without_zeros
+from matrices import as_monomial, kernel, monomial_matrix, residual, without_zeros
 
 
 def reference_generated(module: QDModule, vectors) -> EchelonBasis:
@@ -99,7 +99,7 @@ def reference_submodule(module, space: EchelonBasis, kind: str):
 
     def images(mat):
         out = [mat.apply(row) for row in space.rows]
-        assert not any(space.reduce(image) for image in out), "subspace is not stable under a generator"
+        assert not any(residual(space, image) for image in out), "subspace is not stable under a generator"
         return out
 
     return reference_on_positions(module, space.pivots, images, kind)
@@ -205,7 +205,7 @@ def reference_quotient(module, space: EchelonBasis, kind: str):
     one = module.ctx.field.one
 
     def images(mat):
-        return [space.reduce(mat.apply({j: one})) for j in kept]
+        return [residual(space, mat.apply({j: one})) for j in kept]
 
     return reference_on_positions(module, kept, images, kind)
 
@@ -323,7 +323,7 @@ def as_module(module: QDModule, reference) -> QDModule:
         assert frame.pivots == list(range(dim)), "the adapted vectors are not a basis"
 
         def rebase(mat: CycMatrix) -> CycMatrix:
-            cols = [frame.reduce(mat.apply(vec)) for vec in basis]
+            cols = [residual(frame, mat.apply(vec)) for vec in basis]
             return CycMatrix(field, [{i - dim: -val for i, val in col.items()} for col in cols], dim)
 
         group = [as_monomial(rebase(x_mat)), as_monomial(rebase(y_mat))]

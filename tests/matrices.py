@@ -6,7 +6,9 @@ a CycMatrix or back; the tests compare both against these, which read the
 column dicts alone, convert with :func:`monomial_matrix` and
 :func:`as_monomial`, and draw UnitMonomials with :func:`unit_monomials`.
 The package solves no kernel; :func:`kernel` solves one by elimination,
-for the references that need it.  A CycMatrix
+for the references that need it.  Span membership is asked of a fresh
+echelon basis by :func:`in_span`, and the references that read a vector
+modulo a span take :func:`residual`.  A CycMatrix
 holds no zero entry; references whose column dicts may hold one build
 through :func:`without_zeros`.
 A basis vector of a module has no name; :func:`induced_position` finds
@@ -22,7 +24,16 @@ from typing import Callable, Iterable, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from dihedral_doubles.cyclotomic import CycMatrix, CycNum, CyclotomicField, UnitMonomial, VecDict, _rref, add_into
+from dihedral_doubles.cyclotomic import (
+    CycMatrix,
+    CycNum,
+    CyclotomicField,
+    EchelonBasis,
+    UnitMonomial,
+    VecDict,
+    _rref,
+    add_into,
+)
 
 
 def times(a: CycMatrix, b: CycMatrix) -> CycMatrix:
@@ -44,6 +55,26 @@ def kernel(field: CyclotomicField, rows: Iterable[VecDict], ncols: int) -> list[
             if free != pivot:
                 out[free][pivot] = -x
     return list(out.values())
+
+
+def in_span(field: CyclotomicField, rows: Iterable[VecDict], vec: VecDict) -> bool:
+    """Whether ``vec`` lies in the span of ``rows``: a fresh echelon basis of the rows does not grow by it."""
+    return not _rref(field, rows).insert(vec)
+
+
+def residual(space: EchelonBasis, vec: VecDict) -> VecDict:
+    """The vector minus its component in the span, 0 at every pivot and empty exactly on the span.
+
+    Reduced row r_q is 1 at its pivot q and 0 at the other pivots, so the
+    component is the sum of ``vec[q] r_q`` over the pivots q of ``vec``.
+    """
+    out = dict(vec)
+    for pivot, row in zip(space.pivots, space.rows):
+        c = vec.get(pivot)
+        if c is not None:
+            for t, x in row.items():
+                add_into(out, t, -(x * c))
+    return out
 
 
 def has_two_entry_column(mat: CycMatrix) -> bool:

@@ -206,6 +206,142 @@ def test_an_order_outside_the_regime_names_the_cli_flag(capsys, command):
     assert out == ""
 
 
+class _Built(Exception):
+    """Raised by a patched `get_context` or `build_verma`: the run went past every refusal."""
+
+
+def _raise_built(*args, **kwargs):
+    raise _Built
+
+
+_ORDER_ARGV = {
+    "weights": ["weights"],
+    "tensor": ["tensor", "e:chi1", "e:chi1"],
+    "simple": ["simple", "--index", "(1,6)", "--weight", "e:chi1"],
+    "verify": ["verify", "--index", "(1,6)", "--weights", "e:chi1", "--threads", "1"],
+    "spherical": ["spherical"],
+}
+
+
+@pytest.mark.parametrize("unsafe", [[], ["--unsafe-m"]], ids=["", "unsafe"])
+@pytest.mark.parametrize("command", list(_ORDER_ARGV))
+def test_an_order_above_the_bound_is_refused_before_anything_is_built(capsys, monkeypatch, command, unsafe):
+    monkeypatch.setattr(cli, "get_context", _raise_built)
+    argv = _ORDER_ARGV[command]
+    for m in (cli.MAX_M + 1, cli.MAX_M + 4, 1_000_000_000):
+        code, out, err = run(capsys, [*argv, "--m", str(m), *unsafe])
+        assert (code, out) == (2, "")
+        assert err == f"error: m must be at most {cli.MAX_M}, the largest order that is built, got {m}\n"
+    # the bound itself is an order of the proven regime, and the run goes on to build its context
+    assert cli.MAX_M > 40 and cli.in_proven_regime(cli.MAX_M)
+    with pytest.raises(_Built):
+        cli.main([*argv, "--m", str(cli.MAX_M), *unsafe])
+
+
+# copies of (2,3) at m = 12, and the dimension 4^|I| dim(lambda) of the standard module
+_AT_THE_BOUND = [(8, "e:chi1", 65_536), (8, "yn:chi3", 65_536), (7, "M1,2", 32_768)]
+_ABOVE_THE_BOUND = [(7, "Mx:0,0", 98_304), (8, "e:rho1", 131_072), (10, "e:chi1", 1_048_576)]
+
+
+def _copies(pairs: int) -> str:
+    return ",".join(["(2,3)"] * pairs)
+
+
+def _size_message(pairs: int, weight: str, estimate: int) -> str:
+    return (
+        f"the standard module of {weight} over {pairs} pairs would have {estimate:,} basis vectors, "
+        f"more than the {cli.MAX_STANDARD_DIM:,} that are built"
+    )
+
+
+def test_the_standard_module_bound_sits_between_the_cases_built_and_refused():
+    # the five-pair case that CI verifies is built
+    assert 6_144 <= max(estimate for _, _, estimate in _AT_THE_BOUND) == cli.MAX_STANDARD_DIM
+    assert all(estimate > cli.MAX_STANDARD_DIM for _, _, estimate in _ABOVE_THE_BOUND)
+    for pairs, weight, estimate in _AT_THE_BOUND + _ABOVE_THE_BOUND:
+        assert 4**pairs * cli.parse_weight_label(weight).dimension(6) == estimate
+
+
+@pytest.mark.parametrize("pairs, weight, estimate", _ABOVE_THE_BOUND)
+def test_simple_refuses_a_standard_module_above_the_bound_before_anything_is_built(
+    capsys, monkeypatch, pairs, weight, estimate
+):
+    monkeypatch.setattr(cli, "get_context", _raise_built)
+    monkeypatch.setattr(cli, "build_verma", _raise_built)
+    code, out, err = run(capsys, ["simple", "--index", _copies(pairs), "--weight", weight])
+    assert (code, out) == (2, "")
+    assert err == f"error: {_size_message(pairs, weight, estimate)}\n"
+
+
+@pytest.mark.parametrize("pairs, weight, estimate", _AT_THE_BOUND)
+def test_simple_builds_a_standard_module_at_the_bound(monkeypatch, pairs, weight, estimate):
+    monkeypatch.setattr(cli, "get_context", _raise_built)
+    with pytest.raises(_Built):
+        cli.main(["simple", "--index", _copies(pairs), "--weight", weight])
+
+
+def test_verify_reports_a_standard_module_above_the_bound_as_its_case_error(capsys, monkeypatch):
+    # seven copies of (2,3): e:chi1 and e:rho1 are within the bound and are handed to verify_simple,
+    # whose standard modules are not built here; Mx:0,0 is refused and never handed over
+    built = []
+
+    def build_verma(ctx, index_set, label):
+        built.append(str(label))
+        raise AssertionError("standard module not built in this test")
+
+    monkeypatch.setattr(theorems, "build_verma", build_verma)
+    argv = ["verify", "--index", _copies(7), "--weights", "e:chi1, Mx:0,0, e:rho1", "--threads", "1"]
+    refusal = _size_message(7, "Mx:0,0", 98_304)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "e:chi1     ERROR: standard module not built in this test",
+        f"Mx:0,0     ERROR: {refusal}",
+        "e:rho1     ERROR: standard module not built in this test",
+        "1 refused as too large to build: Mx:0,0",
+        "2 mismatches: e:chi1, e:rho1",
+    ]
+    assert "Mx:0,0" not in built and {"e:chi1", "e:rho1"} <= set(built)
+
+    code, obj = run_json(capsys, argv)
+    assert code == 2
+    assert (obj["ok"], obj["failures"]) == (False, ["e:chi1", "Mx:0,0", "e:rho1"])
+    assert obj["cases"][1] == {"m": 12, "index_set": [[2, 3]] * 7, "weight": "Mx:0,0", "ok": False, "error": refusal}
+
+
+def test_verify_with_every_case_refused_runs_none(capsys, monkeypatch):
+    monkeypatch.setattr(theorems, "build_verma", _raise_built)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    code, out, err = run(capsys, ["verify", "--index", _copies(8), "--weights", "e:rho1, Mx:0,0"])
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-1] == "2 refused as too large to build: e:rho1, Mx:0,0"
+    assert _RecordingExecutor.sizes == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spherical", "--index", _copies(9)], _size_message(9, "e:chi1", 262_144)),
+        (
+            ["verify", "--index", _copies(9), "--weights", "e:chi1", "--spherical"],
+            "--spherical: " + _size_message(9, "e:chi1", 262_144),
+        ),
+        (
+            ["verify", "--index", _copies(7), "--weights", "e:chi1", "--tensor-rigid"],
+            "--tensor-rigid: " + _size_message(7, "Mx:0,0", 98_304),
+        ),
+    ],
+    ids=["spherical", "verify --spherical", "verify --tensor-rigid"],
+)
+def test_a_pivot_or_tensor_check_above_the_bound_is_refused_before_any_case_runs(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "build_verma", _raise_built)
+    monkeypatch.setattr(theorems, "build_verma", _raise_built)
+    code, out, err = run(capsys, [*argv, "--threads", "1"] if argv[0] == "verify" else argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_verify_subset(capsys):
     code, out, err = run(
         capsys,

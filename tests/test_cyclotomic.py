@@ -3,7 +3,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dihedral_doubles.cyclotomic import (
     CycMatrix,
     CycNum,
+    CyclotomicField,
     EchelonBasis,
     UnitMonomial,
     _rref,
@@ -26,6 +27,7 @@ from matrices import (
     diagonal,
     from_rows,
     identity,
+    in_span,
     is_zero,
     kernel,
     monomial_matrix,
@@ -52,6 +54,40 @@ def test_minimal_polynomial_order_twelve():
     # x^4 - x^2 + 1, low degree first
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert get_field(12).degree == 4
+
+
+def _remainder_coords(m: int, k: int) -> tuple[int, ...]:
+    """Coordinates of w^k: the remainder of x^k by sympy's m-th cyclotomic polynomial, by long division."""
+    poly = _sympy_coeffs(m)
+    d = len(poly) - 1
+    rem = [0] * k + [1] + [0] * d
+    for top in range(k, d - 1, -1):
+        c = rem[top]
+        if c:
+            for t in range(d + 1):
+                rem[top - d + t] -= c * poly[t]
+    return tuple(rem[:d])
+
+
+@pytest.mark.parametrize("m", range(3, 49))
+def test_the_power_table_feeds_the_reduction_rows_unit_actions_and_conjugations(m):
+    field = CyclotomicField(m)
+    d = field.degree
+    coords = [_remainder_coords(m, k) for k in range(m)]
+    terms = [tuple((t, e) for t, e in enumerate(c) if e) for c in coords]
+    assert [power.coords for power in field._zeta_pows] == coords
+    assert list(field.power_terms) == terms
+    # row j of the reduction is w^(d + j); the top row, w^d, is minus the low coefficients of the minimal polynomial
+    assert field._reduction == tuple(coords[(d + j) % m] for j in range(max(1, d - 1)))
+    assert field._reduction[0] == tuple(-c for c in field.minpoly[:d])
+    for k, (sign, columns) in enumerate(field._unit_actions):
+        if k == 0 or 2 * k == m:
+            assert (sign, columns) == (1 if k == 0 else -1, None)
+        else:
+            assert sign == 1
+            assert list(columns) == [terms[(k + j) % m] for j in range(d)]
+    units = [a for a in range(2, m) if gcd(a, m) == 1]
+    assert list(field._conjugations) == [tuple(terms[a * j % m] for j in range(d)) for a in units]
 
 
 @given(st.sampled_from([6, 8, 12, 16]), st.lists(st.integers(-5, 5), min_size=8, max_size=8))
@@ -477,9 +513,8 @@ def test_matrix_solve_consistent_and_inconsistent():
     assert padded.apply(sol) == rhs
     assert _solve(padded, {0: field.one, 1: field.one}) is None
     # the same answers as span membership of the right-hand side in the columns
-    columns = _rref(field, padded.sparse_columns())
-    assert columns.reduce(rhs) == {}
-    assert columns.reduce({0: field.one, 1: field.one}) != {}
+    assert in_span(field, padded.sparse_columns(), rhs)
+    assert not in_span(field, padded.sparse_columns(), {0: field.one, 1: field.one})
 
 
 def test_matrix_algebra_identities():
@@ -592,24 +627,27 @@ def _combination(span, vec):
 
 
 @given(sparse_matrices(), st.data())
-def test_reduce_finds_a_vector_in_the_span_exactly_when_the_rank_does_not_grow(mat, data):
+def test_insert_finds_a_vector_in_the_span_exactly_when_the_rank_does_not_grow(mat, data):
     field = mat.field
     span = _rref(field, mat.sparse_columns())
     x = data.draw(_factor(field, mat.ncols, 1, False)).sparse_columns()[0]
     inside = mat.apply(x)
-    assert span.reduce(inside) == {}
+    assert in_span(field, mat.sparse_columns(), inside)
     assert _combination(span, inside) == inside
     b = data.draw(_factor(field, mat.nrows, 1, False)).sparse_columns()[0]
     augmented = CycMatrix(field, mat.sparse_columns() + [b], mat.nrows)
-    rest = span.reduce(b)
-    assert all(rest.values())
-    assert not set(rest).intersection(span.pivots)
-    assert (rest == {}) == (_rank(augmented) == _rank(mat))
-    assert (_combination(span, b) != b) == bool(rest)
+    member = in_span(field, mat.sparse_columns(), b)
+    assert member == (_rank(augmented) == _rank(mat))
+    assert (_combination(span, b) == b) == member
     sol = _solve(mat, b)
-    assert (sol is None) == bool(rest)
+    assert (sol is not None) == member
     if sol is not None:
         assert mat.apply(sol) == b
+    # insert leaves the span as it was exactly when the vector lay in it
+    pivots = list(span.pivots)
+    assert span.insert(b) != member
+    assert (span.pivots == pivots) == member
+    assert span.pivots == _rref(field, augmented.sparse_columns()).pivots
 
 
 @given(sparse_matrices(rational_only=True))
@@ -651,7 +689,7 @@ def test_echelon_basis_does_not_depend_on_insertion_order(mat, data):
             combo[t] = combo[t] + c * x if t in combo else c * x
     combo = {t: x for t, x in combo.items() if x}
     assert [combo.get(p, mat.field.zero) for p in first.pivots] == coeffs
-    assert not first.reduce(combo)
+    assert in_span(mat.field, rows, combo)
     assert all(not first.insert(row) for row in rows)
 
 
@@ -667,12 +705,13 @@ def test_reduced_rows_read_between_inserts_match_a_fresh_basis(mat, data):
             basis.insert(row)
         done = end
         fresh = _rref(field, rows[:end])
-        # reduce before and after the first read of rows builds the reduced form
-        forward = basis.reduce(probe)
-        assert forward == fresh.reduce(probe)
+        # the reduced form read between inserts, and again after the inserts that follow it
         assert basis.rows == fresh.rows
         assert basis.pivots == fresh.pivots
-        assert basis.reduce(probe) == forward
+    # the forward rows still decide membership, and grow the span alike, after the reduced form was read
+    assert basis.insert(probe) == fresh.insert(probe)
+    assert basis.pivots == fresh.pivots
+    assert basis.rows == fresh.rows
 
 
 @given(sparse_matrices(), st.data())
@@ -869,13 +908,6 @@ class _ReferenceBasis:
             self.forward[min(row)] = row
         return bool(row)
 
-    def reduce(self, vec):
-        out = dict(vec)
-        for pivot in self.pivots:
-            if pivot in out:
-                _reference_clear(out, pivot, self.forward[pivot])
-        return out
-
     @property
     def rows(self):
         built = {}
@@ -944,10 +976,15 @@ def test_coordinate_rows_match_the_forward_row_clears(case, data):
     probes = [_scaled_sum(field, rows, coeffs), {j: data.draw(_entries(field)) for j in range(ncols)}]
     probes += [{j: data.draw(_entries(field))} for j in range(ncols)]
     for probe in probes:
-        assert basis.reduce(probe) == reference.reduce(probe)
-    assert basis.reduce(probes[0]) == {}
+        # membership and the grown span on fresh bases of the same rows
+        grown, grown_reference = _rref(field, [rows[r] for r in order]), _ReferenceBasis(field)
+        for r in order:
+            grown_reference.insert(rows[r])
+        assert grown.insert(probe) == grown_reference.insert(probe)
+        assert (grown.pivots, grown.rows) == (grown_reference.pivots, grown_reference.rows)
+    assert in_span(field, rows, probes[0])
     assert kernel(field, rows, ncols) == reference.kernel(ncols)
-    # the reduced rows are read after reducing, and neither the rows handed in nor the basis change
+    # neither the rows handed in nor the basis change
     assert basis.rows == reference.rows
     assert rows == given_rows
     assert all(row[pivot] == field.one for pivot, row in zip(basis.pivots, basis.rows))

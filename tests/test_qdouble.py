@@ -59,6 +59,7 @@ from matrices import (
     diagonal,
     has_two_entry_column,
     identity,
+    in_span,
     induced_position,
     is_zero,
     monomial_matrix,
@@ -343,21 +344,21 @@ def _spans_and_vectors(draw):
             scale = entry()
             for t, val in row.items():
                 add_into(vec, t, val * scale)
-    outside = [t for t in range(dim) if space.reduce({t: field.one})]
+    outside = [t for t in range(dim) if not in_span(field, rows, {t: field.one})]
     inside = not outside or draw(st.booleans())
     if not inside:
         # a basis vector outside the span, added to a vector in it, leaves it outside
         add_into(vec, draw(st.sampled_from(outside)), entry())
-    return space, vec, inside
+    return rows, space, vec, inside
 
 
 @settings(max_examples=300)
 @given(_spans_and_vectors())
-def test_the_reduced_row_membership_read_agrees_with_reduce(case):
+def test_the_reduced_row_membership_read_agrees_with_insert(case):
     # subspace_as_module decides stability on the reduced rows at a vector's own pivots
-    # (qdouble._span_reader); EchelonBasis.reduce clears every pivot with the forward rows
-    space, vec, inside = case
-    assert (not space.reduce(vec)) == inside
+    # (qdouble._span_reader); EchelonBasis.insert clears the vector with the forward rows
+    rows, space, vec, inside = case
+    assert in_span(space.field, rows, vec) == inside
     read = qdouble._span_reader(space)
     if not inside:
         with pytest.raises(AssertionError, match="subspace is not stable under a generator"):
@@ -374,13 +375,18 @@ def test_the_reduced_row_membership_read_agrees_with_reduce(case):
 
 def _leaving_kinds(module, space):
     """The kinds of generator, of x and y ("group"), raising or lowering letters, that take some reduced row
-    of ``space`` out of it, each image applied and reduced."""
+    of ``space`` out of it, each image applied and asked of a fresh basis of the rows."""
     kinds = {
         "group": [monomial_matrix(module.x_mat), monomial_matrix(module.y_mat)],
         "raising": list(module.v_mats.values()),
         "lowering": list(module.a_mats.values()),
     }
-    return {kind for kind, mats in kinds.items() if any(space.reduce(g.apply(row)) for g in mats for row in space.rows)}
+    rows = space.rows
+    return {
+        kind
+        for kind, mats in kinds.items()
+        if any(not in_span(space.field, rows, g.apply(row)) for g in mats for row in rows)
+    }
 
 
 @pytest.mark.parametrize("part", ["degree 0", "bottom layer", "socle below its top"])
