@@ -22,9 +22,7 @@ whose memo stores nothing and whose trace tables are empty, so that every
 block takes the dot products, and every elimination lead
 that those reports invert must be a tagged power of w.  Every singleton
 report at m = 12 and 16, every two-pair report at m = 12 and every report
-over ``(1,6),(3,6),(5,6)`` is compared with the report made while
-``qdouble.subspace_as_module`` builds every submodule, a full span too,
-through ``qdouble._on_positions``, and its recursion is compared with the
+over ``(1,6),(3,6),(5,6)`` has its recursion compared with the
 test helper's ``reference_recursion``, which builds every standard module on
 its own and induces the smaller head and the smaller socle apart at every
 recursion step; its socle character and socle simplicity are compared with
@@ -61,7 +59,7 @@ from pathlib import Path
 
 import pytest
 
-from dihedral_doubles import get_context, qdouble, theorems
+from dihedral_doubles import get_context, theorems
 from dihedral_doubles.dihedral import DihedralContext
 from dihedral_doubles.nichols import parse_index_set, valid_pairs, validate_index_set
 from dihedral_doubles.qdouble import (
@@ -183,21 +181,19 @@ def test_every_inverted_elimination_lead_of_a_singleton_case_is_a_tagged_power_o
 def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
     """Every report equals the one made with no reuse between modules.
 
-    Every submodule, a full span too, is restricted row by row, and the
-    recursion equals the test helper's (``reference_recursion``), which
+    The recursion equals the test helper's (``reference_recursion``), which
     builds every standard module on its own and induces the smaller head
     and the smaller socle apart at every step.  The socle ``verify_simple``
     reports, which is the standard module itself when that is simple,
     equals the one spanned from the standard module's bottom layer, in
-    character and in the simplicity of its bottom layer.  The full-span
-    return must have been taken, and over index sets of two or more pairs
-    the last pair's step must have been the standard module's own,
-    inducing nothing.  Over
+    character and in the simplicity of its bottom layer.  Over index sets
+    of two or more pairs the last pair's step must have been the standard
+    module's own, inducing nothing.  Over
     index sets with two distinct pairs or more, some step must have been
     certified by a basis change onto the standard module
     (``qdouble.basis_change``), with no check of its own.
     """
-    full_spans = own_steps = certified = 0
+    own_steps = certified = 0
     induced = []
 
     def recorded(context, simple, pair):
@@ -210,12 +206,6 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
         certified += change is not None
         return change
 
-    def every_row_restricted(module, space, kind="submodule"):
-        """``subspace_as_module`` without its full-span return: every row's images read over the rows."""
-        nonlocal full_spans
-        full_spans += len(space.pivots) == module.dim
-        return qdouble._on_positions(module, space.pivots, space.rows, qdouble._span_reader(space), kind)
-
     for index_set in index_sets:
         for label in all_weight_labels(ctx):
             induced.clear()
@@ -224,15 +214,10 @@ def _assert_no_report_changes_without_the_reuse(ctx, index_sets):
                 patch.setattr(theorems, "basis_change", counted)
                 report = verify_simple(ctx, index_set, label)
             own_steps += index_set.size > 1 and index_set.pairs[-1] not in induced
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(qdouble, "subspace_as_module", every_row_restricted)
-                restricted = verify_simple(ctx, index_set, label)
-                assert restricted.to_json_obj() == report.to_json_obj(), f"{index_set} / {label}"
-                assert reference_recursion(ctx, index_set, label) == report.recursion, f"{index_set} / {label}"
-                spanned = socle(build_verma(ctx, index_set, label))
-                assert graded_character(spanned) == report.socle_character, f"{index_set} / {label}"
-                assert _socle_is_simple(ctx, spanned) == report.socle_simple, f"{index_set} / {label}"
-    assert full_spans
+            assert reference_recursion(ctx, index_set, label) == report.recursion, f"{index_set} / {label}"
+            spanned = socle(build_verma(ctx, index_set, label))
+            assert graded_character(spanned) == report.socle_character, f"{index_set} / {label}"
+            assert _socle_is_simple(ctx, spanned) == report.socle_simple, f"{index_set} / {label}"
     assert own_steps or all(index_set.size == 1 for index_set in index_sets)
     assert certified or all(len(set(index_set.pairs)) == 1 for index_set in index_sets)
 

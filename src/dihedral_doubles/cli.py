@@ -64,8 +64,11 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 # The largest order, and the most basis vectors of a standard module, that
-# are built: each the largest size measured to stay under 1 GB peak RSS
-# (README, "Sizes that are refused").
+# are built (README, "Sizes that are refused").  The module bound is the
+# largest size measured to stay under 1 GB peak RSS.  The order bound was
+# too, while each catalog member kept phi(m) weight rows; with one row per
+# member it no longer marks where memory runs out, and it is kept until a
+# larger order is measured end to end.
 MAX_M = 72
 MAX_STANDARD_DIM = 65_536
 # e:chi1, and a weight of the largest dimension, m/2

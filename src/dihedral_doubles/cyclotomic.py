@@ -261,10 +261,9 @@ class CycNum:
         other operand's integer coordinates by an invertible integer matrix,
         so the product keeps that operand's denominator and stays in lowest
         terms, and it is no power of w: no gcd and no lookup are needed.
-        Of two untagged operands, a rational one, such as the 2 and -2 of
-        the relation checks, scales the other's coordinates with no
-        convolution; the scaled number is brought to lowest terms when a
-        denominator is involved, and tagged if it is a power of w.
+        Two untagged operands, a rational one too, take the convolution
+        (``mul_coords``), brought to lowest terms and tagged if the product
+        is a power of w.
         """
         if not isinstance(o, CycNum):
             return NotImplemented
@@ -278,18 +277,7 @@ class CycNum:
         elif o.unit is not None:
             action, x = field._unit_actions[o.unit], self
         else:
-            if not any(o.coords[1:]):
-                scale, x = o, self
-            elif not any(self.coords[1:]):
-                scale, x = self, o
-            else:
-                return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
-            # a rational operand scales the other's coordinates
-            r = scale.coords[0]
-            coords = [r * c for c in x.coords]
-            if scale.den == 1 and x.den == 1:
-                return CycNum._integral(field, tuple(coords))
-            return CycNum._normalized(field, coords, scale.den * x.den)
+            return CycNum._normalized(field, field.mul_coords(self.coords, o.coords), self.den * o.den)
         sign, columns = action
         if columns is None:
             return x if sign > 0 else -x
@@ -538,15 +526,8 @@ class UnitMonomial:
                 return False
         return True
 
-    def cycle_starts(self) -> Sequence[int]:
-        """The smallest column of each cycle of the row map, fixed points included, in increasing order.
-
-        When the row map is the identity, every column is its own cycle, and
-        the columns are returned as a range with no walk.
-        """
-        n = len(self.rows)
-        if self.rows == tuple(range(n)):
-            return range(n)
+    def cycle_starts(self) -> list[int]:
+        """The smallest column of each cycle of the row map, fixed points included, in increasing order."""
         return [start for start, _, _ in self._cycles()]
 
     def restricted(self, idxs: Sequence[int]) -> UnitMonomial:

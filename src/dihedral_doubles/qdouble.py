@@ -389,8 +389,8 @@ def check_relations(module: QDModule) -> list[str]:
     exponent of ``c_A c_B``.  So with ``y e_j = w^u e_r``, column r of R is
     ``c^-1 w^-u y`` times column j: it vanishes exactly when column j does,
     and the first column of each cycle decides the cycle.  That is one
-    column in m/2 on a reflection weight, and every column, with no cycle
-    walk, where y's row map is the identity (``UnitMonomial.cycle_starts``).
+    column in m/2 on a reflection weight, and every column where y's row
+    map is the identity (``UnitMonomial.cycle_starts``).
     The x-swaps and y-scalings, the premises, are decided on every column,
     and so is a bracket whose premises fail.
     """
@@ -719,8 +719,7 @@ def _span_reader(space: EchelonBasis) -> Callable[[VecDict], VecDict]:
     Row r_q, at pivot q, is 1 at q and 0 at the other pivots.  So a vector
     v lies in the span exactly when ``v = sum over the pivots q of v of
     v[q] r_q``, and then its coordinates are its entries at the pivots.
-    The check touches only the rows at v's own pivots, and a coordinate
-    row, {q: 1}, adds nothing beyond the entry at q.  It is the one
+    The check touches only the rows at v's own pivots.  It is the one
     certificate of stability that :func:`subspace_as_module` asks for;
     ``EchelonBasis.insert`` decides the same membership with the forward
     rows, but grows the span by a vector outside it.
@@ -737,15 +736,9 @@ def _span_reader(space: EchelonBasis) -> Callable[[VecDict], VecDict]:
                 new, row = at_pivot[q]
                 out[new] = c
                 del rest[q]
-                # a coordinate row {q: 1} is 0 off q; elsewhere the term most often cancels an entry of v
-                if len(row) > 1:
-                    for t, val in row.items():
-                        if t != q:
-                            term = val * c
-                            if rest.get(t) == term:
-                                del rest[t]
-                            else:
-                                add_into(rest, t, -term)
+                for t, val in row.items():
+                    if t != q:
+                        add_into(rest, t, -(val * c))
         if rest:
             raise AssertionError("subspace is not stable under a generator")
         return out
@@ -763,17 +756,10 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     the span is a submodule, and :func:`socle`, which spans under the
     lowering letters alone, relies on it for x, y and the raising letters.
     x and y must be invertible monomial matrices on the rows
-    (:func:`_on_positions`), as they are for every socle.
-
-    A span of every basis vector is stable, and its reduced rows are the
-    unit vectors, on which :func:`_on_positions` would rebuild the module's
-    own matrices.  So it is returned at once as a new module that shares
-    those matrices, which are read-only (``weights.QDModule``), with the
-    weight and the kind given.
+    (:func:`_on_positions`), as they are for every socle.  A span of every
+    basis vector has the unit vectors for its reduced rows, and is rebuilt
+    so, as a new module with matrices of its own.
     """
-    if len(space.pivots) == module.dim:
-        mats = (module.x_mat, module.y_mat, module.v_mats, module.a_mats)
-        return QDModule(module.ctx, module.index_set, module.zdeg, module.gdeg, *mats, weight=module.weight, kind=kind)
     return _on_positions(module, space.pivots, space.rows, _span_reader(space), kind)
 
 

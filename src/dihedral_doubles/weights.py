@@ -33,10 +33,13 @@ the centralisers of the class representatives.
 Multiplicities come from those characters (:func:`decomposition_counts`):
 traces on the block of one degree per class, with no linear solve.  A block
 whose traces are one member's is that member, looked up in a table per
-class; any other takes one integer dot product per member.  The members'
-traces, each taken its multiplicity times, must then rebuild the block's
-traces exactly, and with orthonormality that makes every inner product the
-integer it was read as.
+class; any other takes one integer dot product per member, with the one row
+of weights the member keeps: the rational coordinate of the inner product.
+The members' traces, each taken its multiplicity times, must then rebuild
+the block's traces exactly, and with orthonormality that makes every inner
+product the integer it was read as.  The other coordinates are taken from
+exponent counts (:func:`_pairing`) by the catalog's own check, and where a
+block fails, to name the member at fault.
 Each context memoises these multiplicities, keyed on the group degrees and
 the exact x and y of the module, so a layer, tensor piece or socle met
 again is not decomposed again.
@@ -165,12 +168,10 @@ class QDModule:
     read their columns (``qdouble._products_equal``), and the brackets a
     row-map view of each letter that ``qdouble.check_relations`` builds.
 
-    A module's matrices are read-only once it is built: a submodule that
-    spans the whole module shares them (``qdouble.subspace_as_module``), and
-    each object keeps its layers, read from its degrees, in its own cache
-    ``_layers`` (:meth:`layer_indices`).  A module built from another's
-    matrices starts with an empty cache.  A basis vector has no name: its
-    position, integer degree and group degree identify it.
+    A module's matrices are read-only once it is built, and each object
+    keeps its layers, read from its degrees, in its own cache ``_layers``
+    (:meth:`layer_indices`).  A basis vector has no name: its position,
+    integer degree and group degree identify it.
 
     Raises:
         AssertionError: if the row map of x or y is not a permutation of the
@@ -565,22 +566,24 @@ class _ClassData:
 class _Member(NamedTuple):
     """A catalog member's character on its class, as integer weights and traces.
 
-    ``weights[c]`` dotted with the trace vector of a module on the class
-    representative g (:func:`_trace_vector`) gives coordinate c of
-    ``|C(g)|`` times the multiplicity of the member in the module.
+    ``weights`` dotted with the trace vector of a module on the class
+    representative g (:func:`_trace_vector`) gives coordinate 0, the
+    rational coordinate, of ``|C(g)|`` times the multiplicity of the member
+    in the module: the one coordinate :func:`decomposition_counts` reads.
     ``trace`` is the member's own trace vector, and its key in its class's
     table ``WeightCatalog.traces``.  Both are built from the member's
     exponent counts (:func:`_trace_counts`) by :func:`_catalog_characters`;
     :func:`decomposition_counts` looks a block's trace vector up among them
-    and, on a miss, reads them as coordinates.  The trace vector of a
-    module is the sum of its summands' trace vectors, each taken its
-    multiplicity times, which :func:`decomposition_counts` checks.
+    and, on a miss, dots it with the weights.  The trace vector of a module
+    is the sum of its summands' trace vectors, each taken its multiplicity
+    times, which :func:`decomposition_counts` checks.  Every coordinate of
+    an inner product comes from exponent counts (:func:`_pairing`).
     """
 
     index: int
     label: WeightLabel
     dim: int
-    weights: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
     trace: tuple[int, ...]
 
 
@@ -690,6 +693,48 @@ def _trace_vector(module: QDModule, cls: _ClassData, block: Sequence[int]) -> li
     return vector
 
 
+def _orbit_counts(cls: _ClassData, counts: dict[tuple[int, int], int]) -> list[tuple[tuple[int, int], ...]]:
+    """Exponent counts (:func:`_trace_counts`) split by orbit: per orbit position, its ``(e, count)`` in order of e."""
+    by_orbit: list[list[tuple[int, int]]] = [[] for _ in cls.orbits]
+    for (pos, e), count in sorted(counts.items()):
+        by_orbit[pos].append((e, count))
+    return list(map(tuple, by_orbit))
+
+
+def _pairing(
+    ctx: DihedralContext,
+    cls: _ClassData,
+    counts: Sequence[Sequence[tuple[int, int]]],
+    other: Sequence[Sequence[tuple[int, int]]],
+) -> list[int]:
+    """``|C(g)|`` times the inner product of two traces on the class, in every coordinate.
+
+    Both traces are given per orbit as exponent counts (:func:`_orbit_counts`).
+    Let T be the trace of an orbit representative h in ``counts`` and t in
+    ``other``.  Over the orbit, ``same * T conj(t) + inverse * conj(T) t`` is
+    added: for a term w^e of T and w^f of t, w^(e - f) ``same`` times and
+    w^(f - e) ``inverse`` times.  The sum is gathered as integer counts per
+    exponent and turned into coordinates once, with the table of the
+    nonzero coordinates of each w^e (the field's ``power_terms``).  With
+    ``other`` a member's counts, this is ``|C(g)|`` times the multiplicity
+    of the member.
+    """
+    m = ctx.m
+    exponents = [0] * m
+    for (_, same, inverse), terms, other_terms in zip(cls.orbits, counts, other):
+        for e, count in terms:
+            for f, other_count in other_terms:
+                product = count * other_count
+                exponents[(e - f) % m] += same * product
+                exponents[(f - e) % m] += inverse * product
+    powers = ctx.field.power_terms
+    coords = [0] * ctx.field.degree
+    for e, count in enumerate(exponents):
+        for c, v in powers[e] if count else ():
+            coords[c] += count * v
+    return coords
+
+
 def _blocks(module: QDModule) -> dict[int, list[int]]:
     """Basis indices of the module by degree."""
     blocks: dict[int, list[int]] = {}
@@ -706,20 +751,18 @@ def _catalog_characters(
     Let t be the trace of an orbit representative h on a member S.  Over
     the orbit, a module V with trace T at h contributes
     ``same * T conj(t) + inverse * conj(T) t`` to ``|C(g)|`` times the
-    multiplicity of S, so the orbit's weights pair coordinate a of T with the
-    coordinates of ``same * conj(t) w^a + inverse * t w^-a``.
+    multiplicity of S, so the orbit's weights pair coordinate a of T with
+    the rational coordinate of ``same * conj(t) w^a + inverse * t w^-a``.
 
     All of it is read from exponent counts (:func:`_trace_counts`).  With t
-    the sum of ``c_f w^f``, weight column a is the sum of
-    ``c_f (same * w^(a-f) + inverse * w^(f-a))``, integers taken from the
-    table of the nonzero coordinates of each w^e (the field's ``power_terms``); an
-    orbit's rows and trace coordinates are made once per (counts, same,
-    inverse) met.  The Gram matrix of the members of each class, the traces
-    of one against the weights of the other, must be the identity: Schur
-    orthonormality.  Each entry is the orbit sum above gathered as integer
-    counts per exponent (``e - f`` for ``same``, ``f - e`` for
-    ``inverse``), turned into coordinates and compared in every coordinate.
-    The entry of (T, S) counts the exponents of (S, T) negated: it is the
+    the sum of ``c_f w^f``, weight a is the sum of ``c_f (same * r(a - f)
+    + inverse * r(f - a))``, r(e) being the rational coordinate of w^e, read
+    off the table of the nonzero coordinates of each power of w (the
+    field's ``power_terms``); an orbit's weights and trace coordinates are
+    made once per (counts, same, inverse) met.  The Gram matrix of the
+    members of each class, their inner products in every coordinate
+    (:func:`_pairing`), must be the identity: Schur orthonormality.  The
+    entry of (T, S) counts the exponents of (S, T) negated: it is the
     conjugate entry, and right exactly when that one is, since the expected
     value is a rational integer.  So each unordered pair of members, a
     member with itself included, is checked once.
@@ -730,25 +773,23 @@ def _catalog_characters(
     field, m = ctx.field, ctx.m
     degree = field.degree
     powers = field.power_terms
-    # (counts, same, inverse): an orbit's weight rows and trace coordinates
-    orbit_parts: dict[tuple, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
+    rational = [dict(terms).get(0, 0) for terms in powers]
+    # (counts, same, inverse): an orbit's weights and trace coordinates
+    orbit_parts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def orbit_part(
         counts: tuple[tuple[int, int], ...], same: int, inverse: int
-    ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         part = orbit_parts.get((counts, same, inverse))
         if part is None:
-            rows = [[0] * degree for _ in range(degree)]
+            row = [0] * degree
             trace = [0] * degree
             for f, count in counts:
                 for c, v in powers[f]:
                     trace[c] += count * v
                 for a in range(degree):
-                    for c, v in powers[(a - f) % m]:
-                        rows[c][a] += same * count * v
-                    for c, v in powers[(f - a) % m]:
-                        rows[c][a] += inverse * count * v
-            part = orbit_parts[counts, same, inverse] = (tuple(map(tuple, rows)), tuple(trace))
+                    row[a] += count * (same * rational[(a - f) % m] + inverse * rational[(f - a) % m])
+            part = orbit_parts[counts, same, inverse] = (tuple(row), tuple(trace))
         return part
 
     characters: dict[int, list[_Member]] = {}
@@ -765,32 +806,17 @@ def _catalog_characters(
             block = _blocks(module).get(cls.rep)
             if block is None:
                 raise AssertionError(f"{label} has no basis vector in degree {ctx.group.name(cls.rep)}")
-            by_orbit: list[list[tuple[int, int]]] = [[] for _ in cls.orbits]
-            for (pos, e), count in sorted(_trace_counts(module, cls, block).items()):
-                by_orbit[pos].append((e, count))
-            counts = list(map(tuple, by_orbit))
+            counts = _orbit_counts(cls, _trace_counts(module, cls, block))
             parts = [orbit_part(terms, same, inverse) for terms, (_, same, inverse) in zip(counts, cls.orbits)]
-            rows = tuple(map(tuple, map(chain.from_iterable, zip(*(orbit_rows for orbit_rows, _ in parts)))))
+            row = tuple(chain.from_iterable(orbit_row for orbit_row, _ in parts))
             trace = tuple(chain.from_iterable(orbit_trace for _, orbit_trace in parts))
-            members.append(_Member(index, label, module.dim, rows, trace))
+            members.append(_Member(index, label, module.dim, row, trace))
             member_counts.append(counts)
         for idx, (member, counts) in enumerate(zip(members, member_counts)):
             # (other, member) would give the conjugate entry: one check per unordered pair
             for other, other_counts in zip(members[idx:], member_counts[idx:]):
-                # the pair's inner product as integer counts of each power of w
-                exponents = [0] * m
-                for (_, same, inverse), terms, other_terms in zip(cls.orbits, counts, other_counts):
-                    for e, count in terms:
-                        for f, other_count in other_terms:
-                            product = count * other_count
-                            exponents[(e - f) % m] += same * product
-                            exponents[(f - e) % m] += inverse * product
-                gram = [0] * degree
-                for e, count in enumerate(exponents):
-                    for c, v in powers[e] if count else ():
-                        gram[c] += count * v
                 expected = [cls.order if other is member else 0] + [0] * (degree - 1)
-                if gram != expected:
+                if _pairing(ctx, cls, counts, other_counts) != expected:
                     raise AssertionError(
                         f"catalog characters of {member.label} and {other.label} are not orthonormal"
                     )
@@ -902,9 +928,10 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     the class's members (``WeightCatalog.traces``).  A hit is that member
     with multiplicity one, and exact: the characters are orthonormal in the
     very form the dot products below use, the trace vector of a member S
-    dotted with coordinate c of the weight rows of a member T being |C(g)|
-    for T = S and c = 0 and 0 otherwise, so a block with S's trace vector
-    has S's inner products.  Most blocks are one member.
+    dotted with the weight row of a member T being |C(g)| for T = S and 0
+    otherwise, and the catalog's check finding the other coordinates 0, so
+    a block with S's trace vector has S's inner products.  Most blocks are
+    one member.
 
     On a miss each multiplicity is read from the rational coordinate of its
     inner product alone, one dot product per member.  The block is then
@@ -959,7 +986,7 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
         values = [vector[pos] for pos in support]
         rebuilt: list[int] | None = [0] * len(vector)
         for member in members:
-            mult, rest = divmod(sum(map(mul, values, map(member.weights[0].__getitem__, support))), cls.order)
+            mult, rest = divmod(sum(map(mul, values, map(member.weights.__getitem__, support))), cls.order)
             if rest or mult < 0:
                 rebuilt = None
                 break
@@ -968,7 +995,7 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
                 filled += mult * member.dim
                 rebuilt = list(map(add, rebuilt, map(mult.__mul__, member.trace)))
         if rebuilt != vector:
-            raise AssertionError(_inner_product_failure(ctx, members, support, values, cls.order))
+            raise AssertionError(_inner_product_failure(ctx, cls, _trace_counts(module, cls, block)))
     if filled != module.dim:
         raise AssertionError(
             f"character multiplicities of a dimension-{module.dim} module fill dimension {filled}"
@@ -981,19 +1008,22 @@ def decomposition_counts(ctx: DihedralContext, module: QDModule) -> list[tuple[W
     return counts
 
 
-def _inner_product_failure(
-    ctx: DihedralContext, members: Sequence[_Member], support: list[int], values: list[int], scale: int
-) -> str:
-    """Name the first member whose inner product is not a nonnegative integer.
+def _inner_product_failure(ctx: DihedralContext, cls: _ClassData, counts: dict[tuple[int, int], int]) -> str:
+    """Name the first member of the class whose inner product is not a nonnegative integer.
 
-    Each inner product is taken in all its coordinates; only a block that
+    ``counts`` are a block's exponent counts (:func:`_trace_counts`).  Each
+    inner product is taken in all its coordinates (:func:`_pairing`),
+    against the member's counts, rebuilt from its module; only a block that
     :func:`decomposition_counts` could not certify comes here.
     """
-    for member in members:
-        coords = [sum(map(mul, values, map(row.__getitem__, support))) for row in member.weights]
-        mult, rest = divmod(coords[0], scale)
+    catalog = weight_catalog(ctx)
+    terms = _orbit_counts(cls, counts)
+    for member in catalog.characters[cls.rep]:
+        module = catalog.module(member.label)
+        coords = _pairing(ctx, cls, terms, _orbit_counts(cls, _trace_counts(module, cls, _blocks(module)[cls.rep])))
+        mult, rest = divmod(coords[0], cls.order)
         if rest or any(coords[1:]):
-            value = CycNum._normalized(ctx.field, coords, scale)
+            value = CycNum._normalized(ctx.field, coords, cls.order)
             return f"multiplicity of {member.label} is not an integer: {value}"
         if mult < 0:
             return f"multiplicity of {member.label} is negative: {mult}"

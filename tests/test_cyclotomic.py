@@ -139,8 +139,8 @@ def test_unit_products_match_mul_coords(m, raw, den):
 @example(16, [0, 0, 0, 0, 0, 2, 0, 0], 3, 3, 2)
 @example(9, [0, 0, -1, 0, 0, 0, 0, 0], 1, -1, 1)
 def test_a_rational_factor_scales_as_the_convolution_would(m, raw, den, numerator, denominator):
-    # two untagged operands, one of them rational: the scaled coordinates, in lowest terms and tagged
-    # when a power of w, are exactly what the convolution and _normalized give
+    # two untagged operands, one of them rational: the product is the convolution, in lowest terms, and
+    # tagged exactly when it is a power of w
     field = get_field(m)
     value = CycNum._normalized(field, raw[: field.degree], den)
     scale = CycNum._normalized(field, [numerator] + [0] * (field.degree - 1), denominator)
@@ -1039,6 +1039,6 @@ def test_order_divides_and_powers_read_off_the_cycles(case, data):
     power = _matrix_power(monomial_matrix(g), k)
     assert g.order_divides(k) == (power == identity(g.field, n))
     assert monomial_matrix(g**k) == power
-    # one start per cycle, its smallest column, fixed points too; the identity's columns as a range
-    assert sorted(g.cycle_starts()) == sorted(min(cycle) for cycle in _cycles(g.rows))
-    assert UnitMonomial(g.field, range(n), g.exps).cycle_starts() == range(n)
+    # one start per cycle, its smallest column, fixed points too, in increasing order; every column of the identity
+    assert g.cycle_starts() == sorted(min(cycle) for cycle in _cycles(g.rows))
+    assert UnitMonomial(g.field, range(n), g.exps).cycle_starts() == list(range(n))

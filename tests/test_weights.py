@@ -20,7 +20,10 @@ from dihedral_doubles.weights import (
     _catalog_characters,
     _class_data,
     _inner_product_failure,
+    _orbit_counts,
     _order_failures,
+    _pairing,
+    _trace_counts,
     _trace_vector,
     all_weight_labels,
     build_weight,
@@ -251,9 +254,11 @@ def _coordinate_characters(ctx, labels, modules):
 
     Each orbit's weight column a holds the coordinates of ``same * conj(t) w^a``
     plus those of ``inverse * t w^-a``, taken from ``zeta_multiples`` of the
-    conjugated trace and of the trace.  The Gram matrix is d dot products of
-    one member's trace vector with the other's weight rows, for every pair
-    of members of a class.
+    conjugated trace and of the trace.  Row c of a member's weights, dotted
+    with a module's trace vector, gives coordinate c of ``|C(g)|`` times the
+    member's multiplicity; the catalog keeps row 0.  The Gram matrix is d dot
+    products of one member's trace vector with the other's weight rows, for
+    every pair of members of a class.
     """
     field = ctx.field
     degree = field.degree
@@ -285,21 +290,70 @@ def _coordinate_characters(ctx, labels, modules):
 
 
 def assert_catalog_matches_the_coordinate_reference(m):
-    """Every member's weight rows and trace vector, class by class, equal the reference's."""
+    """Every member's weight row and trace vector, class by class, equal the reference's row 0 and trace."""
     ctx = DihedralContext(m)
     catalog = weight_catalog(ctx)
     modules = {label: catalog.module(label) for label in catalog.labels}
     reference = _coordinate_characters(ctx, catalog.labels, modules)
     assert list(catalog.characters) == list(reference)
-    for rep, members in catalog.characters.items():
-        for member, expected in zip(members, reference[rep], strict=True):
+    for cls in _class_data(ctx):
+        for member, expected in zip(catalog.characters[cls.rep], reference[cls.rep], strict=True):
+            name = f"{member.label} on the class of {ctx.group.name(cls.rep)}"
             assert type(member) is _Member
-            assert member == expected, f"{member.label} on the class of {ctx.group.name(rep)}"
+            assert len(member.weights) == ctx.field.degree * len(cls.orbits)
+            assert member == expected._replace(weights=expected.weights[0]), name
 
 
 @pytest.mark.parametrize("m", [12, 16, 20])
 def test_catalog_members_match_the_coordinate_reference(m):
     assert_catalog_matches_the_coordinate_reference(m)
+
+
+_REFERENCES: dict[int, dict] = {}
+
+
+def _reference_characters(m):
+    """The coordinate reference of the catalog on ``get_context(m)``, built once per order."""
+    if m not in _REFERENCES:
+        catalog = weight_catalog(get_context(m))
+        modules = {label: catalog.module(label) for label in catalog.labels}
+        _REFERENCES[m] = _coordinate_characters(catalog.ctx, catalog.labels, modules)
+    return _REFERENCES[m]
+
+
+@st.composite
+def _member_products(draw):
+    """The tensor product of two catalog members at m = 12 to 24, each member's family drawn first."""
+    ctx = get_context(draw(st.sampled_from((12, 16, 20, 24))))
+    labels = all_weight_labels(ctx)
+    families = sorted({label.family for label in labels})
+
+    def weight():
+        family = draw(st.sampled_from(families))
+        return draw(st.sampled_from([label for label in labels if label.family == family]))
+
+    return tensor_dd(build_weight(ctx, weight()), build_weight(ctx, weight()))
+
+
+@given(_member_products())
+def test_pairings_match_every_weight_row_of_the_coordinate_reference(product):
+    # the catalog keeps weight row 0; every other coordinate of an inner product comes from _pairing,
+    # here against the reference's rows, dotted with the trace vector of each block of the product
+    ctx = product.ctx
+    catalog = weight_catalog(ctx)
+    reference = _reference_characters(ctx.m)
+    blocks = _blocks(product)
+    for cls in _class_data(ctx):
+        block = blocks.get(cls.rep)
+        if block is None:
+            continue
+        vector = _trace_vector(product, cls, block)
+        counts = _orbit_counts(cls, _trace_counts(product, cls, block))
+        for expected in reference[cls.rep]:
+            member = catalog.module(expected.label)
+            member_counts = _orbit_counts(cls, _trace_counts(member, cls, _blocks(member)[cls.rep]))
+            dots = [sum(map(mul, row, vector)) for row in expected.weights]
+            assert _pairing(ctx, cls, counts, member_counts) == dots, expected.label
 
 
 def test_the_catalog_gram_counts_both_halves_of_each_orbit(ctx12):
@@ -671,17 +725,13 @@ def test_character_counts_reject_what_is_not_a_module(ctx12):
 @pytest.mark.parametrize("label_text", ["e:chi1", "e:rho2", "M2,3", "Mxy:1,0"])
 def test_inner_product_failure_names_a_negative_multiplicity(ctx12, label_text):
     # no module with power-of-w x and y is known to read a negative multiplicity, so the message is
-    # tested on a trace vector that is minus a catalog member's: every member before it reads 0
+    # tested on exponent counts that are minus a catalog member's: every member before it reads 0
     label = parse_weight_label(label_text)
-    cls, member = next(
-        (cls, member)
-        for cls in _class_data(ctx12)
-        for member in weight_catalog(ctx12).characters[cls.rep]
-        if member.label == label
-    )
-    support = [pos for pos, c in enumerate(member.trace) if c]
-    values = [-member.trace[pos] for pos in support]
-    message = _inner_product_failure(ctx12, weight_catalog(ctx12).characters[cls.rep], support, values, cls.order)
+    module = weight_catalog(ctx12).module(label)
+    blocks = _blocks(module)
+    cls = next(cls for cls in _class_data(ctx12) if cls.rep in blocks)
+    counts = _trace_counts(module, cls, blocks[cls.rep])
+    message = _inner_product_failure(ctx12, cls, {key: -count for key, count in counts.items()})
     assert message == f"multiplicity of {label} is negative: -1"
 
 
@@ -906,8 +956,8 @@ def test_each_member_trace_against_each_weight_row_is_the_centraliser_order_time
         assert catalog.traces[cls.rep] == {member.trace: member for member in members}
         for source in members:
             for target in members:
-                dots = [sum(map(mul, row, source.trace)) for row in target.weights]
-                assert dots == [cls.order if target is source else 0] + [0] * (len(dots) - 1)
+                dot = sum(map(mul, target.weights, source.trace))
+                assert dot == (cls.order if target is source else 0)
                 pairs += 1
     assert pairs == {12: 914, 16: 2066}[m]
 
