@@ -37,10 +37,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .dihedral import DihedralContext, get_context, in_proven_regime
 from .nichols import IndexSet, parse_index_set, parse_pairs, valid_pairs, validate_index_set
-from .qdouble import build_verma, check_relations, graded_character, theta_congruence
+from .qdouble import build_verma, graded_character
 from .theorems import (
     RIGID,
-    _head_and_socle,
+    _standard_stage,
     classify_weight,
     is_spherical,
     spherical_report,
@@ -209,9 +209,7 @@ def cmd_simple(args) -> int:
     ctx = get_context(args.m, unsafe=args.unsafe_m)
     index_set = validate_index_set(ctx, pairs)
     verma = build_verma(ctx, index_set, label)
-    relations_ok = not check_relations(verma)
-    theta_ok = not theta_congruence(verma)
-    simple, head_char, _, socle_char = _head_and_socle(verma)
+    relations_ok, theta_ok, simple, head_char, _, socle_char = _standard_stage(verma)
     obj = {
         "m": ctx.m,
         "index_set": [list(pair) for pair in index_set.pairs],

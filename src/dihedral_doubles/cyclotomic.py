@@ -18,8 +18,9 @@ by :func:`_rref`: callers hand it the rows of a system or the vectors of a
 span, and read off ranks (its pivots) and span membership
 (:meth:`EchelonBasis.insert`).  Inserts eliminate forward only, which is
 all a rank or a membership test needs; the reduced rows that submodules
-and heads read are built once, on first read.  A submodule in ``qdouble``
-is one such basis over the whole module.
+and heads read are back-substituted on each read of ``rows``, which each
+of them reads once.  A submodule in ``qdouble`` is one such basis over the
+whole module.
 """
 
 from __future__ import annotations
@@ -599,56 +600,53 @@ class EchelonBasis:
     ``rows`` is the reduced row echelon form: each row 1 at its pivot and 0
     at the pivots of the others, so a vector in the span is the combination
     of the rows whose coefficients are its own entries at the pivots.  It is
-    built once, by back-substitution, when first read after an insert, and
-    kept until the next insert that grows the span; :meth:`insert` clears
-    with the forward rows and does not read it.  The reduced form of a row space
-    is unique, so ``rows`` does not depend on the order in which vectors
-    were inserted.  Rows hold no zero entries, and neither may the vectors
-    handed in: an explicit zero could be taken for a pivot.  Treat ``rows``
-    and ``pivots`` as read-only.
+    built by back-substitution on each read, so a caller that reads the rows
+    more than once keeps the list it read; :meth:`insert` clears with the
+    forward rows and does not read it.  The reduced form of a row space is
+    unique, so ``rows`` does not depend on the order in which vectors were
+    inserted.  Rows hold no zero entries, and neither may the vectors handed
+    in: an explicit zero could be taken for a pivot.  Treat ``rows`` and
+    ``pivots`` as read-only.
 
     A coordinate row, one with a single entry, spans the basis vector e_p
     of its pivot and costs no field arithmetic: clearing by it drops the
     entry at p, and its reduced row is {p: 1}, the forward row itself when
-    its entry is already 1.
+    its entry is already 1.  These branches, here and in :func:`_clear`,
+    are not only fast paths: they are the condition that keeps every
+    inverted lead a tagged power of w.  A forward coordinate row's entry
+    need not be one, it can be ±1 ± w² or ±2 ∓ w² at m = 12, and neither
+    branch divides by it.  So only the leads of rows with more than one
+    entry are inverted, and on every case the tests cover those are powers
+    of w.
     """
 
-    __slots__ = ("field", "pivots", "_forward", "_reduced")
+    __slots__ = ("field", "pivots", "_forward")
 
     def __init__(self, field: CyclotomicField) -> None:
         self.field = field
         self.pivots: list[int] = []
         self._forward: dict[int, VecDict] = {}
-        # the reduced row at each pivot, in pivot order; None until the first
-        # read, and again after each insert that grows the span
-        self._reduced: dict[int, VecDict] | None = None
 
     @property
     def rows(self) -> list[VecDict]:
-        """The reduced rows, sorted by pivot."""
-        return list(self._reduced_rows().values())
-
-    def _reduced_rows(self) -> dict[int, VecDict]:
-        reduced = self._reduced
-        if reduced is None:
-            built: dict[int, VecDict] = {}
-            # from the largest pivot down, the rows built so far are 0 at every pivot but their own
-            for pivot in reversed(self.pivots):
-                row = self._forward[pivot]
-                if len(row) == 1:
-                    # a coordinate row spans e_pivot, already reduced
-                    built[pivot] = row if row[pivot].unit == 0 else {pivot: self.field.one}
-                    continue
-                row = dict(row)
-                for later in [t for t in row if t in built]:
-                    _clear(row, later, built[later])
-                lead = row[pivot]
-                if lead.unit != 0:
-                    inv = lead.inverse()
-                    row = {t: x * inv for t, x in row.items()}
-                built[pivot] = row
-            reduced = self._reduced = {pivot: built[pivot] for pivot in self.pivots}
-        return reduced
+        """The reduced rows, sorted by pivot, back-substituted on each read."""
+        built: dict[int, VecDict] = {}
+        # from the largest pivot down, the rows built so far are 0 at every pivot but their own
+        for pivot in reversed(self.pivots):
+            row = self._forward[pivot]
+            if len(row) == 1:
+                # a coordinate row spans e_pivot, already reduced
+                built[pivot] = row if row[pivot].unit == 0 else {pivot: self.field.one}
+                continue
+            row = dict(row)
+            for later in [t for t in row if t in built]:
+                _clear(row, later, built[later])
+            lead = row[pivot]
+            if lead.unit != 0:
+                inv = lead.inverse()
+                row = {t: x * inv for t, x in row.items()}
+            built[pivot] = row
+        return [built[pivot] for pivot in self.pivots]
 
     def insert(self, vec: VecDict) -> bool:
         """Add the vector to the span; False if it already lay in it.
@@ -669,7 +667,6 @@ class EchelonBasis:
             return False
         insort(self.pivots, pivot)
         forward[pivot] = row
-        self._reduced = None
         return True
 
 

@@ -678,13 +678,12 @@ def _on_positions(
     image leaves their span (:func:`_span_reader`), or by the head's
     pairing.  Each generator is read once per kept position: the image of
     the stand-in is computed and read, and that is the generator's new
-    column.  A letter's image of a coordinate
-    stand-in e_p is its column p as it stands, of any other its ``apply``.
-    x and y stay row maps and exponents: the image of a stand-in moves its
-    entry at t to row ``rows[t]`` and scales it by ``w^exps[t]``, and its
-    new column must be one power of w, the new row and exponent.  What
-    ``read`` returns must hold no zero entry, as the columns of a matrix
-    and the results of ``apply`` do not.
+    column.  A letter's image of every stand-in, a coordinate vector e_p
+    included, is its ``apply``.  x and y stay row maps and exponents: the
+    image of a stand-in moves its entry at t to row ``rows[t]`` and scales
+    it by ``w^exps[t]``, and its new column must be one power of w, the new
+    row and exponent.  What ``read`` returns must hold no zero entry, as the
+    columns of a matrix and the results of ``apply`` do not.
 
     Raises:
         AssertionError: if x or y is not an invertible monomial matrix with
@@ -696,10 +695,7 @@ def _on_positions(
     field, dim = module.ctx.field, len(kept)
 
     def letter(mat: CycMatrix) -> CycMatrix:
-        # a stand-in with one entry is a coordinate vector {p: 1}
-        cols = mat.sparse_columns()
-        images = (cols[p] if len(vec) == 1 else mat.apply(vec) for p, vec in zip(kept, stand_ins))
-        return CycMatrix(field, [read(image) for image in images], dim)
+        return CycMatrix(field, [read(mat.apply(vec)) for vec in stand_ins], dim)
 
     letters = [{key: letter(mat) for key, mat in mats.items()} for mats in (module.v_mats, module.a_mats)]
     group = []
@@ -713,21 +709,22 @@ def _on_positions(
     return QDModule(module.ctx, module.index_set, zdeg, gdeg, *group, *letters, weight=module.weight, kind=kind)
 
 
-def _span_reader(space: EchelonBasis) -> Callable[[VecDict], VecDict]:
-    """The reader of a vector's coordinates over the reduced rows of ``space``, keyed by row position.
+def _span_reader(pivots: Sequence[int], rows: Sequence[VecDict]) -> Callable[[VecDict], VecDict]:
+    """The reader of a vector's coordinates over the reduced rows of a span, keyed by row position.
 
-    Row r_q, at pivot q, is 1 at q and 0 at the other pivots.  So a vector
-    v lies in the span exactly when ``v = sum over the pivots q of v of
-    v[q] r_q``, and then its coordinates are its entries at the pivots.
-    The check touches only the rows at v's own pivots.  It is the one
-    certificate of stability that :func:`subspace_as_module` asks for;
-    ``EchelonBasis.insert`` decides the same membership with the forward
-    rows, but grows the span by a vector outside it.
+    ``pivots`` and ``rows`` are those of one ``EchelonBasis``, its rows read
+    once by the caller.  Row r_q, at pivot q, is 1 at q and 0 at the other
+    pivots.  So a vector v lies in the span exactly when ``v = sum over the
+    pivots q of v of v[q] r_q``, and then its coordinates are its entries at
+    the pivots.  The check touches only the rows at v's own pivots.  It is
+    the one certificate of stability that :func:`subspace_as_module` asks
+    for; ``EchelonBasis.insert`` decides the same membership with the
+    forward rows, but grows the span by a vector outside it.
 
     Raises:
         AssertionError: if v is not in the span.
     """
-    at_pivot = {q: (new, row) for new, (q, row) in enumerate(zip(space.pivots, space.rows))}
+    at_pivot = {q: (new, row) for new, (q, row) in enumerate(zip(pivots, rows))}
 
     def read(vec: VecDict) -> VecDict:
         out, rest = {}, dict(vec)
@@ -751,16 +748,19 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
 
     Pivot p stands for the reduced row r_p, and a generator's column at p
     is ``g r_p`` read over the rows (:func:`_on_positions`): its entries at
-    the pivots, once :func:`_span_reader` has found it in the span.  An
-    image of a row that leaves the span raises: this is the one check that
-    the span is a submodule, and :func:`socle`, which spans under the
-    lowering letters alone, relies on it for x, y and the raising letters.
+    the pivots, once :func:`_span_reader` has found it in the span.  The
+    rows are read off ``space`` once, as the stand-ins and as the reader's
+    rows.  An image of a row that leaves the span raises: this is the one
+    check that the span is a submodule, and :func:`socle`, which spans
+    under the lowering letters alone, relies on it for x, y and the raising
+    letters.
     x and y must be invertible monomial matrices on the rows
     (:func:`_on_positions`), as they are for every socle.  A span of every
     basis vector has the unit vectors for its reduced rows, and is rebuilt
     so, as a new module with matrices of its own.
     """
-    return _on_positions(module, space.pivots, space.rows, _span_reader(space), kind)
+    rows = space.rows
+    return _on_positions(module, space.pivots, rows, _span_reader(space.pivots, rows), kind)
 
 
 def socle(module: QDModule) -> QDModule:

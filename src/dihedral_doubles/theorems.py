@@ -595,19 +595,25 @@ def _socle_is_simple(ctx: DihedralContext, soc: QDModule) -> bool:
     return len(parts) == 1 and len(parts[0][1]) == 1
 
 
-def _head_and_socle(verma: QDModule) -> tuple[QDModule, GradedCharacter, QDModule, GradedCharacter]:
-    """The head of a standard module and its character, then its socle and the socle's character.
+def _standard_stage(verma: QDModule) -> tuple[bool, bool, QDModule, GradedCharacter, QDModule, GradedCharacter]:
+    """The checks on a standard module, in order: relations, congruence, head, socle.
 
-    :func:`head` returns its argument exactly when the module is simple, and
-    a simple module is its own socle, so :func:`socle` spans only a module
-    that is not simple, and a simple one's socle character is its head's.
+    Returns whether :func:`check_relations` and :func:`theta_congruence`
+    found nothing, the head and its character, then the socle and its
+    character.  :func:`head` returns its argument exactly when the module is
+    simple, and a simple module is its own socle, so :func:`socle` spans
+    only a module that is not simple, and a simple one's socle character is
+    its head's.  :func:`verify_simple` and the ``simple`` command both call
+    this stage.
     """
+    relations_ok = not check_relations(verma)
+    theta_ok = not theta_congruence(verma)
     simple = head(verma)
     head_char = graded_character(simple)
     if simple is verma:
-        return simple, head_char, verma, head_char
+        return relations_ok, theta_ok, simple, head_char, verma, head_char
     soc = socle(verma)
-    return simple, head_char, soc, graded_character(soc)
+    return relations_ok, theta_ok, simple, head_char, soc, graded_character(soc)
 
 
 def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel) -> SimpleReport:
@@ -621,10 +627,11 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
     * simplicity of the socle (single weight, multiplicity one), and its
       graded character against the predicted character of the weight
       :func:`predicted_socle_top` names, shifted to its degree; when that
-      weight is ``label`` the head prediction is reused.  The head, the
-      socle and their characters come from :func:`_head_and_socle`, which
-      the ``simple`` command shares: a simple standard module is its own
-      socle, so :func:`socle` spans only one that is not simple;
+      weight is ``label`` the head prediction is reused.  The relations,
+      the congruence, the head, the socle and their characters come from
+      :func:`_standard_stage`, which the ``simple`` command shares: a
+      simple standard module is its own socle, so :func:`socle` spans only
+      one that is not simple;
     * when the index set has more than one pair: for each distinct
       removable pair, the modules induced from the head and from the socle
       of the smaller standard module satisfy the relations and reproduce
@@ -654,10 +661,7 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
         verma = _induce(ctx, subs[pairs[-1]], pairs[-1], label, "verma")
     else:
         verma = build_verma(ctx, index_set, label)
-    relations_ok = not check_relations(verma)
-    theta_ok = not theta_congruence(verma)
-
-    simple, head_char, soc, socle_char = _head_and_socle(verma)
+    relations_ok, theta_ok, simple, head_char, soc, socle_char = _standard_stage(verma)
     predicted = predicted_character(ctx, index_set, label)
     predicted_dim = predicted_simple_dimension(ctx, index_set, label)
     socle_simple = _socle_is_simple(ctx, soc)

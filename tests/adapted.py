@@ -96,10 +96,12 @@ def reference_on_positions(module, kept, images, kind):
 
 def reference_submodule(module, space: EchelonBasis, kind: str):
     """The submodule on the pivots of the reduced rows, every generator applied to every row."""
+    rows = space.rows
 
     def images(mat):
-        out = [mat.apply(row) for row in space.rows]
-        assert not any(residual(space, image) for image in out), "subspace is not stable under a generator"
+        out = [mat.apply(row) for row in rows]
+        stable = not any(residual(space.pivots, rows, image) for image in out)
+        assert stable, "subspace is not stable under a generator"
         return out
 
     return reference_on_positions(module, space.pivots, images, kind)
@@ -203,9 +205,10 @@ def reference_quotient(module, space: EchelonBasis, kind: str):
     """The quotient on the positions that are not pivots, every class read off the reduction of its image."""
     kept = [i for i in range(module.dim) if i not in space.pivots]
     one = module.ctx.field.one
+    rows = space.rows
 
     def images(mat):
-        return [residual(space, mat.apply({j: one})) for j in kept]
+        return [residual(space.pivots, rows, mat.apply({j: one})) for j in kept]
 
     return reference_on_positions(module, kept, images, kind)
 
@@ -321,9 +324,10 @@ def as_module(module: QDModule, reference) -> QDModule:
         basis = adapted_basis(module.ctx, reference.zdeg, reference.gdeg, x_mat, y_mat)
         frame = _rref(field, [{**vec, dim + t: field.one} for t, vec in enumerate(basis)])
         assert frame.pivots == list(range(dim)), "the adapted vectors are not a basis"
+        rows = frame.rows
 
         def rebase(mat: CycMatrix) -> CycMatrix:
-            cols = [residual(frame, mat.apply(vec)) for vec in basis]
+            cols = [residual(frame.pivots, rows, mat.apply(vec)) for vec in basis]
             return CycMatrix(field, [{i - dim: -val for i, val in col.items()} for col in cols], dim)
 
         group = [as_monomial(rebase(x_mat)), as_monomial(rebase(y_mat))]

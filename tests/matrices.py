@@ -28,7 +28,6 @@ from dihedral_doubles.cyclotomic import (
     CycMatrix,
     CycNum,
     CyclotomicField,
-    EchelonBasis,
     UnitMonomial,
     VecDict,
     _rref,
@@ -62,14 +61,16 @@ def in_span(field: CyclotomicField, rows: Iterable[VecDict], vec: VecDict) -> bo
     return not _rref(field, rows).insert(vec)
 
 
-def residual(space: EchelonBasis, vec: VecDict) -> VecDict:
+def residual(pivots: Sequence[int], rows: Sequence[VecDict], vec: VecDict) -> VecDict:
     """The vector minus its component in the span, 0 at every pivot and empty exactly on the span.
 
-    Reduced row r_q is 1 at its pivot q and 0 at the other pivots, so the
-    component is the sum of ``vec[q] r_q`` over the pivots q of ``vec``.
+    ``pivots`` and ``rows`` are those of one :class:`EchelonBasis`, its rows
+    read once by the caller: each read back-substitutes them again.  Reduced
+    row r_q is 1 at its pivot q and 0 at the other pivots, so the component
+    is the sum of ``vec[q] r_q`` over the pivots q of ``vec``.
     """
     out = dict(vec)
-    for pivot, row in zip(space.pivots, space.rows):
+    for pivot, row in zip(pivots, rows):
         c = vec.get(pivot)
         if c is not None:
             for t, x in row.items():

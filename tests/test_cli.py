@@ -106,10 +106,15 @@ def _flip_one_sign(mat):
 
 def _standard_module_with_a_flipped_letter(ctx, index_set, label):
     module = build_verma(ctx, index_set, label)
-    v_mats = {**module.v_mats, (0, 1): _flip_one_sign(module.v_mats[(0, 1)])}
+    return _with_raising_letter(module, (0, 1), _flip_one_sign(module.v_mats[(0, 1)]))
+
+
+def _with_raising_letter(module, key, mat):
+    """The module with the raising letter at ``key`` replaced by ``mat``."""
+    v_mats = {**module.v_mats, key: mat}
     return weights.QDModule(
-        ctx,
-        index_set,
+        module.ctx,
+        module.index_set,
         module.zdeg,
         module.gdeg,
         module.x_mat,
@@ -685,7 +690,8 @@ def test_spherical_one_index_json(capsys):
     assert not any(row["pivots"].values())
 
 
-# Each command's JSON stdout, recorded in tests/pins; CI diffs the installed console script against the same files.
+# Each command's stdout, recorded in tests/pins as JSON or, in table mode, as text; CI diffs the installed console
+# script against the same files.
 PINNED = {
     "verify_2_3": [
         "verify", "--index", "(2,3)", "--weights", "e:chi1, e:chi3, e:rho1, yn:chi1, yn:rho1, M2,3, Mx:0,0, Mxy:1,1",
@@ -707,6 +713,8 @@ PINNED = {
         "--threads", "1",
     ],
     "simple_1_6_3_6": ["simple", "--index", "(1,6),(3,6)", "--weight", "Mx:0,0", "--full", "--output", "json"],
+    # the same command in table mode: the simple's, the socle's and the standard module's characters as text
+    "simple_1_6_3_6_table": ["simple", "--index", "(1,6),(3,6)", "--weight", "Mx:0,0", "--full"],
     # a 32-dimensional simple whose socle spreads over degrees -2 to -6
     "simple_1_6_3_6_5_6": ["simple", "--index", "(1,6),(3,6),(5,6)", "--weight", "M1,2", "--full", "--output", "json"],
     # a simple standard module: its own socle, and its character is the simple's
@@ -731,7 +739,8 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_cli_output_matches_its_pin(capsys, name):
-    pin = Path(__file__).parent / "pins" / f"{name}.json"
+    suffix = ".json" if "json" in PINNED[name] else ".txt"
+    pin = Path(__file__).parent / "pins" / f"{name}{suffix}"
     code, out, err = run(capsys, PINNED[name])
     assert (code, err) == (0, "")
     assert out == pin.read_text()
@@ -740,7 +749,8 @@ def test_cli_output_matches_its_pin(capsys, name):
 @pytest.mark.parametrize(("name", "socles"), [("simple_1_6_3_6", 1), ("simple_1_6_3_6_5_6_rho1", 0)])
 def test_simple_scans_for_a_socle_only_when_the_standard_module_is_not_simple(capsys, monkeypatch, name, socles):
     # head returns the standard module itself exactly when it is simple, and then it is its own socle: socle
-    # spans no bottom layer for it.  The command shares verify_simple's stage, theorems._head_and_socle
+    # spans no bottom layer for it.  The command shares verify_simple's standard-module stage,
+    # theorems._standard_stage
     spanned = []
 
     def recorded(module, _real=theorems.socle):
@@ -751,3 +761,53 @@ def test_simple_scans_for_a_socle_only_when_the_standard_module_is_not_simple(ca
     code, _, err = run(capsys, PINNED[name])
     assert (code, err) == (0, "")
     assert len(spanned) == socles
+
+
+def _shared_fields(simple: dict, case: dict) -> tuple[dict, dict]:
+    """What ``simple`` and one case of ``verify`` both report, from the JSON of each."""
+    checks = case["checks"]
+    return (
+        {key: simple[key] for key in ("dimension", "graded_character", "socle", "checks")},
+        {
+            "dimension": case["simple_dimension"],
+            "graded_character": case["head"],
+            "socle": case["socle"],
+            "checks": {"relations": checks["relations"], "theta": checks["theta"]},
+        },
+    )
+
+
+@pytest.mark.parametrize("index", ["(2,3)", "(1,6),(3,6)"])
+def test_simple_agrees_with_verify_on_every_catalog_weight(capsys, index):
+    # both commands take the dimension, the head and socle characters, the relations and the congruence from
+    # one stage, theorems._standard_stage
+    code, report = run_json(capsys, ["verify", "--index", index, "--threads", "1"])
+    assert code == 0
+    assert len(report["cases"]) == 86
+    for case in report["cases"]:
+        code, simple = run_json(capsys, ["simple", "--index", index, "--weight", case["weight"]])
+        assert code == 0
+        ours, theirs = _shared_fields(simple, case)
+        assert ours == theirs, case["weight"]
+
+
+def _standard_module_with_a_broken_congruence(ctx, index_set, label):
+    # negating the first raising letter's column at the last degree-0 vector breaks the congruence there
+    module = build_verma(ctx, index_set, label)
+    last = module.layer_indices()[0][-1]
+    cols = [dict(col) for col in module.v_mats[(0, -1)].sparse_columns()]
+    cols[last] = {i: -x for i, x in cols[last].items()}
+    return _with_raising_letter(module, (0, -1), CycMatrix(ctx.field, cols, module.dim))
+
+
+def test_simple_and_verify_both_report_a_failed_congruence(capsys, monkeypatch):
+    # e:rho3 is projective for (2,3), so its congruence reads every degree-0 vector; both commands must run it
+    monkeypatch.setattr(cli, "build_verma", _standard_module_with_a_broken_congruence)
+    monkeypatch.setattr(theorems, "build_verma", _standard_module_with_a_broken_congruence)
+    code, simple = run_json(capsys, ["simple", "--index", "(2,3)", "--weight", "e:rho3"])
+    assert code == 1
+    assert simple["checks"]["theta"] is False
+    code, report = run_json(capsys, ["verify", "--index", "(2,3)", "--weights", "e:rho3", "--threads", "1"])
+    assert code == 1
+    ours, theirs = _shared_fields(simple, report["cases"][0])
+    assert ours == theirs
