@@ -390,17 +390,21 @@ class CycMatrix:
 
         The vector must hold no zero entries either.  A product of two
         nonzero field elements is nonzero, so the first write to a row needs
-        no zero test; only a sum can cancel.
+        no zero test; only a sum can cancel.  An entry 1 of the vector
+        (``unit == 0``), as in the coordinate stand-in ``{p: one}``, takes
+        the column's entries as they stand, with no product formed.
         """
         out: VecDict = {}
         cols = self._columns
         for j, x in vec.items():
+            one = x.unit == 0
             for i, a in cols[j].items():
+                term = a if one else a * x
                 cur = out.get(i)
                 if cur is None:
-                    out[i] = a * x
+                    out[i] = term
                 else:
-                    val = cur + a * x
+                    val = cur + term
                     if val:
                         out[i] = val
                     else:
@@ -427,10 +431,12 @@ class UnitMonomial:
     arithmetic on row maps and exponents.  The value is never changed once
     built, so it is hashable, and ``==`` compares row maps and exponents.
     The constructor takes the rows as given; ``QDModule`` checks that they
-    are a permutation.
+    are a permutation.  Each power formed is kept on the instance, in
+    ``_powers``, made by the first power taken (:meth:`__pow__`); ``==`` and
+    the hash do not read it.
     """
 
-    __slots__ = ("field", "rows", "exps")
+    __slots__ = ("field", "rows", "exps", "_powers")
 
     def __init__(self, field: CyclotomicField, rows: Iterable[int], exps: Iterable[int]) -> None:
         m = field.m
@@ -478,9 +484,22 @@ class UnitMonomial:
         gains one more P when the walk wraps past the cycle's start.  A
         fixed point takes ``power`` times its exponent.  One walk per cycle,
         and no intermediate products.
+
+        The value never changes, so each power is formed once per instance
+        and kept in a dict keyed by the power, made here on the first call:
+        a repeat returns the same object.  The cross terms of ``_induce``,
+        ``check_relations`` and ``theta_congruence`` and the pivot of
+        ``quantum_dimension`` each take y^(+-i) or y^n of one module's y.
         """
         if power < 0:
             raise ValueError(f"negative power {power} of a UnitMonomial")
+        try:
+            powers = self._powers
+        except AttributeError:
+            powers = self._powers = {}
+        known = powers.get(power)
+        if known is not None:
+            return known
         rows, exps = self.rows, self.exps
         n = len(rows)
         out_rows, out_exps = list(range(n)), [0] * n
@@ -512,7 +531,8 @@ class UnitMonomial:
                 else:
                     out_rows[j] = cycle[end - length]
                     out_exps[j] = base + total + prefix[end - length] - prefix[i]
-        return UnitMonomial(self.field, out_rows, out_exps)
+        powers[power] = result = UnitMonomial(self.field, out_rows, out_exps)
+        return result
 
     def order_divides(self, k: int) -> bool:
         """Whether the k-th power is the identity, decided without forming it.

@@ -71,7 +71,8 @@ def y_power(module: QDModule, power: int) -> UnitMonomial:
     """y^power, with the power taken mod m, since y^m = 1.
 
     y is held as a row map and exponents (see ``weights.QDModule``), so the
-    power is read off its cycles, one walk per cycle (``UnitMonomial.__pow__``).
+    power is read off its cycles, one walk per cycle, and kept on y, so each
+    power of one y is formed once (``UnitMonomial.__pow__``).
     """
     return module.y_mat ** (power % module.ctx.m)
 
@@ -194,6 +195,7 @@ def _induce(
     v+ v- b it is rewritten past v+ once:
     ``a v+ v- b = -v+ (a v- b) + C(eps, +) v- b``, two terms on v+ and on v-.
     """
+    base.require_letters()
     field, group = ctx.field, ctx.group
     i, k = pair
     old = base.index_set.pairs
@@ -298,6 +300,8 @@ def basis_change(src: QDModule, dst: QDModule) -> UnitMonomial | None:
     not a permutation, or a degree differs; and when D fails to carry x or
     y (products of unit monomials) or a letter (:func:`_products_equal`).
     """
+    src.require_letters()
+    dst.require_letters()
     dim = src.dim
     shape = (dim, src.index_set, src.v_mats.keys(), src.a_mats.keys())
     if shape != (dst.dim, dst.index_set, dst.v_mats.keys(), dst.a_mats.keys()):
@@ -394,6 +398,7 @@ def check_relations(module: QDModule) -> list[str]:
     The x-swaps and y-scalings, the premises, are decided on every column,
     and so is a bracket whose premises fail.
     """
+    module.require_letters()
     group = module.ctx.group
     failures = group_relation_failures(module)
     mirrored = not failures
@@ -611,6 +616,7 @@ def theta_congruence(module: QDModule) -> list[str]:
     computed from group data alone: each cross term is read column by
     column (:func:`_cross_term`) and applied to that vector only.
     """
+    module.require_letters()
     failures: list[str] = []
     one, name = module.ctx.field.one, module.ctx.group.name
     top = [idx for idx, z in enumerate(module.zdeg) if z == 0]
@@ -668,7 +674,12 @@ def _close(field: CyclotomicField, seeds: Iterable[VecDict], gens: list[CycMatri
 
 
 def _on_positions(
-    module: QDModule, kept: Sequence[int], stand_ins: Sequence[VecDict], read: Callable[[VecDict], VecDict], kind: str
+    module: QDModule,
+    kept: Sequence[int],
+    stand_ins: Sequence[VecDict],
+    read: Callable[[VecDict], VecDict],
+    kind: str,
+    letters: bool = True,
 ) -> QDModule:
     """The module with one basis vector per kept position of ``module``.
 
@@ -683,7 +694,9 @@ def _on_positions(
     image of a stand-in moves its entry at t to row ``rows[t]`` and scales
     it by ``w^exps[t]``, and its new column must be one power of w, the new
     row and exponent.  What ``read`` returns must hold no zero entry, as the
-    columns of a matrix and the results of ``apply`` do not.
+    columns of a matrix and the results of ``apply`` do not.  With
+    ``letters=False`` no letter is read, and the module has x, y and the
+    degrees, with None for ``v_mats`` and ``a_mats`` (``weights.QDModule``).
 
     Raises:
         AssertionError: if x or y is not an invertible monomial matrix with
@@ -697,7 +710,10 @@ def _on_positions(
     def letter(mat: CycMatrix) -> CycMatrix:
         return CycMatrix(field, [read(mat.apply(vec)) for vec in stand_ins], dim)
 
-    letters = [{key: letter(mat) for key, mat in mats.items()} for mats in (module.v_mats, module.a_mats)]
+    mats = [
+        {key: letter(mat) for key, mat in by_key.items()} if letters else None
+        for by_key in (module.v_mats, module.a_mats)
+    ]
     group = []
     for name, g in (("x", module.x_mat), ("y", module.y_mat)):
         cols = [read({g.rows[t]: val * field.zeta(g.exps[t]) for t, val in vec.items()}) for vec in stand_ins]
@@ -706,7 +722,7 @@ def _on_positions(
         entries = [next(iter(col.items())) for col in cols]
         group.append(UnitMonomial(field, [r for r, _ in entries], [val.unit for _, val in entries]))
     zdeg, gdeg = [module.zdeg[i] for i in kept], [module.gdeg[i] for i in kept]
-    return QDModule(module.ctx, module.index_set, zdeg, gdeg, *group, *letters, weight=module.weight, kind=kind)
+    return QDModule(module.ctx, module.index_set, zdeg, gdeg, *group, *mats, weight=module.weight, kind=kind)
 
 
 def _span_reader(pivots: Sequence[int], rows: Sequence[VecDict]) -> Callable[[VecDict], VecDict]:
@@ -743,7 +759,9 @@ def _span_reader(pivots: Sequence[int], rows: Sequence[VecDict]) -> Callable[[Ve
     return read
 
 
-def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submodule") -> QDModule:
+def subspace_as_module(
+    module: QDModule, space: EchelonBasis, kind: str = "submodule", letters: bool = True
+) -> QDModule:
     """A generator-stable subspace as a module, on the pivots of its reduced rows.
 
     Pivot p stands for the reduced row r_p, and a generator's column at p
@@ -758,12 +776,24 @@ def subspace_as_module(module: QDModule, space: EchelonBasis, kind: str = "submo
     (:func:`_on_positions`), as they are for every socle.  A span of every
     basis vector has the unit vectors for its reduced rows, and is rebuilt
     so, as a new module with matrices of its own.
+
+    With ``letters=False`` the module has x, y and the degrees and no
+    letters.  Every raising letter is still read on every row, and its
+    image found in the span, so the check covers x, y and the raising
+    letters as before; the lowering letters are not read, and the caller
+    vouches for them, as :func:`socle` does with a span that :func:`_close`
+    built under them.
     """
     rows = space.rows
-    return _on_positions(module, space.pivots, rows, _span_reader(space.pivots, rows), kind)
+    read = _span_reader(space.pivots, rows)
+    if not letters:
+        for mat in module.v_mats.values():
+            for row in rows:
+                read(mat.apply(row))
+    return _on_positions(module, space.pivots, rows, read, kind, letters)
 
 
-def socle(module: QDModule) -> QDModule:
+def socle(module: QDModule, letters: bool = True) -> QDModule:
     """The socle of a standard module or of a module induced from a simple one: its bottom layer's span.
 
     A standard module M = B(V) (x) λ is free over the Nichols algebra B(V)
@@ -803,12 +833,19 @@ def socle(module: QDModule) -> QDModule:
     does not ask for the socle of a module that ``head`` returned
     unchanged: it is its own socle.
 
+    With ``letters=False`` the socle is built with x, y and its degrees and
+    no letters (:func:`subspace_as_module`), for a caller that reads only
+    those and its graded character.  Its stability under x, y and every
+    raising letter is checked as before; the lowering letters, which it is
+    spanned under, are not read.
+
     Raises:
-        AssertionError: if the module is of another kind than ``"verma"``
-            or ``"induced"``, whose freeness the argument needs; or if its
-            bottom layer is not a single multiplicity-one weight over the
-            double of the group.
+        AssertionError: if the module was built without its letters; if it
+            is of another kind than ``"verma"`` or ``"induced"``, whose
+            freeness the argument needs; or if its bottom layer is not a
+            single multiplicity-one weight over the double of the group.
     """
+    module.require_letters()
     if module.kind not in ("verma", "induced"):
         raise AssertionError(f"socle needs a standard or an induced module, not one of kind {module.kind!r}")
     field, layers = module.ctx.field, module.layer_indices()
@@ -820,7 +857,8 @@ def socle(module: QDModule) -> QDModule:
             + ", ".join(f"{label} x{mult}" for label, mult in counts)
         )
     units = [{t: field.one} for t in layers[bottom]]
-    return subspace_as_module(module, _close(field, units, list(module.a_mats.values()), module.dim), kind="socle")
+    space = _close(field, units, list(module.a_mats.values()), module.dim)
+    return subspace_as_module(module, space, kind="socle", letters=letters)
 
 
 def _from_rows(field: CyclotomicField, rows: Iterable[tuple[int, VecDict]], dim: int) -> CycMatrix:
@@ -842,13 +880,14 @@ def _head_span(module: QDModule) -> EchelonBasis:
     reads its pivots and ``theorems.verify_rigid_tensor`` the positions that
     are not.
     """
+    module.require_letters()
     field, dim = module.ctx.field, module.dim
     lowering = [_from_rows(field, enumerate(mat.sparse_columns()), dim) for mat in module.a_mats.values()]
     units = [{t: field.one} for t in module.layer_indices().get(0, [])]
     return _close(field, units, lowering, dim)
 
 
-def head(module: QDModule) -> QDModule:
+def head(module: QDModule, letters: bool = True) -> QDModule:
     """The quotient by the largest graded submodule that meets degree 0 in zero, read off degree 0 in one pass.
 
     That submodule is the common kernel of the functionals f u, f on the
@@ -876,6 +915,15 @@ def head(module: QDModule) -> QDModule:
     every standard module and every module induced from a simple one.  x
     and y must be invertible monomial matrices on the classes, as they are
     on every such head.
+
+    With ``letters=False`` a proper head is built with x, y and its degrees
+    and no letters (:func:`_on_positions`), for a caller that reads only
+    those and its graded character: the letters' columns are not read by
+    the pairing, and no check is skipped, since none is made there.  The
+    module itself, when returned, keeps its letters.
+
+    Raises:
+        AssertionError: if the module was built without its letters.
     """
     span = _head_span(module)
     if len(span.pivots) == module.dim:
@@ -883,7 +931,8 @@ def head(module: QDModule) -> QDModule:
     field = module.ctx.field
     # column t of the pairing holds each row's entry at t, in the row's new position
     pairing = _from_rows(field, enumerate(span.rows), module.dim)
-    return _on_positions(module, span.pivots, [{p: field.one} for p in span.pivots], pairing.apply, "head")
+    stand_ins = [{p: field.one} for p in span.pivots]
+    return _on_positions(module, span.pivots, stand_ins, pairing.apply, "head", letters)
 
 
 @dataclass(frozen=True)
@@ -958,6 +1007,8 @@ def tensor_qd(ctx: DihedralContext, left: QDModule, right: QDModule) -> QDModule
     relations are re-checked on the result and any failure raises instead of
     being patched over.
     """
+    left.require_letters()
+    right.require_letters()
     if left.index_set != right.index_set:
         raise ValueError("tensor factors must share one index set")
     field = ctx.field

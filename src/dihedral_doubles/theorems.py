@@ -438,7 +438,11 @@ def pivot_check(ctx: DihedralContext, module: QDModule, character: int) -> bool:
     (``UnitMonomial.order_divides``), and must conjugate each raising and
     lowering generator A to its negative, ``pivot A = w^(m/2) A pivot``,
     decided column by column (``qdouble._products_equal``).
+
+    Raises:
+        AssertionError: if the module was built without its letters.
     """
+    module.require_letters()
     pivot = pivot_candidate(ctx, module, character)
     if not pivot.order_divides(2):
         return False
@@ -604,15 +608,17 @@ def _standard_stage(verma: QDModule) -> tuple[bool, bool, QDModule, GradedCharac
     simple, and a simple module is its own socle, so :func:`socle` spans
     only a module that is not simple, and a simple one's socle character is
     its head's.  :func:`verify_simple` and the ``simple`` command both call
-    this stage.
+    this stage.  Both read the head and the socle for their x, y, degrees
+    and characters alone, so a proper head and the socle are built without
+    their letters.
     """
     relations_ok = not check_relations(verma)
     theta_ok = not theta_congruence(verma)
-    simple = head(verma)
+    simple = head(verma, letters=False)
     head_char = graded_character(simple)
     if simple is verma:
         return relations_ok, theta_ok, simple, head_char, verma, head_char
-    soc = socle(verma)
+    soc = socle(verma, letters=False)
     return relations_ok, theta_ok, simple, head_char, soc, graded_character(soc)
 
 
@@ -685,8 +691,9 @@ def verify_simple(ctx: DihedralContext, index_set: IndexSet, label: WeightLabel)
             continue
         from_socle = from_head if same else induce_from_simple(ctx, socle(sub_verma), pair)
         rec_relations = not check_relations(from_head) and (same or not check_relations(from_socle))
-        rec_head = graded_character(head(from_head)) == head_char
-        rec_socle = graded_character(socle(from_socle)) == socle_char
+        # only the characters of these are read; the smaller head and socle above keep their letters to induce
+        rec_head = graded_character(head(from_head, letters=False)) == head_char
+        rec_socle = graded_character(socle(from_socle, letters=False)) == socle_char
         recursion.append(RecursionCheck(pair, rec_relations, rec_head, rec_socle))
 
     qdim: CycNum | None = None

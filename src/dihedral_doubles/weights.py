@@ -173,6 +173,12 @@ class QDModule:
     (:meth:`layer_indices`).  A basis vector has no name: its position,
     integer degree and group degree identify it.
 
+    A head or socle read only for x, y, its degrees and its graded character
+    is built without its letters (``qdouble.head`` and ``qdouble.socle``
+    with ``letters=False``): ``v_mats`` and ``a_mats`` are then None, not
+    empty, so that a check that reads the letters raises
+    (:meth:`require_letters`) instead of passing on none.
+
     Raises:
         AssertionError: if the row map of x or y is not a permutation of the
             basis; the message names the generator and the module's kind.
@@ -185,8 +191,8 @@ class QDModule:
         gdeg: group degree of each basis vector, as the integer
             ``refl * m + rot`` (see ``dihedral``).
         x_mat, y_mat: the group generators x and y.
-        v_mats: raising matrices, keyed by (pair position, sign).
-        a_mats: lowering matrices, keyed by (pair position, sign).
+        v_mats: raising matrices, keyed by (pair position, sign), or None.
+        a_mats: lowering matrices, keyed by (pair position, sign), or None.
         weight: label of the inducing weight, when one applies.
         kind: how the module was produced (verma, induced, head, socle, ...).
     """
@@ -199,8 +205,8 @@ class QDModule:
         gdeg: Sequence[int],
         x_mat: UnitMonomial,
         y_mat: UnitMonomial,
-        v_mats: dict[tuple[int, int], CycMatrix],
-        a_mats: dict[tuple[int, int], CycMatrix],
+        v_mats: dict[tuple[int, int], CycMatrix] | None,
+        a_mats: dict[tuple[int, int], CycMatrix] | None,
         weight: WeightLabel | None = None,
         kind: str = "module",
     ) -> None:
@@ -219,6 +225,19 @@ class QDModule:
         for name, mat in (("x", x_mat), ("y", y_mat)):
             if sorted(mat.rows) != basis:
                 raise AssertionError(f"{name} is not an invertible monomial matrix on a module of kind {kind!r}")
+
+    def require_letters(self) -> None:
+        """Raise unless the module holds its letters.
+
+        A module handed to a reader of letters without them is a fault of
+        the caller, so this is an internal check, as the package's others.
+
+        Raises:
+            AssertionError: if the module was built without them; the
+                message names its kind.
+        """
+        if self.v_mats is None or self.a_mats is None:
+            raise AssertionError(f"a module of kind {self.kind!r} built without its letters has none to read")
 
     def layer_indices(self) -> dict[int, list[int]]:
         cached = self.__dict__.get("_layers")

@@ -727,6 +727,16 @@ PINNED = {
         "verify", "--m", "16", "--index", "(2,4),(2,12)", "--weights", "e:chi1, M1,6, Mx:0,0, Mxy:1,1",
         "--output", "json", "--threads", "1",
     ],
+    # five pairs, two of them repeated: check_relations decides the sign -1 relations on their x-mirrors
+    "verify_1_6_1_6_3_6_5_6_5_6": [
+        "verify", "--index", "(1,6),(1,6),(3,6),(5,6),(5,6)", "--weights", "Mx:0,0", "--threads", "1",
+        "--output", "json",
+    ],
+    # three pairs folded in one at a time at m = 20, one of them repeated
+    "verify_20_2_5_2_5_2_15": [
+        "verify", "--m", "20", "--index", "(2,5),(2,5),(2,15)", "--weights", "e:chi1, Mx:0,0, Mxy:1,1",
+        "--threads", "1", "--output", "json",
+    ],
     # 9 rigid weights, each tensored with 6 partners, over two pairs: the rigid tensor check on every product
     "verify_1_6_3_6_tensor_rigid": [
         "verify", "--index", "(1,6),(3,6)", "--weights", "e:chi1", "--spherical", "--tensor-rigid", "--output", "json",
@@ -753,9 +763,9 @@ def test_simple_scans_for_a_socle_only_when_the_standard_module_is_not_simple(ca
     # theorems._standard_stage
     spanned = []
 
-    def recorded(module, _real=theorems.socle):
+    def recorded(module, letters=True, _real=theorems.socle):
         spanned.append(module)
-        return _real(module)
+        return _real(module, letters)
 
     monkeypatch.setattr(theorems, "socle", recorded)
     code, _, err = run(capsys, PINNED[name])

@@ -737,6 +737,17 @@ def test_apply_matches_a_dense_product_and_keeps_no_zero_entries(mat, data):
     assert all(image.values())
 
 
+@given(sparse_matrices(), st.data())
+def test_apply_of_a_unit_vector_is_its_column(mat, data):
+    # an entry 1 of the vector, as in the coordinate stand-ins {p: one} of qdouble._on_positions, takes the
+    # column's entries as they stand; any other power of w still multiplies them
+    field = mat.field
+    other = field.zeta(data.draw(st.integers(1, field.m - 1)))
+    for j, col in enumerate(mat.sparse_columns()):
+        assert mat.apply({j: field.one}) == col
+        assert mat.apply({j: other}) == {i: x * other for i, x in col.items()}
+
+
 # The monomial view of CycMatrix against the column dicts and ``apply``.
 
 
@@ -1042,3 +1053,24 @@ def test_order_divides_and_powers_read_off_the_cycles(case, data):
     # one start per cycle, its smallest column, fixed points too, in increasing order; every column of the identity
     assert g.cycle_starts() == sorted(min(cycle) for cycle in _cycles(g.rows))
     assert UnitMonomial(g.field, range(n), g.exps).cycle_starts() == list(range(n))
+
+
+@settings(max_examples=100)
+@given(st.integers(12, 24), st.integers(0, 30), st.data())
+def test_each_power_is_formed_once_and_kept_on_its_monomial(m, n, data):
+    # UnitMonomial.__pow__ keeps each power it forms, keyed by the power: each equals a fresh walk of the
+    # cycles and the power of the column dicts, a repeat returns the same object, and == and the hash read
+    # the row map and exponents alone, before and after
+    field = get_field(m)
+    g = data.draw(unit_monomials(field, n))
+    twin = UnitMonomial(field, g.rows, g.exps)
+    key = hash(g)
+    powers = data.draw(st.lists(st.integers(0, 3 * m), min_size=2, max_size=5, unique=True))
+    formed = {k: g**k for k in powers}
+    for k in powers:
+        fresh = UnitMonomial(field, g.rows, g.exps) ** k
+        assert formed[k] == fresh
+        assert monomial_matrix(formed[k]) == _matrix_power(monomial_matrix(g), k)
+        assert g**k is formed[k]
+    assert g == twin and twin == g
+    assert hash(g) == hash(twin) == key

@@ -27,6 +27,7 @@ from dihedral_doubles.qdouble import (
     theta_congruence,
     y_power,
 )
+from dihedral_doubles.theorems import pivot_check
 from dihedral_doubles.weights import (
     QDModule,
     all_weight_labels,
@@ -375,10 +376,11 @@ def test_the_reduced_row_membership_read_agrees_with_insert(case):
 
 
 def _leaving_kinds(module, space):
-    """The kinds of generator, of x and y ("group"), raising or lowering letters, that take some reduced row
-    of ``space`` out of it, each image applied and asked of a fresh basis of the rows."""
+    """The kinds of generator, x, y, raising or lowering letters, that take some reduced row of ``space`` out
+    of it, each image applied and asked of a fresh basis of the rows."""
     kinds = {
-        "group": [monomial_matrix(module.x_mat), monomial_matrix(module.y_mat)],
+        "x": [monomial_matrix(module.x_mat)],
+        "y": [monomial_matrix(module.y_mat)],
         "raising": list(module.v_mats.values()),
         "lowering": list(module.a_mats.values()),
     }
@@ -390,9 +392,12 @@ def _leaving_kinds(module, space):
     }
 
 
+@pytest.mark.parametrize("letters", [True, False])
 @pytest.mark.parametrize("part", ["degree 0", "bottom layer", "socle below its top"])
-def test_spans_that_only_one_kind_of_letter_leaves_are_refused(ctx12, part):
-    # x and y keep each of these spans, and so does one kind of letter: the refusal must come from the other
+def test_spans_that_only_one_kind_of_letter_leaves_are_refused(ctx12, part, letters):
+    # x and y keep each of these spans, and so does one kind of letter: the refusal must come from the other.
+    # Without letters, the raising letters are still read on every row; the lowering letters are not, and a
+    # span that only they leave is built, as socle's caller vouches for them by spanning under them
     field = ctx12.field
     verma = _verma(ctx12, "(1,6),(3,6)", "Mx:0,0")
     layers = verma.layer_indices()
@@ -409,8 +414,28 @@ def test_spans_that_only_one_kind_of_letter_leaves_are_refused(ctx12, part):
     space = _rref(field, rows)
     assert space.rows == rows
     assert _leaving_kinds(verma, space) == {leaving}
+    if leaving == "lowering" and not letters:
+        built = subspace_as_module(verma, space, letters=False)
+        assert (built.dim, built.v_mats, built.a_mats) == (len(rows), None, None)
+        return
     with pytest.raises(AssertionError, match="subspace is not stable under a generator"):
-        subspace_as_module(verma, space)
+        subspace_as_module(verma, space, letters=letters)
+
+
+@pytest.mark.parametrize("letters", [True, False])
+@pytest.mark.parametrize(("label_text", "leaving"), [("e:rho1", "x"), ("Mx:0,0", "y")])
+def test_spans_that_x_or_y_leaves_are_refused_with_or_without_letters(ctx12, label_text, leaving, letters):
+    # one unit vector of the bottom layer: the raising letters kill it and the lowering letters leave its span,
+    # and so does x on e:rho1, where y keeps each basis line, or y on Mx:0,0, where x fixes the vector.  Without
+    # letters, x and y are read as before, and the refusal must come from the one that leaves
+    field = ctx12.field
+    verma = _verma(ctx12, "(1,6),(3,6)", label_text)
+    layers = verma.layer_indices()
+    rows = [{layers[min(layers)][0]: field.one}]
+    space = _rref(field, rows)
+    assert _leaving_kinds(verma, space) == {leaving, "lowering"}
+    with pytest.raises(AssertionError, match="subspace is not stable under a generator"):
+        subspace_as_module(verma, space, letters=letters)
 
 
 def _unit_block(a, b):
@@ -490,9 +515,9 @@ def test_the_socle_top_is_the_lowest_joint_kernel(ctx12, monkeypatch, iset_text)
     # in the same degree and with the same reduced rows
     spans = []
 
-    def recorded(module, space, kind="submodule"):
+    def recorded(module, space, kind="submodule", letters=True):
         spans.append(space)
-        return subspace_as_module(module, space, kind)
+        return subspace_as_module(module, space, kind, letters)
 
     monkeypatch.setattr(qdouble, "subspace_as_module", recorded)
     for label in all_weight_labels(ctx12):
@@ -1015,6 +1040,71 @@ def test_a_simple_module_is_its_own_head_and_a_module_without_degree_0_has_a_zer
     assert max(below.zdeg) < 0
     top = head(below)
     assert (top.dim, top.kind) == (0, "head")
+
+
+def _with_letters_as(module, letters):
+    """``module`` with ``letters`` in place of both its raising and its lowering matrices."""
+    return QDModule(
+        module.ctx, module.index_set, module.zdeg, module.gdeg, module.x_mat, module.y_mat, letters, letters,
+        weight=module.weight, kind=module.kind,
+    )
+
+
+_LETTER_READERS = {
+    "check_relations": lambda ctx, bare, full: check_relations(bare),
+    "theta_congruence": lambda ctx, bare, full: theta_congruence(bare),
+    "induce_from_simple": lambda ctx, bare, full: induce_from_simple(ctx, bare, (5, 6)),
+    "head": lambda ctx, bare, full: head(bare),
+    "socle": lambda ctx, bare, full: socle(bare),
+    "tensor_qd": lambda ctx, bare, full: tensor_qd(ctx, full, bare),
+    "pivot_check": lambda ctx, bare, full: pivot_check(ctx, bare, 3),
+    "basis_change": lambda ctx, bare, full: basis_change(bare, bare),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_LETTER_READERS))
+@pytest.mark.parametrize("built", ["head", "socle"])
+def test_a_module_built_without_its_letters_is_refused(ctx12, reader, built):
+    # a head or socle read only for its character holds None for its letters: every reader of the letters
+    # raises on it, where empty dicts would let check_relations and pivot_check pass with no letter checked
+    verma = _verma(ctx12, "(1,6),(3,6)", "Mx:0,0")
+    full = (head if built == "head" else socle)(verma)
+    bare = (head if built == "head" else socle)(verma, letters=False)
+    assert full is not verma and (bare.v_mats, bare.a_mats) == (None, None)
+    with pytest.raises(AssertionError, match=f"a module of kind '{built}' built without its letters has none to read"):
+        _LETTER_READERS[reader](ctx12, bare, full)
+    if reader in ("check_relations", "pivot_check"):
+        assert _LETTER_READERS[reader](ctx12, _with_letters_as(bare, {}), full) in ([], True)
+
+
+def _assert_letterless_agrees(module):
+    """``head`` and ``socle`` of ``module`` with and without letters give the same dimension, degrees, x, y and
+    character; without, a module built anew holds no letters, and a simple module is its own head as it is."""
+    for take in [head, socle] if module.kind in ("verma", "induced") else [head]:
+        full, bare = take(module), take(module, letters=False)
+        if full is module:
+            assert bare is module
+            continue
+        assert (bare.v_mats, bare.a_mats) == (None, None)
+        assert (bare.kind, bare.dim, bare.zdeg, bare.gdeg) == (full.kind, full.dim, full.zdeg, full.gdeg)
+        assert (bare.x_mat, bare.y_mat) == (full.x_mat, full.y_mat)
+        assert graded_character(bare) == graded_character(full)
+
+
+@pytest.mark.parametrize(
+    ("m", "iset_text"), [(12, "(2,3)"), (12, "(1,6)"), (12, "(1,6),(3,6)"), (12, "(2,3),(2,9)"), (16, "(2,4),(2,12)")]
+)
+def test_heads_and_socles_without_letters_agree_with_the_full_ones(m, iset_text):
+    # theorems reads the standard module's head and socle, and those of the modules each recursion step
+    # induces, for their characters alone; the smaller head and socle, which are induced from, keep their letters
+    ctx = get_context(m)
+    iset = parse_index_set(ctx, iset_text)
+    for label in all_weight_labels(ctx):
+        _assert_letterless_agrees(build_verma(ctx, iset, label))
+        for pos, pair in enumerate(iset.pairs if iset.size > 1 else ()):
+            smaller = build_verma(ctx, iset.without(pos), label)
+            for base in (head(smaller), socle(smaller)):
+                _assert_letterless_agrees(induce_from_simple(ctx, base, pair))
 
 
 def _omega_sum(ctx, exponents):

@@ -448,8 +448,8 @@ def test_a_smaller_socle_with_its_own_matrices_is_induced_apart_from_the_head(ct
     # neither smaller standard module of e:chi1 is simple, and their socles come back here with x negated: a
     # simple that is not the socle, so it is induced and checked on its own, and the socle it induces is told
     # from the true one
-    def socle_with_x_negated(module):
-        soc = socle(module)
+    def socle_with_x_negated(module, letters=True):
+        soc = socle(module, letters)
         return soc if module.index_set.size > 1 else _negated(soc, "x_mat")
 
     monkeypatch.setattr(theorems, "socle", socle_with_x_negated)
@@ -482,9 +482,9 @@ def test_the_socle_is_scanned_exactly_on_the_modules_that_are_not_simple(
 ):
     spanned = []
 
-    def recorded(module):
+    def recorded(module, letters=True):
         spanned.append(module)
-        return socle(module)
+        return socle(module, letters)
 
     monkeypatch.setattr(theorems, "socle", recorded)
     report = verify_simple(*_case(m, index_text, label_text))
